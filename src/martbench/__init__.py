@@ -17,7 +17,6 @@ from .filtration import (
     StoppingTime,
     TreeSpace,
     cond_exp,
-    cond_exp_weighted,
     count_stopping_times,
     enumerate_stopping_times,
     first_passage_time,
@@ -25,6 +24,7 @@ from .filtration import (
     make_tree_space,
     sample_stopping_time,
     space_from_json,
+    stopped,
     stopped_value,
     stopping_time_from_json,
 )
@@ -64,6 +64,7 @@ from .theorems import (
     estimate_best_constant,
     sawyer_decomposition,
     sawyer_trace_invariants,
+    snell_testing_sup,
     verify_ap_to_testing,
     verify_sp_to_strong,
     verify_testing_to_ap,

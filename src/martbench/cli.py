@@ -23,6 +23,7 @@ import numpy as np
 
 from .exponents import conjugate_product, sequence_from_json
 from .filtration import (
+    ENUMERATION_CAP,
     EnumerationCapError,
     TreeSpace,
     count_stopping_times,
@@ -31,15 +32,18 @@ from .filtration import (
 )
 from .holder import (
     FunctionVector,
+    function_norms_product,
     function_vector_from_json,
     holder_conditional_check,
     holder_integral_check,
+    trial_vector,
 )
 from .report import VerificationReport, check_inequality
 from .theorems import (
     estimate_best_constant,
     sawyer_decomposition,
     sawyer_trace_invariants,
+    snell_testing_sup,
     verify_sp_to_strong,
     verify_testing_to_ap,
     verify_testing_to_weak,
@@ -138,47 +142,24 @@ def _function_vectors(config: RunConfig, space: TreeSpace, seq) -> list[Function
         seed = int(gen.get("seed", config.seed))
         trials = int(gen.get("trials", config.trials))
         spread = float(gen.get("spread", config.spread))
-        m = seq.head_len
-        out = []
-        for trial in range(trials):
-            rng = np.random.default_rng([seed, trial])
-            if trial == 0:
-                comps = [np.ones(space.n_leaves)] * m
-            elif trial == 1:
-                chi = np.zeros(space.n_leaves)
-                chi[space.atom_slice(min(1, space.depth), 0)] = 1.0
-                comps = [chi.copy() for _ in range(m)]
-            else:
-                comps = [
-                    np.exp(rng.uniform(-math.log(spread), math.log(spread), space.n_leaves))
-                    for _ in range(m)
-                ]
-            out.append(FunctionVector(tuple(comps), None))
-        return out
+        return [trial_vector(space, seq.head_len, seed, t, spread) for t in range(trials)]
     if isinstance(spec, dict):
         spec = [spec]
     return [function_vector_from_json(space, item) for item in spec]
 
 
-def _aggregate_testing(ws: WeightSystem, fvec: FunctionVector, taus) -> tuple[VerificationReport, float]:
-    """Testing check against every stopping time with the level products
-    computed once; reports the worst side and returns the observed
-    testing constant for this vector."""
-    from .holder import function_norms_product, level_products
-    from .theorems import _testing_lhs_pth
-
-    rp = ws.seq.aggregate_reciprocal
-    rows = level_products(ws.space, fvec, ws.seq)
+def _aggregate_testing(ws: WeightSystem, fvec: FunctionVector) -> tuple[VerificationReport, float]:
+    """Testing check against the exact supremum over all stopping times;
+    reports the worst side and returns the observed testing constant for
+    this vector."""
+    worst_lhs = snell_testing_sup(ws, fvec) ** ws.seq.aggregate_reciprocal
     rhs = function_norms_product(ws.space, fvec, ws.seq, ws.active_weights)
-    worst_lhs = max(
-        _testing_lhs_pth(ws, rows, tau, 1.0 / rp) ** rp for tau in taus
-    )
     merged = check_inequality(
         "ap-to-testing",
         worst_lhs,
         rhs,
         constant=ap_constant(ws),
-        metadata={"n_stopping_times": len(taus), "space": ws.space.digest()},
+        metadata={"stopping_sup": "exact", "space": ws.space.digest()},
     )
     observed = worst_lhs / rhs if rhs > 0.0 else 0.0
     return merged, observed
@@ -213,11 +194,15 @@ def _cmd_weights_constants(config: RunConfig, space, seq) -> tuple[list, dict]:
 
 def _cmd_verify_ap(config: RunConfig, space, seq) -> tuple[list, dict]:
     ws = _build_weight_system(config, space, seq)
-    taus = list(enumerate_stopping_times(space))
+    total = count_stopping_times(space)
+    if total > ENUMERATION_CAP:
+        # past the enumeration cap verify-ap stays an input error (exit 2),
+        # although the exact supremum itself enumerates nothing
+        raise EnumerationCapError(f"{total} stopping times exceed the cap {ENUMERATION_CAP}")
     c_a = ap_constant(ws)
     reports = []
     for fvec in _function_vectors(config, space, seq):
-        merged, observed = _aggregate_testing(ws, fvec, taus)
+        merged, observed = _aggregate_testing(ws, fvec)
         reports.append(merged)
         reports.append(verify_testing_to_weak(ws, fvec, observed, tolerance=config.tol))
         reports.append(verify_weak_to_testing(ws, fvec, c_a, tolerance=config.tol))

@@ -123,44 +123,30 @@ def as_leaf_mask(space: TreeSpace, mask) -> np.ndarray:
     return m.astype(bool)
 
 
-def cond_exp(space: TreeSpace, f: np.ndarray, n: int) -> np.ndarray:
-    """Conditional expectation at level n: the probability-weighted average
-    of f over each level-n atom.  Level depth returns f itself exactly."""
+def cond_exp(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarray:
+    """Conditional expectation at level n: the average of f over each
+    level-n atom under the leaf probabilities, or, with a strictly positive
+    density sigma, under leaf_probs * sigma (the change of measure
+    E_n(f sigma) / E_n(sigma)).  Level depth returns f itself exactly."""
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
+    if sigma is not None:
+        sigma = np.asarray(sigma, dtype=float)
+        if not np.all(sigma > 0.0):
+            raise ValueError("sigma must be strictly positive")
     f = np.asarray(f, dtype=float)
     if n == space.depth:
         return f.copy()
     w = space.leaf_probs
-    num = space.atom_sums(w * f, n)
-    den = space.atom_sums(w, n)
-    return space.expand(num / den, n)
+    num = w * f
+    if sigma is not None:
+        num, w = num * sigma, w * sigma
+    return space.expand(space.atom_sums(num, n) / space.atom_sums(w, n), n)
 
 
-def cond_exp_matrix(space: TreeSpace, f: np.ndarray) -> np.ndarray:
-    """All levels at once: row n is cond_exp(space, f, n)."""
-    return np.stack([cond_exp(space, f, n) for n in space.levels])
-
-
-def cond_exp_weighted(space: TreeSpace, g: np.ndarray, sigma: np.ndarray, n: int) -> np.ndarray:
-    """Change-of-measure conditional expectation E_n(g sigma) / E_n(sigma)
-    for a positive density sigma.  Reduces to cond_exp when sigma == 1."""
-    if not 0 <= n <= space.depth:
-        raise ValueError(f"level {n} out of range 0..{space.depth}")
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(sigma > 0.0):
-        raise ValueError("sigma must be strictly positive")
-    g = np.asarray(g, dtype=float)
-    if n == space.depth:
-        return g.copy()
-    w = space.leaf_probs
-    num = space.atom_sums(w * g * sigma, n)
-    den = space.atom_sums(w * sigma, n)
-    return space.expand(num / den, n)
-
-
-def cond_exp_weighted_matrix(space: TreeSpace, g: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return np.stack([cond_exp_weighted(space, g, sigma, n) for n in space.levels])
+def cond_exp_matrix(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:
+    """All levels at once: row n is cond_exp(space, f, n, sigma)."""
+    return np.stack([cond_exp(space, f, n, sigma) for n in space.levels])
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,6 +300,14 @@ def first_passage_time(
     return StoppingTime(values)
 
 
+def stopped(space: TreeSpace, rows: np.ndarray, tau: StoppingTime, otherwise) -> np.ndarray:
+    """An adapted process at a stopping time: rows[tau(x), x] where tau is
+    finite and `otherwise` (a scalar or leaf vector) where it is infinite;
+    row n of the (depth+1, leaves) matrix is the process at level n."""
+    idx = np.clip(tau.values, 0, space.depth)
+    return np.where(tau.finite, rows[idx, np.arange(space.n_leaves)], otherwise)
+
+
 def stopped_value(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -> np.ndarray:
     """The stopped martingale: E_{tau(x)}(f)(x) where tau is finite and
     f(x) itself where tau is infinite.  Equals the conditional expectation
@@ -321,24 +315,7 @@ def stopped_value(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -> np.ndar
     if not is_stopping_time(space, tau):
         raise ValueError("tau is not an adapted stopping time")
     f = np.asarray(f, dtype=float)
-    mat = cond_exp_matrix(space, f)
-    idx = np.clip(tau.values, 0, space.depth)
-    picked = mat[idx, np.arange(space.n_leaves)]
-    return np.where(tau.finite, picked, f)
-
-
-def stopped_weighted_value(
-    space: TreeSpace, g: np.ndarray, sigma: np.ndarray, tau: StoppingTime
-) -> np.ndarray:
-    """Stopped change-of-measure expectation: E^sigma at the stopped level
-    where tau is finite, g itself where tau is infinite."""
-    if not is_stopping_time(space, tau):
-        raise ValueError("tau is not an adapted stopping time")
-    g = np.asarray(g, dtype=float)
-    mat = cond_exp_weighted_matrix(space, g, sigma)
-    idx = np.clip(tau.values, 0, space.depth)
-    picked = mat[idx, np.arange(space.n_leaves)]
-    return np.where(tau.finite, picked, g)
+    return stopped(space, cond_exp_matrix(space, f), tau, f)
 
 
 def is_stopped_measurable(space: TreeSpace, tau: StoppingTime, mask: np.ndarray) -> bool:

@@ -57,6 +57,26 @@ def function_vector_from_json(space: TreeSpace, obj: dict) -> FunctionVector:
     return function_vector(space, obj["active"], obj.get("mask"))
 
 
+def trial_vector(
+    space: TreeSpace, m: int, seed: int, trial: int, spread: float
+) -> FunctionVector:
+    """The seeded trial vectors with m components: trial 0 is all ones,
+    trial 1 the indicator of the first level-1 atom, and every later trial
+    draws log-uniform components in [1/spread, spread] from
+    default_rng([seed, trial])."""
+    if trial == 0:
+        comps = [np.ones(space.n_leaves)] * m
+    elif trial == 1:
+        chi = np.zeros(space.n_leaves)
+        chi[space.atom_slice(min(1, space.depth), 0)] = 1.0
+        comps = [chi] * m
+    else:
+        rng = np.random.default_rng([seed, trial])
+        bound = math.log(spread)
+        comps = [np.exp(rng.uniform(-bound, bound, space.n_leaves)) for _ in range(m)]
+    return FunctionVector(tuple(comps), None)
+
+
 def _check_alignment(fvec: FunctionVector, seq: ExponentSequence) -> None:
     if fvec.n_active > seq.head_len:
         raise ValueError(
@@ -112,8 +132,8 @@ def level_products(
 
     Unmasked tail components average to exactly 1.  With a mask Q and a
     nonempty tail, row n picks up the factor E_n(chi_Q) infinitely often,
-    so it survives only on atoms contained in Q where that average is
-    exactly 1.  A finite family (tail mass 0) has no infinite tail; the
+    so it survives only on atoms contained in Q, decided from integer leaf
+    counts per atom.  A finite family (tail mass 0) has no infinite tail; the
     mask then also applies to the constant-1 components padding the head,
     each contributing one factor E_n(chi_Q).
     """
@@ -128,7 +148,10 @@ def level_products(
     for f in fvec.active:
         rows *= cond_exp_matrix(space, f * mf)
     if not seq.is_finite_family:
-        rows *= cond_exp_matrix(space, mf) == 1.0
+        rows *= np.stack([
+            space.expand(space.atom_sums(mask, n) == space.atom_size(n), n)
+            for n in space.levels
+        ])
     elif fvec.n_active < seq.head_len:
         rows *= cond_exp_matrix(space, mf) ** (seq.head_len - fvec.n_active)
     return rows

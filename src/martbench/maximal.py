@@ -18,7 +18,6 @@ from .filtration import (
     as_leaf_mask,
     as_leaf_vector,
     cond_exp_matrix,
-    cond_exp_weighted_matrix,
     first_passage_time,
 )
 from .holder import FunctionVector, level_products, lp_norm
@@ -68,7 +67,7 @@ def gen_weighted_maximal(
     for i in range(n_slots):
         g = gvec.active[i] if i < gvec.n_active else ones
         s = sigmas[i] if i < len(sigmas) else ones
-        rows *= cond_exp_weighted_matrix(space, g, s)
+        rows *= cond_exp_matrix(space, g, s)
     return rows.max(axis=0)
 
 
@@ -134,10 +133,7 @@ def doob_inequality_check(
     if not q > 1.0:
         raise ValueError(f"exponent {q} must be > 1")
     g = as_leaf_vector(space, g, nonnegative=True)
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(sigma > 0.0):
-        raise ValueError("sigma must be strictly positive")
-    sup = cond_exp_weighted_matrix(space, g, sigma).max(axis=0)
+    sup = cond_exp_matrix(space, g, sigma).max(axis=0)
     q_conj = q / (q - 1.0)
     lhs = lp_norm(space, sup, q, sigma)
     rhs = lp_norm(space, g, q, sigma)

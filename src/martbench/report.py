@@ -59,7 +59,3 @@ def check_inequality(
         tolerance=tolerance,
         metadata=metadata or {},
     )
-
-
-def all_pass(reports) -> bool:
-    return all(r.passed for r in reports)

@@ -27,30 +27,30 @@ from .exponents import conjugate_product
 from .filtration import (
     StoppingTime,
     TreeSpace,
-    cond_exp,
     cond_exp_matrix,
-    cond_exp_weighted_matrix,
-    count_stopping_times,
-    enumerate_stopping_times,
     first_passage_time,
     is_stopped_measurable,
     is_stopping_time,
-    sample_stopping_time,
+    stopped,
 )
-from .holder import FunctionVector, function_norms_product, level_products, lp_norm
+from .holder import (
+    FunctionVector,
+    function_norms_product,
+    level_products,
+    lp_norm,
+    trial_vector,
+)
 from .maximal import gen_doob_maximal, level_set_stopping_time, weak_lp_norm, weighted_measure
 from .report import ABS_FLOOR, REL_TOL, VerificationReport, check_inequality
 from .weights import (
     WeightSystem,
     ap_constant,
+    ap_level_values,
     necessity_family_ap,
     rh_constant,
     sp_constant_argmax,
     sp_support_ratio,
 )
-
-_TAU_SCAN_CAP = 100_000
-_TAU_SAMPLE_COUNT = 512
 
 
 def band_index(values: np.ndarray) -> np.ndarray:
@@ -69,27 +69,10 @@ def _strong_rhs(ws: WeightSystem, gvec: FunctionVector) -> float:
     return function_norms_product(ws.space, gvec, ws.seq, sigmas)
 
 
-def _stopped_products(space: TreeSpace, rows: np.ndarray, tau: StoppingTime) -> np.ndarray:
-    """rows[tau(x), x] on {tau finite}, 0 elsewhere (excluded mass)."""
-    idx = np.clip(tau.values, 0, space.depth)
-    picked = rows[idx, np.arange(space.n_leaves)]
-    return np.where(tau.finite, picked, 0.0)
-
-
 def _testing_lhs_pth(ws: WeightSystem, rows: np.ndarray, tau: StoppingTime, p: float) -> float:
     """integral over {tau finite} of (prod E_tau(f_i))**p v dmu."""
-    stopped = _stopped_products(ws.space, rows, tau)
-    contrib = ws.space.leaf_probs * ws.v * stopped**p
+    contrib = ws.space.leaf_probs * ws.v * stopped(ws.space, rows, tau, 0.0) ** p
     return float(contrib[tau.finite].sum())
-
-
-def _tau_family(space: TreeSpace, seed: int = 0):
-    """Every stopping time when the family is small, a fixed-seed uniform
-    sample otherwise."""
-    if count_stopping_times(space) <= _TAU_SCAN_CAP:
-        return list(enumerate_stopping_times(space))
-    rng = np.random.default_rng(seed)
-    return [sample_stopping_time(space, rng) for _ in range(_TAU_SAMPLE_COUNT)]
 
 
 def verify_ap_to_testing(
@@ -177,7 +160,8 @@ def verify_weak_to_testing(
     sliced norm product to the p.  Summing the slices and interchanging
     with the norm product bounds every stopped integral by
     2**p * c_weak**p * prod (int f_i**p_i omega_i)**(p/p_i).
-    The slice partitions are reported for inspection.
+    The left side is the exact supremum over all stopping times
+    (snell_testing_sup); the slice partitions are reported for inspection.
     """
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
@@ -214,33 +198,20 @@ def verify_weak_to_testing(
             )
         partitions[n] = level_bands
 
-    worst = 0.0
-    taus = _tau_family(space)
-    for tau in taus:
-        worst = max(worst, _testing_lhs_pth(ws, rows, tau, p))
     report = check_inequality(
         "weak-to-testing",
-        worst,
+        snell_testing_sup(ws, fvec),
         rhs_pth,
         constant=c_prime,
         tolerance=tolerance,
         metadata={
             "bands_per_level": partitions,
-            "n_stopping_times": len(taus),
+            "stopping_sup": "exact",
             "space": space.digest(),
         },
     )
     report.passed = report.passed and all_ok
     return report
-
-
-def _ap_level_values(ws: WeightSystem, n: int) -> np.ndarray:
-    """Leaf-wise E_n(v)**(1/p) * prod E_n(sigma_i)**(1/p'_i)."""
-    rp = ws.seq.aggregate_reciprocal
-    value = cond_exp(ws.space, ws.v, n) ** rp
-    for i, s in enumerate(ws.sigmas):
-        value = value * cond_exp(ws.space, s, n) ** (1.0 - 1.0 / ws.seq.head[i])
-    return value
 
 
 def verify_testing_to_ap(
@@ -270,8 +241,8 @@ def verify_testing_to_ap(
     c_test_observed = 0.0
     recovered_max = 0.0
     all_ok = True
+    ap_rows = ap_level_values(ws)
     for n in space.levels:
-        ap_values = _ap_level_values(ws, n)
         size = space.atom_size(n)
         for j in range(space.n_atoms(n)):
             mask = np.zeros(space.n_leaves, dtype=bool)
@@ -281,7 +252,7 @@ def verify_testing_to_ap(
             lhs = float(np.sum(space.leaf_probs * ws.v * rows[n] ** p)) ** rp
             rhs = _norms_product(ws, fv)
             ratio = lhs / rhs
-            recovered = float(ap_values[j * size])
+            recovered = float(ap_rows[n, j * size])
             bound = ratio * scale
             if recovered > bound + tolerance * abs(bound) + ABS_FLOOR:
                 all_ok = False
@@ -402,8 +373,7 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     }
 
     sigma_mats = [cond_exp_matrix(space, s) for _, s in slots]
-    weighted_mats = [cond_exp_weighted_matrix(space, g, s) for g, s in slots]
-    leaf_idx = np.arange(space.n_leaves)
+    weighted_mats = [cond_exp_matrix(space, g, s) for g, s in slots]
 
     cells = {}
     for k in range(k_lo, k_hi + 1):
@@ -412,13 +382,12 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
         if not fin.any():
             continue
         band_mask = fin & ~taus[k + 1].finite
-        idx = np.clip(tau.values, 0, space.depth)
         density = np.ones(space.n_leaves)
         for mat, (_, s) in zip(sigma_mats, slots):
-            density = density * np.where(fin, mat[idx, leaf_idx], s)
+            density = density * stopped(space, mat, tau, s)
         ratio_g = np.ones(space.n_leaves)
         for mat, (g, _) in zip(weighted_mats, slots):
-            ratio_g = ratio_g * np.where(fin, mat[idx, leaf_idx], g)
+            ratio_g = ratio_g * stopped(space, mat, tau, g)
         js = band_index(density)
         for j in np.unique(js[fin]):
             j = int(j)
@@ -533,9 +502,10 @@ def verify_sp_to_strong(
     return report
 
 
-def _snell_testing_sup(ws: WeightSystem, fvec: FunctionVector) -> float:
+def snell_testing_sup(ws: WeightSystem, fvec: FunctionVector) -> float:
     """sup over all stopping times of int_{tau<inf} (prod E_tau f_i)**p v,
-    by backward induction on the tree (optimal stopping, exact)."""
+    exact by backward induction on the tree (the Snell envelope of the
+    stopping reward), in O(leaves * depth) with no enumeration."""
     space, seq = ws.space, ws.seq
     p = 1.0 / seq.aggregate_reciprocal
     rows = level_products(space, fvec, seq)
@@ -571,14 +541,6 @@ def estimate_best_constant(
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     m = seq.head_len
-    first_atom = np.zeros(space.n_leaves, dtype=bool)
-    first_atom[space.atom_slice(min(1, space.depth), 0)] = True
-
-    def random_components(rng: np.random.Generator) -> tuple[np.ndarray, ...]:
-        return tuple(
-            np.exp(rng.uniform(math.log(1e-3), math.log(1e3), space.n_leaves))
-            for _ in range(m)
-        )
 
     def strong_ratio(gvec: FunctionVector) -> float:
         slots = _component_slots(ws, gvec)
@@ -594,40 +556,36 @@ def estimate_best_constant(
         if rhs <= 0.0:
             return 0.0
         if inequality_id == "testing":
-            return _snell_testing_sup(ws, fvec) ** rp / rhs
+            return snell_testing_sup(ws, fvec) ** rp / rhs
         maximal = gen_doob_maximal(space, fvec, seq)
         return weak_lp_norm(space, maximal, p, ws.v) / rhs
 
     best = 0.0
     for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
         if inequality_id == "sp-test":
+            rng = np.random.default_rng([seed, trial])
             if trial == 0:
                 support = np.ones(space.n_leaves, dtype=bool)
             elif trial == 1:
-                support = first_atom.copy()
+                support = np.zeros(space.n_leaves, dtype=bool)
+                support[space.atom_slice(min(1, space.depth), 0)] = True
             else:
                 support = rng.random(space.n_leaves) < 0.5
                 if not support.any():
                     support[int(rng.integers(space.n_leaves))] = True
             best = max(best, sp_support_ratio(ws, support))
             continue
-        if trial == 0:
-            fvec = FunctionVector(tuple(np.ones(space.n_leaves) for _ in range(m)), None)
-        elif trial == 1:
-            fvec = FunctionVector(tuple(first_atom.astype(float) for _ in range(m)), None)
-        elif trial == 2:
-            if inequality_id == "strong":
-                # the testing family embeds via g_i = chi_F for every
-                # component, tail included: a masked all-ones vector
-                _, argmax = sp_constant_argmax(ws, _default_family(space))
-                fvec = FunctionVector(
-                    tuple(np.ones(space.n_leaves) for _ in range(m)), argmax
-                )
-            else:
-                fvec = FunctionVector(tuple(ws.sigma_at(i) for i in range(m)), None)
+        if trial != 2:
+            fvec = trial_vector(space, m, seed, trial, 1e3)
+        elif inequality_id == "strong":
+            # the testing family embeds via g_i = chi_F for every
+            # component, tail included: a masked all-ones vector
+            _, argmax = sp_constant_argmax(ws, _default_family(space))
+            fvec = FunctionVector(
+                tuple(np.ones(space.n_leaves) for _ in range(m)), argmax
+            )
         else:
-            fvec = FunctionVector(random_components(rng), None)
+            fvec = FunctionVector(tuple(ws.sigma_at(i) for i in range(m)), None)
         best = max(best, fvec_ratio(fvec))
     return best
 

@@ -31,7 +31,7 @@ from .filtration import (
     _is_union_of_atoms,
     as_leaf_mask,
     as_leaf_vector,
-    cond_exp,
+    cond_exp_matrix,
     sample_stopping_time,
 )
 from .holder import FunctionVector, level_products
@@ -85,9 +85,16 @@ def make_weight_system(
     v = as_leaf_vector(space, v)
     if not np.all(v > 0.0):
         raise ValueError("v must be strictly positive")
-    sigmas = tuple(
-        w ** (-1.0 / (seq.head[i] - 1.0)) for i, w in enumerate(weights)
-    )
+    sigmas = []
+    for i, w in enumerate(weights):
+        with np.errstate(over="ignore", under="ignore"):
+            s = w ** (-1.0 / (seq.head[i] - 1.0))
+        if not np.all(np.isfinite(s) & (s > 0.0)):
+            raise ValueError(
+                f"dual density sigma_{i} for p_{i} = {seq.head[i]} is 0 or inf in "
+                "floating point; the weight spread is too extreme for this exponent"
+            )
+        sigmas.append(s)
     sigma_norm_prod = 1.0
     min_sigma_prod = 1.0
     for i, (w, s) in enumerate(zip(weights, sigmas)):
@@ -99,7 +106,7 @@ def make_weight_system(
         "min_sigma_product": min_sigma_prod,
         "finite": bool(np.isfinite(sigma_norm_prod) and min_sigma_prod > 0.0),
     }
-    return WeightSystem(space, seq, tuple(weights), v, sigmas, assumptions)
+    return WeightSystem(space, seq, tuple(weights), v, tuple(sigmas), assumptions)
 
 
 def weight_system_from_json(obj: dict) -> WeightSystem:
@@ -118,20 +125,20 @@ def unit_weight_system(
     return make_weight_system(space, seq, [ones] * n_active, ones)
 
 
+def ap_level_values(ws: WeightSystem) -> np.ndarray:
+    """Matrix whose row n is E_n(v)**(1/p) * prod E_n(sigma_i)**(1/p'_i),
+    leaf-wise.  Tail factors are E_n(1) = 1 and drop out."""
+    seq = ws.seq
+    rows = cond_exp_matrix(ws.space, ws.v) ** seq.aggregate_reciprocal
+    for i, s in enumerate(ws.sigmas):
+        rows = rows * cond_exp_matrix(ws.space, s) ** (1.0 - 1.0 / seq.head[i])
+    return rows
+
+
 def ap_constant(ws: WeightSystem) -> float:
     """Smallest admissible bound in the joint weight condition: the max
-    over levels and atoms of E_n(v)**(1/p) * prod E_n(sigma_i)**(1/p'_i).
-    Tail factors are E_n(1) = 1 and drop out."""
-    space, seq = ws.space, ws.seq
-    rp = seq.aggregate_reciprocal
-    best = 0.0
-    for n in space.levels:
-        value = cond_exp(space, ws.v, n) ** rp
-        for i, s in enumerate(ws.sigmas):
-            conj_recip = 1.0 - 1.0 / seq.head[i]
-            value = value * cond_exp(space, s, n) ** conj_recip
-        best = max(best, float(value.max()))
-    return best
+    over levels and atoms of ap_level_values."""
+    return float(ap_level_values(ws).max())
 
 
 def _all_supports(space: TreeSpace, cap: int) -> list[np.ndarray]:

@@ -213,6 +213,15 @@ class TestConfigAndErrors:
         code, _, _ = run_cli(tmp_path, "verify-ap", "--space", "{bad", "--seq", SEQ)
         assert code == 2
 
+    def test_extreme_weights_exit_two(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            tmp_path, "weights-constants",
+            "--space", SPACE, "--seq", '{"head":[1.01],"tail_mass":0.5,"tail_ratio":0.5}',
+            "--weights", '{"weights":[[1e-6,1e6]],"v":[1,1]}',
+        )
+        assert code == 2
+        assert "sigma_0 for p_0 = 1.01" in capsys.readouterr().err
+
     def test_missing_space_exits_two(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "check-holder", "--seq", SEQ)
         assert code == 2

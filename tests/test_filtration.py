@@ -8,7 +8,6 @@ from martbench.filtration import (
     StoppingTime,
     cond_exp,
     cond_exp_matrix,
-    cond_exp_weighted,
     count_stopping_times,
     enumerate_stopping_times,
     is_stopped_measurable,
@@ -84,25 +83,25 @@ class TestCondExp:
         ones = np.ones(4)
         for n in space.levels:
             np.testing.assert_allclose(
-                cond_exp_weighted(space, g, ones, n), cond_exp(space, g, n)
+                cond_exp(space, g, n, ones), cond_exp(space, g, n)
             )
 
     def test_weighted_example(self):
         space = make_tree_space(1, 2)
-        out = cond_exp_weighted(space, np.array([3.0, 1.0]), np.array([1.0, 3.0]), 0)
+        out = cond_exp(space, np.array([3.0, 1.0]), 0, np.array([1.0, 3.0]))
         np.testing.assert_allclose(out, [1.5, 1.5])
 
     def test_weighted_finest_level(self):
         space = make_tree_space(1, 2)
         g = np.array([3.0, 1.0])
         np.testing.assert_array_equal(
-            cond_exp_weighted(space, g, np.array([1.0, 3.0]), 1), g
+            cond_exp(space, g, 1, np.array([1.0, 3.0])), g
         )
 
     def test_weighted_requires_positive(self):
         space = make_tree_space(1, 2)
         with pytest.raises(ValueError):
-            cond_exp_weighted(space, np.ones(2), np.array([1.0, 0.0]), 0)
+            cond_exp(space, np.ones(2), 0, np.array([1.0, 0.0]))
 
 
 class TestMartingaleLaws:

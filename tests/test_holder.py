@@ -218,3 +218,12 @@ class TestMaskedTails:
             space, mask.astype(float)
         )
         np.testing.assert_allclose(rows, expected, rtol=1e-14)
+
+    def test_masked_tail_needs_whole_atom_despite_rounding(self):
+        # E_0(chi_Q) rounds to exactly 1.0 although Q misses a leaf; the
+        # infinite tail must still vanish on the root atom
+        space = make_tree_space(1, 2, [1.0, 1e-300])
+        seq = make_exponent_sequence([2.0], 0.5, 0.5)
+        fv = FunctionVector((np.array([2.0, 3.0]),), np.array([True, False]))
+        rows = level_products(space, fv, seq)
+        np.testing.assert_array_equal(rows, [[0.0, 0.0], [2.0, 0.0]])

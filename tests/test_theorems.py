@@ -6,19 +6,25 @@ from martbench.filtration import StoppingTime, enumerate_stopping_times, make_tr
 from martbench.holder import FunctionVector, function_vector, level_products
 from martbench.maximal import gen_weighted_maximal
 from martbench.theorems import (
-    _snell_testing_sup,
     _testing_lhs_pth,
     band_index,
     estimate_best_constant,
     sawyer_decomposition,
     sawyer_trace_invariants,
+    snell_testing_sup,
     verify_ap_to_testing,
     verify_sp_to_strong,
     verify_testing_to_ap,
     verify_testing_to_weak,
     verify_weak_to_testing,
 )
-from martbench.weights import ap_constant, rh_constant, sp_constant, unit_weight_system
+from martbench.weights import (
+    ap_constant,
+    make_weight_system,
+    rh_constant,
+    sp_constant,
+    unit_weight_system,
+)
 
 from helpers import (
     random_fvec,
@@ -155,6 +161,19 @@ class TestWeakToTesting:
         assert report.passed
         for bands in report.metadata["bands_per_level"].values():
             assert len(bands) <= 1
+
+    def test_lhs_is_exact_supremum_beyond_enumeration(self):
+        # 27 leaves carry 389,017,001 stopping times, too many to scan; a
+        # 512-time sample reaches only about 0.83 of the supremum here
+        rng = np.random.default_rng(5)
+        space = make_tree_space(3, 3)
+        seq = make_exponent_sequence([2.0, 3.0], 1.0 / 6.0, 0.5)
+        weights = [random_positive(rng, space, np.e) for _ in range(3)]
+        ws = make_weight_system(space, seq, weights[:2], weights[2])
+        fv = FunctionVector(tuple(random_positive(rng, space, np.e**2) for _ in range(2)), None)
+        report = verify_weak_to_testing(ws, fv, ap_constant(ws))
+        assert report.lhs == pytest.approx(snell_testing_sup(ws, fv), rel=1e-12)
+        assert report.metadata["stopping_sup"] == "exact"
 
 
 class TestTestingToAp:
@@ -315,7 +334,7 @@ class TestEstimates:
                 _testing_lhs_pth(ws, rows, tau, p)
                 for tau in enumerate_stopping_times(ws.space)
             )
-            assert _snell_testing_sup(ws, fv) == pytest.approx(brute, rel=1e-12)
+            assert snell_testing_sup(ws, fv) == pytest.approx(brute, rel=1e-12)
 
     def test_sp_test_estimate_bounded_by_constant(self):
         rng = np.random.default_rng(71)

@@ -41,6 +41,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             make_weight_system(space, doubling_seq(), [np.array([1.0, 0.0])], np.ones(2))
 
+    def test_rejects_unrepresentable_dual_density(self):
+        # p = 1.01 raises the weights to the power -100: 1e-6 overflows and
+        # 1e6 underflows
+        space = make_tree_space(1, 2)
+        seq = make_exponent_sequence([1.01], 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"sigma_0 for p_0 = 1\.01"):
+            make_weight_system(space, seq, [np.array([1e-6, 1e6])], np.ones(2))
+
     def test_rejects_misaligned(self):
         space = make_tree_space(1, 2)
         with pytest.raises(ValueError):
