@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -26,11 +27,31 @@ class EnumerationCapError(RuntimeError):
     """The stopping-time family is too large to enumerate; sample instead."""
 
 
+def _read_only(a) -> np.ndarray:
+    """`a` if it is a read-only array owning its data, else a read-only copy."""
+    a = np.asarray(a)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class TreeSpace:
     depth: int
     branching: int
-    leaf_probs: np.ndarray
+    leaf_probs: np.ndarray  # read-only
+
+    @cached_property
+    def atom_masses(self) -> tuple[np.ndarray, ...]:
+        """Atom probabilities at levels 0..depth-1, the denominators of E_n."""
+        return tuple(_read_only(self.atom_sums(self.leaf_probs, n)) for n in range(self.depth))
+
+    @cached_property
+    def shared_level(self) -> np.ndarray:
+        """Per pair of neighbouring leaves, the deepest level whose atom holds both."""
+        sizes = self.branching ** np.arange(self.depth, 0, -1)  # atom sizes below depth
+        return _read_only((np.arange(1, self.n_leaves) % sizes[:, None] != 0).sum(axis=0) - 1)
 
     @property
     def n_leaves(self) -> int:
@@ -96,8 +117,7 @@ def make_tree_space(
         total = float(probs.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"leaf probabilities sum to {total}, expected 1")
-    probs.setflags(write=False)
-    return TreeSpace(depth, branching, probs)
+    return TreeSpace(depth, branching, _read_only(probs))
 
 
 def space_from_json(obj: dict) -> TreeSpace:
@@ -123,6 +143,19 @@ def as_leaf_mask(space: TreeSpace, mask) -> np.ndarray:
     return m.astype(bool)
 
 
+def _weighted_parts(space: TreeSpace, f, sigma, levels) -> tuple[np.ndarray, np.ndarray, list]:
+    """f, the numerator leaf vector and the per-level denominators of E_n(f),
+    under leaf_probs (cached atom masses) or leaf_probs * sigma."""
+    f = np.asarray(f, dtype=float)
+    if sigma is None:
+        return f, space.leaf_probs * f, [space.atom_masses[n] for n in levels]
+    sigma = np.asarray(sigma, dtype=float)
+    if not np.all(sigma > 0.0):
+        raise ValueError("sigma must be strictly positive")
+    w = space.leaf_probs * sigma
+    return f, space.leaf_probs * f * sigma, [space.atom_sums(w, n) for n in levels]
+
+
 def cond_exp(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarray:
     """Conditional expectation at level n: the average of f over each
     level-n atom under the leaf probabilities, or, with a strictly positive
@@ -130,23 +163,23 @@ def cond_exp(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarray:
     E_n(f sigma) / E_n(sigma)).  Level depth returns f itself exactly."""
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
-    if sigma is not None:
-        sigma = np.asarray(sigma, dtype=float)
-        if not np.all(sigma > 0.0):
-            raise ValueError("sigma must be strictly positive")
-    f = np.asarray(f, dtype=float)
+    f, num, dens = _weighted_parts(space, f, sigma, range(n, min(n + 1, space.depth)))
     if n == space.depth:
         return f.copy()
-    w = space.leaf_probs
-    num = w * f
-    if sigma is not None:
-        num, w = num * sigma, w * sigma
-    return space.expand(space.atom_sums(num, n) / space.atom_sums(w, n), n)
+    return space.expand(space.atom_sums(num, n) / dens[0], n)
 
 
 def cond_exp_matrix(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:
-    """All levels at once: row n is cond_exp(space, f, n, sigma)."""
-    return np.stack([cond_exp(space, f, n, sigma) for n in space.levels])
+    """All levels in one pass: row n is cond_exp(space, f, n, sigma), bit for bit."""
+    levels = range(space.depth)
+    f, num, dens = _weighted_parts(space, f, sigma, levels)
+    out = np.empty((space.depth + 1, space.n_leaves))
+    for n, den in zip(levels, dens):
+        out[n].reshape(space.n_atoms(n), space.atom_size(n))[:] = (
+            space.atom_sums(num, n) / den
+        )[:, None]
+    out[space.depth] = f
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,16 +228,17 @@ def _is_union_of_atoms(space: TreeSpace, mask: np.ndarray, n: int) -> bool:
 
 def is_stopping_time(space: TreeSpace, tau: StoppingTime) -> bool:
     """Adaptedness scan: each level set {tau = n} must be a union of
-    level-n atoms (the n = depth and infinite sets are unconstrained)."""
+    level-n atoms (the n = depth and infinite sets are unconstrained).
+    Atoms are runs of leaves, so this holds iff no two neighbouring leaves
+    in one level-n atom disagree on {tau = n}: one pass over leaf pairs."""
     vals = tau.values
     if vals.shape != (space.n_leaves,):
         return False
-    ok = (vals == StoppingTime.INFINITE) | ((vals >= 0) & (vals <= space.depth))
-    if not np.all(ok):
+    if not np.all((vals >= StoppingTime.INFINITE) & (vals <= space.depth)):
         return False
-    return all(
-        _is_union_of_atoms(space, vals == n, n) for n in range(space.depth)
-    )
+    a, b, shared = vals[:-1], vals[1:], space.shared_level
+    split = (a != b) & (((a >= 0) & (a <= shared)) | ((b >= 0) & (b <= shared)))
+    return not split.any()
 
 
 def count_stopping_times(space: TreeSpace) -> int:
@@ -304,7 +338,7 @@ def stopped(space: TreeSpace, rows: np.ndarray, tau: StoppingTime, otherwise) ->
     """An adapted process at a stopping time: rows[tau(x), x] where tau is
     finite and `otherwise` (a scalar or leaf vector) where it is infinite;
     row n of the (depth+1, leaves) matrix is the process at level n."""
-    idx = np.clip(tau.values, 0, space.depth)
+    idx = np.minimum(np.maximum(tau.values, 0), space.depth)
     return np.where(tau.finite, rows[idx, np.arange(space.n_leaves)], otherwise)
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .exponents import ExponentSequence
 from .filtration import (
     TreeSpace,
+    _read_only,
     as_leaf_mask,
     as_leaf_vector,
     cond_exp,
@@ -31,10 +32,15 @@ from .report import REL_TOL, VerificationReport, check_inequality
 @dataclass(frozen=True, eq=False)
 class FunctionVector:
     """Finitely many nonnegative components plus a constant-1 tail, all
-    multiplied by the indicator of `mask` when it is not None."""
+    multiplied by the indicator of `mask` when it is not None.  Both are
+    held as read-only arrays (writable arguments are copied)."""
 
     active: tuple[np.ndarray, ...]
     mask: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "active", tuple(map(_read_only, self.active)))
+        object.__setattr__(self, "mask", None if self.mask is None else _read_only(self.mask))
 
     @property
     def n_active(self) -> int:

@@ -19,7 +19,9 @@ is then exactly 1.0, and the constants come out exactly 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +31,7 @@ from .filtration import (
     EnumerationCapError,
     TreeSpace,
     _is_union_of_atoms,
+    _read_only,
     as_leaf_mask,
     as_leaf_vector,
     cond_exp_matrix,
@@ -40,6 +43,9 @@ from .maximal import weighted_measure
 
 @dataclass(frozen=True, eq=False)
 class WeightSystem:
+    """Holds read-only arrays, so it caches the sigma_i's conditional-expectation
+    matrices and the joint-condition level matrix and constant."""
+
     space: TreeSpace
     seq: ExponentSequence
     active_weights: tuple[np.ndarray, ...]
@@ -50,6 +56,21 @@ class WeightSystem:
     @property
     def n_active(self) -> int:
         return len(self.active_weights)
+
+    @cached_property
+    def sigma_matrices(self) -> tuple[np.ndarray, ...]:
+        """cond_exp_matrix of each sigma_i (read-only)."""
+        return tuple(_read_only(cond_exp_matrix(self.space, s)) for s in self.sigmas)
+
+    @cached_property
+    def ap_rows(self) -> np.ndarray:
+        """ap_level_values of this system (read-only)."""
+        return _read_only(ap_level_values(self))
+
+    @cached_property
+    def ap_max(self) -> float:
+        """ap_constant of this system."""
+        return float(self.ap_rows.max())
 
     def sigma_at(self, i: int) -> np.ndarray:
         """sigma_i for a head index (0-based); 1 beyond the active block."""
@@ -71,13 +92,14 @@ def make_weight_system(
 ) -> WeightSystem:
     """Validate positivity and alignment, derive the dual densities, and
     record the standing finiteness assumptions (automatic here: finite
-    space, unit tails)."""
+    space, unit tails).  The system keeps read-only copies of the weights,
+    v and sigma_i; a sigma_i or its norm that is 0 or inf raises ValueError."""
     weights = []
     for w in active_weights:
         w = as_leaf_vector(space, w)
         if not np.all(w > 0.0):
             raise ValueError("weights must be strictly positive")
-        weights.append(w)
+        weights.append(_read_only(w))
     if len(weights) > seq.head_len:
         raise ValueError(
             f"{len(weights)} weights exceed exponent head length {seq.head_len}"
@@ -86,27 +108,28 @@ def make_weight_system(
     if not np.all(v > 0.0):
         raise ValueError("v must be strictly positive")
     sigmas = []
-    for i, w in enumerate(weights):
-        with np.errstate(over="ignore", under="ignore"):
-            s = w ** (-1.0 / (seq.head[i] - 1.0))
-        if not np.all(np.isfinite(s) & (s > 0.0)):
-            raise ValueError(
-                f"dual density sigma_{i} for p_{i} = {seq.head[i]} is 0 or inf in "
-                "floating point; the weight spread is too extreme for this exponent"
-            )
-        sigmas.append(s)
     sigma_norm_prod = 1.0
     min_sigma_prod = 1.0
-    for i, (w, s) in enumerate(zip(weights, sigmas)):
+    for i, w in enumerate(weights):
         p_i = seq.head[i]
-        sigma_norm_prod *= float(np.sum(space.leaf_probs * w * s**p_i)) ** (1.0 / p_i)
-        min_sigma_prod *= float(np.min(s ** (1.0 / p_i)))
+        with np.errstate(over="ignore", under="ignore"):
+            s = w ** (-1.0 / (p_i - 1.0))
+            norm = float(np.sum(space.leaf_probs * w * s**p_i)) ** (1.0 / p_i)
+            low = float(np.min(s ** (1.0 / p_i)))
+        if not (np.all(np.isfinite(s) & (s > 0.0)) and math.isfinite(norm)):
+            raise ValueError(
+                f"dual density sigma_{i} for p_{i} = {p_i} or its norm is 0 or inf in "
+                "floating point; the weight spread is too extreme for this exponent"
+            )
+        sigmas.append(_read_only(s))
+        sigma_norm_prod *= norm
+        min_sigma_prod *= low
     assumptions = {
         "sigma_norm_product": sigma_norm_prod,
         "min_sigma_product": min_sigma_prod,
         "finite": bool(np.isfinite(sigma_norm_prod) and min_sigma_prod > 0.0),
     }
-    return WeightSystem(space, seq, tuple(weights), v, tuple(sigmas), assumptions)
+    return WeightSystem(space, seq, tuple(weights), _read_only(v), tuple(sigmas), assumptions)
 
 
 def weight_system_from_json(obj: dict) -> WeightSystem:
@@ -130,15 +153,15 @@ def ap_level_values(ws: WeightSystem) -> np.ndarray:
     leaf-wise.  Tail factors are E_n(1) = 1 and drop out."""
     seq = ws.seq
     rows = cond_exp_matrix(ws.space, ws.v) ** seq.aggregate_reciprocal
-    for i, s in enumerate(ws.sigmas):
-        rows = rows * cond_exp_matrix(ws.space, s) ** (1.0 - 1.0 / seq.head[i])
+    for i, mat in enumerate(ws.sigma_matrices):
+        rows = rows * mat ** (1.0 - 1.0 / seq.head[i])
     return rows
 
 
 def ap_constant(ws: WeightSystem) -> float:
-    """Smallest admissible bound in the joint weight condition: the max
-    over levels and atoms of ap_level_values."""
-    return float(ap_level_values(ws).max())
+    """Smallest admissible bound in the joint weight condition: the max over
+    levels and atoms of ap_level_values, cached on the system (NaN propagates)."""
+    return ws.ap_max
 
 
 def _all_supports(space: TreeSpace, cap: int) -> list[np.ndarray]:
@@ -227,11 +250,15 @@ def sp_support_ratio(ws: WeightSystem, support: np.ndarray) -> float:
 
 
 def _family_max(ws: WeightSystem, family, cap: int, ratio) -> tuple[float, np.ndarray | None]:
+    """Largest ratio over the family and a support attaining it; a NaN
+    ratio is returned at once, with its support as the witness."""
     best, arg = 0.0, None
     for support in support_family(ws.space, family, cap):
         r = ratio(ws, support)
-        if r > best:
+        if not r <= best:  # larger, or NaN
             best, arg = r, support
+            if math.isnan(r):
+                break
     return best, arg
 
 

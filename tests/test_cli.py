@@ -222,6 +222,16 @@ class TestConfigAndErrors:
         assert code == 2
         assert "sigma_0 for p_0 = 1.01" in capsys.readouterr().err
 
+    def test_overflowing_sigma_norm_exits_two(self, tmp_path, capsys):
+        # p = 1.01: sigma = 10**308 is finite, its L^p norm is not
+        code, _, _ = run_cli(
+            tmp_path, "weights-constants",
+            "--space", SPACE, "--seq", '{"head":[1.01],"tail_mass":0.5,"tail_ratio":0.5}',
+            "--weights", '{"weights":[[0.0008317637711026709,1]],"v":[1,1]}',
+        )
+        assert code == 2
+        assert "sigma_0 for p_0 = 1.01" in capsys.readouterr().err
+
     def test_missing_space_exits_two(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "check-holder", "--seq", SEQ)
         assert code == 2

@@ -104,6 +104,36 @@ class TestCondExp:
             cond_exp(space, np.ones(2), 0, np.array([1.0, 0.0]))
 
 
+    def test_matrix_rows_are_bit_identical(self):
+        # the one-pass matrix against cond_exp and against the per-level
+        # formula num / den, with and without a change of measure
+        rng = np.random.default_rng(3)
+        for _ in range(100):
+            space = random_space(rng, max_depth=4)
+            f = rng.normal(size=space.n_leaves) * 5.0
+            sigma = np.exp(rng.uniform(-3.0, 3.0, space.n_leaves))
+            for s in (None, sigma):
+                mat = cond_exp_matrix(space, f, s)
+                w = space.leaf_probs if s is None else space.leaf_probs * s
+                num = space.leaf_probs * f if s is None else space.leaf_probs * f * s
+                for n in space.levels:
+                    assert np.array_equal(mat[n], cond_exp(space, f, n, s))
+                    if n < space.depth:
+                        ref = space.atom_sums(num, n) / space.atom_sums(w, n)
+                        assert np.array_equal(mat[n], space.expand(ref, n))
+                assert np.array_equal(mat[space.depth], f)
+
+    def test_space_holds_read_only_copies(self):
+        probs = np.array([0.1, 0.2, 0.3, 0.4])
+        space = make_tree_space(2, 2, probs)
+        probs[:] = 0.25  # the caller's array stays writable and is not shared
+        np.testing.assert_array_equal(space.leaf_probs, [0.1, 0.2, 0.3, 0.4])
+        np.testing.assert_allclose(space.atom_masses[1], [0.3, 0.7])
+        for arr in (space.leaf_probs, space.atom_masses[0]):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
 class TestMartingaleLaws:
     def test_tower_conservation_contraction(self):
         rng = np.random.default_rng(2)
@@ -135,6 +165,32 @@ class TestStoppingTimes:
     def test_partial_infinite_is_adapted(self):
         space = make_tree_space(1, 2)
         assert is_stopping_time(space, StoppingTime(np.array([1, INF])))
+
+    def test_matches_per_level_atom_scan(self):
+        # reference: {tau = n} is a union of level-n atoms for each n < depth
+        def per_level(space, vals):
+            if not np.all((vals == INF) | ((vals >= 0) & (vals <= space.depth))):
+                return False
+            return all(
+                np.all(np.isin(
+                    (vals == n).reshape(space.n_atoms(n), -1).sum(axis=1),
+                    [0, space.atom_size(n)],
+                ))
+                for n in range(space.depth)
+            )
+
+        rng = np.random.default_rng(7)
+        verdicts = set()
+        for _ in range(300):
+            space = random_space(rng, max_depth=4)
+            tau = sample_stopping_time(space, rng)
+            vals = tau.values.copy()
+            for x in rng.integers(space.n_leaves, size=int(rng.integers(0, 3))):
+                vals[x] = rng.integers(-2, space.depth + 2)
+            ok = per_level(space, vals)
+            verdicts.add(ok)
+            assert is_stopping_time(space, StoppingTime(vals)) == ok
+        assert verdicts == {True, False}
 
     def test_out_of_range_values(self):
         space = make_tree_space(1, 2)

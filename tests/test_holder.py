@@ -79,6 +79,20 @@ class TestProductFunction:
         np.testing.assert_array_equal(again.active[0], fv.active[0])
         np.testing.assert_array_equal(again.mask, fv.mask)
 
+    def test_holds_read_only_copies(self):
+        f, mask = np.array([1.0, 2.0]), np.array([True, False])
+        fv = FunctionVector((f,), mask)
+        f[0], mask[1] = 5.0, True
+        np.testing.assert_array_equal(fv.active[0], [1.0, 2.0])
+        np.testing.assert_array_equal(fv.mask, [True, False])
+        with pytest.raises(ValueError):
+            fv.active[0][0] = 0.0
+        with pytest.raises(ValueError):
+            fv.mask[0] = False
+        # read-only components are shared, not copied again
+        again = FunctionVector(fv.active, fv.mask)
+        assert again.active[0] is fv.active[0] and again.mask is fv.mask
+
 
 class TestIntegralCheck:
     def test_hand_example(self):

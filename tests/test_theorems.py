@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+import martbench.theorems as theorems_mod
+import martbench.weights as weights_mod
 from martbench.exponents import conjugate_product, make_exponent_sequence
 from martbench.filtration import StoppingTime, enumerate_stopping_times, make_tree_space
-from martbench.holder import FunctionVector, function_vector, level_products
+from martbench.holder import (
+    FunctionVector,
+    function_norms_product,
+    function_vector,
+    level_products,
+)
 from martbench.maximal import gen_weighted_maximal
 from martbench.theorems import (
     _testing_lhs_pth,
@@ -103,6 +110,64 @@ class TestApToTesting:
         with pytest.raises(ValueError):
             verify_ap_to_testing(ws, fv, StoppingTime(np.array([0, 1])))
 
+    def test_per_system_and_per_vector_work_runs_once(self, monkeypatch):
+        # 9 leaves, 730 stopping times, two vectors: the joint-condition
+        # matrix is built once and the level products once per vector
+        rng = np.random.default_rng(62)
+        probs = rng.uniform(0.2, 1.0, 9)
+        space = make_tree_space(2, 3, probs / probs.sum())
+        seq = make_exponent_sequence([2.5, 3.0, 4.0], 0.2, 0.5)
+        ws = make_weight_system(
+            space, seq, [random_positive(rng, space, 3.0) for _ in range(3)],
+            random_positive(rng, space, 3.0),
+        )
+        fvecs = [random_fvec(rng, space, seq) for _ in range(2)]
+        taus = list(enumerate_stopping_times(space))
+        assert len(taus) == 730
+        calls = {"ap_level_values": 0, "level_products": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(weights_mod, "ap_level_values")
+        counting(theorems_mod, "level_products")
+        reports = [[verify_ap_to_testing(ws, fv, tau) for tau in taus] for fv in fvecs]
+        assert calls == {"ap_level_values": 1, "level_products": 2}
+        monkeypatch.undo()
+        c_a = float(weights_mod.ap_level_values(ws).max())
+        for fv, reps in zip(fvecs, reports):
+            rows = level_products(space, fv, seq)
+            rhs = function_norms_product(space, fv, seq, ws.active_weights)
+            for tau, rep in zip(taus, reps):
+                lhs = _testing_lhs_pth(ws, rows, tau, 1.0 / seq.aggregate_reciprocal)
+                assert rep.lhs == lhs**seq.aggregate_reciprocal
+                assert (rep.rhs, rep.constant) == (rhs, c_a)
+                assert rep.passed
+
+    def test_caller_mutation_does_not_reach_the_caches(self):
+        space = make_tree_space(2, 2, [0.1, 0.2, 0.3, 0.4])
+        seq = make_exponent_sequence([2.0, 3.0], 1.0 / 6.0, 0.5)
+        w, v = np.array([1.0, 4.0, 2.0, 0.5]), np.array([1.0, 2.0, 0.5, 3.0])
+        f, g, mask = np.array([3.0, 0.5, 2.0, 1.0]), np.array([1.0, 2.0, 0.5, 4.0]), np.ones(4, bool)
+        ws = make_weight_system(space, seq, [w], v)
+        fvecs = [function_vector(space, [f]), FunctionVector((g, f), mask)]
+        tau = StoppingTime(np.array([1, 1, 2, INF]))
+        before = [verify_ap_to_testing(ws, fv, tau).to_json() for fv in fvecs]
+        for arr in (w, v, f, g):
+            arr *= 3.0
+        mask[0] = False
+        after = [verify_ap_to_testing(ws, fv, tau).to_json() for fv in fvecs]
+        assert after == before
+        for arr in (ws.v, fvecs[0].active[0], fvecs[1].active[1], fvecs[1].mask):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+
 
 class TestTestingToWeak:
     def test_zero_vector(self):
@@ -196,6 +261,21 @@ class TestTestingToAp:
     def test_example_system(self):
         report = verify_testing_to_ap(example_system())
         assert report.passed
+
+    def test_nan_ratio_fails_the_report(self, monkeypatch):
+        # a NaN testing ratio on one atom must not be dropped by the maximum
+        ws = small_random_system(np.random.default_rng(65))
+        assert verify_testing_to_ap(ws).passed
+        original, calls = theorems_mod._norms_product, []
+
+        def norms(ws_, fv):
+            calls.append(fv)
+            return float("nan") if len(calls) == 2 else original(ws_, fv)
+
+        monkeypatch.setattr(theorems_mod, "_norms_product", norms)
+        report = verify_testing_to_ap(ws)
+        assert np.isnan(report.metadata["c_test_observed"])
+        assert not report.passed
 
 
 class TestSawyerDecomposition:
@@ -335,6 +415,17 @@ class TestEstimates:
                 for tau in enumerate_stopping_times(ws.space)
             )
             assert snell_testing_sup(ws, fv) == pytest.approx(brute, rel=1e-12)
+
+    def test_nan_ratio_propagates(self, monkeypatch):
+        ws = example_system()
+        original, calls = theorems_mod.sp_support_ratio, []
+
+        def ratio(ws_, support):
+            calls.append(support)
+            return float("nan") if len(calls) == 2 else original(ws_, support)
+
+        monkeypatch.setattr(theorems_mod, "sp_support_ratio", ratio)
+        assert np.isnan(estimate_best_constant("sp-test", ws, 4, 5))
 
     def test_sp_test_estimate_bounded_by_constant(self):
         rng = np.random.default_rng(71)

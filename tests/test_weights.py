@@ -4,6 +4,7 @@ import pytest
 from martbench.exponents import make_exponent_sequence
 from martbench.filtration import enumerate_stopping_times, make_tree_space
 from martbench.holder import product_function
+import martbench.weights as weights_mod
 from martbench.weights import (
     ap_constant,
     make_weight_system,
@@ -11,6 +12,7 @@ from martbench.weights import (
     rh_constant,
     rh_support_ratio,
     sp_constant,
+    sp_constant_argmax,
     sp_support_ratio,
     support_family,
     unit_weight_system,
@@ -48,6 +50,29 @@ class TestConstruction:
         seq = make_exponent_sequence([1.01], 0.5, 0.5)
         with pytest.raises(ValueError, match=r"sigma_0 for p_0 = 1\.01"):
             make_weight_system(space, seq, [np.array([1e-6, 1e6])], np.ones(2))
+
+    def test_rejects_overflowing_sigma_norm(self):
+        # p = 1.01: sigma = 10**308 is finite, but its L^p norm overflows
+        space = make_tree_space(1, 2)
+        seq = make_exponent_sequence([1.01], 0.5, 0.5)
+        with pytest.raises(ValueError, match=r"sigma_0 for p_0 = 1\.01"):
+            make_weight_system(space, seq, [np.array([10**-3.08, 1.0])], np.ones(2))
+
+    def test_holds_read_only_copies(self):
+        space = make_tree_space(2, 2, [0.1, 0.2, 0.3, 0.4])
+        seq = make_exponent_sequence([2.0, 3.0], 1.0 / 6.0, 0.5)
+        w = [np.array([1.0, 4.0, 2.0, 0.5]), np.array([3.0, 1.0, 0.25, 2.0])]
+        v = np.array([1.0, 2.0, 0.5, 3.0])
+        fresh = make_weight_system(space, seq, [x.copy() for x in w], v.copy())
+        ws = make_weight_system(space, seq, w, v)
+        w[0][:] = 9.0
+        v[:] = 7.0
+        assert ap_constant(ws) == ap_constant(fresh)
+        for arr in (ws.v, ws.active_weights[0], ws.sigmas[1], ws.ap_rows, ws.sigma_matrices[0]):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        w[1][:] = 5.0  # after the cache is filled
+        assert ap_constant(ws) == ap_constant(fresh)
 
     def test_rejects_misaligned(self):
         space = make_tree_space(1, 2)
@@ -244,3 +269,37 @@ class TestNecessityFamily:
         ws = unit_weight_system(space, doubling_seq())
         with pytest.raises(ValueError):
             necessity_family_ap(ws, 1, np.array([True, False, False, False]))
+
+
+class TestNanPropagation:
+    """A NaN ratio on any support must reach the constant, not be skipped."""
+
+    @staticmethod
+    def nan_on_call(monkeypatch, name, k):
+        original = getattr(weights_mod, name)
+        seen = []
+
+        def ratio(ws, support):
+            seen.append(support)
+            return float("nan") if len(seen) == k else original(ws, support)
+
+        monkeypatch.setattr(weights_mod, name, ratio)
+        return seen
+
+    def test_sp_constant(self, monkeypatch):
+        ws = random_weight_system(
+            np.random.default_rng(60), make_tree_space(2, 2), doubling_seq()
+        )
+        seen = self.nan_on_call(monkeypatch, "sp_support_ratio", 3)
+        value, witness = sp_constant_argmax(ws)
+        assert np.isnan(value)
+        assert witness is seen[2] and len(seen) == 3
+        seen.clear()
+        assert np.isnan(sp_constant(ws))
+
+    def test_rh_constant(self, monkeypatch):
+        ws = random_weight_system(
+            np.random.default_rng(61), make_tree_space(2, 2), doubling_seq()
+        )
+        self.nan_on_call(monkeypatch, "rh_support_ratio", 1)
+        assert np.isnan(rh_constant(ws))
