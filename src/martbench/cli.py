@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import field, make_dataclass
 
 import numpy as np
 
@@ -38,8 +39,9 @@ from .holder import (
     holder_integral_check,
     trial_vector,
 )
-from .report import VerificationReport, check_inequality
+from .report import check_inequality
 from .theorems import (
+    _CONSTANT_IDS,
     estimate_best_constant,
     sawyer_decomposition,
     sawyer_trace_invariants,
@@ -57,30 +59,67 @@ from .weights import (
     sp_constant,
 )
 
-DEFAULT_SPREAD = 1e3
-DEFAULT_TRIALS = 3
+
+def _json(value):
+    """JSON text from a flag; a config-file value arrives already parsed."""
+    return json.loads(value) if isinstance(value, str) else value
 
 
-@dataclass
-class RunConfig:
-    command: str
-    space: dict | None = None
-    seq: dict | None = None
-    weights: dict | None = None
-    functions: object = None
-    family: object = "all"
-    tol: float = 1e-12
-    seed: int = 0
-    out: str = "martbench_report.json"
-    fmt: str = "json"
-    level: int | None = None
-    inequality: str = "testing"
-    trials: int = DEFAULT_TRIALS
-    kind: str = "functions"
-    spread: float = DEFAULT_SPREAD
-    count: int = 4
-    expect_at_most: float | None = None
-    extras: dict = field(default_factory=dict)
+def _ranged(cast, low=-math.inf, high=math.inf):
+    """A parser that casts its value and requires low <= value < high."""
+    def parse(value):
+        x = cast(value)
+        if not low <= x < high:  # a NaN fails too
+            raise ValueError(f"{x!r} is outside [{low}, {high})")
+        return x
+    return parse
+
+
+def _one_of(*choices):
+    def parse(value):
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
+        return value
+    return parse
+
+
+def _family(value):
+    if isinstance(value, dict) or value == "all":
+        return value
+    if isinstance(value, str) and value.startswith("sample:"):
+        return {"count": _ranged(int, 1)(value.split(":", 1)[1]), "seed": 0}
+    raise ValueError(f"bad family spec {value!r}; use 'all' or 'sample:COUNT'")
+
+
+# Every option once: (config-file key, parser, default, help).  The flag is
+# --KEY with "_" written "-".  The same parser reads flag text and
+# config-file values; a flag overrides the config file, which overrides
+# the default.
+OPTIONS = (
+    ("space", _json, None, 'space JSON, e.g. \'{"depth":2,"branching":2,"leaf_probs":"uniform"}\''),
+    ("seq", _json, None, 'exponent JSON, e.g. \'{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}\''),
+    ("weights", _json, None, "weight-system JSON"),
+    ("functions", _json, None, "function-vector JSON (object or list)"),
+    ("family", _family, "all", "support family: all | sample:COUNT"),
+    ("tol", _ranged(float, 0.0), 1e-12, "relative verdict tolerance, finite and >= 0"),
+    ("seed", _ranged(int, 0, 2**64), 0, "seed, 0 <= SEED < 2**64"),
+    ("out", str, "martbench_report.json", "output JSON path"),
+    ("format", _one_of("json", "json+csv"), "json", "output format: json | json+csv"),
+    ("level", int, None, "filtration level of the conditional check (all levels if unset)"),
+    ("inequality", _one_of(*_CONSTANT_IDS), "testing", "inequality of estimate-constant"),
+    ("trials", _ranged(int, 1), 3, "number of seeded trials, >= 1"),
+    ("kind", _one_of("weights", "functions"), "functions", "generate kind: weights | functions"),
+    ("spread", _ranged(float, 1.0), 1e3, "log-uniform spread, finite and >= 1"),
+    ("count", _ranged(int, 1), 4, "number of generated vectors, >= 1"),
+    ("expect_at_most", _ranged(float), None, "exit 1 when the estimated constant exceeds this"),
+)
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [("command", str)]
+    + [(name, object, field(default=default)) for name, _, default, _ in OPTIONS]
+    + [("tol_given", bool, field(default=False))],
+)
 
 
 def generate(kind: str, space: TreeSpace, seed: int, spread: float, count: int = 4,
@@ -148,23 +187,6 @@ def _function_vectors(config: RunConfig, space: TreeSpace, seq) -> list[Function
     return [function_vector_from_json(space, item) for item in spec]
 
 
-def _aggregate_testing(ws: WeightSystem, fvec: FunctionVector) -> tuple[VerificationReport, float]:
-    """Testing check against the exact supremum over all stopping times;
-    reports the worst side and returns the observed testing constant for
-    this vector."""
-    worst_lhs = snell_testing_sup(ws, fvec) ** ws.seq.aggregate_reciprocal
-    rhs = function_norms_product(ws.space, fvec, ws.seq, ws.active_weights)
-    merged = check_inequality(
-        "ap-to-testing",
-        worst_lhs,
-        rhs,
-        constant=ap_constant(ws),
-        metadata={"stopping_sup": "exact", "space": ws.space.digest()},
-    )
-    observed = worst_lhs / rhs if rhs > 0.0 else 0.0
-    return merged, observed
-
-
 def _cmd_check_holder(config: RunConfig, space, seq) -> tuple[list, dict]:
     reports = [
         holder_integral_check(space, fv, seq, tolerance=config.tol)
@@ -202,8 +224,20 @@ def _cmd_verify_ap(config: RunConfig, space, seq) -> tuple[list, dict]:
     c_a = ap_constant(ws)
     reports = []
     for fvec in _function_vectors(config, space, seq):
-        merged, observed = _aggregate_testing(ws, fvec)
-        reports.append(merged)
+        # the testing check against the exact supremum over all stopping times
+        worst_lhs = snell_testing_sup(ws, fvec) ** seq.aggregate_reciprocal
+        rhs = function_norms_product(space, fvec, seq, ws.active_weights)
+        reports.append(
+            check_inequality(
+                "ap-to-testing",
+                worst_lhs,
+                rhs,
+                constant=c_a,
+                tolerance=config.tol,
+                metadata={"stopping_sup": "exact", "space": space.digest},
+            )
+        )
+        observed = worst_lhs / rhs if rhs > 0.0 else 0.0
         reports.append(verify_testing_to_weak(ws, fvec, observed, tolerance=config.tol))
         reports.append(verify_weak_to_testing(ws, fvec, c_a, tolerance=config.tol))
     reports.append(verify_testing_to_ap(ws, config.family, tolerance=config.tol))
@@ -256,7 +290,7 @@ def _cmd_enumerate(config: RunConfig, space, seq) -> tuple[list, dict]:
 
 
 def _cmd_conjugate_product(config: RunConfig, space, seq) -> tuple[list, dict]:
-    rel_tol = config.tol if config.extras.get("tol_given") else 1e-9
+    rel_tol = config.tol if config.tol_given else 1e-9
     interval = conjugate_product(seq, rel_tol=max(rel_tol, 1e-12))
     return [], {"interval": interval.to_json(), "rel_width": interval.rel_width}
 
@@ -289,34 +323,24 @@ def _cmd_generate(config: RunConfig, space, seq) -> tuple[list, dict]:
     }
 
 
-_NEEDS_SEQ = {
-    "check-holder",
-    "check-conditional-holder",
-    "weights-constants",
-    "verify-ap",
-    "verify-sp",
-    "sawyer-trace",
-    "conjugate-product",
-    "estimate-constant",
-}
-
-_HANDLERS = {
-    "check-holder": _cmd_check_holder,
-    "check-conditional-holder": _cmd_check_conditional_holder,
-    "weights-constants": _cmd_weights_constants,
-    "verify-ap": _cmd_verify_ap,
-    "verify-sp": _cmd_verify_sp,
-    "sawyer-trace": _cmd_sawyer_trace,
-    "enumerate-stopping-times": _cmd_enumerate,
-    "conjugate-product": _cmd_conjugate_product,
-    "estimate-constant": _cmd_estimate,
-    "generate": _cmd_generate,
+# command: (handler, the specs it requires)
+_COMMANDS = {
+    "check-holder": (_cmd_check_holder, ("space", "seq")),
+    "check-conditional-holder": (_cmd_check_conditional_holder, ("space", "seq")),
+    "weights-constants": (_cmd_weights_constants, ("space", "seq")),
+    "verify-ap": (_cmd_verify_ap, ("space", "seq")),
+    "verify-sp": (_cmd_verify_sp, ("space", "seq")),
+    "sawyer-trace": (_cmd_sawyer_trace, ("space", "seq")),
+    "enumerate-stopping-times": (_cmd_enumerate, ("space",)),
+    "conjugate-product": (_cmd_conjugate_product, ("seq",)),
+    "estimate-constant": (_cmd_estimate, ("space", "seq")),
+    "generate": (_cmd_generate, ("space",)),
 }
 
 
 def _atomic_write(path: str, text: str) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
+    with open(tmp, "w", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
 
@@ -332,34 +356,29 @@ def _write_outputs(config: RunConfig, reports: list, payload: dict) -> None:
         **payload,
     }
     _atomic_write(config.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    if config.fmt == "json+csv":
-        rows = [
-            ["report", r.inequality, r.lhs, r.rhs, r.constant, r.slack, r.passed]
-            for r in reports
-        ]
+    if config.format == "json+csv":
+        rows = [["kind", "name", "lhs", "rhs", "constant", "slack", "pass"]]
+        for r in reports:
+            rows.append(["report", r.inequality, r.lhs, r.rhs, r.constant, r.slack, r.passed])
         for name, value in payload.get("constants", {}).items():
             rows.append(["constant", name, "", "", value, "", ""])
-        csv_path = os.path.splitext(config.out)[0] + ".csv"
-        tmp = f"{csv_path}.tmp"
-        with open(tmp, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "name", "lhs", "rhs", "constant", "slack", "pass"])
-            writer.writerows(rows)
-        os.replace(tmp, csv_path)
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        _atomic_write(os.path.splitext(config.out)[0] + ".csv", text.getvalue())
 
 
 def run(config: RunConfig) -> int:
     """Execute one subcommand; returns the process exit status."""
-    if config.command not in _HANDLERS:
+    if config.command not in _COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
+    handler, required = _COMMANDS[config.command]
+    for name in required:
+        if not getattr(config, name):
+            raise ValueError(f"a {name} spec is required (--{name} or config)")
     space = space_from_json(config.space) if config.space else None
     seq = sequence_from_json(config.seq) if config.seq else None
-    if config.command != "conjugate-product" and space is None:
-        raise ValueError("a space spec is required (--space or config)")
-    if config.command in _NEEDS_SEQ and seq is None:
-        raise ValueError("an exponent spec is required (--seq or config)")
     started = time.monotonic()
-    reports, payload = _HANDLERS[config.command](config, space, seq)
+    reports, payload = handler(config, space, seq)
     payload.setdefault("elapsed_seconds", time.monotonic() - started)
     _write_outputs(config, reports, payload)
     failed = [r for r in reports if not r.passed]
@@ -369,47 +388,24 @@ def run(config: RunConfig) -> int:
     return 1 if failed else 0
 
 
-def _parse_family(text: str):
-    if text == "all":
-        return "all"
-    if text.startswith("sample:"):
-        return {"count": int(text.split(":", 1)[1]), "seed": 0}
-    raise ValueError(f"bad family spec {text!r}; use 'all' or 'sample:COUNT'")
-
-
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    base: dict = {}
+    base = {}
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-    config = RunConfig(command=args.command)
-    config.space = json.loads(args.space) if args.space else base.get("space")
-    config.seq = json.loads(args.seq) if args.seq else base.get("seq")
-    config.weights = json.loads(args.weights) if args.weights else base.get("weights")
-    config.functions = (
-        json.loads(args.functions) if args.functions else base.get("functions")
-    )
-    family = args.family or base.get("family", "all")
-    config.family = _parse_family(family) if isinstance(family, str) else family
-    config.tol = args.tol if args.tol is not None else float(base.get("tol", 1e-12))
-    config.extras["tol_given"] = args.tol is not None or "tol" in base
-    config.seed = args.seed if args.seed is not None else int(base.get("seed", 0))
-    config.out = args.out or base.get("out", "martbench_report.json")
-    config.fmt = args.format or base.get("format", "json")
-    config.level = args.level if args.level is not None else base.get("level")
-    config.inequality = args.inequality or base.get("inequality", "testing")
-    config.trials = args.trials if args.trials is not None else int(base.get("trials", DEFAULT_TRIALS))
-    config.kind = args.kind or base.get("kind", "functions")
-    config.spread = args.spread if args.spread is not None else float(base.get("spread", DEFAULT_SPREAD))
-    config.count = args.count if args.count is not None else int(base.get("count", 4))
-    config.expect_at_most = (
-        args.expect_at_most
-        if args.expect_at_most is not None
-        else base.get("expect_at_most")
-    )
-    if config.seed < 0 or config.seed >= 2**64:
-        raise ValueError("seed must fit in 64 unsigned bits")
-    return config
+        if not isinstance(base, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+    values = {}
+    for name, parse, default, _ in OPTIONS:
+        flag = getattr(args, name)
+        raw = flag if flag is not None else base.get(name)
+        try:
+            values[name] = default if raw is None else parse(raw)
+        except (TypeError, ValueError) as exc:
+            source = f"--{name.replace('_', '-')}" if flag is not None else f"config key {name!r}"
+            raise ValueError(f"{source}: {exc}") from None
+    tol_given = args.tol is not None or base.get("tol") is not None
+    return RunConfig(args.command, **values, tol_given=tol_given)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,41 +413,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="martbench",
         description="verification workbench for weighted martingale inequalities",
     )
-    parser.add_argument("command", choices=sorted(_HANDLERS))
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--space", help='inline space JSON, e.g. \'{"depth":2,"branching":2,"leaf_probs":"uniform"}\'')
-    parser.add_argument("--seq", help='inline exponent JSON, e.g. \'{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}\'')
-    parser.add_argument("--weights", help="inline weight-system JSON")
-    parser.add_argument("--functions", help="inline function-vector JSON (object or list)")
-    parser.add_argument("--family", help="stopping-time family: all | sample:COUNT")
-    parser.add_argument("--tol", type=float, help="relative verdict tolerance")
-    parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--out", help="output JSON path")
-    parser.add_argument("--format", choices=["json", "json+csv"], help="output format")
-    parser.add_argument("--level", type=int, help="filtration level (conditional check)")
-    parser.add_argument("--inequality", choices=["testing", "weak", "strong", "sp-test"])
-    parser.add_argument("--trials", type=int, help="number of seeded trials")
-    parser.add_argument("--kind", choices=["weights", "functions"], help="generate kind")
-    parser.add_argument("--spread", type=float, help="log-uniform spread")
-    parser.add_argument("--count", type=int, help="number of generated vectors")
-    parser.add_argument(
-        "--expect-at-most",
-        dest="expect_at_most",
-        type=float,
-        help="fail (exit 1) when the estimated constant exceeds this bound",
-    )
+    parser.add_argument("command", choices=sorted(_COMMANDS))
+    parser.add_argument("--config", help="JSON config file keyed by the option names")
+    for name, _, default, text in OPTIONS:
+        parser.add_argument("--" + name.replace("_", "-"), help=f"{text} (default: {default})")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config)
-    except (ValueError, KeyError, IndexError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except EnumerationCapError as exc:
+        return run(_config_from_args(args))
+    except (ValueError, KeyError, IndexError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .report import ABS_FLOOR
+
 
 @dataclass(frozen=True)
 class CertifiedInterval:
@@ -39,7 +41,7 @@ class CertifiedInterval:
 
     @property
     def rel_width(self) -> float:
-        return self.width / max(abs(self.lo), 1e-300)
+        return self.width / max(abs(self.lo), ABS_FLOOR)
 
     def to_json(self) -> dict:
         return {"lo": self.lo, "hi": self.hi}

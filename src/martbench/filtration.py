@@ -79,7 +79,9 @@ class TreeSpace:
         """Broadcast per-atom values at level n back to leaves."""
         return np.repeat(atom_values, self.atom_size(n))
 
+    @cached_property
     def digest(self) -> str:
+        """Short sha256 of the shape and leaf probabilities, hashed once."""
         h = hashlib.sha256()
         h.update(f"{self.depth},{self.branching};".encode())
         h.update(self.leaf_probs.tobytes())
@@ -143,16 +145,24 @@ def as_leaf_mask(space: TreeSpace, mask) -> np.ndarray:
     return m.astype(bool)
 
 
+def _weighted_probs(space: TreeSpace, weight=None) -> np.ndarray:
+    """The leaf masses of mu (weight None) or of weight * mu, after checking
+    that the weight is strictly positive."""
+    if weight is None:
+        return space.leaf_probs
+    weight = np.asarray(weight, dtype=float)
+    if not np.all(weight > 0.0):
+        raise ValueError("weight must be strictly positive")
+    return space.leaf_probs * weight
+
+
 def _weighted_parts(space: TreeSpace, f, sigma, levels) -> tuple[np.ndarray, np.ndarray, list]:
     """f, the numerator leaf vector and the per-level denominators of E_n(f),
     under leaf_probs (cached atom masses) or leaf_probs * sigma."""
     f = np.asarray(f, dtype=float)
     if sigma is None:
         return f, space.leaf_probs * f, [space.atom_masses[n] for n in levels]
-    sigma = np.asarray(sigma, dtype=float)
-    if not np.all(sigma > 0.0):
-        raise ValueError("sigma must be strictly positive")
-    w = space.leaf_probs * sigma
+    w = _weighted_probs(space, sigma)
     return f, space.leaf_probs * f * sigma, [space.atom_sums(w, n) for n in levels]
 
 

@@ -21,12 +21,13 @@ from .exponents import ExponentSequence
 from .filtration import (
     TreeSpace,
     _read_only,
+    _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
     cond_exp,
     cond_exp_matrix,
 )
-from .report import REL_TOL, VerificationReport, check_inequality
+from .report import REL_TOL, VerificationReport, _margin, check_inequality
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,17 +100,27 @@ def _combined_mask(
     return fvec.mask if extra is None else (fvec.mask & extra)
 
 
+def _component_slots(
+    space: TreeSpace, active, weights, seq: ExponentSequence, n_slots: int | None = None
+) -> list:
+    """(f_i, w_i) pairs over the first n_slots head slots (by default the
+    occupied ones); an f or w past the supplied ones is the constant 1."""
+    used = max(len(active), len(weights))
+    if used > seq.head_len:
+        raise ValueError(f"{used} components exceed exponent head length {seq.head_len}")
+    n_slots = used if n_slots is None else n_slots
+    ones = np.ones(space.n_leaves)
+    fs = list(active) + [ones] * (n_slots - len(active))
+    ws = list(weights) + [ones] * (n_slots - len(weights))
+    return list(zip(fs, ws))
+
+
 def lp_norm(space: TreeSpace, f: np.ndarray, p: float, weight=None) -> float:
     """(integral of |f|**p against weight * mu)**(1/p), any p > 0."""
     if not p > 0.0:
         raise ValueError(f"exponent {p} must be positive")
     f = np.asarray(f, dtype=float)
-    w = space.leaf_probs
-    if weight is not None:
-        weight = np.asarray(weight, dtype=float)
-        if not np.all(weight > 0.0):
-            raise ValueError("weight must be strictly positive")
-        w = w * weight
+    w = _weighted_probs(space, weight)
     return float(np.sum(w * np.abs(f) ** p) ** (1.0 / p))
 
 
@@ -146,20 +157,17 @@ def level_products(
     _check_alignment(fvec, seq)
     mask = _combined_mask(space, fvec, masked_by)
     rows = np.ones((space.depth + 1, space.n_leaves))
-    if mask is None:
-        for f in fvec.active:
-            rows *= cond_exp_matrix(space, f)
-        return rows
-    mf = mask.astype(float)
     for f in fvec.active:
-        rows *= cond_exp_matrix(space, f * mf)
+        rows *= cond_exp_matrix(space, f if mask is None else f * mask)
+    if mask is None:
+        return rows
     if not seq.is_finite_family:
         rows *= np.stack([
             space.expand(space.atom_sums(mask, n) == space.atom_size(n), n)
             for n in space.levels
         ])
     elif fvec.n_active < seq.head_len:
-        rows *= cond_exp_matrix(space, mf) ** (seq.head_len - fvec.n_active)
+        rows *= cond_exp_matrix(space, mask) ** (seq.head_len - fvec.n_active)
     return rows
 
 
@@ -176,23 +184,14 @@ def function_norms_product(
     components are 1, or chi_Q under a mask, so a masked tail contributes
     |Q|**s in closed form and masked head padding the factors |Q|**(1/p_i).
     """
-    _check_alignment(fvec, seq)
-    weights = list(weights) if weights is not None else []
-    if len(weights) > seq.head_len:
-        raise ValueError(
-            f"{len(weights)} weights exceed exponent head length {seq.head_len}"
-        )
     mask = fvec.mask
-    mf = None if mask is None else mask.astype(float)
-    ones = np.ones(space.n_leaves)
+    weights = [] if weights is None else list(weights)
+    # under a mask every head slot holds chi_Q at least
+    n_slots = None if mask is None else seq.head_len
     total = 1.0
-    n_slots = max(fvec.n_active, len(weights)) if mask is None else seq.head_len
-    for i in range(n_slots):
-        f = fvec.active[i] if i < fvec.n_active else ones
-        if mf is not None:
-            f = f * mf
-        w = weights[i] if i < len(weights) else None
-        total *= lp_norm(space, f, seq.head[i], w)
+    slots = _component_slots(space, fvec.active, weights, seq, n_slots)
+    for i, (f, w) in enumerate(slots):
+        total *= lp_norm(space, f if mask is None else f * mask, seq.head[i], w)
     if mask is not None and not seq.is_finite_family:
         q_mass = float(np.sum(space.leaf_probs, where=mask))
         total *= q_mass**seq.tail_mass
@@ -217,7 +216,7 @@ def holder_integral_check(
         lhs,
         rhs,
         tolerance=tolerance,
-        metadata={"p": 1.0 / rp, "n_active": fvec.n_active, "space": space.digest()},
+        metadata={"p": 1.0 / rp, "n_active": fvec.n_active, "space": space.digest},
     )
 
 
@@ -236,15 +235,14 @@ def holder_conditional_check(
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     mask = fvec.mask
-    mf = None if mask is None else mask.astype(float)
 
     prod = product_function(space, fvec)
     lhs_leaf = cond_exp(space, prod**p, n) ** rp
 
     rhs_leaf = np.ones(space.n_leaves)
     for i, f in enumerate(fvec.active):
-        if mf is not None:
-            f = f * mf
+        if mask is not None:
+            f = f * mask
         p_i = seq.head[i]
         rhs_leaf *= cond_exp(space, f**p_i, n) ** (1.0 / p_i)
     if mask is not None:
@@ -252,9 +250,9 @@ def holder_conditional_check(
         # reciprocal mass beyond the active components
         rest = rp - math.fsum(1.0 / seq.head[i] for i in range(fvec.n_active))
         if rest > 0.0:
-            rhs_leaf *= cond_exp(space, mf, n) ** rest
+            rhs_leaf *= cond_exp(space, mask, n) ** rest
 
-    margin = rhs_leaf + tolerance * np.abs(rhs_leaf) + 1e-300
+    margin = _margin(rhs_leaf, tolerance)
     ok = bool(np.all(lhs_leaf <= margin))
     worst = int(np.argmax(lhs_leaf - margin))
     report = check_inequality(
@@ -262,7 +260,7 @@ def holder_conditional_check(
         float(lhs_leaf[worst]),
         float(rhs_leaf[worst]),
         tolerance=tolerance,
-        metadata={"level": n, "n_atoms": space.n_atoms(n), "space": space.digest()},
+        metadata={"level": n, "n_atoms": space.n_atoms(n), "space": space.digest},
     )
     report.passed = ok
     return report

@@ -15,12 +15,13 @@ from .exponents import ExponentSequence
 from .filtration import (
     StoppingTime,
     TreeSpace,
+    _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
     cond_exp_matrix,
     first_passage_time,
 )
-from .holder import FunctionVector, level_products, lp_norm
+from .holder import FunctionVector, _component_slots, level_products, lp_norm
 from .report import REL_TOL, VerificationReport, check_inequality
 
 
@@ -56,31 +57,16 @@ def gen_weighted_maximal(
     if gvec.mask is not None:
         raise ValueError("masked vectors are not supported for the weighted maximal")
     sigmas = [as_leaf_vector(space, s) for s in sigmas]
-    for s in sigmas:
-        if not np.all(s > 0.0):
-            raise ValueError("sigma components must be strictly positive")
-    n_slots = max(gvec.n_active, len(sigmas))
-    if n_slots > seq.head_len:
-        raise ValueError(f"{n_slots} components exceed exponent head length {seq.head_len}")
-    ones = np.ones(space.n_leaves)
     rows = np.ones((space.depth + 1, space.n_leaves))
-    for i in range(n_slots):
-        g = gvec.active[i] if i < gvec.n_active else ones
-        s = sigmas[i] if i < len(sigmas) else ones
-        rows *= cond_exp_matrix(space, g, s)
+    for g, s in _component_slots(space, gvec.active, sigmas, seq):
+        rows *= cond_exp_matrix(space, g, s)  # checks that sigma is positive
     return rows.max(axis=0)
 
 
 def weighted_measure(space: TreeSpace, leaf_set, weight=None) -> float:
     """|B|_w = integral of the weight over the leaf set (w = 1 if None)."""
     mask = as_leaf_mask(space, leaf_set)
-    w = space.leaf_probs
-    if weight is not None:
-        weight = np.asarray(weight, dtype=float)
-        if not np.all(weight > 0.0):
-            raise ValueError("weight must be strictly positive")
-        w = w * weight
-    return float(w[mask].sum())
+    return float(_weighted_probs(space, weight)[mask].sum())
 
 
 def weak_lp_norm(space: TreeSpace, g: np.ndarray, p: float, v) -> float:
@@ -90,12 +76,10 @@ def weak_lp_norm(space: TreeSpace, g: np.ndarray, p: float, v) -> float:
     if not p > 0.0:
         raise ValueError(f"exponent {p} must be positive")
     g = as_leaf_vector(space, g, nonnegative=True)
-    v = np.asarray(v, dtype=float)
-    if not np.all(v > 0.0):
-        raise ValueError("weight must be strictly positive")
+    w = _weighted_probs(space, v)
     order = np.argsort(-g, kind="stable")
     values = g[order]
-    masses = np.cumsum((space.leaf_probs * v)[order])
+    masses = np.cumsum(w[order])
     best = 0.0
     for i, t in enumerate(values):
         if t <= 0.0:
@@ -143,5 +127,5 @@ def doob_inequality_check(
         rhs,
         constant=q_conj,
         tolerance=tolerance,
-        metadata={"q": q, "space": space.digest()},
+        metadata={"q": q, "space": space.digest},
     )

@@ -7,6 +7,7 @@ plus a tiny absolute floor so exact-zero sides compare cleanly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 REL_TOL = 1e-12
@@ -37,6 +38,18 @@ class VerificationReport:
         }
 
 
+def _margin(bound, tolerance: float = REL_TOL):
+    """The largest left side that passes against `bound` (a scalar or an
+    array): bound + tolerance * |bound| + ABS_FLOOR."""
+    return bound + tolerance * abs(bound) + ABS_FLOOR
+
+
+def _within_margin(lhs, bound, tolerance: float = REL_TOL):
+    """The verdict lhs <= _margin(bound, tolerance), elementwise; a NaN
+    on either side fails."""
+    return lhs <= _margin(bound, tolerance)
+
+
 def check_inequality(
     inequality: str,
     lhs: float,
@@ -45,10 +58,14 @@ def check_inequality(
     tolerance: float = REL_TOL,
     metadata: dict | None = None,
 ) -> VerificationReport:
-    """Build a report for LHS <= constant * RHS at the given tolerance."""
+    """Build a report for LHS <= constant * RHS at the given tolerance.
+    A NaN side or constant fails the report, and a copy of the metadata
+    then carries "reason": "nan"."""
     bound = constant * rhs
     slack = bound - lhs
-    passed = bool(lhs <= bound + tolerance * abs(bound) + ABS_FLOOR)
+    passed = bool(_within_margin(lhs, bound, tolerance))
+    if math.isnan(lhs) or math.isnan(rhs) or math.isnan(constant):
+        metadata = {**(metadata or {}), "reason": "nan"}
     return VerificationReport(
         inequality=inequality,
         lhs=float(lhs),

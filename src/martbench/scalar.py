@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exponents import ExponentSequence, exponent_at, make_exponent_sequence
-from .report import REL_TOL, VerificationReport, check_inequality
+from .report import ABS_FLOOR, REL_TOL, VerificationReport, check_inequality
 
 
 class DivergentProductError(ValueError):
@@ -161,7 +161,7 @@ def _young_tail_sum(seq: ExponentSequence, c: float) -> float:
         term = c ** (1.0 / recip) * recip
         total += term
         # terms decay at least geometrically with ratio tail_ratio
-        if term <= 1e-18 * max(total, 1e-300) or k > 10_000:
+        if term <= 1e-18 * max(total, ABS_FLOOR) or k > 10_000:
             return total
         k += 1
 

@@ -36,13 +36,14 @@ from .filtration import (
 )
 from .holder import (
     FunctionVector,
+    _component_slots,
     function_norms_product,
     level_products,
     lp_norm,
     trial_vector,
 )
 from .maximal import gen_doob_maximal, weak_lp_norm, weighted_measure
-from .report import ABS_FLOOR, REL_TOL, VerificationReport, check_inequality
+from .report import REL_TOL, VerificationReport, _within_margin, check_inequality
 from .weights import (
     WeightSystem,
     necessity_family_ap,
@@ -64,8 +65,7 @@ def _norms_product(ws: WeightSystem, fvec: FunctionVector) -> float:
 
 def _strong_rhs(ws: WeightSystem, gvec: FunctionVector) -> float:
     """prod_i ||g_i||_{L^{p_i}(sigma_i)} with exact masked-tail handling."""
-    sigmas = [ws.sigma_at(i) for i in range(max(gvec.n_active, ws.n_active))]
-    return function_norms_product(ws.space, gvec, ws.seq, sigmas)
+    return function_norms_product(ws.space, gvec, ws.seq, ws.sigmas)
 
 
 @functools.lru_cache(maxsize=1)
@@ -105,7 +105,7 @@ def verify_ap_to_testing(
         rhs,
         constant=ws.ap_max,
         tolerance=tolerance,
-        metadata={"space": ws.space.digest(), "finite_leaves": int(tau.finite.sum())},
+        metadata={"space": ws.space.digest, "finite_leaves": int(tau.finite.sum())},
     )
 
 
@@ -136,18 +136,16 @@ def verify_testing_to_weak(
             all_ok = False
             continue
         weak_t = t * weighted_measure(space, tau.support(), ws.v) ** rp
-        mid = _testing_lhs_pth(ws, rows, tau, p) ** rp
-        chain = mid * (1.0 + tolerance) + ABS_FLOOR
-        bound = c_test * rhs
-        if weak_t > chain or weak_t > bound + tolerance * abs(bound) + ABS_FLOOR:
-            all_ok = False
+        for bound in (_testing_lhs_pth(ws, rows, tau, p) ** rp, c_test * rhs):
+            if not _within_margin(weak_t, bound, tolerance):
+                all_ok = False
     report = check_inequality(
         "testing-to-weak",
         weak_lp_norm(space, maximal, p, ws.v),
         rhs,
         constant=c_test,
         tolerance=tolerance,
-        metadata={"n_thresholds": len(thresholds), "space": space.digest()},
+        metadata={"n_thresholds": len(thresholds), "space": space.digest},
     )
     report.passed = report.passed and all_ok
     return report
@@ -198,7 +196,7 @@ def verify_weak_to_testing(
             rhs_slice = c_weak**p * function_norms_product(
                 space, sliced, seq, ws.active_weights
             ) ** p
-            if lhs_slice > rhs_slice + tolerance * abs(rhs_slice) + ABS_FLOOR:
+            if not _within_margin(lhs_slice, rhs_slice, tolerance):
                 all_ok = False
             level_bands[k] = (
                 np.flatnonzero(band).tolist() if small else int(band.sum())
@@ -214,7 +212,7 @@ def verify_weak_to_testing(
         metadata={
             "bands_per_level": partitions,
             "stopping_sup": "exact",
-            "space": space.digest(),
+            "space": space.digest,
         },
     )
     report.passed = report.passed and all_ok
@@ -256,8 +254,7 @@ def verify_testing_to_ap(
             lhs = float(np.sum(space.leaf_probs * ws.v * rows[n] ** p)) ** rp
             ratio = lhs / rhs
             recovered = float(ws.ap_rows[n, j * space.atom_size(n)])
-            bound = ratio * scale
-            if recovered > bound + tolerance * abs(bound) + ABS_FLOOR:
+            if not _within_margin(recovered, ratio * scale, tolerance):
                 all_ok = False
             ratios.append(ratio)
     c_test_observed = float(np.max(ratios))  # np.max keeps a NaN, failing the report
@@ -270,7 +267,7 @@ def verify_testing_to_ap(
             "c_test_observed": c_test_observed,
             "c_rh": c_rh,
             "ap_constant": ws.ap_max,
-            "space": space.digest(),
+            "space": space.digest,
         },
     )
     report.passed = report.passed and all_ok
@@ -331,23 +328,6 @@ class SawyerTrace:
         }
 
 
-def _component_slots(ws: WeightSystem, gvec: FunctionVector) -> list:
-    """(g_i, sigma_i) pairs over the occupied head slots, defaults 1."""
-    ones = np.ones(ws.space.n_leaves)
-    n_slots = max(gvec.n_active, ws.n_active)
-    if n_slots > ws.seq.head_len:
-        raise ValueError(
-            f"{n_slots} components exceed exponent head length {ws.seq.head_len}"
-        )
-    return [
-        (
-            gvec.active[i] if i < gvec.n_active else ones,
-            ws.sigmas[i] if i < ws.n_active else ones,
-        )
-        for i in range(n_slots)
-    ]
-
-
 def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     """Dyadic decomposition of the maximal function of (g_i sigma_i).
 
@@ -361,7 +341,7 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
-    slots = _component_slots(ws, gvec)
+    slots = _component_slots(space, gvec.active, ws.sigmas, seq)
     ufvec = FunctionVector(tuple(g * s for g, s in slots), None)
     rows = level_products(space, ufvec, seq)
     maximal = rows.max(axis=0)
@@ -476,7 +456,7 @@ def verify_sp_to_strong(
     maximal = trace.maximal_values
     lhs_pth = float(np.sum(space.leaf_probs * ws.v * maximal**p))
     trace_rhs = 4.0**p * trace.weighted_total()
-    trace_ok = lhs_pth <= trace_rhs + tolerance * abs(trace_rhs) + ABS_FLOOR
+    trace_ok = _within_margin(lhs_pth, trace_rhs, tolerance)
 
     conj_hi = conjugate_product(seq).hi
     c_final = 4.0 * c_s * c_rh**rp * conj_hi
@@ -497,7 +477,7 @@ def verify_sp_to_strong(
             "c_rh": c_rh,
             "conjugate_product_hi": conj_hi,
             "n_cells": len(trace.cells),
-            "space": space.digest(),
+            "space": space.digest,
         },
     )
     report.passed = report.passed and bool(trace_ok)
@@ -545,7 +525,7 @@ def estimate_best_constant(
     m = seq.head_len
 
     def strong_ratio(gvec: FunctionVector) -> float:
-        slots = _component_slots(ws, gvec)
+        slots = _component_slots(space, gvec.active, ws.sigmas, seq)
         ufvec = FunctionVector(tuple(g * s for g, s in slots), gvec.mask)
         lhs = lp_norm(space, gen_doob_maximal(space, ufvec, seq), p, ws.v)
         rhs = _strong_rhs(ws, gvec)

@@ -214,37 +214,38 @@ def _normalized_ratio(bases, exponents, tail_base, reference, inverse=False) -> 
     return out * q**tail_exp
 
 
-def rh_support_ratio(ws: WeightSystem, support: np.ndarray) -> float:
-    """Reverse-Hoelder ratio of one support F:
-    prod (int_F sigma_i)**(p/p_i) / int_F prod sigma_i**(p/p_i)."""
+def _support_parts(ws: WeightSystem, support) -> tuple[np.ndarray, list, list, float]:
+    """The support F as a leaf mask, the exponents d_i = (1/p_i) / (1/p), the
+    bases |F|_{sigma_i} and the tail base |F| that both support ratios share."""
     space, seq = ws.space, ws.seq
     support = as_leaf_mask(space, support)
     rp = seq.aggregate_reciprocal
     d = [(1.0 / seq.head[i]) / rp for i in range(ws.n_active)]
     bases = [weighted_measure(space, support, s) for s in ws.sigmas]
-    tail_base = weighted_measure(space, support)
-    integrand = np.ones(space.n_leaves)
+    return support, d, bases, weighted_measure(space, support)
+
+
+def rh_support_ratio(ws: WeightSystem, support: np.ndarray) -> float:
+    """Reverse-Hoelder ratio of one support F:
+    prod (int_F sigma_i)**(p/p_i) / int_F prod sigma_i**(p/p_i)."""
+    support, d, bases, tail_base = _support_parts(ws, support)
+    integrand = np.ones(ws.space.n_leaves)
     for s, e in zip(ws.sigmas, d):
         integrand = integrand * s**e
-    denom = float(np.sum(space.leaf_probs[support] * integrand[support]))
+    denom = float(np.sum(ws.space.leaf_probs[support] * integrand[support]))
     return _normalized_ratio(bases, d, tail_base, denom)
 
 
 def sp_support_ratio(ws: WeightSystem, support: np.ndarray) -> float:
     """Testing ratio of one support F:
     (int_F M(sigma chi_F)**p v dmu)**(1/p) / prod |F|_{sigma_i}**(1/p_i)."""
-    space, seq = ws.space, ws.seq
-    support = as_leaf_mask(space, support)
-    rp = seq.aggregate_reciprocal
-    p = 1.0 / rp
+    support, d, bases, tail_base = _support_parts(ws, support)
+    space, rp = ws.space, ws.seq.aggregate_reciprocal
     fvec = FunctionVector(ws.sigmas, None)
-    maximal = level_products(space, fvec, seq, masked_by=support).max(axis=0)
+    maximal = level_products(space, fvec, ws.seq, masked_by=support).max(axis=0)
     numer = float(
-        np.sum((space.leaf_probs * ws.v)[support] * maximal[support] ** p)
+        np.sum((space.leaf_probs * ws.v)[support] * maximal[support] ** (1.0 / rp))
     )
-    d = [(1.0 / seq.head[i]) / rp for i in range(ws.n_active)]
-    bases = [weighted_measure(space, support, s) for s in ws.sigmas]
-    tail_base = weighted_measure(space, support)
     ratio_p = _normalized_ratio(bases, d, tail_base, numer, inverse=True)
     return ratio_p**rp
 

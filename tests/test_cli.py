@@ -1,5 +1,7 @@
 import csv
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from martbench.cli import main
 SPACE = '{"depth":1,"branching":2,"leaf_probs":"uniform"}'
 SEQ = '{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}'
 UNIT_WEIGHTS = '{"weights":[[1,1]],"v":[1,1]}'
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(tmp_path, command, *args, out_name="out.json"):
@@ -253,3 +256,67 @@ class TestConfigAndErrors:
         required = {"inequality", "lhs", "rhs", "constant", "slack", "pass", "tolerance", "metadata"}
         for report in doc["reports"]:
             assert required <= set(report)
+
+
+class TestOptionTable:
+    @pytest.mark.parametrize(
+        "args, config",
+        [
+            (["--tol", "nan"], None),
+            (["--tol", "-1"], None),
+            (["--tol", "inf"], None),
+            (["--spread", "nan"], None),
+            (["--spread", "inf"], None),
+            (["--trials", "-1"], None),
+            ([], {"format": "bogus"}),
+            (["--expect-at-most", "nan"], None),
+            ([], {"family": "sample:0"}),
+        ],
+        ids=["tol-nan", "tol-negative", "tol-inf", "spread-nan", "spread-inf", "trials-negative",
+             "config-format", "expect-nan", "config-family-empty"],
+    )
+    def test_bad_values_exit_two_with_one_line(self, tmp_path, capsys, args, config):
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            args = [*args, "--config", str(path)]
+        code, _, out = run_cli(tmp_path, "check-holder", "--space", SPACE, "--seq", SEQ, *args)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_flag_overrides_config_overrides_default(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"space": json.loads(SPACE), "kind": "weights",
+                                    "seed": 5, "count": 3}))
+        out = tmp_path / "out.json"
+        assert main(["generate", "--config", str(path), "--seed", "9", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["seed"] == 9  # flag over config file
+        assert doc["kind"] == "weights" and len(doc["items"]) == 3  # config file over default
+        assert doc["spread"] == 1e3  # default
+
+
+class TestEntryPoints:
+    def test_example_config_writes_json_and_csv(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = main(["verify-ap", "--config", str(ROOT / "scripts" / "example_config.json"),
+                     "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["summary"] == {"n_reports": 10, "n_failed": 0}
+        rows = list(csv.reader(open(out.with_suffix(".csv"))))
+        assert rows[0] == ["kind", "name", "lhs", "rhs", "constant", "slack", "pass"]
+        assert len(rows) == 11 and all(row[6] == "True" for row in rows[1:])
+
+    def test_constants_survey(self, tmp_path, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "constants_survey", ROOT / "scripts" / "constants_survey.py"
+        )
+        survey = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(survey)
+        out = tmp_path / "survey.csv"
+        assert survey.main(["--systems", "3", "--trials", "2", "--out", str(out)]) == 0
+        rows = list(csv.DictReader(open(out)))
+        assert [int(row["system"]) for row in rows] == [0, 1, 2]
+        assert "3 systems" in capsys.readouterr().out

@@ -49,6 +49,12 @@ class TestTreeSpace:
         with pytest.raises(ValueError):
             make_tree_space(21, 2)
 
+    def test_digest_is_pinned_and_hashed_once(self):
+        space = make_tree_space(2, 2, [0.1, 0.2, 0.3, 0.4])
+        assert space.digest == "54cc2be008dc"
+        assert vars(space)["digest"] == "54cc2be008dc"  # cached on the instance
+        assert make_tree_space(1, 3).digest == "11e71af7660d"
+
     def test_json_round_trip(self):
         space = make_tree_space(2, 3)
         again = space_from_json(space.to_json())

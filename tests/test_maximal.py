@@ -236,3 +236,23 @@ class TestDoobInequality:
             sigma = random_positive(rng, space)
             q = float(rng.choice([1.5, 2.0, 4.0]))
             assert doob_inequality_check(space, g, q, sigma).passed
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda space, w: weighted_measure(space, [True, True], w),
+        lambda space, w: weak_lp_norm(space, np.ones(2), 2.0, w),
+        lambda space, w: gen_weighted_maximal(
+            space,
+            function_vector(space, [[1.0, 2.0]]),
+            [w],
+            make_exponent_sequence([2.0], 0.5, 0.5),
+        ),
+    ],
+    ids=["weighted_measure", "weak_lp_norm", "gen_weighted_maximal"],
+)
+def test_weighted_measures_reject_a_nonpositive_weight(call):
+    space = make_tree_space(1, 2)
+    with pytest.raises(ValueError, match="strictly positive"):
+        call(space, np.array([1.0, 0.0]))

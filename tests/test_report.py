@@ -1,0 +1,52 @@
+import math
+
+import numpy as np
+import pytest
+
+from martbench.report import ABS_FLOOR, _margin, _within_margin, check_inequality
+
+
+def old_margin(bound, tolerance):
+    return bound + tolerance * abs(bound) + ABS_FLOOR
+
+
+class TestMargin:
+    def test_scalar_edges(self):
+        m = _margin(2.0, 1e-12)
+        assert m == old_margin(2.0, 1e-12)
+        assert _within_margin(m, 2.0, 1e-12)
+        assert not _within_margin(np.nextafter(m, math.inf), 2.0, 1e-12)
+        assert _within_margin(ABS_FLOOR, 0.0, 0.0)
+        assert not _within_margin(2.0 * ABS_FLOOR, 0.0, 0.0)
+
+    def test_arrays_match_the_formula_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        bound = rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200)
+        lhs = bound * (1.0 + rng.uniform(-2e-12, 2e-12, 200))
+        for tol in (0.0, 1e-12, 1e-3):
+            np.testing.assert_array_equal(_margin(bound, tol), old_margin(bound, tol))
+            np.testing.assert_array_equal(
+                _within_margin(lhs, bound, tol), lhs <= old_margin(bound, tol)
+            )
+
+    @pytest.mark.parametrize("lhs, bound", [(math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan)])
+    def test_nan_fails(self, lhs, bound):
+        assert not _within_margin(lhs, bound)
+        assert not _within_margin(np.array([lhs, 0.0]), np.array([bound, 1.0]))[0]
+
+
+class TestNanReason:
+    @pytest.mark.parametrize("lhs, rhs, constant", [
+        (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),
+    ])
+    def test_nan_report_names_its_reason_in_a_copy(self, lhs, rhs, constant):
+        metadata = {"space": "abc"}
+        report = check_inequality("x", lhs, rhs, constant=constant, metadata=metadata)
+        assert not report.passed
+        assert report.metadata == {"space": "abc", "reason": "nan"}
+        assert metadata == {"space": "abc"}
+        assert check_inequality("x", lhs, rhs, constant=constant).metadata == {"reason": "nan"}
+
+    def test_finite_report_has_no_reason(self):
+        report = check_inequality("x", 2.0, 1.0, metadata={"space": "abc"})
+        assert not report.passed and report.metadata == {"space": "abc"}
