@@ -66,11 +66,15 @@ def _json(value):
 
 
 def _ranged(cast, low=-math.inf, high=math.inf):
-    """A parser that casts its value and requires low <= value < high."""
+    """A parser that casts its value exactly and requires low <= value < high;
+    a float that int() would truncate (2.5) or overflow on (inf) fails."""
     def parse(value):
-        x = cast(value)
-        if not low <= x < high:  # a NaN fails too
-            raise ValueError(f"{x!r} is outside [{low}, {high})")
+        try:
+            x = cast(value)
+        except OverflowError:  # int(inf), or float() of an integer past the float range
+            x = math.nan
+        if not low <= x < high or isinstance(value, float) and x != value:  # NaN fails
+            raise ValueError(f"{value!r} must be {cast.__name__} in [{low}, {high})")
         return x
     return parse
 
@@ -114,6 +118,8 @@ OPTIONS = (
     ("expect_at_most", _ranged(float), None, "exit 1 when the estimated constant exceeds this"),
 )
 
+_PARSERS = {name: parse for name, parse, _, _ in OPTIONS}
+
 RunConfig = make_dataclass(
     "RunConfig",
     [("command", str)]
@@ -155,19 +161,28 @@ def generate(kind: str, space: TreeSpace, seed: int, spread: float, count: int =
     return items
 
 
+def _generator_keys(gen, defaults: dict, **parsers) -> list:
+    """The keys of `defaults` read from a generator spec (a JSON object) with
+    the option table's parsers or the given ones; a missing key keeps its default."""
+    if not isinstance(gen, dict):
+        raise ValueError(f"a generator spec must be a JSON object, not {gen!r}")
+    values = []
+    for key, default in defaults.items():
+        try:
+            values.append(parsers.get(key, _PARSERS.get(key))(gen[key]) if key in gen else default)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"generator key {key!r}: {exc}") from None
+    return values
+
+
 def _build_weight_system(config: RunConfig, space: TreeSpace, seq) -> WeightSystem:
     spec = config.weights or {}
     if "generator" in spec:
-        gen = spec["generator"]
-        n_active = int(gen.get("n_active", min(2, seq.head_len)))
-        items = generate(
-            "weights",
-            space,
-            int(gen.get("seed", config.seed)),
-            float(gen.get("spread", config.spread)),
-            count=n_active + 1,
-            inject_extremals=False,
-        )
+        head = seq.head_len
+        n_active, seed, spread = _generator_keys(
+            spec["generator"], {"n_active": min(2, head), "seed": config.seed,
+                                "spread": config.spread}, n_active=_ranged(int, 0, head + 1))
+        items = generate("weights", space, seed, spread, n_active + 1, inject_extremals=False)
         return make_weight_system(space, seq, items[:n_active], items[n_active])
     return make_weight_system(space, seq, spec.get("weights", []), spec["v"])
 
@@ -177,10 +192,8 @@ def _function_vectors(config: RunConfig, space: TreeSpace, seq) -> list[Function
     if spec is None:
         spec = {"generator": {}}
     if isinstance(spec, dict) and "generator" in spec:
-        gen = spec["generator"]
-        seed = int(gen.get("seed", config.seed))
-        trials = int(gen.get("trials", config.trials))
-        spread = float(gen.get("spread", config.spread))
+        seed, trials, spread = _generator_keys(spec["generator"], {
+            "seed": config.seed, "trials": config.trials, "spread": config.spread})
         return [trial_vector(space, seq.head_len, seed, t, spread) for t in range(trials)]
     if isinstance(spec, dict):
         spec = [spec]

@@ -72,12 +72,12 @@ class TreeSpace:
         return slice(j * size, (j + 1) * size)
 
     def atom_sums(self, x: np.ndarray, n: int) -> np.ndarray:
-        """Per-atom sums of a leaf vector at level n."""
-        return x.reshape(self.n_atoms(n), self.atom_size(n)).sum(axis=1)
+        """Per-atom sums at level n of a leaf vector (or of each row of a stack)."""
+        return x.reshape(x.shape[:-1] + (self.n_atoms(n), self.atom_size(n))).sum(axis=-1)
 
     def expand(self, atom_values: np.ndarray, n: int) -> np.ndarray:
-        """Broadcast per-atom values at level n back to leaves."""
-        return np.repeat(atom_values, self.atom_size(n))
+        """Broadcast per-atom values at level n back to leaves (along the last axis)."""
+        return np.repeat(atom_values, self.atom_size(n), axis=-1)
 
     @cached_property
     def digest(self) -> str:
@@ -145,6 +145,14 @@ def as_leaf_mask(space: TreeSpace, mask) -> np.ndarray:
     return m.astype(bool)
 
 
+def _as_leaf_masks(space: TreeSpace, masks) -> np.ndarray:
+    """A (B, leaves) stack of bool leaf masks, one per row."""
+    m = np.asarray(masks)
+    if m.ndim != 2 or m.shape[1] != space.n_leaves:
+        raise ValueError(f"expected a stack of {space.n_leaves}-entry masks, got {m.shape}")
+    return m.astype(bool)
+
+
 def _weighted_probs(space: TreeSpace, weight=None) -> np.ndarray:
     """The leaf masses of mu (weight None) or of weight * mu, after checking
     that the weight is strictly positive."""
@@ -180,15 +188,15 @@ def cond_exp(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarray:
 
 
 def cond_exp_matrix(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:
-    """All levels in one pass: row n is cond_exp(space, f, n, sigma), bit for bit."""
+    """All levels in one pass: row n is cond_exp(space, f, n, sigma), bit for bit.
+    A (B, leaves) stack f gives a (B, depth+1, leaves) stack of matrices."""
     levels = range(space.depth)
     f, num, dens = _weighted_parts(space, f, sigma, levels)
-    out = np.empty((space.depth + 1, space.n_leaves))
+    out = np.empty(f.shape[:-1] + (space.depth + 1, space.n_leaves))
     for n, den in zip(levels, dens):
-        out[n].reshape(space.n_atoms(n), space.atom_size(n))[:] = (
-            space.atom_sums(num, n) / den
-        )[:, None]
-    out[space.depth] = f
+        blocks = out.reshape(out.shape[:-1] + (space.n_atoms(n), space.atom_size(n)))
+        blocks[..., n, :, :] = (space.atom_sums(num, n) / den)[..., None]
+    out[..., space.depth, :] = f
     return out
 
 

@@ -20,6 +20,7 @@ import numpy as np
 from .exponents import ExponentSequence
 from .filtration import (
     TreeSpace,
+    _as_leaf_masks,
     _read_only,
     _weighted_probs,
     as_leaf_mask,
@@ -92,9 +93,11 @@ def _check_alignment(fvec: FunctionVector, seq: ExponentSequence) -> None:
 
 
 def _combined_mask(
-    space: TreeSpace, fvec: FunctionVector, masked_by
+    space: TreeSpace, fvec: FunctionVector, masked_by, stacked: bool = False
 ) -> np.ndarray | None:
-    extra = None if masked_by is None else as_leaf_mask(space, masked_by)
+    """The vector's mask and masked_by (with `stacked`, a (B, leaves) stack) together."""
+    extra = None if masked_by is None else (
+        (_as_leaf_masks if stacked else as_leaf_mask)(space, masked_by))
     if fvec.mask is None:
         return extra
     return fvec.mask if extra is None else (fvec.mask & extra)
@@ -144,6 +147,8 @@ def level_products(
     fvec: FunctionVector,
     seq: ExponentSequence,
     masked_by=None,
+    *,
+    stacked: bool = False,
 ) -> np.ndarray:
     """Matrix whose row n is the infinite product prod_i E_n(f_i).
 
@@ -152,11 +157,14 @@ def level_products(
     so it survives only on atoms contained in Q, decided from integer leaf
     counts per atom.  A finite family (tail mass 0) has no infinite tail; the
     mask then also applies to the constant-1 components padding the head,
-    each contributing one factor E_n(chi_Q).
+    each contributing one factor E_n(chi_Q).  With `stacked`, masked_by is
+    a (B, leaves) stack of masks and the result a (B, depth+1, leaves)
+    stack of matrices, one per mask.
     """
     _check_alignment(fvec, seq)
-    mask = _combined_mask(space, fvec, masked_by)
-    rows = np.ones((space.depth + 1, space.n_leaves))
+    mask = _combined_mask(space, fvec, masked_by, stacked)
+    batch = () if mask is None else mask.shape[:-1]
+    rows = np.ones(batch + (space.depth + 1, space.n_leaves))
     for f in fvec.active:
         rows *= cond_exp_matrix(space, f if mask is None else f * mask)
     if mask is None:
@@ -165,7 +173,7 @@ def level_products(
         rows *= np.stack([
             space.expand(space.atom_sums(mask, n) == space.atom_size(n), n)
             for n in space.levels
-        ])
+        ], axis=-2)
     elif fvec.n_active < seq.head_len:
         rows *= cond_exp_matrix(space, mask) ** (seq.head_len - fvec.n_active)
     return rows

@@ -8,8 +8,13 @@ The reverse-Hoelder and testing constants are suprema over stopping
 times, but both ratios depend on a stopping time only through its finite
 support {tau < infinity}.  Any nonempty leaf set is such a support (defer
 everywhere, send the complement to infinity at the last level), so the
-"all" family scans the distinct supports directly; sampled families draw
-stopping times uniformly and deduplicate their supports.
+"all" family scans the distinct supports directly, decoded from the
+bitmasks 1 .. 2**leaves - 1 in order; sampled families draw stopping times
+uniformly and deduplicate their supports.  rh_ratios and sp_ratios take
+(B, leaves) chunks of supports whose (B, depth+1, leaves) level blocks hold
+at most SCAN_CHUNK_FLOATS floats, so a scan never holds the whole family.
+The "all" testing scan and its witness are cached on the WeightSystem,
+which the strong-type estimate reads again after sp_constant.
 
 Ratios are evaluated in normalized form, as products of (base/reference)
 powers whose exponents sum to 1 by the closed-form tail identity.  All
@@ -22,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -31,20 +37,24 @@ from .filtration import (
     EnumerationCapError,
     TreeSpace,
     _is_union_of_atoms,
+    _as_leaf_masks,
     _read_only,
+    _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
     cond_exp_matrix,
     sample_stopping_time,
 )
 from .holder import FunctionVector, level_products
-from .maximal import weighted_measure
+
+SCAN_CHUNK_FLOATS = 1 << 16  # floats in one (B, depth+1, leaves) block of a scan
 
 
 @dataclass(frozen=True, eq=False)
 class WeightSystem:
     """Holds read-only arrays, so it caches the sigma_i's conditional-expectation
-    matrices and the joint-condition level matrix and constant."""
+    matrices, the joint-condition level matrix and constant, and the
+    "all"-family testing scan with its witness."""
 
     space: TreeSpace
     seq: ExponentSequence
@@ -71,6 +81,11 @@ class WeightSystem:
     def ap_max(self) -> float:
         """ap_constant of this system."""
         return float(self.ap_rows.max())
+
+    @cached_property
+    def sp_scan(self) -> tuple[float, np.ndarray | None]:
+        """The "all"-family testing constant and its witness (read-only)."""
+        return _family_max(self, _support_chunks(self.space, "all"), sp_ratios)
 
     def sigma_at(self, i: int) -> np.ndarray:
         """sigma_i for a head index (0-based); 1 beyond the active block."""
@@ -164,101 +179,98 @@ def ap_constant(ws: WeightSystem) -> float:
     return ws.ap_max
 
 
-def _all_supports(space: TreeSpace, cap: int) -> list[np.ndarray]:
-    n = space.n_leaves
-    if 2**n - 1 > cap:
-        raise EnumerationCapError(
-            f"{2 ** n - 1} distinct stopping-time supports exceed the cap {cap}; "
-            "use a sampled family"
-        )
-    bits = np.arange(n)
-    return [((m >> bits) & 1).astype(bool) for m in range(1, 2**n)]
-
-
-def support_family(
-    space: TreeSpace, family="all", cap: int = ENUMERATION_CAP
-) -> list[np.ndarray]:
-    """Distinct nonempty finite-support sets {tau < infinity}.
-
-    family is "all" (every nonempty leaf set; each one is realized by some
-    stopping time) or {"count": k, "seed": s} for uniform sampling over
-    the stopping-time family with support deduplication.
-    """
+def _support_chunks(space: TreeSpace, family, cap=math.inf) -> Iterator[np.ndarray]:
+    """The family as (B, leaves) bool chunks with B * (depth+1) * leaves at most
+    SCAN_CHUNK_FLOATS: "all" decodes the bitmasks 1 .. 2**leaves - 1 in order,
+    a sampled family gives its distinct supports in the order first drawn.
+    The cap and the family spec are checked at the call, before any chunk."""
+    rows = max(1, SCAN_CHUNK_FLOATS // ((space.depth + 1) * space.n_leaves))
+    end = 2**space.n_leaves
+    if family == "all":
+        if end - 1 > cap:
+            raise EnumerationCapError(
+                f"{end - 1} distinct stopping-time supports exceed the cap {cap}; "
+                "use a sampled family"
+            )
+        bits = np.arange(space.n_leaves)
+        return (((np.arange(lo, min(lo + rows, end))[:, None] >> bits) & 1).astype(bool)
+                for lo in range(1, end, rows))
     if isinstance(family, str):
-        if family != "all":
-            raise ValueError(f"unknown family spec {family!r}")
-        return _all_supports(space, cap)
+        raise ValueError(f"unknown family spec {family!r}")
     rng = np.random.default_rng(family["seed"])
-    seen: dict[bytes, np.ndarray] = {}
-    for _ in range(int(family["count"])):
-        support = sample_stopping_time(space, rng).support()
-        if support.any():
-            seen.setdefault(support.tobytes(), support)
-    return list(seen.values())
+    drawn = (sample_stopping_time(space, rng).support() for _ in range(int(family["count"])))
+    distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())  # first-drawn order
+    return (np.stack(distinct[lo : lo + rows]) for lo in range(0, len(distinct), rows))
 
 
-def _normalized_ratio(bases, exponents, tail_base, reference, inverse=False) -> float:
-    """prod (base/reference)**e * (tail_base/reference)**(1 - sum e).
+def support_family(space: TreeSpace, family="all", cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """Distinct nonempty finite-support sets {tau < infinity}, one per row.
 
-    Mathematically equals prod base**e * tail_base**e_t / reference since
-    the exponents sum to 1; computing through the quotients makes the
-    all-equal case collapse to exactly 1.0.  `inverse` flips every
-    quotient (reference in the numerator).
+    family is "all" (every nonempty leaf set in bitmask order; each one is
+    realized by some stopping time) or {"count": k, "seed": s} for uniform
+    sampling over the stopping-time family with support deduplication.
     """
-    tail_exp = 1.0 - float(np.sum(exponents))
-    out = 1.0
-    for b, e in zip(bases, exponents):
-        q = reference / b if inverse else b / reference
-        out *= q**e
-    q = reference / tail_base if inverse else tail_base / reference
-    return out * q**tail_exp
+    return np.concatenate([np.zeros((0, space.n_leaves), bool),
+                           *_support_chunks(space, family, cap)])
 
 
-def _support_parts(ws: WeightSystem, support) -> tuple[np.ndarray, list, list, float]:
-    """The support F as a leaf mask, the exponents d_i = (1/p_i) / (1/p), the
-    bases |F|_{sigma_i} and the tail base |F| that both support ratios share."""
-    space, seq = ws.space, ws.seq
-    support = as_leaf_mask(space, support)
-    rp = seq.aggregate_reciprocal
-    d = [(1.0 / seq.head[i]) / rp for i in range(ws.n_active)]
-    bases = [weighted_measure(space, support, s) for s in ws.sigmas]
-    return support, d, bases, weighted_measure(space, support)
+def _base_exponents(ws: WeightSystem) -> list[float]:
+    """d_i = (1/p_i) / (1/p) for the active head slots."""
+    return [(1.0 / ws.seq.head[i]) / ws.seq.aggregate_reciprocal for i in range(ws.n_active)]
 
 
-def rh_support_ratio(ws: WeightSystem, support: np.ndarray) -> float:
-    """Reverse-Hoelder ratio of one support F:
+def _normalized_ratios(ws: WeightSystem, masks: np.ndarray, reference, inverse=False):
+    """prod (|F|_{sigma_i}/reference)**d_i * (|F|/reference)**(1 - sum d_i) per
+    row F of masks, the bases as row sums: as the exponents sum to 1 this is
+    prod |F|_{sigma_i}**d_i * |F|**(1 - sum d_i) / reference, and the
+    all-equal case is exactly 1.0.  `inverse` flips every quotient."""
+    d = _base_exponents(ws)
+    out = np.ones(len(masks))
+    for s, e in zip([*ws.sigmas, None], [*d, 1.0 - float(np.sum(d))]):
+        base = (masks * _weighted_probs(ws.space, s)).sum(axis=-1)
+        out *= (reference / base if inverse else base / reference) ** e
+    return out
+
+
+def rh_ratios(ws: WeightSystem, masks) -> np.ndarray:
+    """Reverse-Hoelder ratio of each support F in a (B, leaves) stack:
     prod (int_F sigma_i)**(p/p_i) / int_F prod sigma_i**(p/p_i)."""
-    support, d, bases, tail_base = _support_parts(ws, support)
-    integrand = np.ones(ws.space.n_leaves)
-    for s, e in zip(ws.sigmas, d):
-        integrand = integrand * s**e
-    denom = float(np.sum(ws.space.leaf_probs[support] * integrand[support]))
-    return _normalized_ratio(bases, d, tail_base, denom)
+    masks = _as_leaf_masks(ws.space, masks)
+    integrand = np.prod([s**e for s, e in zip(ws.sigmas, _base_exponents(ws))], axis=0)
+    return _normalized_ratios(ws, masks, (masks * (ws.space.leaf_probs * integrand)).sum(-1))
 
 
-def sp_support_ratio(ws: WeightSystem, support: np.ndarray) -> float:
-    """Testing ratio of one support F:
+def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:
+    """Testing ratio of each support F in a (B, leaves) stack:
     (int_F M(sigma chi_F)**p v dmu)**(1/p) / prod |F|_{sigma_i}**(1/p_i)."""
-    support, d, bases, tail_base = _support_parts(ws, support)
+    masks = _as_leaf_masks(ws.space, masks)
     space, rp = ws.space, ws.seq.aggregate_reciprocal
-    fvec = FunctionVector(ws.sigmas, None)
-    maximal = level_products(space, fvec, ws.seq, masked_by=support).max(axis=0)
-    numer = float(
-        np.sum((space.leaf_probs * ws.v)[support] * maximal[support] ** (1.0 / rp))
-    )
-    ratio_p = _normalized_ratio(bases, d, tail_base, numer, inverse=True)
-    return ratio_p**rp
+    rows = level_products(space, FunctionVector(ws.sigmas, None), ws.seq, masks, stacked=True)
+    numer = (masks * (space.leaf_probs * ws.v * rows.max(axis=-2) ** (1.0 / rp))).sum(-1)
+    return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
 
 
-def _family_max(ws: WeightSystem, family, cap: int, ratio) -> tuple[float, np.ndarray | None]:
-    """Largest ratio over the family and a support attaining it; a NaN
-    ratio is returned at once, with its support as the witness."""
+def rh_support_ratio(ws: WeightSystem, support) -> float:
+    """rh_ratios of the one support F."""
+    return float(rh_ratios(ws, as_leaf_mask(ws.space, support)[None])[0])
+
+
+def sp_support_ratio(ws: WeightSystem, support) -> float:
+    """sp_ratios of the one support F."""
+    return float(sp_ratios(ws, as_leaf_mask(ws.space, support)[None])[0])
+
+
+def _family_max(ws: WeightSystem, chunks, kernel) -> tuple[float, np.ndarray | None]:
+    """Largest kernel ratio over the chunks and the first support in scan
+    order attaining it (read-only); the first NaN is returned at once, with
+    its support as the witness, and no later chunk is evaluated."""
     best, arg = 0.0, None
-    for support in support_family(ws.space, family, cap):
-        r = ratio(ws, support)
-        if not r <= best:  # larger, or NaN
-            best, arg = r, support
-            if math.isnan(r):
+    for masks in chunks:
+        r = kernel(ws, masks)
+        i = int(r.argmax())  # the first NaN, else the first maximum
+        if not r[i] <= best:  # larger, or NaN
+            best, arg = float(r[i]), _read_only(masks[i])
+            if math.isnan(best):
                 break
     return best, arg
 
@@ -267,21 +279,29 @@ def rh_constant(ws: WeightSystem, family="all", cap: int = ENUMERATION_CAP) -> f
     """Smallest reverse-Hoelder constant over the family: the max of
     rh_support_ratio over the distinct stopping-time supports.  Sampled
     families give a lower bound for the true constant."""
-    return _family_max(ws, family, cap, rh_support_ratio)[0]
+    return _family_max(ws, _support_chunks(ws.space, family, cap), rh_ratios)[0]
 
 
 def sp_constant(ws: WeightSystem, family="all", cap: int = ENUMERATION_CAP) -> float:
     """Smallest testing constant over the family: the max of
     sp_support_ratio over the distinct stopping-time supports.  Sampled
     families give a lower bound for the true constant."""
-    return _family_max(ws, family, cap, sp_support_ratio)[0]
+    return _sp_scan(ws, family, cap)[0]
 
 
 def sp_constant_argmax(
     ws: WeightSystem, family="all", cap: int = ENUMERATION_CAP
 ) -> tuple[float, np.ndarray | None]:
-    """sp_constant together with a support achieving it."""
-    return _family_max(ws, family, cap, sp_support_ratio)
+    """sp_constant together with the first support in scan order achieving it."""
+    return _sp_scan(ws, family, cap)
+
+
+def _sp_scan(ws: WeightSystem, family, cap: int) -> tuple[float, np.ndarray | None]:
+    """The testing scan; "all" reads the one cached on the system once the
+    cap is checked (a private helper, so a trace of sp_constant_argmax
+    counts only its own callers)."""
+    chunks = _support_chunks(ws.space, family, cap)  # checks the cap
+    return ws.sp_scan if family == "all" else _family_max(ws, chunks, sp_ratios)
 
 
 def necessity_family_ap(ws: WeightSystem, n: int, leaf_set) -> FunctionVector:

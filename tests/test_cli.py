@@ -271,9 +271,13 @@ class TestOptionTable:
             ([], {"format": "bogus"}),
             (["--expect-at-most", "nan"], None),
             ([], {"family": "sample:0"}),
+            ([], {"trials": 1e999}),
+            ([], {"trials": 2.5}),
+            ([], {"spread": 10**400}),
         ],
         ids=["tol-nan", "tol-negative", "tol-inf", "spread-nan", "spread-inf", "trials-negative",
-             "config-format", "expect-nan", "config-family-empty"],
+             "config-format", "expect-nan", "config-family-empty", "config-trials-overflow",
+             "config-trials-fraction", "config-spread-huge-integer"],
     )
     def test_bad_values_exit_two_with_one_line(self, tmp_path, capsys, args, config):
         if config is not None:
@@ -284,6 +288,39 @@ class TestOptionTable:
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, option, generator, key",
+        [
+            ("check-holder", "--functions", {"trials": -1}, "trials"),
+            ("check-holder", "--functions", {"spread": "inf"}, "spread"),
+            ("check-holder", "--functions", {"seed": -3}, "seed"),
+            ("check-holder", "--functions", {"trials": 1e999}, "trials"),
+            ("check-holder", "--functions", {"trials": 2.5}, "trials"),
+            ("weights-constants", "--weights", {"n_active": 1e999}, "n_active"),
+            ("weights-constants", "--weights", {"n_active": -1}, "n_active"),
+            ("weights-constants", "--weights", {"n_active": 2}, "n_active"),
+            ("weights-constants", "--weights", {"spread": "nan"}, "spread"),
+        ],
+        ids=["trials-negative", "spread-inf", "seed-negative", "trials-overflow",
+             "trials-fraction", "n-active-overflow", "n-active-negative",
+             "n-active-past-head", "weights-spread-nan"],
+    )
+    def test_bad_generator_keys_exit_two_naming_the_key(
+        self, tmp_path, capsys, command, option, generator, key
+    ):
+        spec = json.dumps({"generator": generator})
+        code, _, out = run_cli(tmp_path, command, "--space", SPACE, "--seq", SEQ, option, spec)
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: generator key {key!r}: ") and err.count("\n") == 1
+
+    def test_generator_spec_must_be_an_object(self, tmp_path, capsys):
+        spec = json.dumps({"generator": "x"})
+        code, _, _ = run_cli(tmp_path, "check-holder", "--space", SPACE, "--seq", SEQ,
+                             "--functions", spec)
+        assert code == 2
+        assert capsys.readouterr().err == "error: a generator spec must be a JSON object, not 'x'\n"
 
     def test_flag_overrides_config_overrides_default(self, tmp_path):
         path = tmp_path / "config.json"

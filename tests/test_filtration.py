@@ -129,6 +129,19 @@ class TestCondExp:
                         assert np.array_equal(mat[n], space.expand(ref, n))
                 assert np.array_equal(mat[space.depth], f)
 
+    def test_matrix_batch_axis_is_row_by_row(self):
+        # a (B, leaves) stack gives one matrix per row, bit for bit
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            space = random_space(rng, max_depth=3)
+            fs = rng.normal(size=(5, space.n_leaves))
+            sigma = np.exp(rng.uniform(-3.0, 3.0, space.n_leaves))
+            for s in (None, sigma):
+                stack = cond_exp_matrix(space, fs, s)
+                assert stack.shape == (5, space.depth + 1, space.n_leaves)
+                for f, mat in zip(fs, stack):
+                    assert np.array_equal(mat, cond_exp_matrix(space, f, s))
+
     def test_space_holds_read_only_copies(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
         space = make_tree_space(2, 2, probs)

@@ -16,6 +16,7 @@ from martbench.holder import (
     lp_norm,
     product_function,
 )
+from martbench.maximal import gen_doob_maximal, level_set_stopping_time
 
 from helpers import random_fvec, random_sequence, random_space, two_function_holder_oracle
 
@@ -232,6 +233,42 @@ class TestMaskedTails:
             space, mask.astype(float)
         )
         np.testing.assert_allclose(rows, expected, rtol=1e-14)
+
+    def test_stacked_masks_give_one_matrix_per_mask(self):
+        # stacked=True takes masked_by as a (B, leaves) stack: row b equals
+        # the single-mask result bit for bit, for infinite and finite
+        # families and with a vector mask combined in
+        rng = np.random.default_rng(11)
+        for k in range(30):
+            space = random_space(rng, max_depth=3)
+            seq = random_sequence(rng)
+            fv = random_fvec(rng, space, seq)
+            if k % 3 == 0:
+                fv = FunctionVector(fv.active, rng.random(space.n_leaves) < 0.8)
+            masks = rng.random((6, space.n_leaves)) < 0.6
+            stack = level_products(space, fv, seq, masked_by=masks, stacked=True)
+            assert stack.shape == (6, space.depth + 1, space.n_leaves)
+            for mask, rows in zip(masks, stack):
+                assert np.array_equal(rows, level_products(space, fv, seq, masked_by=mask))
+        for bad in (np.ones((2, 3, space.n_leaves), bool), np.ones(space.n_leaves, bool)):
+            with pytest.raises(ValueError, match="stack of"):
+                level_products(space, fv, seq, masked_by=bad, stacked=True)
+
+    def test_single_mask_operators_reject_a_stack(self):
+        # only level_products(..., stacked=True) takes a stack of masks; the
+        # single-mask operators keep rejecting a 2-D mask
+        space = make_tree_space(2, 2)
+        seq = make_exponent_sequence([2.0], 0.5, 0.5)
+        fv = FunctionVector((np.arange(1.0, 5.0),), None)
+        stack = np.ones((2, 4), bool)
+        for call in (
+            lambda: level_products(space, fv, seq, masked_by=stack),
+            lambda: gen_doob_maximal(space, fv, seq, masked_by=stack),
+            lambda: product_function(space, fv, masked_by=stack),
+            lambda: level_set_stopping_time(space, fv, seq, 1.0, masked_by=stack),
+        ):
+            with pytest.raises(ValueError, match="expected 4 mask entries"):
+                call()
 
     def test_masked_tail_needs_whole_atom_despite_rounding(self):
         # E_0(chi_Q) rounds to exactly 1.0 although Q misses a leaf; the

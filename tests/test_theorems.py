@@ -427,6 +427,41 @@ class TestEstimates:
         monkeypatch.setattr(theorems_mod, "sp_support_ratio", ratio)
         assert np.isnan(estimate_best_constant("sp-test", ws, 4, 5))
 
+    def test_all_family_scans_run_once_per_system(self, monkeypatch):
+        # sp_constant and the strong estimate (trial 2 takes the testing
+        # witness) share one cached "all" testing scan, and testing-to-ap
+        # makes the one RH scan (nothing else needs C_RH, so it is not
+        # cached); 255 supports in 40-row chunks is 7 chunks
+        rng = np.random.default_rng(74)
+        space = make_tree_space(3, 2, rng.dirichlet(np.full(8, 4.0)))
+        seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+        w = [random_positive(rng, space, 3.0) for _ in range(2)]
+        v = random_positive(rng, space, 3.0)
+        ws = make_weight_system(space, seq, w, v)
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 40 * 4 * 8)
+        calls = {"sp_ratios": 0, "rh_ratios": 0}
+
+        def counting(name):
+            original = getattr(weights_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(weights_mod, name, wrapper)
+
+        counting("sp_ratios")
+        counting("rh_ratios")
+        c_s = sp_constant(ws)
+        estimate = estimate_best_constant("strong", ws, 4, 9)
+        report = verify_testing_to_ap(ws).to_json()
+        assert calls == {"sp_ratios": 7, "rh_ratios": 7}
+        monkeypatch.undo()
+        fresh = make_weight_system(space, seq, w, v)
+        assert c_s == sp_constant(fresh)
+        assert estimate == estimate_best_constant("strong", fresh, 4, 9)
+        assert report == verify_testing_to_ap(fresh).to_json()
+
     def test_sp_test_estimate_bounded_by_constant(self):
         rng = np.random.default_rng(71)
         for _ in range(10):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from martbench.exponents import make_exponent_sequence
-from martbench.filtration import enumerate_stopping_times, make_tree_space
-from martbench.holder import product_function
+from martbench.filtration import EnumerationCapError, enumerate_stopping_times, make_tree_space
+from martbench.holder import FunctionVector, level_products, product_function
+from martbench.maximal import weighted_measure
 import martbench.weights as weights_mod
 from martbench.weights import (
     ap_constant,
@@ -19,7 +22,7 @@ from martbench.weights import (
     weight_system_from_json,
 )
 
-from helpers import random_sequence, random_space, random_weight_system
+from helpers import random_positive, random_sequence, random_space, random_weight_system
 
 
 def doubling_seq():
@@ -275,31 +278,194 @@ class TestNanPropagation:
     """A NaN ratio on any support must reach the constant, not be skipped."""
 
     @staticmethod
-    def nan_on_call(monkeypatch, name, k):
-        original = getattr(weights_mod, name)
-        seen = []
+    def nan_at(monkeypatch, name, position):
+        """Scan a 2x2 space (15 supports) in 3-row chunks and give the support
+        at `position` in scan order a NaN from the batched kernel `name`;
+        returns the list of chunks the kernel saw."""
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 3 * 3 * 4)
+        original, seen = getattr(weights_mod, name), []
 
-        def ratio(ws, support):
-            seen.append(support)
-            return float("nan") if len(seen) == k else original(ws, support)
+        def kernel(ws, masks):
+            lo = sum(map(len, seen))
+            seen.append(masks)
+            out = original(ws, masks)
+            if lo <= position < lo + len(masks):
+                out[position - lo] = np.nan
+            return out
 
-        monkeypatch.setattr(weights_mod, name, ratio)
+        monkeypatch.setattr(weights_mod, name, kernel)
         return seen
 
-    def test_sp_constant(self, monkeypatch):
-        ws = random_weight_system(
-            np.random.default_rng(60), make_tree_space(2, 2), doubling_seq()
+    @staticmethod
+    def system(seed):
+        return random_weight_system(
+            np.random.default_rng(seed), make_tree_space(2, 2), doubling_seq()
         )
-        seen = self.nan_on_call(monkeypatch, "sp_support_ratio", 3)
-        value, witness = sp_constant_argmax(ws)
+
+    def test_sp_constant(self, monkeypatch):
+        seen = self.nan_at(monkeypatch, "sp_ratios", 4)
+        value, witness = sp_constant_argmax(self.system(60))
         assert np.isnan(value)
-        assert witness is seen[2] and len(seen) == 3
+        np.testing.assert_array_equal(witness, [True, False, True, False])  # bitmask 5
+        assert len(seen) == 2  # the NaN sits in the second chunk; no later chunk runs
         seen.clear()
-        assert np.isnan(sp_constant(ws))
+        assert np.isnan(sp_constant(self.system(60)))
+        assert len(seen) == 2
 
     def test_rh_constant(self, monkeypatch):
-        ws = random_weight_system(
-            np.random.default_rng(61), make_tree_space(2, 2), doubling_seq()
-        )
-        self.nan_on_call(monkeypatch, "rh_support_ratio", 1)
+        ws = self.system(61)
+        seen = self.nan_at(monkeypatch, "rh_ratios", 7)
         assert np.isnan(rh_constant(ws))
+        assert len(seen) == 3  # the NaN sits in the third chunk; no later chunk runs
+        seen.clear()
+        value, witness = rh_argmax(ws)
+        assert np.isnan(value)
+        np.testing.assert_array_equal(witness, [False, False, False, True])  # bitmask 8
+        assert len(seen) == 3
+
+
+def rh_argmax(ws):
+    """rh_constant's "all" scan with its witness (rh_constant keeps only the value)."""
+    return weights_mod._family_max(
+        ws, weights_mod._support_chunks(ws.space, "all"), weights_mod.rh_ratios
+    )
+
+
+def oracle_ratios(ws):
+    """RH and testing ratios of every nonempty support, in bitmask order,
+    straight from the definitions: per support F, the bases |F|_{sigma_i}
+    and |F|, the RH denominator int_F prod sigma_i**d_i, and the testing
+    numerator int_F M(sigma chi_F)**p v from the masked level products
+    (taken 4096 masks at a time; test_holder.py pins a stacked mask to
+    the single-mask result bit for bit)."""
+    space, seq = ws.space, ws.seq
+    rp = seq.aggregate_reciprocal
+    d = [(1.0 / seq.head[i]) / rp for i in range(ws.n_active)]
+    integrand = np.prod([s**e for s, e in zip(ws.sigmas, d)], axis=0)
+    fvec = FunctionVector(ws.sigmas, None)
+    family = ((np.arange(1, 2**space.n_leaves)[:, None] >> np.arange(space.n_leaves)) & 1) == 1
+    maximal = np.concatenate([
+        level_products(space, fvec, seq, family[i : i + 4096], stacked=True).max(axis=1)
+        for i in range(0, len(family), 4096)
+    ])
+    rh, sp = [], []
+    for F, m in zip(family, maximal):
+        bases = np.prod([weighted_measure(space, F, s) ** e for s, e in zip(ws.sigmas, d)])
+        bases *= weighted_measure(space, F) ** (1.0 - sum(d))
+        rh.append(bases / weighted_measure(space, F, integrand))
+        numer = float(np.sum((space.leaf_probs * ws.v * m ** (1.0 / rp))[F]))
+        sp.append((numer / bases) ** rp)
+    return np.array(rh), np.array(sp)
+
+
+def random_probs(rng, n):
+    probs = rng.uniform(0.2, 1.0, n)
+    return probs / probs.sum()
+
+
+class TestBatchedScan:
+    SHAPES = [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)]
+
+    def test_constants_match_the_oracle(self, monkeypatch):
+        # 40 systems, half with a finite exponent family; 8- and 9-leaf
+        # scans run in several chunks under the small cap, and one system
+        # has 16 leaves (65,535 supports) under the default cap
+        rng = np.random.default_rng(80)
+        for k in range(40):
+            depth, branching = (4, 2) if k == 0 else self.SHAPES[k % len(self.SHAPES)]
+            space = make_tree_space(depth, branching, random_probs(rng, branching**depth))
+            seq = random_sequence(rng, max_head=3 if k else 1, allow_finite=False)
+            if k % 2:
+                seq = make_exponent_sequence(list(seq.head), 0.0)
+            ws = random_weight_system(rng, space, seq)
+            with monkeypatch.context() as m:
+                if k:
+                    m.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 600)
+                rh, sp = rh_constant(ws), sp_constant(ws)
+            want_rh, want_sp = (r.max() for r in oracle_ratios(ws))
+            assert rh == pytest.approx(want_rh, rel=1e-12)
+            assert sp == pytest.approx(want_sp, rel=1e-12)
+
+    def test_support_family_is_bitmask_order(self, monkeypatch):
+        space = make_tree_space(1, 3)
+        bits = [[(m >> i) & 1 for i in range(3)] for m in range(1, 8)]
+        np.testing.assert_array_equal(support_family(space), bits)
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 2 * 3)  # one row per chunk
+        np.testing.assert_array_equal(support_family(space), bits)
+
+    def test_argmax_is_first_maximizing_support(self, monkeypatch):
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 3 * 4 * 2)  # 2-row chunks
+        unit = unit_weight_system(make_tree_space(2, 2), doubling_seq())
+        value, witness = sp_constant_argmax(unit)  # every support ties at 1.0
+        assert value == 1.0
+        np.testing.assert_array_equal(witness, [True, False, False, False])
+        with pytest.raises(ValueError):
+            witness[0] = False
+        rng = np.random.default_rng(81)
+        for _ in range(10):
+            space = make_tree_space(3, 2, random_probs(rng, 8))
+            ws = random_weight_system(rng, space, random_sequence(rng))
+            family = support_family(space)
+            ratios = weights_mod.sp_ratios(ws, family)  # the whole family in one call
+            value, witness = sp_constant_argmax(ws)
+            assert value == ratios.max()
+            np.testing.assert_array_equal(witness, family[int(ratios.argmax())])
+
+    def test_many_chunks_match_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(82)
+        space = make_tree_space(4, 2, random_probs(rng, 16))
+        seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+        w = [random_positive(rng, space) for _ in range(2)]
+        v = random_positive(rng, space)
+        chunked = make_weight_system(space, seq, w, v)
+        many = sp_constant_argmax(chunked), rh_argmax(chunked)
+        n_chunks = len(list(weights_mod._support_chunks(space, "all")))
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 5 * 16 * 2**16)
+        assert n_chunks > 50 and len(list(weights_mod._support_chunks(space, "all"))) == 1
+        whole = make_weight_system(space, seq, w, v)
+        one = sp_constant_argmax(whole), rh_argmax(whole)
+        for (a, wa), (b, wb) in zip(many, one):
+            assert a == b
+            np.testing.assert_array_equal(wa, wb)
+
+    def test_unit_systems_exactly_one(self):
+        seqs = [
+            doubling_seq(),
+            make_exponent_sequence([2.0, 3.0, 6.0], 0.0),
+            make_exponent_sequence([1.5, 4.0], 0.2, 0.5),
+        ]
+        for depth, branching in [(1, 2), (2, 2), (1, 3), (2, 3)]:  # criterion 09's shapes
+            space = make_tree_space(depth, branching)
+            for seq in seqs:
+                for n_active in range(1, seq.head_len + 1):
+                    ws = unit_weight_system(space, seq, n_active)
+                    assert rh_constant(ws) == 1.0 and sp_constant(ws) == 1.0
+                    assert rh_support_ratio(ws, np.ones(space.n_leaves)) == 1.0
+                    assert sp_constant(ws, {"count": 20, "seed": 1}) == 1.0
+
+    def test_scan_memory_stays_within_a_few_chunk_budgets(self):
+        rng = np.random.default_rng(83)
+        space = make_tree_space(4, 2, random_probs(rng, 16))
+        ws = random_weight_system(rng, space, make_exponent_sequence([2.0, 3.0, 4.0], 0.2, 0.5))
+        budget = weights_mod.SCAN_CHUNK_FLOATS * 8
+        level_blocks = (2**16 - 1) * (space.depth + 1) * 16 * 8  # 42 MB for the whole family
+        tracemalloc.start()
+        try:
+            sp_constant(ws)
+            rh_constant(ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * budget
+        assert peak < level_blocks / 20
+
+    def test_cached_scan_still_checks_the_cap(self):
+        ws = random_weight_system(
+            np.random.default_rng(84), make_tree_space(2, 2), doubling_seq()
+        )
+        assert sp_constant(ws) == ws.sp_scan[0]
+        for scan in (sp_constant, rh_constant, sp_constant_argmax):
+            with pytest.raises(EnumerationCapError):
+                scan(ws, "all", cap=14)
+            with pytest.raises(EnumerationCapError):
+                support_family(ws.space, "all", cap=14)
