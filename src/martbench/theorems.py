@@ -46,7 +46,6 @@ from .maximal import gen_doob_maximal, weak_lp_norm, weighted_measure
 from .report import REL_TOL, VerificationReport, _within_margin, check_inequality
 from .weights import (
     WeightSystem,
-    necessity_family_ap,
     rh_constant,
     sp_constant_argmax,
     sp_support_ratio,
@@ -57,10 +56,6 @@ def band_index(values: np.ndarray) -> np.ndarray:
     """The integer k with 2**k < y <= 2**(k+1), exact via frexp."""
     mant, expo = np.frexp(np.asarray(values, dtype=float))
     return (expo - 1 - (mant == 0.5)).astype(np.int64)
-
-
-def _norms_product(ws: WeightSystem, fvec: FunctionVector) -> float:
-    return function_norms_product(ws.space, fvec, ws.seq, ws.active_weights)
 
 
 def _strong_rhs(ws: WeightSystem, gvec: FunctionVector) -> float:
@@ -74,7 +69,7 @@ def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple[np.ndarray, 
     pair; both hash by identity, hold read-only arrays and are kept alive here."""
     rows = level_products(ws.space, fvec, ws.seq)
     rows.setflags(write=False)
-    return rows, _norms_product(ws, fvec)
+    return rows, function_norms_product(ws.space, fvec, ws.seq, ws.active_weights)
 
 
 def _testing_lhs_pth(ws: WeightSystem, rows: np.ndarray, tau: StoppingTime, p: float) -> float:
@@ -226,37 +221,37 @@ def verify_testing_to_ap(
 ) -> VerificationReport:
     """Recover the joint condition from the testing inequality.
 
-    For every level n and level-n atom B, feeding the extremal family
-    sigma_i chi_B (tail masked by B) into the testing inequality with the
-    constant stopping time n, then applying the reverse-Hoelder bound and
-    the conditional product inequality, yields on B
+    On every level-n atom B, the extremal family sigma_i chi_B (tail masked
+    by B; necessity_family_ap) in the testing inequality at the constant
+    time n, with the reverse-Hoelder bound and the conditional product
+    inequality, gives E_n(v)**(1/p) prod E_n(sigma_i)**(1/p'_i) <= ratio(B)
+    * C_RH**(1/p).  The testing ratio is a quotient of level-n atom sums,
+    taken for all atoms of a level at once (i over the active slots):
 
-        E_n(v)**(1/p) prod E_n(sigma_i)**(1/p'_i)
-            <= ratio(B) * C_RH**(1/p)
+        ratio(B) = (int_B v prod_i E_n(sigma_i)**p)**(1/p)
+                   / (prod_i (int_B w_i sigma_i**p_i)**(1/p_i) * |B|**pad)
 
-    where ratio(B) is the testing ratio of that instance.  The report
-    compares the largest recovered value (the joint constant itself)
-    against the observed testing constant times C_RH**(1/p).
+    where pad = 1/p - sum_i 1/p_i is the reciprocal mass of the masked head
+    padding and tail (function_norms_product).  The report compares the
+    joint constant (the largest recovered value) with the largest ratio
+    times C_RH**(1/p).
     """
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     c_rh = rh_constant(ws, family)
     scale = c_rh**rp
+    pad = rp - math.fsum(1.0 / p_i for p_i in seq.head[: ws.n_active])
     ratios = []
-    all_ok = True
     for n in space.levels:
-        for j in range(space.n_atoms(n)):
-            mask = np.zeros(space.n_leaves, dtype=bool)
-            mask[space.atom_slice(n, j)] = True
-            fv = necessity_family_ap(ws, n, mask)
-            rows, rhs = _testing_parts(ws, fv)
-            lhs = float(np.sum(space.leaf_probs * ws.v * rows[n] ** p)) ** rp
-            ratio = lhs / rhs
-            recovered = float(ws.ap_rows[n, j * space.atom_size(n)])
-            if not _within_margin(recovered, ratio * scale, tolerance):
-                all_ok = False
-            ratios.append(ratio)
+        prod = np.prod([mat[n] for mat in ws.sigma_matrices], axis=0)  # 1.0 with none
+        norms = [space.atom_sums(space.leaf_probs * w * s**p_i, n) ** (1.0 / p_i)
+                 for w, s, p_i in zip(ws.active_weights, ws.sigmas, seq.head)]
+        rhs = np.prod(norms, axis=0) * space.atom_sums(space.leaf_probs, n) ** pad
+        ratios.append(space.atom_sums(space.leaf_probs * ws.v * prod**p, n) ** rp / rhs)
+    ratios = np.concatenate(ratios)
+    recovered = np.concatenate([ws.ap_rows[n, :: space.atom_size(n)] for n in space.levels])
+    atoms_ok = _within_margin(recovered, ratios * scale, tolerance)
     c_test_observed = float(np.max(ratios))  # np.max keeps a NaN, failing the report
     report = check_inequality(
         "testing-to-ap",
@@ -270,7 +265,7 @@ def verify_testing_to_ap(
             "space": space.digest,
         },
     )
-    report.passed = report.passed and all_ok
+    report.passed = report.passed and bool(atoms_ok.all())
     return report
 
 

@@ -307,7 +307,8 @@ def _sp_scan(ws: WeightSystem, family, cap: int) -> tuple[float, np.ndarray | No
 def necessity_family_ap(ws: WeightSystem, n: int, leaf_set) -> FunctionVector:
     """The extremal test family for recovering the joint weight condition:
     f_i = sigma_i * chi_B with the tail masked by B, for B a union of
-    level-n atoms."""
+    level-n atoms.  A public constructor; verify_testing_to_ap evaluates this
+    family in closed form, and the tests rebuild that form from it as oracle."""
     space = ws.space
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")

@@ -60,6 +60,16 @@ class TestEnumerate:
         )
         assert code == 2
 
+    def test_past_the_listing_limit_counts_without_times(self, tmp_path):
+        # a depth-1, 10-way tree has 1 + 2**10 = 1025 stopping times
+        code, doc, _ = run_cli(
+            tmp_path, "enumerate-stopping-times",
+            "--space", '{"depth":1,"branching":10}',
+        )
+        assert code == 0
+        assert doc["count"] == doc["enumerated"] == 1025
+        assert "times" not in doc
+
 
 class TestConjugateProduct:
     def test_doubling_interval(self, tmp_path):
@@ -274,10 +284,11 @@ class TestOptionTable:
             ([], {"trials": 1e999}),
             ([], {"trials": 2.5}),
             ([], {"spread": 10**400}),
+            ([], {"level": 1.7}),
         ],
         ids=["tol-nan", "tol-negative", "tol-inf", "spread-nan", "spread-inf", "trials-negative",
              "config-format", "expect-nan", "config-family-empty", "config-trials-overflow",
-             "config-trials-fraction", "config-spread-huge-integer"],
+             "config-trials-fraction", "config-spread-huge-integer", "config-level-fraction"],
     )
     def test_bad_values_exit_two_with_one_line(self, tmp_path, capsys, args, config):
         if config is not None:

@@ -1,0 +1,26 @@
+"""numpy is the only runtime dependency: every module of the package
+imports only from the standard library, numpy or martbench itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "martbench"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "martbench"}
+
+
+def test_imports_are_stdlib_numpy_or_martbench():
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    foreign = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # relative: martbench
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.split(".")[0] not in ALLOWED]
+    assert not foreign, f"imports outside stdlib, numpy and martbench: {foreign}"

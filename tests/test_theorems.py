@@ -4,7 +4,12 @@ import pytest
 import martbench.theorems as theorems_mod
 import martbench.weights as weights_mod
 from martbench.exponents import conjugate_product, make_exponent_sequence
-from martbench.filtration import StoppingTime, enumerate_stopping_times, make_tree_space
+from martbench.filtration import (
+    StoppingTime,
+    TreeSpace,
+    enumerate_stopping_times,
+    make_tree_space,
+)
 from martbench.holder import (
     FunctionVector,
     function_norms_product,
@@ -12,6 +17,7 @@ from martbench.holder import (
     level_products,
 )
 from martbench.maximal import gen_weighted_maximal
+from martbench.report import REL_TOL, _within_margin
 from martbench.theorems import (
     _testing_lhs_pth,
     band_index,
@@ -28,6 +34,7 @@ from martbench.theorems import (
 from martbench.weights import (
     ap_constant,
     make_weight_system,
+    necessity_family_ap,
     rh_constant,
     sp_constant,
     unit_weight_system,
@@ -266,16 +273,75 @@ class TestTestingToAp:
         # a NaN testing ratio on one atom must not be dropped by the maximum
         ws = small_random_system(np.random.default_rng(65))
         assert verify_testing_to_ap(ws).passed
-        original, calls = theorems_mod._norms_product, []
+        original, calls = TreeSpace.atom_sums, []
 
-        def norms(ws_, fv):
-            calls.append(fv)
-            return float("nan") if len(calls) == 2 else original(ws_, fv)
+        def atom_sums(space, x, n):
+            calls.append(n)
+            out = original(space, x, n)
+            return np.full_like(out, np.nan) if len(calls) == 2 else out
 
-        monkeypatch.setattr(theorems_mod, "_norms_product", norms)
+        monkeypatch.setattr(TreeSpace, "atom_sums", atom_sums)
         report = verify_testing_to_ap(ws)
         assert np.isnan(report.metadata["c_test_observed"])
         assert not report.passed
+
+    def test_one_failing_atom_fails_the_report(self):
+        # each atom is checked against its own ratio: a recovered value above
+        # its atom's bound fails the report although the joint constant passes
+        ws = small_random_system(np.random.default_rng(65))
+        rows = ws.ap_rows.copy()
+        leaf = int(np.argmin(rows[-1]))  # at the last level every leaf is an atom
+        scale = verify_testing_to_ap(ws).metadata["c_rh"] ** ws.seq.aggregate_reciprocal
+        assert rows[-1, leaf] * scale < ws.ap_max
+        rows[-1, leaf] = ws.ap_max
+        ws.__dict__["ap_rows"] = rows  # the cached level matrix; ap_max is unchanged
+        report = verify_testing_to_ap(ws)
+        assert report.lhs == ws.ap_max and not report.passed
+
+    def test_closed_form_matches_masked_vector_oracle(self, monkeypatch):
+        # every atom's ratio rebuilt from the masked extremal family, on
+        # systems with no active slot, finite families with head padding,
+        # infinite tails and branching 3; the strict margin (tolerance -0.5)
+        # fails the atoms of some systems, so both verdicts are compared
+        seen = []
+
+        def spy(lhs, bound, tolerance):
+            seen.append((lhs, bound, _within_margin(lhs, bound, tolerance)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(theorems_mod, "_within_margin", spy)
+        rng = np.random.default_rng(66)
+        verdicts = set()
+        for k in range(48):
+            space = random_space(rng, max_depth=2, branchings=(3 if k % 3 == 0 else 2,))
+            seq = random_sequence(rng, max_head=3, allow_finite=False)
+            if k % 2 == 0:
+                seq = make_exponent_sequence(list(seq.head), 0.0)
+            n_active = k % (seq.head_len + 1)
+            weights = [random_positive(rng, space) for _ in range(n_active + 1)]
+            ws = make_weight_system(space, seq, weights[:n_active], weights[n_active])
+            rp = seq.aggregate_reciprocal
+            oracle = []
+            for n in space.levels:
+                for j in range(space.n_atoms(n)):
+                    mask = np.zeros(space.n_leaves, dtype=bool)
+                    mask[space.atom_slice(n, j)] = True
+                    fv = necessity_family_ap(ws, n, mask)
+                    rows = level_products(space, fv, seq)
+                    lhs = np.sum(space.leaf_probs * ws.v * rows[n] ** (1.0 / rp)) ** rp
+                    oracle.append(lhs / function_norms_product(space, fv, seq, ws.active_weights))
+            for tolerance in (REL_TOL, -0.5):
+                seen.clear()
+                report = verify_testing_to_ap(ws, tolerance=tolerance)
+                [(recovered, bounds, atoms_ok)] = seen
+                scale = report.metadata["c_rh"] ** rp
+                np.testing.assert_allclose(bounds / scale, oracle, rtol=1e-12, atol=0.0)
+                expected = _within_margin(recovered, np.array(oracle) * scale, tolerance)
+                np.testing.assert_array_equal(atoms_ok, expected)
+                assert report.passed == bool(expected.all())
+                assert report.metadata["c_test_observed"] == pytest.approx(max(oracle), rel=1e-12)
+                verdicts.update(expected.tolist())
+        assert verdicts == {True, False}
 
 
 class TestSawyerDecomposition:
