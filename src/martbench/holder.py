@@ -6,8 +6,10 @@ all remaining components equal the constant 1, or the indicator of the
 mask when one is set.  Infinite tails are then exact: an unmasked tail
 contributes the factor 1 everywhere, while a masked tail multiplies in
 the indicator infinitely often, which kills every point whose atom is not
-fully inside the mask.  Norm products aggregate the masked tail in closed
-form as |Q|**s with s the tail reciprocal mass.
+fully inside the mask.  Norm products prod_i (int_Q w_i |f_i|**p_i)**(1/p_i)
+read their factors from _norm_parts, the one home of the pad rule: under a
+mask Q the head slots past the occupied ones and the infinite tail together
+contribute |Q|**pad, with pad = 1/p - sum of 1/p_i over the occupied slots.
 """
 
 from __future__ import annotations
@@ -103,19 +105,34 @@ def _combined_mask(
     return fvec.mask if extra is None else (fvec.mask & extra)
 
 
-def _component_slots(
-    space: TreeSpace, active, weights, seq: ExponentSequence, n_slots: int | None = None
-) -> list:
-    """(f_i, w_i) pairs over the first n_slots head slots (by default the
-    occupied ones); an f or w past the supplied ones is the constant 1."""
+def _component_slots(space: TreeSpace, active, weights, seq: ExponentSequence) -> list:
+    """(f_i, w_i) pairs over the occupied head slots; an f or w past the
+    supplied ones is the constant 1."""
     used = max(len(active), len(weights))
     if used > seq.head_len:
         raise ValueError(f"{used} components exceed exponent head length {seq.head_len}")
-    n_slots = used if n_slots is None else n_slots
     ones = np.ones(space.n_leaves)
-    fs = list(active) + [ones] * (n_slots - len(active))
-    ws = list(weights) + [ones] * (n_slots - len(weights))
+    fs = list(active) + [ones] * (used - len(active))
+    ws = list(weights) + [ones] * (used - len(weights))
     return list(zip(fs, ws))
+
+
+def _norm_parts(
+    space: TreeSpace, active, seq: ExponentSequence, weights=(), mask=None
+) -> list:
+    """The pairs (g, e) of the norm product prod (int g dmu)**e: per occupied
+    head slot g = w_i |f_i chi_Q|**p_i and e = 1/p_i and, under a mask Q (a
+    leaf mask or a (K, leaves) stack), the pair (chi_Q, pad) for the padded
+    head slots and the infinite tail, with pad = 1/p - sum of e.  Each caller
+    takes its own sum."""
+    if not all(np.all(np.greater(w, 0.0)) for w in weights):
+        raise ValueError("weight must be strictly positive")
+    parts = [(w * np.abs(f if mask is None else f * mask) ** p_i, 1.0 / p_i)
+             for (f, w), p_i in zip(_component_slots(space, active, weights, seq), seq.head)]
+    if mask is not None:
+        pad = seq.aggregate_reciprocal - math.fsum(e for _, e in parts)
+        parts.append((np.asarray(mask, dtype=float), pad))
+    return parts
 
 
 def lp_norm(space: TreeSpace, f: np.ndarray, p: float, weight=None) -> float:
@@ -188,22 +205,13 @@ def function_norms_product(
     """prod_i ||f_i||_{L^{p_i}(w_i)} with exact tail aggregation.
 
     weights, when given, is a list of positive leaf vectors aligned with
-    the exponent head; missing entries (and the tail) weigh by 1.  Tail
-    components are 1, or chi_Q under a mask, so a masked tail contributes
-    |Q|**s in closed form and masked head padding the factors |Q|**(1/p_i).
+    the exponent head; missing entries (and the tail) weigh by 1.  The
+    factors come from _norm_parts: tail components are 1, or chi_Q under a
+    mask, so the masked head padding and tail contribute |Q|**pad in closed
+    form.
     """
-    mask = fvec.mask
-    weights = [] if weights is None else list(weights)
-    # under a mask every head slot holds chi_Q at least
-    n_slots = None if mask is None else seq.head_len
-    total = 1.0
-    slots = _component_slots(space, fvec.active, weights, seq, n_slots)
-    for i, (f, w) in enumerate(slots):
-        total *= lp_norm(space, f if mask is None else f * mask, seq.head[i], w)
-    if mask is not None and not seq.is_finite_family:
-        q_mass = float(np.sum(space.leaf_probs, where=mask))
-        total *= q_mass**seq.tail_mass
-    return total
+    parts = _norm_parts(space, fvec.active, seq, () if weights is None else weights, fvec.mask)
+    return float(math.prod((np.sum(space.leaf_probs * g) ** e for g, e in parts), start=1.0))
 
 
 def holder_integral_check(
@@ -242,23 +250,13 @@ def holder_conditional_check(
         raise ValueError(f"level {n} out of range 0..{space.depth}")
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
-    mask = fvec.mask
 
     prod = product_function(space, fvec)
     lhs_leaf = cond_exp(space, prod**p, n) ** rp
 
     rhs_leaf = np.ones(space.n_leaves)
-    for i, f in enumerate(fvec.active):
-        if mask is not None:
-            f = f * mask
-        p_i = seq.head[i]
-        rhs_leaf *= cond_exp(space, f**p_i, n) ** (1.0 / p_i)
-    if mask is not None:
-        # masked padding and tail aggregate: E_n(chi_Q) to the total
-        # reciprocal mass beyond the active components
-        rest = rp - math.fsum(1.0 / seq.head[i] for i in range(fvec.n_active))
-        if rest > 0.0:
-            rhs_leaf *= cond_exp(space, mask, n) ** rest
+    for g, e in _norm_parts(space, fvec.active, seq, mask=fvec.mask):
+        rhs_leaf *= cond_exp(space, g, n) ** e
 
     margin = _margin(rhs_leaf, tolerance)
     ok = bool(np.all(lhs_leaf <= margin))

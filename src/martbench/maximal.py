@@ -80,14 +80,9 @@ def weak_lp_norm(space: TreeSpace, g: np.ndarray, p: float, v) -> float:
     order = np.argsort(-g, kind="stable")
     values = g[order]
     masses = np.cumsum(w[order])
-    best = 0.0
-    for i, t in enumerate(values):
-        if t <= 0.0:
-            break
-        if i + 1 < len(values) and values[i + 1] == t:
-            continue  # |{g >= t}|_v is the mass at the end of the tied block
-        best = max(best, float(t) * masses[i] ** (1.0 / p))
-    return best
+    # |{g >= t}|_v is the mass at the last entry of each tied block of t > 0
+    last = np.append(values[1:] != values[:-1], True) & (values > 0.0)
+    return float(np.max(values[last] * masses[last] ** (1.0 / p), initial=0.0))
 
 
 def level_set_stopping_time(

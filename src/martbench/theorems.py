@@ -37,6 +37,7 @@ from .filtration import (
 from .holder import (
     FunctionVector,
     _component_slots,
+    _norm_parts,
     function_norms_product,
     level_products,
     lp_norm,
@@ -56,11 +57,6 @@ def band_index(values: np.ndarray) -> np.ndarray:
     """The integer k with 2**k < y <= 2**(k+1), exact via frexp."""
     mant, expo = np.frexp(np.asarray(values, dtype=float))
     return (expo - 1 - (mant == 0.5)).astype(np.int64)
-
-
-def _strong_rhs(ws: WeightSystem, gvec: FunctionVector) -> float:
-    """prod_i ||g_i||_{L^{p_i}(sigma_i)} with exact masked-tail handling."""
-    return function_norms_product(ws.space, gvec, ws.seq, ws.sigmas)
 
 
 @functools.lru_cache(maxsize=1)
@@ -160,8 +156,10 @@ def verify_weak_to_testing(
     sliced norm product to the p.  Summing the slices and interchanging
     with the norm product bounds every stopped integral by
     2**p * c_weak**p * prod (int f_i**p_i omega_i)**(p/p_i).
-    The left side is the exact supremum over all stopping times
-    (snell_testing_sup); the slice partitions are reported for inspection.
+    The bands of a level are checked at once, as a (K, leaves) mask stack
+    summed against the _norm_parts factors.  The left side is the exact
+    supremum over all stopping times (snell_testing_sup); the slice
+    partitions are reported for inspection.
     """
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
@@ -178,25 +176,17 @@ def verify_weak_to_testing(
         pos = vals > 0.0
         if not pos.any():
             continue
-        level_bands = {}
-        for k in np.unique(band_index(vals[pos])):
-            k = int(k)
-            band = pos & (vals > 2.0**k) & (vals <= 2.0 ** (k + 1))
-            if not band.any():
-                continue
-            sliced = FunctionVector(
-                fvec.active, band if fvec.mask is None else (fvec.mask & band)
-            )
-            lhs_slice = (2.0**k) ** p * weighted_measure(space, band, ws.v)
-            rhs_slice = c_weak**p * function_norms_product(
-                space, sliced, seq, ws.active_weights
-            ) ** p
-            if not _within_margin(lhs_slice, rhs_slice, tolerance):
-                all_ok = False
-            level_bands[k] = (
-                np.flatnonzero(band).tolist() if small else int(band.sum())
-            )
-        partitions[n] = level_bands
+        ks = np.unique(band_index(vals[pos])).tolist()  # each band is nonempty
+        bands = np.array([pos & (vals > 2.0**k) & (vals <= 2.0 ** (k + 1)) for k in ks])
+        sliced = bands if fvec.mask is None else bands & fvec.mask
+        parts = _norm_parts(space, fvec.active, seq, ws.active_weights, sliced)
+        norms = np.prod([(space.leaf_probs * g).sum(-1) ** e for g, e in parts], axis=0)
+        lhs = np.array([(2.0**k) ** p for k in ks]) * (space.leaf_probs * ws.v * bands).sum(-1)
+        all_ok &= bool(_within_margin(lhs, c_weak**p * norms**p, tolerance).all())
+        partitions[n] = {
+            k: np.flatnonzero(band).tolist() if small else int(band.sum())
+            for k, band in zip(ks, bands)
+        }
 
     report = check_inequality(
         "weak-to-testing",
@@ -232,26 +222,27 @@ def verify_testing_to_ap(
                    / (prod_i (int_B w_i sigma_i**p_i)**(1/p_i) * |B|**pad)
 
     where pad = 1/p - sum_i 1/p_i is the reciprocal mass of the masked head
-    padding and tail (function_norms_product).  The report compares the
-    joint constant (the largest recovered value) with the largest ratio
-    times C_RH**(1/p).
+    padding and tail (the _norm_parts factors summed per atom).  The report
+    compares the joint constant (the largest recovered value) with the
+    largest ratio times C_RH**(1/p); a ratio that is not finite fails its
+    atom and the report, whose metadata then carries its "reason".
     """
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     c_rh = rh_constant(ws, family)
     scale = c_rh**rp
-    pad = rp - math.fsum(1.0 / p_i for p_i in seq.head[: ws.n_active])
+    whole = np.ones(space.n_leaves, dtype=bool)  # each atom sum below restricts Q to B
+    parts = _norm_parts(space, ws.sigmas, seq, ws.active_weights, whole)
     ratios = []
-    for n in space.levels:
-        prod = np.prod([mat[n] for mat in ws.sigma_matrices], axis=0)  # 1.0 with none
-        norms = [space.atom_sums(space.leaf_probs * w * s**p_i, n) ** (1.0 / p_i)
-                 for w, s, p_i in zip(ws.active_weights, ws.sigmas, seq.head)]
-        rhs = np.prod(norms, axis=0) * space.atom_sums(space.leaf_probs, n) ** pad
-        ratios.append(space.atom_sums(space.leaf_probs * ws.v * prod**p, n) ** rp / rhs)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        for n in space.levels:
+            prod = np.prod([mat[n] for mat in ws.sigma_matrices], axis=0)  # 1.0 with none
+            rhs = np.prod([space.atom_sums(space.leaf_probs * g, n) ** e for g, e in parts], 0)
+            ratios.append(space.atom_sums(space.leaf_probs * ws.v * prod**p, n) ** rp / rhs)
     ratios = np.concatenate(ratios)
     recovered = np.concatenate([ws.ap_rows[n, :: space.atom_size(n)] for n in space.levels])
-    atoms_ok = _within_margin(recovered, ratios * scale, tolerance)
+    atoms_ok = _within_margin(recovered, ratios * scale, tolerance) & np.isfinite(ratios)
     c_test_observed = float(np.max(ratios))  # np.max keeps a NaN, failing the report
     report = check_inequality(
         "testing-to-ap",
@@ -265,6 +256,8 @@ def verify_testing_to_ap(
             "space": space.digest,
         },
     )
+    if math.isinf(c_test_observed):
+        report.metadata["reason"] = "inf"
     report.passed = report.passed and bool(atoms_ok.all())
     return report
 
@@ -456,7 +449,7 @@ def verify_sp_to_strong(
     conj_hi = conjugate_product(seq).hi
     c_final = 4.0 * c_s * c_rh**rp * conj_hi
     lhs = lhs_pth**rp
-    rhs = _strong_rhs(ws, gvec)
+    rhs = function_norms_product(space, gvec, seq, ws.sigmas)
 
     report = check_inequality(
         "sp-to-strong",
@@ -523,7 +516,7 @@ def estimate_best_constant(
         slots = _component_slots(space, gvec.active, ws.sigmas, seq)
         ufvec = FunctionVector(tuple(g * s for g, s in slots), gvec.mask)
         lhs = lp_norm(space, gen_doob_maximal(space, ufvec, seq), p, ws.v)
-        rhs = _strong_rhs(ws, gvec)
+        rhs = function_norms_product(space, gvec, seq, ws.sigmas)
         return lhs / rhs if rhs > 0.0 else 0.0
 
     def fvec_ratio(fvec: FunctionVector) -> float:

@@ -286,20 +286,14 @@ def sp_constant(ws: WeightSystem, family="all", cap: int = ENUMERATION_CAP) -> f
     """Smallest testing constant over the family: the max of
     sp_support_ratio over the distinct stopping-time supports.  Sampled
     families give a lower bound for the true constant."""
-    return _sp_scan(ws, family, cap)[0]
+    return sp_constant_argmax(ws, family, cap)[0]
 
 
 def sp_constant_argmax(
     ws: WeightSystem, family="all", cap: int = ENUMERATION_CAP
 ) -> tuple[float, np.ndarray | None]:
-    """sp_constant together with the first support in scan order achieving it."""
-    return _sp_scan(ws, family, cap)
-
-
-def _sp_scan(ws: WeightSystem, family, cap: int) -> tuple[float, np.ndarray | None]:
-    """The testing scan; "all" reads the one cached on the system once the
-    cap is checked (a private helper, so a trace of sp_constant_argmax
-    counts only its own callers)."""
+    """sp_constant together with the first support in scan order achieving it;
+    "all" reads the scan cached on the system once the cap is checked."""
     chunks = _support_chunks(ws.space, family, cap)  # checks the cap
     return ws.sp_scan if family == "all" else _family_max(ws, chunks, sp_ratios)
 

@@ -8,6 +8,7 @@ from martbench import (
     FunctionVector,
     StoppingTime,
     TreeSpace,
+    lp_norm,
     make_exponent_sequence,
     make_tree_space,
     make_weight_system,
@@ -83,6 +84,23 @@ def two_function_holder_oracle(space: TreeSpace, f1, f2, p1: float, p2: float):
         1.0 / p2
     )
     return float(lhs), float(rhs)
+
+
+def norms_product_oracle(space: TreeSpace, fvec: FunctionVector, seq, weights=()) -> float:
+    """prod_i ||f_i||_{L^{p_i}(w_i)} slot by slot: unmasked over the occupied
+    slots; under a mask Q over all head slots, each f_i (1 past the active
+    ones) times chi_Q, and an infinite tail adds the factor |Q|**tail_mass."""
+    weights = list(weights)
+    mask = fvec.mask
+    n_slots = max(fvec.n_active, len(weights)) if mask is None else seq.head_len
+    total = 1.0
+    for i in range(n_slots):
+        f = fvec.active[i] if i < fvec.n_active else np.ones(space.n_leaves)
+        w = weights[i] if i < len(weights) else None
+        total *= lp_norm(space, f if mask is None else f * mask, seq.head[i], w)
+    if mask is not None:
+        total *= float(np.sum(space.leaf_probs[mask])) ** seq.tail_mass
+    return total
 
 
 def assert_close(a: float, b: float, rel: float = 1e-12) -> None:

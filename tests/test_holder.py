@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import martbench.holder as holder_mod
+import martbench.theorems as theorems_mod
 from martbench.exponents import make_exponent_sequence
 from martbench.filtration import make_tree_space
 from martbench.holder import (
@@ -17,8 +19,19 @@ from martbench.holder import (
     product_function,
 )
 from martbench.maximal import gen_doob_maximal, level_set_stopping_time
+from martbench.report import _margin, _within_margin
+from martbench.theorems import verify_weak_to_testing
+from martbench.weights import make_weight_system
 
-from helpers import random_fvec, random_sequence, random_space, two_function_holder_oracle
+from helpers import (
+    norms_product_oracle,
+    random_fvec,
+    random_leaf_mask,
+    random_positive,
+    random_sequence,
+    random_space,
+    two_function_holder_oracle,
+)
 
 
 class TestLpNorm:
@@ -270,6 +283,17 @@ class TestMaskedTails:
             with pytest.raises(ValueError, match="expected 4 mask entries"):
                 call()
 
+    def test_norms_ignore_an_overflowing_value_off_the_mask(self):
+        # f**2 overflows only at the masked-out leaf: the norms mask f before
+        # the power, so they stay finite and raise no overflow warning
+        space = make_tree_space(1, 2)
+        seq = make_exponent_sequence([2.0], 0.5, 0.5)
+        fv = FunctionVector((np.array([1e200, 2.0]),), np.array([False, True]))
+        assert function_norms_product(space, fv, seq) == pytest.approx(
+            norms_product_oracle(space, fv, seq), rel=1e-12)
+        report = holder_conditional_check(space, fv, seq, 0)  # E_0(4 chi_Q)**0.5 E_0(chi_Q)**0.5
+        assert report.passed and report.rhs == pytest.approx(1.0, rel=1e-12)
+
     def test_masked_tail_needs_whole_atom_despite_rounding(self):
         # E_0(chi_Q) rounds to exactly 1.0 although Q misses a leaf; the
         # infinite tail must still vanish on the root atom
@@ -278,3 +302,76 @@ class TestMaskedTails:
         fv = FunctionVector((np.array([2.0, 3.0]),), np.array([True, False]))
         rows = level_products(space, fv, seq)
         np.testing.assert_array_equal(rows, [[0.0, 0.0], [2.0, 0.0]])
+
+
+def test_norm_products_match_the_slot_oracle(monkeypatch):
+    # function_norms_product, the right side of holder_conditional_check and
+    # the band norms of verify_weak_to_testing against the slot-by-slot oracle,
+    # on masked and unmasked vectors, weights longer than the active block,
+    # no active slot, finite families with head padding and branching 3
+    rhs_seen, bands_seen = [], []
+
+    def margin_spy(bound, tolerance):
+        rhs_seen.append(bound)
+        return _margin(bound, tolerance)
+
+    def within_spy(lhs, bound, tolerance):
+        bands_seen.append((lhs, bound))
+        return _within_margin(lhs, bound, tolerance)
+
+    monkeypatch.setattr(holder_mod, "_margin", margin_spy)
+    monkeypatch.setattr(theorems_mod, "_within_margin", within_spy)
+    rng = np.random.default_rng(71)
+    covered = set()
+    for k in range(60):
+        space = random_space(rng, max_depth=2, branchings=(3 if k % 3 == 0 else 2,))
+        seq = random_sequence(rng, max_head=3, allow_finite=False)
+        if k % 2 == 0:
+            seq = make_exponent_sequence(list(seq.head), 0.0)
+        n_active = k % (seq.head_len + 1)
+        n_weights = int(rng.integers(0, seq.head_len + 1))
+        comps = tuple(random_positive(rng, space) for _ in range(n_active))
+        weights = [random_positive(rng, space) for _ in range(n_weights)]
+        ws = make_weight_system(space, seq, weights, random_positive(rng, space))
+        p = 1.0 / seq.aggregate_reciprocal
+        for mask in (None, random_leaf_mask(rng, space)):
+            fv = FunctionVector(comps, mask)
+            covered.update({
+                "masked" if mask is not None else "unmasked",
+                *(["longer weights"] if n_weights > n_active else []),
+                *(["no active"] if n_active == 0 else []),
+                *(["padded finite"] if seq.is_finite_family and n_active < seq.head_len else []),
+            })
+            for w in (None, weights):
+                assert function_norms_product(space, fv, seq, w) == pytest.approx(
+                    norms_product_oracle(space, fv, seq, w or ()), rel=1e-12, abs=0.0)
+
+            for n in space.levels:
+                rhs_seen.clear()
+                holder_conditional_check(space, fv, seq, n)
+                [rhs_leaf] = rhs_seen
+                for j in range(space.n_atoms(n)):
+                    atom = np.zeros(space.n_leaves, dtype=bool)
+                    atom[space.atom_slice(n, j)] = True
+                    q = atom if mask is None else atom & mask
+                    expected = norms_product_oracle(space, FunctionVector(comps, q), seq)
+                    expected /= float(space.leaf_probs[atom].sum()) ** (1.0 / p)
+                    np.testing.assert_allclose(rhs_leaf[atom], expected, rtol=1e-12, atol=0.0)
+
+            bands_seen.clear()
+            c_weak = 1.5
+            report = verify_weak_to_testing(ws, fv, c_weak)
+            levels = report.metadata["bands_per_level"]
+            assert len(bands_seen) == len(levels)
+            for (lhs, bound), level_bands in zip(bands_seen, levels.values()):
+                exp_lhs, exp_bound = [], []
+                for k_band, leaves in level_bands.items():
+                    band = np.zeros(space.n_leaves, dtype=bool)
+                    band[leaves] = True
+                    q = band if mask is None else band & mask
+                    norms = norms_product_oracle(space, FunctionVector(comps, q), seq, weights)
+                    exp_bound.append(c_weak**p * norms**p)
+                    exp_lhs.append((2.0**k_band) ** p * np.sum((space.leaf_probs * ws.v)[band]))
+                np.testing.assert_allclose(bound, exp_bound, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(lhs, exp_lhs, rtol=1e-12, atol=0.0)
+    assert covered == {"masked", "unmasked", "longer weights", "no active", "padded finite"}

@@ -3,7 +3,7 @@ import pytest
 
 from martbench.exponents import make_exponent_sequence
 from martbench.filtration import StoppingTime, make_tree_space
-from martbench.holder import FunctionVector, function_vector, lp_norm
+from martbench.holder import FunctionVector, function_norms_product, function_vector, lp_norm
 from martbench.maximal import (
     doob_inequality_check,
     doob_maximal,
@@ -170,6 +170,26 @@ class TestWeakNorm:
         space = make_tree_space(1, 2)
         assert weak_lp_norm(space, np.zeros(2), 1.0, np.ones(2)) == 0.0
 
+    def test_tied_values_take_the_mass_at_the_end_of_the_block(self):
+        # v-masses 1/2, 1/3, 1/6; sorted, g is 3, 2, 2 with cumulative masses
+        # 1/6, 2/3, 1: |{g >= 2}| = 1 gives 2, where the first entry of the
+        # tied block would give 2 * (2/3)**(1/p) and t = 3 gives 3 * (1/6)**(1/p)
+        space = make_tree_space(1, 3)
+        v = np.array([1.5, 1.0, 0.5])
+        g = np.array([2.0, 2.0, 3.0])
+        assert weak_lp_norm(space, g, 1.0, v) == pytest.approx(2.0, rel=1e-12)
+        assert weak_lp_norm(space, g, 2.0, v) == pytest.approx(2.0, rel=1e-12)
+        # against the definition, value by value, on vectors with many ties
+        rng = np.random.default_rng(38)
+        for _ in range(100):
+            space = random_space(rng)
+            g = np.round(rng.uniform(0.0, 3.0, space.n_leaves)) / 2.0
+            v = random_positive(rng, space)
+            p = float(rng.uniform(0.5, 4.0))
+            w = space.leaf_probs * v
+            levels = [t * np.sum(w[g >= t]) ** (1.0 / p) for t in set(g.tolist()) if t > 0.0]
+            assert weak_lp_norm(space, g, p, v) == pytest.approx(max(levels + [0.0]), rel=1e-12, abs=0.0)
+
     def test_chebyshev(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
@@ -249,8 +269,14 @@ class TestDoobInequality:
             [w],
             make_exponent_sequence([2.0], 0.5, 0.5),
         ),
+        lambda space, w: function_norms_product(
+            space,
+            function_vector(space, [[1.0, 2.0]]),
+            make_exponent_sequence([2.0], 0.5, 0.5),
+            [w],
+        ),
     ],
-    ids=["weighted_measure", "weak_lp_norm", "gen_weighted_maximal"],
+    ids=["weighted_measure", "weak_lp_norm", "gen_weighted_maximal", "function_norms_product"],
 )
 def test_weighted_measures_reject_a_nonpositive_weight(call):
     space = make_tree_space(1, 2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,7 @@ from martbench.weights import (
 )
 
 from helpers import (
+    norms_product_oracle,
     random_fvec,
     random_positive,
     random_sequence,
@@ -285,6 +288,20 @@ class TestTestingToAp:
         assert np.isnan(report.metadata["c_test_observed"])
         assert not report.passed
 
+    def test_infinite_ratio_fails_the_report(self):
+        # the norm sum of the light atom underflows to 0, so its ratio is
+        # 1e-300 / 0 = inf; that atom and the report fail, reason "inf",
+        # and no RuntimeWarning escapes
+        space = make_tree_space(1, 2, [1.0 - 1e-300, 1e-300])
+        seq = make_exponent_sequence([2.0], 0.5, 0.5)
+        ws = make_weight_system(space, seq, [[1.0, 1e30]], [1.0, 1e30])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = verify_testing_to_ap(ws)
+        assert report.metadata["c_test_observed"] == np.inf
+        assert report.metadata["reason"] == "inf"
+        assert not report.passed
+
     def test_one_failing_atom_fails_the_report(self):
         # each atom is checked against its own ratio: a recovered value above
         # its atom's bound fails the report although the joint constant passes
@@ -329,7 +346,7 @@ class TestTestingToAp:
                     fv = necessity_family_ap(ws, n, mask)
                     rows = level_products(space, fv, seq)
                     lhs = np.sum(space.leaf_probs * ws.v * rows[n] ** (1.0 / rp)) ** rp
-                    oracle.append(lhs / function_norms_product(space, fv, seq, ws.active_weights))
+                    oracle.append(lhs / norms_product_oracle(space, fv, seq, ws.active_weights))
             for tolerance in (REL_TOL, -0.5):
                 seen.clear()
                 report = verify_testing_to_ap(ws, tolerance=tolerance)
