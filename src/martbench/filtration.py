@@ -27,6 +27,13 @@ class EnumerationCapError(RuntimeError):
     """The stopping-time family is too large to enumerate; sample instead."""
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A fresh array that nothing else holds, marked read-only in place, so
+    that _read_only keeps it without a copy."""
+    a.setflags(write=False)
+    return a
+
+
 def _read_only(a) -> np.ndarray:
     """`a` if it is a read-only array owning its data, else a read-only copy."""
     a = np.asarray(a)
@@ -51,7 +58,13 @@ class TreeSpace:
     def shared_level(self) -> np.ndarray:
         """Per pair of neighbouring leaves, the deepest level whose atom holds both."""
         sizes = self.branching ** np.arange(self.depth, 0, -1)  # atom sizes below depth
-        return _read_only((np.arange(1, self.n_leaves) % sizes[:, None] != 0).sum(axis=0) - 1)
+        shared = (np.arange(1, self.n_leaves) % sizes[:, None] != 0).sum(axis=0) - 1
+        return _read_only(shared.astype(np.uint64))  # >= 0; unsigned for _adapted_scan
+
+    @cached_property
+    def leaf_index(self) -> np.ndarray:
+        """arange(n_leaves), read-only: the column index of a per-leaf gather."""
+        return _read_only(np.arange(self.n_leaves))
 
     @property
     def n_leaves(self) -> int:
@@ -202,15 +215,26 @@ def cond_exp_matrix(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StoppingTime:
-    """Leaf-wise stopped level in {0..N} or INFINITE (= -1)."""
+    """Leaf-wise stopped level in {0..N} or INFINITE (= -1), held read-only
+    (a writable argument is copied), so that derived facts can be cached."""
 
     values: np.ndarray
 
     INFINITE = -1
 
-    @property
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _read_only(self.values))
+
+    @cached_property
+    def _adapted(self) -> dict:
+        """is_stopping_time's verdicts, keyed by (depth, branching)."""
+        return {}
+
+    @cached_property
     def finite(self) -> np.ndarray:
-        return self.values != self.INFINITE
+        finite = self.values != self.INFINITE
+        finite.setflags(write=False)
+        return finite
 
     def support(self) -> np.ndarray:
         """The event that the time is finite, as a leaf mask."""
@@ -245,18 +269,27 @@ def _is_union_of_atoms(space: TreeSpace, mask: np.ndarray, n: int) -> bool:
 
 
 def is_stopping_time(space: TreeSpace, tau: StoppingTime) -> bool:
-    """Adaptedness scan: each level set {tau = n} must be a union of
-    level-n atoms (the n = depth and infinite sets are unconstrained).
-    Atoms are runs of leaves, so this holds iff no two neighbouring leaves
-    in one level-n atom disagree on {tau = n}: one pass over leaf pairs."""
-    vals = tau.values
-    if vals.shape != (space.n_leaves,):
+    """Adaptedness: each level set {tau = n} must be a union of level-n
+    atoms (the n = depth and infinite sets are unconstrained).  The values
+    are read-only, so the verdict is kept on tau per tree shape."""
+    key = (space.depth, space.branching)
+    verdict = tau._adapted.get(key)
+    if verdict is None:
+        verdict = tau._adapted[key] = _adapted_scan(space, tau.values)
+    return verdict
+
+
+def _adapted_scan(space: TreeSpace, vals: np.ndarray) -> bool:
+    """Atoms are runs of leaves, so {tau = n} is a union of level-n atoms
+    for every n iff no two neighbouring leaves in one level-n atom disagree
+    on it: one pass over leaf pairs.  Cast to unsigned, INFINITE wraps above
+    every level, so "a stops inside their shared atom" is a <= shared."""
+    if vals.shape != (space.n_leaves,) or vals.dtype.kind not in "iu":
         return False
-    if not np.all((vals >= StoppingTime.INFINITE) & (vals <= space.depth)):
+    if vals.min() < StoppingTime.INFINITE or vals.max() > space.depth:
         return False
-    a, b, shared = vals[:-1], vals[1:], space.shared_level
-    split = (a != b) & (((a >= 0) & (a <= shared)) | ((b >= 0) & (b <= shared)))
-    return not split.any()
+    u = vals.astype(np.uint64, copy=False)
+    return not ((u[:-1] != u[1:]) & (np.minimum(u[:-1], u[1:]) <= space.shared_level)).any()
 
 
 def count_stopping_times(space: TreeSpace) -> int:
@@ -301,12 +334,12 @@ def enumerate_stopping_times(
         )
     if space.depth == 0:
         for block in _subtree_times(space, 0):
-            yield StoppingTime(block)
+            yield StoppingTime(_frozen(block))
         return
     yield StoppingTime(np.zeros(space.n_leaves, dtype=np.int64))
     children = _subtree_times(space, 1)
     for combo in itertools.product(children, repeat=space.branching):
-        yield StoppingTime(np.concatenate(combo))
+        yield StoppingTime(_frozen(np.concatenate(combo)))
 
 
 def sample_stopping_time(space: TreeSpace, rng: np.random.Generator) -> StoppingTime:
@@ -334,7 +367,7 @@ def sample_stopping_time(space: TreeSpace, rng: np.random.Generator) -> Stopping
             fill(level + 1, lo + c * step, lo + (c + 1) * step)
 
     fill(0, 0, space.n_leaves)
-    return StoppingTime(values)
+    return StoppingTime(_frozen(values))
 
 
 def first_passage_time(
@@ -349,7 +382,7 @@ def first_passage_time(
     first = hits.argmax(axis=0)
     ever = hits.any(axis=0)
     values = np.where(ever, first, StoppingTime.INFINITE).astype(np.int64)
-    return StoppingTime(values)
+    return StoppingTime(_frozen(values))
 
 
 def stopped(space: TreeSpace, rows: np.ndarray, tau: StoppingTime, otherwise) -> np.ndarray:
@@ -357,7 +390,7 @@ def stopped(space: TreeSpace, rows: np.ndarray, tau: StoppingTime, otherwise) ->
     finite and `otherwise` (a scalar or leaf vector) where it is infinite;
     row n of the (depth+1, leaves) matrix is the process at level n."""
     idx = np.minimum(np.maximum(tau.values, 0), space.depth)
-    return np.where(tau.finite, rows[idx, np.arange(space.n_leaves)], otherwise)
+    return np.where(tau.finite, rows[idx, space.leaf_index], otherwise)
 
 
 def stopped_value(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -> np.ndarray:

@@ -59,19 +59,23 @@ def check_inequality(
     metadata: dict | None = None,
 ) -> VerificationReport:
     """Build a report for LHS <= constant * RHS at the given tolerance.
-    A NaN side or constant fails the report, and a copy of the metadata
-    then carries "reason": "nan"."""
+    A side, constant or bound that is not finite fails the report, and a
+    copy of the metadata then carries "reason": "nan" (a NaN side or
+    constant) or "inf" (an infinite one, or a bound that overflowed)."""
+    lhs, rhs, constant = float(lhs), float(rhs), float(constant)  # Python floats never warn
     bound = constant * rhs
     slack = bound - lhs
     passed = bool(_within_margin(lhs, bound, tolerance))
-    if math.isnan(lhs) or math.isnan(rhs) or math.isnan(constant):
-        metadata = {**(metadata or {}), "reason": "nan"}
+    if not (math.isfinite(lhs) and math.isfinite(bound)):  # a finite bound has finite factors
+        passed = False
+        nan = math.isnan(lhs) or math.isnan(rhs) or math.isnan(constant)
+        metadata = {**(metadata or {}), "reason": "nan" if nan else "inf"}
     return VerificationReport(
         inequality=inequality,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        constant=float(constant),
-        slack=float(slack),
+        lhs=lhs,
+        rhs=rhs,
+        constant=constant,
+        slack=slack,
         passed=passed,
         tolerance=tolerance,
         metadata=metadata or {},

@@ -62,16 +62,31 @@ def band_index(values: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple[np.ndarray, float]:
     """Level products (read-only) and norm product of the last (system, vector)
-    pair; both hash by identity, hold read-only arrays and are kept alive here."""
-    rows = level_products(ws.space, fvec, ws.seq)
+    pair; both hash by identity, hold read-only arrays and are kept alive here.
+    A product past the float range is inf, which fails the report it reaches."""
+    with np.errstate(over="ignore"):
+        rows = level_products(ws.space, fvec, ws.seq)
+        rhs = function_norms_product(ws.space, fvec, ws.seq, ws.active_weights)
     rows.setflags(write=False)
-    return rows, function_norms_product(ws.space, fvec, ws.seq, ws.active_weights)
+    return rows, rhs
 
 
-def _testing_lhs_pth(ws: WeightSystem, rows: np.ndarray, tau: StoppingTime, p: float) -> float:
-    """integral over {tau finite} of (prod E_tau(f_i))**p v dmu."""
-    contrib = ws.space.leaf_probs * ws.v * stopped(ws.space, rows, tau, 0.0) ** p
-    return float(contrib[tau.finite].sum())
+@functools.lru_cache(maxsize=1)
+def _reward_table(ws: WeightSystem, fvec: FunctionVector) -> np.ndarray:
+    """The stopping reward of the last (system, vector) pair, read-only: row n
+    is leaf_probs * v * (prod E_n f_i)**p, and one zero row below the levels,
+    which the INFINITE sentinel (-1) indexes."""
+    rows = _testing_parts(ws, fvec)[0]
+    reward = np.zeros((ws.space.depth + 2, ws.space.n_leaves))
+    with np.errstate(over="ignore"):  # an overflowed reward is inf, and fails its report
+        reward[:-1] = ws.space.leaf_probs * ws.v * rows ** (1.0 / ws.seq.aggregate_reciprocal)
+    reward.setflags(write=False)
+    return reward
+
+
+def _stopped_reward(ws: WeightSystem, reward: np.ndarray, tau: StoppingTime) -> float:
+    """int over {tau finite} of (prod E_tau(f_i))**p v dmu: one gather."""
+    return float(reward[tau.values, ws.space.leaf_index][tau.finite].sum())
 
 
 def verify_ap_to_testing(
@@ -87,16 +102,14 @@ def verify_ap_to_testing(
     if not is_stopping_time(ws.space, tau):
         raise ValueError("tau is not an adapted stopping time")
     rp = ws.seq.aggregate_reciprocal
-    p = 1.0 / rp
-    rows, rhs = _testing_parts(ws, fvec)
-    lhs = _testing_lhs_pth(ws, rows, tau, p) ** rp
+    lhs = _stopped_reward(ws, _reward_table(ws, fvec), tau) ** rp
     return check_inequality(
         "ap-to-testing",
         lhs,
-        rhs,
+        _testing_parts(ws, fvec)[1],
         constant=ws.ap_max,
         tolerance=tolerance,
-        metadata={"space": ws.space.digest, "finite_leaves": int(tau.finite.sum())},
+        metadata={"space": ws.space.digest, "finite_leaves": int(np.count_nonzero(tau.finite))},
     )
 
 
@@ -117,6 +130,7 @@ def verify_testing_to_weak(
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     rows, rhs = _testing_parts(ws, fvec)
+    reward = _reward_table(ws, fvec)
     maximal = rows.max(axis=0)
     all_ok = True
     thresholds = np.unique(maximal[maximal > 0.0])
@@ -127,7 +141,7 @@ def verify_testing_to_weak(
             all_ok = False
             continue
         weak_t = t * weighted_measure(space, tau.support(), ws.v) ** rp
-        for bound in (_testing_lhs_pth(ws, rows, tau, p) ** rp, c_test * rhs):
+        for bound in (_stopped_reward(ws, reward, tau) ** rp, c_test * rhs):
             if not _within_margin(weak_t, bound, tolerance):
                 all_ok = False
     report = check_inequality(
@@ -165,28 +179,31 @@ def verify_weak_to_testing(
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     rows, rhs = _testing_parts(ws, fvec)
-    rhs_pth = rhs**p
-    c_prime = 2.0**p * c_weak**p
-
     all_ok = True
     partitions = {}
     small = space.n_leaves <= 64
-    for n in space.levels:
-        vals = rows[n]
-        pos = vals > 0.0
-        if not pos.any():
-            continue
-        ks = np.unique(band_index(vals[pos])).tolist()  # each band is nonempty
-        bands = np.array([pos & (vals > 2.0**k) & (vals <= 2.0 ** (k + 1)) for k in ks])
-        sliced = bands if fvec.mask is None else bands & fvec.mask
-        parts = _norm_parts(space, fvec.active, seq, ws.active_weights, sliced)
-        norms = np.prod([(space.leaf_probs * g).sum(-1) ** e for g, e in parts], axis=0)
-        lhs = np.array([(2.0**k) ** p for k in ks]) * (space.leaf_probs * ws.v * bands).sum(-1)
-        all_ok &= bool(_within_margin(lhs, c_weak**p * norms**p, tolerance).all())
-        partitions[n] = {
-            k: np.flatnonzero(band).tolist() if small else int(band.sum())
-            for k, band in zip(ks, bands)
-        }
+    # past the float range a power is inf (and 0 * inf NaN); either fails a band
+    # check, and the report through check_inequality's "reason"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs_pth = float(np.float64(rhs) ** p)
+        c_weak_pth = np.float64(c_weak) ** p
+        c_prime = float(2.0**p * c_weak_pth)
+        for n in space.levels:
+            vals = rows[n]
+            pos = vals > 0.0
+            if not pos.any():
+                continue
+            ks = np.unique(band_index(vals[pos]))  # each band is nonempty
+            bands = pos & (band_index(vals) == ks[:, None])
+            sliced = bands if fvec.mask is None else bands & fvec.mask
+            parts = _norm_parts(space, fvec.active, seq, ws.active_weights, sliced)
+            norms = np.prod([(space.leaf_probs * g).sum(-1) ** e for g, e in parts], axis=0)
+            lhs = np.ldexp(1.0, ks) ** p * (space.leaf_probs * ws.v * bands).sum(-1)
+            all_ok &= bool(_within_margin(lhs, c_weak_pth * norms**p, tolerance).all())
+            partitions[n] = {
+                int(k): np.flatnonzero(band).tolist() if small else int(band.sum())
+                for k, band in zip(ks, bands)
+            }
 
     report = check_inequality(
         "weak-to-testing",
@@ -225,7 +242,7 @@ def verify_testing_to_ap(
     padding and tail (the _norm_parts factors summed per atom).  The report
     compares the joint constant (the largest recovered value) with the
     largest ratio times C_RH**(1/p); a ratio that is not finite fails its
-    atom and the report, whose metadata then carries its "reason".
+    atom, and the report (check_inequality gives it its "reason").
     """
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
@@ -256,8 +273,6 @@ def verify_testing_to_ap(
             "space": space.digest,
         },
     )
-    if math.isinf(c_test_observed):
-        report.metadata["reason"] = "inf"
     report.passed = report.passed and bool(atoms_ok.all())
     return report
 
@@ -284,7 +299,7 @@ class SawyerTrace:
         return self.k_lo is None
 
     def band(self, k: int) -> np.ndarray:
-        return (self.maximal_values > 2.0**k) & (self.maximal_values <= 2.0 ** (k + 1))
+        return (self.maximal_values > 0.0) & (band_index(self.maximal_values) == k)
 
     def weighted_total(self) -> float:
         """sum over cells of T * theta."""
@@ -476,10 +491,8 @@ def snell_testing_sup(ws: WeightSystem, fvec: FunctionVector) -> float:
     """sup over all stopping times of int_{tau<inf} (prod E_tau f_i)**p v,
     exact by backward induction on the tree (the Snell envelope of the
     stopping reward), in O(leaves * depth) with no enumeration."""
-    space, seq = ws.space, ws.seq
-    p = 1.0 / seq.aggregate_reciprocal
-    rows = _testing_parts(ws, fvec)[0]
-    reward = rows**p * ws.v * space.leaf_probs
+    space = ws.space
+    reward = _reward_table(ws, fvec)
     value = reward[space.depth]
     for n in range(space.depth - 1, -1, -1):
         stop = space.atom_sums(reward[n], n)

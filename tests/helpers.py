@@ -12,6 +12,7 @@ from martbench import (
     make_exponent_sequence,
     make_tree_space,
     make_weight_system,
+    stopped,
 )
 
 
@@ -72,6 +73,13 @@ def stopped_average_oracle(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -
             if np.all(tau.values[sl] == n):
                 out[sl] = np.sum(w[sl] * f[sl]) / np.sum(w[sl])
     return out
+
+
+def stopped_reward_oracle(ws, rows: np.ndarray, tau: StoppingTime, p: float) -> float:
+    """integral over {tau finite} of (prod E_tau(f_i))**p v dmu, with the
+    stopped rows picked leaf by leaf (0 where tau is infinite)."""
+    contrib = ws.space.leaf_probs * ws.v * stopped(ws.space, rows, tau, 0.0) ** p
+    return float(contrib[tau.finite].sum())
 
 
 def two_function_holder_oracle(space: TreeSpace, f1, f2, p1: float, p2: float):

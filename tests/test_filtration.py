@@ -215,6 +215,38 @@ class TestStoppingTimes:
         space = make_tree_space(1, 2)
         assert not is_stopping_time(space, StoppingTime(np.array([5, 5])))
 
+    def test_float_values_are_rejected(self):
+        space = make_tree_space(1, 2)
+        for vals in ([0.5, 0.5], [0.0, 0.0], [True, True]):
+            assert not is_stopping_time(space, StoppingTime(np.array(vals)))
+
+    def test_values_are_read_only_copies(self):
+        vals = np.array([1, INF])
+        tau = StoppingTime(vals)
+        vals[0] = 0
+        np.testing.assert_array_equal(tau.values, [1, INF])
+        for arr in (tau.values, tau.finite):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1]
+
+    def test_non_adapted_is_rejected_on_every_call(self):
+        space = make_tree_space(1, 2)
+        tau = StoppingTime(np.array([0, 1]))
+        assert [is_stopping_time(space, tau) for _ in range(3)] == [False] * 3
+        with pytest.raises(ValueError):
+            stopped_value(space, np.ones(2), tau)
+
+    def test_verdict_is_kept_per_tree_shape(self):
+        # both spaces have 4 leaves: {tau = 1} splits a level-1 atom of the
+        # binary depth-2 tree, while on the depth-1 tree level 1 is the leaves
+        binary, flat = make_tree_space(2, 2), make_tree_space(1, 4)
+        tau = StoppingTime(np.array([1, INF, 1, 1]))
+        for _ in range(2):
+            assert is_stopping_time(flat, tau) and not is_stopping_time(binary, tau)
+        tau = StoppingTime(np.array([1, 1, 2, 2]))
+        for _ in range(2):
+            assert is_stopping_time(binary, tau) and not is_stopping_time(flat, tau)
+
     def test_counts(self):
         for depth, expected in [(0, 2), (1, 5), (2, 26)]:
             assert count_stopping_times(make_tree_space(depth, 2)) == expected

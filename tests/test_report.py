@@ -50,3 +50,18 @@ class TestNanReason:
     def test_finite_report_has_no_reason(self):
         report = check_inequality("x", 2.0, 1.0, metadata={"space": "abc"})
         assert not report.passed and report.metadata == {"space": "abc"}
+
+
+class TestInfReason:
+    @pytest.mark.parametrize("lhs, rhs, constant", [
+        (math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.inf),
+        (1.0, 1e200, 1e200), (math.inf, math.inf, 1.0), (0.0, math.inf, 0.0),
+    ])
+    def test_infinite_side_constant_or_bound_fails(self, lhs, rhs, constant):
+        report = check_inequality("x", lhs, rhs, constant=constant, metadata={"space": "abc"})
+        assert not report.passed
+        assert report.metadata == {"space": "abc", "reason": "inf"}
+
+    def test_nan_outranks_inf(self):
+        report = check_inequality("x", math.nan, math.inf)
+        assert not report.passed and report.metadata == {"reason": "nan"}

@@ -1,8 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+import martbench.filtration as filtration_mod
 import martbench.theorems as theorems_mod
 import martbench.weights as weights_mod
 from martbench.exponents import conjugate_product, make_exponent_sequence
@@ -21,7 +23,6 @@ from martbench.holder import (
 from martbench.maximal import gen_weighted_maximal
 from martbench.report import REL_TOL, _within_margin
 from martbench.theorems import (
-    _testing_lhs_pth,
     band_index,
     estimate_best_constant,
     sawyer_decomposition,
@@ -45,10 +46,12 @@ from martbench.weights import (
 from helpers import (
     norms_product_oracle,
     random_fvec,
+    random_leaf_mask,
     random_positive,
     random_sequence,
     random_space,
     random_weight_system,
+    stopped_reward_oracle,
 )
 
 INF = StoppingTime.INFINITE
@@ -134,7 +137,9 @@ class TestApToTesting:
         fvecs = [random_fvec(rng, space, seq) for _ in range(2)]
         taus = list(enumerate_stopping_times(space))
         assert len(taus) == 730
-        calls = {"ap_level_values": 0, "level_products": 0}
+        # the adaptedness scan runs once per time and the reward table once
+        # per vector
+        calls = {"ap_level_values": 0, "level_products": 0, "_adapted_scan": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -147,18 +152,63 @@ class TestApToTesting:
 
         counting(weights_mod, "ap_level_values")
         counting(theorems_mod, "level_products")
+        counting(filtration_mod, "_adapted_scan")
+        theorems_mod._reward_table.cache_clear()
         reports = [[verify_ap_to_testing(ws, fv, tau) for tau in taus] for fv in fvecs]
-        assert calls == {"ap_level_values": 1, "level_products": 2}
+        assert calls == {"ap_level_values": 1, "level_products": 2, "_adapted_scan": 730}
+        assert theorems_mod._reward_table.cache_info().misses == 2
         monkeypatch.undo()
         c_a = float(weights_mod.ap_level_values(ws).max())
         for fv, reps in zip(fvecs, reports):
             rows = level_products(space, fv, seq)
             rhs = function_norms_product(space, fv, seq, ws.active_weights)
             for tau, rep in zip(taus, reps):
-                lhs = _testing_lhs_pth(ws, rows, tau, 1.0 / seq.aggregate_reciprocal)
+                lhs = stopped_reward_oracle(ws, rows, tau, 1.0 / seq.aggregate_reciprocal)
                 assert rep.lhs == lhs**seq.aggregate_reciprocal
                 assert (rep.rhs, rep.constant) == (rhs, c_a)
                 assert rep.passed
+
+    def test_gathered_lhs_matches_the_stopped_oracle_bit_for_bit(self):
+        # every enumerated time of 2-9 leaf systems, masked and unmasked
+        # vectors, finite and infinite families
+        rng = np.random.default_rng(75)
+        shapes = [(1, r) for r in range(2, 10)] + [(2, 2), (2, 3), (3, 2)]
+        seen = set()
+        for trial in range(33):
+            depth, branching = shapes[trial % len(shapes)]
+            probs = rng.uniform(0.2, 1.0, branching**depth)
+            space = make_tree_space(depth, branching, probs / probs.sum())
+            seq = random_sequence(rng, max_head=3)
+            ws = random_weight_system(rng, space, seq)
+            fv = random_fvec(rng, space, seq)
+            if trial % 2:
+                fv = FunctionVector(fv.active, random_leaf_mask(rng, space))
+            seen.add((fv.mask is None, seq.is_finite_family))
+            rows = level_products(space, fv, seq)
+            rhs = function_norms_product(space, fv, seq, ws.active_weights)
+            p = 1.0 / seq.aggregate_reciprocal
+            for tau in enumerate_stopping_times(space):
+                rep = verify_ap_to_testing(ws, fv, tau)
+                assert rep.lhs == stopped_reward_oracle(ws, rows, tau, p) ** seq.aggregate_reciprocal
+                assert (rep.rhs, rep.constant) == (rhs, ws.ap_max)
+                assert rep.metadata["finite_leaves"] == int(np.sum(tau.values != INF))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_float_time_raises_value_error(self):
+        space = make_tree_space(1, 2)
+        ws = unit_weight_system(space, doubling_seq())
+        fv = function_vector(space, [np.ones(2)])
+        with pytest.raises(ValueError):
+            verify_ap_to_testing(ws, fv, StoppingTime(np.array([0.5, 0.5])))
+
+    def test_non_adapted_is_rejected_again_on_a_repeated_call(self):
+        space = make_tree_space(2, 2)
+        ws = unit_weight_system(space, doubling_seq())
+        fv = function_vector(space, [np.ones(4)])
+        tau = StoppingTime(np.array([1, 2, 2, 2]))
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                verify_ap_to_testing(ws, fv, tau)
 
     def test_caller_mutation_does_not_reach_the_caches(self):
         space = make_tree_space(2, 2, [0.1, 0.2, 0.3, 0.4])
@@ -236,6 +286,38 @@ class TestWeakToTesting:
         assert report.passed
         for bands in report.metadata["bands_per_level"].values():
             assert len(bands) <= 1
+
+    def test_bands_are_the_dyadic_slices_of_the_positive_level_products(self):
+        rng = np.random.default_rng(76)
+        for _ in range(30):
+            ws = small_random_system(rng)
+            space = ws.space
+            fv = random_fvec(rng, space, ws.seq)
+            zeros = rng.random(space.n_leaves) < 0.3
+            fv = FunctionVector(tuple(np.where(zeros, 0.0, f) for f in fv.active), None)
+            rows = level_products(space, fv, ws.seq)
+            bands = verify_weak_to_testing(ws, fv, ap_constant(ws)).metadata["bands_per_level"]
+            want = {}
+            for n in space.levels:
+                ks = sorted({int(k) for k in band_index(rows[n][rows[n] > 0.0])})
+                if ks:
+                    want[n] = {k: np.flatnonzero(
+                        (rows[n] > 2.0**k) & (rows[n] <= 2.0 ** (k + 1))).tolist() for k in ks}
+            assert bands == want
+
+    @pytest.mark.parametrize("top", [1e200, 1.7e308])
+    def test_overflow_fails_with_a_reason(self, top):
+        # 1.7e308 lies in the top binade, band 1023, whose upper end 2**1024
+        # is past the float range; the norm product overflows for both
+        space = make_tree_space(1, 2)
+        ws = unit_weight_system(space, doubling_seq())
+        fv = function_vector(space, [[top, 1.0]])
+        for c_weak in (1.0, 1e200):
+            report = verify_weak_to_testing(ws, fv, c_weak)
+            assert not report.passed and report.metadata["reason"] == "inf"
+            assert report.rhs == math.inf
+        bands = report.metadata["bands_per_level"][1]
+        assert bands[int(band_index(top))] == [0] and bands[-1] == [1]
 
     def test_lhs_is_exact_supremum_beyond_enumeration(self):
         # 27 leaves carry 389,017,001 stopping times, too many to scan; a
@@ -374,6 +456,14 @@ class TestSawyerDecomposition:
             union |= cell.b_mask
         assert union.all()
 
+    def test_band_is_the_dyadic_slice_up_to_the_top_binade(self):
+        values = np.array([0.0, 5e-324, 0.5, 1.0, 3.0, 4.0, 1e300, 1.7e308])
+        trace = theorems_mod.SawyerTrace(-1075, 1023, {}, {}, values, [])
+        for k in range(-1075, 1023):
+            old = (values > 2.0**k) & (values <= 2.0 ** (k + 1))
+            np.testing.assert_array_equal(trace.band(k), old)
+        np.testing.assert_array_equal(trace.band(1023), values == 1.7e308)
+
     def test_zero_vector_empty_trace(self):
         space = make_tree_space(1, 2)
         ws = unit_weight_system(space, doubling_seq())
@@ -494,7 +584,7 @@ class TestEstimates:
             rows = level_products(ws.space, fv, ws.seq)
             p = 1.0 / ws.seq.aggregate_reciprocal
             brute = max(
-                _testing_lhs_pth(ws, rows, tau, p)
+                stopped_reward_oracle(ws, rows, tau, p)
                 for tau in enumerate_stopping_times(ws.space)
             )
             assert snell_testing_sup(ws, fv) == pytest.approx(brute, rel=1e-12)
