@@ -260,14 +260,6 @@ def stopping_time_from_json(space: TreeSpace, obj: dict) -> StoppingTime:
     return tau
 
 
-def _is_union_of_atoms(space: TreeSpace, mask: np.ndarray, n: int) -> bool:
-    if n == space.depth:
-        return True
-    size = space.atom_size(n)
-    counts = mask.reshape(space.n_atoms(n), size).sum(axis=1)
-    return bool(np.all((counts == 0) | (counts == size)))
-
-
 def is_stopping_time(space: TreeSpace, tau: StoppingTime) -> bool:
     """Adaptedness: each level set {tau = n} must be a union of level-n
     atoms (the n = depth and infinite sets are unconstrained).  The values
@@ -404,10 +396,7 @@ def stopped_value(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -> np.ndar
 
 
 def is_stopped_measurable(space: TreeSpace, tau: StoppingTime, mask: np.ndarray) -> bool:
-    """Whether a leaf set belongs to the stopped sigma-field of tau: its
-    intersection with each {tau = n} must be a union of level-n atoms."""
+    """Whether a leaf set A is in the stopped sigma-field of tau (each A & {tau = n}
+    a union of level-n atoms): whether tau, kept on A and infinite off A, is adapted."""
     mask = as_leaf_mask(space, mask)
-    return all(
-        _is_union_of_atoms(space, mask & (tau.values == n), n)
-        for n in range(space.depth)
-    )
+    return _adapted_scan(space, np.where(mask, tau.values, StoppingTime.INFINITE))

@@ -30,7 +30,7 @@ from .filtration import (
     cond_exp,
     cond_exp_matrix,
 )
-from .report import REL_TOL, VerificationReport, _margin, check_inequality
+from .report import REL_TOL, VerificationReport, _margin, _within_margin, check_inequality
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +127,9 @@ def _norm_parts(
     takes its own sum."""
     if not all(np.all(np.greater(w, 0.0)) for w in weights):
         raise ValueError("weight must be strictly positive")
-    parts = [(w * np.abs(f if mask is None else f * mask) ** p_i, 1.0 / p_i)
-             for (f, w), p_i in zip(_component_slots(space, active, weights, seq), seq.head)]
+    with np.errstate(over="ignore"):  # an overflowed factor is inf, and fails its report
+        parts = [(w * np.abs(f if mask is None else f * mask) ** p_i, 1.0 / p_i)
+                 for (f, w), p_i in zip(_component_slots(space, active, weights, seq), seq.head)]
     if mask is not None:
         pad = seq.aggregate_reciprocal - math.fsum(e for _, e in parts)
         parts.append((np.asarray(mask, dtype=float), pad))
@@ -244,29 +245,28 @@ def holder_conditional_check(
     tolerance: float = REL_TOL,
 ) -> VerificationReport:
     """E_n(prod f_i**p)**(1/p) <= prod E_n(f_i**p_i)**(1/p_i) on every
-    level-n atom; the reported sides come from the worst atom."""
+    level-n atom.  The report takes its sides, and so its verdict, from the
+    first failing atom, or from the worst one when all pass, and names it
+    in "atom"."""
     _check_alignment(fvec, seq)
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
 
-    prod = product_function(space, fvec)
-    lhs_leaf = cond_exp(space, prod**p, n) ** rp
+    with np.errstate(over="ignore"):  # an overflowed side is inf, and fails its atom
+        lhs_leaf = cond_exp(space, product_function(space, fvec) ** p, n) ** rp
+        rhs_leaf = np.ones(space.n_leaves)
+        for g, e in _norm_parts(space, fvec.active, seq, mask=fvec.mask):
+            rhs_leaf *= cond_exp(space, g, n) ** e
 
-    rhs_leaf = np.ones(space.n_leaves)
-    for g, e in _norm_parts(space, fvec.active, seq, mask=fvec.mask):
-        rhs_leaf *= cond_exp(space, g, n) ** e
-
-    margin = _margin(rhs_leaf, tolerance)
-    ok = bool(np.all(lhs_leaf <= margin))
-    worst = int(np.argmax(lhs_leaf - margin))
-    report = check_inequality(
+    ok = _within_margin(lhs_leaf, rhs_leaf, tolerance)
+    at = int(np.argmax(lhs_leaf - _margin(rhs_leaf, tolerance)) if ok.all() else np.argmin(ok))
+    return check_inequality(
         "holder-conditional",
-        float(lhs_leaf[worst]),
-        float(rhs_leaf[worst]),
+        float(lhs_leaf[at]),
+        float(rhs_leaf[at]),
         tolerance=tolerance,
-        metadata={"level": n, "n_atoms": space.n_atoms(n), "space": space.digest},
+        metadata={"level": n, "n_atoms": space.n_atoms(n), "atom": at // space.atom_size(n),
+                  "space": space.digest},
     )
-    report.passed = ok
-    return report

@@ -45,9 +45,9 @@ def _margin(bound, tolerance: float = REL_TOL):
 
 
 def _within_margin(lhs, bound, tolerance: float = REL_TOL):
-    """The verdict lhs <= _margin(bound, tolerance), elementwise; a NaN
-    on either side fails."""
-    return lhs <= _margin(bound, tolerance)
+    """The verdict lhs <= _margin(bound, tolerance), elementwise, for a
+    nonnegative lhs; a NaN on either side or an infinite bound fails."""
+    return (lhs <= _margin(bound, tolerance)) & (bound < math.inf)
 
 
 def check_inequality(

@@ -241,7 +241,7 @@ def verify_testing_to_ap(
     where pad = 1/p - sum_i 1/p_i is the reciprocal mass of the masked head
     padding and tail (the _norm_parts factors summed per atom).  The report
     compares the joint constant (the largest recovered value) with the
-    largest ratio times C_RH**(1/p); a ratio that is not finite fails its
+    largest ratio times C_RH**(1/p); a bound that is not finite fails its
     atom, and the report (check_inequality gives it its "reason").
     """
     space, seq = ws.space, ws.seq
@@ -259,7 +259,7 @@ def verify_testing_to_ap(
             ratios.append(space.atom_sums(space.leaf_probs * ws.v * prod**p, n) ** rp / rhs)
     ratios = np.concatenate(ratios)
     recovered = np.concatenate([ws.ap_rows[n, :: space.atom_size(n)] for n in space.levels])
-    atoms_ok = _within_margin(recovered, ratios * scale, tolerance) & np.isfinite(ratios)
+    atoms_ok = _within_margin(recovered, ratios * scale, tolerance)
     c_test_observed = float(np.max(ratios))  # np.max keeps a NaN, failing the report
     report = check_inequality(
         "testing-to-ap",
@@ -335,18 +335,18 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     """Dyadic decomposition of the maximal function of (g_i sigma_i).
 
     tau_k is the first passage of the product of conditional expectations
-    above 2**k; the band {2**k < maximal <= 2**(k+1)} equals
-    {tau_k finite, tau_{k+1} infinite} and is graded into cells by the
-    dyadic size of the stopped density product.
+    above 2**k (ldexp: 2**1024 is inf, so tau_1024 never stops); the band
+    {2**k < maximal <= 2**(k+1)} equals {tau_k finite, tau_{k+1} infinite}
+    and is graded into cells by the dyadic size of the stopped density
+    product.  The density and weighted-ratio products are level matrices
+    read at each tau_k, only inside {tau_k finite}.
     """
     if gvec.mask is not None:
         raise ValueError("masked vectors are not supported in the decomposition")
     space, seq = ws.space, ws.seq
-    rp = seq.aggregate_reciprocal
-    p = 1.0 / rp
+    p = 1.0 / seq.aggregate_reciprocal
     slots = _component_slots(space, gvec.active, ws.sigmas, seq)
-    ufvec = FunctionVector(tuple(g * s for g, s in slots), None)
-    rows = level_products(space, ufvec, seq)
+    rows = level_products(space, FunctionVector(tuple(g * s for g, s in slots), None), seq)
     maximal = rows.max(axis=0)
 
     if not np.any(maximal > 0.0):
@@ -354,87 +354,57 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
 
     k_lo = int(band_index(maximal[maximal > 0.0].min()))
     k_hi = int(band_index(maximal.max()))
-    taus = {
-        k: first_passage_time(space, rows, 2.0**k) for k in range(k_lo, k_hi + 2)
-    }
-
-    weighted_mats = [cond_exp_matrix(space, g, s) for g, s in slots]
+    density_rows, ratio_rows = np.ones((2, space.depth + 1, space.n_leaves))
+    for mat in ws.sigma_matrices:  # sigma = 1 past them: factor 1
+        density_rows *= mat
+    for g, s in slots:
+        ratio_rows *= cond_exp_matrix(space, g, s)
 
     cells = {}
-    for k in range(k_lo, k_hi + 1):
-        tau = taus[k]
-        fin = tau.finite
-        if not fin.any():
-            continue
-        band_mask = fin & ~taus[k + 1].finite
-        density = np.ones(space.n_leaves)
-        for mat, (_, s) in zip(ws.sigma_matrices, slots):  # sigma = 1 past them: factor 1
-            density = density * stopped(space, mat, tau, s)
-        ratio_g = np.ones(space.n_leaves)
-        for mat, (g, _) in zip(weighted_mats, slots):
-            ratio_g = ratio_g * stopped(space, mat, tau, g)
-        js = band_index(density)
-        for j in np.unique(js[fin]):
-            j = int(j)
-            a_mask = fin & (js == j)
-            b_mask = band_mask & (js == j)
-            theta = float(np.sum((space.leaf_probs * ws.v * density**p)[b_mask]))
-            t_value = float(ratio_g[a_mask].min() ** p)
-            cells[(k, j)] = SawyerCell(a_mask, b_mask, theta, t_value)
+    weighted = space.leaf_probs * ws.v
+    with np.errstate(over="ignore"):  # 2**1024 is inf; an overflowed T is inf, failing the trace
+        taus = {k: first_passage_time(space, rows, np.ldexp(1.0, k)) for k in range(k_lo, k_hi + 2)}
+        for k in range(k_lo, k_hi + 1):
+            fin = taus[k].finite
+            band_mask = fin & ~taus[k + 1].finite
+            density = stopped(space, density_rows, taus[k], 1.0)
+            ratio_g = stopped(space, ratio_rows, taus[k], 1.0)
+            js = band_index(density)
+            for j in np.unique(js[fin]).tolist():
+                a_mask = fin & (js == j)
+                b_mask = band_mask & (js == j)
+                theta = float(np.sum(weighted[b_mask] * density[b_mask] ** p))
+                t_value = float(ratio_g[a_mask].min() ** p)
+                cells[(k, j)] = SawyerCell(a_mask, b_mask, theta, t_value)
 
     lambda_sets = []
     for lam in sorted({c.t_value for c in cells.values()}):
         keys = [key for key, c in cells.items() if c.t_value > lam]
-        if not keys:
-            continue
-        g_mask = np.zeros(space.n_leaves, dtype=bool)
-        for key in keys:
-            g_mask |= cells[key].a_mask
-        lambda_sets.append((lam, keys, g_mask))
-
+        if keys:
+            lambda_sets.append((lam, keys, np.any([cells[key].a_mask for key in keys], axis=0)))
     return SawyerTrace(k_lo, k_hi, cells, taus, maximal, lambda_sets)
 
 
 def sawyer_trace_invariants(ws: WeightSystem, trace: SawyerTrace) -> dict:
-    """Exact structural checks of a decomposition trace: the band cells
-    are disjoint, cover their bands, sit inside their stopped-measurable
+    """Exact structural checks of a decomposition trace, on the stacked cell
+    masks: the band cells are disjoint, cover their bands, sit inside their
     envelopes, the envelopes belong to the stopped sigma-fields, and the
     cell measure is nonnegative."""
-    space = ws.space
+    names = ("b_disjoint", "bands_covered", "b_inside_a", "a_measurable", "theta_nonnegative")
     if trace.is_empty:
-        return {
-            "b_disjoint": True,
-            "bands_covered": True,
-            "b_inside_a": True,
-            "a_measurable": True,
-            "theta_nonnegative": True,
-        }
-    b_total = np.zeros(space.n_leaves, dtype=np.int64)
-    for cell in trace.cells.values():
-        b_total += cell.b_mask
-    disjoint = bool(np.all(b_total <= 1))
-    covered = True
-    for k in range(trace.k_lo, trace.k_hi + 1):
-        union = np.zeros(space.n_leaves, dtype=bool)
-        for (kk, _), cell in trace.cells.items():
-            if kk == k:
-                union |= cell.b_mask
-        covered = covered and bool(np.array_equal(union, trace.band(k)))
-    inside = all(
-        bool(np.all(cell.b_mask <= cell.a_mask)) for cell in trace.cells.values()
-    )
-    measurable = all(
-        is_stopped_measurable(space, trace.taus[k], cell.a_mask)
-        for (k, _), cell in trace.cells.items()
-    )
-    theta_ok = all(cell.theta >= 0.0 for cell in trace.cells.values())
-    return {
-        "b_disjoint": disjoint,
-        "bands_covered": covered,
-        "b_inside_a": inside,
-        "a_measurable": measurable,
-        "theta_nonnegative": theta_ok,
-    }
+        return dict.fromkeys(names, True)
+    ks = np.array([k for k, _ in trace.cells])
+    a = np.array([c.a_mask for c in trace.cells.values()])
+    b = np.array([c.b_mask for c in trace.cells.values()])
+    return dict(zip(names, (
+        bool((b.sum(axis=0) <= 1).all()),
+        all(np.array_equal(b[ks == k].any(axis=0), trace.band(k))
+            for k in range(trace.k_lo, trace.k_hi + 1)),
+        bool((b <= a).all()),
+        all(is_stopped_measurable(ws.space, trace.taus[k], c.a_mask)
+            for (k, _), c in trace.cells.items()),
+        all(c.theta >= 0.0 for c in trace.cells.values()),
+    )))
 
 
 def verify_sp_to_strong(
@@ -457,7 +427,8 @@ def verify_sp_to_strong(
     p = 1.0 / rp
     trace = sawyer_decomposition(ws, gvec)
     maximal = trace.maximal_values
-    lhs_pth = float(np.sum(space.leaf_probs * ws.v * maximal**p))
+    with np.errstate(over="ignore"):  # an overflowed side is inf, and fails the report
+        lhs_pth = float(np.sum(space.leaf_probs * ws.v * maximal**p))
     trace_rhs = 4.0**p * trace.weighted_total()
     trace_ok = _within_margin(lhs_pth, trace_rhs, tolerance)
 

@@ -35,8 +35,9 @@ from .exponents import ExponentSequence
 from .filtration import (
     ENUMERATION_CAP,
     EnumerationCapError,
+    StoppingTime,
     TreeSpace,
-    _is_union_of_atoms,
+    _adapted_scan,
     _as_leaf_masks,
     _read_only,
     _weighted_probs,
@@ -307,6 +308,6 @@ def necessity_family_ap(ws: WeightSystem, n: int, leaf_set) -> FunctionVector:
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
     mask = as_leaf_mask(space, leaf_set)
-    if not _is_union_of_atoms(space, mask, n):
+    if not _adapted_scan(space, np.where(mask, n, StoppingTime.INFINITE)):  # B is in F_n
         raise ValueError(f"leaf set is not measurable at level {n}")
     return FunctionVector(ws.sigmas, mask)

@@ -6,14 +6,21 @@ import numpy as np
 
 from martbench import (
     FunctionVector,
+    SawyerCell,
+    SawyerTrace,
     StoppingTime,
     TreeSpace,
+    first_passage_time,
+    level_products,
     lp_norm,
     make_exponent_sequence,
     make_tree_space,
     make_weight_system,
     stopped,
 )
+from martbench.filtration import cond_exp_matrix
+from martbench.holder import _component_slots
+from martbench.theorems import band_index
 
 
 def random_space(rng: np.random.Generator, max_depth: int = 3, branchings=(2, 3)) -> TreeSpace:
@@ -80,6 +87,103 @@ def stopped_reward_oracle(ws, rows: np.ndarray, tau: StoppingTime, p: float) -> 
     stopped rows picked leaf by leaf (0 where tau is infinite)."""
     contrib = ws.space.leaf_probs * ws.v * stopped(ws.space, rows, tau, 0.0) ** p
     return float(contrib[tau.finite].sum())
+
+
+def union_of_atoms_oracle(space: TreeSpace, mask: np.ndarray, n: int) -> bool:
+    """Whether a leaf set is a union of level-n atoms, from per-atom counts."""
+    if n == space.depth:
+        return True
+    size = space.atom_size(n)
+    counts = mask.reshape(space.n_atoms(n), size).sum(axis=1)
+    return bool(np.all((counts == 0) | (counts == size)))
+
+
+def stopped_measurable_oracle(space: TreeSpace, tau: StoppingTime, mask: np.ndarray) -> bool:
+    """Membership in the stopped sigma-field level by level: the part of the
+    set inside each {tau = n} must be a union of level-n atoms."""
+    mask = np.asarray(mask, dtype=bool)
+    return all(
+        union_of_atoms_oracle(space, mask & (tau.values == n), n) for n in range(space.depth)
+    )
+
+
+def sawyer_trace_oracle(ws, gvec: FunctionVector) -> SawyerTrace:
+    """The Sawyer trace slot by slot: tau_k at the Python threshold 2.0**k
+    (it raises OverflowError at k = 1024), and the stopped density and
+    weighted ratio products picked with one `stopped` call per band and slot."""
+    space, seq = ws.space, ws.seq
+    p = 1.0 / seq.aggregate_reciprocal
+    slots = _component_slots(space, gvec.active, ws.sigmas, seq)
+    rows = level_products(space, FunctionVector(tuple(g * s for g, s in slots), None), seq)
+    maximal = rows.max(axis=0)
+    if not np.any(maximal > 0.0):
+        return SawyerTrace(None, None, {}, {}, maximal, [])
+    k_lo = int(band_index(maximal[maximal > 0.0].min()))
+    k_hi = int(band_index(maximal.max()))
+    taus = {k: first_passage_time(space, rows, 2.0**k) for k in range(k_lo, k_hi + 2)}
+    weighted_mats = [cond_exp_matrix(space, g, s) for g, s in slots]
+    cells = {}
+    for k in range(k_lo, k_hi + 1):
+        tau = taus[k]
+        fin = tau.finite
+        if not fin.any():
+            continue
+        band_mask = fin & ~taus[k + 1].finite
+        density = np.ones(space.n_leaves)
+        for mat, (_, s) in zip(ws.sigma_matrices, slots):
+            density = density * stopped(space, mat, tau, s)
+        ratio_g = np.ones(space.n_leaves)
+        for mat, (g, _) in zip(weighted_mats, slots):
+            ratio_g = ratio_g * stopped(space, mat, tau, g)
+        js = band_index(density)
+        for j in np.unique(js[fin]):
+            j = int(j)
+            a_mask = fin & (js == j)
+            b_mask = band_mask & (js == j)
+            theta = float(np.sum((space.leaf_probs * ws.v * density**p)[b_mask]))
+            t_value = float(ratio_g[a_mask].min() ** p)
+            cells[(k, j)] = SawyerCell(a_mask, b_mask, theta, t_value)
+    lambda_sets = []
+    for lam in sorted({c.t_value for c in cells.values()}):
+        keys = [key for key, c in cells.items() if c.t_value > lam]
+        if not keys:
+            continue
+        g_mask = np.zeros(space.n_leaves, dtype=bool)
+        for key in keys:
+            g_mask |= cells[key].a_mask
+        lambda_sets.append((lam, keys, g_mask))
+    return SawyerTrace(k_lo, k_hi, cells, taus, maximal, lambda_sets)
+
+
+def sawyer_invariants_oracle(ws, trace: SawyerTrace) -> dict:
+    """The trace invariants cell by cell and band by band, with membership
+    in the stopped sigma-fields from stopped_measurable_oracle."""
+    space = ws.space
+    if trace.is_empty:
+        return dict.fromkeys(
+            ("b_disjoint", "bands_covered", "b_inside_a", "a_measurable", "theta_nonnegative"),
+            True,
+        )
+    b_total = np.zeros(space.n_leaves, dtype=np.int64)
+    for cell in trace.cells.values():
+        b_total += cell.b_mask
+    covered = True
+    for k in range(trace.k_lo, trace.k_hi + 1):
+        union = np.zeros(space.n_leaves, dtype=bool)
+        for (kk, _), cell in trace.cells.items():
+            if kk == k:
+                union |= cell.b_mask
+        covered = covered and bool(np.array_equal(union, trace.band(k)))
+    return {
+        "b_disjoint": bool(np.all(b_total <= 1)),
+        "bands_covered": covered,
+        "b_inside_a": all(bool(np.all(c.b_mask <= c.a_mask)) for c in trace.cells.values()),
+        "a_measurable": all(
+            stopped_measurable_oracle(space, trace.taus[k], cell.a_mask)
+            for (k, _), cell in trace.cells.items()
+        ),
+        "theta_nonnegative": all(c.theta >= 0.0 for c in trace.cells.values()),
+    }
 
 
 def two_function_holder_oracle(space: TreeSpace, f1, f2, p1: float, p2: float):

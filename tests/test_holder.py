@@ -159,6 +159,13 @@ class TestIntegralCheck:
         )
         assert short.lhs == padded.lhs and short.rhs == padded.rhs
 
+    def test_overflowed_norm_product_fails_with_a_reason(self):
+        space = make_tree_space(1, 2)
+        seq = make_exponent_sequence([2.0], 0.5, 0.5)
+        report = holder_integral_check(space, function_vector(space, [[1e200, 1.0]]), seq)
+        assert report.rhs == math.inf
+        assert not report.passed and report.metadata["reason"] == "inf"
+
     def test_alignment_enforced(self):
         space = make_tree_space(1, 2)
         seq = make_exponent_sequence([2.0], 0.5, 0.5)
@@ -203,6 +210,31 @@ class TestConditionalCheck:
         seq = make_exponent_sequence([2.0], 0.5, 0.5)
         with pytest.raises(ValueError):
             holder_conditional_check(space, function_vector(space, []), seq, 5)
+
+    def test_overflowed_atom_bound_fails_and_is_named(self):
+        # (1e200)**2 overflows in the norm factor of atom 0; atom 1 passes,
+        # and the report used to show it with pass: true
+        space = make_tree_space(1, 2)
+        seq = make_exponent_sequence([2.0], 0.5, 0.5)
+        report = holder_conditional_check(space, function_vector(space, [[1e200, 1.0]]), seq, 1)
+        assert not report.passed and report.metadata["reason"] == "inf"
+        assert report.metadata["atom"] == 0
+        assert report.lhs == 1e200 and report.rhs == math.inf
+
+    def test_first_failing_atom_is_named(self):
+        # a tolerance of -0.5 fails both equality atoms at the finest level,
+        # atom 1 by more; the report shows the first failing atom, and when
+        # all pass the one with the least slack
+        space = make_tree_space(1, 2)
+        seq = make_exponent_sequence([2.0], 0.5, 0.5)
+        fv = function_vector(space, [[1.0, 3.0]])
+        failing = holder_conditional_check(space, fv, seq, 1, tolerance=-0.5)
+        assert not failing.passed and failing.metadata["atom"] == 0
+        assert failing.lhs == 1.0 and "reason" not in failing.metadata
+        passing = holder_conditional_check(space, fv, seq, 1)
+        assert passing.passed and passing.metadata["atom"] == 0 and passing.lhs == 1.0
+        passing = holder_conditional_check(space, function_vector(space, [[3.0, 1.0]]), seq, 1)
+        assert passing.passed and passing.metadata["atom"] == 1 and passing.lhs == 1.0
 
 
 class TestNormIdentity:

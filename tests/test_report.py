@@ -35,6 +35,15 @@ class TestMargin:
         assert not _within_margin(np.array([lhs, 0.0]), np.array([bound, 1.0]))[0]
 
 
+    def test_infinite_bound_fails(self):
+        assert not _within_margin(1.0, math.inf)
+        assert not _within_margin(math.inf, math.inf)
+        np.testing.assert_array_equal(
+            _within_margin(np.array([1.0, 1.0, 2.0]), np.array([math.inf, 1.0, 1.0])),
+            [False, True, False],
+        )
+
+
 class TestNanReason:
     @pytest.mark.parametrize("lhs, rhs, constant", [
         (math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan),

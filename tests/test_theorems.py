@@ -12,7 +12,9 @@ from martbench.filtration import (
     StoppingTime,
     TreeSpace,
     enumerate_stopping_times,
+    is_stopped_measurable,
     make_tree_space,
+    sample_stopping_time,
 )
 from martbench.holder import (
     FunctionVector,
@@ -51,7 +53,11 @@ from helpers import (
     random_sequence,
     random_space,
     random_weight_system,
+    sawyer_invariants_oracle,
+    sawyer_trace_oracle,
+    stopped_measurable_oracle,
     stopped_reward_oracle,
+    union_of_atoms_oracle,
 )
 
 INF = StoppingTime.INFINITE
@@ -73,6 +79,51 @@ def small_random_system(rng, max_depth=2):
     space = random_space(rng, max_depth=max_depth)
     seq = random_sequence(rng, max_head=3)
     return random_weight_system(rng, space, seq)
+
+
+def extreme_case(rng, k):
+    """System and vector k of the trace property test: depth k % 5, branching
+    2 for k % 10 < 5 and 3 otherwise, finite families for even k, k % (head
+    length + 1) weights (so sometimes none), and up to a full head of
+    components.  The first component spans 1e-300 to 1e300 leaf by leaf
+    (k % 3 == 0) or is scaled by one power of ten in that range, has zeros,
+    and is all zero for k % 7 == 0."""
+    depth, branching = k % 5, 2 + (k // 5) % 2
+    probs = rng.uniform(0.2, 1.0, branching**depth)
+    probs /= probs.sum()
+    probs[-1] += 1.0 - probs.sum()
+    space = make_tree_space(depth, branching, probs)
+    seq = random_sequence(rng, max_head=3, allow_finite=False)
+    if k % 2 == 0:
+        seq = make_exponent_sequence(list(seq.head), 0.0)
+    weights = [random_positive(rng, space, 2.0) for _ in range(k % (seq.head_len + 1))]
+    ws = make_weight_system(space, seq, weights, random_positive(rng, space, 2.0))
+    comps = [random_positive(rng, space, 2.0) for _ in range(rng.integers(0, seq.head_len + 1))]
+    if comps:
+        if k % 3 == 0:
+            comps[0] = 10.0 ** rng.uniform(-300.0, 300.0, space.n_leaves)
+        else:
+            comps[0] = comps[0] * 10.0 ** rng.uniform(-300.0, 300.0)
+        comps[0][(rng.random(space.n_leaves) < 0.25) | (k % 7 == 0)] = 0.0
+    return ws, FunctionVector(tuple(comps), None)
+
+
+def perturbed_trace(rng, trace):
+    """The trace with one leaf of an envelope or of a cell flipped, or a
+    negative measure, in some of its cells."""
+    cells = {}
+    for key, c in trace.cells.items():
+        a, b, theta = c.a_mask.copy(), c.b_mask.copy(), c.theta
+        change = rng.integers(4)
+        if change == 1:
+            a[rng.integers(a.size)] ^= True
+        elif change == 2:
+            b[rng.integers(b.size)] ^= True
+        elif change == 3:
+            theta = -1.0 - theta
+        cells[key] = theorems_mod.SawyerCell(a, b, theta, c.t_value)
+    return theorems_mod.SawyerTrace(
+        trace.k_lo, trace.k_hi, cells, trace.taus, trace.maximal_values, [])
 
 
 class TestBandIndex:
@@ -510,6 +561,80 @@ class TestSawyerDecomposition:
             for lam, _, g_mask in trace.lambda_sets:
                 assert np.all(weighted_max[g_mask] ** p > lam * (1 - 1e-12))
 
+    def test_trace_matches_the_per_slot_oracle_bit_for_bit(self):
+        # the trace, its invariants (also on perturbed traces), stopped-field
+        # membership and the necessity family's level check against the
+        # per-slot, per-cell and per-level oracles; the oracle's T power may
+        # overflow, which only the errstate keeps from raising
+        rng = np.random.default_rng(90)
+        covered, verdicts = set(), {}
+        for k in range(80):
+            ws, gv = extreme_case(rng, k)
+            space, seq = ws.space, ws.seq
+            with np.errstate(over="ignore"):
+                old = sawyer_trace_oracle(ws, gv)
+            new = sawyer_decomposition(ws, gv)
+            np.testing.assert_array_equal(new.maximal_values, old.maximal_values)
+            assert new.to_json() == old.to_json()
+            assert list(new.cells) == list(old.cells)
+            for key, cell in old.cells.items():
+                assert new.cells[key].theta == cell.theta
+                assert new.cells[key].t_value == cell.t_value
+            for trace in (new, perturbed_trace(rng, new)):
+                found = sawyer_trace_invariants(ws, trace)
+                assert found == sawyer_invariants_oracle(ws, trace)
+                for name, verdict in found.items():
+                    verdicts.setdefault(name, set()).add(verdict)
+            covered.update({
+                "finite" if seq.is_finite_family else "infinite",
+                *(["no weight"] if ws.n_active == 0 else []),
+                *(["no component"] if gv.n_active == 0 else []),
+                *(["empty"] if new.is_empty else []),
+                *(["inf T"] if any(c.t_value == math.inf for c in new.cells.values()) else []),
+            })
+
+            for _ in range(3):
+                tau = sample_stopping_time(space, rng)
+                built = ~tau.finite & (rng.random(space.n_leaves) < 0.5)
+                for n in space.levels:
+                    built |= space.expand(rng.random(space.n_atoms(n)) < 0.5, n) & (tau.values == n)
+                flipped = built.copy()
+                flipped[rng.integers(space.n_leaves)] ^= True
+                for mask in (built, flipped, rng.random(space.n_leaves) < 0.5):
+                    verdict = is_stopped_measurable(space, tau, mask)
+                    assert verdict == stopped_measurable_oracle(space, tau, mask)
+                    verdicts.setdefault("measurable", set()).add(verdict)
+            for n in space.levels:
+                union = space.expand(rng.random(space.n_atoms(n)) < 0.5, n)
+                for mask in (union, rng.random(space.n_leaves) < 0.5):
+                    try:
+                        necessity_family_ap(ws, n, mask)
+                        verdict = True
+                    except ValueError:
+                        verdict = False
+                    assert verdict == union_of_atoms_oracle(space, mask, n)
+                    verdicts.setdefault("necessity", set()).add(verdict)
+        assert covered == {"finite", "infinite", "no weight", "no component", "empty", "inf T"}
+        assert all(seen == {True, False} for seen in verdicts.values()), verdicts
+
+    def test_top_binade_has_two_cells_and_no_overflow(self):
+        # tau_1024 passes 2**1024 = inf, so it never stops
+        space = make_tree_space(1, 2)
+        ws = unit_weight_system(space, doubling_seq())
+        trace = sawyer_decomposition(ws, function_vector(space, [[1.7e308, 1.0]]))
+        assert (trace.k_lo, trace.k_hi) == (1022, 1023)
+        assert set(trace.cells) == {(1022, -1), (1023, -1)}
+        assert not trace.taus[1024].finite.any()
+        assert all(sawyer_trace_invariants(ws, trace).values())
+
+    def test_overflowed_power_is_inf_not_an_error(self):
+        # p = 1.5, so the T of both cells, (5e249)**1.5 and (1e250)**1.5, is inf
+        space = make_tree_space(1, 2)
+        ws = unit_weight_system(space, make_exponent_sequence([1.5], 0.0))
+        trace = sawyer_decomposition(ws, function_vector(space, [[1e250, 1.0]]))
+        assert [c.t_value for c in trace.cells.values()] == [math.inf, math.inf]
+        assert all(sawyer_trace_invariants(ws, trace).values())
+
     def test_trace_json_serializes(self):
         import json
 
@@ -543,6 +668,22 @@ class TestSpToStrong:
         gv = FunctionVector((ones,) * ws.n_active, None)
         report = verify_sp_to_strong(ws, gv, sp_constant(ws), rh_constant(ws))
         assert report.passed and report.metadata["trace_pass"]
+
+    def test_infinite_trace_bound_fails(self):
+        # the trace bound 4 * sum T theta overflows to inf; it used to pass
+        space = make_tree_space(1, 2)
+        ws = unit_weight_system(space, doubling_seq())
+        report = verify_sp_to_strong(ws, function_vector(space, [[1.7e308, 1.0]]), 1.0, 1.0)
+        assert report.metadata["trace_rhs"] == math.inf
+        assert not report.metadata["trace_pass"]
+        assert not report.passed and report.metadata["reason"] == "inf"
+
+    def test_overflowed_maximal_power_fails_with_a_reason(self):
+        space = make_tree_space(1, 2)
+        ws = unit_weight_system(space, make_exponent_sequence([1.5], 0.0))
+        report = verify_sp_to_strong(ws, function_vector(space, [[1e250, 1.0]]), 1.0, 1.0)
+        assert report.lhs == math.inf
+        assert not report.passed and report.metadata["reason"] == "inf"
 
     def test_random_suite(self):
         rng = np.random.default_rng(69)
