@@ -53,10 +53,16 @@ from .weights import (
 )
 
 
+NO_BAND = np.iinfo(np.int64).min  # band_index of NaN and of y <= 0
+
+
 def band_index(values: np.ndarray) -> np.ndarray:
-    """The integer k with 2**k < y <= 2**(k+1), exact via frexp."""
-    mant, expo = np.frexp(np.asarray(values, dtype=float))
-    return (expo - 1 - (mant == 0.5)).astype(np.int64)
+    """The integer k with 2**k < y <= 2**(k+1), exact via frexp.  As at the
+    thresholds np.ldexp(1.0, k), 2**1024 is inf, so inf is in the top band
+    1023; NaN and y <= 0 are in no band and give NO_BAND."""
+    y = np.asarray(values, dtype=float)
+    mant, expo = np.frexp(np.minimum(y, np.finfo(float).max))
+    return np.where(y > 0.0, expo.astype(np.int64) - 1 - (mant == 0.5), NO_BAND)
 
 
 @functools.lru_cache(maxsize=1)
@@ -346,23 +352,24 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     space, seq = ws.space, ws.seq
     p = 1.0 / seq.aggregate_reciprocal
     slots = _component_slots(space, gvec.active, ws.sigmas, seq)
-    rows = level_products(space, FunctionVector(tuple(g * s for g, s in slots), None), seq)
+    # past the float range a product is inf: an infinite maximal value sits in
+    # band 1023 and fails maximal_finite, an infinite T the trace inequality
+    with np.errstate(over="ignore"):
+        rows = level_products(space, FunctionVector(tuple(g * s for g, s in slots), None), seq)
     maximal = rows.max(axis=0)
-
-    if not np.any(maximal > 0.0):
+    ks = band_index(maximal[maximal > 0.0])
+    if not ks.size:
         return SawyerTrace(None, None, {}, {}, maximal, [])
 
-    k_lo = int(band_index(maximal[maximal > 0.0].min()))
-    k_hi = int(band_index(maximal.max()))
-    density_rows, ratio_rows = np.ones((2, space.depth + 1, space.n_leaves))
-    for mat in ws.sigma_matrices:  # sigma = 1 past them: factor 1
-        density_rows *= mat
-    for g, s in slots:
-        ratio_rows *= cond_exp_matrix(space, g, s)
-
+    k_lo, k_hi = int(ks.min()), int(ks.max())
     cells = {}
     weighted = space.leaf_probs * ws.v
-    with np.errstate(over="ignore"):  # 2**1024 is inf; an overflowed T is inf, failing the trace
+    with np.errstate(over="ignore"):  # 2**1024 is inf
+        density_rows, ratio_rows = np.ones((2, space.depth + 1, space.n_leaves))
+        for mat in ws.sigma_matrices:  # sigma = 1 past them: factor 1
+            density_rows *= mat
+        for g, s in slots:
+            ratio_rows *= cond_exp_matrix(space, g, s)
         taus = {k: first_passage_time(space, rows, np.ldexp(1.0, k)) for k in range(k_lo, k_hi + 2)}
         for k in range(k_lo, k_hi + 1):
             fin = taus[k].finite
@@ -389,10 +396,11 @@ def sawyer_trace_invariants(ws: WeightSystem, trace: SawyerTrace) -> dict:
     """Exact structural checks of a decomposition trace, on the stacked cell
     masks: the band cells are disjoint, cover their bands, sit inside their
     envelopes, the envelopes belong to the stopped sigma-fields, and the
-    cell measure is nonnegative."""
+    cell measure is nonnegative; and the maximal function is finite."""
     names = ("b_disjoint", "bands_covered", "b_inside_a", "a_measurable", "theta_nonnegative")
+    finite = {"maximal_finite": bool(np.isfinite(trace.maximal_values).all())}
     if trace.is_empty:
-        return dict.fromkeys(names, True)
+        return dict.fromkeys(names, True) | finite
     ks = np.array([k for k, _ in trace.cells])
     a = np.array([c.a_mask for c in trace.cells.values()])
     b = np.array([c.b_mask for c in trace.cells.values()])
@@ -404,7 +412,7 @@ def sawyer_trace_invariants(ws: WeightSystem, trace: SawyerTrace) -> dict:
         all(is_stopped_measurable(ws.space, trace.taus[k], c.a_mask)
             for (k, _), c in trace.cells.items()),
         all(c.theta >= 0.0 for c in trace.cells.values()),
-    )))
+    ))) | finite
 
 
 def verify_sp_to_strong(

@@ -9,8 +9,12 @@ times, but both ratios depend on a stopping time only through its finite
 support {tau < infinity}.  Any nonempty leaf set is such a support (defer
 everywhere, send the complement to infinity at the last level), so the
 "all" family scans the distinct supports directly, decoded from the
-bitmasks 1 .. 2**leaves - 1 in order; sampled families draw stopping times
-uniformly and deduplicate their supports.  rh_ratios and sp_ratios take
+bitmasks 1 .. 2**leaves - 1 in order; a sampled family {"count": k,
+"seed": s} draws k stopping times uniformly and keeps their distinct
+nonempty supports.  Those depend only on the tree shape, k and s, so they
+are drawn once per (depth, branching, k, s) and kept, read-only, in a
+cache of the last 8 families that every scan of that family shares,
+whatever the leaf masses.  rh_ratios and sp_ratios take
 (B, leaves) chunks of supports whose (B, depth+1, leaves) level blocks hold
 at most SCAN_CHUNK_FLOATS floats, so a scan never holds the whole family.
 The "all" testing scan and its witness are cached on the WeightSystem,
@@ -26,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -39,11 +43,13 @@ from .filtration import (
     TreeSpace,
     _adapted_scan,
     _as_leaf_masks,
+    _frozen,
     _read_only,
     _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
     cond_exp_matrix,
+    make_tree_space,
     sample_stopping_time,
 )
 from .holder import FunctionVector, level_products
@@ -198,10 +204,36 @@ def _support_chunks(space: TreeSpace, family, cap=math.inf) -> Iterator[np.ndarr
                 for lo in range(1, end, rows))
     if isinstance(family, str):
         raise ValueError(f"unknown family spec {family!r}")
-    rng = np.random.default_rng(family["seed"])
-    drawn = (sample_stopping_time(space, rng).support() for _ in range(int(family["count"])))
-    distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())  # first-drawn order
-    return (np.stack(distinct[lo : lo + rows]) for lo in range(0, len(distinct), rows))
+    distinct = _sampled_supports(space, family)
+    return (distinct[lo : lo + rows] for lo in range(0, len(distinct), rows))
+
+
+def _sampled_supports(space: TreeSpace, family) -> np.ndarray:
+    """The distinct nonempty supports of a sampled family, in the order first
+    drawn, as a read-only (K, leaves) bool array.  A seed that fixes a stream
+    is read from the cache, a list or array seed as the tuple default_rng
+    reads as the same stream; None, a Generator or a BitGenerator draws
+    afresh, as default_rng gives a new stream for each of those."""
+    seed = family["seed"]
+    if isinstance(seed, (list, tuple, np.ndarray)):
+        seed = tuple(np.ravel(seed).tolist())
+    draw = _drawn_supports
+    if seed is None or isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
+        draw = _drawn_supports.__wrapped__
+    return draw(space.depth, space.branching, int(family["count"]), seed)
+
+
+@lru_cache(maxsize=8)
+def _drawn_supports(depth: int, branching: int, count: int, seed) -> np.ndarray:
+    """Draw count uniform stopping times from default_rng(seed) on the tree
+    shape and keep their distinct nonempty supports in first-drawn order.
+    An exception (the sampler's OverflowError from binary depth 10) is not
+    cached and is raised again on every call."""
+    space = make_tree_space(depth, branching)  # the sampler reads only the shape
+    rng = np.random.default_rng(seed)
+    drawn = (sample_stopping_time(space, rng).support() for _ in range(count))
+    distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())
+    return _frozen(np.stack(distinct) if distinct else np.zeros((0, space.n_leaves), bool))
 
 
 def support_family(space: TreeSpace, family="all", cap: int = ENUMERATION_CAP) -> np.ndarray:

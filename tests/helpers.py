@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from martbench import (
@@ -16,6 +18,7 @@ from martbench import (
     make_exponent_sequence,
     make_tree_space,
     make_weight_system,
+    sample_stopping_time,
     stopped,
 )
 from martbench.filtration import cond_exp_matrix
@@ -66,6 +69,16 @@ def random_leaf_mask(rng: np.random.Generator, space: TreeSpace, allow_empty: bo
     if not allow_empty and not mask.any():
         mask[int(rng.integers(space.n_leaves))] = True
     return mask
+
+
+def sampled_supports_oracle(space: TreeSpace, family) -> np.ndarray:
+    """The distinct nonempty supports of a sampled family {"count": k,
+    "seed": s} in the order first drawn, as a (K, leaves) bool array: k
+    stopping times drawn afresh from default_rng(s) on every call, no cache."""
+    rng = np.random.default_rng(family["seed"])
+    drawn = (sample_stopping_time(space, rng).support() for _ in range(int(family["count"])))
+    distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())  # first-drawn order
+    return np.array(distinct, dtype=bool).reshape(-1, space.n_leaves)
 
 
 def stopped_average_oracle(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -> np.ndarray:
@@ -159,11 +172,12 @@ def sawyer_invariants_oracle(ws, trace: SawyerTrace) -> dict:
     """The trace invariants cell by cell and band by band, with membership
     in the stopped sigma-fields from stopped_measurable_oracle."""
     space = ws.space
+    finite = all(math.isfinite(y) for y in trace.maximal_values)
     if trace.is_empty:
         return dict.fromkeys(
             ("b_disjoint", "bands_covered", "b_inside_a", "a_measurable", "theta_nonnegative"),
             True,
-        )
+        ) | {"maximal_finite": finite}
     b_total = np.zeros(space.n_leaves, dtype=np.int64)
     for cell in trace.cells.values():
         b_total += cell.b_mask
@@ -183,6 +197,7 @@ def sawyer_invariants_oracle(ws, trace: SawyerTrace) -> dict:
             for (k, _), cell in trace.cells.items()
         ),
         "theta_nonnegative": all(c.theta >= 0.0 for c in trace.cells.values()),
+        "maximal_finite": finite,
     }
 
 

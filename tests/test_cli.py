@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+import martbench.weights as weights_mod
 from martbench.cli import main
+from martbench.filtration import sample_stopping_time
 
 SPACE = '{"depth":1,"branching":2,"leaf_probs":"uniform"}'
 SEQ = '{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}'
@@ -133,6 +135,17 @@ class TestVerifySuites:
         assert doc["trace"]["k_range"] == [0, 1]
         assert len(doc["trace"]["cells"]) == 2
 
+    def test_sawyer_trace_of_an_overflowed_maximal_function_fails(self, tmp_path):
+        code, doc, _ = run_cli(
+            tmp_path, "sawyer-trace",
+            "--space", SPACE, "--seq", '{"head":[2,2],"tail_mass":0}',
+            "--weights", '{"weights":[[1,1],[1,1]],"v":[1,1]}',
+            "--functions", '{"active":[[1e200,1],[1e200,1]]}',
+        )
+        assert code == 1
+        assert doc["trace"]["k_range"] == [1023, 1023]
+        assert doc["reports"][0]["metadata"]["maximal_finite"] is False
+
 
 class TestEstimate:
     def test_estimate_reports_lower_bound(self, tmp_path):
@@ -256,6 +269,32 @@ class TestConfigAndErrors:
             "--family", "sample:20",
         )
         assert code == 0 and doc["constants"]["sp"] <= 1.0 + 1e-12
+
+    def test_sampled_family_is_drawn_once_per_tree_shape(self, tmp_path, monkeypatch):
+        # sample:32 for sp and rh, then the strong estimate's 256 times:
+        # 32 + 256 draws cold, none on a second run
+        draws = []
+
+        def counted(space, rng):
+            draws.append(space.n_leaves)
+            return sample_stopping_time(space, rng)
+
+        monkeypatch.setattr(weights_mod, "sample_stopping_time", counted)
+        weights_mod._drawn_supports.cache_clear()
+        args = (
+            "--space", '{"depth":8,"branching":2}',
+            "--seq", '{"head":[2.5,3],"tail_mass":0.2,"tail_ratio":0.5}',
+            "--weights", '{"generator":{"seed":7,"n_active":2,"spread":4.0}}',
+            "--family", "sample:32", "--trials", "3",
+        )
+        docs = []
+        for run in ("cold", "warm"):
+            code, doc, _ = run_cli(tmp_path, "verify-sp", *args, out_name=f"{run}.json")
+            assert code == 0
+            docs.append(doc)
+            doc.pop("elapsed_seconds")
+        assert draws == [256] * 288
+        assert docs[0] == docs[1]
 
     def test_report_schema_stable(self, tmp_path):
         _, doc, _ = run_cli(

@@ -110,7 +110,11 @@ def extreme_case(rng, k):
 
 def perturbed_trace(rng, trace):
     """The trace with one leaf of an envelope or of a cell flipped, or a
-    negative measure, in some of its cells."""
+    negative measure, in some of its cells, and at times an inf or NaN
+    maximal value at one leaf."""
+    maximal = trace.maximal_values.copy()
+    if rng.random() < 0.25:
+        maximal[rng.integers(maximal.size)] = rng.choice([np.inf, np.nan])
     cells = {}
     for key, c in trace.cells.items():
         a, b, theta = c.a_mask.copy(), c.b_mask.copy(), c.theta
@@ -123,7 +127,7 @@ def perturbed_trace(rng, trace):
             theta = -1.0 - theta
         cells[key] = theorems_mod.SawyerCell(a, b, theta, c.t_value)
     return theorems_mod.SawyerTrace(
-        trace.k_lo, trace.k_hi, cells, trace.taus, trace.maximal_values, [])
+        trace.k_lo, trace.k_hi, cells, trace.taus, maximal, [])
 
 
 class TestBandIndex:
@@ -139,6 +143,14 @@ class TestBandIndex:
         k = band_index(y)
         assert np.all(np.ldexp(1.0, k) < y)
         assert np.all(y <= np.ldexp(1.0, k + 1))
+
+    def test_inf_is_in_the_top_band_and_nan_in_none(self):
+        # np.ldexp(1.0, 1024) is inf, so 2**1023 < inf <= 2**1024
+        top = np.finfo(float).max
+        np.testing.assert_array_equal(
+            band_index([top, np.inf, np.nan, 0.0, -1.0]),
+            [1023, 1023, *[theorems_mod.NO_BAND] * 3],
+        )
 
 
 class TestApToTesting:
@@ -634,6 +646,22 @@ class TestSawyerDecomposition:
         trace = sawyer_decomposition(ws, function_vector(space, [[1e250, 1.0]]))
         assert [c.t_value for c in trace.cells.values()] == [math.inf, math.inf]
         assert all(sawyer_trace_invariants(ws, trace).values())
+
+    def test_overflowed_maximal_function_fails_the_trace(self):
+        # the level products (5e199 + 0.5)**2 overflow: the maximal function
+        # is inf on both leaves, in band 1023, and the trace is not finite
+        space = make_tree_space(1, 2)
+        ws = unit_weight_system(space, make_exponent_sequence([2.0, 2.0], 0.0), 2)
+        gv = function_vector(space, [[1e200, 1.0], [1e200, 1.0]])
+        trace = sawyer_decomposition(ws, gv)
+        assert list(trace.maximal_values) == [math.inf, math.inf]
+        assert (trace.k_lo, trace.k_hi) == (1023, 1023)
+        assert not trace.taus[1024].finite.any()
+        invariants = sawyer_trace_invariants(ws, trace)
+        assert invariants.pop("maximal_finite") is False
+        assert all(invariants.values())
+        report = verify_sp_to_strong(ws, gv, 1.0, 1.0)
+        assert not report.passed and report.metadata["reason"] == "inf"
 
     def test_trace_json_serializes(self):
         import json

@@ -22,7 +22,13 @@ from martbench.weights import (
     weight_system_from_json,
 )
 
-from helpers import random_positive, random_sequence, random_space, random_weight_system
+from helpers import (
+    random_positive,
+    random_sequence,
+    random_space,
+    random_weight_system,
+    sampled_supports_oracle,
+)
 
 
 def doubling_seq():
@@ -146,6 +152,67 @@ class TestSupportFamilies:
         keys = {m.tobytes() for m in fam}
         assert len(keys) == len(fam)
         assert all(m.any() for m in fam)
+
+    def test_sampled_family_matches_the_oracle_bit_for_bit(self, monkeypatch):
+        # depth 0, branching 3, a 2-leaf space where draws repeat, and more
+        # shapes, counts and seeds; also chunk by chunk at one row per chunk
+        rng = np.random.default_rng(85)
+        weights_mod._drawn_supports.cache_clear()
+        for depth, branching in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (3, 2), (2, 3)]:
+            space = make_tree_space(depth, branching, random_probs(rng, branching**depth))
+            for count, seed in [(1, 0), (7, 1), (40, 2), (120, 2**40), (40, [3, 4])]:
+                family = {"count": count, "seed": seed}
+                want = sampled_supports_oracle(space, family)
+                got = weights_mod._sampled_supports(space, family)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(support_family(space, family), want)
+                with monkeypatch.context() as m:
+                    m.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 1)
+                    chunks = list(weights_mod._support_chunks(space, family))
+                assert [len(c) for c in chunks] == [1] * len(want)
+                if space.n_leaves == 2 and count == 40:
+                    assert len(want) < count  # at most 3 distinct supports
+
+    def test_sampled_family_is_cached_read_only_per_shape_count_and_seed(self):
+        rng = np.random.default_rng(86)
+        cache = weights_mod._drawn_supports
+        cache.cache_clear()
+        one, other = (make_tree_space(3, 2, random_probs(rng, 8)) for _ in range(2))
+        family = {"count": 30, "seed": 5}
+        fam = weights_mod._sampled_supports(one, family)
+        assert not fam.flags.writeable
+        with pytest.raises(ValueError):
+            fam[0, 0] = not fam[0, 0]
+        assert weights_mod._sampled_supports(other, family) is fam  # other leaf masses
+        assert cache.cache_info().currsize == 1
+        seed_6 = weights_mod._sampled_supports(one, {"count": 30, "seed": 6})
+        count_31 = weights_mod._sampled_supports(one, {"count": 31, "seed": 5})
+        assert seed_6 is not fam and count_31 is not fam
+        assert cache.cache_info().currsize == 3
+        assert cache.cache_info().maxsize == 8
+
+    def test_sequence_seed_is_a_key_for_the_same_stream(self):
+        weights_mod._drawn_supports.cache_clear()
+        space = make_tree_space(3, 2)
+        want = sampled_supports_oracle(space, {"count": 30, "seed": [1, 2]})
+        first = weights_mod._sampled_supports(space, {"count": 30, "seed": [1, 2]})
+        np.testing.assert_array_equal(first, want)
+        for seed in ([1, 2], (1, 2), np.array([1, 2])):
+            assert weights_mod._sampled_supports(space, {"count": 30, "seed": seed}) is first
+        assert weights_mod._drawn_supports.cache_info().currsize == 1
+
+    def test_generator_seed_draws_afresh(self):
+        # a Generator seed continues its own stream, so nothing is cached
+        weights_mod._drawn_supports.cache_clear()
+        space = make_tree_space(2, 2)
+        ours, theirs = np.random.default_rng(87), np.random.default_rng(87)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                weights_mod._sampled_supports(space, {"count": 4, "seed": ours}),
+                sampled_supports_oracle(space, {"count": 4, "seed": theirs}),
+            )
+        assert weights_mod._drawn_supports.cache_info().currsize == 0
 
     def test_supports_match_stopping_time_supports(self):
         # every enumerated stopping-time support appears in the full scan
