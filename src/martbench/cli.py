@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -158,7 +159,7 @@ def generate(kind: str, space: TreeSpace, seed: int, spread: float, count: int =
             vec = np.exp(
                 rng.uniform(-math.log(spread), math.log(spread), space.n_leaves)
             )
-        items.append([float(x) for x in vec])
+        items.append(vec.tolist())
     return items
 
 
@@ -370,7 +371,7 @@ def _write_outputs(config: RunConfig, reports: list, payload: dict) -> None:
         },
         **payload,
     }
-    _atomic_write(config.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(config.out, json.dumps(doc, sort_keys=True) + "\n")  # no indent: the C encoder
     if config.format == "json+csv":
         rows = [["kind", "name", "lhs", "rhs", "constant", "slack", "pass"]]
         for r in reports:
@@ -423,7 +424,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(args.command, **values, tol_given=tol_given)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused."""
     parser = argparse.ArgumentParser(
         prog="martbench",
         description="verification workbench for weighted martingale inequalities",

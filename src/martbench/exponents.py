@@ -15,6 +15,7 @@ s = 0 is the degenerate finite family: the sequence is just its head.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -181,7 +182,8 @@ def conjugate_product(seq: ExponentSequence, rel_tol: float = 1e-9) -> Certified
     with an adaptively grown numeric prefix, tightened to half the
     requested tolerance and then padded symmetrically to the full one.
     The product is finite for every valid sequence since the reciprocals
-    are summable.
+    are summable, but it can pass the float range: the interval is then
+    [sys.float_info.max, inf].
     """
     if not (rel_tol > 0.0):
         raise ValueError("rel_tol must be positive")
@@ -199,9 +201,18 @@ def conjugate_product(seq: ExponentSequence, rel_tol: float = 1e-9) -> Certified
             break
         prefix *= 2
     pad = rel_tol / 4.0 + _ENDPOINT_PAD
-    lo = head_prod * math.exp(lo_log) * (1.0 - pad)
-    hi = head_prod * math.exp(hi_log) * (1.0 + pad)
-    return CertifiedInterval(lo, hi)
+    lo = _times_exp(head_prod, lo_log) * (1.0 - pad)
+    hi = _times_exp(head_prod, hi_log) * (1.0 + pad)
+    # an overflowed lower end means a product past the float range: [max, inf]
+    return CertifiedInterval(min(lo, sys.float_info.max), hi)
+
+
+def _times_exp(x: float, y: float) -> float:
+    """x * exp(y), inf past the float range, where math.exp raises."""
+    try:
+        return x * math.exp(y)
+    except OverflowError:
+        return math.inf
 
 
 def xi_constant(n: int) -> float:

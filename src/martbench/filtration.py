@@ -104,7 +104,7 @@ class TreeSpace:
         return {
             "depth": self.depth,
             "branching": self.branching,
-            "leaf_probs": [float(p) for p in self.leaf_probs],
+            "leaf_probs": self.leaf_probs.tolist(),
         }
 
 
@@ -245,7 +245,7 @@ class StoppingTime:
 
     def to_json(self) -> dict:
         return {
-            "values": [int(v) if v != self.INFINITE else "inf" for v in self.values]
+            "values": [v if v != self.INFINITE else "inf" for v in self.values.tolist()]
         }
 
 

@@ -52,7 +52,7 @@ class FunctionVector:
 
     def to_json(self) -> dict:
         return {
-            "active": [[float(x) for x in f] for f in self.active],
+            "active": [f.tolist() for f in self.active],
             "mask": None if self.mask is None else [bool(b) for b in self.mask],
         }
 

@@ -260,9 +260,9 @@ def verify_testing_to_ap(
     ratios = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
         for n in space.levels:
-            prod = np.prod([mat[n] for mat in ws.sigma_matrices], axis=0)  # 1.0 with none
             rhs = np.prod([space.atom_sums(space.leaf_probs * g, n) ** e for g, e in parts], 0)
-            ratios.append(space.atom_sums(space.leaf_probs * ws.v * prod**p, n) ** rp / rhs)
+            numer = space.atom_sums(space.leaf_probs * ws.v * ws.density_rows[n] ** p, n)
+            ratios.append(numer**rp / rhs)
     ratios = np.concatenate(ratios)
     recovered = np.concatenate([ws.ap_rows[n, :: space.atom_size(n)] for n in space.levels])
     atoms_ok = _within_margin(recovered, ratios * scale, tolerance)
@@ -365,16 +365,14 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     cells = {}
     weighted = space.leaf_probs * ws.v
     with np.errstate(over="ignore"):  # 2**1024 is inf
-        density_rows, ratio_rows = np.ones((2, space.depth + 1, space.n_leaves))
-        for mat in ws.sigma_matrices:  # sigma = 1 past them: factor 1
-            density_rows *= mat
+        ratio_rows = np.ones((space.depth + 1, space.n_leaves))
         for g, s in slots:
             ratio_rows *= cond_exp_matrix(space, g, s)
         taus = {k: first_passage_time(space, rows, np.ldexp(1.0, k)) for k in range(k_lo, k_hi + 2)}
         for k in range(k_lo, k_hi + 1):
             fin = taus[k].finite
             band_mask = fin & ~taus[k + 1].finite
-            density = stopped(space, density_rows, taus[k], 1.0)
+            density = stopped(space, ws.density_rows, taus[k], 1.0)
             ratio_g = stopped(space, ratio_rows, taus[k], 1.0)
             js = band_index(density)
             for j in np.unique(js[fin]).tolist():

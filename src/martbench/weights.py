@@ -20,6 +20,14 @@ at most SCAN_CHUNK_FLOATS floats, so a scan never holds the whole family.
 The "all" testing scan and its witness are cached on the WeightSystem,
 which the strong-type estimate reads again after sp_constant.
 
+The system also caches the density product R = prod_i E_n(sigma_i) per
+level, and the testing table built from it.  With an infinite exponent
+tail the masked level product on a support F is R_n on the level-n atoms
+inside F and 0 elsewhere, so sp_ratios reads each leaf's value from the
+table at the shallowest level whose atom through it lies in F: O(leaves)
+per support, and no level block.  A finite family has no such tail, and
+its testing scan keeps the masked level products.
+
 Ratios are evaluated in normalized form, as products of (base/reference)
 powers whose exponents sum to 1 by the closed-form tail identity.  All
 bases coincide with the reference for the all-ones system, every quotient
@@ -60,8 +68,8 @@ SCAN_CHUNK_FLOATS = 1 << 16  # floats in one (B, depth+1, leaves) block of a sca
 @dataclass(frozen=True, eq=False)
 class WeightSystem:
     """Holds read-only arrays, so it caches the sigma_i's conditional-expectation
-    matrices, the joint-condition level matrix and constant, and the
-    "all"-family testing scan with its witness."""
+    matrices and their product, the testing table, the joint-condition level
+    matrix and constant, and the "all"-family testing scan with its witness."""
 
     space: TreeSpace
     seq: ExponentSequence
@@ -78,6 +86,28 @@ class WeightSystem:
     def sigma_matrices(self) -> tuple[np.ndarray, ...]:
         """cond_exp_matrix of each sigma_i (read-only)."""
         return tuple(_read_only(cond_exp_matrix(self.space, s)) for s in self.sigmas)
+
+    @cached_property
+    def density_rows(self) -> np.ndarray:
+        """R = prod_i sigma_matrices[i], the density product at every level
+        (read-only); all ones with no weights.  A product past the float
+        range is inf, which fails the report it reaches."""
+        rows = np.ones((self.space.depth + 1, self.space.n_leaves))
+        with np.errstate(over="ignore"):
+            for mat in self.sigma_matrices:
+                rows *= mat
+        return _frozen(rows)
+
+    @cached_property
+    def testing_table(self) -> np.ndarray:
+        """T (read-only): row n is leaf_probs * v * (max_{m>=n} R_m)**p, and
+        one zero row below the levels, which entry level depth+1 (off F) reads."""
+        space, p = self.space, 1.0 / self.seq.aggregate_reciprocal
+        table = np.zeros((space.depth + 2, space.n_leaves))
+        tail_max = np.maximum.accumulate(self.density_rows[::-1], axis=0)[::-1]
+        with np.errstate(over="ignore"):
+            table[:-1] = space.leaf_probs * self.v * tail_max**p
+        return _frozen(table)
 
     @cached_property
     def ap_rows(self) -> np.ndarray:
@@ -104,8 +134,8 @@ class WeightSystem:
         return {
             "space": self.space.to_json(),
             "seq": self.seq.to_json(),
-            "weights": [[float(x) for x in w] for w in self.active_weights],
-            "v": [float(x) for x in self.v],
+            "weights": [w.tolist() for w in self.active_weights],
+            "v": self.v.tolist(),
         }
 
 
@@ -273,13 +303,44 @@ def rh_ratios(ws: WeightSystem, masks) -> np.ndarray:
     return _normalized_ratios(ws, masks, (masks * (ws.space.leaf_probs * integrand)).sum(-1))
 
 
+def _entry_levels(space: TreeSpace, masks: np.ndarray) -> np.ndarray:
+    """Per support F (a row of masks) and leaf x, the shallowest level whose
+    atom through x lies inside F, and depth+1 off F.  The full atoms of a
+    level are those whose children are all full, taken bottom up; going back
+    down, each leaf counts the levels at which its atom is full, and those
+    are the levels from its entry level down to depth.  O(leaves) per row."""
+    r = space.branching
+    full = [masks]
+    for _ in range(space.depth):
+        children = full[-1].reshape(len(masks), -1, r)
+        parent = children[..., 0]
+        for c in range(1, r):
+            parent = parent & children[..., c]
+        full.append(parent)
+    count = full.pop().view(np.uint8)
+    while full:
+        count = np.repeat(count, r, axis=-1) + full.pop().view(np.uint8)
+    return space.depth + 1 - count.astype(np.intp)
+
+
 def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:
     """Testing ratio of each support F in a (B, leaves) stack:
-    (int_F M(sigma chi_F)**p v dmu)**(1/p) / prod |F|_{sigma_i}**(1/p_i)."""
+    (int_F M(sigma chi_F)**p v dmu)**(1/p) / prod |F|_{sigma_i}**(1/p_i).
+    With an infinite tail the masked level product is R_n on the level-n
+    atoms inside F and 0 elsewhere, so the numerator gathers the testing
+    table at each leaf's entry level; on such an atom E_n(sigma_i chi_F)
+    sums the same floats as E_n(sigma_i), so the ratios are those of the
+    masked level products, bit for bit.  A finite family keeps the masked
+    level products: there the padded head slots weigh in the atoms that F
+    covers in part."""
     masks = _as_leaf_masks(ws.space, masks)
     space, rp = ws.space, ws.seq.aggregate_reciprocal
-    rows = level_products(space, FunctionVector(ws.sigmas, None), ws.seq, masks, stacked=True)
-    numer = (masks * (space.leaf_probs * ws.v * rows.max(axis=-2) ** (1.0 / rp))).sum(-1)
+    if ws.seq.is_finite_family:
+        rows = level_products(space, FunctionVector(ws.sigmas, None), ws.seq, masks, stacked=True)
+        numer = (masks * (space.leaf_probs * ws.v * rows.max(axis=-2) ** (1.0 / rp))).sum(-1)
+    else:
+        at = _entry_levels(space, masks) * space.n_leaves + space.leaf_index
+        numer = ws.testing_table.ravel().take(at).sum(-1)  # T[entry level, leaf]
     return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
 
 

@@ -24,6 +24,7 @@ from martbench import (
 from martbench.filtration import cond_exp_matrix
 from martbench.holder import _component_slots
 from martbench.theorems import band_index
+from martbench.weights import _normalized_ratios
 
 
 def random_space(rng: np.random.Generator, max_depth: int = 3, branchings=(2, 3)) -> TreeSpace:
@@ -79,6 +80,19 @@ def sampled_supports_oracle(space: TreeSpace, family) -> np.ndarray:
     drawn = (sample_stopping_time(space, rng).support() for _ in range(int(family["count"])))
     distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())  # first-drawn order
     return np.array(distinct, dtype=bool).reshape(-1, space.n_leaves)
+
+
+def sp_ratios_oracle(ws, masks) -> np.ndarray:
+    """The testing ratio of each support F in a (B, leaves) stack from the
+    masked level products, one (B, depth+1, leaves) block per stack: the
+    maximal function of sigma chi_F on F, its p-th power against v, over the
+    normalized bases.  An overflowed product times a vanishing indicator is
+    NaN here (inf * 0)."""
+    masks = np.asarray(masks, dtype=bool)
+    space, rp = ws.space, ws.seq.aggregate_reciprocal
+    rows = level_products(space, FunctionVector(ws.sigmas, None), ws.seq, masks, stacked=True)
+    numer = (masks * (space.leaf_probs * ws.v * rows.max(axis=-2) ** (1.0 / rp))).sum(-1)
+    return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
 
 
 def stopped_average_oracle(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -> np.ndarray:

@@ -1,13 +1,18 @@
 import csv
 import importlib.util
 import json
+import math
+import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import martbench.cli as cli_mod
 import martbench.weights as weights_mod
-from martbench.cli import main
-from martbench.filtration import sample_stopping_time
+from martbench.cli import generate, main
+from martbench.filtration import make_tree_space, sample_stopping_time
 
 SPACE = '{"depth":1,"branching":2,"leaf_probs":"uniform"}'
 SEQ = '{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}'
@@ -80,6 +85,13 @@ class TestConjugateProduct:
         lo, hi = doc["interval"]["lo"], doc["interval"]["hi"]
         assert lo <= 3.462746619 <= hi
         assert doc["rel_width"] <= 1e-9
+
+    def test_product_past_the_float_range_is_written_as_infinity(self, tmp_path):
+        seq = '{"head":[2],"tail_mass":1000,"tail_ratio":0.9999}'
+        code, doc, out = run_cli(tmp_path, "conjugate-product", "--seq", seq)
+        assert code == 0
+        assert doc["interval"] == {"lo": sys.float_info.max, "hi": math.inf}
+        assert '"hi": Infinity' in out.read_text()
 
 
 class TestVerifySuites:
@@ -305,6 +317,56 @@ class TestConfigAndErrors:
         required = {"inequality", "lhs", "rhs", "constant", "slack", "pass", "tolerance", "metadata"}
         for report in doc["reports"]:
             assert required <= set(report)
+
+
+class TestReportsAndParser:
+    # one small run of every subcommand
+    EVERY_COMMAND = [
+        ("check-holder", "--space", SPACE, "--seq", SEQ),
+        ("check-conditional-holder", "--space", SPACE, "--seq", SEQ),
+        ("weights-constants", "--space", SPACE, "--seq", SEQ, "--weights", UNIT_WEIGHTS),
+        ("verify-ap", "--space", SPACE, "--seq", SEQ, "--weights", '{"weights":[[1,4]],"v":[1,1]}'),
+        ("verify-sp", "--space", SPACE, "--seq", SEQ, "--weights", '{"weights":[[1,4]],"v":[1,2]}'),
+        ("sawyer-trace", "--space", SPACE, "--seq", SEQ, "--weights", '{"weights":[[1,4]],"v":[1,2]}'),
+        ("enumerate-stopping-times", "--space", '{"depth":2,"branching":2}'),
+        ("conjugate-product", "--seq", SEQ),
+        ("estimate-constant", "--space", SPACE, "--seq", SEQ, "--weights", UNIT_WEIGHTS),
+        ("generate", "--space", SPACE, "--count", "3"),
+    ]
+
+    @pytest.mark.parametrize("command", EVERY_COMMAND, ids=lambda c: c[0])
+    def test_compact_report_holds_the_pretty_printed_document(self, tmp_path, monkeypatch, command):
+        docs = []
+
+        def dumps(doc, **kwargs):
+            docs.append(doc)
+            return json.dumps(doc, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "json", types.SimpleNamespace(
+            dumps=dumps, loads=json.loads, load=json.load))
+        _, _, out = run_cli(tmp_path, *command)
+        text = out.read_text()
+        assert text.endswith("}\n") and text.count("\n") == 1  # one line
+        pretty = json.dumps(docs[-1], indent=2, sort_keys=True)  # the earlier report text
+        # compared as text, so that a NaN equals itself
+        assert json.dumps(json.loads(text)) == json.dumps(json.loads(pretty))
+
+    def test_two_main_calls_build_one_parser(self, tmp_path):
+        cli_mod.build_parser.cache_clear()
+        for name in ("a.json", "b.json"):
+            code, _, _ = run_cli(tmp_path, "conjugate-product", "--seq", SEQ, out_name=name)
+            assert code == 0
+        info = cli_mod.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_generate_gives_the_float_lists(self):
+        space = make_tree_space(3, 2)
+        items = generate("weights", space, 17, 8.0, 3, inject_extremals=False)
+        rng = np.random.default_rng(17)
+        want = [[float(x) for x in np.exp(rng.uniform(-math.log(8.0), math.log(8.0), 8))]
+                for _ in range(3)]
+        assert items == want
+        assert all(type(x) is float for item in items for x in item)
 
 
 class TestOptionTable:

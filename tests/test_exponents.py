@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ class TestConjugateProduct:
         loose = conjugate_product(seq, rel_tol=1e-6)
         tight = conjugate_product(seq, rel_tol=1e-10)
         assert loose.lo <= tight.lo and tight.hi <= loose.hi
+
+    def test_product_past_the_float_range(self):
+        # the tail log-sum passes log(float max)
+        for mass in (1000.0, 700.0):
+            interval = conjugate_product(make_exponent_sequence([2.0], mass, 0.9999))
+            assert (interval.lo, interval.hi) == (sys.float_info.max, math.inf)
+        # exp(lo_log) alone is finite, and head_prod * exp(lo_log) is not
+        seq = make_exponent_sequence([1.001, 1.001], 690.0, 0.9999)
+        lo_log, hi_log = _tail_log_bracket(seq, 1 << 17)  # 2e-10 wide
+        assert hi_log < math.log(sys.float_info.max) < lo_log + 2.0 * math.log(1001.0)
+        interval = conjugate_product(seq)
+        assert (interval.lo, interval.hi) == (sys.float_info.max, math.inf)
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from martbench.exponents import make_exponent_sequence
-from martbench.filtration import EnumerationCapError, enumerate_stopping_times, make_tree_space
+from martbench.filtration import (
+    EnumerationCapError,
+    cond_exp,
+    enumerate_stopping_times,
+    make_tree_space,
+)
 from martbench.holder import FunctionVector, level_products, product_function
 from martbench.maximal import weighted_measure
+from martbench.report import check_inequality
 import martbench.weights as weights_mod
 from martbench.weights import (
     ap_constant,
@@ -28,6 +34,7 @@ from helpers import (
     random_space,
     random_weight_system,
     sampled_supports_oracle,
+    sp_ratios_oracle,
 )
 
 
@@ -77,7 +84,8 @@ class TestConstruction:
         w[0][:] = 9.0
         v[:] = 7.0
         assert ap_constant(ws) == ap_constant(fresh)
-        for arr in (ws.v, ws.active_weights[0], ws.sigmas[1], ws.ap_rows, ws.sigma_matrices[0]):
+        for arr in (ws.v, ws.active_weights[0], ws.sigmas[1], ws.ap_rows, ws.sigma_matrices[0],
+                    ws.density_rows, ws.testing_table):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         w[1][:] = 5.0  # after the cache is filled
@@ -536,3 +544,115 @@ class TestBatchedScan:
                 scan(ws, "all", cap=14)
             with pytest.raises(EnumerationCapError):
                 support_family(ws.space, "all", cap=14)
+
+
+def kernel_system(rng, finite):
+    """A random system for the kernel checks: depth 0-8 and branching 2-4 up
+    to 4096 leaves, 0-3 weights of spread up to 1e3, and an infinite or a
+    finite exponent family."""
+    depth, branching = int(rng.integers(0, 9)), int(rng.integers(2, 5))
+    while branching**depth > 4096:
+        depth -= 1
+    space = make_tree_space(depth, branching, random_probs(rng, branching**depth))
+    head = list(rng.uniform(1.2, 6.0, int(rng.integers(1, 4))))
+    tail = (0.0, 0.5) if finite else (float(rng.uniform(0.02, 0.5)), float(rng.uniform(0.2, 0.8)))
+    seq = make_exponent_sequence(head, *tail)
+    spread = float(np.exp(rng.uniform(0.0, np.log(1e3))))
+    weights = [random_positive(rng, space, spread) for _ in range(rng.integers(0, len(head) + 1))]
+    return make_weight_system(space, seq, weights, random_positive(rng, space, spread))
+
+
+def kernel_chunks(rng, space):
+    """Every support up to 12 leaves, as one chunk; beyond, two random 28-row chunks."""
+    if space.n_leaves <= 12:
+        return [support_family(space)]
+    return [rng.random((28, space.n_leaves)) < rng.uniform(0.3, 0.95) for _ in range(2)]
+
+
+class TestTestingTable:
+    """sp_ratios against the masked-level-product kernel it replaces."""
+
+    @pytest.mark.parametrize("finite, count", [(False, 200), (True, 40)])
+    def test_kernel_matches_the_oracle_bit_for_bit(self, finite, count):
+        rng = np.random.default_rng(110 + finite)
+        for _ in range(count):
+            ws = kernel_system(rng, finite)
+            chunks = kernel_chunks(rng, ws.space)
+            # overflowed products are inf here and NaN (inf * 0) in the oracle
+            with np.errstate(over="ignore", invalid="ignore"):
+                for masks in chunks:
+                    np.testing.assert_array_equal(
+                        weights_mod.sp_ratios(ws, masks), sp_ratios_oracle(ws, masks)
+                    )  # NaN compares equal to NaN here
+                new = weights_mod._family_max(ws, chunks, weights_mod.sp_ratios)
+                old = weights_mod._family_max(ws, chunks, sp_ratios_oracle)
+            assert new[0] == old[0] or np.isnan(new[0]) and np.isnan(old[0])
+            np.testing.assert_array_equal(new[1], old[1])
+            if ws.space.n_leaves <= 12 and not np.isnan(old[0]):
+                assert sp_constant_argmax(ws)[0] == old[0]
+                np.testing.assert_array_equal(sp_constant_argmax(ws)[1], old[1])
+
+    def test_table_rows(self):
+        rng = np.random.default_rng(112)
+        ws = kernel_system(rng, finite=False)
+        space, rp = ws.space, ws.seq.aggregate_reciprocal
+        density = np.ones((space.depth + 1, space.n_leaves))
+        for s in ws.sigmas:
+            density = density * np.array([cond_exp(space, s, n) for n in space.levels])
+        np.testing.assert_array_equal(ws.density_rows, density)
+        for n in space.levels:
+            want = space.leaf_probs * ws.v * density[n:].max(axis=0) ** (1.0 / rp)
+            np.testing.assert_array_equal(ws.testing_table[n], want)
+        np.testing.assert_array_equal(ws.testing_table[space.depth + 1], 0.0)
+
+    def test_entry_levels(self):
+        space = make_tree_space(2, 2)
+        masks = np.array([[1, 1, 1, 1], [1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0]], bool)
+        want = [[0, 0, 0, 0], [1, 1, 3, 2], [3, 2, 2, 3], [3, 3, 3, 3]]
+        np.testing.assert_array_equal(weights_mod._entry_levels(space, masks), want)
+        point = np.array([[True], [False]])
+        np.testing.assert_array_equal(weights_mod._entry_levels(make_tree_space(0, 2), point), [[0], [1]])
+
+    def overflow_system(self):
+        """sigma_1 and sigma_2 are 1e200 on leaves 0 and 1: their level-0
+        averages multiply past the float range, and the leaf values do not."""
+        return make_weight_system(
+            make_tree_space(1, 3),
+            make_exponent_sequence([1.5, 1.5], 0.2, 0.5),
+            [[1e-100, 1.0, 1.0], [1.0, 1e-100, 1.0]],
+            [1.0, 1.0, 1.0],
+        )
+
+    def test_overflow_on_a_partly_covered_atom_is_not_nan(self):
+        mpmath = pytest.importorskip("mpmath")
+        ws = self.overflow_system()
+        masks = np.array([[True, True, False], [True, True, True]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = sp_ratios_oracle(ws, masks)
+        assert np.isnan(old[0]) and old[1] == np.inf  # inf * 0 on the level-0 atom
+        new = weights_mod.sp_ratios(ws, masks)
+        assert new[1] == np.inf
+        # F = {0, 1}: both leaves enter at level 1, where R = sigma_1 sigma_2
+        mpmath.mp.dps = 40
+        mpf = mpmath.mpf
+        rp = 2 / mpf(1.5) + mpf(0.2)
+        d = (1 / mpf(1.5)) / rp
+        s1, s2 = [mpf(1e-100) ** -2, mpf(1)], [mpf(1), mpf(1e-100) ** -2]
+        third = mpf(1) / 3
+        numer = sum(third * (a * b) ** (1 / rp) for a, b in zip(s1, s2))
+        bases = (third * sum(s1)) ** d * (third * sum(s2)) ** d * (2 * third) ** (1 - 2 * d)
+        exact = float((numer / bases) ** rp)
+        assert new[0] == pytest.approx(exact, rel=1e-12)
+        assert new[0] == pytest.approx(5.43e-67, rel=1e-3)
+
+    def test_overflowed_constant_is_inf(self):
+        ws = self.overflow_system()
+        value, witness = sp_constant_argmax(ws)
+        assert value == np.inf
+        np.testing.assert_array_equal(witness, [True, True, True])
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = weights_mod._family_max(ws, [support_family(ws.space)], sp_ratios_oracle)
+        assert np.isnan(old[0])
+        # a report built on the constant now fails as "inf", where it failed as "nan"
+        report = check_inequality("sp", 1.0, 1.0, constant=sp_constant(ws))
+        assert not report.passed and report.metadata["reason"] == "inf"
