@@ -41,7 +41,7 @@ from .holder import (
     holder_integral_check,
     trial_vector,
 )
-from .report import check_inequality
+from .report import _power, check_inequality
 from .theorems import (
     _CONSTANT_IDS,
     estimate_best_constant,
@@ -264,7 +264,7 @@ def _cmd_verify_sp(config: RunConfig, space, seq) -> tuple[list, dict]:
     c_s = sp_constant(ws, config.family)
     c_rh = rh_constant(ws, config.family)
     rp = seq.aggregate_reciprocal
-    c_final = 4.0 * c_s * c_rh**rp * conjugate_product(seq).hi
+    c_final = 4.0 * c_s * _power(c_rh, rp) * conjugate_product(seq).hi
     reports = []
     for gvec in _function_vectors(config, space, seq):
         reports.append(verify_sp_to_strong(ws, gvec, c_s, c_rh, tolerance=config.tol))

@@ -11,6 +11,7 @@ float.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -21,6 +22,9 @@ import numpy as np
 
 MAX_LEAVES = 1 << 20
 ENUMERATION_CAP = 10_000_000
+# families of at most this many stopping times are built once per tree shape
+# and kept (every shape up to 11 leaves); larger ones are streamed
+KEPT_FAMILY_TIMES = 4096
 
 
 class EnumerationCapError(RuntimeError):
@@ -236,6 +240,14 @@ class StoppingTime:
         finite.setflags(write=False)
         return finite
 
+    @cached_property
+    def flat_index(self) -> np.ndarray:
+        """values[x] * leaves + x over the finite leaves x, in leaf order
+        (read-only): where a row-major (levels, leaves) table holds each
+        stopped entry, so that `table.take(flat_index)` gathers them."""
+        leaves = np.flatnonzero(self.finite)
+        return _frozen(self.values[leaves] * self.values.size + leaves)
+
     def support(self) -> np.ndarray:
         """The event that the time is finite, as a leaf mask."""
         return self.finite
@@ -315,15 +327,32 @@ def _subtree_times(space: TreeSpace, level: int) -> list[np.ndarray]:
 def enumerate_stopping_times(
     space: TreeSpace, cap: int = ENUMERATION_CAP
 ) -> Iterator[StoppingTime]:
-    """Yield every adapted stopping time exactly once.
+    """An iterator over every adapted stopping time, each exactly once.
 
-    Raises EnumerationCapError when the closed-form count exceeds `cap`;
-    callers should fall back to sample_stopping_time."""
+    Raises EnumerationCapError at the call when the closed-form count
+    exceeds `cap`; callers should fall back to sample_stopping_time.  A
+    family of at most KEPT_FAMILY_TIMES times is built once per
+    (depth, branching) and shared: every call yields the same read-only
+    StoppingTime objects, whose finite masks and adaptedness verdicts are
+    then computed once per shape.  A larger family is streamed afresh on
+    every call and never held whole."""
     total = count_stopping_times(space)
     if total > cap:
         raise EnumerationCapError(
             f"{total} stopping times exceed the cap {cap}; use a sampled family"
         )
+    if total > KEPT_FAMILY_TIMES:
+        return _stream_times(space)
+    return iter(_kept_times(space.depth, space.branching))
+
+
+@functools.lru_cache(maxsize=8)
+def _kept_times(depth: int, branching: int) -> tuple[StoppingTime, ...]:
+    """The whole family of one tree shape; it reads only the shape."""
+    return tuple(_stream_times(make_tree_space(depth, branching)))
+
+
+def _stream_times(space: TreeSpace) -> Iterator[StoppingTime]:
     if space.depth == 0:
         for block in _subtree_times(space, 0):
             yield StoppingTime(_frozen(block))

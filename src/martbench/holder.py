@@ -142,7 +142,8 @@ def lp_norm(space: TreeSpace, f: np.ndarray, p: float, weight=None) -> float:
         raise ValueError(f"exponent {p} must be positive")
     f = np.asarray(f, dtype=float)
     w = _weighted_probs(space, weight)
-    return float(np.sum(w * np.abs(f) ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return float(np.sum(w * np.abs(f) ** p) ** (1.0 / p))
 
 
 def product_function(space: TreeSpace, fvec: FunctionVector, masked_by=None) -> np.ndarray:

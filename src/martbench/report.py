@@ -50,6 +50,15 @@ def _within_margin(lhs, bound, tolerance: float = REL_TOL):
     return (lhs <= _margin(bound, tolerance)) & (bound < math.inf)
 
 
+def _power(x: float, e: float) -> float:
+    """x ** e for a Python float x >= 0 (or NaN): inf past the float range,
+    where the float power raises OverflowError."""
+    try:
+        return x**e
+    except OverflowError:
+        return math.inf
+
+
 def check_inequality(
     inequality: str,
     lhs: float,

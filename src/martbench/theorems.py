@@ -44,7 +44,7 @@ from .holder import (
     trial_vector,
 )
 from .maximal import gen_doob_maximal, weak_lp_norm, weighted_measure
-from .report import REL_TOL, VerificationReport, _within_margin, check_inequality
+from .report import REL_TOL, VerificationReport, _power, _within_margin, check_inequality
 from .weights import (
     WeightSystem,
     rh_constant,
@@ -90,9 +90,10 @@ def _reward_table(ws: WeightSystem, fvec: FunctionVector) -> np.ndarray:
     return reward
 
 
-def _stopped_reward(ws: WeightSystem, reward: np.ndarray, tau: StoppingTime) -> float:
-    """int over {tau finite} of (prod E_tau(f_i))**p v dmu: one gather."""
-    return float(reward[tau.values, ws.space.leaf_index][tau.finite].sum())
+def _stopped_reward(reward: np.ndarray, tau: StoppingTime) -> float:
+    """int over {tau finite} of (prod E_tau(f_i))**p v dmu: one flat gather
+    of the finite leaves' entries, in leaf order (0.0 where tau never stops)."""
+    return float(reward.take(tau.flat_index).sum())
 
 
 def verify_ap_to_testing(
@@ -108,14 +109,14 @@ def verify_ap_to_testing(
     if not is_stopping_time(ws.space, tau):
         raise ValueError("tau is not an adapted stopping time")
     rp = ws.seq.aggregate_reciprocal
-    lhs = _stopped_reward(ws, _reward_table(ws, fvec), tau) ** rp
+    lhs = _power(_stopped_reward(_reward_table(ws, fvec), tau), rp)
     return check_inequality(
         "ap-to-testing",
         lhs,
         _testing_parts(ws, fvec)[1],
         constant=ws.ap_max,
         tolerance=tolerance,
-        metadata={"space": ws.space.digest, "finite_leaves": int(np.count_nonzero(tau.finite))},
+        metadata={"space": ws.space.digest, "finite_leaves": tau.flat_index.size},
     )
 
 
@@ -146,8 +147,8 @@ def verify_testing_to_weak(
         if not np.array_equal(tau.support(), maximal >= t):
             all_ok = False
             continue
-        weak_t = t * weighted_measure(space, tau.support(), ws.v) ** rp
-        for bound in (_stopped_reward(ws, reward, tau) ** rp, c_test * rhs):
+        weak_t = t * _power(weighted_measure(space, tau.support(), ws.v), rp)
+        for bound in (_power(_stopped_reward(reward, tau), rp), c_test * rhs):
             if not _within_margin(weak_t, bound, tolerance):
                 all_ok = False
     report = check_inequality(
@@ -193,7 +194,7 @@ def verify_weak_to_testing(
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_pth = float(np.float64(rhs) ** p)
         c_weak_pth = np.float64(c_weak) ** p
-        c_prime = float(2.0**p * c_weak_pth)
+        c_prime = float(_power(2.0, p) * c_weak_pth)
         for n in space.levels:
             vals = rows[n]
             pos = vals > 0.0
@@ -254,7 +255,7 @@ def verify_testing_to_ap(
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     c_rh = rh_constant(ws, family)
-    scale = c_rh**rp
+    scale = _power(c_rh, rp)
     whole = np.ones(space.n_leaves, dtype=bool)  # each atom sum below restricts Q to B
     parts = _norm_parts(space, ws.sigmas, seq, ws.active_weights, whole)
     ratios = []
@@ -435,12 +436,12 @@ def verify_sp_to_strong(
     maximal = trace.maximal_values
     with np.errstate(over="ignore"):  # an overflowed side is inf, and fails the report
         lhs_pth = float(np.sum(space.leaf_probs * ws.v * maximal**p))
-    trace_rhs = 4.0**p * trace.weighted_total()
+    trace_rhs = _power(4.0, p) * trace.weighted_total()
     trace_ok = _within_margin(lhs_pth, trace_rhs, tolerance)
 
     conj_hi = conjugate_product(seq).hi
-    c_final = 4.0 * c_s * c_rh**rp * conj_hi
-    lhs = lhs_pth**rp
+    c_final = 4.0 * c_s * _power(c_rh, rp) * conj_hi
+    lhs = _power(lhs_pth, rp)
     rhs = function_norms_product(space, gvec, seq, ws.sigmas)
 
     report = check_inequality(
@@ -516,7 +517,7 @@ def estimate_best_constant(
         if rhs <= 0.0:
             return 0.0
         if inequality_id == "testing":
-            return snell_testing_sup(ws, fvec) ** rp / rhs
+            return _power(snell_testing_sup(ws, fvec), rp) / rhs
         maximal = gen_doob_maximal(space, fvec, seq)
         return weak_lp_norm(space, maximal, p, ws.v) / rhs
 

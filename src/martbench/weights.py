@@ -341,7 +341,8 @@ def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:
     else:
         at = _entry_levels(space, masks) * space.n_leaves + space.leaf_index
         numer = ws.testing_table.ravel().take(at).sum(-1)  # T[entry level, leaf]
-    return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
 
 
 def rh_support_ratio(ws: WeightSystem, support) -> float:

@@ -158,6 +158,33 @@ class TestVerifySuites:
         assert doc["trace"]["k_range"] == [1023, 1023]
         assert doc["reports"][0]["metadata"]["maximal_finite"] is False
 
+    def test_verify_sp_with_a_power_past_the_float_range_fails_with_inf(self, tmp_path):
+        # aggregate reciprocal 1000.5: c_rh**rp and the strong left side
+        # pass the float range, where the Python float power raises
+        code, doc, _ = run_cli(
+            tmp_path, "verify-sp",
+            "--space", '{"depth":2,"branching":2}',
+            "--seq", '{"head":[2],"tail_mass":1000,"tail_ratio":0.9999}',
+            "--weights", '{"generator":{"seed":1}}',
+        )
+        assert code == 1
+        assert doc["c_final"] == math.inf
+        strong = [r for r in doc["reports"] if r["inequality"] == "sp-to-strong"]
+        assert strong and all(r["lhs"] == math.inf for r in strong)
+        assert all(not r["pass"] and r["metadata"]["reason"] == "inf" for r in doc["reports"])
+
+    def test_verify_ap_with_a_large_exponent_fails_instead_of_raising(self, tmp_path):
+        # p = 1 / (1/2000 + 1e-6): 2**p passes the float range
+        code, doc, _ = run_cli(
+            tmp_path, "verify-ap",
+            "--space", '{"depth":2,"branching":2}',
+            "--seq", '{"head":[2000],"tail_mass":1e-6,"tail_ratio":0.5}',
+            "--weights", '{"generator":{"seed":1}}',
+        )
+        assert code == 1
+        weak = [r for r in doc["reports"] if r["inequality"] == "weak-to-testing"]
+        assert weak and all(r["metadata"]["reason"] == "inf" for r in weak)
+
 
 class TestEstimate:
     def test_estimate_reports_lower_bound(self, tmp_path):

@@ -1,9 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import martbench.filtration as filtration_mod
 from martbench.filtration import (
+    KEPT_FAMILY_TIMES,
     EnumerationCapError,
     StoppingTime,
     cond_exp,
@@ -307,6 +310,88 @@ class TestStoppingTimes:
         space = make_tree_space(1, 2)
         with pytest.raises(ValueError):
             stopping_time_from_json(space, {"values": [0, 1]})
+
+
+class TestKeptEnumeration:
+    # every tree shape whose family has at most KEPT_FAMILY_TIMES times; a
+    # depth-0 tree has one leaf whatever its branching
+    KEPT_SHAPES = [(0, 2)] + [(1, r) for r in range(2, 12)] + [(2, 2), (2, 3), (3, 2)]
+
+    def test_kept_shapes_are_every_family_within_the_bound(self):
+        counts = {
+            (d, r): count_stopping_times(make_tree_space(d, r))
+            for d, r in [(1, 12), (2, 4), (3, 3), (4, 2)] + self.KEPT_SHAPES
+        }
+        kept = {shape for shape, count in counts.items() if count <= KEPT_FAMILY_TIMES}
+        assert kept == set(self.KEPT_SHAPES)
+        assert max(counts[shape] for shape in kept) == 2049
+
+    def test_second_enumeration_shares_the_times_and_scans_none(self, monkeypatch):
+        space = make_tree_space(2, 3, np.full(9, 1.0 / 9.0))
+        filtration_mod._kept_times.cache_clear()
+        first = list(enumerate_stopping_times(space))
+        assert all(is_stopping_time(space, tau) for tau in first)
+        scans = []
+
+        def counting(space, vals):
+            scans.append(vals)
+            return True
+
+        monkeypatch.setattr(filtration_mod, "_adapted_scan", counting)
+        # another space of the same shape, other leaf masses
+        other = make_tree_space(2, 3, np.arange(1.0, 10.0) / 45.0)
+        again = list(enumerate_stopping_times(other))
+        assert len(again) == 730 and all(a is b for a, b in zip(first, again))
+        assert all(is_stopping_time(other, tau) for tau in again)
+        assert scans == []
+        info = filtration_mod._kept_times.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+
+    def test_cap_is_checked_before_the_kept_family(self):
+        space = make_tree_space(2, 3)
+        assert sum(1 for _ in enumerate_stopping_times(space)) == 730
+        info = filtration_mod._kept_times.cache_info()
+        with pytest.raises(EnumerationCapError):
+            enumerate_stopping_times(space, cap=729)
+        assert filtration_mod._kept_times.cache_info() == info
+        assert sum(1 for _ in enumerate_stopping_times(space, cap=730)) == 730
+
+    def test_larger_family_streams_without_filling_the_cache(self):
+        # depth 4 binary has 458,330 times: never held whole
+        space = make_tree_space(4, 2)
+        filtration_mod._kept_times.cache_clear()
+        times = enumerate_stopping_times(space)
+        first = next(times)
+        np.testing.assert_array_equal(first.values, np.zeros(16))
+        assert is_stopping_time(space, next(times))
+        info = filtration_mod._kept_times.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        assert next(enumerate_stopping_times(space)) is not first
+
+    def test_kept_times_stay_read_only(self):
+        space = make_tree_space(3, 2)
+        for tau in enumerate_stopping_times(space):
+            for arr in (tau.values, tau.finite, tau.flat_index):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0
+
+    def test_kept_memory_stays_within_budget(self):
+        # a kept time, with its values, finite mask, flat index and verdict,
+        # holds about 1 KB (budget 1.5 KB): the largest kept family (2049
+        # times of 11 leaves) stays under 3.1 MB, 8 kept shapes under 25 MB
+        for depth, r in self.KEPT_SHAPES:
+            space = make_tree_space(depth, r)
+            filtration_mod._kept_times.cache_clear()
+            tracemalloc.start()
+            try:
+                for tau in enumerate_stopping_times(space):
+                    assert is_stopping_time(space, tau)
+                    tau.flat_index  # derived and kept, as verify_ap_to_testing does
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held <= 1536 * count_stopping_times(space) + 4096, (depth, r, held)
 
 
 class TestStoppedValue:

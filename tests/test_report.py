@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from martbench.report import ABS_FLOOR, _margin, _within_margin, check_inequality
+from martbench.report import ABS_FLOOR, _margin, _power, _within_margin, check_inequality
 
 
 def old_margin(bound, tolerance):
@@ -74,3 +74,13 @@ class TestInfReason:
     def test_nan_outranks_inf(self):
         report = check_inequality("x", math.nan, math.inf)
         assert not report.passed and report.metadata == {"reason": "nan"}
+
+
+class TestPower:
+    def test_float_power_past_the_range_is_inf(self):
+        assert _power(1.5, 2.0) == 1.5**2.0
+        assert _power(0.0, 1000.5) == 0.0
+        assert _power(23.4, 1000.5) == math.inf
+        assert _power(2.0, 2000.0) == math.inf
+        assert _power(math.inf, 0.5) == math.inf
+        assert math.isnan(_power(math.nan, 1000.5))

@@ -12,6 +12,7 @@ from martbench.filtration import (
     StoppingTime,
     TreeSpace,
     enumerate_stopping_times,
+    first_passage_time,
     is_stopped_measurable,
     make_tree_space,
     sample_stopping_time,
@@ -198,6 +199,7 @@ class TestApToTesting:
             random_positive(rng, space, 3.0),
         )
         fvecs = [random_fvec(rng, space, seq) for _ in range(2)]
+        filtration_mod._kept_times.cache_clear()  # fresh times, not yet scanned
         taus = list(enumerate_stopping_times(space))
         assert len(taus) == 730
         # the adaptedness scan runs once per time and the reward table once
@@ -232,8 +234,9 @@ class TestApToTesting:
                 assert rep.passed
 
     def test_gathered_lhs_matches_the_stopped_oracle_bit_for_bit(self):
-        # every enumerated time of 2-9 leaf systems, masked and unmasked
-        # vectors, finite and infinite families
+        # every enumerated time of 2-9 leaf systems, and fresh first-passage,
+        # never-stopping and constant-0 times, masked and unmasked vectors,
+        # finite and infinite families
         rng = np.random.default_rng(75)
         shapes = [(1, r) for r in range(2, 10)] + [(2, 2), (2, 3), (3, 2)]
         seen = set()
@@ -250,11 +253,17 @@ class TestApToTesting:
             rows = level_products(space, fv, seq)
             rhs = function_norms_product(space, fv, seq, ws.active_weights)
             p = 1.0 / seq.aggregate_reciprocal
-            for tau in enumerate_stopping_times(space):
+            never = StoppingTime(np.full(space.n_leaves, INF))
+            fresh = [never, StoppingTime(np.zeros(space.n_leaves, dtype=np.int64))] + [
+                first_passage_time(space, rows, t) for t in np.unique(rows)
+            ]
+            for tau in [*enumerate_stopping_times(space), *fresh]:
                 rep = verify_ap_to_testing(ws, fv, tau)
                 assert rep.lhs == stopped_reward_oracle(ws, rows, tau, p) ** seq.aggregate_reciprocal
                 assert (rep.rhs, rep.constant) == (rhs, ws.ap_max)
                 assert rep.metadata["finite_leaves"] == int(np.sum(tau.values != INF))
+            assert never.flat_index.size == 0
+            assert verify_ap_to_testing(ws, fv, never).lhs == 0.0
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_float_time_raises_value_error(self):
