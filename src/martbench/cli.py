@@ -240,7 +240,7 @@ def _cmd_verify_ap(config: RunConfig, space, seq) -> tuple[list, dict]:
     reports = []
     for fvec in _function_vectors(config, space, seq):
         # the testing check against the exact supremum over all stopping times
-        worst_lhs = snell_testing_sup(ws, fvec) ** seq.aggregate_reciprocal
+        worst_lhs = _power(snell_testing_sup(ws, fvec), seq.aggregate_reciprocal)
         rhs = function_norms_product(space, fvec, seq, ws.active_weights)
         reports.append(
             check_inequality(

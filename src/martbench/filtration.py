@@ -343,13 +343,49 @@ def enumerate_stopping_times(
         )
     if total > KEPT_FAMILY_TIMES:
         return _stream_times(space)
-    return iter(_kept_times(space.depth, space.branching))
+    return iter(_kept_times(space.depth, space.branching).times)
+
+
+@dataclass(frozen=True, eq=False)
+class _KeptFamily:
+    """The whole stopping-time family of one tree shape (it reads only the
+    shape), and, built on first use, its stopped-entry gather."""
+
+    times: tuple[StoppingTime, ...]
+
+    @cached_property
+    def gather(self) -> tuple[dict, tuple[np.ndarray, ...]]:
+        """The flat indices of every time, grouped by finite-leaf count c:
+        one read-only (k_c, c) matrix per count, counts ascending, rows the
+        times' flat_index in family order; and {tau.key(): slot}, the time's
+        row in those matrices stacked.  A row sum of `table.take(matrix)` is
+        then the 1-D sum of the time's own gather, bit for bit; a row padded
+        with zeros to a common width would sum in other pairwise blocks."""
+        values = np.array([tau.values for tau in self.times])
+        finite = values != StoppingTime.INFINITE
+        counts = finite.sum(axis=1)
+        order = np.argsort(counts, kind="stable")
+        flat = values * values.shape[1] + np.arange(values.shape[1])
+        matrices = []
+        for c in np.unique(counts):
+            rows = order[counts[order] == c]
+            matrices.append(_frozen(flat[rows][finite[rows]].reshape(rows.size, c)))
+        slots = {self.times[i].key(): slot for slot, i in enumerate(order.tolist())}
+        return slots, tuple(matrices)
 
 
 @functools.lru_cache(maxsize=8)
-def _kept_times(depth: int, branching: int) -> tuple[StoppingTime, ...]:
-    """The whole family of one tree shape; it reads only the shape."""
-    return tuple(_stream_times(make_tree_space(depth, branching)))
+def _kept_times(depth: int, branching: int) -> _KeptFamily:
+    """The kept family of one tree shape."""
+    return _KeptFamily(tuple(_stream_times(make_tree_space(depth, branching))))
+
+
+def _kept_gather(space: TreeSpace) -> tuple[dict, tuple[np.ndarray, ...]] | None:
+    """The gather of the space's kept family, or None where the family is
+    larger than KEPT_FAMILY_TIMES (it streams)."""
+    if count_stopping_times(space) > KEPT_FAMILY_TIMES:
+        return None
+    return _kept_times(space.depth, space.branching).gather
 
 
 def _stream_times(space: TreeSpace) -> Iterator[StoppingTime]:

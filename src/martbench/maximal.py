@@ -82,7 +82,8 @@ def weak_lp_norm(space: TreeSpace, g: np.ndarray, p: float, v) -> float:
     masses = np.cumsum(w[order])
     # |{g >= t}|_v is the mass at the last entry of each tied block of t > 0
     last = np.append(values[1:] != values[:-1], True) & (values > 0.0)
-    return float(np.max(values[last] * masses[last] ** (1.0 / p), initial=0.0))
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        return float(np.max(values[last] * masses[last] ** (1.0 / p), initial=0.0))
 
 
 def level_set_stopping_time(

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import weights
 from .exponents import conjugate_product
 from .filtration import (
     StoppingTime,
     TreeSpace,
+    _kept_gather,
     cond_exp_matrix,
     first_passage_time,
     is_stopped_measurable,
@@ -90,10 +92,30 @@ def _reward_table(ws: WeightSystem, fvec: FunctionVector) -> np.ndarray:
     return reward
 
 
-def _stopped_reward(reward: np.ndarray, tau: StoppingTime) -> float:
-    """int over {tau finite} of (prod E_tau(f_i))**p v dmu: one flat gather
-    of the finite leaves' entries, in leaf order (0.0 where tau never stops)."""
-    return float(reward.take(tau.flat_index).sum())
+@functools.lru_cache(maxsize=1)
+def _family_rewards(ws: WeightSystem, fvec: FunctionVector) -> tuple[dict, list] | None:
+    """The stopped reward of every time of the shape's kept family, for the
+    last (system, vector) pair: the gather's slots and, by slot, one take
+    and row sum per finite-leaf count.  None where the family streams."""
+    gather = _kept_gather(ws.space)
+    if gather is None:
+        return None
+    slots, matrices = gather
+    reward = _reward_table(ws, fvec)
+    return slots, np.concatenate([reward.take(m).sum(axis=1) for m in matrices]).tolist()
+
+
+def _stopped_reward(ws: WeightSystem, fvec: FunctionVector, tau: StoppingTime) -> float:
+    """int over {tau finite} of (prod E_tau(f_i))**p v dmu: read from the
+    family's table when tau.key() is a kept time's, else one flat gather of
+    the finite leaves' entries.  Both sum the entries in leaf order, so they
+    agree bit for bit (0.0 where tau never stops)."""
+    family = _family_rewards(ws, fvec)
+    if family is not None:
+        slot = family[0].get(tau.key())
+        if slot is not None:
+            return family[1][slot]
+    return float(_reward_table(ws, fvec).take(tau.flat_index).sum())
 
 
 def verify_ap_to_testing(
@@ -105,11 +127,14 @@ def verify_ap_to_testing(
     """Testing inequality with the joint-condition constant:
     (int_{tau<inf} (prod E_tau(f_i))**p v dmu)**(1/p)
         <= C_A * prod ||f_i||_{L^{p_i}(omega_i)}.
-    C_A and the parts that do not depend on tau are cached across calls."""
+    C_A and the parts that do not depend on tau are cached across calls.
+    After the adaptedness check, the stopped integral of a time of a kept
+    family (at most KEPT_FAMILY_TIMES) is read from a table filled for the
+    whole family at the first call of a (system, vector) pair; any other
+    time gathers its own entries (_stopped_reward)."""
     if not is_stopping_time(ws.space, tau):
         raise ValueError("tau is not an adapted stopping time")
-    rp = ws.seq.aggregate_reciprocal
-    lhs = _power(_stopped_reward(_reward_table(ws, fvec), tau), rp)
+    lhs = _power(_stopped_reward(ws, fvec, tau), ws.seq.aggregate_reciprocal)
     return check_inequality(
         "ap-to-testing",
         lhs,
@@ -137,18 +162,15 @@ def verify_testing_to_weak(
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     rows, rhs = _testing_parts(ws, fvec)
-    reward = _reward_table(ws, fvec)
     maximal = rows.max(axis=0)
     all_ok = True
     thresholds = np.unique(maximal[maximal > 0.0])
     for t in thresholds:
         t = float(t)
+        # rows > nextafter(t, 0) is rows >= t: the support is {maximal >= t}
         tau = first_passage_time(space, rows, np.nextafter(t, 0.0))
-        if not np.array_equal(tau.support(), maximal >= t):
-            all_ok = False
-            continue
         weak_t = t * _power(weighted_measure(space, tau.support(), ws.v), rp)
-        for bound in (_power(_stopped_reward(reward, tau), rp), c_test * rhs):
+        for bound in (_power(_stopped_reward(ws, fvec, tau), rp), c_test * rhs):
             if not _within_margin(weak_t, bound, tolerance):
                 all_ok = False
     report = check_inequality(
@@ -177,15 +199,27 @@ def verify_weak_to_testing(
     sliced norm product to the p.  Summing the slices and interchanging
     with the norm product bounds every stopped integral by
     2**p * c_weak**p * prod (int f_i**p_i omega_i)**(p/p_i).
-    The bands of a level are checked at once, as a (K, leaves) mask stack
-    summed against the _norm_parts factors.  The left side is the exact
-    supremum over all stopping times (snell_testing_sup); the slice
-    partitions are reported for inspection.
+    The bands of all levels are checked at once, as one (bands, leaves) mask
+    stack summed against the _norm_parts factors, cut into chunks whose
+    factors hold at most weights.SCAN_CHUNK_FLOATS floats, so a large tree
+    never holds the whole stack.  The left side is the exact supremum over
+    all stopping times (snell_testing_sup); the slice partitions are
+    reported for inspection.
     """
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     rows, rhs = _testing_parts(ws, fvec)
+    bi = band_index(rows)
+    banded = bi != NO_BAND
+    lo = bi.min(initial=0, where=banded)
+    span = bi.max(initial=0, where=banded) - lo + 1
+    # each nonempty (level, band) pair once: levels ascending, bands ascending in a level
+    keys = (bi - lo + span * np.arange(space.depth + 1)[:, None])[banded]
+    levels, ks = np.divmod(np.unique(keys), span)
+    ks += lo
+    # a chunk's _norm_parts block (at most head_len + 1 factors) holds the budget
+    chunk = max(1, weights.SCAN_CHUNK_FLOATS // ((seq.head_len + 1) * space.n_leaves))
     all_ok = True
     partitions = {}
     small = space.n_leaves <= 64
@@ -195,22 +229,17 @@ def verify_weak_to_testing(
         rhs_pth = float(np.float64(rhs) ** p)
         c_weak_pth = np.float64(c_weak) ** p
         c_prime = float(_power(2.0, p) * c_weak_pth)
-        for n in space.levels:
-            vals = rows[n]
-            pos = vals > 0.0
-            if not pos.any():
-                continue
-            ks = np.unique(band_index(vals[pos]))  # each band is nonempty
-            bands = pos & (band_index(vals) == ks[:, None])
+        for at in range(0, levels.size, chunk):
+            n_c, k_c = levels[at:at + chunk], ks[at:at + chunk]
+            bands = bi[n_c] == k_c[:, None]
             sliced = bands if fvec.mask is None else bands & fvec.mask
             parts = _norm_parts(space, fvec.active, seq, ws.active_weights, sliced)
             norms = np.prod([(space.leaf_probs * g).sum(-1) ** e for g, e in parts], axis=0)
-            lhs = np.ldexp(1.0, ks) ** p * (space.leaf_probs * ws.v * bands).sum(-1)
+            lhs = np.ldexp(1.0, k_c) ** p * (space.leaf_probs * ws.v * bands).sum(-1)
             all_ok &= bool(_within_margin(lhs, c_weak_pth * norms**p, tolerance).all())
-            partitions[n] = {
-                int(k): np.flatnonzero(band).tolist() if small else int(band.sum())
-                for k, band in zip(ks, bands)
-            }
+            for n, k, band in zip(n_c.tolist(), k_c.tolist(), bands):
+                partitions.setdefault(n, {})[k] = (
+                    np.flatnonzero(band).tolist() if small else int(band.sum()))
 
     report = check_inequality(
         "weak-to-testing",

@@ -204,9 +204,10 @@ def ap_level_values(ws: WeightSystem) -> np.ndarray:
     """Matrix whose row n is E_n(v)**(1/p) * prod E_n(sigma_i)**(1/p'_i),
     leaf-wise.  Tail factors are E_n(1) = 1 and drop out."""
     seq = ws.seq
-    rows = cond_exp_matrix(ws.space, ws.v) ** seq.aggregate_reciprocal
-    for i, mat in enumerate(ws.sigma_matrices):
-        rows = rows * mat ** (1.0 - 1.0 / seq.head[i])
+    with np.errstate(over="ignore"):  # an overflowed entry is inf, and fails its report
+        rows = cond_exp_matrix(ws.space, ws.v) ** seq.aggregate_reciprocal
+        for i, mat in enumerate(ws.sigma_matrices):
+            rows = rows * mat ** (1.0 - 1.0 / seq.head[i])
     return rows
 
 

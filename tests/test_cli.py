@@ -12,7 +12,7 @@ import pytest
 import martbench.cli as cli_mod
 import martbench.weights as weights_mod
 from martbench.cli import generate, main
-from martbench.filtration import make_tree_space, sample_stopping_time
+from martbench.filtration import KEPT_FAMILY_TIMES, make_tree_space, sample_stopping_time
 
 SPACE = '{"depth":1,"branching":2,"leaf_probs":"uniform"}'
 SEQ = '{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}'
@@ -205,6 +205,45 @@ class TestEstimate:
         )
         assert code == 1
         assert doc["reports"][0]["pass"] is False
+
+
+class TestAggregateReciprocalPastTheFloatRange:
+    # aggregate reciprocal 1000.5 on a 4-leaf system: E_n(v)**(1/p) and the
+    # weak norm's mass powers pass the float range; pytest turns a numpy
+    # overflow warning into an error, so each run must end in a written report
+    ARGS = (
+        "--space", '{"depth":2,"branching":2}',
+        "--seq", '{"head":[2],"tail_mass":1000,"tail_ratio":0.9999}',
+        "--weights", '{"generator":{"seed":1}}',
+    )
+
+    def test_weights_constants_writes_the_infinite_constants(self, tmp_path):
+        code, doc, out = run_cli(tmp_path, "weights-constants", *self.ARGS)
+        assert code == 0
+        assert doc["constants"]["ap"] == math.inf and doc["constants"]["sp"] == math.inf
+        assert math.isfinite(doc["constants"]["rh"])
+        assert '"ap": Infinity' in out.read_text()
+
+    def test_verify_ap_fails_every_report_with_a_reason(self, tmp_path):
+        code, doc, _ = run_cli(tmp_path, "verify-ap", *self.ARGS)
+        assert code == 1
+        assert doc["ap_constant"] == math.inf
+        names = {r["inequality"] for r in doc["reports"]}
+        assert names == {"ap-to-testing", "testing-to-weak", "weak-to-testing", "testing-to-ap"}
+        assert all(not r["pass"] and r["metadata"]["reason"] in ("inf", "nan")
+                   for r in doc["reports"])
+        assert all(r["metadata"]["reason"] == "inf"
+                   for r in doc["reports"] if r["inequality"] != "testing-to-ap")
+
+    def test_weak_estimate_is_infinite_and_fails_an_expected_bound(self, tmp_path):
+        args = (*self.ARGS, "--inequality", "weak", "--trials", "4")
+        code, doc, _ = run_cli(tmp_path, "estimate-constant", *args)
+        assert code == 0
+        assert doc["estimate"] == math.inf
+        code, doc, _ = run_cli(tmp_path, "estimate-constant", *args, "--expect-at-most", "10")
+        assert code == 1
+        [report] = doc["reports"]
+        assert not report["pass"] and report["metadata"]["reason"] == "inf"
 
 
 class TestGenerate:
@@ -496,3 +535,20 @@ class TestEntryPoints:
         rows = list(csv.DictReader(open(out)))
         assert [int(row["system"]) for row in rows] == [0, 1, 2]
         assert "3 systems" in capsys.readouterr().out
+
+    def test_report_digest(self, capsys):
+        spec = importlib.util.spec_from_file_location(
+            "report_digest", ROOT / "scripts" / "report_digest.py"
+        )
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        assert digest.KEPT_TIMES == KEPT_FAMILY_TIMES
+        assert digest.kept_shapes() == (
+            [(0, 2)] + [(1, r) for r in range(2, 12)] + [(2, 2), (2, 3), (3, 2)])
+        lines = []
+        for _ in range(2):
+            assert digest.main(["--systems", "1", "--seed", "3"]) == 0
+            lines.append(capsys.readouterr().out)
+        count, label, sha = lines[0].split(maxsplit=2)
+        assert lines[0] == lines[1] and int(count) > 0
+        assert label == "reports" and len(sha.removeprefix("sha256 ").strip()) == 64

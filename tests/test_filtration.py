@@ -393,6 +393,40 @@ class TestKeptEnumeration:
                 tracemalloc.stop()
             assert held <= 1536 * count_stopping_times(space) + 4096, (depth, r, held)
 
+    def test_gather_groups_every_time_by_finite_leaf_count(self):
+        # the (k_c, c) matrices hold the times' flat indices, counts
+        # ascending and family order within a count; a slot is a row of the
+        # matrices stacked
+        for depth, r in self.KEPT_SHAPES:
+            times = list(enumerate_stopping_times(make_tree_space(depth, r)))
+            slots, matrices = filtration_mod._kept_times(depth, r).gather
+            counts = [m.shape[1] for m in matrices]
+            assert counts == sorted(set(tau.flat_index.size for tau in times))
+            assert sum(m.shape[0] for m in matrices) == len(slots) == len(times)
+            rows = [row for m in matrices for row in m]
+            order = sorted(range(len(times)), key=lambda i: times[i].flat_index.size)
+            for slot, i in enumerate(order):
+                assert slots[times[i].key()] == slot
+                np.testing.assert_array_equal(rows[slot], times[i].flat_index)
+            assert all(not m.flags.writeable for m in matrices)
+
+    def test_gather_memory_stays_within_budget(self):
+        # the slot map and the grouped flat indices hold about 170-230 bytes
+        # per time (budget 320): the largest kept family (2049 times of 11
+        # leaves) about 0.47 MB; built once per shape, on first use
+        filtration_mod._kept_times(1, 2).gather  # numpy's first-call allocations
+        for depth, r in self.KEPT_SHAPES:
+            filtration_mod._kept_times.cache_clear()
+            family = filtration_mod._kept_times(depth, r)
+            tracemalloc.start()
+            try:
+                family.gather
+                held, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held <= 320 * len(family.times) + 4096, (depth, r, held)
+            assert filtration_mod._kept_times(depth, r).gather is family.gather
+
 
 class TestStoppedValue:
     def test_stop_at_zero(self):

@@ -394,8 +394,14 @@ def test_norm_products_match_the_slot_oracle(monkeypatch):
             c_weak = 1.5
             report = verify_weak_to_testing(ws, fv, c_weak)
             levels = report.metadata["bands_per_level"]
-            assert len(bands_seen) == len(levels)
-            for (lhs, bound), level_bands in zip(bands_seen, levels.values()):
+            # the bands of all levels in one stacked call, level by level
+            [(lhs, bound)] = bands_seen
+            sizes = [len(level_bands) for level_bands in levels.values()]
+            assert len(lhs) == len(bound) == sum(sizes)
+            cuts = np.cumsum(sizes)[:-1]
+            for lhs_n, bound_n, level_bands in zip(
+                np.split(lhs, cuts), np.split(bound, cuts), levels.values()
+            ):
                 exp_lhs, exp_bound = [], []
                 for k_band, leaves in level_bands.items():
                     band = np.zeros(space.n_leaves, dtype=bool)
@@ -404,6 +410,6 @@ def test_norm_products_match_the_slot_oracle(monkeypatch):
                     norms = norms_product_oracle(space, FunctionVector(comps, q), seq, weights)
                     exp_bound.append(c_weak**p * norms**p)
                     exp_lhs.append((2.0**k_band) ** p * np.sum((space.leaf_probs * ws.v)[band]))
-                np.testing.assert_allclose(bound, exp_bound, rtol=1e-12, atol=0.0)
-                np.testing.assert_allclose(lhs, exp_lhs, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(bound_n, exp_bound, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(lhs_n, exp_lhs, rtol=1e-12, atol=0.0)
     assert covered == {"masked", "unmasked", "longer weights", "no active", "padded finite"}

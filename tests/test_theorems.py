@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from martbench.filtration import (
     enumerate_stopping_times,
     first_passage_time,
     is_stopped_measurable,
+    is_stopping_time,
     make_tree_space,
     sample_stopping_time,
 )
@@ -266,6 +268,81 @@ class TestApToTesting:
             assert verify_ap_to_testing(ws, fv, never).lhs == 0.0
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
+    def test_family_table_is_the_gather_bit_for_bit(self):
+        # the per-(system, vector) table, read by slot, against the stopped
+        # oracle on every kept shape, finite and infinite families, rewards
+        # over many binades; fresh times equal in value to kept ones read the
+        # table, an int32 time gathers its own entries
+        rng = np.random.default_rng(91)
+        shapes = [(0, 2)] + [(1, r) for r in range(2, 12)] + [(2, 2), (2, 3), (3, 2)]
+        for trial, (depth, branching) in enumerate(shapes * 2):
+            n = branching**depth
+            probs = rng.uniform(0.2, 1.0, n)
+            space = make_tree_space(depth, branching, probs / probs.sum())
+            seq = random_sequence(rng, max_head=3, allow_finite=False)
+            if trial % 2:
+                seq = make_exponent_sequence(list(seq.head), 0.0)
+            ws = random_weight_system(rng, space, seq)
+            fv = random_fvec(rng, space, seq, spread=1e6)
+            rows = level_products(space, fv, seq)
+            p, rp = 1.0 / seq.aggregate_reciprocal, seq.aggregate_reciprocal
+            slots, rewards = theorems_mod._family_rewards(ws, fv)
+            times = list(enumerate_stopping_times(space))
+            assert len(slots) == len(rewards) == len(times)
+            fresh = [StoppingTime(np.full(n, INF)), StoppingTime(np.zeros(n, dtype=np.int64))]
+            fresh += [first_passage_time(space, rows, t) for t in np.unique(rows)]
+            for tau in times + fresh:
+                assert tau.key() in slots
+                expected = stopped_reward_oracle(ws, rows, tau, p)
+                assert theorems_mod._stopped_reward(ws, fv, tau) == expected
+                assert verify_ap_to_testing(ws, fv, tau).lhs == expected**rp
+            narrow = StoppingTime(times[-1].values.astype(np.int32))
+            assert narrow.key() not in slots and is_stopping_time(space, narrow)
+            expected = stopped_reward_oracle(ws, rows, narrow, p)
+            assert theorems_mod._stopped_reward(ws, fv, narrow) == expected
+            assert verify_ap_to_testing(ws, fv, narrow).lhs == expected**rp
+
+    def test_a_time_reads_the_table_of_its_own_system_shape(self):
+        # (2, 2) and (1, 4) both have 4 leaves; [1, 1, inf, inf] is a time of
+        # both, and each system reads it from its own shape's table
+        rng = np.random.default_rng(92)
+        seq = make_exponent_sequence([2.0, 3.0], 0.2, 0.5)
+        systems = []
+        for depth, branching in [(2, 2), (1, 4)]:
+            space = make_tree_space(depth, branching, rng.dirichlet(np.ones(4)))
+            ws = random_weight_system(rng, space, seq)
+            systems.append((ws, random_fvec(rng, space, seq)))
+        shared = StoppingTime(np.array([1, 1, INF, INF]))
+        deep = StoppingTime(np.array([1, 1, 2, 2]))
+        for _ in range(2):  # alternate, so the one-entry table is refilled each time
+            seen = []
+            for ws, fv in systems:
+                rows = level_products(ws.space, fv, seq)
+                expected = stopped_reward_oracle(ws, rows, shared, 1.0 / seq.aggregate_reciprocal)
+                assert theorems_mod._stopped_reward(ws, fv, shared) == expected
+                seen.append(expected)
+            assert seen[0] != seen[1]
+        (ws22, fv22), (ws14, fv14) = systems
+        assert verify_ap_to_testing(ws22, fv22, deep).passed
+        with pytest.raises(ValueError):
+            verify_ap_to_testing(ws14, fv14, deep)
+
+    def test_streamed_shape_gathers_each_time(self):
+        # binary depth 4 (458,330 times) keeps no table; first-passage
+        # times gather their own entries
+        rng = np.random.default_rng(93)
+        space = make_tree_space(4, 2, rng.dirichlet(np.ones(16)))
+        seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+        ws = random_weight_system(rng, space, seq)
+        fv = random_fvec(rng, space, seq)
+        assert theorems_mod._family_rewards(ws, fv) is None
+        rows = level_products(space, fv, seq)
+        p = 1.0 / seq.aggregate_reciprocal
+        for t in np.unique(rows)[::7]:
+            tau = first_passage_time(space, rows, t)
+            rep = verify_ap_to_testing(ws, fv, tau)
+            assert rep.lhs == stopped_reward_oracle(ws, rows, tau, p) ** seq.aggregate_reciprocal
+
     def test_float_time_raises_value_error(self):
         space = make_tree_space(1, 2)
         ws = unit_weight_system(space, doubling_seq())
@@ -403,6 +480,48 @@ class TestWeakToTesting:
         report = verify_weak_to_testing(ws, fv, ap_constant(ws))
         assert report.lhs == pytest.approx(snell_testing_sup(ws, fv), rel=1e-12)
         assert report.metadata["stopping_sup"] == "exact"
+
+    def test_chunks_of_the_band_stack_give_the_same_report(self, monkeypatch):
+        # one band per chunk, ten bands per chunk and the default budget (one
+        # chunk for all 52 bands here), for a passing and a failing constant
+        rng = np.random.default_rng(94)
+        space = make_tree_space(8, 2, rng.dirichlet(np.full(256, 4.0)))
+        seq = make_exponent_sequence([2.0, 3.0, 4.0], 0.2, 0.5)
+        ws = random_weight_system(rng, space, seq)
+        fv = FunctionVector(tuple(random_positive(rng, space, 1e3) for _ in range(3)),
+                            random_leaf_mask(rng, space))
+        default = weights_mod.SCAN_CHUNK_FLOATS
+        for c_weak in (ap_constant(ws), 1e-3):
+            reports = []
+            for floats in (1, 10 * (seq.head_len + 1) * space.n_leaves, default):
+                monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", floats)
+                reports.append(verify_weak_to_testing(ws, fv, c_weak).to_json())
+            assert reports[0] == reports[1] == reports[2]
+            assert sum(map(len, reports[0]["metadata"]["bands_per_level"].values())) == 52
+            assert reports[0]["pass"] is (c_weak != 1e-3)
+
+    def test_band_stack_memory_stays_within_the_chunk_budget(self):
+        # 4096 leaves and 13 levels: the factors of the whole band stack would
+        # take about 18 MB; in chunks the peak is about 2 MB, within two chunk
+        # budgets for a chunk and its temporaries plus four level matrices
+        # for the band index of the whole matrix
+        rng = np.random.default_rng(95)
+        space = make_tree_space(12, 2, rng.dirichlet(np.full(4096, 4.0)))
+        seq = make_exponent_sequence([2.0, 3.0, 4.0], 0.2, 0.5)
+        ws = random_weight_system(rng, space, seq)
+        fv = FunctionVector(tuple(random_positive(rng, space, 1e3) for _ in range(3)), None)
+        verify_weak_to_testing(ws, fv, 2.0)  # the cached level products and reward table
+        tracemalloc.start()
+        try:
+            report = verify_weak_to_testing(ws, fv, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_bands = sum(map(len, report.metadata["bands_per_level"].values()))
+        stack = n_bands * space.n_leaves * 8 * (seq.head_len + 1)
+        level_matrix = (space.depth + 1) * space.n_leaves * 8
+        assert peak <= 2 * weights_mod.SCAN_CHUNK_FLOATS * 8 + 4 * level_matrix
+        assert peak < stack / 5, (peak, stack)
 
 
 class TestTestingToAp:
