@@ -14,14 +14,24 @@ and prints the number of reports and one sha256 of their sorted-key JSON.
 Two checkouts that print the same line produced the same reports, bit for
 bit.
 
+With --cli it runs every CLI subcommand instead, in process, over seeded
+specs on trees of 2 to 64 leaves (family "all" up to 9 leaves, "sample:16"
+above), and prints the number of runs and one sha256 over each run's
+arguments, exit code and report JSON (without "elapsed_seconds").
+
 Usage:
   PYTHONPATH=src python scripts/report_digest.py --systems 4 --seed 0
+  PYTHONPATH=src python scripts/report_digest.py --cli --systems 6 --seed 0
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -39,8 +49,14 @@ from martbench import (
     verify_testing_to_weak,
     verify_weak_to_testing,
 )
+from martbench.cli import main as cli_main
 
 KEPT_TIMES = 4096
+CLI_COMMANDS = (
+    "check-conditional-holder", "check-holder", "conjugate-product", "enumerate-stopping-times",
+    "estimate-constant", "generate", "sawyer-trace", "verify-ap", "verify-sp", "weights-constants",
+)
+CLI_SHAPES = ((1, 2), (1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (5, 2), (3, 4))
 
 
 def kept_shapes() -> list[tuple[int, int]]:
@@ -90,20 +106,78 @@ def chain_reports(ws, fvecs) -> list:
     return reports
 
 
+def cli_spec(rng, depth: int, branching: int) -> list[str]:
+    """Seeded arguments shared by every subcommand on one tree."""
+    n = branching**depth
+    probs = rng.uniform(0.2, 1.0, n)
+    probs /= probs.sum()
+    probs[-1] += 1.0 - probs.sum()
+    m = int(rng.integers(1, 4))
+    seq = {"head": [float(p) for p in rng.uniform(1.2, 6.0, m)], "tail_mass": 0.0}
+    if rng.random() >= 0.3:
+        seq.update(tail_mass=float(rng.uniform(0.02, 0.5)), tail_ratio=float(rng.uniform(0.2, 0.8)))
+    weights = {"seed": int(rng.integers(2**31)), "n_active": int(rng.integers(0, m + 1))}
+    functions = {"seed": int(rng.integers(2**31)), "trials": 3, "spread": 1e3}
+    return [
+        "--space", json.dumps({"depth": depth, "branching": branching,
+                               "leaf_probs": probs.tolist()}),
+        "--seq", json.dumps(seq),
+        "--weights", json.dumps({"generator": {**weights, "spread": 4.0}}),
+        "--functions", json.dumps({"generator": functions}),
+        "--family", "all" if n <= 9 else "sample:16",
+        "--seed", str(int(rng.integers(2**31))),
+        "--trials", "3",
+    ]
+
+
+def cli_runs(systems: int, seed: int, workdir: str) -> list:
+    """(arguments, exit code, report JSON) of every subcommand on every spec;
+    estimate-constant cycles through the inequalities, generate through the
+    kinds."""
+    out = os.path.join(workdir, "report.json")
+    runs = []
+    for index, (depth, branching) in enumerate(CLI_SHAPES):
+        for system in range(systems):
+            spec = cli_spec(np.random.default_rng([seed, index, system]), depth, branching)
+            extra = {"estimate-constant": ["--inequality",
+                                           ("testing", "weak", "strong", "sp-test")[system % 4]],
+                     "generate": ["--kind", ("weights", "functions")[system % 2]]}
+            for command in CLI_COMMANDS:
+                argv = [command, *spec, *extra.get(command, [])]
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = cli_main([*argv, "--out", out])
+                doc = None
+                if os.path.exists(out):
+                    with open(out) as fh:
+                        doc = json.load(fh)
+                    os.remove(out)
+                    doc.pop("elapsed_seconds", None)
+                runs.append([argv, code, doc])
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--systems", type=int, default=4, help="systems per kept shape")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--cli", action="store_true", help="digest the CLI subcommands instead")
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
-    docs = []
-    for index, (depth, branching) in enumerate(kept_shapes()):
-        for system in range(args.systems):
-            rng = np.random.default_rng([args.seed, index, system])
-            docs += [rep.to_json() for rep in chain_reports(*random_system(rng, depth, branching))]
+    if args.cli:
+        with tempfile.TemporaryDirectory() as workdir:
+            docs = cli_runs(args.systems, args.seed, workdir)
+        label = "cli runs"
+    else:
+        docs = []
+        for index, (depth, branching) in enumerate(kept_shapes()):
+            for system in range(args.systems):
+                rng = np.random.default_rng([args.seed, index, system])
+                docs += [rep.to_json() for rep in chain_reports(*random_system(rng, depth, branching))]
+        label = "reports"
     digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
-    print(f"{len(docs)} reports sha256 {digest}")
+    print(f"{len(docs)} {label} sha256 {digest}")
     print(f"{time.perf_counter() - started:.1f} s", file=sys.stderr)
     return 0
 

@@ -35,7 +35,6 @@ from .filtration import (
 )
 from .holder import (
     FunctionVector,
-    function_norms_product,
     function_vector_from_json,
     holder_conditional_check,
     holder_integral_check,
@@ -47,7 +46,7 @@ from .theorems import (
     estimate_best_constant,
     sawyer_decomposition,
     sawyer_trace_invariants,
-    snell_testing_sup,
+    verify_ap_to_testing,
     verify_sp_to_strong,
     verify_testing_to_ap,
     verify_testing_to_weak,
@@ -240,21 +239,11 @@ def _cmd_verify_ap(config: RunConfig, space, seq) -> tuple[list, dict]:
     reports = []
     for fvec in _function_vectors(config, space, seq):
         # the testing check against the exact supremum over all stopping times
-        worst_lhs = _power(snell_testing_sup(ws, fvec), seq.aggregate_reciprocal)
-        rhs = function_norms_product(space, fvec, seq, ws.active_weights)
-        reports.append(
-            check_inequality(
-                "ap-to-testing",
-                worst_lhs,
-                rhs,
-                constant=c_a,
-                tolerance=config.tol,
-                metadata={"stopping_sup": "exact", "space": space.digest},
-            )
-        )
-        observed = worst_lhs / rhs if rhs > 0.0 else 0.0
-        reports.append(verify_testing_to_weak(ws, fvec, observed, tolerance=config.tol))
-        reports.append(verify_weak_to_testing(ws, fvec, c_a, tolerance=config.tol))
+        testing = verify_ap_to_testing(ws, fvec, tolerance=config.tol)
+        observed = testing.lhs / testing.rhs if testing.rhs > 0.0 else 0.0
+        reports += [testing,
+                    verify_testing_to_weak(ws, fvec, observed, tolerance=config.tol),
+                    verify_weak_to_testing(ws, fvec, c_a, tolerance=config.tol)]
     reports.append(verify_testing_to_ap(ws, config.family, tolerance=config.tol))
     return reports, {"ap_constant": c_a}
 

@@ -305,23 +305,19 @@ def count_stopping_times(space: TreeSpace) -> int:
     return count
 
 
-def _subtree_times(space: TreeSpace, level: int) -> list[np.ndarray]:
-    """All stopping-time value blocks for one subtree rooted at `level`.
-
-    By uniformity the block depends only on the level, so levels >= 1 are
-    materialized once and reused across sibling positions.
-    """
-    width = space.atom_size(level)
+def _subtree_times(space: TreeSpace, level: int) -> Iterator[np.ndarray]:
+    """Every stopping-time value block of one subtree rooted at `level`, each
+    a fresh array: the atom stopped at `level`, then every combination of the
+    children's blocks, which (by uniformity they depend only on the level)
+    are materialized once and reused across sibling positions."""
     if level == space.depth:
-        return [
-            np.array([space.depth], dtype=np.int64),
-            np.array([StoppingTime.INFINITE], dtype=np.int64),
-        ]
-    children = _subtree_times(space, level + 1)
-    out = [np.full(width, level, dtype=np.int64)]
+        yield np.array([space.depth], dtype=np.int64)
+        yield np.array([StoppingTime.INFINITE], dtype=np.int64)
+        return
+    yield np.full(space.atom_size(level), level, dtype=np.int64)
+    children = list(_subtree_times(space, level + 1))
     for combo in itertools.product(children, repeat=space.branching):
-        out.append(np.concatenate(combo))
-    return out
+        yield np.concatenate(combo)
 
 
 def enumerate_stopping_times(
@@ -389,14 +385,7 @@ def _kept_gather(space: TreeSpace) -> tuple[dict, tuple[np.ndarray, ...]] | None
 
 
 def _stream_times(space: TreeSpace) -> Iterator[StoppingTime]:
-    if space.depth == 0:
-        for block in _subtree_times(space, 0):
-            yield StoppingTime(_frozen(block))
-        return
-    yield StoppingTime(np.zeros(space.n_leaves, dtype=np.int64))
-    children = _subtree_times(space, 1)
-    for combo in itertools.product(children, repeat=space.branching):
-        yield StoppingTime(_frozen(np.concatenate(combo)))
+    return (StoppingTime(_frozen(block)) for block in _subtree_times(space, 0))
 
 
 def sample_stopping_time(space: TreeSpace, rng: np.random.Generator) -> StoppingTime:

@@ -173,12 +173,12 @@ def level_products(
 
     Unmasked tail components average to exactly 1.  With a mask Q and a
     nonempty tail, row n picks up the factor E_n(chi_Q) infinitely often,
-    so it survives only on atoms contained in Q, decided from integer leaf
-    counts per atom.  A finite family (tail mass 0) has no infinite tail; the
-    mask then also applies to the constant-1 components padding the head,
-    each contributing one factor E_n(chi_Q).  With `stacked`, masked_by is
-    a (B, leaves) stack of masks and the result a (B, depth+1, leaves)
-    stack of matrices, one per mask.
+    so it survives only on atoms contained in Q: from each leaf's entry
+    level (_entry_levels) down.  A finite family (tail mass 0) has no
+    infinite tail; the mask then also applies to the constant-1 components
+    padding the head, each contributing one factor E_n(chi_Q).  With
+    `stacked`, masked_by is a (B, leaves) stack of masks and the result a
+    (B, depth+1, leaves) stack of matrices, one per mask.
     """
     _check_alignment(fvec, seq)
     mask = _combined_mask(space, fvec, masked_by, stacked)
@@ -189,13 +189,30 @@ def level_products(
     if mask is None:
         return rows
     if not seq.is_finite_family:
-        rows *= np.stack([
-            space.expand(space.atom_sums(mask, n) == space.atom_size(n), n)
-            for n in space.levels
-        ], axis=-2)
+        rows *= np.arange(space.depth + 1)[:, None] >= _entry_levels(space, mask)[..., None, :]
     elif fvec.n_active < seq.head_len:
         rows *= cond_exp_matrix(space, mask) ** (seq.head_len - fvec.n_active)
     return rows
+
+
+def _entry_levels(space: TreeSpace, masks) -> np.ndarray:
+    """Per mask F (the last axis, cast to bool) and leaf x, the shallowest
+    level whose atom through x lies inside F, and depth+1 off F.  The full
+    atoms of a level are those whose children are all full, taken bottom up;
+    going back down, each leaf counts the levels at which its atom is full:
+    its entry level down to depth.  O(leaves) per mask."""
+    r = space.branching
+    full = [np.asarray(masks, dtype=bool)]
+    for _ in range(space.depth):
+        children = full[-1].reshape(full[-1].shape[:-1] + (-1, r))
+        parent = children[..., 0]
+        for c in range(1, r):
+            parent = parent & children[..., c]
+        full.append(parent)
+    count = full.pop().view(np.uint8)
+    while full:
+        count = np.repeat(count, r, axis=-1) + full.pop().view(np.uint8)
+    return space.depth + 1 - count.astype(np.intp)
 
 
 def function_norms_product(

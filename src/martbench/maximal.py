@@ -46,21 +46,26 @@ def gen_doob_maximal(
     return level_products(space, fvec, seq, masked_by).max(axis=0)
 
 
+def _weighted_rows(space: TreeSpace, gvec: FunctionVector, sigmas, seq: ExponentSequence):
+    """Matrix whose row n is prod_i E_n^{sigma_i}(g_i) over the occupied head
+    slots; a g or sigma past the supplied ones is 1 and contributes 1."""
+    rows = np.ones((space.depth + 1, space.n_leaves))
+    for g, s in _component_slots(space, gvec.active, sigmas, seq):
+        rows *= cond_exp_matrix(space, g, s)  # checks that sigma is positive
+    return rows
+
+
 def gen_weighted_maximal(
     space: TreeSpace,
     gvec: FunctionVector,
     sigmas,
     seq: ExponentSequence,
 ) -> np.ndarray:
-    """Supremum over levels of prod_i E_n^{sigma_i}(g_i); components past
-    the supplied g's or sigmas default to 1 and contribute the factor 1."""
+    """Supremum over levels of prod_i E_n^{sigma_i}(g_i) (_weighted_rows);
+    components past the supplied g's or sigmas contribute the factor 1."""
     if gvec.mask is not None:
         raise ValueError("masked vectors are not supported for the weighted maximal")
-    sigmas = [as_leaf_vector(space, s) for s in sigmas]
-    rows = np.ones((space.depth + 1, space.n_leaves))
-    for g, s in _component_slots(space, gvec.active, sigmas, seq):
-        rows *= cond_exp_matrix(space, g, s)  # checks that sigma is positive
-    return rows.max(axis=0)
+    return _weighted_rows(space, gvec, [as_leaf_vector(space, s) for s in sigmas], seq).max(axis=0)
 
 
 def weighted_measure(space: TreeSpace, leaf_set, weight=None) -> float:
@@ -69,21 +74,27 @@ def weighted_measure(space: TreeSpace, leaf_set, weight=None) -> float:
     return float(_weighted_probs(space, weight)[mask].sum())
 
 
+def _level_sets(space: TreeSpace, g: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values t of g that are not <= 0 (a NaN is kept, each on
+    its own), descending, and |{g >= t}|_v for each: one descending sort,
+    and the cumulative mass at the last entry of each tied block."""
+    order = np.argsort(-g, kind="stable")
+    values = g[order]
+    masses = np.cumsum(_weighted_probs(space, v)[order])
+    last = np.append(values[1:] != values[:-1], True) & ~(values <= 0.0)
+    return values[last], masses[last]
+
+
 def weak_lp_norm(space: TreeSpace, g: np.ndarray, p: float, v) -> float:
     """sup over lambda of lambda * |{g > lambda}|_v**(1/p), computed
     exactly as the maximum over distinct values t of t * |{g >= t}|_v**(1/p)
-    by one descending sort and a cumulative sum."""
+    over _level_sets.  g must be finite; verify_testing_to_weak reads
+    _level_sets itself, so a maximal function past the float range fails it."""
     if not p > 0.0:
         raise ValueError(f"exponent {p} must be positive")
-    g = as_leaf_vector(space, g, nonnegative=True)
-    w = _weighted_probs(space, v)
-    order = np.argsort(-g, kind="stable")
-    values = g[order]
-    masses = np.cumsum(w[order])
-    # |{g >= t}|_v is the mass at the last entry of each tied block of t > 0
-    last = np.append(values[1:] != values[:-1], True) & (values > 0.0)
+    values, masses = _level_sets(space, as_leaf_vector(space, g, nonnegative=True), v)
     with np.errstate(over="ignore"):  # a norm past the float range is inf
-        return float(np.max(values[last] * masses[last] ** (1.0 / p), initial=0.0))
+        return float(np.max(values * masses ** (1.0 / p), initial=0.0))
 
 
 def level_set_stopping_time(

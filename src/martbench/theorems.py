@@ -28,9 +28,7 @@ from . import weights
 from .exponents import conjugate_product
 from .filtration import (
     StoppingTime,
-    TreeSpace,
     _kept_gather,
-    cond_exp_matrix,
     first_passage_time,
     is_stopped_measurable,
     is_stopping_time,
@@ -45,7 +43,7 @@ from .holder import (
     lp_norm,
     trial_vector,
 )
-from .maximal import gen_doob_maximal, weak_lp_norm, weighted_measure
+from .maximal import _level_sets, _weighted_rows, weak_lp_norm
 from .report import REL_TOL, VerificationReport, _power, _within_margin, check_inequality
 from .weights import (
     WeightSystem,
@@ -71,8 +69,9 @@ def band_index(values: np.ndarray) -> np.ndarray:
 def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple[np.ndarray, float]:
     """Level products (read-only) and norm product of the last (system, vector)
     pair; both hash by identity, hold read-only arrays and are kept alive here.
-    A product past the float range is inf, which fails the report it reaches."""
-    with np.errstate(over="ignore"):
+    A product past the float range is inf (and inf * 0 NaN), which fails the
+    report it reaches."""
+    with np.errstate(over="ignore", invalid="ignore"):
         rows = level_products(ws.space, fvec, ws.seq)
         rhs = function_norms_product(ws.space, fvec, ws.seq, ws.active_weights)
     rows.setflags(write=False)
@@ -82,12 +81,11 @@ def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple[np.ndarray, 
 @functools.lru_cache(maxsize=1)
 def _reward_table(ws: WeightSystem, fvec: FunctionVector) -> np.ndarray:
     """The stopping reward of the last (system, vector) pair, read-only: row n
-    is leaf_probs * v * (prod E_n f_i)**p, and one zero row below the levels,
-    which the INFINITE sentinel (-1) indexes."""
+    is leaf_probs * v * (prod E_n f_i)**p.  Readers gather finite leaves only
+    (StoppingTime.flat_index), so no row stands for the INFINITE value."""
     rows = _testing_parts(ws, fvec)[0]
-    reward = np.zeros((ws.space.depth + 2, ws.space.n_leaves))
     with np.errstate(over="ignore"):  # an overflowed reward is inf, and fails its report
-        reward[:-1] = ws.space.leaf_probs * ws.v * rows ** (1.0 / ws.seq.aggregate_reciprocal)
+        reward = ws.space.leaf_probs * ws.v * rows ** (1.0 / ws.seq.aggregate_reciprocal)
     reward.setflags(write=False)
     return reward
 
@@ -121,27 +119,32 @@ def _stopped_reward(ws: WeightSystem, fvec: FunctionVector, tau: StoppingTime) -
 def verify_ap_to_testing(
     ws: WeightSystem,
     fvec: FunctionVector,
-    tau: StoppingTime,
+    tau: StoppingTime | None = None,
     tolerance: float = REL_TOL,
 ) -> VerificationReport:
     """Testing inequality with the joint-condition constant:
     (int_{tau<inf} (prod E_tau(f_i))**p v dmu)**(1/p)
-        <= C_A * prod ||f_i||_{L^{p_i}(omega_i)}.
-    C_A and the parts that do not depend on tau are cached across calls.
-    After the adaptedness check, the stopped integral of a time of a kept
-    family (at most KEPT_FAMILY_TIMES) is read from a table filled for the
-    whole family at the first call of a (system, vector) pair; any other
-    time gathers its own entries (_stopped_reward)."""
-    if not is_stopping_time(ws.space, tau):
+        <= C_A * prod ||f_i||_{L^{p_i}(omega_i)},
+    at tau, or (tau None) at the exact supremum over all stopping times
+    (snell_testing_sup).  The parts that do not depend on tau are cached.
+    A time of a kept family (at most KEPT_FAMILY_TIMES) reads its stopped
+    integral from the table filled for the whole family at the first call
+    of a (system, vector) pair; any other time gathers its own entries."""
+    if tau is None:
+        reward = snell_testing_sup(ws, fvec)
+        metadata = {"stopping_sup": "exact", "space": ws.space.digest}
+    elif not is_stopping_time(ws.space, tau):
         raise ValueError("tau is not an adapted stopping time")
-    lhs = _power(_stopped_reward(ws, fvec, tau), ws.seq.aggregate_reciprocal)
+    else:
+        reward = _stopped_reward(ws, fvec, tau)
+        metadata = {"space": ws.space.digest, "finite_leaves": tau.flat_index.size}
     return check_inequality(
         "ap-to-testing",
-        lhs,
+        _power(reward, ws.seq.aggregate_reciprocal),
         _testing_parts(ws, fvec)[1],
         constant=ws.ap_max,
         tolerance=tolerance,
-        metadata={"space": ws.space.digest, "finite_leaves": tau.flat_index.size},
+        metadata=metadata,
     )
 
 
@@ -157,31 +160,28 @@ def verify_testing_to_weak(
     time just below t has support exactly {maximal >= t}; the stopped
     product dominates t there, so
     t * |{maximal >= t}|_v**(1/p) <= testing side <= c_test * norm product.
+    The report checks the largest term (weak_lp_norm's value) against the
+    right end; an overflowed or NaN maximal value fails it.
     """
-    space, seq = ws.space, ws.seq
-    rp = seq.aggregate_reciprocal
+    space, rp = ws.space, ws.seq.aggregate_reciprocal
     p = 1.0 / rp
     rows, rhs = _testing_parts(ws, fvec)
-    maximal = rows.max(axis=0)
-    all_ok = True
-    thresholds = np.unique(maximal[maximal > 0.0])
-    for t in thresholds:
-        t = float(t)
-        # rows > nextafter(t, 0) is rows >= t: the support is {maximal >= t}
-        tau = first_passage_time(space, rows, np.nextafter(t, 0.0))
-        weak_t = t * _power(weighted_measure(space, tau.support(), ws.v), rp)
-        for bound in (_power(_stopped_reward(ws, fvec, tau), rp), c_test * rhs):
-            if not _within_margin(weak_t, bound, tolerance):
-                all_ok = False
+    thresholds, masses = _level_sets(space, rows.max(axis=0), ws.v)
+    # rows > nextafter(t, 0) is rows >= t: the support is {maximal >= t}
+    stopped_rewards = [_stopped_reward(ws, fvec, first_passage_time(space, rows, t))
+                       for t in np.nextafter(thresholds, 0.0)]
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails below
+        weak = thresholds * masses ** (1.0 / p)  # weak_lp_norm's terms, bit for bit
+        within = _within_margin(weak, np.array(stopped_rewards) ** rp, tolerance)
     report = check_inequality(
         "testing-to-weak",
-        weak_lp_norm(space, maximal, p, ws.v),
+        np.max(weak, initial=0.0),
         rhs,
         constant=c_test,
         tolerance=tolerance,
         metadata={"n_thresholds": len(thresholds), "space": space.digest},
     )
-    report.passed = report.passed and all_ok
+    report.passed = report.passed and bool(within.all())
     return report
 
 
@@ -367,6 +367,15 @@ class SawyerTrace:
         }
 
 
+def _strong_rows(ws: WeightSystem, gvec: FunctionVector) -> np.ndarray:
+    """Level products of the vector (g_i sigma_i) over the occupied head
+    slots, masked as gvec is; past the float range a product is inf."""
+    slots = _component_slots(ws.space, gvec.active, ws.sigmas, ws.seq)
+    with np.errstate(over="ignore"):
+        return level_products(ws.space, FunctionVector(tuple(g * s for g, s in slots), gvec.mask),
+                              ws.seq)
+
+
 def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     """Dyadic decomposition of the maximal function of (g_i sigma_i).
 
@@ -379,13 +388,11 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     """
     if gvec.mask is not None:
         raise ValueError("masked vectors are not supported in the decomposition")
-    space, seq = ws.space, ws.seq
-    p = 1.0 / seq.aggregate_reciprocal
-    slots = _component_slots(space, gvec.active, ws.sigmas, seq)
-    # past the float range a product is inf: an infinite maximal value sits in
-    # band 1023 and fails maximal_finite, an infinite T the trace inequality
-    with np.errstate(over="ignore"):
-        rows = level_products(space, FunctionVector(tuple(g * s for g, s in slots), None), seq)
+    space = ws.space
+    p = 1.0 / ws.seq.aggregate_reciprocal
+    # an infinite maximal value sits in band 1023 and fails maximal_finite,
+    # an infinite T the trace inequality
+    rows = _strong_rows(ws, gvec)
     maximal = rows.max(axis=0)
     ks = band_index(maximal[maximal > 0.0])
     if not ks.size:
@@ -395,9 +402,7 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     cells = {}
     weighted = space.leaf_probs * ws.v
     with np.errstate(over="ignore"):  # 2**1024 is inf
-        ratio_rows = np.ones((space.depth + 1, space.n_leaves))
-        for g, s in slots:
-            ratio_rows *= cond_exp_matrix(space, g, s)
+        ratio_rows = _weighted_rows(space, gvec, ws.sigmas, ws.seq)
         taus = {k: first_passage_time(space, rows, np.ldexp(1.0, k)) for k in range(k_lo, k_hi + 2)}
         for k in range(k_lo, k_hi + 1):
             fin = taus[k].finite
@@ -531,25 +536,6 @@ def estimate_best_constant(
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     m = seq.head_len
-
-    def strong_ratio(gvec: FunctionVector) -> float:
-        slots = _component_slots(space, gvec.active, ws.sigmas, seq)
-        ufvec = FunctionVector(tuple(g * s for g, s in slots), gvec.mask)
-        lhs = lp_norm(space, gen_doob_maximal(space, ufvec, seq), p, ws.v)
-        rhs = function_norms_product(space, gvec, seq, ws.sigmas)
-        return lhs / rhs if rhs > 0.0 else 0.0
-
-    def fvec_ratio(fvec: FunctionVector) -> float:
-        if inequality_id == "strong":
-            return strong_ratio(fvec)
-        rhs = _testing_parts(ws, fvec)[1]
-        if rhs <= 0.0:
-            return 0.0
-        if inequality_id == "testing":
-            return _power(snell_testing_sup(ws, fvec), rp) / rhs
-        maximal = gen_doob_maximal(space, fvec, seq)
-        return weak_lp_norm(space, maximal, p, ws.v) / rhs
-
     ratios = []
     for trial in range(trials):
         if inequality_id == "sp-test":
@@ -569,18 +555,20 @@ def estimate_best_constant(
             fvec = trial_vector(space, m, seed, trial, 1e3)
         elif inequality_id == "strong":
             # the testing family embeds via g_i = chi_F for every
-            # component, tail included: a masked all-ones vector
-            _, argmax = sp_constant_argmax(ws, _default_family(space))
-            fvec = FunctionVector(
-                tuple(np.ones(space.n_leaves) for _ in range(m)), argmax
-            )
+            # component, tail included: a masked all-ones vector; above
+            # 4096 supports the witness comes from a 256-sample family
+            family = "all" if 2**space.n_leaves - 1 <= 4096 else {"count": 256, "seed": 0}
+            _, argmax = sp_constant_argmax(ws, family)
+            fvec = FunctionVector(tuple(np.ones(space.n_leaves) for _ in range(m)), argmax)
         else:
             fvec = FunctionVector(tuple(ws.sigma_at(i) for i in range(m)), None)
-        ratios.append(fvec_ratio(fvec))
+        if inequality_id == "strong":
+            lhs = lp_norm(space, _strong_rows(ws, fvec).max(axis=0), p, ws.v)
+            rhs = function_norms_product(space, fvec, seq, ws.sigmas)
+        elif inequality_id == "testing":
+            lhs, rhs = _power(snell_testing_sup(ws, fvec), rp), _testing_parts(ws, fvec)[1]
+        else:
+            rows, rhs = _testing_parts(ws, fvec)
+            lhs = weak_lp_norm(space, rows.max(axis=0), p, ws.v)
+        ratios.append(0.0 if rhs <= 0.0 else lhs / rhs)
     return float(np.max(ratios))  # a NaN ratio propagates
-
-
-def _default_family(space: TreeSpace):
-    if 2**space.n_leaves - 1 <= 4096:
-        return "all"
-    return {"count": 256, "seed": 0}

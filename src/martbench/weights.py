@@ -60,7 +60,7 @@ from .filtration import (
     make_tree_space,
     sample_stopping_time,
 )
-from .holder import FunctionVector, level_products
+from .holder import FunctionVector, _entry_levels, level_products
 
 SCAN_CHUNK_FLOATS = 1 << 16  # floats in one (B, depth+1, leaves) block of a scan
 
@@ -302,26 +302,6 @@ def rh_ratios(ws: WeightSystem, masks) -> np.ndarray:
     masks = _as_leaf_masks(ws.space, masks)
     integrand = np.prod([s**e for s, e in zip(ws.sigmas, _base_exponents(ws))], axis=0)
     return _normalized_ratios(ws, masks, (masks * (ws.space.leaf_probs * integrand)).sum(-1))
-
-
-def _entry_levels(space: TreeSpace, masks: np.ndarray) -> np.ndarray:
-    """Per support F (a row of masks) and leaf x, the shallowest level whose
-    atom through x lies inside F, and depth+1 off F.  The full atoms of a
-    level are those whose children are all full, taken bottom up; going back
-    down, each leaf counts the levels at which its atom is full, and those
-    are the levels from its entry level down to depth.  O(leaves) per row."""
-    r = space.branching
-    full = [masks]
-    for _ in range(space.depth):
-        children = full[-1].reshape(len(masks), -1, r)
-        parent = children[..., 0]
-        for c in range(1, r):
-            parent = parent & children[..., c]
-        full.append(parent)
-    count = full.pop().view(np.uint8)
-    while full:
-        count = np.repeat(count, r, axis=-1) + full.pop().view(np.uint8)
-    return space.depth + 1 - count.astype(np.intp)
 
 
 def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:

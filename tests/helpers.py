@@ -72,6 +72,28 @@ def random_leaf_mask(rng: np.random.Generator, space: TreeSpace, allow_empty: bo
     return mask
 
 
+def full_atoms_oracle(space: TreeSpace, masks) -> np.ndarray:
+    """Per level n, the leaves whose level-n atom lies inside the mask, from
+    integer leaf counts per atom: a (depth+1, leaves) bool matrix, or a
+    (B, depth+1, leaves) stack for a (B, leaves) stack of masks."""
+    masks = np.asarray(masks, dtype=bool)
+    return np.stack([
+        space.expand(space.atom_sums(masks, n) == space.atom_size(n), n) for n in space.levels
+    ], axis=-2)
+
+
+def masked_tail_products_oracle(space: TreeSpace, fvec: FunctionVector, masks) -> np.ndarray:
+    """level_products of an unmasked vector under a mask (or a (B, leaves)
+    stack of masks) with an infinite tail: the masked components' level
+    matrices, times the full-atom indicator of full_atoms_oracle."""
+    masks = np.asarray(masks, dtype=bool)
+    rows = np.ones(masks.shape[:-1] + (space.depth + 1, space.n_leaves))
+    for f in fvec.active:
+        rows *= cond_exp_matrix(space, f * masks)
+    rows *= full_atoms_oracle(space, masks)
+    return rows
+
+
 def sampled_supports_oracle(space: TreeSpace, family) -> np.ndarray:
     """The distinct nonempty supports of a sampled family {"count": k,
     "seed": s} in the order first drawn, as a (K, leaves) bool array: k

@@ -185,6 +185,30 @@ class TestVerifySuites:
         weak = [r for r in doc["reports"] if r["inequality"] == "weak-to-testing"]
         assert weak and all(r["metadata"]["reason"] == "inf" for r in weak)
 
+    @pytest.mark.parametrize("head, active, reason", [
+        # E_0(f_1) E_0(f_2) = 1e400 overflows: the maximal function is inf
+        ([2, 2], [[1e200, 1], [1e200, 1]], "inf"),
+        # inf * E_1(f_3) = inf * 0 at leaf 0: the maximal function holds a NaN
+        ([2, 2, 2], [[1e300, 1e300], [1e300, 1e300], [0, 1]], "nan"),
+    ], ids=["inf", "nan"])
+    def test_verify_ap_with_a_non_finite_maximal_function_fails(
+            self, tmp_path, head, active, reason):
+        # tier-1 turns a numpy RuntimeWarning into an error; the weak-type
+        # report must fail, not raise from weak_lp_norm's finiteness check
+        code, doc, _ = run_cli(
+            tmp_path, "verify-ap",
+            "--space", SPACE, "--seq", json.dumps({"head": head, "tail_mass": 0}),
+            "--weights", '{"weights":[[1,1],[1,1]],"v":[1,1]}',
+            "--functions", json.dumps({"active": active}),
+        )
+        assert code == 1
+        by_name = {r["inequality"]: r for r in doc["reports"]}
+        weak = by_name["testing-to-weak"]
+        assert not weak["pass"] and "reason" in weak["metadata"]
+        assert (weak["lhs"] == math.inf) if reason == "inf" else math.isnan(weak["lhs"])
+        for name in ("ap-to-testing", "weak-to-testing"):
+            assert not by_name[name]["pass"] and by_name[name]["metadata"]["reason"] == reason
+
 
 class TestEstimate:
     def test_estimate_reports_lower_bound(self, tmp_path):
@@ -552,3 +576,22 @@ class TestEntryPoints:
         count, label, sha = lines[0].split(maxsplit=2)
         assert lines[0] == lines[1] and int(count) > 0
         assert label == "reports" and len(sha.removeprefix("sha256 ").strip()) == 64
+
+    def test_report_digest_cli_pass(self, capsys, monkeypatch):
+        # every subcommand, on two small shapes: the digest of two passes is
+        # the same although each run's elapsed time differs
+        spec = importlib.util.spec_from_file_location(
+            "report_digest", ROOT / "scripts" / "report_digest.py"
+        )
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        assert digest.CLI_COMMANDS == tuple(sorted(cli_mod._COMMANDS))
+        monkeypatch.setattr(digest, "CLI_SHAPES", ((1, 2), (2, 3)))
+        lines = []
+        for _ in range(2):
+            assert digest.main(["--cli", "--systems", "2", "--seed", "3"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        count, *label, sha = lines[0].split()
+        assert int(count) == 2 * 2 * len(digest.CLI_COMMANDS)
+        assert label == ["cli", "runs", "sha256"] and len(sha) == 64

@@ -24,6 +24,8 @@ from martbench.theorems import verify_weak_to_testing
 from martbench.weights import make_weight_system
 
 from helpers import (
+    full_atoms_oracle,
+    masked_tail_products_oracle,
     norms_product_oracle,
     random_fvec,
     random_leaf_mask,
@@ -334,6 +336,31 @@ class TestMaskedTails:
         fv = FunctionVector((np.array([2.0, 3.0]),), np.array([True, False]))
         rows = level_products(space, fv, seq)
         np.testing.assert_array_equal(rows, [[0.0, 0.0], [2.0, 0.0]])
+        np.testing.assert_array_equal(rows, masked_tail_products_oracle(space, fv, fv.mask))
+
+    @pytest.mark.parametrize("depth, branching", [
+        (0, 2), *((d, r) for d in (1, 2, 3) for r in (2, 3, 4))])
+    def test_masked_tail_matches_the_atom_count_oracle(self, depth, branching):
+        # the infinite-tail factor decided by entry level against the
+        # per-level integer atom counts, bit for bit, on single masks and
+        # (B, leaves) stacks, with full and empty masks among them
+        rng = np.random.default_rng(100 * depth + branching)
+        space = make_tree_space(depth, branching, rng.dirichlet(np.full(branching**depth, 3.0)))
+        seq = make_exponent_sequence([2.0, 3.5], 0.3, 0.5)
+        fv = FunctionVector(tuple(random_positive(rng, space) for _ in range(2)), None)
+        masks = rng.random((12, space.n_leaves)) < rng.uniform(0.3, 1.0, (12, 1))
+        masks[0], masks[1] = True, False
+        levels = np.arange(depth + 1)[:, None]
+        np.testing.assert_array_equal(
+            levels >= holder_mod._entry_levels(space, masks)[..., None, :],
+            full_atoms_oracle(space, masks))
+        np.testing.assert_array_equal(
+            level_products(space, fv, seq, masked_by=masks, stacked=True),
+            masked_tail_products_oracle(space, fv, masks))
+        for mask in masks:
+            np.testing.assert_array_equal(
+                level_products(space, fv, seq, masked_by=mask),
+                masked_tail_products_oracle(space, fv, mask))
 
 
 def test_norm_products_match_the_slot_oracle(monkeypatch):

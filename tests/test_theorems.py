@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import martbench.filtration as filtration_mod
+import martbench.maximal as maximal_mod
 import martbench.theorems as theorems_mod
 import martbench.weights as weights_mod
 from martbench.exponents import conjugate_product, make_exponent_sequence
@@ -24,9 +25,10 @@ from martbench.holder import (
     function_norms_product,
     function_vector,
     level_products,
+    trial_vector,
 )
-from martbench.maximal import gen_weighted_maximal
-from martbench.report import REL_TOL, _within_margin
+from martbench.maximal import gen_doob_maximal, gen_weighted_maximal, weak_lp_norm
+from martbench.report import REL_TOL, _power, _within_margin
 from martbench.theorems import (
     band_index,
     estimate_best_constant,
@@ -181,6 +183,29 @@ class TestApToTesting:
             fv = random_fvec(rng, ws.space, ws.seq)
             for tau in enumerate_stopping_times(ws.space):
                 assert verify_ap_to_testing(ws, fv, tau).passed
+
+    @pytest.mark.parametrize("finite", [False, True], ids=["infinite", "finite"])
+    def test_without_a_time_checks_the_exact_supremum(self, finite):
+        # no time: the left side is snell_testing_sup's supremum and the right
+        # side the active-weight norm product, bit for bit, and it dominates
+        # every single time's left side
+        rng = np.random.default_rng(64 + finite)
+        for _ in range(15):
+            space = random_space(rng, max_depth=2)
+            seq = random_sequence(rng, max_head=3, allow_finite=False)
+            if finite:
+                seq = make_exponent_sequence(list(seq.head), 0.0)
+            ws = random_weight_system(rng, space, seq)
+            fv = random_fvec(rng, space, seq)
+            report = verify_ap_to_testing(ws, fv)
+            assert report.passed
+            assert report.lhs == _power(snell_testing_sup(ws, fv), seq.aggregate_reciprocal)
+            assert report.rhs == function_norms_product(space, fv, seq, ws.active_weights)
+            assert report.constant == ap_constant(ws)
+            assert report.metadata == {"stopping_sup": "exact", "space": space.digest}
+            worst = max(verify_ap_to_testing(ws, fv, tau).lhs
+                        for tau in enumerate_stopping_times(space))
+            assert worst <= report.lhs * (1.0 + 1e-12)
 
     def test_rejects_non_adapted(self):
         space = make_tree_space(1, 2)
@@ -409,6 +434,31 @@ class TestTestingToWeak:
                 if rep.rhs > 0:
                     observed = max(observed, rep.lhs / rep.rhs)
             assert verify_testing_to_weak(ws, fv, observed).passed
+
+    def test_thresholds_are_the_distinct_positive_maximal_values(self):
+        rng = np.random.default_rng(66)
+        for _ in range(20):
+            ws = small_random_system(rng)
+            fv = random_fvec(rng, ws.space, ws.seq)
+            fv = FunctionVector((np.where(rng.random(ws.space.n_leaves) < 0.3, 0.0,
+                                          fv.active[0]), *fv.active[1:]), None)
+            maximal = gen_doob_maximal(ws.space, fv, ws.seq)
+            report = verify_testing_to_weak(ws, fv, 1e300)
+            p = 1.0 / ws.seq.aggregate_reciprocal
+            assert report.lhs == weak_lp_norm(ws.space, maximal, p, ws.v)
+            assert report.metadata["n_thresholds"] == np.unique(maximal[maximal > 0.0]).size
+
+    @pytest.mark.parametrize("active, reason", [
+        ([[1e200, 1.0], [1e200, 1.0]], "inf"),
+        ([[1e300, 1e300], [1e300, 1e300], [0.0, 1.0]], "nan"),
+    ], ids=["inf", "nan"])
+    def test_non_finite_maximal_function_fails_with_a_reason(self, active, reason):
+        space = make_tree_space(1, 2)
+        seq = make_exponent_sequence([2.0] * len(active), 0.0)
+        ws = unit_weight_system(space, seq)
+        report = verify_testing_to_weak(ws, function_vector(space, active), 1.0)
+        assert not report.passed and report.metadata["reason"] == reason
+        assert (report.lhs == math.inf) if reason == "inf" else math.isnan(report.lhs)
 
 
 class TestWeakToTesting:
@@ -885,6 +935,42 @@ class TestEstimates:
                 for tau in enumerate_stopping_times(ws.space)
             )
             assert snell_testing_sup(ws, fv) == pytest.approx(brute, rel=1e-12)
+
+    def test_weak_estimate_builds_the_level_products_once_per_trial(self, monkeypatch):
+        # the weak ratio reads the rows and the norm product of _testing_parts:
+        # one level_products call per trial vector, by either module binding
+        rng = np.random.default_rng(75)
+        ws = small_random_system(rng)
+        space, seq = ws.space, ws.seq
+        calls = []
+        original = theorems_mod.level_products
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(theorems_mod, "level_products", counted)
+        monkeypatch.setattr(maximal_mod, "level_products", counted)
+        estimate = estimate_best_constant("weak", ws, 5, 3)
+        assert len(calls) == 5 and len({id(fv) for fv in calls}) == 5
+        monkeypatch.undo()
+        fvecs = [trial_vector(space, seq.head_len, 3, t, 1e3) for t in range(5)]
+        fvecs[2] = FunctionVector(tuple(ws.sigma_at(i) for i in range(seq.head_len)), None)
+        p = 1.0 / seq.aggregate_reciprocal
+        assert estimate == max(
+            weak_lp_norm(space, gen_doob_maximal(space, fv, seq), p, ws.v)
+            / function_norms_product(space, fv, seq, ws.active_weights) for fv in fvecs)
+
+    def test_nan_norm_product_propagates_in_every_form(self, monkeypatch):
+        # one ratio rule, 0.0 if rhs <= 0.0 else lhs / rhs: a NaN right side
+        # is not taken for a vanishing one
+        ws = example_system()
+        monkeypatch.setattr(theorems_mod, "function_norms_product", lambda *a, **k: math.nan)
+        assert np.isnan(estimate_best_constant("strong", ws, 3, 5))
+        theorems_mod._testing_parts.cache_clear()
+        for inequality in ("testing", "weak"):
+            assert np.isnan(estimate_best_constant(inequality, ws, 3, 5))
+        theorems_mod._testing_parts.cache_clear()
 
     def test_nan_ratio_propagates(self, monkeypatch):
         ws = example_system()

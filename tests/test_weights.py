@@ -10,7 +10,7 @@ from martbench.filtration import (
     enumerate_stopping_times,
     make_tree_space,
 )
-from martbench.holder import FunctionVector, level_products, product_function
+from martbench.holder import FunctionVector, _entry_levels, level_products, product_function
 from martbench.maximal import weighted_measure
 from martbench.report import check_inequality
 import martbench.weights as weights_mod
@@ -609,9 +609,13 @@ class TestTestingTable:
         space = make_tree_space(2, 2)
         masks = np.array([[1, 1, 1, 1], [1, 1, 0, 1], [0, 1, 1, 0], [0, 0, 0, 0]], bool)
         want = [[0, 0, 0, 0], [1, 1, 3, 2], [3, 2, 2, 3], [3, 3, 3, 3]]
-        np.testing.assert_array_equal(weights_mod._entry_levels(space, masks), want)
+        np.testing.assert_array_equal(_entry_levels(space, masks), want)
         point = np.array([[True], [False]])
-        np.testing.assert_array_equal(weights_mod._entry_levels(make_tree_space(0, 2), point), [[0], [1]])
+        np.testing.assert_array_equal(_entry_levels(make_tree_space(0, 2), point), [[0], [1]])
+        # any leading shape, and a 0/1 integer mask is cast to bool
+        np.testing.assert_array_equal(_entry_levels(space, masks.reshape(2, 2, 4)),
+                                      np.reshape(want, (2, 2, 4)))
+        np.testing.assert_array_equal(_entry_levels(space, [1, 1, 0, 1]), want[1])
 
     def overflow_system(self):
         """sigma_1 and sigma_2 are 1e200 on leaves 0 and 1: their level-0
