@@ -19,9 +19,23 @@ specs on trees of 2 to 64 leaves (family "all" up to 9 leaves, "sample:16"
 above), and prints the number of runs and one sha256 over each run's
 arguments, exit code and report JSON (without "elapsed_seconds").
 
+With --second it runs criterion 10's quantities instead, over seeded
+systems on trees of 2 to 9 leaves, each with a finite or an infinite
+exponent tail (alternately):
+
+  per family ("all", 16 sampled times)  sp_constant, rh_constant, the
+                                        sp_constant_argmax witness and the
+                                        number of distinct supports
+  per vector                            sawyer_decomposition, its
+                                        invariants and verify_sp_to_strong
+  per system                            estimate_best_constant, each id
+
+and prints the number of records and one sha256 over them.
+
 Usage:
   PYTHONPATH=src python scripts/report_digest.py --systems 4 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --cli --systems 6 --seed 0
+  PYTHONPATH=src python scripts/report_digest.py --second --systems 6 --seed 0
 """
 
 import argparse
@@ -40,16 +54,24 @@ from martbench import (
     ap_constant,
     count_stopping_times,
     enumerate_stopping_times,
+    estimate_best_constant,
     function_vector,
     make_exponent_sequence,
     make_tree_space,
     make_weight_system,
+    rh_constant,
+    sawyer_decomposition,
+    sawyer_trace_invariants,
+    sp_constant,
+    support_family,
     verify_ap_to_testing,
+    verify_sp_to_strong,
     verify_testing_to_ap,
     verify_testing_to_weak,
     verify_weak_to_testing,
 )
 from martbench.cli import main as cli_main
+from martbench.weights import sp_constant_argmax
 
 KEPT_TIMES = 4096
 CLI_COMMANDS = (
@@ -57,6 +79,10 @@ CLI_COMMANDS = (
     "estimate-constant", "generate", "sawyer-trace", "verify-ap", "verify-sp", "weights-constants",
 )
 CLI_SHAPES = ((1, 2), (1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (5, 2), (3, 4))
+# every shape of the equiv_second benchmark workload, and (1, 4)
+SECOND_SHAPES = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2))
+SECOND_FAMILIES = ("all", {"count": 16, "seed": 0})
+CONSTANT_IDS = ("testing", "weak", "strong", "sp-test")
 
 
 def kept_shapes() -> list[tuple[int, int]]:
@@ -70,7 +96,9 @@ def kept_shapes() -> list[tuple[int, int]]:
     return shapes
 
 
-def random_system(rng, depth: int, branching: int):
+def random_system(rng, depth: int, branching: int, finite: bool | None = None):
+    """A seeded weight system and two function vectors; the exponent tail is
+    finite with probability 0.3, or as `finite` says when it is given."""
     n = branching**depth
     probs = rng.uniform(0.2, 1.0, n)
     probs /= probs.sum()
@@ -78,7 +106,9 @@ def random_system(rng, depth: int, branching: int):
     space = make_tree_space(depth, branching, probs)
     m = int(rng.integers(1, 4))
     head = [float(p) for p in rng.uniform(1.2, 6.0, m)]
-    tail = (0.0, 0.5) if rng.random() < 0.3 else tuple(rng.uniform([0.02, 0.2], [0.5, 0.8]))
+    if finite is None:
+        finite = rng.random() < 0.3
+    tail = (0.0, 0.5) if finite else tuple(rng.uniform([0.02, 0.2], [0.5, 0.8]))
     seq = make_exponent_sequence(head, float(tail[0]), float(tail[1]))
     weights = [np.exp(rng.uniform(-1.1, 1.1, n)) for _ in range(m)]
     ws = make_weight_system(space, seq, weights, np.exp(rng.uniform(-1.1, 1.1, n)))
@@ -104,6 +134,23 @@ def chain_reports(ws, fvecs) -> list:
         reports.append(verify_weak_to_testing(ws, fv, c_a))
     reports.append(verify_testing_to_ap(ws))
     return reports
+
+
+def second_records(ws, fvecs, seed: int) -> list:
+    """Criterion 10's quantities of one system, as JSON-ready records."""
+    records = []
+    for family in SECOND_FAMILIES:
+        witness = sp_constant_argmax(ws, family)[1]
+        records.append([family, sp_constant(ws, family), rh_constant(ws, family),
+                        None if witness is None else witness.tolist(),
+                        len(support_family(ws.space, family))])
+    c_s, c_rh = sp_constant(ws), rh_constant(ws)
+    for gvec in fvecs:
+        trace = sawyer_decomposition(ws, gvec)
+        records.append([trace.to_json(), sawyer_trace_invariants(ws, trace),
+                        verify_sp_to_strong(ws, gvec, c_s, c_rh).to_json()])
+    records.append([estimate_best_constant(i, ws, 6, seed) for i in CONSTANT_IDS])
+    return records
 
 
 def cli_spec(rng, depth: int, branching: int) -> list[str]:
@@ -161,7 +208,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--systems", type=int, default=4, help="systems per kept shape")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--cli", action="store_true", help="digest the CLI subcommands instead")
+    passes = parser.add_mutually_exclusive_group()
+    passes.add_argument("--cli", action="store_true", help="digest the CLI subcommands instead")
+    passes.add_argument("--second", action="store_true",
+                        help="digest criterion 10's quantities instead")
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
@@ -169,6 +219,14 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as workdir:
             docs = cli_runs(args.systems, args.seed, workdir)
         label = "cli runs"
+    elif args.second:
+        docs = []
+        for index, (depth, branching) in enumerate(SECOND_SHAPES):
+            for system in range(args.systems):
+                rng = np.random.default_rng([args.seed, index, system])
+                ws, fvecs = random_system(rng, depth, branching, finite=system % 2 == 1)
+                docs += second_records(ws, fvecs, int(rng.integers(2**31)))
+        label = "second records"
     else:
         docs = []
         for index, (depth, branching) in enumerate(kept_shapes()):

@@ -320,26 +320,21 @@ def _subtree_times(space: TreeSpace, level: int) -> Iterator[np.ndarray]:
         yield np.concatenate(combo)
 
 
-def enumerate_stopping_times(
-    space: TreeSpace, cap: int = ENUMERATION_CAP
-) -> Iterator[StoppingTime]:
+def enumerate_stopping_times(space: TreeSpace) -> Iterator[StoppingTime]:
     """An iterator over every adapted stopping time, each exactly once.
 
-    Raises EnumerationCapError at the call when the closed-form count
-    exceeds `cap`; callers should fall back to sample_stopping_time.  A
-    family of at most KEPT_FAMILY_TIMES times is built once per
-    (depth, branching) and shared: every call yields the same read-only
-    StoppingTime objects, whose finite masks and adaptedness verdicts are
-    then computed once per shape.  A larger family is streamed afresh on
-    every call and never held whole."""
+    Raises EnumerationCapError at the call when the closed-form count exceeds
+    ENUMERATION_CAP; sample_stopping_time is the fallback.  A kept family
+    (_kept_family) is shared: every call yields the same read-only times,
+    whose finite masks and adaptedness verdicts are computed once per shape;
+    a larger family is streamed afresh on every call and never held whole."""
     total = count_stopping_times(space)
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{total} stopping times exceed the cap {cap}; use a sampled family"
+            f"{total} stopping times exceed the cap {ENUMERATION_CAP}; use a sampled family"
         )
-    if total > KEPT_FAMILY_TIMES:
-        return _stream_times(space)
-    return iter(_kept_times(space.depth, space.branching).times)
+    family = _kept_family(space)
+    return _stream_times(space) if family is None else iter(family.times)
 
 
 @dataclass(frozen=True, eq=False)
@@ -376,12 +371,12 @@ def _kept_times(depth: int, branching: int) -> _KeptFamily:
     return _KeptFamily(tuple(_stream_times(make_tree_space(depth, branching))))
 
 
-def _kept_gather(space: TreeSpace) -> tuple[dict, tuple[np.ndarray, ...]] | None:
-    """The gather of the space's kept family, or None where the family is
-    larger than KEPT_FAMILY_TIMES (it streams)."""
+def _kept_family(space: TreeSpace) -> _KeptFamily | None:
+    """The kept family of the space's shape, built once per (depth, branching),
+    or None where the family has more than KEPT_FAMILY_TIMES times (it streams)."""
     if count_stopping_times(space) > KEPT_FAMILY_TIMES:
         return None
-    return _kept_times(space.depth, space.branching).gather
+    return _kept_times(space.depth, space.branching)
 
 
 def _stream_times(space: TreeSpace) -> Iterator[StoppingTime]:

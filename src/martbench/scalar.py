@@ -146,24 +146,26 @@ def weighted_am_gm(pair: WeightedSequencePair, tolerance: float = REL_TOL) -> Ve
 
 
 def _young_tail_sum(seq: ExponentSequence, c: float) -> float:
-    """sum_k c**p_{m+k} / p_{m+k} over the tail, exact for c = 1 (mass s),
-    truncated at geometric-negligibility for 0 <= c < 1."""
+    """sum_k c**p_{m+k} / p_{m+k} over the tail, exact for c = 1 (mass s).
+    For 0 <= c < 1 the terms are added in order until the last one certifies
+    the rest: every later term is at most c**p_{K+1} * t_j with t_j = 1/p_j
+    geometric of ratio r, so the remainder after term K is at most
+    term_K / (1 - r), and the sum stops once that is below 1e-18 of the
+    total.  A sum that has not stopped after 2**22 terms raises ValueError."""
     if seq.tail_mass == 0.0:
         return 0.0
     if c == 1.0:
         return seq.tail_mass
     if c == 0.0:
         return 0.0
-    total = 0.0
-    k = 1
-    while True:
+    total, stop = 0.0, 1e-18 * (1.0 - seq.tail_ratio)
+    for k in range(1, (1 << 22) + 1):
         recip = seq.tail_reciprocal(k)
         term = c ** (1.0 / recip) * recip
         total += term
-        # terms decay at least geometrically with ratio tail_ratio
-        if term <= 1e-18 * max(total, ABS_FLOOR) or k > 10_000:
+        if term <= stop * max(total, ABS_FLOOR):
             return total
-        k += 1
+    raise ValueError(f"the Young tail sum at c = {c} has not converged after 2**22 terms")
 
 
 def young_check(

@@ -28,7 +28,7 @@ from . import weights
 from .exponents import conjugate_product
 from .filtration import (
     StoppingTime,
-    _kept_gather,
+    _kept_family,
     first_passage_time,
     is_stopped_measurable,
     is_stopping_time,
@@ -95,10 +95,10 @@ def _family_rewards(ws: WeightSystem, fvec: FunctionVector) -> tuple[dict, list]
     """The stopped reward of every time of the shape's kept family, for the
     last (system, vector) pair: the gather's slots and, by slot, one take
     and row sum per finite-leaf count.  None where the family streams."""
-    gather = _kept_gather(ws.space)
-    if gather is None:
+    family = _kept_family(ws.space)
+    if family is None:
         return None
-    slots, matrices = gather
+    slots, matrices = family.gather
     reward = _reward_table(ws, fvec)
     return slots, np.concatenate([reward.take(m).sum(axis=1) for m in matrices]).tolist()
 

@@ -18,7 +18,9 @@ whatever the leaf masses.  rh_ratios and sp_ratios take
 (B, leaves) chunks of supports whose (B, depth+1, leaves) level blocks hold
 at most SCAN_CHUNK_FLOATS floats, so a scan never holds the whole family.
 The "all" testing scan and its witness are cached on the WeightSystem,
-which the strong-type estimate reads again after sp_constant.
+which the strong-type estimate reads again after sp_constant.  Every scan
+starts in _support_chunks, which checks ENUMERATION_CAP for "all" and the
+sampled count (an integer >= 1) before any chunk.
 
 The system also caches the density product R = prod_i E_n(sigma_i) per
 level, and the testing table built from it.  With an infinite exponent
@@ -37,6 +39,7 @@ is then exactly 1.0, and the constants come out exactly 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator
@@ -121,7 +124,8 @@ class WeightSystem:
 
     @cached_property
     def sp_scan(self) -> tuple[float, np.ndarray | None]:
-        """The "all"-family testing constant and its witness (read-only)."""
+        """The "all"-family testing constant and its witness (read-only).  A
+        family past ENUMERATION_CAP raises EnumerationCapError on every read."""
         return _family_max(self, _support_chunks(self.space, "all"), sp_ratios)
 
     def sigma_at(self, i: int) -> np.ndarray:
@@ -217,18 +221,19 @@ def ap_constant(ws: WeightSystem) -> float:
     return ws.ap_max
 
 
-def _support_chunks(space: TreeSpace, family, cap=math.inf) -> Iterator[np.ndarray]:
+def _support_chunks(space: TreeSpace, family) -> Iterator[np.ndarray]:
     """The family as (B, leaves) bool chunks with B * (depth+1) * leaves at most
     SCAN_CHUNK_FLOATS: "all" decodes the bitmasks 1 .. 2**leaves - 1 in order,
     a sampled family gives its distinct supports in the order first drawn.
-    The cap and the family spec are checked at the call, before any chunk."""
+    ENUMERATION_CAP and the family spec are checked at the call, before any
+    chunk: every scan of a family starts here."""
     rows = max(1, SCAN_CHUNK_FLOATS // ((space.depth + 1) * space.n_leaves))
     end = 2**space.n_leaves
     if family == "all":
-        if end - 1 > cap:
+        if end - 1 > ENUMERATION_CAP:
             raise EnumerationCapError(
-                f"{end - 1} distinct stopping-time supports exceed the cap {cap}; "
-                "use a sampled family"
+                f"{end - 1} distinct stopping-time supports exceed the cap "
+                f"{ENUMERATION_CAP}; use a sampled family"
             )
         bits = np.arange(space.n_leaves)
         return (((np.arange(lo, min(lo + rows, end))[:, None] >> bits) & 1).astype(bool)
@@ -244,14 +249,19 @@ def _sampled_supports(space: TreeSpace, family) -> np.ndarray:
     drawn, as a read-only (K, leaves) bool array.  A seed that fixes a stream
     is read from the cache, a list or array seed as the tuple default_rng
     reads as the same stream; None, a Generator or a BitGenerator draws
-    afresh, as default_rng gives a new stream for each of those."""
-    seed = family["seed"]
+    afresh, as default_rng gives a new stream for each of those.  The count
+    must be an integer >= 1 (an integral float such as 2.0 is one, a bool
+    is not), else ValueError."""
+    count, seed = family["count"], family["seed"]
+    if isinstance(count, bool) or not (isinstance(count, numbers.Real) and count >= 1
+                                       and count % 1 == 0):  # NaN and inf fail
+        raise ValueError(f"a sampled family's count must be an integer >= 1, not {count!r}")
     if isinstance(seed, (list, tuple, np.ndarray)):
         seed = tuple(np.ravel(seed).tolist())
     draw = _drawn_supports
     if seed is None or isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
         draw = _drawn_supports.__wrapped__
-    return draw(space.depth, space.branching, int(family["count"]), seed)
+    return draw(space.depth, space.branching, int(count), seed)
 
 
 @lru_cache(maxsize=8)
@@ -267,15 +277,17 @@ def _drawn_supports(depth: int, branching: int, count: int, seed) -> np.ndarray:
     return _frozen(np.stack(distinct) if distinct else np.zeros((0, space.n_leaves), bool))
 
 
-def support_family(space: TreeSpace, family="all", cap: int = ENUMERATION_CAP) -> np.ndarray:
+def support_family(space: TreeSpace, family="all") -> np.ndarray:
     """Distinct nonempty finite-support sets {tau < infinity}, one per row.
 
     family is "all" (every nonempty leaf set in bitmask order; each one is
     realized by some stopping time) or {"count": k, "seed": s} for uniform
-    sampling over the stopping-time family with support deduplication.
+    sampling over the stopping-time family with support deduplication; k
+    is an integer >= 1.  "all" past ENUMERATION_CAP supports (from 24
+    leaves) raises EnumerationCapError at the call, as every scan does.
     """
     return np.concatenate([np.zeros((0, space.n_leaves), bool),
-                           *_support_chunks(space, family, cap)])
+                           *_support_chunks(space, family)])
 
 
 def _base_exponents(ws: WeightSystem) -> list[float]:
@@ -351,27 +363,29 @@ def _family_max(ws: WeightSystem, chunks, kernel) -> tuple[float, np.ndarray | N
     return best, arg
 
 
-def rh_constant(ws: WeightSystem, family="all", cap: int = ENUMERATION_CAP) -> float:
+def rh_constant(ws: WeightSystem, family="all") -> float:
     """Smallest reverse-Hoelder constant over the family: the max of
-    rh_support_ratio over the distinct stopping-time supports.  Sampled
-    families give a lower bound for the true constant."""
-    return _family_max(ws, _support_chunks(ws.space, family, cap), rh_ratios)[0]
+    rh_support_ratio over the distinct stopping-time supports of
+    support_family (and its checks).  Sampled families give a lower bound
+    for the true constant."""
+    return _family_max(ws, _support_chunks(ws.space, family), rh_ratios)[0]
 
 
-def sp_constant(ws: WeightSystem, family="all", cap: int = ENUMERATION_CAP) -> float:
+def sp_constant(ws: WeightSystem, family="all") -> float:
     """Smallest testing constant over the family: the max of
-    sp_support_ratio over the distinct stopping-time supports.  Sampled
-    families give a lower bound for the true constant."""
-    return sp_constant_argmax(ws, family, cap)[0]
+    sp_support_ratio over the distinct stopping-time supports of
+    support_family (and its checks).  Sampled families give a lower bound
+    for the true constant."""
+    return sp_constant_argmax(ws, family)[0]
 
 
-def sp_constant_argmax(
-    ws: WeightSystem, family="all", cap: int = ENUMERATION_CAP
-) -> tuple[float, np.ndarray | None]:
+def sp_constant_argmax(ws: WeightSystem, family="all") -> tuple[float, np.ndarray | None]:
     """sp_constant together with the first support in scan order achieving it;
-    "all" reads the scan cached on the system once the cap is checked."""
-    chunks = _support_chunks(ws.space, family, cap)  # checks the cap
-    return ws.sp_scan if family == "all" else _family_max(ws, chunks, sp_ratios)
+    "all" reads the scan cached on the system (WeightSystem.sp_scan), which
+    checks ENUMERATION_CAP on every read until a scan is kept."""
+    if family == "all":
+        return ws.sp_scan
+    return _family_max(ws, _support_chunks(ws.space, family), sp_ratios)
 
 
 def necessity_family_ap(ws: WeightSystem, n: int, leaf_set) -> FunctionVector:

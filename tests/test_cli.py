@@ -398,6 +398,17 @@ class TestConfigAndErrors:
         assert draws == [256] * 288
         assert docs[0] == docs[1]
 
+    @pytest.mark.parametrize(
+        "count", [0, -3, 2.7, True], ids=["zero", "negative", "fraction", "bool"])
+    @pytest.mark.parametrize("command", ["weights-constants", "verify-sp"])
+    def test_config_file_sampled_count_exits_two(self, tmp_path, capsys, command, count):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"family": {"count": count, "seed": 0}}))
+        code, _, out = run_cli(tmp_path, command, "--space", SPACE, "--seq", SEQ,
+                               "--weights", UNIT_WEIGHTS, "--config", str(path))
+        assert code == 2 and not out.exists()
+        assert "count must be an integer >= 1" in capsys.readouterr().err
+
     def test_report_schema_stable(self, tmp_path):
         _, doc, _ = run_cli(
             tmp_path, "check-holder",
@@ -595,3 +606,47 @@ class TestEntryPoints:
         count, *label, sha = lines[0].split()
         assert int(count) == 2 * 2 * len(digest.CLI_COMMANDS)
         assert label == ["cli", "runs", "sha256"] and len(sha) == 64
+
+    def test_report_digest_second_pass(self, capsys, monkeypatch):
+        # criterion 10's quantities on two small shapes, one system with a
+        # finite tail and one with an infinite tail each: two passes agree
+        spec = importlib.util.spec_from_file_location(
+            "report_digest", ROOT / "scripts" / "report_digest.py"
+        )
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        assert digest.CONSTANT_IDS == cli_mod._CONSTANT_IDS
+        monkeypatch.setattr(digest, "SECOND_SHAPES", ((1, 2), (2, 3)))
+        lines = []
+        for _ in range(2):
+            assert digest.main(["--second", "--systems", "2", "--seed", "3"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        count, *label, sha = lines[0].split()
+        # per system: two families, two vectors and the estimates
+        assert int(count) == 2 * 2 * (len(digest.SECOND_FAMILIES) + 2 + 1)
+        assert label == ["second", "records", "sha256"] and len(sha) == 64
+
+
+def _config_file(tmp_path, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda tmp_path: cli_mod._family("some"), "bad family spec 'some'"),
+        (lambda tmp_path: generate("some", make_tree_space(1, 2), 0, 2.0), "unknown generate kind"),
+        (lambda tmp_path: generate("weights", make_tree_space(1, 2), 0, 0.5),
+         "spread must be >= 1"),
+        (lambda tmp_path: cli_mod.run(cli_mod.RunConfig("some")), "unknown command 'some'"),
+        (lambda tmp_path: cli_mod._config_from_args(cli_mod.build_parser().parse_args(
+            ["check-holder", "--config", _config_file(tmp_path, [1])])), "must hold a JSON object"),
+    ],
+    ids=["family-spec", "generate-kind", "generate-spread", "run-command", "config-not-object"],
+)
+def test_input_checks_raise(tmp_path, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path)

@@ -190,3 +190,21 @@ class TestHlBound:
             seq = random_sequence(rng)
             n = int(rng.integers(1, 5))
             assert math.isfinite(hl_bound_constant(seq, n).hi)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: make_exponent_sequence([2.0], -0.1), ValueError, "tail_mass -0.1"),
+        (lambda: make_exponent_sequence([2.0], 0.5, 1.0), ValueError, "tail_ratio 1.0"),
+        (lambda: exponent_at(geometric_doubling(), 0), IndexError, "index 0"),
+        (lambda: conjugate_at(geometric_doubling(), 0), IndexError, "index 0"),
+        (lambda: conjugate_at(make_exponent_sequence([2.0, 2.0]), 3), IndexError, "beyond finite"),
+        (lambda: conjugate_product(geometric_doubling(), rel_tol=0.0), ValueError, "rel_tol"),
+    ],
+    ids=["tail-mass-negative", "tail-ratio-one", "exponent-index-zero",
+         "conjugate-index-zero", "conjugate-past-finite-family", "rel-tol-zero"],
+)
+def test_input_checks_raise(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

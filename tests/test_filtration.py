@@ -6,13 +6,16 @@ import pytest
 
 import martbench.filtration as filtration_mod
 from martbench.filtration import (
+    ENUMERATION_CAP,
     KEPT_FAMILY_TIMES,
     EnumerationCapError,
     StoppingTime,
+    as_leaf_vector,
     cond_exp,
     cond_exp_matrix,
     count_stopping_times,
     enumerate_stopping_times,
+    first_passage_time,
     is_stopped_measurable,
     is_stopping_time,
     make_tree_space,
@@ -348,13 +351,15 @@ class TestKeptEnumeration:
         assert (info.hits, info.misses) == (1, 1)
 
     def test_cap_is_checked_before_the_kept_family(self):
-        space = make_tree_space(2, 3)
-        assert sum(1 for _ in enumerate_stopping_times(space)) == 730
+        # depth 3 ternary has 389,017,001 times, past ENUMERATION_CAP: the
+        # call raises and leaves the kept cache as it was
+        assert sum(1 for _ in enumerate_stopping_times(make_tree_space(2, 3))) == 730
+        space = make_tree_space(3, 3)
+        assert count_stopping_times(space) == 389_017_001 > ENUMERATION_CAP
         info = filtration_mod._kept_times.cache_info()
         with pytest.raises(EnumerationCapError):
-            enumerate_stopping_times(space, cap=729)
+            enumerate_stopping_times(space)
         assert filtration_mod._kept_times.cache_info() == info
-        assert sum(1 for _ in enumerate_stopping_times(space, cap=730)) == 730
 
     def test_larger_family_streams_without_filling_the_cache(self):
         # depth 4 binary has 458,330 times: never held whole
@@ -493,3 +498,23 @@ class TestStoppedMeasurability:
         space = make_tree_space(1, 2)
         tau = StoppingTime(np.zeros(2, dtype=np.int64))
         assert not is_stopped_measurable(space, tau, np.array([True, False]))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: make_tree_space(-1, 2), "depth -1"),
+        (lambda: make_tree_space(1, 1), "branching 1"),
+        (lambda: make_tree_space(1, 2, "skewed"), "unknown leaf_probs spec"),
+        (lambda: make_tree_space(1, 2, [1.0]), "expected 2 leaf probabilities"),
+        (lambda: as_leaf_vector(make_tree_space(1, 2), [1.0]), "expected 2 leaf values"),
+        (lambda: as_leaf_vector(make_tree_space(1, 2), [1.0, np.nan]), "must be finite"),
+        (lambda: first_passage_time(make_tree_space(1, 2), np.zeros((1, 2)), 0.0),
+         r"matrix, got \(1, 2\)"),
+    ],
+    ids=["depth-negative", "branching-one", "leaf-probs-spec", "leaf-probs-shape",
+         "leaf-vector-shape", "leaf-vector-nan", "passage-matrix-shape"],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -440,3 +440,19 @@ def test_norm_products_match_the_slot_oracle(monkeypatch):
                 np.testing.assert_allclose(bound_n, exp_bound, rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(lhs_n, exp_lhs, rtol=1e-12, atol=0.0)
     assert covered == {"masked", "unmasked", "longer weights", "no active", "padded finite"}
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        # two components, one head slot
+        (lambda: function_norms_product(
+            make_tree_space(1, 2), function_vector(make_tree_space(1, 2), [[1.0, 2.0]] * 2),
+            make_exponent_sequence([2.0], 0.5, 0.5)), "2 components exceed exponent head length 1"),
+        (lambda: lp_norm(make_tree_space(1, 2), np.ones(2), 0.0), "exponent 0.0 must be positive"),
+    ],
+    ids=["components-past-head", "lp-exponent-zero"],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -282,3 +282,22 @@ def test_weighted_measures_reject_a_nonpositive_weight(call):
     space = make_tree_space(1, 2)
     with pytest.raises(ValueError, match="strictly positive"):
         call(space, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: gen_weighted_maximal(
+            make_tree_space(1, 2),
+            function_vector(make_tree_space(1, 2), [[1.0, 2.0]], [True, False]),
+            [np.ones(2)], make_exponent_sequence([2.0], 0.5, 0.5)), "masked vectors"),
+        (lambda: weak_lp_norm(make_tree_space(1, 2), np.ones(2), 0.0, np.ones(2)),
+         "exponent 0.0 must be positive"),
+        (lambda: doob_inequality_check(make_tree_space(1, 2), np.ones(2), 1.0, np.ones(2)),
+         "exponent 1.0 must be > 1"),
+    ],
+    ids=["weighted-maximal-masked", "weak-exponent-zero", "doob-exponent-one"],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

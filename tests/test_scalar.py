@@ -12,6 +12,7 @@ from martbench.scalar import (
     make_weighted_pair,
     product_eval,
     weighted_am_gm,
+    _young_tail_sum,
     young_check,
 )
 
@@ -161,6 +162,48 @@ class TestYoung:
         assert report.passed
 
 
+def young_tail_oracle(seq, c):
+    """sum_k c**p_{m+k} / p_{m+k} over the tail in 40-digit arithmetic, until
+    the certified remainder term / (1 - r) is below 1e-30 of the sum."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s, r, c = (mpmath.mpf(x) for x in (seq.tail_mass, seq.tail_ratio, c))
+        log_c, recip, total = mpmath.log(c), s * (1 - r), mpmath.mpf(0)
+        while True:
+            term = mpmath.exp(log_c / recip) * recip
+            total += term
+            if term <= mpmath.mpf("1e-30") * (1 - r) * total:
+                return float(total)
+            recip *= r
+
+
+class TestYoungTailSum:
+    @pytest.mark.parametrize(
+        "mass, ratio, c",
+        [(0.5, 0.999, 1.0 - 1e-9), (0.9, 0.999, 1.0 - 1e-9), (0.5, 0.5, 0.5),
+         (0.3, 0.2, 0.999), (0.6, 0.99, 1.0 - 1e-6)],
+    )
+    def test_matches_the_mpmath_oracle(self, mass, ratio, c):
+        # with ratio 0.999 and c = 1 - 1e-9 the sum needs about 16,000
+        # terms; a stop after 10,000 was off by 4e-5 relative
+        seq = make_exponent_sequence([1.0 / (1.0 - mass)], mass, ratio)
+        tail = _young_tail_sum(seq, c)
+        assert tail == pytest.approx(young_tail_oracle(seq, c), rel=1e-12)
+        report = young_check(seq, [2.0], c)
+        assert report.rhs == 2.0 ** seq.head[0] / seq.head[0] + tail
+
+    def test_finite_family_and_zero_tail_value_give_zero(self):
+        assert _young_tail_sum(make_exponent_sequence([2.0, 2.0], 0.0), 0.5) == 0.0
+        assert _young_tail_sum(make_exponent_sequence([2.0], 0.5, 0.5), 0.0) == 0.0
+
+    def test_a_sum_that_does_not_converge_raises(self):
+        # ratio 1 - 1e-6 and c = 1 - 1e-12 need about 1.7e7 terms before the
+        # remainder is certified, past the 2**22-term bound
+        seq = make_exponent_sequence([2.0], 0.5, 0.999999)
+        with pytest.raises(ValueError, match=r"2\*\*22 terms"):
+            young_check(seq, [1.0], 1.0 - 1e-12)
+
+
 class TestVerdictAgreement:
     def test_jensen_vs_am_gm_substitution(self):
         # a_i = exp(b_i) maps one inequality onto the other
@@ -208,3 +251,23 @@ class TestVerdictAgreement:
         lams = [0.5 / m] * m
         pair = make_weighted_pair(lams, 0.5, 0.5, values, tail)
         assert exp_jensen_check(pair).passed
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: product_eval([1.0], -0.5), "tail factor -0.5 must be nonnegative"),
+        (lambda: make_weighted_pair([1.0], 0.0, 0.5, [1.0], 1.0), r"weight 1.0 not in \(0, 1\)"),
+        (lambda: make_weighted_pair([0.5], 0.25, 0.5, [1.0], 1.0), "weights sum to 0.75"),
+        (lambda: make_weighted_pair([0.5], 0.5, 0.5, [1.0, 2.0], 1.0), "2 values for 1 head"),
+        (lambda: young_check(make_exponent_sequence([2.0], 0.5, 0.5), [1.0, 2.0]),
+         "2 values for head of length 1"),
+        (lambda: young_check(make_exponent_sequence([2.0], 0.5, 0.5), [-1.0]),
+         "value -1.0 must be nonnegative"),
+    ],
+    ids=["product-negative-tail", "pair-weight-one", "pair-mass", "pair-values",
+         "young-values", "young-negative"],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -1053,3 +1053,23 @@ class TestEquivalenceCoherence:
             est_strong = estimate_best_constant("strong", ws, 6, 2)
             assert est_strong <= c_final * (1 + 1e-12)
             assert c_s <= est_strong * (1 + 1e-12)
+
+
+def _masked_system_and_vector():
+    space = make_tree_space(1, 2)
+    ws = unit_weight_system(space, make_exponent_sequence([2.0], 0.5, 0.5))
+    return ws, function_vector(space, [[1.0, 2.0]], [True, False])
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: sawyer_decomposition(*_masked_system_and_vector()), "masked vectors"),
+        (lambda: estimate_best_constant("testing", _masked_system_and_vector()[0], 0, 0),
+         "trials must be >= 1"),
+    ],
+    ids=["sawyer-masked", "estimate-no-trials"],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

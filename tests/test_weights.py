@@ -1,3 +1,5 @@
+import contextlib
+import signal
 import tracemalloc
 
 import numpy as np
@@ -36,6 +38,21 @@ from helpers import (
     sampled_supports_oracle,
     sp_ratios_oracle,
 )
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def doubling_seq():
@@ -199,6 +216,22 @@ class TestSupportFamilies:
         assert seed_6 is not fam and count_31 is not fam
         assert cache.cache_info().currsize == 3
         assert cache.cache_info().maxsize == 8
+
+    @pytest.mark.parametrize(
+        "count", [0, -3, 2.7, True], ids=["zero", "negative", "fraction", "bool"])
+    def test_sampled_count_must_be_an_integer_of_at_least_one(self, count):
+        # an empty family would give constants of 0.0, below the RH bound 1
+        ws = random_weight_system(np.random.default_rng(88), make_tree_space(2, 2), doubling_seq())
+        family = {"count": count, "seed": 0}
+        for scan in (rh_constant, sp_constant, sp_constant_argmax,
+                     lambda ws, family: support_family(ws.space, family)):
+            with pytest.raises(ValueError, match="count must be an integer >= 1"):
+                scan(ws, family)
+
+    def test_integral_float_count_is_that_count(self):
+        space = make_tree_space(2, 2)
+        np.testing.assert_array_equal(support_family(space, {"count": 5.0, "seed": 1}),
+                                      support_family(space, {"count": 5, "seed": 1}))
 
     def test_sequence_seed_is_a_key_for_the_same_stream(self):
         weights_mod._drawn_supports.cache_clear()
@@ -535,15 +568,18 @@ class TestBatchedScan:
         assert peak < level_blocks / 20
 
     def test_cached_scan_still_checks_the_cap(self):
+        # 24 leaves: 16,777,215 supports, past ENUMERATION_CAP.  Every "all"
+        # scan raises at the call, the system's cached scan included, on
+        # every read; the time limit stops a scan that starts instead
         ws = random_weight_system(
-            np.random.default_rng(84), make_tree_space(2, 2), doubling_seq()
+            np.random.default_rng(84), make_tree_space(1, 24), doubling_seq()
         )
-        assert sp_constant(ws) == ws.sp_scan[0]
-        for scan in (sp_constant, rh_constant, sp_constant_argmax):
-            with pytest.raises(EnumerationCapError):
-                scan(ws, "all", cap=14)
-            with pytest.raises(EnumerationCapError):
-                support_family(ws.space, "all", cap=14)
+        scans = (sp_constant, rh_constant, sp_constant_argmax,
+                 lambda ws: support_family(ws.space), lambda ws: ws.sp_scan)
+        with time_limit(5.0):
+            for scan in (*scans, scans[-1]):
+                with pytest.raises(EnumerationCapError):
+                    scan(ws)
 
 
 def kernel_system(rng, finite):
@@ -660,3 +696,19 @@ class TestTestingTable:
         # a report built on the constant now fails as "inf", where it failed as "nan"
         report = check_inequality("sp", 1.0, 1.0, constant=sp_constant(ws))
         assert not report.passed and report.metadata["reason"] == "inf"
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: make_weight_system(make_tree_space(1, 2), doubling_seq(), [], [1.0, 0.0]),
+         "v must be strictly positive"),
+        (lambda: support_family(make_tree_space(1, 2), "some"), "unknown family spec 'some'"),
+        (lambda: necessity_family_ap(unit_weight_system(make_tree_space(1, 2), doubling_seq()),
+                                     2, [True, True]), "level 2 out of range"),
+    ],
+    ids=["v-zero", "family-spec", "necessity-level"],
+)
+def test_input_checks_raise(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
