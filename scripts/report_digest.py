@@ -20,7 +20,7 @@ above), and prints the number of runs and one sha256 over each run's
 arguments, exit code and report JSON (without "elapsed_seconds").
 
 With --second it runs criterion 10's quantities instead, over seeded
-systems on trees of 2 to 9 leaves, each with a finite or an infinite
+systems on trees of 2 to 16 leaves, each with a finite or an infinite
 exponent tail (alternately):
 
   per family ("all", 16 sampled times)  sp_constant, rh_constant, the
@@ -28,7 +28,8 @@ exponent tail (alternately):
                                         number of distinct supports
   per vector                            sawyer_decomposition, its
                                         invariants and verify_sp_to_strong
-  per system                            estimate_best_constant, each id
+  per system                            estimate_best_constant, each id;
+                                        "strong" also at 1, 2, 3 and 16 trials
 
 and prints the number of records and one sha256 over them.
 
@@ -79,10 +80,12 @@ CLI_COMMANDS = (
     "estimate-constant", "generate", "sawyer-trace", "verify-ap", "verify-sp", "weights-constants",
 )
 CLI_SHAPES = ((1, 2), (1, 3), (2, 2), (3, 2), (2, 3), (4, 2), (3, 3), (5, 2), (3, 4))
-# every shape of the equiv_second benchmark workload, and (1, 4)
-SECOND_SHAPES = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2))
+# every shape of the equiv_second benchmark workload, (1, 4), and (4, 2), where
+# the strong estimate's trial 2 takes its witness from a 256-sample family
+SECOND_SHAPES = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2))
 SECOND_FAMILIES = ("all", {"count": 16, "seed": 0})
 CONSTANT_IDS = ("testing", "weak", "strong", "sp-test")
+STRONG_TRIALS = (1, 2, 3, 16)  # besides the 6 trials of every id
 
 
 def kept_shapes() -> list[tuple[int, int]]:
@@ -150,6 +153,7 @@ def second_records(ws, fvecs, seed: int) -> list:
         records.append([trace.to_json(), sawyer_trace_invariants(ws, trace),
                         verify_sp_to_strong(ws, gvec, c_s, c_rh).to_json()])
     records.append([estimate_best_constant(i, ws, 6, seed) for i in CONSTANT_IDS])
+    records.append([estimate_best_constant("strong", ws, t, seed) for t in STRONG_TRIALS])
     return records
 
 

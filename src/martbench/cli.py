@@ -29,6 +29,7 @@ from .filtration import (
     ENUMERATION_CAP,
     EnumerationCapError,
     TreeSpace,
+    _about,
     count_stopping_times,
     enumerate_stopping_times,
     space_from_json,
@@ -234,7 +235,8 @@ def _cmd_verify_ap(config: RunConfig, space, seq) -> tuple[list, dict]:
     if total > ENUMERATION_CAP:
         # nothing below enumerates, but from binary depth 10 a sampled family overflows
         # in sample_stopping_time; the guard stays until that sampler is vectorised
-        raise EnumerationCapError(f"{total} stopping times exceed the cap {ENUMERATION_CAP}")
+        raise EnumerationCapError(
+            f"{_about(total)} stopping times exceed the cap {ENUMERATION_CAP}")
     c_a = ap_constant(ws)
     reports = []
     for fvec in _function_vectors(config, space, seq):

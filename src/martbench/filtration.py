@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -29,6 +30,13 @@ KEPT_FAMILY_TIMES = 4096
 
 class EnumerationCapError(RuntimeError):
     """The stopping-time family is too large to enumerate; sample instead."""
+
+
+def _about(count: int) -> str:
+    """A count of any size as "about 10^k", k = floor(log10(count)), for the
+    cap messages: math.log10 reads a large int without converting it to a
+    string, which Python refuses past 4,300 digits."""
+    return f"about 10^{math.floor(math.log10(count))}"
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -331,7 +339,8 @@ def enumerate_stopping_times(space: TreeSpace) -> Iterator[StoppingTime]:
     total = count_stopping_times(space)
     if total > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{total} stopping times exceed the cap {ENUMERATION_CAP}; use a sampled family"
+            f"{_about(total)} stopping times exceed the cap {ENUMERATION_CAP}; "
+            "use a sampled family"
         )
     family = _kept_family(space)
     return _stream_times(space) if family is None else iter(family.times)

@@ -14,6 +14,7 @@ contribute |Q|**pad, with pad = 1/p - sum of 1/p_i over the occupied slots.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -233,6 +234,21 @@ def function_norms_product(
     return float(math.prod((np.sum(space.leaf_probs * g) ** e for g, e in parts), start=1.0))
 
 
+def _row_norms_products(space: TreeSpace, active, seq: ExponentSequence, weights, masks,
+                        padded) -> list[float]:
+    """function_norms_product of each row t of (T, leaves) component stacks
+    under a (T, leaves) mask stack, with the pad factor |Q|**pad only where
+    padded[t]: an unmasked row carries an all-true mask, under which f * True
+    is exact.  Each sum runs along the last axis, bit for bit the 1-D sum, and
+    each power is taken on an np.float64 scalar, as function_norms_product
+    takes it (an array power may differ from the scalar one in the last ulp)."""
+    sums = [((space.leaf_probs * g).sum(-1), e)
+            for g, e in _norm_parts(space, active, seq, weights, masks)]
+    with np.errstate(over="ignore"):  # a norm product past the float range is inf
+        return [float(math.prod((s[t] ** e for s, e in sums[:len(sums) - (not pad)]), start=1.0))
+                for t, pad in enumerate(padded)]
+
+
 def holder_integral_check(
     space: TreeSpace,
     fvec: FunctionVector,
@@ -255,6 +271,18 @@ def holder_integral_check(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _conditional_parts(space: TreeSpace, fvec: FunctionVector, seq: ExponentSequence):
+    """(prod f_i)**p and the _norm_parts pairs of holder_conditional_check for
+    the last (space, vector, sequence), read-only; an overflowed power is inf."""
+    with np.errstate(over="ignore"):
+        integrand = product_function(space, fvec) ** (1.0 / seq.aggregate_reciprocal)
+        parts = tuple(_norm_parts(space, fvec.active, seq, mask=fvec.mask))
+    for a in (integrand, *(g for g, _ in parts)):
+        a.setflags(write=False)
+    return integrand, parts
+
+
 def holder_conditional_check(
     space: TreeSpace,
     fvec: FunctionVector,
@@ -265,17 +293,18 @@ def holder_conditional_check(
     """E_n(prod f_i**p)**(1/p) <= prod E_n(f_i**p_i)**(1/p_i) on every
     level-n atom.  The report takes its sides, and so its verdict, from the
     first failing atom, or from the worst one when all pass, and names it
-    in "atom"."""
+    in "atom".  The level-independent integrands are kept for the last
+    (space, vector, sequence), so a check of every level builds them once."""
     _check_alignment(fvec, seq)
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
     rp = seq.aggregate_reciprocal
-    p = 1.0 / rp
+    integrand, parts = _conditional_parts(space, fvec, seq)
 
     with np.errstate(over="ignore"):  # an overflowed side is inf, and fails its atom
-        lhs_leaf = cond_exp(space, product_function(space, fvec) ** p, n) ** rp
+        lhs_leaf = cond_exp(space, integrand, n) ** rp
         rhs_leaf = np.ones(space.n_leaves)
-        for g, e in _norm_parts(space, fvec.active, seq, mask=fvec.mask):
+        for g, e in parts:
             rhs_leaf *= cond_exp(space, g, n) ** e
 
     ok = _within_margin(lhs_leaf, rhs_leaf, tolerance)

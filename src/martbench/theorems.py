@@ -28,6 +28,7 @@ from . import weights
 from .exponents import conjugate_product
 from .filtration import (
     StoppingTime,
+    _frozen,
     _kept_family,
     first_passage_time,
     is_stopped_measurable,
@@ -38,9 +39,9 @@ from .holder import (
     FunctionVector,
     _component_slots,
     _norm_parts,
+    _row_norms_products,
     function_norms_product,
     level_products,
-    lp_norm,
     trial_vector,
 )
 from .maximal import _level_sets, _weighted_rows, weak_lp_norm
@@ -367,13 +368,16 @@ class SawyerTrace:
         }
 
 
-def _strong_rows(ws: WeightSystem, gvec: FunctionVector) -> np.ndarray:
+def _strong_rows(ws: WeightSystem, gvec: FunctionVector, masks=None) -> np.ndarray:
     """Level products of the vector (g_i sigma_i) over the occupied head
-    slots, masked as gvec is; past the float range a product is inf."""
+    slots, masked as gvec is; past the float range a product is inf.  With
+    `masks`, a (T, leaves) mask stack, the components may be (T, leaves)
+    stacks too, and the result is the (T, depth+1, leaves) stack whose row t
+    is masked by masks[t]."""
     slots = _component_slots(ws.space, gvec.active, ws.sigmas, ws.seq)
     with np.errstate(over="ignore"):
         return level_products(ws.space, FunctionVector(tuple(g * s for g, s in slots), gvec.mask),
-                              ws.seq)
+                              ws.seq, masks, stacked=masks is not None)
 
 
 def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
@@ -384,16 +388,24 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     {2**k < maximal <= 2**(k+1)} equals {tau_k finite, tau_{k+1} infinite}
     and is graded into cells by the dyadic size of the stopped density
     product.  The density and weighted-ratio products are level matrices
-    read at each tau_k, only inside {tau_k finite}.
+    read at each tau_k, only inside {tau_k finite}.  The trace of the last
+    (system, vector) pair is kept, its arrays read-only, so verify_sp_to_strong
+    reads the trace its caller has just built.
     """
     if gvec.mask is not None:
         raise ValueError("masked vectors are not supported in the decomposition")
+    return _sawyer_trace(ws, gvec)
+
+
+@functools.lru_cache(maxsize=1)
+def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
+    """The trace of the last (system, vector) pair; both hash by identity."""
     space = ws.space
     p = 1.0 / ws.seq.aggregate_reciprocal
     # an infinite maximal value sits in band 1023 and fails maximal_finite,
     # an infinite T the trace inequality
     rows = _strong_rows(ws, gvec)
-    maximal = rows.max(axis=0)
+    maximal = _frozen(rows.max(axis=0))
     ks = band_index(maximal[maximal > 0.0])
     if not ks.size:
         return SawyerTrace(None, None, {}, {}, maximal, [])
@@ -411,8 +423,8 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
             ratio_g = stopped(space, ratio_rows, taus[k], 1.0)
             js = band_index(density)
             for j in np.unique(js[fin]).tolist():
-                a_mask = fin & (js == j)
-                b_mask = band_mask & (js == j)
+                a_mask = _frozen(fin & (js == j))
+                b_mask = _frozen(band_mask & (js == j))
                 theta = float(np.sum(weighted[b_mask] * density[b_mask] ** p))
                 t_value = float(ratio_g[a_mask].min() ** p)
                 cells[(k, j)] = SawyerCell(a_mask, b_mask, theta, t_value)
@@ -421,7 +433,8 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     for lam in sorted({c.t_value for c in cells.values()}):
         keys = [key for key, c in cells.items() if c.t_value > lam]
         if keys:
-            lambda_sets.append((lam, keys, np.any([cells[key].a_mask for key in keys], axis=0)))
+            union = _frozen(np.any([cells[key].a_mask for key in keys], axis=0))
+            lambda_sets.append((lam, keys, union))
     return SawyerTrace(k_lo, k_hi, cells, taus, maximal, lambda_sets)
 
 
@@ -516,6 +529,37 @@ def snell_testing_sup(ws: WeightSystem, fvec: FunctionVector) -> float:
 _CONSTANT_IDS = ("testing", "weak", "strong", "sp-test")
 
 
+def _strong_ratios(ws: WeightSystem, trials: int, seed: int) -> list[float]:
+    """The ratio ||M(g sigma)||_{L^p(v)} / prod ||g_i||_{L^{p_i}(sigma_i)} of
+    every trial of estimate_best_constant("strong"), in one stacked pass: the
+    trials' components as (trials, leaves) stacks through _strong_rows, under
+    a mask stack in which an unmasked trial has an all-true row (f * True and
+    the tail factor x True are exact).  The L^p(v) sums run along the last
+    axis, bit for bit lp_norm's 1-D sums, and the final powers are taken per
+    trial on np.float64 scalars, as lp_norm takes them."""
+    space, seq = ws.space, ws.seq
+    p = 1.0 / seq.aggregate_reciprocal
+    m = seq.head_len
+    vectors = [trial_vector(space, m, seed, trial, 1e3) for trial in range(trials) if trial != 2]
+    if trials > 2:
+        # the testing family embeds via g_i = chi_F for every component, tail
+        # included: a masked all-ones vector; above 4096 supports the witness
+        # comes from a 256-sample family
+        family = "all" if 2**space.n_leaves - 1 <= 4096 else {"count": 256, "seed": 0}
+        witness = sp_constant_argmax(ws, family)[1]
+        vectors.insert(2, FunctionVector((np.ones(space.n_leaves),) * m, witness))
+    masks = np.array([np.ones(space.n_leaves, bool) if fv.mask is None else fv.mask
+                      for fv in vectors])
+    comps = tuple(_frozen(np.stack(c)) for c in zip(*(fv.active for fv in vectors)))
+    maximal = _strong_rows(ws, FunctionVector(comps), masks).max(axis=-2)
+    rhs = _row_norms_products(space, comps, seq, ws.sigmas, masks,
+                              [fv.mask is not None for fv in vectors])
+    with np.errstate(over="ignore"):  # a norm past the float range is inf
+        sums = (space.leaf_probs * ws.v * np.abs(maximal) ** p).sum(-1)
+        lhs = [float(s ** (1.0 / p)) for s in sums]
+    return [0.0 if r <= 0.0 else l / r for l, r in zip(lhs, rhs)]
+
+
 def estimate_best_constant(
     inequality_id: str, ws: WeightSystem, trials: int, seed: int
 ) -> float:
@@ -526,12 +570,16 @@ def estimate_best_constant(
     canonical extremal for the inequality (the dual densities for the
     testing and weak forms, the indicator of a testing-optimal support for
     the strong form).  For "sp-test" the trials are stopping-time supports
-    instead.  Deterministic for a fixed seed.
+    instead.  The "strong" trials run as one (trials, leaves) stack
+    (_strong_ratios), bit for bit the per-trial evaluation.  Deterministic
+    for a fixed seed.
     """
     if inequality_id not in _CONSTANT_IDS:
         raise ValueError(f"unknown inequality id {inequality_id!r}; use one of {_CONSTANT_IDS}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if inequality_id == "strong":
+        return float(np.max(_strong_ratios(ws, trials, seed)))  # a NaN ratio propagates
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
@@ -553,19 +601,9 @@ def estimate_best_constant(
             continue
         if trial != 2:
             fvec = trial_vector(space, m, seed, trial, 1e3)
-        elif inequality_id == "strong":
-            # the testing family embeds via g_i = chi_F for every
-            # component, tail included: a masked all-ones vector; above
-            # 4096 supports the witness comes from a 256-sample family
-            family = "all" if 2**space.n_leaves - 1 <= 4096 else {"count": 256, "seed": 0}
-            _, argmax = sp_constant_argmax(ws, family)
-            fvec = FunctionVector(tuple(np.ones(space.n_leaves) for _ in range(m)), argmax)
         else:
             fvec = FunctionVector(tuple(ws.sigma_at(i) for i in range(m)), None)
-        if inequality_id == "strong":
-            lhs = lp_norm(space, _strong_rows(ws, fvec).max(axis=0), p, ws.v)
-            rhs = function_norms_product(space, fvec, seq, ws.sigmas)
-        elif inequality_id == "testing":
+        if inequality_id == "testing":
             lhs, rhs = _power(snell_testing_sup(ws, fvec), rp), _testing_parts(ws, fvec)[1]
         else:
             rows, rhs = _testing_parts(ws, fvec)

@@ -52,11 +52,11 @@ from .filtration import (
     EnumerationCapError,
     StoppingTime,
     TreeSpace,
+    _about,
     _adapted_scan,
     _as_leaf_masks,
     _frozen,
     _read_only,
-    _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
     cond_exp_matrix,
@@ -70,9 +70,10 @@ SCAN_CHUNK_FLOATS = 1 << 16  # floats in one (B, depth+1, leaves) block of a sca
 
 @dataclass(frozen=True, eq=False)
 class WeightSystem:
-    """Holds read-only arrays, so it caches the sigma_i's conditional-expectation
-    matrices and their product, the testing table, the joint-condition level
-    matrix and constant, and the "all"-family testing scan with its witness."""
+    """Holds read-only arrays, so it caches the sigma_i's leaf masses and
+    conditional-expectation matrices and their product, the testing table,
+    the joint-condition level matrix and constant, and the "all"-family
+    testing scan with its witness."""
 
     space: TreeSpace
     seq: ExponentSequence
@@ -89,6 +90,12 @@ class WeightSystem:
     def sigma_matrices(self) -> tuple[np.ndarray, ...]:
         """cond_exp_matrix of each sigma_i (read-only)."""
         return tuple(_read_only(cond_exp_matrix(self.space, s)) for s in self.sigmas)
+
+    @cached_property
+    def sigma_probs(self) -> tuple[np.ndarray, ...]:
+        """leaf_probs * sigma_i for each sigma_i (read-only): the sigma_i-masses
+        of the leaves.  make_weight_system has checked each sigma_i."""
+        return tuple(_frozen(self.space.leaf_probs * s) for s in self.sigmas)
 
     @cached_property
     def density_rows(self) -> np.ndarray:
@@ -232,7 +239,7 @@ def _support_chunks(space: TreeSpace, family) -> Iterator[np.ndarray]:
     if family == "all":
         if end - 1 > ENUMERATION_CAP:
             raise EnumerationCapError(
-                f"{end - 1} distinct stopping-time supports exceed the cap "
+                f"{_about(end - 1)} distinct stopping-time supports exceed the cap "
                 f"{ENUMERATION_CAP}; use a sampled family"
             )
         bits = np.arange(space.n_leaves)
@@ -302,8 +309,8 @@ def _normalized_ratios(ws: WeightSystem, masks: np.ndarray, reference, inverse=F
     all-equal case is exactly 1.0.  `inverse` flips every quotient."""
     d = _base_exponents(ws)
     out = np.ones(len(masks))
-    for s, e in zip([*ws.sigmas, None], [*d, 1.0 - float(np.sum(d))]):
-        base = (masks * _weighted_probs(ws.space, s)).sum(axis=-1)
+    for probs, e in zip([*ws.sigma_probs, ws.space.leaf_probs], [*d, 1.0 - float(np.sum(d))]):
+        base = (masks * probs).sum(axis=-1)
         out *= (reference / base if inverse else base / reference) ** e
     return out
 

@@ -13,6 +13,7 @@ from martbench import (
     StoppingTime,
     TreeSpace,
     first_passage_time,
+    function_norms_product,
     level_products,
     lp_norm,
     make_exponent_sequence,
@@ -22,9 +23,9 @@ from martbench import (
     stopped,
 )
 from martbench.filtration import cond_exp_matrix
-from martbench.holder import _component_slots
+from martbench.holder import _component_slots, trial_vector
 from martbench.theorems import band_index
-from martbench.weights import _normalized_ratios
+from martbench.weights import _normalized_ratios, sp_constant_argmax
 
 
 def random_space(rng: np.random.Generator, max_depth: int = 3, branchings=(2, 3)) -> TreeSpace:
@@ -264,6 +265,32 @@ def norms_product_oracle(space: TreeSpace, fvec: FunctionVector, seq, weights=()
     if mask is not None:
         total *= float(np.sum(space.leaf_probs[mask])) ** seq.tail_mass
     return total
+
+
+def strong_estimate_oracle(ws, trials: int, seed: int) -> float:
+    """estimate_best_constant("strong") one trial at a time: per trial vector
+    (trial_vector, and at trial 2 the all-ones vector masked by the testing
+    witness), lp_norm of the maximal function of (g_i sigma_i) against v over
+    function_norms_product against the sigma_i."""
+    space, seq = ws.space, ws.seq
+    p = 1.0 / seq.aggregate_reciprocal
+    m = seq.head_len
+    ratios = []
+    for trial in range(trials):
+        if trial != 2:
+            fvec = trial_vector(space, m, seed, trial, 1e3)
+        else:
+            family = "all" if 2**space.n_leaves - 1 <= 4096 else {"count": 256, "seed": 0}
+            fvec = FunctionVector(tuple(np.ones(space.n_leaves) for _ in range(m)),
+                                  sp_constant_argmax(ws, family)[1])
+        slots = _component_slots(space, fvec.active, ws.sigmas, seq)
+        with np.errstate(over="ignore"):
+            rows = level_products(space, FunctionVector(tuple(g * s for g, s in slots), fvec.mask),
+                                  seq)
+        lhs = lp_norm(space, rows.max(axis=0), p, ws.v)
+        rhs = function_norms_product(space, fvec, seq, ws.sigmas)
+        ratios.append(0.0 if rhs <= 0.0 else lhs / rhs)
+    return float(np.max(ratios))
 
 
 def assert_close(a: float, b: float, rel: float = 1e-12) -> None:

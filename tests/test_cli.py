@@ -12,7 +12,12 @@ import pytest
 import martbench.cli as cli_mod
 import martbench.weights as weights_mod
 from martbench.cli import generate, main
-from martbench.filtration import KEPT_FAMILY_TIMES, make_tree_space, sample_stopping_time
+from martbench.filtration import (
+    ENUMERATION_CAP,
+    KEPT_FAMILY_TIMES,
+    make_tree_space,
+    sample_stopping_time,
+)
 
 SPACE = '{"depth":1,"branching":2,"leaf_probs":"uniform"}'
 SEQ = '{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}'
@@ -350,6 +355,20 @@ class TestConfigAndErrors:
         assert code == 2
         assert "sigma_0 for p_0 = 1.01" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, extra", [
+        ("verify-ap", []),
+        ("enumerate-stopping-times", []),
+        ("weights-constants", ["--family", "all"]),
+    ])
+    def test_cap_at_65536_leaves_is_one_short_line(self, tmp_path, capsys, command, extra):
+        # the counts have about 20,000 digits, past Python's int-to-string limit
+        code, _, out = run_cli(tmp_path, command, "--space", '{"depth":16,"branching":2}',
+                               "--seq", SEQ, "--weights", '{"generator":{"seed":1}}', *extra)
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: about 10^") and err.count("\n") == 1 and len(err) <= 201
+        assert f"exceed the cap {ENUMERATION_CAP}" in err
+
     def test_overflowing_sigma_norm_exits_two(self, tmp_path, capsys):
         # p = 1.01: sigma = 10**308 is finite, its L^p norm is not
         code, _, _ = run_cli(
@@ -623,8 +642,9 @@ class TestEntryPoints:
             lines.append(capsys.readouterr().out)
         assert lines[0] == lines[1]
         count, *label, sha = lines[0].split()
-        # per system: two families, two vectors and the estimates
-        assert int(count) == 2 * 2 * (len(digest.SECOND_FAMILIES) + 2 + 1)
+        # per system: two families, two vectors, the estimates of every id and
+        # the strong estimate at the other trial counts
+        assert int(count) == 2 * 2 * (len(digest.SECOND_FAMILIES) + 2 + 2)
         assert label == ["second", "records", "sha256"] and len(sha) == 64
 
 

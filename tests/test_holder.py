@@ -207,6 +207,32 @@ class TestConditionalCheck:
             integral = holder_integral_check(space, fv, seq)
             assert conditional.passed and integral.passed
 
+    def test_every_level_reads_one_kept_integrand(self, monkeypatch):
+        # a check of every level of one (space, vector, sequence) builds the
+        # product power and the norm factors once, read-only, and each level's
+        # report is the one a fresh build gives
+        rng = np.random.default_rng(24)
+        space = make_tree_space(3, 2)
+        seq = make_exponent_sequence([2.0, 3.0], 0.2, 0.5)
+        fv, other = (random_fvec(rng, space, seq) for _ in range(2))
+        calls, original = [], holder_mod.product_function
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(holder_mod, "product_function", counted)
+        holder_mod._conditional_parts.cache_clear()
+        reports = [holder_conditional_check(space, fv, seq, n).to_json() for n in space.levels]
+        assert calls == [fv]
+        holder_conditional_check(space, other, seq, 0)
+        assert calls == [fv, other]
+        integrand, parts = holder_mod._conditional_parts(space, other, seq)
+        assert not any(a.flags.writeable for a in (integrand, *(g for g, _ in parts)))
+        for n in space.levels:
+            holder_mod._conditional_parts.cache_clear()
+            assert holder_conditional_check(space, fv, seq, n).to_json() == reports[n]
+
     def test_level_out_of_range(self):
         space = make_tree_space(1, 2)
         seq = make_exponent_sequence([2.0], 0.5, 0.5)

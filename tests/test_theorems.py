@@ -50,6 +50,7 @@ from martbench.weights import (
     unit_weight_system,
 )
 
+import helpers
 from helpers import (
     norms_product_oracle,
     random_fvec,
@@ -62,6 +63,7 @@ from helpers import (
     sawyer_trace_oracle,
     stopped_measurable_oracle,
     stopped_reward_oracle,
+    strong_estimate_oracle,
     union_of_atoms_oracle,
 )
 
@@ -850,6 +852,44 @@ class TestSawyerDecomposition:
         json.dumps(trace.to_json())
 
 
+class TestKeptSawyerTrace:
+    def test_one_build_per_system_and_vector(self, monkeypatch):
+        # verify_sp_to_strong reads the trace sawyer_decomposition has just
+        # built for the same pair; a new vector builds afresh
+        rng = np.random.default_rng(93)
+        ws = small_random_system(rng)
+        gv, other = (random_fvec(rng, ws.space, ws.seq) for _ in range(2))
+        calls, original = [], theorems_mod._strong_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(theorems_mod, "_strong_rows", counted)
+        theorems_mod._sawyer_trace.cache_clear()
+        trace = sawyer_decomposition(ws, gv)
+        report = verify_sp_to_strong(ws, gv, 1.0, 1.0)
+        assert calls == [gv] and sawyer_decomposition(ws, gv) is trace
+        assert report.metadata["n_cells"] == len(trace.cells)
+        assert trace.to_json() == theorems_mod._sawyer_trace.__wrapped__(ws, gv).to_json()
+        assert sawyer_decomposition(ws, other) is not trace and calls[-1] is other
+        masked = FunctionVector(gv.active, random_leaf_mask(rng, ws.space))
+        with pytest.raises(ValueError, match="masked vectors"):
+            sawyer_decomposition(ws, masked)
+
+    def test_kept_trace_arrays_are_read_only(self):
+        space = make_tree_space(1, 2)
+        ws = unit_weight_system(space, doubling_seq())
+        trace = sawyer_decomposition(ws, function_vector(space, [[4.0, 0.0]]))
+        assert trace.cells and trace.lambda_sets
+        arrays = [trace.maximal_values, *(g for _, _, g in trace.lambda_sets)]
+        for cell in trace.cells.values():
+            arrays += [cell.a_mask, cell.b_mask]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+
 class TestSpToStrong:
     def test_unit_constant_value(self):
         space = make_tree_space(2, 2)
@@ -961,12 +1001,52 @@ class TestEstimates:
             weak_lp_norm(space, gen_doob_maximal(space, fv, seq), p, ws.v)
             / function_norms_product(space, fv, seq, ws.active_weights) for fv in fvecs)
 
+    @pytest.mark.parametrize("depth, branching", [(1, 2), (2, 2), (3, 2), (2, 3), (4, 2), (5, 2),
+                                                  (3, 4)])
+    def test_strong_estimate_matches_the_per_trial_oracle(self, depth, branching):
+        # every trial in one (trials, leaves) stack, bit for bit the per-trial
+        # loop: head lengths 1-3, finite and infinite tails, 0 to a full head of
+        # weights; from 16 leaves trial 2 takes the 256-sample family's witness
+        rng = np.random.default_rng([91, depth, branching])
+        for k in range(6):
+            n = branching**depth
+            space = make_tree_space(depth, branching, rng.dirichlet(np.full(n, 4.0)))
+            head = list(rng.uniform(1.2, 6.0, 1 + k % 3))
+            seq = make_exponent_sequence(head, *((0.0,) if k % 2 else (0.3, 0.6)))
+            weights = [random_positive(rng, space, 3.0) for _ in range(rng.integers(len(head) + 1))]
+            ws = make_weight_system(space, seq, weights, random_positive(rng, space, 3.0))
+            for trials in (1, 2, 3, 6, 16):
+                estimate = estimate_best_constant("strong", ws, trials, k)
+                assert estimate == strong_estimate_oracle(ws, trials, k)
+
+    def test_strong_estimate_of_a_unit_system_and_with_no_witness(self, monkeypatch):
+        space = make_tree_space(2, 2)
+        for seq in (doubling_seq(), make_exponent_sequence([2.0, 3.0], 0.0)):
+            ws = unit_weight_system(space, seq, seq.head_len)
+            for trials in (1, 3, 6):
+                assert estimate_best_constant("strong", ws, trials, 4) == strong_estimate_oracle(
+                    ws, trials, 4)
+        # every testing ratio underflows to 0, so the scan keeps no witness and
+        # trial 2 is the unmasked all-ones vector
+        ws = make_weight_system(space, doubling_seq(), [np.full(4, 1e30)], np.full(4, 1e-300))
+        assert weights_mod.sp_constant_argmax(ws) == (0.0, None)
+        assert estimate_best_constant("strong", ws, 6, 4) == strong_estimate_oracle(ws, 6, 4)
+        # a witness of None on a system with positive ratios
+        ws = example_system()
+        for module in (theorems_mod, helpers):
+            monkeypatch.setattr(module, "sp_constant_argmax", lambda *a: (0.0, None))
+        estimate = estimate_best_constant("strong", ws, 6, 4)
+        assert estimate > 0.0 and estimate == strong_estimate_oracle(ws, 6, 4)
+
     def test_nan_norm_product_propagates_in_every_form(self, monkeypatch):
         # one ratio rule, 0.0 if rhs <= 0.0 else lhs / rhs: a NaN right side
         # is not taken for a vanishing one
         ws = example_system()
-        monkeypatch.setattr(theorems_mod, "function_norms_product", lambda *a, **k: math.nan)
+        # the strong trials take their norm products from the stacked pass
+        monkeypatch.setattr(theorems_mod, "_row_norms_products",
+                            lambda *a, **k: [math.nan] * len(a[-1]))
         assert np.isnan(estimate_best_constant("strong", ws, 3, 5))
+        monkeypatch.setattr(theorems_mod, "function_norms_product", lambda *a, **k: math.nan)
         theorems_mod._testing_parts.cache_clear()
         for inequality in ("testing", "weak"):
             assert np.isnan(estimate_best_constant(inequality, ws, 3, 5))

@@ -71,6 +71,14 @@ class TestConstruction:
         ws = make_weight_system(space, doubling_seq(), [np.array([1.0, 4.0])], np.ones(2))
         np.testing.assert_allclose(ws.sigmas[0], [1.0, 0.25])
 
+    def test_sigma_masses_are_kept_read_only(self):
+        rng = np.random.default_rng(62)
+        space = make_tree_space(2, 3, rng.dirichlet(np.full(9, 4.0)))
+        ws = make_weight_system(space, doubling_seq(), [random_positive(rng, space)], np.ones(9))
+        [probs] = ws.sigma_probs
+        np.testing.assert_array_equal(probs, space.leaf_probs * ws.sigmas[0])
+        assert not probs.flags.writeable and ws.sigma_probs[0] is probs
+
     def test_rejects_zero_weight(self):
         space = make_tree_space(1, 2)
         with pytest.raises(ValueError):
