@@ -11,8 +11,13 @@ function vectors each and runs the first theorem's chain:
   per system                         verify_testing_to_ap
 
 and prints the number of reports and one sha256 of their sorted-key JSON.
-Two checkouts that print the same line produced the same reports, bit for
-bit.
+A second line covers the per-time reports of times off the kept tables:
+seeded systems of the 16-leaf binary shape (458,330 times, a family that
+streams), each with two vectors checked by verify_ap_to_testing at the same
+STREAMED_TIMES times drawn by sample_stopping_time, each of which gathers
+its own entries.  The lines are hashed apart, so the first stays comparable
+with checkouts that print only it.  Two checkouts that print the same lines
+produced the same reports, bit for bit.
 
 With --cli it runs every CLI subcommand instead, in process, over seeded
 specs on trees of 2 to 64 leaves (family "all" up to 9 leaves, "sample:16"
@@ -61,6 +66,7 @@ from martbench import (
     make_tree_space,
     make_weight_system,
     rh_constant,
+    sample_stopping_time,
     sawyer_decomposition,
     sawyer_trace_invariants,
     sp_constant,
@@ -86,6 +92,8 @@ SECOND_SHAPES = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2))
 SECOND_FAMILIES = ("all", {"count": 16, "seed": 0})
 CONSTANT_IDS = ("testing", "weak", "strong", "sp-test")
 STRONG_TRIALS = (1, 2, 3, 16)  # besides the 6 trials of every id
+STREAMED_SHAPE = (4, 2)
+STREAMED_TIMES = 64
 
 
 def kept_shapes() -> list[tuple[int, int]]:
@@ -137,6 +145,12 @@ def chain_reports(ws, fvecs) -> list:
         reports.append(verify_weak_to_testing(ws, fv, c_a))
     reports.append(verify_testing_to_ap(ws))
     return reports
+
+
+def streamed_reports(ws, fvecs, rng) -> list:
+    """verify_ap_to_testing of each vector at STREAMED_TIMES seeded times."""
+    taus = [sample_stopping_time(ws.space, rng) for _ in range(STREAMED_TIMES)]
+    return [verify_ap_to_testing(ws, fv, tau) for fv in fvecs for tau in taus]
 
 
 def second_records(ws, fvecs, seed: int) -> list:
@@ -221,8 +235,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     if args.cli:
         with tempfile.TemporaryDirectory() as workdir:
-            docs = cli_runs(args.systems, args.seed, workdir)
-        label = "cli runs"
+            digests = [(cli_runs(args.systems, args.seed, workdir), "cli runs")]
     elif args.second:
         docs = []
         for index, (depth, branching) in enumerate(SECOND_SHAPES):
@@ -230,16 +243,22 @@ def main(argv=None) -> int:
                 rng = np.random.default_rng([args.seed, index, system])
                 ws, fvecs = random_system(rng, depth, branching, finite=system % 2 == 1)
                 docs += second_records(ws, fvecs, int(rng.integers(2**31)))
-        label = "second records"
+        digests = [(docs, "second records")]
     else:
-        docs = []
-        for index, (depth, branching) in enumerate(kept_shapes()):
+        docs, streamed = [], []
+        shapes = kept_shapes()
+        for index, (depth, branching) in enumerate(shapes):
             for system in range(args.systems):
                 rng = np.random.default_rng([args.seed, index, system])
                 docs += [rep.to_json() for rep in chain_reports(*random_system(rng, depth, branching))]
-        label = "reports"
-    digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
-    print(f"{len(docs)} {label} sha256 {digest}")
+        for system in range(args.systems):
+            rng = np.random.default_rng([args.seed, len(shapes), system])
+            ws, fvecs = random_system(rng, *STREAMED_SHAPE)
+            streamed += [rep.to_json() for rep in streamed_reports(ws, fvecs, rng)]
+        digests = [(docs, "reports"), (streamed, "streamed reports")]
+    for docs, label in digests:
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        print(f"{len(docs)} {label} sha256 {digest}")
     print(f"{time.perf_counter() - started:.1f} s", file=sys.stderr)
     return 0
 

@@ -11,6 +11,7 @@ every emitted report passes, 1 when at least one inequality check failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -346,10 +347,23 @@ _COMMANDS = {
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write `text` to `<path>.tmp`, then move it onto `path`; a failed write
+    or move removes the temporary file and raises."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    fh = open(tmp, "w", newline="")  # a failed open has made no file
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _csv_path(out: str) -> str:
+    """Where --format json+csv writes the CSV summary of an --out path."""
+    return os.path.splitext(out)[0] + ".csv"
 
 
 def _write_outputs(config: RunConfig, reports: list, payload: dict) -> None:
@@ -371,7 +385,7 @@ def _write_outputs(config: RunConfig, reports: list, payload: dict) -> None:
             rows.append(["constant", name, "", "", value, "", ""])
         text = io.StringIO()
         csv.writer(text).writerows(rows)
-        _atomic_write(os.path.splitext(config.out)[0] + ".csv", text.getvalue())
+        _atomic_write(_csv_path(config.out), text.getvalue())
 
 
 def run(config: RunConfig) -> int:
@@ -382,6 +396,9 @@ def run(config: RunConfig) -> int:
     for name in required:
         if not getattr(config, name):
             raise ValueError(f"a {name} spec is required (--{name} or config)")
+    if config.format == "json+csv" and _csv_path(config.out) == config.out:
+        raise ValueError(f"--out {config.out!r}: with --format json+csv the CSV summary "
+                         "would overwrite the JSON report; give --out another extension")
     space = space_from_json(config.space) if config.space else None
     seq = sequence_from_json(config.seq) if config.seq else None
     started = time.monotonic()

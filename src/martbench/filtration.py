@@ -260,8 +260,13 @@ class StoppingTime:
         """The event that the time is finite, as a leaf mask."""
         return self.finite
 
-    def key(self) -> bytes:
+    @cached_property
+    def _key(self) -> bytes:
         return self.values.tobytes()
+
+    def key(self) -> bytes:
+        """The values' bytes, computed once per time (the values are read-only)."""
+        return self._key
 
     def to_json(self) -> dict:
         return {
@@ -372,6 +377,11 @@ class _KeptFamily:
             matrices.append(_frozen(flat[rows][finite[rows]].reshape(rows.size, c)))
         slots = {self.times[i].key(): slot for slot, i in enumerate(order.tolist())}
         return slots, tuple(matrices)
+
+    @cached_property
+    def finite_leaves(self) -> list[int]:
+        """The finite-leaf count of each slot of the gather."""
+        return [m.shape[1] for m in self.gather[1] for _ in range(len(m))]
 
 
 @functools.lru_cache(maxsize=8)

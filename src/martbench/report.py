@@ -70,22 +70,15 @@ def check_inequality(
     """Build a report for LHS <= constant * RHS at the given tolerance.
     A side, constant or bound that is not finite fails the report, and a
     copy of the metadata then carries "reason": "nan" (a NaN side or
-    constant) or "inf" (an infinite one, or a bound that overflowed)."""
+    constant) or "inf" (an infinite one, or a bound that overflowed).  With
+    both sides finite the verdict is _within_margin's, on Python floats."""
     lhs, rhs, constant = float(lhs), float(rhs), float(constant)  # Python floats never warn
     bound = constant * rhs
-    slack = bound - lhs
-    passed = bool(_within_margin(lhs, bound, tolerance))
-    if not (math.isfinite(lhs) and math.isfinite(bound)):  # a finite bound has finite factors
+    if math.isfinite(lhs) and math.isfinite(bound):  # a finite bound has finite factors
+        passed = lhs <= _margin(bound, tolerance)
+    else:
         passed = False
         nan = math.isnan(lhs) or math.isnan(rhs) or math.isnan(constant)
         metadata = {**(metadata or {}), "reason": "nan" if nan else "inf"}
     return VerificationReport(
-        inequality=inequality,
-        lhs=lhs,
-        rhs=rhs,
-        constant=constant,
-        slack=slack,
-        passed=passed,
-        tolerance=tolerance,
-        metadata=metadata or {},
-    )
+        inequality, lhs, rhs, constant, bound - lhs, passed, tolerance, metadata or {})

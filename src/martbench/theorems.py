@@ -95,13 +95,28 @@ def _reward_table(ws: WeightSystem, fvec: FunctionVector) -> np.ndarray:
 def _family_rewards(ws: WeightSystem, fvec: FunctionVector) -> tuple[dict, list] | None:
     """The stopped reward of every time of the shape's kept family, for the
     last (system, vector) pair: the gather's slots and, by slot, one take
-    and row sum per finite-leaf count.  None where the family streams."""
+    and row sum per finite-leaf count.  None where the family streams.
+    verify_testing_to_weak reads it at each first passage; the per-time
+    reports of verify_ap_to_testing read _family_reports, built from it."""
     family = _kept_family(ws.space)
     if family is None:
         return None
     slots, matrices = family.gather
     reward = _reward_table(ws, fvec)
     return slots, np.concatenate([reward.take(m).sum(axis=1) for m in matrices]).tolist()
+
+
+@functools.lru_cache(maxsize=1)
+def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
+    """What a per-time report of the last (system, vector) pair reads:
+    (slots, left side by slot, finite leaves by slot, rhs, ap_max, digest).
+    A slot's left side is _power(reward, 1/p), the scalar power of its
+    stopped reward; the slot map is empty where the family streams."""
+    family, rewards = _kept_family(ws.space), _family_rewards(ws, fvec)
+    rp = ws.seq.aggregate_reciprocal
+    slots, lhs, finite = ({}, [], []) if family is None else (
+        rewards[0], [_power(r, rp) for r in rewards[1]], family.finite_leaves)
+    return slots, lhs, finite, _testing_parts(ws, fvec)[1], ws.ap_max, ws.space.digest
 
 
 def _stopped_reward(ws: WeightSystem, fvec: FunctionVector, tau: StoppingTime) -> float:
@@ -128,25 +143,27 @@ def verify_ap_to_testing(
         <= C_A * prod ||f_i||_{L^{p_i}(omega_i)},
     at tau, or (tau None) at the exact supremum over all stopping times
     (snell_testing_sup).  The parts that do not depend on tau are cached.
-    A time of a kept family (at most KEPT_FAMILY_TIMES) reads its stopped
-    integral from the table filled for the whole family at the first call
-    of a (system, vector) pair; any other time gathers its own entries."""
+    A time of a kept family (at most KEPT_FAMILY_TIMES) reads its left side
+    and finite-leaf count from the table (_family_reports) filled for the
+    whole family at the first per-time call of a (system, vector) pair; any
+    other time gathers its own entries.  Every time is checked for
+    adaptedness, and both paths build the report in one check_inequality."""
+    rp = ws.seq.aggregate_reciprocal
     if tau is None:
-        reward = snell_testing_sup(ws, fvec)
+        lhs = _power(snell_testing_sup(ws, fvec), rp)
+        rhs, c_a = _testing_parts(ws, fvec)[1], ws.ap_max
         metadata = {"stopping_sup": "exact", "space": ws.space.digest}
     elif not is_stopping_time(ws.space, tau):
         raise ValueError("tau is not an adapted stopping time")
     else:
-        reward = _stopped_reward(ws, fvec, tau)
-        metadata = {"space": ws.space.digest, "finite_leaves": tau.flat_index.size}
-    return check_inequality(
-        "ap-to-testing",
-        _power(reward, ws.seq.aggregate_reciprocal),
-        _testing_parts(ws, fvec)[1],
-        constant=ws.ap_max,
-        tolerance=tolerance,
-        metadata=metadata,
-    )
+        slots, lhs_by_slot, finite, rhs, c_a, digest = _family_reports(ws, fvec)
+        slot = slots.get(tau.key())
+        if slot is None:
+            lhs, leaves = _power(_stopped_reward(ws, fvec, tau), rp), tau.flat_index.size
+        else:
+            lhs, leaves = lhs_by_slot[slot], finite[slot]
+        metadata = {"space": digest, "finite_leaves": leaves}
+    return check_inequality("ap-to-testing", lhs, rhs, c_a, tolerance, metadata)
 
 
 def verify_testing_to_weak(

@@ -379,6 +379,32 @@ class TestConfigAndErrors:
         assert code == 2
         assert "sigma_0 for p_0 = 1.01" in capsys.readouterr().err
 
+    def test_csv_out_path_with_json_csv_exits_two_before_the_handler(
+            self, tmp_path, capsys, monkeypatch):
+        # the CSV summary of r.csv is r.csv itself: it would overwrite the report
+        def handler(*args):
+            raise AssertionError("the handler ran")
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "conjugate-product", (handler, ("seq",)))
+        code, _, _ = run_cli(tmp_path, "conjugate-product", "--seq", SEQ,
+                             "--format", "json+csv", out_name="r.csv")
+        assert code == 2 and list(tmp_path.iterdir()) == []
+        assert "json+csv" in capsys.readouterr().err
+        monkeypatch.undo()
+        code, doc, _ = run_cli(tmp_path, "conjugate-product", "--seq", SEQ, out_name="r.csv")
+        assert code == 0 and doc["command"] == "conjugate-product"
+
+    def test_failed_write_exits_two_and_leaves_no_temporary_file(self, tmp_path, capsys):
+        # --out names a directory; then the CSV summary's path does
+        (tmp_path / "d").mkdir()
+        code = main(["conjugate-product", "--seq", SEQ, "--out", str(tmp_path / "d")])
+        assert code == 2 and "Is a directory" in capsys.readouterr().err
+        (tmp_path / "r.csv").mkdir()
+        code, doc, _ = run_cli(tmp_path, "conjugate-product", "--seq", SEQ,
+                               "--format", "json+csv", out_name="r.json")
+        assert code == 2 and doc["command"] == "conjugate-product"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "r.csv", "r.json"]
+
     def test_missing_space_exits_two(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "check-holder", "--seq", SEQ)
         assert code == 2
@@ -603,9 +629,14 @@ class TestEntryPoints:
         for _ in range(2):
             assert digest.main(["--systems", "1", "--seed", "3"]) == 0
             lines.append(capsys.readouterr().out)
-        count, label, sha = lines[0].split(maxsplit=2)
-        assert lines[0] == lines[1] and int(count) > 0
-        assert label == "reports" and len(sha.removeprefix("sha256 ").strip()) == 64
+        assert lines[0] == lines[1]
+        # the kept shapes' chain, then the streamed shape's per-time reports:
+        # two vectors at each of the STREAMED_TIMES times
+        (count, *label, sha), (streamed, *streamed_label, streamed_sha) = (
+            line.split() for line in lines[0].splitlines())
+        assert int(count) > 0 and label == ["reports", "sha256"] and len(sha) == 64
+        assert int(streamed) == 2 * digest.STREAMED_TIMES
+        assert streamed_label == ["streamed", "reports", "sha256"] and len(streamed_sha) == 64
 
     def test_report_digest_cli_pass(self, capsys, monkeypatch):
         # every subcommand, on two small shapes: the digest of two passes is

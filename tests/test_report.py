@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from martbench.report import ABS_FLOOR, _margin, _power, _within_margin, check_inequality
+from martbench.report import (
+    ABS_FLOOR, REL_TOL, _margin, _power, _within_margin, check_inequality)
 
 
 def old_margin(bound, tolerance):
@@ -74,6 +76,27 @@ class TestInfReason:
     def test_nan_outranks_inf(self):
         report = check_inequality("x", math.nan, math.inf)
         assert not report.passed and report.metadata == {"reason": "nan"}
+
+
+EDGES = (0.0, ABS_FLOOR, 1.0 - 1e-12, 1.0 + 1e-12, math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, REL_TOL])
+@pytest.mark.parametrize("lhs", EDGES)
+def test_verdict_and_reason_on_the_edge_grid(lhs, tolerance):
+    # the verdict is _within_margin's with both sides finite, and fails
+    # otherwise with the "reason" a NaN side or constant names first
+    for rhs, constant in itertools.product(EDGES, EDGES):
+        report = check_inequality("x", lhs, rhs, constant, tolerance, {"space": "abc"})
+        bound = constant * rhs
+        finite = math.isfinite(lhs) and math.isfinite(bound)
+        assert report.passed is (finite and bool(_within_margin(lhs, bound, tolerance)))
+        nan = math.isnan(lhs) or math.isnan(rhs) or math.isnan(constant)
+        reason = {} if finite else {"reason": "nan" if nan else "inf"}
+        assert report.metadata == {"space": "abc", **reason}
+        fields = (report.lhs, report.rhs, report.constant, report.slack, report.tolerance)
+        want = (lhs, rhs, constant, bound - lhs, tolerance)
+        assert all(a == b or math.isnan(a) and math.isnan(b) for a, b in zip(fields, want))
 
 
 class TestPower:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -28,7 +29,7 @@ from martbench.holder import (
     trial_vector,
 )
 from martbench.maximal import gen_doob_maximal, gen_weighted_maximal, weak_lp_norm
-from martbench.report import REL_TOL, _power, _within_margin
+from martbench.report import REL_TOL, _power, _within_margin, check_inequality
 from martbench.theorems import (
     band_index,
     estimate_best_constant,
@@ -403,6 +404,114 @@ class TestApToTesting:
         for arr in (ws.v, fvecs[0].active[0], fvecs[1].active[1], fvecs[1].mask):
             with pytest.raises(ValueError):
                 arr[0] = arr[1]
+
+
+def same(a: dict, b: dict) -> bool:
+    """Report JSON equal field for field, a NaN slack included."""
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+class TestPerTimeReports:
+    """verify_ap_to_testing at a time is check_inequality on the oracle's
+    stopped reward, field for field, whether the time reads the per-pair
+    table or gathers its own entries."""
+
+    @staticmethod
+    def expected(ws, fv, tau, tolerance):
+        space, seq = ws.space, ws.seq
+        rp = seq.aggregate_reciprocal
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = level_products(space, fv, seq)
+            reward = stopped_reward_oracle(ws, rows, tau, 1.0 / rp)
+            rhs = function_norms_product(space, fv, seq, ws.active_weights)
+        metadata = {"space": space.digest, "finite_leaves": int(np.sum(tau.values != INF))}
+        return check_inequality(
+            "ap-to-testing", _power(reward, rp), rhs, ws.ap_max, tolerance, metadata).to_json()
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-6])
+    def test_every_kept_time_matches_the_oracle_report(self, tolerance):
+        # shapes of 1-11 leaves, finite and infinite tails, masked vectors
+        rng = np.random.default_rng(171)
+        shapes = [(0, 2), (1, 2), (1, 5), (1, 11), (2, 2), (2, 3), (3, 2)]
+        seen = set()
+        for trial, (depth, branching) in enumerate(shapes * 2):
+            n = branching**depth
+            space = make_tree_space(depth, branching, rng.dirichlet(np.ones(n)))
+            seq = random_sequence(rng, max_head=3, allow_finite=False)
+            if trial % 2:
+                seq = make_exponent_sequence(list(seq.head), 0.0)
+            ws = random_weight_system(rng, space, seq)
+            fv = random_fvec(rng, space, seq, spread=1e6)
+            if trial >= len(shapes):
+                fv = FunctionVector(fv.active, random_leaf_mask(rng, space))
+            seen.add((fv.mask is None, seq.is_finite_family))
+            times = list(enumerate_stopping_times(space))
+            assert len(theorems_mod._family_reports(ws, fv)[0]) == len(times)
+            for tau in times:
+                got = verify_ap_to_testing(ws, fv, tau, tolerance).to_json()
+                assert same(got, self.expected(ws, fv, tau, tolerance))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("head, v, active", [
+        ([2.0, 2.0], 1.0, [[1e200, 1.0], [1e200, 1.0]]),
+        ([1.2, 1.2, 1.2], 1e4, [[1e100, 1.0]] * 3),
+    ], ids=["reward", "power"])
+    def test_overflow_reports_inf(self, head, v, active):
+        # the stopped reward past the float range, or a finite reward whose
+        # power 1/p is (5e123 ** 2.5)
+        space = make_tree_space(1, 2)
+        seq = make_exponent_sequence(head, 0.0)
+        ws = make_weight_system(space, seq, [np.ones(2)] * len(head), np.full(2, v))
+        fv = function_vector(space, active)
+        reports = {}
+        for tau in enumerate_stopping_times(space):
+            got = verify_ap_to_testing(ws, fv, tau, 0.0).to_json()
+            assert same(got, self.expected(ws, fv, tau, 0.0))
+            reports[tuple(tau.values.tolist())] = got
+        top = reports[(1, INF)]
+        assert top["lhs"] == math.inf and not top["pass"] and top["metadata"]["reason"] == "inf"
+
+    def test_times_off_the_table_gather_their_own(self):
+        # a narrowed (int32) time of a kept shape, and seeded streamed times
+        # of the 16-leaf binary shape, whose family is not kept
+        rng = np.random.default_rng(172)
+        seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+        for depth, branching in [(2, 3), (4, 2)]:
+            space = make_tree_space(depth, branching, rng.dirichlet(np.ones(branching**depth)))
+            ws = random_weight_system(rng, space, seq)
+            fv = random_fvec(rng, space, seq)
+            slots = theorems_mod._family_reports(ws, fv)[0]
+            if depth == 2:
+                taus = [StoppingTime(tau.values.astype(np.int32))
+                        for tau in list(enumerate_stopping_times(space))[::50]]
+            else:
+                assert slots == {}
+                taus = [sample_stopping_time(space, rng) for _ in range(40)]
+            for tau in taus:
+                assert tau.key() not in slots
+                for tolerance in (0.0, 1e-6):
+                    got = verify_ap_to_testing(ws, fv, tau, tolerance).to_json()
+                    assert same(got, self.expected(ws, fv, tau, tolerance))
+
+    def test_key_is_the_values_bytes_computed_once(self):
+        space = make_tree_space(2, 2)
+        for tau in [*enumerate_stopping_times(space), StoppingTime(np.array([1, 1, 2, INF]))]:
+            key = tau.key()
+            assert key == tau.values.tobytes() and tau.key() is key
+
+    def test_only_per_time_calls_build_the_table(self):
+        rng = np.random.default_rng(173)
+        space = make_tree_space(2, 2, rng.dirichlet(np.ones(4)))
+        seq = make_exponent_sequence([2.0, 3.0], 0.2, 0.5)
+        ws = random_weight_system(rng, space, seq)
+        fv = random_fvec(rng, space, seq)
+        theorems_mod._family_reports.cache_clear()
+        verify_ap_to_testing(ws, fv)
+        verify_testing_to_weak(ws, fv, ap_constant(ws))
+        assert theorems_mod._family_reports.cache_info().misses == 0
+        for tau in enumerate_stopping_times(space):
+            verify_ap_to_testing(ws, fv, tau)
+        assert theorems_mod._family_reports.cache_info().misses == 1
 
 
 class TestTestingToWeak:
