@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import os
+import secrets
 import sys
 import time
 from dataclasses import field, make_dataclass
@@ -347,10 +348,12 @@ _COMMANDS = {
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Write `text` to `<path>.tmp`, then move it onto `path`; a failed write
-    or move removes the temporary file and raises."""
-    tmp = f"{path}.tmp"
-    fh = open(tmp, "w", newline="")  # a failed open has made no file
+    """Write `text` to a new file beside `path`, then move it onto `path`; a
+    failed write or move removes that file and raises.  Exclusive creation
+    leaves every existing file alone and gives the report the mode open()
+    gives a new file."""
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    fh = open(tmp, "x", newline="")  # a failed open has made no file
     try:
         with fh:
             fh.write(text)
@@ -450,7 +453,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(_config_from_args(args))
-    except (ValueError, KeyError, IndexError, OSError, EnumerationCapError) as exc:
+    # a spec of the wrong JSON type (a string depth, a list for an object) is
+    # malformed input too
+    except (ValueError, TypeError, AttributeError, KeyError, IndexError, OSError,
+            EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

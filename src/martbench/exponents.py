@@ -98,8 +98,10 @@ def make_exponent_sequence(
     Requires every head exponent in (1, inf), tail_mass >= 0, tail_ratio in
     (0, 1), and for a nonempty tail tail_mass * (1 - tail_ratio) < 1 so the
     first tail exponent already exceeds 1.  The total reciprocal mass must
-    be positive and finite.
+    be positive and finite.  A string head is refused, not read digit by digit.
     """
+    if isinstance(head, str):
+        raise TypeError(f"head must be a list of exponents, not the string {head!r}")
     head_t = tuple(float(p) for p in head)
     for p in head_t:
         if not (1.0 < p < math.inf):

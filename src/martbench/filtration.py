@@ -275,11 +275,15 @@ class StoppingTime:
 
 
 def stopping_time_from_json(space: TreeSpace, obj: dict) -> StoppingTime:
-    raw = obj["values"]
-    vals = np.array(
-        [StoppingTime.INFINITE if v == "inf" else int(v) for v in raw], dtype=np.int64
-    )
-    tau = StoppingTime(vals)
+    """The time of to_json's {"values": [...]}: each value a level (an
+    integer) or "inf"; a float, a bool or any other value is refused, not
+    truncated."""
+    vals = [StoppingTime.INFINITE if v == "inf" else v for v in obj["values"]]
+    for v in vals:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not (
+                StoppingTime.INFINITE <= v <= space.depth):
+            raise ValueError(f'stopping-time value {v!r} is not a level 0..{space.depth} or "inf"')
+    tau = StoppingTime(np.array(vals, dtype=np.int64))
     if not is_stopping_time(space, tau):
         raise ValueError("values do not define an adapted stopping time")
     return tau

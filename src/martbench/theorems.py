@@ -67,69 +67,37 @@ def band_index(values: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple[np.ndarray, float]:
-    """Level products (read-only) and norm product of the last (system, vector)
-    pair; both hash by identity, hold read-only arrays and are kept alive here.
-    A product past the float range is inf (and inf * 0 NaN), which fails the
-    report it reaches."""
+def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple[np.ndarray, float, np.ndarray]:
+    """Level products, norm product and stopping reward of the last (system,
+    vector) pair; both hash by identity, and the arrays are read-only and kept
+    alive here.  Row n of the reward is leaf_probs * v * (prod E_n f_i)**p;
+    readers gather finite leaves only (StoppingTime.flat_index), so no row
+    stands for the INFINITE value.  A product past the float range is inf
+    (and inf * 0 NaN), which fails the report it reaches."""
     with np.errstate(over="ignore", invalid="ignore"):
         rows = level_products(ws.space, fvec, ws.seq)
         rhs = function_norms_product(ws.space, fvec, ws.seq, ws.active_weights)
-    rows.setflags(write=False)
-    return rows, rhs
-
-
-@functools.lru_cache(maxsize=1)
-def _reward_table(ws: WeightSystem, fvec: FunctionVector) -> np.ndarray:
-    """The stopping reward of the last (system, vector) pair, read-only: row n
-    is leaf_probs * v * (prod E_n f_i)**p.  Readers gather finite leaves only
-    (StoppingTime.flat_index), so no row stands for the INFINITE value."""
-    rows = _testing_parts(ws, fvec)[0]
-    with np.errstate(over="ignore"):  # an overflowed reward is inf, and fails its report
         reward = ws.space.leaf_probs * ws.v * rows ** (1.0 / ws.seq.aggregate_reciprocal)
-    reward.setflags(write=False)
-    return reward
-
-
-@functools.lru_cache(maxsize=1)
-def _family_rewards(ws: WeightSystem, fvec: FunctionVector) -> tuple[dict, list] | None:
-    """The stopped reward of every time of the shape's kept family, for the
-    last (system, vector) pair: the gather's slots and, by slot, one take
-    and row sum per finite-leaf count.  None where the family streams.
-    verify_testing_to_weak reads it at each first passage; the per-time
-    reports of verify_ap_to_testing read _family_reports, built from it."""
-    family = _kept_family(ws.space)
-    if family is None:
-        return None
-    slots, matrices = family.gather
-    reward = _reward_table(ws, fvec)
-    return slots, np.concatenate([reward.take(m).sum(axis=1) for m in matrices]).tolist()
+    return _frozen(rows), rhs, _frozen(reward)
 
 
 @functools.lru_cache(maxsize=1)
 def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     """What a per-time report of the last (system, vector) pair reads:
     (slots, left side by slot, finite leaves by slot, rhs, ap_max, digest).
-    A slot's left side is _power(reward, 1/p), the scalar power of its
-    stopped reward; the slot map is empty where the family streams."""
-    family, rewards = _kept_family(ws.space), _family_rewards(ws, fvec)
-    rp = ws.seq.aggregate_reciprocal
-    slots, lhs, finite = ({}, [], []) if family is None else (
-        rewards[0], [_power(r, rp) for r in rewards[1]], family.finite_leaves)
-    return slots, lhs, finite, _testing_parts(ws, fvec)[1], ws.ap_max, ws.space.digest
-
-
-def _stopped_reward(ws: WeightSystem, fvec: FunctionVector, tau: StoppingTime) -> float:
-    """int over {tau finite} of (prod E_tau(f_i))**p v dmu: read from the
-    family's table when tau.key() is a kept time's, else one flat gather of
-    the finite leaves' entries.  Both sum the entries in leaf order, so they
-    agree bit for bit (0.0 where tau never stops)."""
-    family = _family_rewards(ws, fvec)
+    A slot's left side is _power(reward, 1/p) of its stopped reward, one take
+    and row sum per finite-leaf count (_KeptFamily.gather), bit for bit the
+    sum of the time's own gather; the slot map is empty where the family
+    streams."""
+    family = _kept_family(ws.space)
+    _, rhs, reward = _testing_parts(ws, fvec)
+    slots, lhs, finite = {}, [], []
     if family is not None:
-        slot = family[0].get(tau.key())
-        if slot is not None:
-            return family[1][slot]
-    return float(_reward_table(ws, fvec).take(tau.flat_index).sum())
+        slots, matrices = family.gather
+        rp = ws.seq.aggregate_reciprocal
+        lhs = [_power(r, rp) for m in matrices for r in reward.take(m).sum(axis=1).tolist()]
+        finite = family.finite_leaves
+    return slots, lhs, finite, rhs, ws.ap_max, ws.space.digest
 
 
 def verify_ap_to_testing(
@@ -146,8 +114,9 @@ def verify_ap_to_testing(
     A time of a kept family (at most KEPT_FAMILY_TIMES) reads its left side
     and finite-leaf count from the table (_family_reports) filled for the
     whole family at the first per-time call of a (system, vector) pair; any
-    other time gathers its own entries.  Every time is checked for
-    adaptedness, and both paths build the report in one check_inequality."""
+    other time sums its own gather of the reward, bit for bit the table's
+    entry.  Every time is checked for adaptedness, and both paths build the
+    report in one check_inequality."""
     rp = ws.seq.aggregate_reciprocal
     if tau is None:
         lhs = _power(snell_testing_sup(ws, fvec), rp)
@@ -159,7 +128,8 @@ def verify_ap_to_testing(
         slots, lhs_by_slot, finite, rhs, c_a, digest = _family_reports(ws, fvec)
         slot = slots.get(tau.key())
         if slot is None:
-            lhs, leaves = _power(_stopped_reward(ws, fvec, tau), rp), tau.flat_index.size
+            reward = float(_testing_parts(ws, fvec)[2].take(tau.flat_index).sum())
+            lhs, leaves = _power(reward, rp), tau.flat_index.size
         else:
             lhs, leaves = lhs_by_slot[slot], finite[slot]
         metadata = {"space": digest, "finite_leaves": leaves}
@@ -183,10 +153,10 @@ def verify_testing_to_weak(
     """
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     p = 1.0 / rp
-    rows, rhs = _testing_parts(ws, fvec)
+    rows, rhs, reward = _testing_parts(ws, fvec)
     thresholds, masses = _level_sets(space, rows.max(axis=0), ws.v)
     # rows > nextafter(t, 0) is rows >= t: the support is {maximal >= t}
-    stopped_rewards = [_stopped_reward(ws, fvec, first_passage_time(space, rows, t))
+    stopped_rewards = [reward.take(first_passage_time(space, rows, t).flat_index).sum()
                        for t in np.nextafter(thresholds, 0.0)]
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails below
         weak = thresholds * masses ** (1.0 / p)  # weak_lp_norm's terms, bit for bit
@@ -227,7 +197,7 @@ def verify_weak_to_testing(
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
-    rows, rhs = _testing_parts(ws, fvec)
+    rows, rhs, _ = _testing_parts(ws, fvec)
     bi = band_index(rows)
     banded = bi != NO_BAND
     lo = bi.min(initial=0, where=banded)
@@ -534,7 +504,7 @@ def snell_testing_sup(ws: WeightSystem, fvec: FunctionVector) -> float:
     exact by backward induction on the tree (the Snell envelope of the
     stopping reward), in O(leaves * depth) with no enumeration."""
     space = ws.space
-    reward = _reward_table(ws, fvec)
+    reward = _testing_parts(ws, fvec)[2]
     value = reward[space.depth]
     for n in range(space.depth - 1, -1, -1):
         stop = space.atom_sums(reward[n], n)
@@ -622,8 +592,10 @@ def estimate_best_constant(
             fvec = FunctionVector(tuple(ws.sigma_at(i) for i in range(m)), None)
         if inequality_id == "testing":
             lhs, rhs = _power(snell_testing_sup(ws, fvec), rp), _testing_parts(ws, fvec)[1]
-        else:
-            rows, rhs = _testing_parts(ws, fvec)
+        else:  # a fresh vector each trial: the reward of _testing_parts is not needed
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = level_products(space, fvec, seq)
+                rhs = function_norms_product(space, fvec, seq, ws.active_weights)
             lhs = weak_lp_norm(space, rows.max(axis=0), p, ws.v)
         ratios.append(0.0 if rhs <= 0.0 else lhs / rhs)
     return float(np.max(ratios))  # a NaN ratio propagates

@@ -1,5 +1,6 @@
 import csv
 import importlib.util
+import itertools
 import json
 import math
 import sys
@@ -404,6 +405,55 @@ class TestConfigAndErrors:
                                "--format", "json+csv", out_name="r.json")
         assert code == 2 and doc["command"] == "conjugate-product"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "r.csv", "r.json"]
+
+    def test_existing_tmp_file_is_kept_and_a_failed_write_leaves_no_new_file(
+            self, tmp_path, monkeypatch):
+        # the temporary file is a new one beside --out: a user's r.json.tmp is
+        # neither truncated nor removed, and the report has open()'s mode
+        (tmp_path / "r.json.tmp").write_text("keep me")
+        code, doc, out = run_cli(tmp_path, "conjugate-product", "--seq", SEQ, out_name="r.json")
+        assert code == 0 and doc["command"] == "conjugate-product"
+        assert (tmp_path / "r.json.tmp").read_text() == "keep me"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.json.tmp"]
+        probe = tmp_path / "probe"
+        probe.touch()
+        assert out.stat().st_mode == probe.stat().st_mode
+        probe.unlink()
+
+        def refused(src, dst):
+            raise PermissionError("refused")
+
+        monkeypatch.setattr(cli_mod.os, "replace", refused)
+        code, _, _ = run_cli(tmp_path, "conjugate-product", "--seq", SEQ, out_name="s.json")
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.json.tmp"]
+        with pytest.raises(UnicodeEncodeError):
+            cli_mod._atomic_write(str(tmp_path / "t.json"), "\ud800")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.json.tmp"]
+
+    @pytest.mark.parametrize("command, option, spec", [
+        ("weights-constants", "--space", '{"depth":2.0,"branching":2}'),
+        ("weights-constants", "--space", '{"depth":"2","branching":2}'),
+        ("weights-constants", "--space", "[2,2]"),
+        ("weights-constants", "--seq", '{"head":2.0}'),
+        ("weights-constants", "--seq", '{"head":[null]}'),
+        ("weights-constants", "--seq", "[2.0]"),
+        ("weights-constants", "--seq", '{"head":"23"}'),
+        ("weights-constants", "--weights", "[1,2]"),
+        ("check-holder", "--functions", '"abc"'),
+        ("weights-constants", "--config", {"family": {"count": 3, "seed": "abc"}}),
+    ], ids=["space-float-depth", "space-string-depth", "space-list", "seq-float-head",
+            "seq-null-exponent", "seq-list", "seq-string-head", "weights-list",
+            "functions-string", "config-family-string-seed"])
+    def test_spec_of_the_wrong_type_exits_two_with_one_line(
+            self, tmp_path, capsys, command, option, spec):
+        if option == "--config":
+            spec = _config_file(tmp_path, spec)
+        args = {"--space": SPACE, "--seq": SEQ, "--weights": UNIT_WEIGHTS, option: spec}
+        code, _, out = run_cli(tmp_path, command, *itertools.chain(*args.items()))
+        assert code == 2 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_space_exits_two(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "check-holder", "--seq", SEQ)

@@ -201,9 +201,11 @@ class TestHlBound:
         (lambda: conjugate_at(geometric_doubling(), 0), IndexError, "index 0"),
         (lambda: conjugate_at(make_exponent_sequence([2.0, 2.0]), 3), IndexError, "beyond finite"),
         (lambda: conjugate_product(geometric_doubling(), rel_tol=0.0), ValueError, "rel_tol"),
+        (lambda: make_exponent_sequence("23"), TypeError, "not the string '23'"),
     ],
     ids=["tail-mass-negative", "tail-ratio-one", "exponent-index-zero",
-         "conjugate-index-zero", "conjugate-past-finite-family", "rel-tol-zero"],
+         "conjugate-index-zero", "conjugate-past-finite-family", "rel-tol-zero",
+         "string-head"],
 )
 def test_input_checks_raise(call, error, match):
     with pytest.raises(error, match=match):

@@ -314,6 +314,16 @@ class TestStoppingTimes:
         with pytest.raises(ValueError):
             stopping_time_from_json(space, {"values": [0, 1]})
 
+    @pytest.mark.parametrize("values", [
+        [0.7, 0.7], [1.9, 1.2], [1.0, 1.0], [True, "inf"], ["1", "inf"], [None, 1],
+        [2, 2], [-2, 1], [2**70, 1], ["Inf", 1],
+    ])
+    def test_json_accepts_only_levels_and_inf(self, values):
+        # int() would truncate [0.7, 0.7] to the adapted [0, 0], and
+        # [true, "inf"] to [1, inf]
+        with pytest.raises(ValueError, match="is not a level 0..1"):
+            stopping_time_from_json(make_tree_space(1, 2), {"values": values})
+
 
 class TestKeptEnumeration:
     # every tree shape whose family has at most KEPT_FAMILY_TIMES times; a

@@ -232,8 +232,8 @@ class TestApToTesting:
         filtration_mod._kept_times.cache_clear()  # fresh times, not yet scanned
         taus = list(enumerate_stopping_times(space))
         assert len(taus) == 730
-        # the adaptedness scan runs once per time and the reward table once
-        # per vector
+        # the adaptedness scan runs once per time and the per-pair parts
+        # (level products, norm product, reward) once per vector
         calls = {"ap_level_values": 0, "level_products": 0, "_adapted_scan": 0}
 
         def counting(module, name):
@@ -248,10 +248,10 @@ class TestApToTesting:
         counting(weights_mod, "ap_level_values")
         counting(theorems_mod, "level_products")
         counting(filtration_mod, "_adapted_scan")
-        theorems_mod._reward_table.cache_clear()
+        theorems_mod._testing_parts.cache_clear()
         reports = [[verify_ap_to_testing(ws, fv, tau) for tau in taus] for fv in fvecs]
         assert calls == {"ap_level_values": 1, "level_products": 2, "_adapted_scan": 730}
-        assert theorems_mod._reward_table.cache_info().misses == 2
+        assert theorems_mod._testing_parts.cache_info().misses == 2
         monkeypatch.undo()
         c_a = float(weights_mod.ap_level_values(ws).max())
         for fv, reps in zip(fvecs, reports):
@@ -297,10 +297,11 @@ class TestApToTesting:
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_family_table_is_the_gather_bit_for_bit(self):
-        # the per-(system, vector) table, read by slot, against the stopped
-        # oracle on every kept shape, finite and infinite families, rewards
-        # over many binades; fresh times equal in value to kept ones read the
-        # table, an int32 time gathers its own entries
+        # the per-(system, vector) table, read by slot, and a time's own
+        # gather of the reward, against the stopped oracle on every kept
+        # shape, finite and infinite families, rewards over many binades;
+        # fresh times equal in value to kept ones read the table, an int32
+        # time gathers its own entries
         rng = np.random.default_rng(91)
         shapes = [(0, 2)] + [(1, r) for r in range(2, 12)] + [(2, 2), (2, 3), (3, 2)]
         for trial, (depth, branching) in enumerate(shapes * 2):
@@ -314,20 +315,21 @@ class TestApToTesting:
             fv = random_fvec(rng, space, seq, spread=1e6)
             rows = level_products(space, fv, seq)
             p, rp = 1.0 / seq.aggregate_reciprocal, seq.aggregate_reciprocal
-            slots, rewards = theorems_mod._family_rewards(ws, fv)
+            slots, lhs_by_slot = theorems_mod._family_reports(ws, fv)[:2]
+            reward = theorems_mod._testing_parts(ws, fv)[2]
             times = list(enumerate_stopping_times(space))
-            assert len(slots) == len(rewards) == len(times)
+            assert len(slots) == len(lhs_by_slot) == len(times)
             fresh = [StoppingTime(np.full(n, INF)), StoppingTime(np.zeros(n, dtype=np.int64))]
             fresh += [first_passage_time(space, rows, t) for t in np.unique(rows)]
             for tau in times + fresh:
-                assert tau.key() in slots
                 expected = stopped_reward_oracle(ws, rows, tau, p)
-                assert theorems_mod._stopped_reward(ws, fv, tau) == expected
+                assert reward.take(tau.flat_index).sum() == expected
+                assert lhs_by_slot[slots[tau.key()]] == expected**rp
                 assert verify_ap_to_testing(ws, fv, tau).lhs == expected**rp
             narrow = StoppingTime(times[-1].values.astype(np.int32))
             assert narrow.key() not in slots and is_stopping_time(space, narrow)
             expected = stopped_reward_oracle(ws, rows, narrow, p)
-            assert theorems_mod._stopped_reward(ws, fv, narrow) == expected
+            assert reward.take(narrow.flat_index).sum() == expected
             assert verify_ap_to_testing(ws, fv, narrow).lhs == expected**rp
 
     def test_a_time_reads_the_table_of_its_own_system_shape(self):
@@ -342,12 +344,15 @@ class TestApToTesting:
             systems.append((ws, random_fvec(rng, space, seq)))
         shared = StoppingTime(np.array([1, 1, INF, INF]))
         deep = StoppingTime(np.array([1, 1, 2, 2]))
+        rp = seq.aggregate_reciprocal
         for _ in range(2):  # alternate, so the one-entry table is refilled each time
             seen = []
             for ws, fv in systems:
                 rows = level_products(ws.space, fv, seq)
-                expected = stopped_reward_oracle(ws, rows, shared, 1.0 / seq.aggregate_reciprocal)
-                assert theorems_mod._stopped_reward(ws, fv, shared) == expected
+                expected = stopped_reward_oracle(ws, rows, shared, 1.0 / rp)
+                slots, lhs_by_slot = theorems_mod._family_reports(ws, fv)[:2]
+                assert lhs_by_slot[slots[shared.key()]] == expected**rp
+                assert verify_ap_to_testing(ws, fv, shared).lhs == expected**rp
                 seen.append(expected)
             assert seen[0] != seen[1]
         (ws22, fv22), (ws14, fv14) = systems
@@ -357,19 +362,22 @@ class TestApToTesting:
 
     def test_streamed_shape_gathers_each_time(self):
         # binary depth 4 (458,330 times) keeps no table; first-passage
-        # times gather their own entries
+        # times sum their own gather of the reward
         rng = np.random.default_rng(93)
         space = make_tree_space(4, 2, rng.dirichlet(np.ones(16)))
         seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
         ws = random_weight_system(rng, space, seq)
         fv = random_fvec(rng, space, seq)
-        assert theorems_mod._family_rewards(ws, fv) is None
+        assert theorems_mod._family_reports(ws, fv)[:3] == ({}, [], [])
+        reward = theorems_mod._testing_parts(ws, fv)[2]
         rows = level_products(space, fv, seq)
         p = 1.0 / seq.aggregate_reciprocal
         for t in np.unique(rows)[::7]:
             tau = first_passage_time(space, rows, t)
+            expected = stopped_reward_oracle(ws, rows, tau, p)
+            assert reward.take(tau.flat_index).sum() == expected
             rep = verify_ap_to_testing(ws, fv, tau)
-            assert rep.lhs == stopped_reward_oracle(ws, rows, tau, p) ** seq.aggregate_reciprocal
+            assert rep.lhs == expected**seq.aggregate_reciprocal
 
     def test_float_time_raises_value_error(self):
         space = make_tree_space(1, 2)
@@ -559,6 +567,43 @@ class TestTestingToWeak:
             assert report.lhs == weak_lp_norm(ws.space, maximal, p, ws.v)
             assert report.metadata["n_thresholds"] == np.unique(maximal[maximal > 0.0]).size
 
+    @pytest.mark.parametrize("depth, branching", [(0, 2), (1, 5), (2, 3), (4, 2)],
+                             ids=["1-leaf", "5-leaf", "9-leaf", "16-leaf-streamed"])
+    def test_first_passage_rewards_match_the_stopped_oracle(
+            self, monkeypatch, depth, branching):
+        # every first passage the weak check reads, masked and unmasked
+        # vectors: its reward, to the power 1/p, bit for bit the oracle's;
+        # the kept family's table is not built for it
+        rng = np.random.default_rng([67, depth, branching])
+        taus, compared = [], []
+        original_passage = theorems_mod.first_passage_time
+
+        def passage(*args):
+            taus.append(original_passage(*args))
+            return taus[-1]
+
+        monkeypatch.setattr(theorems_mod, "first_passage_time", passage)
+        monkeypatch.setattr(theorems_mod, "_within_margin",
+                            lambda lhs, rhs, tol: compared.append(rhs) or _within_margin(lhs, rhs, tol))
+        theorems_mod._family_reports.cache_clear()
+        for trial in range(4):
+            space = make_tree_space(depth, branching, rng.dirichlet(np.ones(branching**depth)))
+            seq = random_sequence(rng, max_head=3)
+            ws = random_weight_system(rng, space, seq)
+            fv = random_fvec(rng, space, seq, spread=1e6)
+            if trial % 2:
+                fv = FunctionVector(fv.active, random_leaf_mask(rng, space))
+            taus.clear()
+            compared.clear()
+            testing = verify_ap_to_testing(ws, fv)  # the exact supremum, as verify-ap runs
+            report = verify_testing_to_weak(ws, fv, testing.lhs / testing.rhs)
+            assert report.passed and len(taus) == report.metadata["n_thresholds"]
+            rows = level_products(space, fv, seq)
+            rp = seq.aggregate_reciprocal
+            expected = np.array([stopped_reward_oracle(ws, rows, tau, 1.0 / rp) for tau in taus])
+            assert len(compared) == 1 and compared[0].tobytes() == (expected**rp).tobytes()
+        assert theorems_mod._family_reports.cache_info().misses == 0
+
     @pytest.mark.parametrize("active, reason", [
         ([[1e200, 1.0], [1e200, 1.0]], "inf"),
         ([[1e300, 1e300], [1e300, 1e300], [0.0, 1.0]], "nan"),
@@ -671,7 +716,7 @@ class TestWeakToTesting:
         seq = make_exponent_sequence([2.0, 3.0, 4.0], 0.2, 0.5)
         ws = random_weight_system(rng, space, seq)
         fv = FunctionVector(tuple(random_positive(rng, space, 1e3) for _ in range(3)), None)
-        verify_weak_to_testing(ws, fv, 2.0)  # the cached level products and reward table
+        verify_weak_to_testing(ws, fv, 2.0)  # the cached per-pair parts, the reward included
         tracemalloc.start()
         try:
             report = verify_weak_to_testing(ws, fv, 2.0)
@@ -1086,8 +1131,10 @@ class TestEstimates:
             assert snell_testing_sup(ws, fv) == pytest.approx(brute, rel=1e-12)
 
     def test_weak_estimate_builds_the_level_products_once_per_trial(self, monkeypatch):
-        # the weak ratio reads the rows and the norm product of _testing_parts:
-        # one level_products call per trial vector, by either module binding
+        # the weak ratio builds its own rows and norm product (a fresh vector
+        # each trial, so the cached per-pair reward would be waste): one
+        # level_products call per trial vector, by either module binding, and
+        # no _testing_parts entry
         rng = np.random.default_rng(75)
         ws = small_random_system(rng)
         space, seq = ws.space, ws.seq
@@ -1100,8 +1147,10 @@ class TestEstimates:
 
         monkeypatch.setattr(theorems_mod, "level_products", counted)
         monkeypatch.setattr(maximal_mod, "level_products", counted)
+        theorems_mod._testing_parts.cache_clear()
         estimate = estimate_best_constant("weak", ws, 5, 3)
         assert len(calls) == 5 and len({id(fv) for fv in calls}) == 5
+        assert theorems_mod._testing_parts.cache_info().misses == 0
         monkeypatch.undo()
         fvecs = [trial_vector(space, seq.head_len, 3, t, 1e3) for t in range(5)]
         fvecs[2] = FunctionVector(tuple(ws.sigma_at(i) for i in range(seq.head_len)), None)
@@ -1155,10 +1204,12 @@ class TestEstimates:
         monkeypatch.setattr(theorems_mod, "_row_norms_products",
                             lambda *a, **k: [math.nan] * len(a[-1]))
         assert np.isnan(estimate_best_constant("strong", ws, 3, 5))
+        # the weak trials call function_norms_product themselves, the testing
+        # trials read it from _testing_parts, cleared so that it is recomputed
         monkeypatch.setattr(theorems_mod, "function_norms_product", lambda *a, **k: math.nan)
+        assert np.isnan(estimate_best_constant("weak", ws, 3, 5))
         theorems_mod._testing_parts.cache_clear()
-        for inequality in ("testing", "weak"):
-            assert np.isnan(estimate_best_constant(inequality, ws, 3, 5))
+        assert np.isnan(estimate_best_constant("testing", ws, 3, 5))
         theorems_mod._testing_parts.cache_clear()
 
     def test_nan_ratio_propagates(self, monkeypatch):
