@@ -69,6 +69,16 @@ def _json(value):
     return json.loads(value) if isinstance(value, str) else value
 
 
+@contextlib.contextmanager
+def _naming(source: str):
+    """Raise a spec's error as one ValueError that names its flag or config key."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{source}: {why}") from None
+
+
 def _ranged(cast, low=-math.inf, high=math.inf):
     """A parser that casts its value exactly and requires low <= value < high;
     a float that int() would truncate (2.5) or overflow on (inf) fails."""
@@ -101,11 +111,13 @@ def _family(value):
 
 # Every option once: (config-file key, parser, default, help).  The flag is
 # --KEY with "_" written "-".  The same parser reads flag text and
-# config-file values; a flag overrides the config file, which overrides
-# the default.
+# config-file values (and builds the space and seq, so that their errors name
+# the flag); a flag overrides the config file, which overrides the default.
 OPTIONS = (
-    ("space", _json, None, 'space JSON, e.g. \'{"depth":2,"branching":2,"leaf_probs":"uniform"}\''),
-    ("seq", _json, None, 'exponent JSON, e.g. \'{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}\''),
+    ("space", lambda value: space_from_json(_json(value)), None,
+     'space JSON, e.g. \'{"depth":2,"branching":2,"leaf_probs":"uniform"}\''),
+    ("seq", lambda value: sequence_from_json(_json(value)), None,
+     'exponent JSON, e.g. \'{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}\''),
     ("weights", _json, None, "weight-system JSON"),
     ("functions", _json, None, "function-vector JSON (object or list)"),
     ("family", _family, "all", "support family: all | sample:COUNT"),
@@ -181,27 +193,29 @@ def _generator_keys(gen, defaults: dict, **parsers) -> list:
 
 def _build_weight_system(config: RunConfig, space: TreeSpace, seq) -> WeightSystem:
     spec = config.weights or {}
-    if "generator" in spec:
-        head = seq.head_len
-        n_active, seed, spread = _generator_keys(
-            spec["generator"], {"n_active": min(2, head), "seed": config.seed,
-                                "spread": config.spread}, n_active=_ranged(int, 0, head + 1))
-        items = generate("weights", space, seed, spread, n_active + 1, inject_extremals=False)
-        return make_weight_system(space, seq, items[:n_active], items[n_active])
-    return make_weight_system(space, seq, spec.get("weights", []), spec["v"])
+    with _naming("--weights"):
+        if "generator" in spec:
+            head = seq.head_len
+            n_active, seed, spread = _generator_keys(
+                spec["generator"], {"n_active": min(2, head), "seed": config.seed,
+                                    "spread": config.spread}, n_active=_ranged(int, 0, head + 1))
+            items = generate("weights", space, seed, spread, n_active + 1, inject_extremals=False)
+            return make_weight_system(space, seq, items[:n_active], items[n_active])
+        return make_weight_system(space, seq, spec.get("weights", []), spec["v"])
 
 
 def _function_vectors(config: RunConfig, space: TreeSpace, seq) -> list[FunctionVector]:
     spec = config.functions
     if spec is None:
         spec = {"generator": {}}
-    if isinstance(spec, dict) and "generator" in spec:
-        seed, trials, spread = _generator_keys(spec["generator"], {
-            "seed": config.seed, "trials": config.trials, "spread": config.spread})
-        return [trial_vector(space, seq.head_len, seed, t, spread) for t in range(trials)]
-    if isinstance(spec, dict):
-        spec = [spec]
-    return [function_vector_from_json(space, item) for item in spec]
+    with _naming("--functions"):
+        if isinstance(spec, dict) and "generator" in spec:
+            seed, trials, spread = _generator_keys(spec["generator"], {
+                "seed": config.seed, "trials": config.trials, "spread": config.spread})
+            return [trial_vector(space, seq.head_len, seed, t, spread) for t in range(trials)]
+        if isinstance(spec, dict):
+            spec = [spec]
+        return [function_vector_from_json(space, item) for item in spec]
 
 
 def _cmd_check_holder(config: RunConfig, space, seq) -> tuple[list, dict]:
@@ -402,10 +416,8 @@ def run(config: RunConfig) -> int:
     if config.format == "json+csv" and _csv_path(config.out) == config.out:
         raise ValueError(f"--out {config.out!r}: with --format json+csv the CSV summary "
                          "would overwrite the JSON report; give --out another extension")
-    space = space_from_json(config.space) if config.space else None
-    seq = sequence_from_json(config.seq) if config.seq else None
     started = time.monotonic()
-    reports, payload = handler(config, space, seq)
+    reports, payload = handler(config, config.space, config.seq)
     payload.setdefault("elapsed_seconds", time.monotonic() - started)
     _write_outputs(config, reports, payload)
     failed = [r for r in reports if not r.passed]
@@ -426,11 +438,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for name, parse, default, _ in OPTIONS:
         flag = getattr(args, name)
         raw = flag if flag is not None else base.get(name)
-        try:
+        with _naming(f"--{name.replace('_', '-')}" if flag is not None else f"config key {name!r}"):
             values[name] = default if raw is None else parse(raw)
-        except (TypeError, ValueError) as exc:
-            source = f"--{name.replace('_', '-')}" if flag is not None else f"config key {name!r}"
-            raise ValueError(f"{source}: {exc}") from None
     tol_given = args.tol is not None or base.get("tol") is not None
     return RunConfig(args.command, **values, tol_given=tol_given)
 

@@ -238,11 +238,6 @@ class StoppingTime:
         object.__setattr__(self, "values", _read_only(self.values))
 
     @cached_property
-    def _adapted(self) -> dict:
-        """is_stopping_time's verdicts, keyed by (depth, branching)."""
-        return {}
-
-    @cached_property
     def finite(self) -> np.ndarray:
         finite = self.values != self.INFINITE
         finite.setflags(write=False)
@@ -255,18 +250,6 @@ class StoppingTime:
         stopped entry, so that `table.take(flat_index)` gathers them."""
         leaves = np.flatnonzero(self.finite)
         return _frozen(self.values[leaves] * self.values.size + leaves)
-
-    def support(self) -> np.ndarray:
-        """The event that the time is finite, as a leaf mask."""
-        return self.finite
-
-    @cached_property
-    def _key(self) -> bytes:
-        return self.values.tobytes()
-
-    def key(self) -> bytes:
-        """The values' bytes, computed once per time (the values are read-only)."""
-        return self._key
 
     def to_json(self) -> dict:
         return {
@@ -291,13 +274,8 @@ def stopping_time_from_json(space: TreeSpace, obj: dict) -> StoppingTime:
 
 def is_stopping_time(space: TreeSpace, tau: StoppingTime) -> bool:
     """Adaptedness: each level set {tau = n} must be a union of level-n
-    atoms (the n = depth and infinite sets are unconstrained).  The values
-    are read-only, so the verdict is kept on tau per tree shape."""
-    key = (space.depth, space.branching)
-    verdict = tau._adapted.get(key)
-    if verdict is None:
-        verdict = tau._adapted[key] = _adapted_scan(space, tau.values)
-    return verdict
+    atoms (the n = depth and infinite sets are unconstrained)."""
+    return _adapted_scan(space, tau.values)
 
 
 def _adapted_scan(space: TreeSpace, vals: np.ndarray) -> bool:
@@ -343,8 +321,8 @@ def enumerate_stopping_times(space: TreeSpace) -> Iterator[StoppingTime]:
     Raises EnumerationCapError at the call when the closed-form count exceeds
     ENUMERATION_CAP; sample_stopping_time is the fallback.  A kept family
     (_kept_family) is shared: every call yields the same read-only times,
-    whose finite masks and adaptedness verdicts are computed once per shape;
-    a larger family is streamed afresh on every call and never held whole."""
+    whose finite masks are computed once per shape; a larger family is
+    streamed afresh on every call and never held whole."""
     total = count_stopping_times(space)
     if total > ENUMERATION_CAP:
         raise EnumerationCapError(
@@ -366,10 +344,11 @@ class _KeptFamily:
     def gather(self) -> tuple[dict, tuple[np.ndarray, ...]]:
         """The flat indices of every time, grouped by finite-leaf count c:
         one read-only (k_c, c) matrix per count, counts ascending, rows the
-        times' flat_index in family order; and {tau.key(): slot}, the time's
-        row in those matrices stacked.  A row sum of `table.take(matrix)` is
-        then the 1-D sum of the time's own gather, bit for bit; a row padded
-        with zeros to a common width would sum in other pairwise blocks."""
+        times' flat_index in family order; and {tau: slot}, the kept time's
+        (eq=False: keyed by identity) row in those matrices stacked.  A row
+        sum of `table.take(matrix)` is then the 1-D sum of the time's own
+        gather, bit for bit; a row padded with zeros to a common width would
+        sum in other pairwise blocks."""
         values = np.array([tau.values for tau in self.times])
         finite = values != StoppingTime.INFINITE
         counts = finite.sum(axis=1)
@@ -379,7 +358,7 @@ class _KeptFamily:
         for c in np.unique(counts):
             rows = order[counts[order] == c]
             matrices.append(_frozen(flat[rows][finite[rows]].reshape(rows.size, c)))
-        slots = {self.times[i].key(): slot for slot, i in enumerate(order.tolist())}
+        slots = {self.times[i]: slot for slot, i in enumerate(order.tolist())}
         return slots, tuple(matrices)
 
     @cached_property

@@ -111,27 +111,27 @@ def verify_ap_to_testing(
         <= C_A * prod ||f_i||_{L^{p_i}(omega_i)},
     at tau, or (tau None) at the exact supremum over all stopping times
     (snell_testing_sup).  The parts that do not depend on tau are cached.
-    A time of a kept family (at most KEPT_FAMILY_TIMES) reads its left side
-    and finite-leaf count from the table (_family_reports) filled for the
-    whole family at the first per-time call of a (system, vector) pair; any
-    other time sums its own gather of the reward, bit for bit the table's
-    entry.  Every time is checked for adaptedness, and both paths build the
-    report in one check_inequality."""
+    A kept time of ws.space's shape (at most KEPT_FAMILY_TIMES) is adapted by
+    construction and reads its left side and finite-leaf count from the table
+    (_family_reports) filled for the whole family at the first per-time call
+    of a (system, vector) pair; any other time is checked for adaptedness and
+    sums its own gather of the reward, bit for bit the table's entry.  Both
+    paths build the report in one check_inequality."""
     rp = ws.seq.aggregate_reciprocal
     if tau is None:
         lhs = _power(snell_testing_sup(ws, fvec), rp)
         rhs, c_a = _testing_parts(ws, fvec)[1], ws.ap_max
         metadata = {"stopping_sup": "exact", "space": ws.space.digest}
-    elif not is_stopping_time(ws.space, tau):
-        raise ValueError("tau is not an adapted stopping time")
     else:
         slots, lhs_by_slot, finite, rhs, c_a, digest = _family_reports(ws, fvec)
-        slot = slots.get(tau.key())
-        if slot is None:
+        slot = slots.get(tau)
+        if slot is not None:
+            lhs, leaves = lhs_by_slot[slot], finite[slot]
+        elif not is_stopping_time(ws.space, tau):
+            raise ValueError("tau is not an adapted stopping time")
+        else:
             reward = float(_testing_parts(ws, fvec)[2].take(tau.flat_index).sum())
             lhs, leaves = _power(reward, rp), tau.flat_index.size
-        else:
-            lhs, leaves = lhs_by_slot[slot], finite[slot]
         metadata = {"space": digest, "finite_leaves": leaves}
     return check_inequality("ap-to-testing", lhs, rhs, c_a, tolerance, metadata)
 

@@ -80,7 +80,6 @@ class WeightSystem:
     active_weights: tuple[np.ndarray, ...]
     v: np.ndarray
     sigmas: tuple[np.ndarray, ...]
-    assumptions: dict
 
     @property
     def n_active(self) -> int:
@@ -153,10 +152,9 @@ class WeightSystem:
 def make_weight_system(
     space: TreeSpace, seq: ExponentSequence, active_weights, v
 ) -> WeightSystem:
-    """Validate positivity and alignment, derive the dual densities, and
-    record the standing finiteness assumptions (automatic here: finite
-    space, unit tails).  The system keeps read-only copies of the weights,
-    v and sigma_i; a sigma_i or its norm that is 0 or inf raises ValueError."""
+    """Validate positivity and alignment and derive the dual densities.  The
+    system keeps read-only copies of the weights, v and sigma_i; a sigma_i
+    or its norm that is 0 or inf raises ValueError."""
     weights = []
     for w in active_weights:
         w = as_leaf_vector(space, w)
@@ -171,28 +169,18 @@ def make_weight_system(
     if not np.all(v > 0.0):
         raise ValueError("v must be strictly positive")
     sigmas = []
-    sigma_norm_prod = 1.0
-    min_sigma_prod = 1.0
     for i, w in enumerate(weights):
         p_i = seq.head[i]
         with np.errstate(over="ignore", under="ignore"):
             s = w ** (-1.0 / (p_i - 1.0))
             norm = float(np.sum(space.leaf_probs * w * s**p_i)) ** (1.0 / p_i)
-            low = float(np.min(s ** (1.0 / p_i)))
         if not (np.all(np.isfinite(s) & (s > 0.0)) and math.isfinite(norm)):
             raise ValueError(
                 f"dual density sigma_{i} for p_{i} = {p_i} or its norm is 0 or inf in "
                 "floating point; the weight spread is too extreme for this exponent"
             )
         sigmas.append(_read_only(s))
-        sigma_norm_prod *= norm
-        min_sigma_prod *= low
-    assumptions = {
-        "sigma_norm_product": sigma_norm_prod,
-        "min_sigma_product": min_sigma_prod,
-        "finite": bool(np.isfinite(sigma_norm_prod) and min_sigma_prod > 0.0),
-    }
-    return WeightSystem(space, seq, tuple(weights), _read_only(v), tuple(sigmas), assumptions)
+    return WeightSystem(space, seq, tuple(weights), _read_only(v), tuple(sigmas))
 
 
 def weight_system_from_json(obj: dict) -> WeightSystem:
@@ -253,22 +241,23 @@ def _support_chunks(space: TreeSpace, family) -> Iterator[np.ndarray]:
 
 def _sampled_supports(space: TreeSpace, family) -> np.ndarray:
     """The distinct nonempty supports of a sampled family, in the order first
-    drawn, as a read-only (K, leaves) bool array.  A seed that fixes a stream
-    is read from the cache, a list or array seed as the tuple default_rng
-    reads as the same stream; None, a Generator or a BitGenerator draws
-    afresh, as default_rng gives a new stream for each of those.  The count
-    must be an integer >= 1 (an integral float such as 2.0 is one, a bool
-    is not), else ValueError."""
+    drawn, as a read-only (K, leaves) bool array, drawn once per seed.  The
+    seed is an integer or a list (tuple, array) of integers, keyed as the
+    tuple that default_rng reads as the same stream; None, a Generator or a
+    BitGenerator (each a fresh stream), a float, a string or a bool raises
+    ValueError.  The count must be an integer >= 1 (an integral float such
+    as 2.0 is one, a bool is not), else ValueError."""
     count, seed = family["count"], family["seed"]
     if isinstance(count, bool) or not (isinstance(count, numbers.Real) and count >= 1
                                        and count % 1 == 0):  # NaN and inf fail
         raise ValueError(f"a sampled family's count must be an integer >= 1, not {count!r}")
     if isinstance(seed, (list, tuple, np.ndarray)):
         seed = tuple(np.ravel(seed).tolist())
-    draw = _drawn_supports
-    if seed is None or isinstance(seed, (np.random.Generator, np.random.BitGenerator)):
-        draw = _drawn_supports.__wrapped__
-    return draw(space.depth, space.branching, int(count), seed)
+    if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool)
+               for e in (seed if isinstance(seed, tuple) else (seed,))):
+        raise ValueError(f"a sampled family's seed must be an integer or a list of integers, "
+                         f"not {seed!r}")
+    return _drawn_supports(space.depth, space.branching, int(count), seed)
 
 
 @lru_cache(maxsize=8)
@@ -279,7 +268,7 @@ def _drawn_supports(depth: int, branching: int, count: int, seed) -> np.ndarray:
     cached and is raised again on every call."""
     space = make_tree_space(depth, branching)  # the sampler reads only the shape
     rng = np.random.default_rng(seed)
-    drawn = (sample_stopping_time(space, rng).support() for _ in range(count))
+    drawn = (sample_stopping_time(space, rng).finite for _ in range(count))
     distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())
     return _frozen(np.stack(distinct) if distinct else np.zeros((0, space.n_leaves), bool))
 

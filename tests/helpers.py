@@ -100,7 +100,7 @@ def sampled_supports_oracle(space: TreeSpace, family) -> np.ndarray:
     "seed": s} in the order first drawn, as a (K, leaves) bool array: k
     stopping times drawn afresh from default_rng(s) on every call, no cache."""
     rng = np.random.default_rng(family["seed"])
-    drawn = (sample_stopping_time(space, rng).support() for _ in range(int(family["count"])))
+    drawn = (sample_stopping_time(space, rng).finite for _ in range(int(family["count"])))
     distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())  # first-drawn order
     return np.array(distinct, dtype=bool).reshape(-1, space.n_leaves)
 

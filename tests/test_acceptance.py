@@ -193,7 +193,7 @@ def test_criterion_06_stopping_time_counts():
         space = make_tree_space(depth, 2)
         assert count_stopping_times(space) == count
         times = list(enumerate_stopping_times(space))
-        keys = {tau.key() for tau in times}
+        keys = {tau.values.tobytes() for tau in times}
         assert len(times) == len(keys) == count
         levels = list(range(depth + 1)) + [StoppingTime.INFINITE]
         brute = sum(

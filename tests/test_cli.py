@@ -431,29 +431,35 @@ class TestConfigAndErrors:
             cli_mod._atomic_write(str(tmp_path / "t.json"), "\ud800")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.json.tmp"]
 
-    @pytest.mark.parametrize("command, option, spec", [
-        ("weights-constants", "--space", '{"depth":2.0,"branching":2}'),
-        ("weights-constants", "--space", '{"depth":"2","branching":2}'),
-        ("weights-constants", "--space", "[2,2]"),
-        ("weights-constants", "--seq", '{"head":2.0}'),
-        ("weights-constants", "--seq", '{"head":[null]}'),
-        ("weights-constants", "--seq", "[2.0]"),
-        ("weights-constants", "--seq", '{"head":"23"}'),
-        ("weights-constants", "--weights", "[1,2]"),
-        ("check-holder", "--functions", '"abc"'),
-        ("weights-constants", "--config", {"family": {"count": 3, "seed": "abc"}}),
-    ], ids=["space-float-depth", "space-string-depth", "space-list", "seq-float-head",
-            "seq-null-exponent", "seq-list", "seq-string-head", "weights-list",
-            "functions-string", "config-family-string-seed"])
+    @pytest.mark.parametrize("command, option, spec, named", [
+        ("weights-constants", "--space", '{"depth":2.0,"branching":2}', "--space: "),
+        ("weights-constants", "--space", '{"depth":"2","branching":2}', "--space: "),
+        ("weights-constants", "--space", "[2,2]", "--space: "),
+        ("weights-constants", "--space", '{"depth":2}', "--space: missing key 'branching'"),
+        ("weights-constants", "--seq", '{"head":2.0}', "--seq: "),
+        ("weights-constants", "--seq", '{"head":[null]}', "--seq: "),
+        ("weights-constants", "--seq", "[2.0]", "--seq: "),
+        ("weights-constants", "--seq", '{"head":"23"}', "--seq: "),
+        ("weights-constants", "--weights", "[1,2]", "--weights: "),
+        ("verify-sp", "--weights", None, "--weights: missing key 'v'"),
+        ("check-holder", "--functions", '"abc"', "--functions: "),
+        ("weights-constants", "--config", {"family": {"count": 3, "seed": "abc"}},
+         "a sampled family's seed must be an integer or a list of integers"),
+    ], ids=["space-float-depth", "space-string-depth", "space-list", "space-no-branching",
+            "seq-float-head", "seq-null-exponent", "seq-list", "seq-string-head",
+            "weights-list", "weights-missing", "functions-string",
+            "config-family-string-seed"])
     def test_spec_of_the_wrong_type_exits_two_with_one_line(
-            self, tmp_path, capsys, command, option, spec):
+            self, tmp_path, capsys, command, option, spec, named):
         if option == "--config":
             spec = _config_file(tmp_path, spec)
         args = {"--space": SPACE, "--seq": SEQ, "--weights": UNIT_WEIGHTS, option: spec}
+        args = {flag: value for flag, value in args.items() if value is not None}
         code, _, out = run_cli(tmp_path, command, *itertools.chain(*args.items()))
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {named}")
 
     def test_missing_space_exits_two(self, tmp_path):
         code, _, _ = run_cli(tmp_path, "check-holder", "--seq", SEQ)
@@ -621,14 +627,16 @@ class TestOptionTable:
         code, _, out = run_cli(tmp_path, command, "--space", SPACE, "--seq", SEQ, option, spec)
         assert code == 2 and not out.exists()
         err = capsys.readouterr().err
-        assert err.startswith(f"error: generator key {key!r}: ") and err.count("\n") == 1
+        assert err.startswith(f"error: {option}: generator key {key!r}: ")
+        assert err.count("\n") == 1
 
     def test_generator_spec_must_be_an_object(self, tmp_path, capsys):
         spec = json.dumps({"generator": "x"})
         code, _, _ = run_cli(tmp_path, "check-holder", "--space", SPACE, "--seq", SEQ,
                              "--functions", spec)
         assert code == 2
-        assert capsys.readouterr().err == "error: a generator spec must be a JSON object, not 'x'\n"
+        assert capsys.readouterr().err == (
+            "error: --functions: a generator spec must be a JSON object, not 'x'\n")
 
     def test_flag_overrides_config_overrides_default(self, tmp_path):
         path = tmp_path / "config.json"

@@ -24,7 +24,10 @@ from martbench.filtration import (
     stopped_value,
     stopping_time_from_json,
 )
-from martbench.holder import lp_norm
+from martbench.exponents import make_exponent_sequence
+from martbench.holder import lp_norm, trial_vector
+from martbench.theorems import verify_ap_to_testing
+from martbench.weights import unit_weight_system
 
 from helpers import random_space, stopped_average_oracle
 
@@ -261,7 +264,7 @@ class TestStoppingTimes:
         for depth in (0, 1, 2):
             space = make_tree_space(depth, 2)
             times = list(enumerate_stopping_times(space))
-            keys = {tau.key() for tau in times}
+            keys = {tau.values.tobytes() for tau in times}
             assert len(times) == len(keys) == count_stopping_times(space)
             assert all(is_stopping_time(space, tau) for tau in times)
 
@@ -291,10 +294,12 @@ class TestStoppingTimes:
     def test_sampling_is_adapted_and_deterministic(self):
         space = make_tree_space(3, 2)
         draws_a = [
-            sample_stopping_time(space, np.random.default_rng(5)).key() for _ in range(1)
+            sample_stopping_time(space, np.random.default_rng(5)).values.tobytes()
+            for _ in range(1)
         ]
         draws_b = [
-            sample_stopping_time(space, np.random.default_rng(5)).key() for _ in range(1)
+            sample_stopping_time(space, np.random.default_rng(5)).values.tobytes()
+            for _ in range(1)
         ]
         assert draws_a == draws_b
         rng = np.random.default_rng(6)
@@ -351,14 +356,18 @@ class TestKeptEnumeration:
             return True
 
         monkeypatch.setattr(filtration_mod, "_adapted_scan", counting)
-        # another space of the same shape, other leaf masses
+        # another space of the same shape, other leaf masses: its per-time
+        # reports read the shared times' table slots, and scan none of them
         other = make_tree_space(2, 3, np.arange(1.0, 10.0) / 45.0)
         again = list(enumerate_stopping_times(other))
         assert len(again) == 730 and all(a is b for a, b in zip(first, again))
-        assert all(is_stopping_time(other, tau) for tau in again)
-        assert scans == []
         info = filtration_mod._kept_times.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+        seq = make_exponent_sequence([2.0], 0.5, 0.5)
+        ws = unit_weight_system(other, seq)
+        fvec = trial_vector(other, seq.head_len, 0, 0, 4.0)
+        assert all(verify_ap_to_testing(ws, fvec, tau).passed for tau in again)
+        assert scans == []
 
     def test_cap_is_checked_before_the_kept_family(self):
         # depth 3 ternary has 389,017,001 times, past ENUMERATION_CAP: the
@@ -392,9 +401,9 @@ class TestKeptEnumeration:
                     arr[...] = 0
 
     def test_kept_memory_stays_within_budget(self):
-        # a kept time, with its values, finite mask, flat index and verdict,
-        # holds about 1 KB (budget 1.5 KB): the largest kept family (2049
-        # times of 11 leaves) stays under 3.1 MB, 8 kept shapes under 25 MB
+        # a kept time, with its values, finite mask and flat index, holds
+        # about 1 KB (budget 1.5 KB): the largest kept family (2049 times of
+        # 11 leaves) stays under 3.1 MB, 8 kept shapes under 25 MB
         for depth, r in self.KEPT_SHAPES:
             space = make_tree_space(depth, r)
             filtration_mod._kept_times.cache_clear()
@@ -411,7 +420,8 @@ class TestKeptEnumeration:
     def test_gather_groups_every_time_by_finite_leaf_count(self):
         # the (k_c, c) matrices hold the times' flat indices, counts
         # ascending and family order within a count; a slot is a row of the
-        # matrices stacked
+        # matrices stacked, keyed by the kept time itself: an equal-valued
+        # copy is another key
         for depth, r in self.KEPT_SHAPES:
             times = list(enumerate_stopping_times(make_tree_space(depth, r)))
             slots, matrices = filtration_mod._kept_times(depth, r).gather
@@ -421,14 +431,15 @@ class TestKeptEnumeration:
             rows = [row for m in matrices for row in m]
             order = sorted(range(len(times)), key=lambda i: times[i].flat_index.size)
             for slot, i in enumerate(order):
-                assert slots[times[i].key()] == slot
+                assert slots[times[i]] == slot and StoppingTime(times[i].values) not in slots
                 np.testing.assert_array_equal(rows[slot], times[i].flat_index)
             assert all(not m.flags.writeable for m in matrices)
 
     def test_gather_memory_stays_within_budget(self):
-        # the slot map and the grouped flat indices hold about 170-230 bytes
-        # per time (budget 320): the largest kept family (2049 times of 11
-        # leaves) about 0.47 MB; built once per shape, on first use
+        # the slot map and the grouped flat indices hold about 75-115 bytes
+        # per time from 65 times up (budget 320), and write nothing on the
+        # times: the largest kept family (2049 times of 11 leaves) about
+        # 0.22 MB; built once per shape, on first use
         filtration_mod._kept_times(1, 2).gather  # numpy's first-call allocations
         for depth, r in self.KEPT_SHAPES:
             filtration_mod._kept_times.cache_clear()

@@ -232,8 +232,9 @@ class TestApToTesting:
         filtration_mod._kept_times.cache_clear()  # fresh times, not yet scanned
         taus = list(enumerate_stopping_times(space))
         assert len(taus) == 730
-        # the adaptedness scan runs once per time and the per-pair parts
-        # (level products, norm product, reward) once per vector
+        # kept times are adapted by construction, so no time is scanned, and
+        # the per-pair parts (level products, norm product, reward) run once
+        # per vector
         calls = {"ap_level_values": 0, "level_products": 0, "_adapted_scan": 0}
 
         def counting(module, name):
@@ -250,7 +251,7 @@ class TestApToTesting:
         counting(filtration_mod, "_adapted_scan")
         theorems_mod._testing_parts.cache_clear()
         reports = [[verify_ap_to_testing(ws, fv, tau) for tau in taus] for fv in fvecs]
-        assert calls == {"ap_level_values": 1, "level_products": 2, "_adapted_scan": 730}
+        assert calls == {"ap_level_values": 1, "level_products": 2, "_adapted_scan": 0}
         assert theorems_mod._testing_parts.cache_info().misses == 2
         monkeypatch.undo()
         c_a = float(weights_mod.ap_level_values(ws).max())
@@ -300,8 +301,9 @@ class TestApToTesting:
         # the per-(system, vector) table, read by slot, and a time's own
         # gather of the reward, against the stopped oracle on every kept
         # shape, finite and infinite families, rewards over many binades;
-        # fresh times equal in value to kept ones read the table, an int32
-        # time gathers its own entries
+        # the table is keyed by the kept times themselves, so fresh times
+        # equal in value to kept ones and an int32 time gather their own
+        # entries
         rng = np.random.default_rng(91)
         shapes = [(0, 2)] + [(1, r) for r in range(2, 12)] + [(2, 2), (2, 3), (3, 2)]
         for trial, (depth, branching) in enumerate(shapes * 2):
@@ -321,43 +323,49 @@ class TestApToTesting:
             assert len(slots) == len(lhs_by_slot) == len(times)
             fresh = [StoppingTime(np.full(n, INF)), StoppingTime(np.zeros(n, dtype=np.int64))]
             fresh += [first_passage_time(space, rows, t) for t in np.unique(rows)]
-            for tau in times + fresh:
+            for i, tau in enumerate(times + fresh):
                 expected = stopped_reward_oracle(ws, rows, tau, p)
                 assert reward.take(tau.flat_index).sum() == expected
-                assert lhs_by_slot[slots[tau.key()]] == expected**rp
+                if i < len(times):
+                    assert lhs_by_slot[slots[tau]] == expected**rp
+                else:
+                    assert tau not in slots
                 assert verify_ap_to_testing(ws, fv, tau).lhs == expected**rp
             narrow = StoppingTime(times[-1].values.astype(np.int32))
-            assert narrow.key() not in slots and is_stopping_time(space, narrow)
+            assert narrow not in slots and is_stopping_time(space, narrow)
             expected = stopped_reward_oracle(ws, rows, narrow, p)
             assert reward.take(narrow.flat_index).sum() == expected
             assert verify_ap_to_testing(ws, fv, narrow).lhs == expected**rp
 
     def test_a_time_reads_the_table_of_its_own_system_shape(self):
-        # (2, 2) and (1, 4) both have 4 leaves; [1, 1, inf, inf] is a time of
-        # both, and each system reads it from its own shape's table
+        # (2, 2) and (1, 4) both have 4 leaves; [1, 1, inf, inf] is a kept
+        # time of both: each system reads its own shape's from its table, and
+        # scans the other shape's, which is adapted here and gathers its own
         rng = np.random.default_rng(92)
         seq = make_exponent_sequence([2.0, 3.0], 0.2, 0.5)
-        systems = []
+        systems, kept = [], []
         for depth, branching in [(2, 2), (1, 4)]:
             space = make_tree_space(depth, branching, rng.dirichlet(np.ones(4)))
             ws = random_weight_system(rng, space, seq)
             systems.append((ws, random_fvec(rng, space, seq)))
-        shared = StoppingTime(np.array([1, 1, INF, INF]))
-        deep = StoppingTime(np.array([1, 1, 2, 2]))
+            kept.append({tuple(tau.values.tolist()): tau for tau in enumerate_stopping_times(space)})
+        shared = [times[(1, 1, INF, INF)] for times in kept]
+        deep = kept[0][(1, 1, 2, 2)]
         rp = seq.aggregate_reciprocal
         for _ in range(2):  # alternate, so the one-entry table is refilled each time
             seen = []
-            for ws, fv in systems:
+            for (ws, fv), own, other in zip(systems, shared, shared[::-1]):
                 rows = level_products(ws.space, fv, seq)
-                expected = stopped_reward_oracle(ws, rows, shared, 1.0 / rp)
+                expected = stopped_reward_oracle(ws, rows, own, 1.0 / rp)
                 slots, lhs_by_slot = theorems_mod._family_reports(ws, fv)[:2]
-                assert lhs_by_slot[slots[shared.key()]] == expected**rp
-                assert verify_ap_to_testing(ws, fv, shared).lhs == expected**rp
+                assert lhs_by_slot[slots[own]] == expected**rp and other not in slots
+                for tau in (own, other):
+                    assert verify_ap_to_testing(ws, fv, tau).lhs == expected**rp
                 seen.append(expected)
             assert seen[0] != seen[1]
         (ws22, fv22), (ws14, fv14) = systems
         assert verify_ap_to_testing(ws22, fv22, deep).passed
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError):  # kept on (2, 2), not adapted on (1, 4)
             verify_ap_to_testing(ws14, fv14, deep)
 
     def test_streamed_shape_gathers_each_time(self):
@@ -480,8 +488,10 @@ class TestPerTimeReports:
         assert top["lhs"] == math.inf and not top["pass"] and top["metadata"]["reason"] == "inf"
 
     def test_times_off_the_table_gather_their_own(self):
-        # a narrowed (int32) time of a kept shape, and seeded streamed times
-        # of the 16-leaf binary shape, whose family is not kept
+        # a narrowed (int32) time and the kept times of the other 9-leaf
+        # shape (1, 9) on the kept shape (2, 3), and seeded streamed times of
+        # the 16-leaf binary shape, whose family is not kept; each is scanned
+        # on the system's shape, and one not adapted there raises
         rng = np.random.default_rng(172)
         seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
         for depth, branching in [(2, 3), (4, 2)]:
@@ -492,20 +502,22 @@ class TestPerTimeReports:
             if depth == 2:
                 taus = [StoppingTime(tau.values.astype(np.int32))
                         for tau in list(enumerate_stopping_times(space))[::50]]
+                taus += list(enumerate_stopping_times(make_tree_space(1, 9)))[::40]
             else:
                 assert slots == {}
                 taus = [sample_stopping_time(space, rng) for _ in range(40)]
+            verdicts = set()
             for tau in taus:
-                assert tau.key() not in slots
+                assert tau not in slots
+                verdicts.add(is_stopping_time(space, tau))
+                if not is_stopping_time(space, tau):
+                    with pytest.raises(ValueError):
+                        verify_ap_to_testing(ws, fv, tau)
+                    continue
                 for tolerance in (0.0, 1e-6):
                     got = verify_ap_to_testing(ws, fv, tau, tolerance).to_json()
                     assert same(got, self.expected(ws, fv, tau, tolerance))
-
-    def test_key_is_the_values_bytes_computed_once(self):
-        space = make_tree_space(2, 2)
-        for tau in [*enumerate_stopping_times(space), StoppingTime(np.array([1, 1, 2, INF]))]:
-            key = tau.key()
-            assert key == tau.values.tobytes() and tau.key() is key
+            assert verdicts == ({True, False} if depth == 2 else {True})
 
     def test_only_per_time_calls_build_the_table(self):
         rng = np.random.default_rng(173)

@@ -64,7 +64,6 @@ class TestConstruction:
         space = make_tree_space(1, 2)
         ws = unit_weight_system(space, doubling_seq())
         np.testing.assert_array_equal(ws.sigmas[0], [1.0, 1.0])
-        assert ws.assumptions["finite"]
 
     def test_dual_density(self):
         space = make_tree_space(1, 2)
@@ -251,25 +250,27 @@ class TestSupportFamilies:
             assert weights_mod._sampled_supports(space, {"count": 30, "seed": seed}) is first
         assert weights_mod._drawn_supports.cache_info().currsize == 1
 
-    def test_generator_seed_draws_afresh(self):
-        # a Generator seed continues its own stream, so nothing is cached
+    @pytest.mark.parametrize("seed", [
+        None, np.random.default_rng(87), np.random.PCG64(87), 3.0, 2.5, "7", True,
+        [1, 2.0], [True], np.array([1.0, 2.0]),
+    ], ids=["none", "generator", "bit-generator", "integral-float", "float", "string",
+            "bool", "list-with-float", "list-with-bool", "float-array"])
+    def test_seed_that_fixes_no_stream_is_refused(self, seed):
+        # a stream that is not reproducible from the family spec (None and a
+        # Generator draw afresh) is refused, as is a seed that is no integer
         weights_mod._drawn_supports.cache_clear()
         space = make_tree_space(2, 2)
-        ours, theirs = np.random.default_rng(87), np.random.default_rng(87)
-        for _ in range(3):
-            np.testing.assert_array_equal(
-                weights_mod._sampled_supports(space, {"count": 4, "seed": ours}),
-                sampled_supports_oracle(space, {"count": 4, "seed": theirs}),
-            )
+        with pytest.raises(ValueError, match="seed must be an integer or a list of integers"):
+            support_family(space, {"count": 4, "seed": seed})
         assert weights_mod._drawn_supports.cache_info().currsize == 0
 
     def test_supports_match_stopping_time_supports(self):
         # every enumerated stopping-time support appears in the full scan
         space = make_tree_space(1, 2)
         enumerated = {
-            tau.support().tobytes()
+            tau.finite.tobytes()
             for tau in enumerate_stopping_times(space)
-            if tau.support().any()
+            if tau.finite.any()
         }
         scanned = {m.tobytes() for m in support_family(space, "all")}
         assert enumerated == scanned
@@ -313,9 +314,9 @@ class TestRhConstant:
         seq = random_sequence(rng)
         ws = random_weight_system(rng, space, seq)
         via_taus = max(
-            rh_support_ratio(ws, tau.support())
+            rh_support_ratio(ws, tau.finite)
             for tau in enumerate_stopping_times(space)
-            if tau.support().any()
+            if tau.finite.any()
         )
         assert rh_constant(ws, "all") == pytest.approx(via_taus, rel=1e-14)
 
@@ -357,9 +358,9 @@ class TestSpConstant:
         seq = random_sequence(rng)
         ws = random_weight_system(rng, space, seq)
         via_taus = max(
-            sp_support_ratio(ws, tau.support())
+            sp_support_ratio(ws, tau.finite)
             for tau in enumerate_stopping_times(space)
-            if tau.support().any()
+            if tau.finite.any()
         )
         assert sp_constant(ws, "all") == pytest.approx(via_taus, rel=1e-14)
 
