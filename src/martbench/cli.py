@@ -145,7 +145,7 @@ RunConfig = make_dataclass(
 
 
 def generate(kind: str, space: TreeSpace, seed: int, spread: float, count: int = 4,
-             inject_extremals: bool = True) -> list[list[float]]:
+             inject_extremals: bool = True) -> list[np.ndarray]:
     """Deterministic seeded leaf vectors, log-uniform in [1/spread, spread].
 
     With inject_extremals, index 0 is the all-ones vector and index 1 a
@@ -173,7 +173,7 @@ def generate(kind: str, space: TreeSpace, seed: int, spread: float, count: int =
             vec = np.exp(
                 rng.uniform(-math.log(spread), math.log(spread), space.n_leaves)
             )
-        items.append(vec.tolist())
+        items.append(vec)
     return items
 
 
@@ -192,8 +192,10 @@ def _generator_keys(gen, defaults: dict, **parsers) -> list:
 
 
 def _build_weight_system(config: RunConfig, space: TreeSpace, seq) -> WeightSystem:
-    spec = config.weights or {}
+    spec = {} if config.weights is None else config.weights
     with _naming("--weights"):
+        if not isinstance(spec, dict):
+            raise ValueError("must be a JSON object")
         if "generator" in spec:
             head = seq.head_len
             n_active, seed, spread = _generator_keys(
@@ -342,7 +344,7 @@ def _cmd_generate(config: RunConfig, space, seq) -> tuple[list, dict]:
         "kind": config.kind,
         "seed": config.seed,
         "spread": config.spread,
-        "items": items,
+        "items": [vec.tolist() for vec in items],
     }
 
 

@@ -126,6 +126,8 @@ def make_exponent_sequence(
 
 def sequence_from_json(obj: dict) -> ExponentSequence:
     """Parse {"head": [...], "tail_mass": s, "tail_ratio": r}."""
+    if not isinstance(obj, dict):
+        raise ValueError("must be a JSON object")
     return make_exponent_sequence(
         obj["head"], obj.get("tail_mass", 0.0), obj.get("tail_ratio", 0.5)
     )

@@ -6,7 +6,9 @@ probabilities.  Level n partitions the leaves into r**n consecutive blocks
 Conditional expectations are atom averages, stopping times are leaf-wise
 level assignments whose level sets respect the atom structure, and the
 value infinity is the integer sentinel StoppingTime.INFINITE, never a
-float.
+float.  A process adapted to the filtration is stored per atom: one flat
+array of every level's atom values (TreeSpace.atom_offsets), expanded to
+a (depth+1, leaves) leaf matrix only where a reader needs leaves.
 """
 
 from __future__ import annotations
@@ -23,9 +25,14 @@ import numpy as np
 
 MAX_LEAVES = 1 << 20
 ENUMERATION_CAP = 10_000_000
+# StoppingTime.to_json's entry for each value v, at v + 1: "inf", then every level
+_JSON_VALUES = ("inf", *range(MAX_LEAVES.bit_length()))
 # families of at most this many stopping times are built once per tree shape
 # and kept (every shape up to 11 leaves); larger ones are streamed
 KEPT_FAMILY_TIMES = 4096
+# a per-atom process on at most this many leaves expands to leaves by one
+# cached gather, on more by one broadcast per level: the cheaper of the two
+GATHER_LEAVES = 256
 
 
 class EnumerationCapError(RuntimeError):
@@ -74,6 +81,14 @@ class TreeSpace:
         return _read_only(shared.astype(np.uint64))  # >= 0; unsigned for _adapted_scan
 
     @cached_property
+    def atom_offsets(self) -> tuple[int, ...]:
+        """Where each level starts in a per-atom process: one flat array (the
+        last axis) holding the r**n level-n atom values at offsets n to n+1,
+        levels in order, so the leaves (level depth) come last and the last
+        offset is the length."""
+        return tuple(itertools.accumulate(map(self.n_atoms, self.levels), initial=0))
+
+    @cached_property
     def leaf_index(self) -> np.ndarray:
         """arange(n_leaves), read-only: the column index of a per-leaf gather."""
         return _read_only(np.arange(self.n_leaves))
@@ -104,6 +119,23 @@ class TreeSpace:
         """Broadcast per-atom values at level n back to leaves (along the last axis)."""
         return np.repeat(atom_values, self.atom_size(n), axis=-1)
 
+    def level(self, atoms: np.ndarray, n: int) -> np.ndarray:
+        """The level-n atom values of a per-atom process (a view)."""
+        return atoms[..., self.atom_offsets[n]:self.atom_offsets[n + 1]]
+
+    def expand_levels(self, atoms: np.ndarray) -> np.ndarray:
+        """A per-atom process (or a stack of them) as a fresh leaf matrix, or a
+        (..., depth+1, leaves) stack: row n holds each level-n atom's value on
+        its leaves.  Up to GATHER_LEAVES leaves one cached gather, above one
+        broadcast per level."""
+        if self.n_leaves <= GATHER_LEAVES:
+            return atoms.take(_level_gather(self.depth, self.branching), axis=-1)
+        out = np.empty(atoms.shape[:-1] + (self.depth + 1, self.n_leaves), atoms.dtype)
+        for n in self.levels:
+            blocks = out.reshape(out.shape[:-1] + (self.n_atoms(n), self.atom_size(n)))
+            blocks[..., n, :, :] = self.level(atoms, n)[..., None]
+        return out
+
     @cached_property
     def digest(self) -> str:
         """Short sha256 of the shape and leaf probabilities, hashed once."""
@@ -118,6 +150,16 @@ class TreeSpace:
             "branching": self.branching,
             "leaf_probs": self.leaf_probs.tolist(),
         }
+
+
+@functools.lru_cache(maxsize=16)
+def _level_gather(depth: int, branching: int) -> np.ndarray:
+    """Per (level n, leaf x), where x's level-n atom sits in a per-atom
+    process: the read-only (depth+1, leaves) index of expand_levels, built
+    once per tree shape."""
+    space = make_tree_space(depth, branching)
+    return _frozen(np.array([offset + space.leaf_index // space.atom_size(n)
+                             for n, offset in zip(space.levels, space.atom_offsets)]))
 
 
 def make_tree_space(
@@ -148,6 +190,8 @@ def make_tree_space(
 
 
 def space_from_json(obj: dict) -> TreeSpace:
+    if not isinstance(obj, dict):
+        raise ValueError("must be a JSON object")
     return make_tree_space(obj["depth"], obj["branching"], obj.get("leaf_probs", "uniform"))
 
 
@@ -199,30 +243,42 @@ def _weighted_parts(space: TreeSpace, f, sigma, levels) -> tuple[np.ndarray, np.
     return f, space.leaf_probs * f * sigma, [space.atom_sums(w, n) for n in levels]
 
 
-def cond_exp(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarray:
-    """Conditional expectation at level n: the average of f over each
-    level-n atom under the leaf probabilities, or, with a strictly positive
-    density sigma, under leaf_probs * sigma (the change of measure
-    E_n(f sigma) / E_n(sigma)).  Level depth returns f itself exactly."""
+def atom_means(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarray:
+    """Conditional expectation at level n, one value per level-n atom: the
+    average of f over the atom under the leaf probabilities, or, with a
+    strictly positive density sigma, under leaf_probs * sigma (the change of
+    measure E_n(f sigma) / E_n(sigma)).  Level depth returns f itself exactly."""
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
     f, num, dens = _weighted_parts(space, f, sigma, range(n, min(n + 1, space.depth)))
     if n == space.depth:
         return f.copy()
-    return space.expand(space.atom_sums(num, n) / dens[0], n)
+    return space.atom_sums(num, n) / dens[0]
+
+
+def cond_exp(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarray:
+    """atom_means on the leaves: E_n(f), or E_n^sigma(f), as a leaf vector."""
+    return space.expand(atom_means(space, f, n, sigma), n)
+
+
+def cond_exp_atoms(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:
+    """Every level of E_n(f) (or of E_n^sigma(f)) in one pass, as a per-atom
+    process (TreeSpace.atom_offsets): level n holds atom_means(space, f, n,
+    sigma), bit for bit, and level depth f itself.  A (B, leaves) stack f
+    gives a (B, atoms) stack."""
+    levels = range(space.depth)
+    f, num, dens = _weighted_parts(space, f, sigma, levels)
+    out = np.empty(f.shape[:-1] + (space.atom_offsets[-1],))
+    for n, den in zip(levels, dens):
+        np.divide(space.atom_sums(num, n), den, out=space.level(out, n))
+    out[..., space.atom_offsets[-2]:] = f
+    return out
 
 
 def cond_exp_matrix(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:
-    """All levels in one pass: row n is cond_exp(space, f, n, sigma), bit for bit.
-    A (B, leaves) stack f gives a (B, depth+1, leaves) stack of matrices."""
-    levels = range(space.depth)
-    f, num, dens = _weighted_parts(space, f, sigma, levels)
-    out = np.empty(f.shape[:-1] + (space.depth + 1, space.n_leaves))
-    for n, den in zip(levels, dens):
-        blocks = out.reshape(out.shape[:-1] + (space.n_atoms(n), space.atom_size(n)))
-        blocks[..., n, :, :] = (space.atom_sums(num, n) / den)[..., None]
-    out[..., space.depth, :] = f
-    return out
+    """cond_exp_atoms on the leaves: row n is cond_exp(space, f, n, sigma), bit
+    for bit.  A (B, leaves) stack f gives a (B, depth+1, leaves) stack."""
+    return space.expand_levels(cond_exp_atoms(space, f, sigma))
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,9 +308,8 @@ class StoppingTime:
         return _frozen(self.values[leaves] * self.values.size + leaves)
 
     def to_json(self) -> dict:
-        return {
-            "values": [v if v != self.INFINITE else "inf" for v in self.values.tolist()]
-        }
+        return {"values": [_JSON_VALUES[v] for v in (self.values + 1).tolist()]}
+
 
 
 def stopping_time_from_json(space: TreeSpace, obj: dict) -> StoppingTime:

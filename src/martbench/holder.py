@@ -28,8 +28,8 @@ from .filtration import (
     _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
-    cond_exp,
-    cond_exp_matrix,
+    atom_means,
+    cond_exp_atoms,
 )
 from .report import REL_TOL, VerificationReport, _margin, _within_margin, check_inequality
 
@@ -162,6 +162,40 @@ def product_function(space: TreeSpace, fvec: FunctionVector, masked_by=None) -> 
     return out
 
 
+def level_product_atoms(
+    space: TreeSpace,
+    fvec: FunctionVector,
+    seq: ExponentSequence,
+    masked_by=None,
+    *,
+    stacked: bool = False,
+) -> np.ndarray:
+    """The infinite product prod_i E_n(f_i) at every level, per atom
+    (TreeSpace.atom_offsets).
+
+    Unmasked tail components average to exactly 1.  With a mask Q and a
+    nonempty tail, level n picks up the factor E_n(chi_Q) infinitely often,
+    so it survives only on the atoms contained in Q (_full_atoms).  A finite
+    family (tail mass 0) has no infinite tail; the mask then also applies to
+    the constant-1 components padding the head, each contributing one factor
+    E_n(chi_Q).  With `stacked`, masked_by is a (B, leaves) stack of masks
+    and the result a (B, atoms) stack, one process per mask.
+    """
+    _check_alignment(fvec, seq)
+    mask = _combined_mask(space, fvec, masked_by, stacked)
+    batch = () if mask is None else mask.shape[:-1]
+    rows = np.ones(batch + (space.atom_offsets[-1],))
+    for f in fvec.active:
+        rows *= cond_exp_atoms(space, f if mask is None else f * mask)
+    if mask is None:
+        return rows
+    if not seq.is_finite_family:
+        rows *= _full_atoms(space, mask)
+    elif fvec.n_active < seq.head_len:
+        rows *= cond_exp_atoms(space, mask) ** (seq.head_len - fvec.n_active)
+    return rows
+
+
 def level_products(
     space: TreeSpace,
     fvec: FunctionVector,
@@ -170,38 +204,16 @@ def level_products(
     *,
     stacked: bool = False,
 ) -> np.ndarray:
-    """Matrix whose row n is the infinite product prod_i E_n(f_i).
-
-    Unmasked tail components average to exactly 1.  With a mask Q and a
-    nonempty tail, row n picks up the factor E_n(chi_Q) infinitely often,
-    so it survives only on atoms contained in Q: from each leaf's entry
-    level (_entry_levels) down.  A finite family (tail mass 0) has no
-    infinite tail; the mask then also applies to the constant-1 components
-    padding the head, each contributing one factor E_n(chi_Q).  With
-    `stacked`, masked_by is a (B, leaves) stack of masks and the result a
-    (B, depth+1, leaves) stack of matrices, one per mask.
-    """
-    _check_alignment(fvec, seq)
-    mask = _combined_mask(space, fvec, masked_by, stacked)
-    batch = () if mask is None else mask.shape[:-1]
-    rows = np.ones(batch + (space.depth + 1, space.n_leaves))
-    for f in fvec.active:
-        rows *= cond_exp_matrix(space, f if mask is None else f * mask)
-    if mask is None:
-        return rows
-    if not seq.is_finite_family:
-        rows *= np.arange(space.depth + 1)[:, None] >= _entry_levels(space, mask)[..., None, :]
-    elif fvec.n_active < seq.head_len:
-        rows *= cond_exp_matrix(space, mask) ** (seq.head_len - fvec.n_active)
-    return rows
+    """level_product_atoms on the leaves: the matrix whose row n is the
+    infinite product prod_i E_n(f_i), or with `stacked` a (B, depth+1,
+    leaves) stack of matrices, one per mask."""
+    return space.expand_levels(level_product_atoms(space, fvec, seq, masked_by, stacked=stacked))
 
 
-def _entry_levels(space: TreeSpace, masks) -> np.ndarray:
-    """Per mask F (the last axis, cast to bool) and leaf x, the shallowest
-    level whose atom through x lies inside F, and depth+1 off F.  The full
-    atoms of a level are those whose children are all full, taken bottom up;
-    going back down, each leaf counts the levels at which its atom is full:
-    its entry level down to depth.  O(leaves) per mask."""
+def _full_levels(space: TreeSpace, masks) -> list[np.ndarray]:
+    """Per mask F (the last axis, cast to bool), whether each atom lies inside
+    F, one array per level from depth up to 0: the full atoms of a level are
+    those whose children are all full."""
     r = space.branching
     full = [np.asarray(masks, dtype=bool)]
     for _ in range(space.depth):
@@ -210,9 +222,23 @@ def _entry_levels(space: TreeSpace, masks) -> np.ndarray:
         for c in range(1, r):
             parent = parent & children[..., c]
         full.append(parent)
+    return full
+
+
+def _full_atoms(space: TreeSpace, masks) -> np.ndarray:
+    """_full_levels as a per-atom process: the factor E_n(chi_F)**infinity."""
+    return np.concatenate(_full_levels(space, masks)[::-1], axis=-1)
+
+
+def _entry_levels(space: TreeSpace, masks) -> np.ndarray:
+    """Per mask F (the last axis, cast to bool) and leaf x, the shallowest
+    level whose atom through x lies inside F, and depth+1 off F.  Going down
+    from the root, each leaf counts the levels at which its atom is full
+    (_full_levels): its entry level down to depth.  O(leaves) per mask."""
+    full = _full_levels(space, masks)
     count = full.pop().view(np.uint8)
     while full:
-        count = np.repeat(count, r, axis=-1) + full.pop().view(np.uint8)
+        count = np.repeat(count, space.branching, axis=-1) + full.pop().view(np.uint8)
     return space.depth + 1 - count.astype(np.intp)
 
 
@@ -291,10 +317,11 @@ def holder_conditional_check(
     tolerance: float = REL_TOL,
 ) -> VerificationReport:
     """E_n(prod f_i**p)**(1/p) <= prod E_n(f_i**p_i)**(1/p_i) on every
-    level-n atom.  The report takes its sides, and so its verdict, from the
-    first failing atom, or from the worst one when all pass, and names it
-    in "atom".  The level-independent integrands are kept for the last
-    (space, vector, sequence), so a check of every level builds them once."""
+    level-n atom, with both sides per atom (atom_means).  The report takes
+    its sides, and so its verdict, from the first failing atom, or from the
+    worst one when all pass, and names it in "atom".  The level-independent
+    integrands are kept for the last (space, vector, sequence), so a check
+    of every level builds them once."""
     _check_alignment(fvec, seq)
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
@@ -302,18 +329,17 @@ def holder_conditional_check(
     integrand, parts = _conditional_parts(space, fvec, seq)
 
     with np.errstate(over="ignore"):  # an overflowed side is inf, and fails its atom
-        lhs_leaf = cond_exp(space, integrand, n) ** rp
-        rhs_leaf = np.ones(space.n_leaves)
+        lhs = atom_means(space, integrand, n) ** rp
+        rhs = np.ones(space.n_atoms(n))
         for g, e in parts:
-            rhs_leaf *= cond_exp(space, g, n) ** e
+            rhs *= atom_means(space, g, n) ** e
 
-    ok = _within_margin(lhs_leaf, rhs_leaf, tolerance)
-    at = int(np.argmax(lhs_leaf - _margin(rhs_leaf, tolerance)) if ok.all() else np.argmin(ok))
+    ok = _within_margin(lhs, rhs, tolerance)
+    at = int(np.argmax(lhs - _margin(rhs, tolerance)) if ok.all() else np.argmin(ok))
     return check_inequality(
         "holder-conditional",
-        float(lhs_leaf[at]),
-        float(rhs_leaf[at]),
+        float(lhs[at]),
+        float(rhs[at]),
         tolerance=tolerance,
-        metadata={"level": n, "n_atoms": space.n_atoms(n), "atom": at // space.atom_size(n),
-                  "space": space.digest},
+        metadata={"level": n, "n_atoms": space.n_atoms(n), "atom": at, "space": space.digest},
     )

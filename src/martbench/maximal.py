@@ -18,6 +18,7 @@ from .filtration import (
     _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
+    cond_exp_atoms,
     cond_exp_matrix,
     first_passage_time,
 )
@@ -48,11 +49,12 @@ def gen_doob_maximal(
 
 def _weighted_rows(space: TreeSpace, gvec: FunctionVector, sigmas, seq: ExponentSequence):
     """Matrix whose row n is prod_i E_n^{sigma_i}(g_i) over the occupied head
-    slots; a g or sigma past the supplied ones is 1 and contributes 1."""
-    rows = np.ones((space.depth + 1, space.n_leaves))
+    slots, multiplied per atom and expanded once; a g or sigma past the
+    supplied ones is 1 and contributes 1."""
+    rows = np.ones(space.atom_offsets[-1])
     for g, s in _component_slots(space, gvec.active, sigmas, seq):
-        rows *= cond_exp_matrix(space, g, s)  # checks that sigma is positive
-    return rows
+        rows *= cond_exp_atoms(space, g, s)  # checks that sigma is positive
+    return space.expand_levels(rows)
 
 
 def gen_weighted_maximal(

@@ -41,6 +41,7 @@ from .holder import (
     _norm_parts,
     _row_norms_products,
     function_norms_product,
+    level_product_atoms,
     level_products,
     trial_vector,
 )
@@ -68,17 +69,20 @@ def band_index(values: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple[np.ndarray, float, np.ndarray]:
-    """Level products, norm product and stopping reward of the last (system,
-    vector) pair; both hash by identity, and the arrays are read-only and kept
-    alive here.  Row n of the reward is leaf_probs * v * (prod E_n f_i)**p;
-    readers gather finite leaves only (StoppingTime.flat_index), so no row
-    stands for the INFINITE value.  A product past the float range is inf
-    (and inf * 0 NaN), which fails the report it reaches."""
+    """Level products per atom, norm product and stopping reward of the last
+    (system, vector) pair; both hash by identity, and the arrays are read-only
+    and kept alive here.  Row n of the reward is leaf_probs * v * (prod E_n
+    f_i)**p, the power taken per atom and then expanded; readers gather finite
+    leaves only (StoppingTime.flat_index), so no row stands for the INFINITE
+    value.  A product past the float range is inf (and inf * 0 NaN), which
+    fails the report it reaches."""
+    space = ws.space
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = level_products(ws.space, fvec, ws.seq)
-        rhs = function_norms_product(ws.space, fvec, ws.seq, ws.active_weights)
-        reward = ws.space.leaf_probs * ws.v * rows ** (1.0 / ws.seq.aggregate_reciprocal)
-    return _frozen(rows), rhs, _frozen(reward)
+        atoms = level_product_atoms(space, fvec, ws.seq)
+        rhs = function_norms_product(space, fvec, ws.seq, ws.active_weights)
+        powered = space.expand_levels(atoms ** (1.0 / ws.seq.aggregate_reciprocal))
+        reward = space.leaf_probs * ws.v * powered
+    return _frozen(atoms), rhs, _frozen(reward)
 
 
 @functools.lru_cache(maxsize=1)
@@ -153,7 +157,8 @@ def verify_testing_to_weak(
     """
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     p = 1.0 / rp
-    rows, rhs, reward = _testing_parts(ws, fvec)
+    atoms, rhs, reward = _testing_parts(ws, fvec)
+    rows = space.expand_levels(atoms)
     thresholds, masses = _level_sets(space, rows.max(axis=0), ws.v)
     # rows > nextafter(t, 0) is rows >= t: the support is {maximal >= t}
     stopped_rewards = [reward.take(first_passage_time(space, rows, t).flat_index).sum()
@@ -197,8 +202,8 @@ def verify_weak_to_testing(
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
-    rows, rhs, _ = _testing_parts(ws, fvec)
-    bi = band_index(rows)
+    atoms, rhs, _ = _testing_parts(ws, fvec)
+    bi = space.expand_levels(band_index(atoms))
     banded = bi != NO_BAND
     lo = bi.min(initial=0, where=banded)
     span = bi.max(initial=0, where=banded) - lo + 1
@@ -277,13 +282,14 @@ def verify_testing_to_ap(
     parts = _norm_parts(space, ws.sigmas, seq, ws.active_weights, whole)
     ratios = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
+        density = ws.density_atoms ** p
         for n in space.levels:
             rhs = np.prod([space.atom_sums(space.leaf_probs * g, n) ** e for g, e in parts], 0)
-            numer = space.atom_sums(space.leaf_probs * ws.v * ws.density_rows[n] ** p, n)
+            powered = space.expand(space.level(density, n), n)
+            numer = space.atom_sums(space.leaf_probs * ws.v * powered, n)
             ratios.append(numer**rp / rhs)
-    ratios = np.concatenate(ratios)
-    recovered = np.concatenate([ws.ap_rows[n, :: space.atom_size(n)] for n in space.levels])
-    atoms_ok = _within_margin(recovered, ratios * scale, tolerance)
+    ratios = np.concatenate(ratios)  # per atom, as ws.ap_atoms
+    atoms_ok = _within_margin(ws.ap_atoms, ratios * scale, tolerance)
     c_test_observed = float(np.max(ratios))  # np.max keeps a NaN, failing the report
     report = check_inequality(
         "testing-to-ap",
@@ -400,13 +406,14 @@ def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     k_lo, k_hi = int(ks.min()), int(ks.max())
     cells = {}
     weighted = space.leaf_probs * ws.v
+    density_rows = space.expand_levels(ws.density_atoms)
     with np.errstate(over="ignore"):  # 2**1024 is inf
         ratio_rows = _weighted_rows(space, gvec, ws.sigmas, ws.seq)
         taus = {k: first_passage_time(space, rows, np.ldexp(1.0, k)) for k in range(k_lo, k_hi + 2)}
         for k in range(k_lo, k_hi + 1):
             fin = taus[k].finite
             band_mask = fin & ~taus[k + 1].finite
-            density = stopped(space, ws.density_rows, taus[k], 1.0)
+            density = stopped(space, density_rows, taus[k], 1.0)
             ratio_g = stopped(space, ratio_rows, taus[k], 1.0)
             js = band_index(density)
             for j in np.unique(js[fin]).tolist():

@@ -15,19 +15,20 @@ nonempty supports.  Those depend only on the tree shape, k and s, so they
 are drawn once per (depth, branching, k, s) and kept, read-only, in a
 cache of the last 8 families that every scan of that family shares,
 whatever the leaf masses.  rh_ratios and sp_ratios take
-(B, leaves) chunks of supports whose (B, depth+1, leaves) level blocks hold
-at most SCAN_CHUNK_FLOATS floats, so a scan never holds the whole family.
+(B, leaves) chunks of supports, sized so that the largest block the kernel
+holds, (B, leaves) or a finite family's (B, depth+1, leaves) level block,
+has at most SCAN_CHUNK_FLOATS floats: a scan never holds the whole family.
 The "all" testing scan and its witness are cached on the WeightSystem,
 which the strong-type estimate reads again after sp_constant.  Every scan
 starts in _support_chunks, which checks ENUMERATION_CAP for "all" and the
 sampled count (an integer >= 1) before any chunk.
 
 The system also caches the density product R = prod_i E_n(sigma_i) per
-level, and the testing table built from it.  With an infinite exponent
-tail the masked level product on a support F is R_n on the level-n atoms
-inside F and 0 elsewhere, so sp_ratios reads each leaf's value from the
-table at the shallowest level whose atom through it lies in F: O(leaves)
-per support, and no level block.  A finite family has no such tail, and
+atom of every level, and the testing table built from it.  With an
+infinite exponent tail the masked level product on a support F is R_n on
+the level-n atoms inside F and 0 elsewhere, so sp_ratios reads each
+leaf's value from the table at the shallowest level whose atom through it
+lies in F: O(leaves) per support, and no level block.  A finite family has no such tail, and
 its testing scan keeps the masked level products.
 
 Ratios are evaluated in normalized form, as products of (base/reference)
@@ -59,20 +60,20 @@ from .filtration import (
     _read_only,
     as_leaf_mask,
     as_leaf_vector,
-    cond_exp_matrix,
+    cond_exp_atoms,
     make_tree_space,
     sample_stopping_time,
 )
 from .holder import FunctionVector, _entry_levels, level_products
 
-SCAN_CHUNK_FLOATS = 1 << 16  # floats in one (B, depth+1, leaves) block of a scan
+SCAN_CHUNK_FLOATS = 1 << 16  # floats in the largest block a scan holds per chunk
 
 
 @dataclass(frozen=True, eq=False)
 class WeightSystem:
     """Holds read-only arrays, so it caches the sigma_i's leaf masses and
-    conditional-expectation matrices and their product, the testing table,
-    the joint-condition level matrix and constant, and the "all"-family
+    per-atom conditional expectations and their product, the testing table,
+    the joint-condition level values and constant, and the "all"-family
     testing scan with its witness."""
 
     space: TreeSpace
@@ -86,9 +87,9 @@ class WeightSystem:
         return len(self.active_weights)
 
     @cached_property
-    def sigma_matrices(self) -> tuple[np.ndarray, ...]:
-        """cond_exp_matrix of each sigma_i (read-only)."""
-        return tuple(_read_only(cond_exp_matrix(self.space, s)) for s in self.sigmas)
+    def sigma_atoms(self) -> tuple[np.ndarray, ...]:
+        """cond_exp_atoms of each sigma_i (read-only)."""
+        return tuple(_frozen(cond_exp_atoms(self.space, s)) for s in self.sigmas)
 
     @cached_property
     def sigma_probs(self) -> tuple[np.ndarray, ...]:
@@ -97,42 +98,45 @@ class WeightSystem:
         return tuple(_frozen(self.space.leaf_probs * s) for s in self.sigmas)
 
     @cached_property
-    def density_rows(self) -> np.ndarray:
-        """R = prod_i sigma_matrices[i], the density product at every level
-        (read-only); all ones with no weights.  A product past the float
+    def density_atoms(self) -> np.ndarray:
+        """R = prod_i sigma_atoms[i], the density product at every level, per
+        atom (read-only); all ones with no weights.  A product past the float
         range is inf, which fails the report it reaches."""
-        rows = np.ones((self.space.depth + 1, self.space.n_leaves))
+        rows = np.ones(self.space.atom_offsets[-1])
         with np.errstate(over="ignore"):
-            for mat in self.sigma_matrices:
-                rows *= mat
+            for atoms in self.sigma_atoms:
+                rows *= atoms
         return _frozen(rows)
 
     @cached_property
     def testing_table(self) -> np.ndarray:
         """T (read-only): row n is leaf_probs * v * (max_{m>=n} R_m)**p, and
-        one zero row below the levels, which entry level depth+1 (off F) reads."""
+        one zero row below the levels, which entry level depth+1 (off F) reads.
+        The tail maximum of a leaf is not constant on atoms, so T is per leaf."""
         space, p = self.space, 1.0 / self.seq.aggregate_reciprocal
         table = np.zeros((space.depth + 2, space.n_leaves))
-        tail_max = np.maximum.accumulate(self.density_rows[::-1], axis=0)[::-1]
+        tail_max = space.expand_levels(self.density_atoms)
+        for n in range(space.depth - 1, -1, -1):
+            np.maximum(tail_max[n], tail_max[n + 1], out=tail_max[n])
         with np.errstate(over="ignore"):
             table[:-1] = space.leaf_probs * self.v * tail_max**p
         return _frozen(table)
 
     @cached_property
-    def ap_rows(self) -> np.ndarray:
+    def ap_atoms(self) -> np.ndarray:
         """ap_level_values of this system (read-only)."""
-        return _read_only(ap_level_values(self))
+        return _frozen(ap_level_values(self))
 
     @cached_property
     def ap_max(self) -> float:
         """ap_constant of this system."""
-        return float(self.ap_rows.max())
+        return float(self.ap_atoms.max())
 
     @cached_property
     def sp_scan(self) -> tuple[float, np.ndarray | None]:
         """The "all"-family testing constant and its witness (read-only).  A
         family past ENUMERATION_CAP raises EnumerationCapError on every read."""
-        return _family_max(self, _support_chunks(self.space, "all"), sp_ratios)
+        return _family_max(self, _sp_chunks(self, "all"), sp_ratios)
 
     def sigma_at(self, i: int) -> np.ndarray:
         """sigma_i for a head index (0-based); 1 beyond the active block."""
@@ -200,13 +204,13 @@ def unit_weight_system(
 
 
 def ap_level_values(ws: WeightSystem) -> np.ndarray:
-    """Matrix whose row n is E_n(v)**(1/p) * prod E_n(sigma_i)**(1/p'_i),
-    leaf-wise.  Tail factors are E_n(1) = 1 and drop out."""
+    """E_n(v)**(1/p) * prod E_n(sigma_i)**(1/p'_i) at every level, per atom
+    (TreeSpace.atom_offsets).  Tail factors are E_n(1) = 1 and drop out."""
     seq = ws.seq
     with np.errstate(over="ignore"):  # an overflowed entry is inf, and fails its report
-        rows = cond_exp_matrix(ws.space, ws.v) ** seq.aggregate_reciprocal
-        for i, mat in enumerate(ws.sigma_matrices):
-            rows = rows * mat ** (1.0 - 1.0 / seq.head[i])
+        rows = cond_exp_atoms(ws.space, ws.v) ** seq.aggregate_reciprocal
+        for i, atoms in enumerate(ws.sigma_atoms):
+            rows = rows * atoms ** (1.0 - 1.0 / seq.head[i])
     return rows
 
 
@@ -216,13 +220,14 @@ def ap_constant(ws: WeightSystem) -> float:
     return ws.ap_max
 
 
-def _support_chunks(space: TreeSpace, family) -> Iterator[np.ndarray]:
-    """The family as (B, leaves) bool chunks with B * (depth+1) * leaves at most
-    SCAN_CHUNK_FLOATS: "all" decodes the bitmasks 1 .. 2**leaves - 1 in order,
-    a sampled family gives its distinct supports in the order first drawn.
-    ENUMERATION_CAP and the family spec are checked at the call, before any
-    chunk: every scan of a family starts here."""
-    rows = max(1, SCAN_CHUNK_FLOATS // ((space.depth + 1) * space.n_leaves))
+def _support_chunks(space: TreeSpace, family, width: int | None = None) -> Iterator[np.ndarray]:
+    """The family as (B, leaves) bool chunks with B * width at most
+    SCAN_CHUNK_FLOATS, width the floats per support of the scan's largest
+    block (leaves by default): "all" decodes the bitmasks 1 .. 2**leaves - 1
+    in order, a sampled family gives its distinct supports in the order first
+    drawn.  ENUMERATION_CAP and the family spec are checked at the call,
+    before any chunk: every scan of a family starts here."""
+    rows = max(1, SCAN_CHUNK_FLOATS // (width or space.n_leaves))
     end = 2**space.n_leaves
     if family == "all":
         if end - 1 > ENUMERATION_CAP:
@@ -334,6 +339,15 @@ def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:
         return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
 
 
+def _sp_chunks(ws: WeightSystem, family) -> Iterator[np.ndarray]:
+    """_support_chunks sized for sp_ratios: a finite family expands its masked
+    level products to a (B, depth+1, leaves) block, an infinite tail holds
+    (B, leaves) blocks only."""
+    space = ws.space
+    width = (space.depth + 1) * space.n_leaves if ws.seq.is_finite_family else None
+    return _support_chunks(space, family, width)
+
+
 def rh_support_ratio(ws: WeightSystem, support) -> float:
     """rh_ratios of the one support F."""
     return float(rh_ratios(ws, as_leaf_mask(ws.space, support)[None])[0])
@@ -381,7 +395,7 @@ def sp_constant_argmax(ws: WeightSystem, family="all") -> tuple[float, np.ndarra
     checks ENUMERATION_CAP on every read until a scan is kept."""
     if family == "all":
         return ws.sp_scan
-    return _family_max(ws, _support_chunks(ws.space, family), sp_ratios)
+    return _family_max(ws, _sp_chunks(ws, family), sp_ratios)
 
 
 def necessity_family_ap(ws: WeightSystem, n: int, leaf_set) -> FunctionVector:

@@ -22,8 +22,8 @@ from martbench import (
     sample_stopping_time,
     stopped,
 )
-from martbench.filtration import cond_exp_matrix
-from martbench.holder import _component_slots, trial_vector
+from martbench.holder import _component_slots, _entry_levels, _norm_parts, trial_vector
+from martbench.report import ABS_FLOOR, REL_TOL
 from martbench.theorems import band_index
 from martbench.weights import _normalized_ratios, sp_constant_argmax
 
@@ -83,6 +83,92 @@ def full_atoms_oracle(space: TreeSpace, masks) -> np.ndarray:
     ], axis=-2)
 
 
+def cond_exp_matrix_oracle(space: TreeSpace, f, sigma=None) -> np.ndarray:
+    """The dense (depth+1, leaves) level matrix of E_n(f), or of E_n^sigma(f),
+    built level by level on the leaves (a (B, leaves) stack gives a stack):
+    row n holds each level-n atom's average on its leaves, row depth f."""
+    f = np.asarray(f, dtype=float)
+    w = space.leaf_probs if sigma is None else space.leaf_probs * sigma
+    num = space.leaf_probs * f if sigma is None else space.leaf_probs * f * sigma
+    out = np.empty(f.shape[:-1] + (space.depth + 1, space.n_leaves))
+    for n in range(space.depth):
+        blocks = out.reshape(out.shape[:-1] + (space.n_atoms(n), space.atom_size(n)))
+        blocks[..., n, :, :] = (space.atom_sums(num, n) / space.atom_sums(w, n))[..., None]
+    out[..., space.depth, :] = f
+    return out
+
+
+def level_products_oracle(space: TreeSpace, fvec: FunctionVector, seq, masked_by=None):
+    """The level products on dense leaf matrices: the components' level
+    matrices multiplied leaf by leaf, under a mask Q (a leaf mask, or a
+    (B, leaves) stack) with an infinite tail times [n >= entry level], and
+    with a finite family times E_n(chi_Q) once per padded head slot."""
+    mask = fvec.mask
+    if masked_by is not None:
+        masked_by = np.asarray(masked_by, dtype=bool)
+        mask = masked_by if mask is None else mask & masked_by
+    batch = () if mask is None else mask.shape[:-1]
+    rows = np.ones(batch + (space.depth + 1, space.n_leaves))
+    for f in fvec.active:
+        rows *= cond_exp_matrix_oracle(space, f if mask is None else f * mask)
+    if mask is None:
+        return rows
+    if not seq.is_finite_family:
+        rows *= np.arange(space.depth + 1)[:, None] >= _entry_levels(space, mask)[..., None, :]
+    elif fvec.n_active < seq.head_len:
+        rows *= cond_exp_matrix_oracle(space, mask) ** (seq.head_len - fvec.n_active)
+    return rows
+
+
+def ap_level_values_oracle(ws) -> np.ndarray:
+    """The joint-condition level matrix on the leaves: E_n(v)**(1/p) times
+    E_n(sigma_i)**(1/p'_i) per active slot, from the dense level matrices."""
+    seq = ws.seq
+    rows = cond_exp_matrix_oracle(ws.space, ws.v) ** seq.aggregate_reciprocal
+    for i, s in enumerate(ws.sigmas):
+        rows = rows * cond_exp_matrix_oracle(ws.space, s) ** (1.0 - 1.0 / seq.head[i])
+    return rows
+
+
+def density_rows_oracle(ws) -> np.ndarray:
+    """R on the leaves: the product of the sigma_i's dense level matrices."""
+    rows = np.ones((ws.space.depth + 1, ws.space.n_leaves))
+    for s in ws.sigmas:
+        rows *= cond_exp_matrix_oracle(ws.space, s)
+    return rows
+
+
+def dense_testing_table_oracle(ws) -> np.ndarray:
+    """The testing table from the dense R: row n is leaf_probs * v * (the
+    leaf's running maximum of R from the bottom level up to n)**p, then a
+    zero row."""
+    space, p = ws.space, 1.0 / ws.seq.aggregate_reciprocal
+    table = np.zeros((space.depth + 2, space.n_leaves))
+    tail_max = np.maximum.accumulate(density_rows_oracle(ws)[::-1], axis=0)[::-1]
+    table[:-1] = space.leaf_probs * ws.v * tail_max**p
+    return table
+
+
+def conditional_check_oracle(space: TreeSpace, fvec: FunctionVector, seq, n: int):
+    """(lhs, rhs, first leaf of the reported atom) of holder_conditional_check
+    on the leaves: both sides as leaf vectors of E_n, the report's leaf the
+    first failing one, or the worst one when all pass."""
+    rp = seq.aggregate_reciprocal
+    integrand = np.ones(space.n_leaves)
+    for f in fvec.active:
+        integrand = integrand * f
+    if fvec.mask is not None:
+        integrand = np.where(fvec.mask, integrand, 0.0)
+    lhs = cond_exp_matrix_oracle(space, integrand ** (1.0 / rp))[n] ** rp
+    rhs = np.ones(space.n_leaves)
+    for g, e in _norm_parts(space, fvec.active, seq, mask=fvec.mask):
+        rhs *= cond_exp_matrix_oracle(space, g)[n] ** e
+    bound = rhs + REL_TOL * abs(rhs) + ABS_FLOOR
+    ok = (lhs <= bound) & (rhs < math.inf)
+    at = int(np.argmax(lhs - bound) if ok.all() else np.argmin(ok))
+    return float(lhs[at]), float(rhs[at]), at
+
+
 def masked_tail_products_oracle(space: TreeSpace, fvec: FunctionVector, masks) -> np.ndarray:
     """level_products of an unmasked vector under a mask (or a (B, leaves)
     stack of masks) with an infinite tail: the masked components' level
@@ -90,7 +176,7 @@ def masked_tail_products_oracle(space: TreeSpace, fvec: FunctionVector, masks) -
     masks = np.asarray(masks, dtype=bool)
     rows = np.ones(masks.shape[:-1] + (space.depth + 1, space.n_leaves))
     for f in fvec.active:
-        rows *= cond_exp_matrix(space, f * masks)
+        rows *= cond_exp_matrix_oracle(space, f * masks)
     rows *= full_atoms_oracle(space, masks)
     return rows
 
@@ -171,7 +257,8 @@ def sawyer_trace_oracle(ws, gvec: FunctionVector) -> SawyerTrace:
     k_lo = int(band_index(maximal[maximal > 0.0].min()))
     k_hi = int(band_index(maximal.max()))
     taus = {k: first_passage_time(space, rows, 2.0**k) for k in range(k_lo, k_hi + 2)}
-    weighted_mats = [cond_exp_matrix(space, g, s) for g, s in slots]
+    weighted_mats = [cond_exp_matrix_oracle(space, g, s) for g, s in slots]
+    sigma_mats = [cond_exp_matrix_oracle(space, s) for s in ws.sigmas]
     cells = {}
     for k in range(k_lo, k_hi + 1):
         tau = taus[k]
@@ -180,7 +267,7 @@ def sawyer_trace_oracle(ws, gvec: FunctionVector) -> SawyerTrace:
             continue
         band_mask = fin & ~taus[k + 1].finite
         density = np.ones(space.n_leaves)
-        for mat, (_, s) in zip(ws.sigma_matrices, slots):
+        for mat, (_, s) in zip(sigma_mats, slots):
             density = density * stopped(space, mat, tau, s)
         ratio_g = np.ones(space.n_leaves)
         for mat, (g, _) in zip(weighted_mats, slots):

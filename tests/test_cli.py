@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import sys
+import tempfile
 import types
 from pathlib import Path
 
@@ -434,20 +435,21 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize("command, option, spec, named", [
         ("weights-constants", "--space", '{"depth":2.0,"branching":2}', "--space: "),
         ("weights-constants", "--space", '{"depth":"2","branching":2}', "--space: "),
-        ("weights-constants", "--space", "[2,2]", "--space: "),
+        ("weights-constants", "--space", "[2,2]", "--space: must be a JSON object"),
         ("weights-constants", "--space", '{"depth":2}', "--space: missing key 'branching'"),
         ("weights-constants", "--seq", '{"head":2.0}', "--seq: "),
         ("weights-constants", "--seq", '{"head":[null]}', "--seq: "),
-        ("weights-constants", "--seq", "[2.0]", "--seq: "),
+        ("weights-constants", "--seq", "[2.0]", "--seq: must be a JSON object"),
         ("weights-constants", "--seq", '{"head":"23"}', "--seq: "),
-        ("weights-constants", "--weights", "[1,2]", "--weights: "),
+        ("weights-constants", "--weights", "[1,2]", "--weights: must be a JSON object"),
+        ("weights-constants", "--weights", "[]", "--weights: must be a JSON object"),
         ("verify-sp", "--weights", None, "--weights: missing key 'v'"),
         ("check-holder", "--functions", '"abc"', "--functions: "),
         ("weights-constants", "--config", {"family": {"count": 3, "seed": "abc"}},
          "a sampled family's seed must be an integer or a list of integers"),
     ], ids=["space-float-depth", "space-string-depth", "space-list", "space-no-branching",
             "seq-float-head", "seq-null-exponent", "seq-list", "seq-string-head",
-            "weights-list", "weights-missing", "functions-string",
+            "weights-list", "weights-empty-list", "weights-missing", "functions-string",
             "config-family-string-seed"])
     def test_spec_of_the_wrong_type_exits_two_with_one_line(
             self, tmp_path, capsys, command, option, spec, named):
@@ -561,14 +563,24 @@ class TestReportsAndParser:
         info = cli_mod.build_parser.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
-    def test_generate_gives_the_float_lists(self):
+    def test_generate_gives_the_float_lists(self, tmp_path):
+        # generate draws arrays, which weight systems take as they are; the
+        # generate subcommand writes them as lists of floats
         space = make_tree_space(3, 2)
         items = generate("weights", space, 17, 8.0, 3, inject_extremals=False)
         rng = np.random.default_rng(17)
         want = [[float(x) for x in np.exp(rng.uniform(-math.log(8.0), math.log(8.0), 8))]
                 for _ in range(3)]
-        assert items == want
-        assert all(type(x) is float for item in items for x in item)
+        assert all(isinstance(item, np.ndarray) for item in items)
+        assert [item.tolist() for item in items] == want
+        code, doc, _ = run_cli(tmp_path, "generate", "--kind", "weights", "--space",
+                               '{"depth":3,"branching":2}', "--seed", "17", "--spread", "8",
+                               "--count", "3")
+        rng = np.random.default_rng(17)
+        want = [[1.0] * 8, [8.0] * 4 + [1.0] * 4,
+                np.exp(rng.uniform(-math.log(8.0), math.log(8.0), 8)).tolist()]
+        assert code == 0 and doc["items"] == want
+        assert all(type(x) is float for item in doc["items"] for x in item)
 
 
 class TestOptionTable:
@@ -706,14 +718,24 @@ class TestEntryPoints:
         spec.loader.exec_module(digest)
         assert digest.CLI_COMMANDS == tuple(sorted(cli_mod._COMMANDS))
         monkeypatch.setattr(digest, "CLI_SHAPES", ((1, 2), (2, 3)))
+        assert digest.LARGE_CLI_SHAPES == ((8, 2), (12, 2))
+        # the large-tree line on one 32-leaf shape, whose sampled families
+        # stay in the sampler's range, and on a shape past it: its overflow
+        # escapes the CLI and is recorded by name
+        monkeypatch.setattr(digest, "LARGE_CLI_SHAPES", ((5, 2), (10, 2)))
         lines = []
         for _ in range(2):
-            assert digest.main(["--cli", "--systems", "2", "--seed", "3"]) == 0
+            assert digest.main(["--cli", "--systems", "1", "--seed", "3"]) == 0
             lines.append(capsys.readouterr().out)
         assert lines[0] == lines[1]
-        count, *label, sha = lines[0].split()
-        assert int(count) == 2 * 2 * len(digest.CLI_COMMANDS)
+        (count, *label, sha), (large, *large_label, large_sha) = (
+            line.split() for line in lines[0].splitlines())
+        assert int(count) == int(large) == 2 * len(digest.CLI_COMMANDS)
         assert label == ["cli", "runs", "sha256"] and len(sha) == 64
+        assert large_label == ["large-tree", "cli", "runs", "sha256"] and len(large_sha) == 64
+        with tempfile.TemporaryDirectory() as workdir:
+            runs = digest.cli_runs(((10, 2),), 1, 3, workdir)
+        assert "OverflowError" in [code for _, code, _ in runs]
 
     def test_report_digest_second_pass(self, capsys, monkeypatch):
         # criterion 10's quantities on two small shapes, one system with a

@@ -434,14 +434,15 @@ def test_norm_products_match_the_slot_oracle(monkeypatch):
             for n in space.levels:
                 rhs_seen.clear()
                 holder_conditional_check(space, fv, seq, n)
-                [rhs_leaf] = rhs_seen
+                [rhs_atoms] = rhs_seen  # one right side per level-n atom
+                assert rhs_atoms.shape == (space.n_atoms(n),)
                 for j in range(space.n_atoms(n)):
                     atom = np.zeros(space.n_leaves, dtype=bool)
                     atom[space.atom_slice(n, j)] = True
                     q = atom if mask is None else atom & mask
                     expected = norms_product_oracle(space, FunctionVector(comps, q), seq)
                     expected /= float(space.leaf_probs[atom].sum()) ** (1.0 / p)
-                    np.testing.assert_allclose(rhs_leaf[atom], expected, rtol=1e-12, atol=0.0)
+                    np.testing.assert_allclose(rhs_atoms[j], expected, rtol=1e-12, atol=0.0)
 
             bands_seen.clear()
             c_weak = 1.5

@@ -235,7 +235,7 @@ class TestApToTesting:
         # kept times are adapted by construction, so no time is scanned, and
         # the per-pair parts (level products, norm product, reward) run once
         # per vector
-        calls = {"ap_level_values": 0, "level_products": 0, "_adapted_scan": 0}
+        calls = {"ap_level_values": 0, "level_product_atoms": 0, "_adapted_scan": 0}
 
         def counting(module, name):
             original = getattr(module, name)
@@ -247,11 +247,11 @@ class TestApToTesting:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(weights_mod, "ap_level_values")
-        counting(theorems_mod, "level_products")
+        counting(theorems_mod, "level_product_atoms")
         counting(filtration_mod, "_adapted_scan")
         theorems_mod._testing_parts.cache_clear()
         reports = [[verify_ap_to_testing(ws, fv, tau) for tau in taus] for fv in fvecs]
-        assert calls == {"ap_level_values": 1, "level_products": 2, "_adapted_scan": 0}
+        assert calls == {"ap_level_values": 1, "level_product_atoms": 2, "_adapted_scan": 0}
         assert theorems_mod._testing_parts.cache_info().misses == 2
         monkeypatch.undo()
         c_a = float(weights_mod.ap_level_values(ws).max())
@@ -797,12 +797,12 @@ class TestTestingToAp:
         # each atom is checked against its own ratio: a recovered value above
         # its atom's bound fails the report although the joint constant passes
         ws = small_random_system(np.random.default_rng(65))
-        rows = ws.ap_rows.copy()
-        leaf = int(np.argmin(rows[-1]))  # at the last level every leaf is an atom
+        atoms = ws.ap_atoms.copy()
+        leaf = ws.space.atom_offsets[-2] + int(np.argmin(ws.space.level(atoms, ws.space.depth)))
         scale = verify_testing_to_ap(ws).metadata["c_rh"] ** ws.seq.aggregate_reciprocal
-        assert rows[-1, leaf] * scale < ws.ap_max
-        rows[-1, leaf] = ws.ap_max
-        ws.__dict__["ap_rows"] = rows  # the cached level matrix; ap_max is unchanged
+        assert atoms[leaf] * scale < ws.ap_max  # a leaf atom of the last level
+        atoms[leaf] = ws.ap_max
+        ws.__dict__["ap_atoms"] = atoms  # the cached level values; ap_max is unchanged
         report = verify_testing_to_ap(ws)
         assert report.lhs == ws.ap_max and not report.passed
 
@@ -1246,7 +1246,7 @@ class TestEstimates:
         w = [random_positive(rng, space, 3.0) for _ in range(2)]
         v = random_positive(rng, space, 3.0)
         ws = make_weight_system(space, seq, w, v)
-        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 40 * 4 * 8)
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 40 * 8)
         calls = {"sp_ratios": 0, "rh_ratios": 0}
 
         def counting(name):

@@ -108,8 +108,8 @@ class TestConstruction:
         w[0][:] = 9.0
         v[:] = 7.0
         assert ap_constant(ws) == ap_constant(fresh)
-        for arr in (ws.v, ws.active_weights[0], ws.sigmas[1], ws.ap_rows, ws.sigma_matrices[0],
-                    ws.density_rows, ws.testing_table):
+        for arr in (ws.v, ws.active_weights[0], ws.sigmas[1], ws.ap_atoms, ws.sigma_atoms[0],
+                    ws.density_atoms, ws.testing_table):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
         w[1][:] = 5.0  # after the cache is filled
@@ -396,10 +396,10 @@ class TestNanPropagation:
 
     @staticmethod
     def nan_at(monkeypatch, name, position):
-        """Scan a 2x2 space (15 supports) in 3-row chunks and give the support
-        at `position` in scan order a NaN from the batched kernel `name`;
-        returns the list of chunks the kernel saw."""
-        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 3 * 3 * 4)
+        """Scan a 2x2 space (15 supports) in 3-row chunks (3 rows of 4 leaves)
+        and give the support at `position` in scan order a NaN from the
+        batched kernel `name`; returns the list of chunks the kernel saw."""
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 3 * 4)
         original, seen = getattr(weights_mod, name), []
 
         def kernel(ws, masks):
@@ -507,11 +507,11 @@ class TestBatchedScan:
         space = make_tree_space(1, 3)
         bits = [[(m >> i) & 1 for i in range(3)] for m in range(1, 8)]
         np.testing.assert_array_equal(support_family(space), bits)
-        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 2 * 3)  # one row per chunk
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 3)  # one row per chunk
         np.testing.assert_array_equal(support_family(space), bits)
 
     def test_argmax_is_first_maximizing_support(self, monkeypatch):
-        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 3 * 4 * 2)  # 2-row chunks
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 4 * 2)  # 2-row chunks
         unit = unit_weight_system(make_tree_space(2, 2), doubling_seq())
         value, witness = sp_constant_argmax(unit)  # every support ties at 1.0
         assert value == 1.0
@@ -535,9 +535,10 @@ class TestBatchedScan:
         w = [random_positive(rng, space) for _ in range(2)]
         v = random_positive(rng, space)
         chunked = make_weight_system(space, seq, w, v)
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 16 * 1024)  # 1024 supports
         many = sp_constant_argmax(chunked), rh_argmax(chunked)
         n_chunks = len(list(weights_mod._support_chunks(space, "all")))
-        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 5 * 16 * 2**16)
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 16 * 2**16)
         assert n_chunks > 50 and len(list(weights_mod._support_chunks(space, "all"))) == 1
         whole = make_weight_system(space, seq, w, v)
         one = sp_constant_argmax(whole), rh_argmax(whole)
@@ -644,7 +645,7 @@ class TestTestingTable:
         density = np.ones((space.depth + 1, space.n_leaves))
         for s in ws.sigmas:
             density = density * np.array([cond_exp(space, s, n) for n in space.levels])
-        np.testing.assert_array_equal(ws.density_rows, density)
+        np.testing.assert_array_equal(space.expand_levels(ws.density_atoms), density)
         for n in space.levels:
             want = space.leaf_probs * ws.v * density[n:].max(axis=0) ** (1.0 / rp)
             np.testing.assert_array_equal(ws.testing_table[n], want)
