@@ -30,9 +30,6 @@ _JSON_VALUES = ("inf", *range(MAX_LEAVES.bit_length()))
 # families of at most this many stopping times are built once per tree shape
 # and kept (every shape up to 11 leaves); larger ones are streamed
 KEPT_FAMILY_TIMES = 4096
-# a per-atom process on at most this many leaves expands to leaves by one
-# cached gather, on more by one broadcast per level: the cheaper of the two
-GATHER_LEAVES = 256
 
 
 class EnumerationCapError(RuntimeError):
@@ -126,15 +123,10 @@ class TreeSpace:
     def expand_levels(self, atoms: np.ndarray) -> np.ndarray:
         """A per-atom process (or a stack of them) as a fresh leaf matrix, or a
         (..., depth+1, leaves) stack: row n holds each level-n atom's value on
-        its leaves.  Up to GATHER_LEAVES leaves one cached gather, above one
-        broadcast per level."""
-        if self.n_leaves <= GATHER_LEAVES:
-            return atoms.take(_level_gather(self.depth, self.branching), axis=-1)
-        out = np.empty(atoms.shape[:-1] + (self.depth + 1, self.n_leaves), atoms.dtype)
-        for n in self.levels:
-            blocks = out.reshape(out.shape[:-1] + (self.n_atoms(n), self.atom_size(n)))
-            blocks[..., n, :, :] = self.level(atoms, n)[..., None]
-        return out
+        its leaves.  One repeat: each atom's value once per leaf it holds, the
+        levels one after the other, is that matrix row by row."""
+        return atoms.repeat(_atom_leaves(self.depth, self.branching), axis=-1).reshape(
+            atoms.shape[:-1] + (self.depth + 1, self.n_leaves))
 
     @cached_property
     def digest(self) -> str:
@@ -153,13 +145,12 @@ class TreeSpace:
 
 
 @functools.lru_cache(maxsize=16)
-def _level_gather(depth: int, branching: int) -> np.ndarray:
-    """Per (level n, leaf x), where x's level-n atom sits in a per-atom
-    process: the read-only (depth+1, leaves) index of expand_levels, built
-    once per tree shape."""
-    space = make_tree_space(depth, branching)
-    return _frozen(np.array([offset + space.leaf_index // space.atom_size(n)
-                             for n, offset in zip(space.levels, space.atom_offsets)]))
+def _atom_leaves(depth: int, branching: int) -> np.ndarray:
+    """Per atom of a per-atom process, the number of leaves it holds
+    (read-only): the repeats of expand_levels, built once per tree shape."""
+    levels = range(depth + 1)
+    return _frozen(np.repeat([branching ** (depth - n) for n in levels],
+                             [branching**n for n in levels]))
 
 
 def make_tree_space(
@@ -308,8 +299,11 @@ class StoppingTime:
         return _frozen(self.values[leaves] * self.values.size + leaves)
 
     def to_json(self) -> dict:
+        """{"values": [...]}: each level as an int, INFINITE as "inf".  Meant
+        for the times the program builds (integer levels 0..20 or INFINITE)
+        and not checked: each value is one lookup at v + 1, so a value below
+        INFINITE would wrap around and a float one raises TypeError."""
         return {"values": [_JSON_VALUES[v] for v in (self.values + 1).tolist()]}
-
 
 
 def stopping_time_from_json(space: TreeSpace, obj: dict) -> StoppingTime:

@@ -33,7 +33,7 @@ from helpers import (
     dense_testing_table_oracle,
 )
 
-# 1 to 4,096 leaves, branching 2 and 3, on both sides of GATHER_LEAVES
+# 1 to 4,096 leaves, branching 2 and 3
 SHAPES = [(0, 2), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (5, 3), (8, 2), (9, 2), (12, 2)]
 
 
@@ -46,14 +46,6 @@ def random_space(rng, depth, branching):
     return make_tree_space(depth, branching, probs / probs.sum() if probs.size > 1 else [1.0])
 
 
-@pytest.fixture(params=[False, True], ids=["gather", "broadcast"])
-def expansion(request, monkeypatch):
-    """Both expansions: every tree by the cached gather, or every tree by the
-    per-level broadcast."""
-    monkeypatch.setattr(filtration_mod, "GATHER_LEAVES", -1 if request.param else 2**20)
-    return request.param
-
-
 def test_atom_offsets():
     for depth, branching in SHAPES:
         space = make_tree_space(depth, branching)
@@ -61,6 +53,11 @@ def test_atom_offsets():
         assert offsets == tuple(itertools.accumulate(
             (branching**n for n in range(depth + 1)), initial=0))
         assert offsets[-1] - offsets[-2] == space.n_leaves
+        # the repeats of expand_levels: every level's atoms hold all the leaves once
+        repeats = filtration_mod._atom_leaves(depth, branching)
+        assert repeats.shape == (offsets[-1],) and not repeats.flags.writeable
+        for n in space.levels:
+            assert (space.level(repeats, n) == space.atom_size(n)).all()
         atoms = np.arange(offsets[-1])
         for n in space.levels:
             np.testing.assert_array_equal(space.level(atoms, n),
@@ -68,7 +65,7 @@ def test_atom_offsets():
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-def test_expand_levels_puts_each_atom_on_its_leaves(shape, expansion):
+def test_expand_levels_puts_each_atom_on_its_leaves(shape):
     space = make_tree_space(*shape)
     rng = np.random.default_rng(1)
     stack = rng.random((2, 3, space.atom_offsets[-1]))
@@ -82,7 +79,7 @@ def test_expand_levels_puts_each_atom_on_its_leaves(shape, expansion):
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-def test_cond_exp_atoms_match_the_dense_oracle(shape, expansion):
+def test_cond_exp_atoms_match_the_dense_oracle(shape):
     rng = np.random.default_rng(2)
     space = random_space(rng, *shape)
     f = random_positive(rng, space, 1e3)
@@ -120,7 +117,7 @@ def product_cases(rng, space):
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-def test_level_product_atoms_match_the_dense_oracle(shape, expansion):
+def test_level_product_atoms_match_the_dense_oracle(shape):
     rng = np.random.default_rng(3)
     space = random_space(rng, *shape)
     seen = set()
@@ -148,7 +145,7 @@ def weight_systems(rng, space):
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-def test_weight_system_atoms_match_the_dense_oracle(shape, expansion):
+def test_weight_system_atoms_match_the_dense_oracle(shape):
     rng = np.random.default_rng(4)
     space = random_space(rng, *shape)
     overflowed = False
@@ -165,7 +162,7 @@ def test_weight_system_atoms_match_the_dense_oracle(shape, expansion):
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-def test_testing_reward_matches_the_dense_oracle(shape, expansion):
+def test_testing_reward_matches_the_dense_oracle(shape):
     rng = np.random.default_rng(5)
     space = random_space(rng, *shape)
     for ws in weight_systems(rng, space):

@@ -725,12 +725,14 @@ class TestEntryPoints:
         monkeypatch.setattr(digest, "LARGE_CLI_SHAPES", ((5, 2), (10, 2)))
         lines = []
         for _ in range(2):
-            assert digest.main(["--cli", "--systems", "1", "--seed", "3"]) == 0
+            assert digest.main(["--cli", "--systems", "2", "--seed", "3"]) == 0
             lines.append(capsys.readouterr().out)
         assert lines[0] == lines[1]
         (count, *label, sha), (large, *large_label, large_sha) = (
             line.split() for line in lines[0].splitlines())
-        assert int(count) == int(large) == 2 * len(digest.CLI_COMMANDS)
+        # per line: every shape, two systems, every subcommand
+        assert int(count) == 2 * 2 * len(digest.CLI_COMMANDS)
+        assert int(large) == 2 * 2 * len(digest.CLI_COMMANDS)
         assert label == ["cli", "runs", "sha256"] and len(sha) == 64
         assert large_label == ["large-tree", "cli", "runs", "sha256"] and len(large_sha) == 64
         with tempfile.TemporaryDirectory() as workdir:
