@@ -276,7 +276,8 @@ def _cmd_verify_sp(config: RunConfig, space, seq) -> tuple[list, dict]:
     c_final = 4.0 * c_s * _power(c_rh, rp) * conjugate_product(seq).hi
     reports = []
     for gvec in _function_vectors(config, space, seq):
-        reports.append(verify_sp_to_strong(ws, gvec, c_s, c_rh, tolerance=config.tol))
+        with _naming("--functions"):  # a masked vector, or too many components
+            reports.append(verify_sp_to_strong(ws, gvec, c_s, c_rh, tolerance=config.tol))
     estimate = estimate_best_constant("strong", ws, config.trials, config.seed)
     reports.append(
         check_inequality(
@@ -292,8 +293,11 @@ def _cmd_verify_sp(config: RunConfig, space, seq) -> tuple[list, dict]:
 
 def _cmd_sawyer_trace(config: RunConfig, space, seq) -> tuple[list, dict]:
     ws = _build_weight_system(config, space, seq)
-    gvec = _function_vectors(config, space, seq)[0]
-    trace = sawyer_decomposition(ws, gvec)
+    gvecs = _function_vectors(config, space, seq)[:1]  # keep no other vector alive
+    with _naming("--functions"):  # no vector, a masked one, or too many components
+        if not gvecs:
+            raise ValueError("sawyer-trace needs one vector, and the spec gives none")
+        trace = sawyer_decomposition(ws, gvecs[0])
     invariants = sawyer_trace_invariants(ws, trace)
     report = check_inequality(
         "sawyer-invariants",

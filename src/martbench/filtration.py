@@ -128,6 +128,15 @@ class TreeSpace:
         return atoms.repeat(_atom_leaves(self.depth, self.branching), axis=-1).reshape(
             atoms.shape[:-1] + (self.depth + 1, self.n_leaves))
 
+    def level_sup(self, atoms: np.ndarray) -> np.ndarray:
+        """The supremum over levels of a per-atom process (or of each in a stack),
+        a fresh value per leaf, bit for bit expand_levels(atoms).max(axis=-2): from the
+        root down each atom keeps np.maximum(parent's value, own), the reduction's order."""
+        sup = self.level(atoms, 0).copy()
+        for n in range(1, self.depth + 1):
+            sup = np.maximum(sup.repeat(self.branching, axis=-1), self.level(atoms, n))
+        return sup
+
     @cached_property
     def digest(self) -> str:
         """Short sha256 of the shape and leaf probabilities, hashed once."""

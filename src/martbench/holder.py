@@ -95,17 +95,6 @@ def _check_alignment(fvec: FunctionVector, seq: ExponentSequence) -> None:
         )
 
 
-def _combined_mask(
-    space: TreeSpace, fvec: FunctionVector, masked_by, stacked: bool = False
-) -> np.ndarray | None:
-    """The vector's mask and masked_by (with `stacked`, a (B, leaves) stack) together."""
-    extra = None if masked_by is None else (
-        (_as_leaf_masks if stacked else as_leaf_mask)(space, masked_by))
-    if fvec.mask is None:
-        return extra
-    return fvec.mask if extra is None else (fvec.mask & extra)
-
-
 def _component_slots(space: TreeSpace, active, weights, seq: ExponentSequence) -> list:
     """(f_i, w_i) pairs over the occupied head slots; an f or w past the
     supplied ones is the constant 1."""
@@ -147,19 +136,15 @@ def lp_norm(space: TreeSpace, f: np.ndarray, p: float, weight=None) -> float:
         return float(np.sum(w * np.abs(f) ** p) ** (1.0 / p))
 
 
-def product_function(space: TreeSpace, fvec: FunctionVector, masked_by=None) -> np.ndarray:
+def product_function(space: TreeSpace, fvec: FunctionVector) -> np.ndarray:
     """Pointwise infinite product of the components.
 
     Off a mask the result is exactly 0 (the tail indicator repeats
     infinitely often); elsewhere it is the product of the active values.
     """
-    mask = _combined_mask(space, fvec, masked_by)
-    out = np.ones(space.n_leaves)
-    for f in fvec.active:
-        out = out * f
-    if mask is not None:
-        out = np.where(mask, out, 0.0)
-    return out
+    with np.errstate(over="ignore"):  # an overflowed product is inf, and fails its report
+        out = math.prod(fvec.active, start=np.ones(space.n_leaves))
+    return out if fvec.mask is None else np.where(fvec.mask, out, 0.0)
 
 
 def level_product_atoms(
@@ -167,8 +152,6 @@ def level_product_atoms(
     fvec: FunctionVector,
     seq: ExponentSequence,
     masked_by=None,
-    *,
-    stacked: bool = False,
 ) -> np.ndarray:
     """The infinite product prod_i E_n(f_i) at every level, per atom
     (TreeSpace.atom_offsets).
@@ -178,21 +161,26 @@ def level_product_atoms(
     so it survives only on the atoms contained in Q (_full_atoms).  A finite
     family (tail mass 0) has no infinite tail; the mask then also applies to
     the constant-1 components padding the head, each contributing one factor
-    E_n(chi_Q).  With `stacked`, masked_by is a (B, leaves) stack of masks
-    and the result a (B, atoms) stack, one process per mask.
+    E_n(chi_Q).  A (B, leaves) masked_by, told by its shape, is a stack of
+    masks and gives a (B, atoms) stack, one process per mask.  Past the
+    float range a product is inf (times a vanishing mask factor, NaN).
     """
     _check_alignment(fvec, seq)
-    mask = _combined_mask(space, fvec, masked_by, stacked)
+    mask = fvec.mask
+    if masked_by is not None:
+        extra = (_as_leaf_masks if np.ndim(masked_by) > 1 else as_leaf_mask)(space, masked_by)
+        mask = extra if mask is None else mask & extra
     batch = () if mask is None else mask.shape[:-1]
     rows = np.ones(batch + (space.atom_offsets[-1],))
-    for f in fvec.active:
-        rows *= cond_exp_atoms(space, f if mask is None else f * mask)
-    if mask is None:
-        return rows
-    if not seq.is_finite_family:
-        rows *= _full_atoms(space, mask)
-    elif fvec.n_active < seq.head_len:
-        rows *= cond_exp_atoms(space, mask) ** (seq.head_len - fvec.n_active)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in fvec.active:
+            rows *= cond_exp_atoms(space, f if mask is None else f * mask)
+        if mask is None:
+            return rows
+        if not seq.is_finite_family:
+            rows *= _full_atoms(space, mask)
+        elif fvec.n_active < seq.head_len:
+            rows *= cond_exp_atoms(space, mask) ** (seq.head_len - fvec.n_active)
     return rows
 
 
@@ -201,13 +189,11 @@ def level_products(
     fvec: FunctionVector,
     seq: ExponentSequence,
     masked_by=None,
-    *,
-    stacked: bool = False,
 ) -> np.ndarray:
     """level_product_atoms on the leaves: the matrix whose row n is the
-    infinite product prod_i E_n(f_i), or with `stacked` a (B, depth+1,
-    leaves) stack of matrices, one per mask."""
-    return space.expand_levels(level_product_atoms(space, fvec, seq, masked_by, stacked=stacked))
+    infinite product prod_i E_n(f_i), or under a (B, leaves) mask stack a
+    (B, depth+1, leaves) stack of matrices, one per mask."""
+    return space.expand_levels(level_product_atoms(space, fvec, seq, masked_by))
 
 
 def _full_levels(space: TreeSpace, masks) -> list[np.ndarray]:

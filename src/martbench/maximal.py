@@ -19,17 +19,15 @@ from .filtration import (
     as_leaf_mask,
     as_leaf_vector,
     cond_exp_atoms,
-    cond_exp_matrix,
     first_passage_time,
 )
-from .holder import FunctionVector, _component_slots, level_products, lp_norm
+from .holder import FunctionVector, _component_slots, level_product_atoms, level_products, lp_norm
 from .report import REL_TOL, VerificationReport, check_inequality
 
 
 def doob_maximal(space: TreeSpace, f: np.ndarray) -> np.ndarray:
     """Mf = max over levels of |E_n(f)|, leaf-wise."""
-    f = np.asarray(f, dtype=float)
-    return np.abs(cond_exp_matrix(space, f)).max(axis=0)
+    return space.level_sup(np.abs(cond_exp_atoms(space, f)))
 
 
 def gen_doob_maximal(
@@ -42,19 +40,21 @@ def gen_doob_maximal(
 
     With a single active component this is exactly doob_maximal; with a
     mask the tail sees the indicator, so the result vanishes wherever no
-    atom through the point lies inside the mask.
+    atom through the point lies inside the mask.  A (B, leaves) stack
+    masked_by gives one row per mask (level_product_atoms).
     """
-    return level_products(space, fvec, seq, masked_by).max(axis=0)
+    return space.level_sup(level_product_atoms(space, fvec, seq, masked_by))
 
 
 def _weighted_rows(space: TreeSpace, gvec: FunctionVector, sigmas, seq: ExponentSequence):
-    """Matrix whose row n is prod_i E_n^{sigma_i}(g_i) over the occupied head
-    slots, multiplied per atom and expanded once; a g or sigma past the
-    supplied ones is 1 and contributes 1."""
+    """prod_i E_n^{sigma_i}(g_i) over the occupied head slots at every level,
+    per atom; a g or sigma past the supplied ones is 1 and contributes 1.
+    Past the float range a product is inf."""
     rows = np.ones(space.atom_offsets[-1])
-    for g, s in _component_slots(space, gvec.active, sigmas, seq):
-        rows *= cond_exp_atoms(space, g, s)  # checks that sigma is positive
-    return space.expand_levels(rows)
+    with np.errstate(over="ignore"):
+        for g, s in _component_slots(space, gvec.active, sigmas, seq):
+            rows *= cond_exp_atoms(space, g, s)  # checks that sigma is positive
+    return rows
 
 
 def gen_weighted_maximal(
@@ -67,7 +67,8 @@ def gen_weighted_maximal(
     components past the supplied g's or sigmas contribute the factor 1."""
     if gvec.mask is not None:
         raise ValueError("masked vectors are not supported for the weighted maximal")
-    return _weighted_rows(space, gvec, [as_leaf_vector(space, s) for s in sigmas], seq).max(axis=0)
+    sigmas = [as_leaf_vector(space, s) for s in sigmas]
+    return space.level_sup(_weighted_rows(space, gvec, sigmas, seq))
 
 
 def weighted_measure(space: TreeSpace, leaf_set, weight=None) -> float:
@@ -111,8 +112,8 @@ def level_set_stopping_time(
     The per-level products use exact tail semantics, so the result is the
     first passage of an adapted process and is always a stopping time.
     """
-    rows = level_products(space, fvec, seq, masked_by)
-    return first_passage_time(space, rows, threshold)
+    masked_by = None if masked_by is None else as_leaf_mask(space, masked_by)  # one mask
+    return first_passage_time(space, level_products(space, fvec, seq, masked_by), threshold)
 
 
 def doob_inequality_check(
@@ -126,7 +127,7 @@ def doob_inequality_check(
     if not q > 1.0:
         raise ValueError(f"exponent {q} must be > 1")
     g = as_leaf_vector(space, g, nonnegative=True)
-    sup = cond_exp_matrix(space, g, sigma).max(axis=0)
+    sup = space.level_sup(cond_exp_atoms(space, g, sigma))
     q_conj = q / (q - 1.0)
     lhs = lp_norm(space, sup, q, sigma)
     rhs = lp_norm(space, g, q, sigma)

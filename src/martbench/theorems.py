@@ -42,10 +42,9 @@ from .holder import (
     _row_norms_products,
     function_norms_product,
     level_product_atoms,
-    level_products,
     trial_vector,
 )
-from .maximal import _level_sets, _weighted_rows, weak_lp_norm
+from .maximal import _level_sets, _weighted_rows, gen_doob_maximal, weak_lp_norm
 from .report import REL_TOL, VerificationReport, _power, _within_margin, check_inequality
 from .weights import (
     WeightSystem,
@@ -158,8 +157,8 @@ def verify_testing_to_weak(
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     p = 1.0 / rp
     atoms, rhs, reward = _testing_parts(ws, fvec)
-    rows = space.expand_levels(atoms)
-    thresholds, masses = _level_sets(space, rows.max(axis=0), ws.v)
+    thresholds, masses = _level_sets(space, space.level_sup(atoms), ws.v)
+    rows = space.expand_levels(atoms)  # the first passages read leaves
     # rows > nextafter(t, 0) is rows >= t: the support is {maximal >= t}
     stopped_rewards = [reward.take(first_passage_time(space, rows, t).flat_index).sum()
                        for t in np.nextafter(thresholds, 0.0)]
@@ -362,15 +361,14 @@ class SawyerTrace:
 
 
 def _strong_rows(ws: WeightSystem, gvec: FunctionVector, masks=None) -> np.ndarray:
-    """Level products of the vector (g_i sigma_i) over the occupied head
-    slots, masked as gvec is; past the float range a product is inf.  With
-    `masks`, a (T, leaves) mask stack, the components may be (T, leaves)
-    stacks too, and the result is the (T, depth+1, leaves) stack whose row t
-    is masked by masks[t]."""
-    slots = _component_slots(ws.space, gvec.active, ws.sigmas, ws.seq)
+    """Level products per atom of the vector (g_i sigma_i) over the occupied
+    head slots, masked as gvec is; past the float range a product is inf.
+    With `masks`, a (T, leaves) mask stack, the components may be (T, leaves)
+    stacks too, and the result is the (T, atoms) stack whose row t is masked
+    by masks[t]."""
     with np.errstate(over="ignore"):
-        return level_products(ws.space, FunctionVector(tuple(g * s for g, s in slots), gvec.mask),
-                              ws.seq, masks, stacked=masks is not None)
+        comps = tuple(g * s for g, s in _component_slots(ws.space, gvec.active, ws.sigmas, ws.seq))
+    return level_product_atoms(ws.space, FunctionVector(comps, gvec.mask), ws.seq, masks)
 
 
 def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
@@ -398,7 +396,7 @@ def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     # an infinite maximal value sits in band 1023 and fails maximal_finite,
     # an infinite T the trace inequality
     rows = _strong_rows(ws, gvec)
-    maximal = _frozen(rows.max(axis=0))
+    maximal = _frozen(space.level_sup(rows))
     ks = band_index(maximal[maximal > 0.0])
     if not ks.size:
         return SawyerTrace(None, None, {}, {}, maximal, [])
@@ -406,9 +404,10 @@ def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     k_lo, k_hi = int(ks.min()), int(ks.max())
     cells = {}
     weighted = space.leaf_probs * ws.v
+    rows = space.expand_levels(rows)  # the first passages and stopped picks read leaves
     density_rows = space.expand_levels(ws.density_atoms)
+    ratio_rows = space.expand_levels(_weighted_rows(space, gvec, ws.sigmas, ws.seq))
     with np.errstate(over="ignore"):  # 2**1024 is inf
-        ratio_rows = _weighted_rows(space, gvec, ws.sigmas, ws.seq)
         taus = {k: first_passage_time(space, rows, np.ldexp(1.0, k)) for k in range(k_lo, k_hi + 2)}
         for k in range(k_lo, k_hi + 1):
             fin = taus[k].finite
@@ -545,7 +544,7 @@ def _strong_ratios(ws: WeightSystem, trials: int, seed: int) -> list[float]:
     masks = np.array([np.ones(space.n_leaves, bool) if fv.mask is None else fv.mask
                       for fv in vectors])
     comps = tuple(_frozen(np.stack(c)) for c in zip(*(fv.active for fv in vectors)))
-    maximal = _strong_rows(ws, FunctionVector(comps), masks).max(axis=-2)
+    maximal = space.level_sup(_strong_rows(ws, FunctionVector(comps), masks))
     rhs = _row_norms_products(space, comps, seq, ws.sigmas, masks,
                               [fv.mask is not None for fv in vectors])
     with np.errstate(over="ignore"):  # a norm past the float range is inf
@@ -601,8 +600,7 @@ def estimate_best_constant(
             lhs, rhs = _power(snell_testing_sup(ws, fvec), rp), _testing_parts(ws, fvec)[1]
         else:  # a fresh vector each trial: the reward of _testing_parts is not needed
             with np.errstate(over="ignore", invalid="ignore"):
-                rows = level_products(space, fvec, seq)
                 rhs = function_norms_product(space, fvec, seq, ws.active_weights)
-            lhs = weak_lp_norm(space, rows.max(axis=0), p, ws.v)
+            lhs = weak_lp_norm(space, gen_doob_maximal(space, fvec, seq), p, ws.v)
         ratios.append(0.0 if rhs <= 0.0 else lhs / rhs)
     return float(np.max(ratios))  # a NaN ratio propagates

@@ -14,10 +14,9 @@ bitmasks 1 .. 2**leaves - 1 in order; a sampled family {"count": k,
 nonempty supports.  Those depend only on the tree shape, k and s, so they
 are drawn once per (depth, branching, k, s) and kept, read-only, in a
 cache of the last 8 families that every scan of that family shares,
-whatever the leaf masses.  rh_ratios and sp_ratios take
-(B, leaves) chunks of supports, sized so that the largest block the kernel
-holds, (B, leaves) or a finite family's (B, depth+1, leaves) level block,
-has at most SCAN_CHUNK_FLOATS floats: a scan never holds the whole family.
+whatever the leaf masses.  rh_ratios and sp_ratios take (B, leaves) chunks
+of supports, B * width at most SCAN_CHUNK_FLOATS for the kernel's width in
+floats per support (_sp_chunks): a scan never holds the whole family.
 The "all" testing scan and its witness are cached on the WeightSystem,
 which the strong-type estimate reads again after sp_constant.  Every scan
 starts in _support_chunks, which checks ENUMERATION_CAP for "all" and the
@@ -64,9 +63,9 @@ from .filtration import (
     make_tree_space,
     sample_stopping_time,
 )
-from .holder import FunctionVector, _entry_levels, level_products
+from .holder import FunctionVector, _entry_levels, level_product_atoms
 
-SCAN_CHUNK_FLOATS = 1 << 16  # floats in the largest block a scan holds per chunk
+SCAN_CHUNK_FLOATS = 1 << 16  # B * width per chunk of a scan (_support_chunks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,10 +221,10 @@ def ap_constant(ws: WeightSystem) -> float:
 
 def _support_chunks(space: TreeSpace, family, width: int | None = None) -> Iterator[np.ndarray]:
     """The family as (B, leaves) bool chunks with B * width at most
-    SCAN_CHUNK_FLOATS, width the floats per support of the scan's largest
-    block (leaves by default): "all" decodes the bitmasks 1 .. 2**leaves - 1
-    in order, a sampled family gives its distinct supports in the order first
-    drawn.  ENUMERATION_CAP and the family spec are checked at the call,
+    SCAN_CHUNK_FLOATS, width the kernel's floats per support (leaves by
+    default): "all" decodes the bitmasks 1 .. 2**leaves - 1 in order, a
+    sampled family gives its distinct supports in the order first drawn.
+    ENUMERATION_CAP and the family spec are checked at the call,
     before any chunk: every scan of a family starts here."""
     rows = max(1, SCAN_CHUNK_FLOATS // (width or space.n_leaves))
     end = 2**space.n_leaves
@@ -330,8 +329,8 @@ def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:
     masks = _as_leaf_masks(ws.space, masks)
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     if ws.seq.is_finite_family:
-        rows = level_products(space, FunctionVector(ws.sigmas, None), ws.seq, masks, stacked=True)
-        numer = (masks * (space.leaf_probs * ws.v * rows.max(axis=-2) ** (1.0 / rp))).sum(-1)
+        atoms = level_product_atoms(space, FunctionVector(ws.sigmas, None), ws.seq, masks)
+        numer = (masks * (space.leaf_probs * ws.v * space.level_sup(atoms) ** (1.0 / rp))).sum(-1)
     else:
         at = _entry_levels(space, masks) * space.n_leaves + space.leaf_index
         numer = ws.testing_table.ravel().take(at).sum(-1)  # T[entry level, leaf]
@@ -340,9 +339,10 @@ def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:
 
 
 def _sp_chunks(ws: WeightSystem, family) -> Iterator[np.ndarray]:
-    """_support_chunks sized for sp_ratios: a finite family expands its masked
-    level products to a (B, depth+1, leaves) block, an infinite tail holds
-    (B, leaves) blocks only."""
+    """_support_chunks sized for sp_ratios: (B, leaves) blocks for an infinite
+    tail; a finite family holds several per-atom blocks (level products, a factor
+    and level_sup's rows, up to 2 * leaves floats per support each), which the width
+    (depth+1) * leaves keeps within a few budgets (a width of leaves reaches 7)."""
     space = ws.space
     width = (space.depth + 1) * space.n_leaves if ws.seq.is_finite_family else None
     return _support_chunks(space, family, width)

@@ -199,7 +199,7 @@ def sp_ratios_oracle(ws, masks) -> np.ndarray:
     NaN here (inf * 0)."""
     masks = np.asarray(masks, dtype=bool)
     space, rp = ws.space, ws.seq.aggregate_reciprocal
-    rows = level_products(space, FunctionVector(ws.sigmas, None), ws.seq, masks, stacked=True)
+    rows = level_products(space, FunctionVector(ws.sigmas, None), ws.seq, masks)
     numer = (masks * (space.leaf_probs * ws.v * rows.max(axis=-2) ** (1.0 / rp))).sum(-1)
     return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
 

@@ -19,7 +19,18 @@ from martbench.filtration import (
     cond_exp_matrix,
     make_tree_space,
 )
-from martbench.holder import FunctionVector, holder_conditional_check, level_product_atoms
+from martbench.holder import (
+    FunctionVector,
+    holder_conditional_check,
+    level_product_atoms,
+    lp_norm,
+)
+from martbench.maximal import (
+    doob_inequality_check,
+    doob_maximal,
+    gen_doob_maximal,
+    gen_weighted_maximal,
+)
 from martbench.weights import make_weight_system
 
 from helpers import (
@@ -78,6 +89,48 @@ def test_expand_levels_puts_each_atom_on_its_leaves(shape):
                                           space.expand(space.level(atoms, n), n))
 
 
+def assert_same_floats(got, want):
+    """Equal shapes and values, NaN equal to NaN, and the same sign of zero."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_level_sup_is_the_maximum_of_the_expanded_levels():
+    # depths 0-4, branching 2 and 3, one process and (B,) and (2, 3) stacks,
+    # nonnegative values with zeros of both signs, ties, inf and NaN
+    rng = np.random.default_rng(7)
+    values = np.array([0.0, -0.0, 0.5, 1.0, 1.0, 3.0, np.inf, np.nan])
+    for depth, branching in itertools.product(range(5), (2, 3)):
+        space = make_tree_space(depth, branching)
+        for batch, _ in itertools.product([(), (4,), (2, 3)], range(20)):
+            atoms = rng.choice(values, batch + (space.atom_offsets[-1],))
+            sup = space.level_sup(atoms)
+            assert_same_floats(sup, space.expand_levels(atoms).max(axis=-2))
+            assert not np.shares_memory(sup, atoms)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_maximal_functions_match_the_dense_oracle(shape):
+    # each supremum over levels, read on atoms, against the maximum of the
+    # oracle's leaf matrix
+    rng = np.random.default_rng(8)
+    space = random_space(rng, *shape)
+    f = rng.uniform(-4.0, 4.0, space.n_leaves)
+    g, sigma = random_positive(rng, space, 1e3), random_positive(rng, space, 1e3)
+    assert_same_floats(doob_maximal(space, f), np.abs(cond_exp_matrix_oracle(space, f)).max(0))
+    seq = make_exponent_sequence([2.5, 3.0, 4.0], 0.2, 0.5)
+    assert_same_floats(gen_weighted_maximal(space, FunctionVector((g, f**2)), [sigma], seq),
+                       (cond_exp_matrix_oracle(space, g, sigma)
+                        * cond_exp_matrix_oracle(space, f**2)).max(0))
+    sup = cond_exp_matrix_oracle(space, g, sigma).max(0)
+    assert doob_inequality_check(space, g, 2.0, sigma).lhs == lp_norm(space, sup, 2.0, sigma)
+    for fvec, seq, masked_by in product_cases(rng, space):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = level_products_oracle(space, fvec, seq, masked_by).max(-2)
+        assert_same_floats(gen_doob_maximal(space, fvec, seq, masked_by), want)
+
+
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
 def test_cond_exp_atoms_match_the_dense_oracle(shape):
     rng = np.random.default_rng(2)
@@ -98,7 +151,7 @@ def test_cond_exp_atoms_match_the_dense_oracle(shape):
 
 
 def product_cases(rng, space):
-    """(vector, sequence, masked_by, stacked) cases: unmasked, masked by the
+    """(vector, sequence, masked_by) cases: unmasked, masked by the
     vector or by masked_by, a (4, leaves) mask stack, finite families with
     head padding and infinite tails, and components whose products
     overflow to inf (inf times a vanishing mask factor is NaN)."""
@@ -109,11 +162,11 @@ def product_cases(rng, space):
     mask = random_leaf_mask(rng, space)
     stack = np.array([random_leaf_mask(rng, space, allow_empty=True) for _ in range(4)])
     for seq, active in itertools.product((infinite, finite), (comps, huge, ())):
-        yield FunctionVector(active), seq, None, False
-        yield FunctionVector(active, mask), seq, None, False
-        yield FunctionVector(active), seq, mask, False
-        yield FunctionVector(active), seq, stack, True
-        yield FunctionVector(active, mask), seq, stack, True
+        yield FunctionVector(active), seq, None
+        yield FunctionVector(active, mask), seq, None
+        yield FunctionVector(active), seq, mask
+        yield FunctionVector(active), seq, stack
+        yield FunctionVector(active, mask), seq, stack
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
@@ -121,9 +174,9 @@ def test_level_product_atoms_match_the_dense_oracle(shape):
     rng = np.random.default_rng(3)
     space = random_space(rng, *shape)
     seen = set()
-    for fvec, seq, masked_by, stacked in product_cases(rng, space):
+    for fvec, seq, masked_by in product_cases(rng, space):
         with np.errstate(over="ignore", invalid="ignore"):
-            atoms = level_product_atoms(space, fvec, seq, masked_by, stacked=stacked)
+            atoms = level_product_atoms(space, fvec, seq, masked_by)
             want = level_products_oracle(space, fvec, seq, masked_by)
         np.testing.assert_array_equal(space.expand_levels(atoms), want)
         seen.update({"inf"} if np.isinf(want).any() else set())
@@ -167,7 +220,7 @@ def test_testing_reward_matches_the_dense_oracle(shape):
     space = random_space(rng, *shape)
     for ws in weight_systems(rng, space):
         p = 1.0 / ws.seq.aggregate_reciprocal
-        for fvec, _, _, _ in itertools.islice(product_cases(rng, space), 0, None, 5):
+        for fvec, _, _ in itertools.islice(product_cases(rng, space), 0, None, 5):
             theorems_mod._testing_parts.cache_clear()
             with np.errstate(over="ignore", invalid="ignore"):
                 atoms, _, reward = theorems_mod._testing_parts(ws, fvec)
@@ -182,7 +235,7 @@ def test_conditional_check_matches_the_leaf_oracle(shape):
     rng = np.random.default_rng(6)
     space = random_space(rng, *shape)
     verdicts = set()
-    for fvec, seq, masked_by, _ in product_cases(rng, space):
+    for fvec, seq, masked_by in product_cases(rng, space):
         if masked_by is not None:
             continue
         for n in space.levels:

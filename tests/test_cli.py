@@ -24,6 +24,7 @@ from martbench.filtration import (
 SPACE = '{"depth":1,"branching":2,"leaf_probs":"uniform"}'
 SEQ = '{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}'
 UNIT_WEIGHTS = '{"weights":[[1,1]],"v":[1,1]}'
+MASKED = '{"active":[[1,2]],"mask":[true,false]}'
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -153,6 +154,16 @@ class TestVerifySuites:
         assert code == 0
         assert doc["trace"]["k_range"] == [0, 1]
         assert len(doc["trace"]["cells"]) == 2
+
+    def test_check_holder_of_an_overflowed_product_fails_without_a_warning(self, tmp_path, capsys):
+        code, doc, _ = run_cli(
+            tmp_path, "check-holder",
+            "--space", '{"depth":2,"branching":2}',
+            "--seq", '{"head":[2,3],"tail_mass":0.5,"tail_ratio":0.5}',
+            "--functions", '{"active":[[1e300,1,1,1],[1e300,1,1,1]]}',
+        )
+        assert code == 1 and doc["reports"][0]["metadata"]["reason"] == "inf"
+        assert capsys.readouterr().err == ""
 
     def test_sawyer_trace_of_an_overflowed_maximal_function_fails(self, tmp_path):
         code, doc, _ = run_cli(
@@ -445,11 +456,16 @@ class TestConfigAndErrors:
         ("weights-constants", "--weights", "[]", "--weights: must be a JSON object"),
         ("verify-sp", "--weights", None, "--weights: missing key 'v'"),
         ("check-holder", "--functions", '"abc"', "--functions: "),
+        ("sawyer-trace", "--functions", "[]", "--functions: sawyer-trace needs one vector"),
+        ("sawyer-trace", "--functions", MASKED, "--functions: masked vectors are not supported"),
+        ("verify-sp", "--functions", MASKED, "--functions: masked vectors are not supported"),
         ("weights-constants", "--config", {"family": {"count": 3, "seed": "abc"}},
          "a sampled family's seed must be an integer or a list of integers"),
     ], ids=["space-float-depth", "space-string-depth", "space-list", "space-no-branching",
             "seq-float-head", "seq-null-exponent", "seq-list", "seq-string-head",
             "weights-list", "weights-empty-list", "weights-missing", "functions-string",
+            "functions-none-for-sawyer-trace", "functions-masked-sawyer-trace",
+            "functions-masked-verify-sp",
             "config-family-string-seed"])
     def test_spec_of_the_wrong_type_exits_two_with_one_line(
             self, tmp_path, capsys, command, option, spec, named):
@@ -685,6 +701,22 @@ class TestEntryPoints:
         rows = list(csv.DictReader(open(out)))
         assert [int(row["system"]) for row in rows] == [0, 1, 2]
         assert "3 systems" in capsys.readouterr().out
+
+    def test_scale_matrix_runs_one_cell(self, capsys):
+        # one small cell through the matrix's own path: a child process, its
+        # exit code, wall time and peak RSS; the full matrix runs by hand
+        spec = importlib.util.spec_from_file_location(
+            "scale_matrix", ROOT / "scripts" / "scale_matrix.py"
+        )
+        matrix = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(matrix)
+        assert len(matrix.COMMANDS) == 9
+        assert max(r**d for r, d in matrix.TREES) == 2**20
+        assert matrix.main(["--commands", "check-holder", "--trees", "2^4"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        command, tree, leaves, outcome, seconds, peak = row.split()
+        assert (command, tree, leaves, outcome) == ("check-holder", "2^4", "16", "0")
+        assert float(seconds) > 0.0 and float(peak) > 0.0
 
     def test_report_digest(self, capsys):
         spec = importlib.util.spec_from_file_location(

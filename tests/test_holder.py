@@ -14,6 +14,7 @@ from martbench.holder import (
     function_vector_from_json,
     holder_conditional_check,
     holder_integral_check,
+    level_product_atoms,
     level_products,
     lp_norm,
     product_function,
@@ -308,9 +309,9 @@ class TestMaskedTails:
         np.testing.assert_allclose(rows, expected, rtol=1e-14)
 
     def test_stacked_masks_give_one_matrix_per_mask(self):
-        # stacked=True takes masked_by as a (B, leaves) stack: row b equals
-        # the single-mask result bit for bit, for infinite and finite
-        # families and with a vector mask combined in
+        # masked_by of shape (B, leaves) is a stack: row b equals the
+        # single-mask result bit for bit, for infinite and finite families
+        # and with a vector mask combined in
         rng = np.random.default_rng(11)
         for k in range(30):
             space = random_space(rng, max_depth=3)
@@ -319,29 +320,39 @@ class TestMaskedTails:
             if k % 3 == 0:
                 fv = FunctionVector(fv.active, rng.random(space.n_leaves) < 0.8)
             masks = rng.random((6, space.n_leaves)) < 0.6
-            stack = level_products(space, fv, seq, masked_by=masks, stacked=True)
+            stack = level_products(space, fv, seq, masked_by=masks)
             assert stack.shape == (6, space.depth + 1, space.n_leaves)
             for mask, rows in zip(masks, stack):
                 assert np.array_equal(rows, level_products(space, fv, seq, masked_by=mask))
-        for bad in (np.ones((2, 3, space.n_leaves), bool), np.ones(space.n_leaves, bool)):
-            with pytest.raises(ValueError, match="stack of"):
-                level_products(space, fv, seq, masked_by=bad, stacked=True)
 
-    def test_single_mask_operators_reject_a_stack(self):
-        # only level_products(..., stacked=True) takes a stack of masks; the
-        # single-mask operators keep rejecting a 2-D mask
-        space = make_tree_space(2, 2)
-        seq = make_exponent_sequence([2.0], 0.5, 0.5)
-        fv = FunctionVector((np.arange(1.0, 5.0),), None)
-        stack = np.ones((2, 4), bool)
-        for call in (
-            lambda: level_products(space, fv, seq, masked_by=stack),
-            lambda: gen_doob_maximal(space, fv, seq, masked_by=stack),
-            lambda: product_function(space, fv, masked_by=stack),
-            lambda: level_set_stopping_time(space, fv, seq, 1.0, masked_by=stack),
-        ):
-            with pytest.raises(ValueError, match="expected 4 mask entries"):
-                call()
+    def test_a_mask_stack_gives_the_single_mask_result_per_row(self):
+        # the mask operators tell a (B, leaves) stack from one mask by its
+        # shape: row b of level_product_atoms, level_products and
+        # gen_doob_maximal is exactly their result under mask b, NaN and the
+        # sign of zero included; a 3-D mask raises, and
+        # level_set_stopping_time, one first passage, takes one mask only
+        rng = np.random.default_rng(12)
+        for k in range(30):
+            space = random_space(rng, max_depth=3)
+            seq = random_sequence(rng)
+            fv = random_fvec(rng, space, seq)
+            if k % 3 == 0:
+                fv = FunctionVector(fv.active, rng.random(space.n_leaves) < 0.8)
+            masks = rng.random((5, space.n_leaves)) < 0.6
+            masks[0], masks[1] = True, False
+            for operator in (level_product_atoms, level_products, gen_doob_maximal):
+                stack = operator(space, fv, seq, masked_by=masks)
+                assert stack.shape[0] == len(masks)
+                for mask, row in zip(masks, stack):
+                    one = operator(space, fv, seq, masked_by=mask)
+                    assert np.array_equal(row, one, equal_nan=True)
+                    assert np.array_equal(np.signbit(row), np.signbit(one))
+        cube = np.ones((2, 3, space.n_leaves), bool)
+        for operator in (level_product_atoms, level_products, gen_doob_maximal):
+            with pytest.raises(ValueError, match="stack of"):
+                operator(space, fv, seq, masked_by=cube)
+        with pytest.raises(ValueError, match=f"expected {space.n_leaves} mask entries"):
+            level_set_stopping_time(space, fv, seq, 1.0, masked_by=masks)
 
     def test_norms_ignore_an_overflowing_value_off_the_mask(self):
         # f**2 overflows only at the masked-out leaf: the norms mask f before
@@ -381,7 +392,7 @@ class TestMaskedTails:
             levels >= holder_mod._entry_levels(space, masks)[..., None, :],
             full_atoms_oracle(space, masks))
         np.testing.assert_array_equal(
-            level_products(space, fv, seq, masked_by=masks, stacked=True),
+            level_products(space, fv, seq, masked_by=masks),
             masked_tail_products_oracle(space, fv, masks))
         for mask in masks:
             np.testing.assert_array_equal(

@@ -3,7 +3,15 @@ import pytest
 
 from martbench.exponents import make_exponent_sequence
 from martbench.filtration import StoppingTime, make_tree_space
-from martbench.holder import FunctionVector, function_norms_product, function_vector, lp_norm
+from martbench.holder import (
+    FunctionVector,
+    function_norms_product,
+    function_vector,
+    holder_integral_check,
+    level_products,
+    lp_norm,
+    product_function,
+)
 from martbench.maximal import (
     doob_inequality_check,
     doob_maximal,
@@ -106,6 +114,24 @@ class TestGenDoobMaximal:
         c = 1.7
         scaled = FunctionVector((fv.active[0] * c, *fv.active[1:]), None)
         np.testing.assert_allclose(gen_doob_maximal(space, scaled, seq), c * base, rtol=1e-12)
+
+
+def test_overflowed_products_are_inf_without_a_warning():
+    # the suite turns a RuntimeWarning into an error: each public product
+    # takes an overflow as inf, which fails the report it reaches
+    space = make_tree_space(2, 2)
+    seq = make_exponent_sequence([2.0, 3.0], 0.5, 0.5)
+    big = np.array([1e300, 1.0, 1.0, 1.0])
+    fv = FunctionVector((big, big))
+    assert product_function(space, fv)[0] == np.inf
+    report = holder_integral_check(space, fv, seq)
+    assert not report.passed and report.metadata["reason"] == "inf"
+    assert (level_products(space, fv, seq)[:, 0] == np.inf).all()
+    np.testing.assert_array_equal(gen_doob_maximal(space, fv, seq), np.inf)
+    np.testing.assert_array_equal(level_set_stopping_time(space, fv, seq, 1.0).values, 0)
+    sigma = np.array([1e10, 1.0, 1.0, 1.0])
+    np.testing.assert_array_equal(
+        gen_weighted_maximal(space, FunctionVector((big,)), [sigma], seq), np.inf)
 
 
 class TestGenWeightedMaximal:

@@ -1143,22 +1143,22 @@ class TestEstimates:
             assert snell_testing_sup(ws, fv) == pytest.approx(brute, rel=1e-12)
 
     def test_weak_estimate_builds_the_level_products_once_per_trial(self, monkeypatch):
-        # the weak ratio builds its own rows and norm product (a fresh vector
-        # each trial, so the cached per-pair reward would be waste): one
-        # level_products call per trial vector, by either module binding, and
-        # no _testing_parts entry
+        # the weak ratio builds its own per-atom level products and norm
+        # product (a fresh vector each trial, so the cached per-pair reward
+        # would be waste): one level_product_atoms call per trial vector, by
+        # either module binding, and no _testing_parts entry
         rng = np.random.default_rng(75)
         ws = small_random_system(rng)
         space, seq = ws.space, ws.seq
         calls = []
-        original = theorems_mod.level_products
+        original = theorems_mod.level_product_atoms
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(theorems_mod, "level_products", counted)
-        monkeypatch.setattr(maximal_mod, "level_products", counted)
+        monkeypatch.setattr(theorems_mod, "level_product_atoms", counted)
+        monkeypatch.setattr(maximal_mod, "level_product_atoms", counted)
         theorems_mod._testing_parts.cache_clear()
         estimate = estimate_best_constant("weak", ws, 5, 3)
         assert len(calls) == 5 and len({id(fv) for fv in calls}) == 5

@@ -453,7 +453,7 @@ def oracle_ratios(ws):
     straight from the definitions: per support F, the bases |F|_{sigma_i}
     and |F|, the RH denominator int_F prod sigma_i**d_i, and the testing
     numerator int_F M(sigma chi_F)**p v from the masked level products
-    (taken 4096 masks at a time; test_holder.py pins a stacked mask to
+    (taken 4096 masks at a time; test_holder.py pins a mask stack to
     the single-mask result bit for bit)."""
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
@@ -462,7 +462,7 @@ def oracle_ratios(ws):
     fvec = FunctionVector(ws.sigmas, None)
     family = ((np.arange(1, 2**space.n_leaves)[:, None] >> np.arange(space.n_leaves)) & 1) == 1
     maximal = np.concatenate([
-        level_products(space, fvec, seq, family[i : i + 4096], stacked=True).max(axis=1)
+        level_products(space, fvec, seq, family[i : i + 4096]).max(axis=1)
         for i in range(0, len(family), 4096)
     ])
     rh, sp = [], []
@@ -562,20 +562,24 @@ class TestBatchedScan:
                     assert sp_constant(ws, {"count": 20, "seed": 1}) == 1.0
 
     def test_scan_memory_stays_within_a_few_chunk_budgets(self):
-        rng = np.random.default_rng(83)
-        space = make_tree_space(4, 2, random_probs(rng, 16))
-        ws = random_weight_system(rng, space, make_exponent_sequence([2.0, 3.0, 4.0], 0.2, 0.5))
-        budget = weights_mod.SCAN_CHUNK_FLOATS * 8
-        level_blocks = (2**16 - 1) * (space.depth + 1) * 16 * 8  # 42 MB for the whole family
-        tracemalloc.start()
-        try:
-            sp_constant(ws)
-            rh_constant(ws)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * budget
-        assert peak < level_blocks / 20
+        # an infinite tail, and a finite family whose testing scan takes the
+        # per-atom level products of each chunk
+        for tail in ((0.2, 0.5), (0.0, 0.5)):
+            rng = np.random.default_rng(83)
+            space = make_tree_space(4, 2, random_probs(rng, 16))
+            seq = make_exponent_sequence([2.0, 3.0, 4.0], *tail)
+            ws = random_weight_system(rng, space, seq)
+            budget = weights_mod.SCAN_CHUNK_FLOATS * 8
+            level_blocks = (2**16 - 1) * (space.depth + 1) * 16 * 8  # 42 MB for the whole family
+            tracemalloc.start()
+            try:
+                sp_constant(ws)
+                rh_constant(ws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 4 * budget
+            assert peak < level_blocks / 20
 
     def test_cached_scan_still_checks_the_cap(self):
         # 24 leaves: 16,777,215 supports, past ENUMERATION_CAP.  Every "all"
