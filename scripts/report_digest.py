@@ -42,10 +42,16 @@ exponent tail (alternately):
 
 and prints the number of records and one sha256 over them.
 
+With --check it runs all three passes at their pinned settings (4, 6 and 6
+systems, seed 0) and exits 1, naming the first line that differs, unless
+every line is the pinned one (PINNED_LINES); a change that keeps every
+value bit for bit passes it.
+
 Usage:
   PYTHONPATH=src python scripts/report_digest.py --systems 4 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --cli --systems 6 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --second --systems 6 --seed 0
+  PYTHONPATH=src python scripts/report_digest.py --check
 """
 
 import argparse
@@ -99,6 +105,16 @@ CONSTANT_IDS = ("testing", "weak", "strong", "sp-test")
 STRONG_TRIALS = (1, 2, 3, 16)  # besides the 6 trials of every id
 STREAMED_SHAPE = (4, 2)
 STREAMED_TIMES = 64
+# --check: each pass at its pinned settings (--seed 0), and the lines it prints
+PINNED_PASSES = (("reports", 4), ("cli", 6), ("second", 6))
+PINNED_LINES = (
+    "44576 reports sha256 8d3ed9a793b8f9610bc72404f3f86906cf93037027f88163ba108394dde7bd30",
+    "512 streamed reports sha256 0a98cc7c2920708d282752e28b403ad17d8429465d88bd8d86e4947d49683053",
+    "540 cli runs sha256 3d5ed47101e2c5409804a2a0415f18f77695324995561362e92de5863b9f141d",
+    "120 large-tree cli runs sha256 "
+    "626d5bd42a7eef0e52ce734797f627b85d5aa00cee9daa90a58f1ccf9f7566f1",
+    "252 second records sha256 db2ff699077dff7abce7db8bae307fb0d78ee369856cb72ea86cc280e36580a4",
+)
 
 
 def kept_shapes() -> list[tuple[int, int]]:
@@ -231,6 +247,51 @@ def cli_runs(shapes, systems: int, seed: int, workdir: str) -> list:
     return runs
 
 
+def digest_lines(mode: str, systems: int, seed: int) -> list[str]:
+    """The lines one pass prints ("reports", "cli" or "second"): per digest,
+    the number of documents, its label and the sha256 of their JSON."""
+    if mode == "cli":
+        with tempfile.TemporaryDirectory() as workdir:
+            digests = [(cli_runs(CLI_SHAPES, systems, seed, workdir), "cli runs"),
+                       (cli_runs(LARGE_CLI_SHAPES, systems, seed, workdir),
+                        "large-tree cli runs")]
+    elif mode == "second":
+        docs = []
+        for index, (depth, branching) in enumerate(SECOND_SHAPES):
+            for system in range(systems):
+                rng = np.random.default_rng([seed, index, system])
+                ws, fvecs = random_system(rng, depth, branching, finite=system % 2 == 1)
+                docs += second_records(ws, fvecs, int(rng.integers(2**31)))
+        digests = [(docs, "second records")]
+    else:
+        docs, streamed = [], []
+        shapes = kept_shapes()
+        for index, (depth, branching) in enumerate(shapes):
+            for system in range(systems):
+                rng = np.random.default_rng([seed, index, system])
+                docs += [rep.to_json() for rep in chain_reports(*random_system(rng, depth, branching))]
+        for system in range(systems):
+            rng = np.random.default_rng([seed, len(shapes), system])
+            ws, fvecs = random_system(rng, *STREAMED_SHAPE)
+            streamed += [rep.to_json() for rep in streamed_reports(ws, fvecs, rng)]
+        digests = [(docs, "reports"), (streamed, "streamed reports")]
+    return [f"{len(docs)} {label} sha256 "
+            f"{hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()}"
+            for docs, label in digests]
+
+
+def check() -> int:
+    """Run the three passes at their pinned settings; 0 if every line is its
+    pinned line, else 1, naming the first line that differs."""
+    got = [line for mode, systems in PINNED_PASSES for line in digest_lines(mode, systems, 0)]
+    for line, pinned in zip(got, PINNED_LINES):
+        if line != pinned:
+            print(f"differs: {line}\n pinned: {pinned}")
+            return 1
+    print(f"all {len(PINNED_LINES)} digests match")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--systems", type=int, default=4, help="systems per kept shape")
@@ -239,39 +300,19 @@ def main(argv=None) -> int:
     passes.add_argument("--cli", action="store_true", help="digest the CLI subcommands instead")
     passes.add_argument("--second", action="store_true",
                         help="digest criterion 10's quantities instead")
+    passes.add_argument("--check", action="store_true",
+                        help="run all three passes at their pinned settings and compare")
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
-    if args.cli:
-        with tempfile.TemporaryDirectory() as workdir:
-            digests = [(cli_runs(CLI_SHAPES, args.systems, args.seed, workdir), "cli runs"),
-                       (cli_runs(LARGE_CLI_SHAPES, args.systems, args.seed, workdir),
-                        "large-tree cli runs")]
-    elif args.second:
-        docs = []
-        for index, (depth, branching) in enumerate(SECOND_SHAPES):
-            for system in range(args.systems):
-                rng = np.random.default_rng([args.seed, index, system])
-                ws, fvecs = random_system(rng, depth, branching, finite=system % 2 == 1)
-                docs += second_records(ws, fvecs, int(rng.integers(2**31)))
-        digests = [(docs, "second records")]
+    if args.check:
+        status = check()
     else:
-        docs, streamed = [], []
-        shapes = kept_shapes()
-        for index, (depth, branching) in enumerate(shapes):
-            for system in range(args.systems):
-                rng = np.random.default_rng([args.seed, index, system])
-                docs += [rep.to_json() for rep in chain_reports(*random_system(rng, depth, branching))]
-        for system in range(args.systems):
-            rng = np.random.default_rng([args.seed, len(shapes), system])
-            ws, fvecs = random_system(rng, *STREAMED_SHAPE)
-            streamed += [rep.to_json() for rep in streamed_reports(ws, fvecs, rng)]
-        digests = [(docs, "reports"), (streamed, "streamed reports")]
-    for docs, label in digests:
-        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
-        print(f"{len(docs)} {label} sha256 {digest}")
+        mode = "cli" if args.cli else "second" if args.second else "reports"
+        print("\n".join(digest_lines(mode, args.systems, args.seed)))
+        status = 0
     print(f"{time.perf_counter() - started:.1f} s", file=sys.stderr)
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -206,7 +206,11 @@ def _build_weight_system(config: RunConfig, space: TreeSpace, seq) -> WeightSyst
         return make_weight_system(space, seq, spec.get("weights", []), spec["v"])
 
 
-def _function_vectors(config: RunConfig, space: TreeSpace, seq) -> list[FunctionVector]:
+def _function_vectors(config: RunConfig, space: TreeSpace, seq,
+                      one: bool = False) -> list[FunctionVector]:
+    """The vectors of the --functions spec: each one it lists, or the generator's
+    trials.  With `one`, for a command that reads a single vector, the
+    generator draws trial 0 alone and a list of more than one is refused."""
     spec = config.functions
     if spec is None:
         spec = {"generator": {}}
@@ -214,9 +218,12 @@ def _function_vectors(config: RunConfig, space: TreeSpace, seq) -> list[Function
         if isinstance(spec, dict) and "generator" in spec:
             seed, trials, spread = _generator_keys(spec["generator"], {
                 "seed": config.seed, "trials": config.trials, "spread": config.spread})
-            return [trial_vector(space, seq.head_len, seed, t, spread) for t in range(trials)]
+            return [trial_vector(space, seq.head_len, seed, t, spread)
+                    for t in range(1 if one else trials)]
         if isinstance(spec, dict):
             spec = [spec]
+        if one and isinstance(spec, list) and len(spec) > 1:
+            raise ValueError(f"{config.command} reads one vector, and the spec gives {len(spec)}")
         return [function_vector_from_json(space, item) for item in spec]
 
 
@@ -293,7 +300,7 @@ def _cmd_verify_sp(config: RunConfig, space, seq) -> tuple[list, dict]:
 
 def _cmd_sawyer_trace(config: RunConfig, space, seq) -> tuple[list, dict]:
     ws = _build_weight_system(config, space, seq)
-    gvecs = _function_vectors(config, space, seq)[:1]  # keep no other vector alive
+    gvecs = _function_vectors(config, space, seq, one=True)
     with _naming("--functions"):  # no vector, a masked one, or too many components
         if not gvecs:
             raise ValueError("sawyer-trace needs one vector, and the spec gives none")

@@ -26,7 +26,7 @@ import numpy as np
 MAX_LEAVES = 1 << 20
 ENUMERATION_CAP = 10_000_000
 # StoppingTime.to_json's entry for each value v, at v + 1: "inf", then every level
-_JSON_VALUES = ("inf", *range(MAX_LEAVES.bit_length()))
+_JSON_VALUES = np.array(["inf", *range(MAX_LEAVES.bit_length())], dtype=object)
 # families of at most this many stopping times are built once per tree shape
 # and kept (every shape up to 11 leaves); larger ones are streamed
 KEPT_FAMILY_TIMES = 4096
@@ -137,6 +137,27 @@ class TreeSpace:
             sup = np.maximum(sup.repeat(self.branching, axis=-1), self.level(atoms, n))
         return sup
 
+    def first_passages(self, atoms: np.ndarray, thresholds) -> np.ndarray:
+        """The first passage of a per-atom process above each of T thresholds,
+        as a fresh (T, leaves) int64 matrix: row t holds each leaf's least level
+        n with X_n > thresholds[t], or StoppingTime.INFINITE, bit for bit
+        first_passage_time(self, expand_levels(atoms), thresholds[t]).values.
+        One pass from the root down: each atom inherits its parent's passage,
+        and one whose parent has not passed passes at its own level where its
+        value exceeds the threshold."""
+        t = np.asarray(thresholds, dtype=float)[:, None]
+        tau = np.where(self.level(atoms, 0) > t, 0, StoppingTime.INFINITE).astype(np.int64)
+        for n in range(1, self.depth + 1):
+            tau = tau.repeat(self.branching, axis=-1)
+            tau[(tau == StoppingTime.INFINITE) & (self.level(atoms, n) > t)] = n
+        return tau
+
+    def atom_index(self, levels: np.ndarray) -> np.ndarray:
+        """Per leaf x (the last axis), where a per-atom process holds the
+        level-levels[x] atom that contains x: atom_offsets[n] + x // atom_size(n)."""
+        offsets, sizes = _level_starts(self.depth, self.branching)
+        return offsets[levels] + self.leaf_index // sizes[levels]
+
     @cached_property
     def digest(self) -> str:
         """Short sha256 of the shape and leaf probabilities, hashed once."""
@@ -160,6 +181,15 @@ def _atom_leaves(depth: int, branching: int) -> np.ndarray:
     levels = range(depth + 1)
     return _frozen(np.repeat([branching ** (depth - n) for n in levels],
                              [branching**n for n in levels]))
+
+
+@functools.lru_cache(maxsize=16)
+def _level_starts(depth: int, branching: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per level, its atom_offsets entry and its atom size, as read-only arrays
+    for TreeSpace.atom_index, built once per tree shape."""
+    levels = np.arange(depth + 1)
+    offsets = np.cumsum(np.append(0, branching**levels[:-1]))
+    return _frozen(offsets), _frozen(branching ** (depth - levels))
 
 
 def make_tree_space(
@@ -310,9 +340,9 @@ class StoppingTime:
     def to_json(self) -> dict:
         """{"values": [...]}: each level as an int, INFINITE as "inf".  Meant
         for the times the program builds (integer levels 0..20 or INFINITE)
-        and not checked: each value is one lookup at v + 1, so a value below
+        and not checked: the values are one take at v + 1, so a value below
         INFINITE would wrap around and a float one raises TypeError."""
-        return {"values": [_JSON_VALUES[v] for v in (self.values + 1).tolist()]}
+        return {"values": _JSON_VALUES.take(self.values + 1).tolist()}
 
 
 def stopping_time_from_json(space: TreeSpace, obj: dict) -> StoppingTime:
@@ -486,12 +516,12 @@ def first_passage_time(
     return StoppingTime(_frozen(values))
 
 
-def stopped(space: TreeSpace, rows: np.ndarray, tau: StoppingTime, otherwise) -> np.ndarray:
-    """An adapted process at a stopping time: rows[tau(x), x] where tau is
-    finite and `otherwise` (a scalar or leaf vector) where it is infinite;
-    row n of the (depth+1, leaves) matrix is the process at level n."""
-    idx = np.minimum(np.maximum(tau.values, 0), space.depth)
-    return np.where(tau.finite, rows[idx, space.leaf_index], otherwise)
+def stopped(space: TreeSpace, atoms: np.ndarray, tau: StoppingTime, otherwise) -> np.ndarray:
+    """An adapted process at a stopping time, read on its atoms: where tau is
+    finite, the value at x of the level-tau(x) atom that contains x (the
+    entry TreeSpace.atom_index of the per-atom process), and `otherwise` (a
+    scalar or leaf vector) where tau is infinite."""
+    return np.where(tau.finite, atoms[space.atom_index(np.maximum(tau.values, 0))], otherwise)
 
 
 def stopped_value(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -> np.ndarray:
@@ -501,7 +531,7 @@ def stopped_value(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -> np.ndar
     if not is_stopping_time(space, tau):
         raise ValueError("tau is not an adapted stopping time")
     f = np.asarray(f, dtype=float)
-    return stopped(space, cond_exp_matrix(space, f), tau, f)
+    return stopped(space, cond_exp_atoms(space, f), tau, f)
 
 
 def is_stopped_measurable(space: TreeSpace, tau: StoppingTime, mask: np.ndarray) -> bool:

@@ -14,7 +14,7 @@ REL_TOL = 1e-12
 ABS_FLOOR = 1e-300
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     inequality: str
     lhs: float

@@ -30,10 +30,8 @@ from .filtration import (
     StoppingTime,
     _frozen,
     _kept_family,
-    first_passage_time,
     is_stopped_measurable,
     is_stopping_time,
-    stopped,
 )
 from .holder import (
     FunctionVector,
@@ -45,7 +43,7 @@ from .holder import (
     trial_vector,
 )
 from .maximal import _level_sets, _weighted_rows, gen_doob_maximal, weak_lp_norm
-from .report import REL_TOL, VerificationReport, _power, _within_margin, check_inequality
+from .report import REL_TOL, VerificationReport, _margin, _power, _within_margin, check_inequality
 from .weights import (
     WeightSystem,
     rh_constant,
@@ -87,20 +85,29 @@ def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple[np.ndarray, 
 @functools.lru_cache(maxsize=1)
 def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     """What a per-time report of the last (system, vector) pair reads:
-    (slots, left side by slot, finite leaves by slot, rhs, ap_max, digest).
-    A slot's left side is _power(reward, 1/p) of its stopped reward, one take
-    and row sum per finite-leaf count (_KeptFamily.gather), bit for bit the
-    sum of the time's own gather; the slot map is empty where the family
-    streams."""
+    (slots, row by slot, rhs, ap_max, digest), a row (lhs, slack, verdict,
+    finite leaves).  A slot's left side is _power(reward, 1/p) of its stopped
+    reward, one take and row sum per finite-leaf count (_KeptFamily.gather),
+    bit for bit the sum of the time's own gather; its slack and verdict are
+    check_inequality's at REL_TOL, from the same float operations (the bound
+    c_a * rhs, the slack bound - lhs, the verdict lhs <= _margin(bound)),
+    and the verdict is None where the left side or the bound is not finite.
+    The slot map is empty where the family streams."""
     family = _kept_family(ws.space)
     _, rhs, reward = _testing_parts(ws, fvec)
-    slots, lhs, finite = {}, [], []
+    rhs, c_a = float(rhs), float(ws.ap_max)
+    slots, rows = {}, []
     if family is not None:
         slots, matrices = family.gather
         rp = ws.seq.aggregate_reciprocal
         lhs = [_power(r, rp) for m in matrices for r in reward.take(m).sum(axis=1).tolist()]
-        finite = family.finite_leaves
-    return slots, lhs, finite, rhs, ws.ap_max, ws.space.digest
+        bound, sides = c_a * rhs, np.array(lhs)
+        verdicts = np.where(np.isfinite(sides) & math.isfinite(bound),
+                            sides <= _margin(bound), None)
+        with np.errstate(invalid="ignore"):  # inf - inf, in a row whose verdict is None
+            slack = (bound - sides).tolist()
+        rows = list(zip(lhs, slack, verdicts.tolist(), family.finite_leaves))
+    return slots, rows, rhs, c_a, ws.space.digest
 
 
 def verify_ap_to_testing(
@@ -115,28 +122,31 @@ def verify_ap_to_testing(
     at tau, or (tau None) at the exact supremum over all stopping times
     (snell_testing_sup).  The parts that do not depend on tau are cached.
     A kept time of ws.space's shape (at most KEPT_FAMILY_TIMES) is adapted by
-    construction and reads its left side and finite-leaf count from the table
-    (_family_reports) filled for the whole family at the first per-time call
-    of a (system, vector) pair; any other time is checked for adaptedness and
-    sums its own gather of the reward, bit for bit the table's entry.  Both
-    paths build the report in one check_inequality."""
-    rp = ws.seq.aggregate_reciprocal
+    construction and reads its row of the table (_family_reports) filled for
+    the whole family at the first per-time call of a (system, vector) pair:
+    at the default tolerance, with both sides finite, the row is the report.
+    Any other time is checked for adaptedness and sums its own gather of the
+    reward, bit for bit the table's entry; it, a non-finite side and any
+    other tolerance build the report in check_inequality."""
     if tau is None:
-        lhs = _power(snell_testing_sup(ws, fvec), rp)
+        lhs = _power(snell_testing_sup(ws, fvec), ws.seq.aggregate_reciprocal)
         rhs, c_a = _testing_parts(ws, fvec)[1], ws.ap_max
-        metadata = {"stopping_sup": "exact", "space": ws.space.digest}
+        return check_inequality("ap-to-testing", lhs, rhs, c_a, tolerance,
+                                {"stopping_sup": "exact", "space": ws.space.digest})
+    slots, rows, rhs, c_a, digest = _family_reports(ws, fvec)
+    slot = slots.get(tau)
+    if slot is not None:
+        lhs, slack, passed, leaves = rows[slot]
+        if passed is not None and tolerance == REL_TOL:
+            return VerificationReport("ap-to-testing", lhs, rhs, c_a, slack, passed, tolerance,
+                                      {"space": digest, "finite_leaves": leaves})
+    elif not is_stopping_time(ws.space, tau):
+        raise ValueError("tau is not an adapted stopping time")
     else:
-        slots, lhs_by_slot, finite, rhs, c_a, digest = _family_reports(ws, fvec)
-        slot = slots.get(tau)
-        if slot is not None:
-            lhs, leaves = lhs_by_slot[slot], finite[slot]
-        elif not is_stopping_time(ws.space, tau):
-            raise ValueError("tau is not an adapted stopping time")
-        else:
-            reward = float(_testing_parts(ws, fvec)[2].take(tau.flat_index).sum())
-            lhs, leaves = _power(reward, rp), tau.flat_index.size
-        metadata = {"space": digest, "finite_leaves": leaves}
-    return check_inequality("ap-to-testing", lhs, rhs, c_a, tolerance, metadata)
+        reward = float(_testing_parts(ws, fvec)[2].take(tau.flat_index).sum())
+        lhs, leaves = _power(reward, ws.seq.aggregate_reciprocal), tau.flat_index.size
+    return check_inequality("ap-to-testing", lhs, rhs, c_a, tolerance,
+                            {"space": digest, "finite_leaves": leaves})
 
 
 def verify_testing_to_weak(
@@ -151,17 +161,23 @@ def verify_testing_to_weak(
     time just below t has support exactly {maximal >= t}; the stopped
     product dominates t there, so
     t * |{maximal >= t}|_v**(1/p) <= testing side <= c_test * norm product.
-    The report checks the largest term (weak_lp_norm's value) against the
-    right end; an overflowed or NaN maximal value fails it.
+    The first passages of all thresholds are taken on the level products'
+    atoms (_first_passages), and each stopped reward is the sum of the
+    reward's entries over the time's finite leaves in leaf order, bit for
+    bit the time's own gather.  The report checks the largest term
+    (weak_lp_norm's value) against the right end; an overflowed or NaN
+    maximal value fails it.
     """
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     p = 1.0 / rp
     atoms, rhs, reward = _testing_parts(ws, fvec)
     thresholds, masses = _level_sets(space, space.level_sup(atoms), ws.v)
-    rows = space.expand_levels(atoms)  # the first passages read leaves
-    # rows > nextafter(t, 0) is rows >= t: the support is {maximal >= t}
-    stopped_rewards = [reward.take(first_passage_time(space, rows, t).flat_index).sum()
-                       for t in np.nextafter(thresholds, 0.0)]
+    stopped_rewards = []
+    # X_n > nextafter(t, 0) is X_n >= t: the support is {maximal >= t}
+    for tau in _first_passages(space, atoms, np.nextafter(thresholds, 0.0)):
+        # the reward's flat index; a never-stopping leaf's wraps to the last row, unread
+        picked = reward.take(tau * space.n_leaves + space.leaf_index)
+        stopped_rewards.append(picked[tau != StoppingTime.INFINITE].sum())
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails below
         weak = thresholds * masses ** (1.0 / p)  # weak_lp_norm's terms, bit for bit
         within = _within_margin(weak, np.array(stopped_rewards) ** rp, tolerance)
@@ -388,9 +404,23 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     return _sawyer_trace(ws, gvec)
 
 
+def _first_passages(space, atoms: np.ndarray, thresholds: np.ndarray):
+    """Each threshold's first passage (TreeSpace.first_passages) in turn, as a
+    leaf row, the thresholds taken in blocks of at most
+    weights.SCAN_CHUNK_FLOATS entries."""
+    step = max(1, weights.SCAN_CHUNK_FLOATS // space.n_leaves)
+    for at in range(0, thresholds.size, step):
+        yield from space.first_passages(atoms, thresholds[at:at + step])
+
+
 @functools.lru_cache(maxsize=1)
 def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
-    """The trace of the last (system, vector) pair; both hash by identity."""
+    """The trace of the last (system, vector) pair; both hash by identity.
+    Every band's time, stopped density and weighted ratio are read on atoms.
+    The cells are the distinct (band, j) keys of the finite entries of all
+    bands, found by one stable sort, which keeps each cell's leaves in leaf
+    order; the lambda-set unions are the prefixes of one cumulative OR over
+    the envelopes in descending order of T."""
     space = ws.space
     p = 1.0 / ws.seq.aggregate_reciprocal
     # an infinite maximal value sits in band 1023 and fails maximal_finite,
@@ -402,32 +432,55 @@ def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
         return SawyerTrace(None, None, {}, {}, maximal, [])
 
     k_lo, k_hi = int(ks.min()), int(ks.max())
-    cells = {}
-    weighted = space.leaf_probs * ws.v
-    rows = space.expand_levels(rows)  # the first passages and stopped picks read leaves
-    density_rows = space.expand_levels(ws.density_atoms)
-    ratio_rows = space.expand_levels(_weighted_rows(space, gvec, ws.sigmas, ws.seq))
     with np.errstate(over="ignore"):  # 2**1024 is inf
-        taus = {k: first_passage_time(space, rows, np.ldexp(1.0, k)) for k in range(k_lo, k_hi + 2)}
-        for k in range(k_lo, k_hi + 1):
-            fin = taus[k].finite
-            band_mask = fin & ~taus[k + 1].finite
-            density = stopped(space, density_rows, taus[k], 1.0)
-            ratio_g = stopped(space, ratio_rows, taus[k], 1.0)
-            js = band_index(density)
-            for j in np.unique(js[fin]).tolist():
-                a_mask = _frozen(fin & (js == j))
-                b_mask = _frozen(band_mask & (js == j))
-                theta = float(np.sum(weighted[b_mask] * density[b_mask] ** p))
-                t_value = float(ratio_g[a_mask].min() ** p)
-                cells[(k, j)] = SawyerCell(a_mask, b_mask, theta, t_value)
+        thresholds = np.ldexp(1.0, np.arange(k_lo, k_hi + 2))
+    taus = dict(zip(range(k_lo, k_hi + 2),
+                    map(StoppingTime, _first_passages(space, rows, thresholds))))
+    # per finite entry of every band, in band and then leaf order: band, j,
+    # leaf, in the band, and the stopped density and weighted ratio, read on
+    # atoms for a block of bands at a time
+    pair = np.stack([ws.density_atoms, _weighted_rows(space, gvec, ws.sigmas, ws.seq)])
+    step = max(1, weights.SCAN_CHUNK_FLOATS // space.n_leaves)
+    entries = []
+    for at in range(k_lo, k_hi + 1, step):
+        block = range(at, min(at + step, k_hi + 1))
+        values = np.array([taus[k].values for k in block])
+        fin = values != StoppingTime.INFINITE
+        inside = ~np.array([taus[k + 1].finite for k in block])[fin]
+        bands, leaves = np.nonzero(fin)
+        density, ratio = pair[:, space.atom_index(np.maximum(values, 0))][:, fin]
+        entries.append((bands + at, band_index(density), leaves, inside, density, ratio))
+    band, js, leaves, inside, density, ratio = (np.concatenate(e) for e in zip(*entries))
+    del entries, pair  # not read again; at 2^20 leaves they hold over 100 MB
+    order = np.lexsort((js, band))  # stable: leaves ascend inside each cell
+    band, js, leaves, inside, density, ratio = (
+        a[order] for a in (band, js, leaves, inside, density, ratio))
+    starts = np.flatnonzero(np.append(True, (band[1:] != band[:-1]) | (js[1:] != js[:-1])))
+    ends = np.append(starts[1:], band.size)
+    cell = np.repeat(np.arange(starts.size), ends - starts)
+    envelopes = np.zeros((starts.size, space.n_leaves), dtype=bool)
+    envelopes[cell, leaves] = True
+    slices = np.zeros_like(envelopes)
+    slices[cell[inside], leaves[inside]] = True
+    _frozen(envelopes), _frozen(slices)  # before the rows are taken: they stay read-only
+    weighted = space.leaf_probs * ws.v
+    cells = {}
+    with np.errstate(over="ignore"):
+        for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
+            b = inside[s:e]
+            theta = float(np.sum(weighted[leaves[s:e][b]] * density[s:e][b] ** p))
+            t_value = float(ratio[s:e].min() ** p)
+            cells[(int(band[s]), int(js[s]))] = SawyerCell(
+                envelopes[i], slices[i], theta, t_value)
 
+    t_values = np.array([c.t_value for c in cells.values()])
+    order = np.argsort(-t_values, kind="stable")  # NaN last: {T > lam} is a prefix
+    unions = _frozen(np.logical_or.accumulate(envelopes[order], axis=0))
     lambda_sets = []
     for lam in sorted({c.t_value for c in cells.values()}):
         keys = [key for key, c in cells.items() if c.t_value > lam]
         if keys:
-            union = _frozen(np.any([cells[key].a_mask for key in keys], axis=0))
-            lambda_sets.append((lam, keys, union))
+            lambda_sets.append((lam, keys, unions[len(keys) - 1]))
     return SawyerTrace(k_lo, k_hi, cells, taus, maximal, lambda_sets)
 
 

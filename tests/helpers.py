@@ -20,7 +20,6 @@ from martbench import (
     make_tree_space,
     make_weight_system,
     sample_stopping_time,
-    stopped,
 )
 from martbench.holder import _component_slots, _entry_levels, _norm_parts, trial_vector
 from martbench.report import ABS_FLOOR, REL_TOL
@@ -218,10 +217,17 @@ def stopped_average_oracle(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -
     return out
 
 
+def dense_stopped_oracle(space: TreeSpace, rows: np.ndarray, tau: StoppingTime, otherwise):
+    """An adapted process at a stopping time from its (depth+1, leaves) leaf
+    matrix: rows[tau(x), x] where tau is finite, `otherwise` where not."""
+    levels = np.clip(tau.values, 0, space.depth)
+    return np.where(tau.finite, rows[levels, np.arange(space.n_leaves)], otherwise)
+
+
 def stopped_reward_oracle(ws, rows: np.ndarray, tau: StoppingTime, p: float) -> float:
     """integral over {tau finite} of (prod E_tau(f_i))**p v dmu, with the
     stopped rows picked leaf by leaf (0 where tau is infinite)."""
-    contrib = ws.space.leaf_probs * ws.v * stopped(ws.space, rows, tau, 0.0) ** p
+    contrib = ws.space.leaf_probs * ws.v * dense_stopped_oracle(ws.space, rows, tau, 0.0) ** p
     return float(contrib[tau.finite].sum())
 
 
@@ -246,7 +252,7 @@ def stopped_measurable_oracle(space: TreeSpace, tau: StoppingTime, mask: np.ndar
 def sawyer_trace_oracle(ws, gvec: FunctionVector) -> SawyerTrace:
     """The Sawyer trace slot by slot: tau_k at the Python threshold 2.0**k
     (it raises OverflowError at k = 1024), and the stopped density and
-    weighted ratio products picked with one `stopped` call per band and slot."""
+    weighted ratio products picked from leaf matrices per band and slot."""
     space, seq = ws.space, ws.seq
     p = 1.0 / seq.aggregate_reciprocal
     slots = _component_slots(space, gvec.active, ws.sigmas, seq)
@@ -268,10 +274,10 @@ def sawyer_trace_oracle(ws, gvec: FunctionVector) -> SawyerTrace:
         band_mask = fin & ~taus[k + 1].finite
         density = np.ones(space.n_leaves)
         for mat, (_, s) in zip(sigma_mats, slots):
-            density = density * stopped(space, mat, tau, s)
+            density = density * dense_stopped_oracle(space, mat, tau, s)
         ratio_g = np.ones(space.n_leaves)
         for mat, (g, _) in zip(weighted_mats, slots):
-            ratio_g = ratio_g * stopped(space, mat, tau, g)
+            ratio_g = ratio_g * dense_stopped_oracle(space, mat, tau, g)
         js = band_index(density)
         for j in np.unique(js[fin]):
             j = int(j)

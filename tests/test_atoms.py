@@ -14,10 +14,15 @@ import martbench.filtration as filtration_mod
 import martbench.theorems as theorems_mod
 from martbench.exponents import make_exponent_sequence
 from martbench.filtration import (
+    StoppingTime,
     atom_means,
     cond_exp_atoms,
     cond_exp_matrix,
+    enumerate_stopping_times,
+    first_passage_time,
     make_tree_space,
+    sample_stopping_time,
+    stopped,
 )
 from martbench.holder import (
     FunctionVector,
@@ -41,6 +46,7 @@ from helpers import (
     level_products_oracle,
     random_leaf_mask,
     random_positive,
+    dense_stopped_oracle,
     dense_testing_table_oracle,
 )
 
@@ -108,6 +114,49 @@ def test_level_sup_is_the_maximum_of_the_expanded_levels():
             sup = space.level_sup(atoms)
             assert_same_floats(sup, space.expand_levels(atoms).max(axis=-2))
             assert not np.shares_memory(sup, atoms)
+
+
+def test_first_passages_are_the_expanded_first_passage_times():
+    # depths 0-4, branching 2 and 3, values with zeros of both signs, ties,
+    # inf and NaN; the thresholds include 0, -0, a subnormal, the values
+    # themselves, 2**1024 (inf) and NaN
+    rng = np.random.default_rng(9)
+    values = np.array([0.0, -0.0, 5e-324, 0.5, 1.0, 1.0, 3.0, np.inf, np.nan])
+    with np.errstate(over="ignore"):
+        top = np.ldexp(1.0, 1024)
+    thresholds = np.array([0.0, -0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, np.nextafter(1.0, 0.0), top,
+                           np.nan])
+    for depth, branching in itertools.product(range(5), (2, 3)):
+        space = make_tree_space(depth, branching)
+        for _ in range(20):
+            atoms = rng.choice(values, space.atom_offsets[-1])
+            rows = space.expand_levels(atoms)
+            got = space.first_passages(atoms, thresholds)
+            assert got.shape == (thresholds.size, space.n_leaves) and got.dtype == np.int64
+            for t, row in zip(thresholds, got):
+                np.testing.assert_array_equal(row, first_passage_time(space, rows, t).values)
+            assert space.first_passages(atoms, thresholds[:0]).shape == (0, space.n_leaves)
+
+
+def test_stopped_reads_the_atom_the_dense_pick_reads():
+    # every kept time (up to 9 leaves) and sampled times of larger trees:
+    # the per-atom pick is the leaf matrix's entry at (tau(x), x), and
+    # `otherwise` (a scalar or a leaf vector) where tau is infinite
+    rng = np.random.default_rng(10)
+    for depth, branching in [(0, 2), (1, 2), (2, 2), (1, 3), (2, 3), (4, 2), (3, 3)]:
+        space = make_tree_space(depth, branching)
+        atoms = rng.choice([0.0, -0.0, 0.5, 2.0, np.inf, np.nan], space.atom_offsets[-1])
+        rows = space.expand_levels(atoms)
+        other = rng.random(space.n_leaves)
+        if space.n_leaves <= 9:
+            taus = list(enumerate_stopping_times(space))
+        else:
+            taus = [sample_stopping_time(space, rng) for _ in range(50)]
+        taus.append(StoppingTime(np.full(space.n_leaves, StoppingTime.INFINITE)))
+        for tau in taus:
+            for otherwise in (1.0, other):
+                assert_same_floats(stopped(space, atoms, tau, otherwise),
+                                   dense_stopped_oracle(space, rows, tau, otherwise))
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)

@@ -155,6 +155,22 @@ class TestVerifySuites:
         assert doc["trace"]["k_range"] == [0, 1]
         assert len(doc["trace"]["cells"]) == 2
 
+    def test_sawyer_trace_draws_only_the_vector_it_decomposes(self, tmp_path, monkeypatch):
+        # a generator spec of three trials draws trial 0 (all ones) alone, and
+        # the trace is that of the vector given explicitly
+        drawn = []
+        original = cli_mod.trial_vector
+        monkeypatch.setattr(cli_mod, "trial_vector",
+                            lambda *args: drawn.append(args[3]) or original(*args))
+        args = ["--space", '{"depth":2,"branching":2}', "--seq", SEQ,
+                "--weights", '{"generator":{"seed":1}}']
+        code, generated, _ = run_cli(tmp_path, "sawyer-trace", *args,
+                                     "--functions", '{"generator":{"trials":3}}')
+        assert code == 0 and drawn == [0]
+        code, given, _ = run_cli(tmp_path, "sawyer-trace", *args,
+                                 "--functions", '{"active":[[1,1,1,1]]}')
+        assert code == 0 and generated["trace"] == given["trace"]
+
     def test_check_holder_of_an_overflowed_product_fails_without_a_warning(self, tmp_path, capsys):
         code, doc, _ = run_cli(
             tmp_path, "check-holder",
@@ -458,6 +474,8 @@ class TestConfigAndErrors:
         ("check-holder", "--functions", '"abc"', "--functions: "),
         ("sawyer-trace", "--functions", "[]", "--functions: sawyer-trace needs one vector"),
         ("sawyer-trace", "--functions", MASKED, "--functions: masked vectors are not supported"),
+        ("sawyer-trace", "--functions", '[{"active":[[4,0]]},{"active":[[1,2]]}]',
+         "--functions: sawyer-trace reads one vector, and the spec gives 2"),
         ("verify-sp", "--functions", MASKED, "--functions: masked vectors are not supported"),
         ("weights-constants", "--config", {"family": {"count": 3, "seed": "abc"}},
          "a sampled family's seed must be an integer or a list of integers"),
@@ -465,6 +483,7 @@ class TestConfigAndErrors:
             "seq-float-head", "seq-null-exponent", "seq-list", "seq-string-head",
             "weights-list", "weights-empty-list", "weights-missing", "functions-string",
             "functions-none-for-sawyer-trace", "functions-masked-sawyer-trace",
+            "functions-two-for-sawyer-trace",
             "functions-masked-verify-sp",
             "config-family-string-seed"])
     def test_spec_of_the_wrong_type_exits_two_with_one_line(

@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -313,6 +314,16 @@ class TestStoppingTimes:
         assert doc == {"values": [1, "inf"]}
         again = stopping_time_from_json(space, doc)
         np.testing.assert_array_equal(again.values, tau.values)
+
+    def test_json_values_are_ints_and_inf_byte_for_byte(self):
+        # every level 0..20 and INFINITE, int32 values too: the JSON text is
+        # that of the per-leaf list of Python ints and "inf"
+        values = np.array([*range(21), INF, 0, INF, 20])
+        for dtype in (np.int64, np.int32):
+            doc = StoppingTime(values.astype(dtype)).to_json()
+            want = ["inf" if v == INF else int(v) for v in values]
+            assert json.dumps(doc) == json.dumps({"values": want})
+            assert all(type(x) is type(y) for x, y in zip(doc["values"], want))
 
     def test_json_rejects_non_adapted(self):
         space = make_tree_space(1, 2)

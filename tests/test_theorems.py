@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -317,17 +318,17 @@ class TestApToTesting:
             fv = random_fvec(rng, space, seq, spread=1e6)
             rows = level_products(space, fv, seq)
             p, rp = 1.0 / seq.aggregate_reciprocal, seq.aggregate_reciprocal
-            slots, lhs_by_slot = theorems_mod._family_reports(ws, fv)[:2]
+            slots, table = theorems_mod._family_reports(ws, fv)[:2]
             reward = theorems_mod._testing_parts(ws, fv)[2]
             times = list(enumerate_stopping_times(space))
-            assert len(slots) == len(lhs_by_slot) == len(times)
+            assert len(slots) == len(table) == len(times)
             fresh = [StoppingTime(np.full(n, INF)), StoppingTime(np.zeros(n, dtype=np.int64))]
             fresh += [first_passage_time(space, rows, t) for t in np.unique(rows)]
             for i, tau in enumerate(times + fresh):
                 expected = stopped_reward_oracle(ws, rows, tau, p)
                 assert reward.take(tau.flat_index).sum() == expected
                 if i < len(times):
-                    assert lhs_by_slot[slots[tau]] == expected**rp
+                    assert table[slots[tau]][0] == expected**rp
                 else:
                     assert tau not in slots
                 assert verify_ap_to_testing(ws, fv, tau).lhs == expected**rp
@@ -357,8 +358,8 @@ class TestApToTesting:
             for (ws, fv), own, other in zip(systems, shared, shared[::-1]):
                 rows = level_products(ws.space, fv, seq)
                 expected = stopped_reward_oracle(ws, rows, own, 1.0 / rp)
-                slots, lhs_by_slot = theorems_mod._family_reports(ws, fv)[:2]
-                assert lhs_by_slot[slots[own]] == expected**rp and other not in slots
+                slots, table = theorems_mod._family_reports(ws, fv)[:2]
+                assert table[slots[own]][0] == expected**rp and other not in slots
                 for tau in (own, other):
                     assert verify_ap_to_testing(ws, fv, tau).lhs == expected**rp
                 seen.append(expected)
@@ -376,7 +377,7 @@ class TestApToTesting:
         seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
         ws = random_weight_system(rng, space, seq)
         fv = random_fvec(rng, space, seq)
-        assert theorems_mod._family_reports(ws, fv)[:3] == ({}, [], [])
+        assert theorems_mod._family_reports(ws, fv)[:2] == ({}, [])
         reward = theorems_mod._testing_parts(ws, fv)[2]
         rows = level_products(space, fv, seq)
         p = 1.0 / seq.aggregate_reciprocal
@@ -467,6 +468,41 @@ class TestPerTimeReports:
                 got = verify_ap_to_testing(ws, fv, tau, tolerance).to_json()
                 assert same(got, self.expected(ws, fv, tau, tolerance))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize("head, v, active, reasons", [
+        ([2.5, 3.0], 1.0, None, {None}),
+        ([2.0, 2.0], 1.0, [[1e200, 1.0], [1e200, 1.0]], {"inf"}),
+        ([2.0, 2.0, 2.0], 1.0, [[1e300, 1e300], [1e300, 1e300], [0.0, 1.0]], {"inf", "nan"}),
+    ], ids=["finite", "inf", "nan"])
+    def test_kept_time_at_the_default_tolerance_is_its_table_row(
+            self, monkeypatch, head, v, active, reasons):
+        # a kept time at REL_TOL with both sides finite returns the table's
+        # row as the report, field for field and type for type what
+        # check_inequality builds; an infinite or NaN left side (the inf and
+        # nan cases, whose bound is inf too), another tolerance and a time
+        # off the table (an int32 copy) go through check_inequality
+        rng = np.random.default_rng(174)
+        space = make_tree_space(1, 2, [0.3, 0.7])
+        seq = make_exponent_sequence(head, 0.0)
+        ws = make_weight_system(space, seq, [np.ones(2)] * len(head), np.full(2, v))
+        fv = random_fvec(rng, space, seq) if active is None else function_vector(space, active)
+        calls, seen = [], set()
+        monkeypatch.setattr(theorems_mod, "check_inequality",
+                            lambda *args: calls.append(args) or check_inequality(*args))
+        for tau in enumerate_stopping_times(space):
+            off = StoppingTime(tau.values.astype(np.int32))
+            for time, tolerance in [(tau, REL_TOL), (tau, 1e-6), (off, REL_TOL)]:
+                calls.clear()
+                got = verify_ap_to_testing(ws, fv, time, tolerance)
+                want = self.expected(ws, fv, time, tolerance)
+                assert same(got.to_json(), want)
+                fields = [getattr(got, f.name) for f in dataclasses.fields(got)]
+                assert [type(x) for x in fields] == [str, float, float, float, float, bool,
+                                                     float, dict]
+                seen.add(want["metadata"].get("reason"))
+                table = time is tau and tolerance == REL_TOL and "reason" not in want["metadata"]
+                assert len(calls) == (not table)
+        assert seen == reasons
 
     @pytest.mark.parametrize("head, v, active", [
         ([2.0, 2.0], 1.0, [[1e200, 1.0], [1e200, 1.0]]),
@@ -583,18 +619,12 @@ class TestTestingToWeak:
                              ids=["1-leaf", "5-leaf", "9-leaf", "16-leaf-streamed"])
     def test_first_passage_rewards_match_the_stopped_oracle(
             self, monkeypatch, depth, branching):
-        # every first passage the weak check reads, masked and unmasked
-        # vectors: its reward, to the power 1/p, bit for bit the oracle's;
-        # the kept family's table is not built for it
+        # every threshold the weak check reads, masked and unmasked vectors:
+        # its stopped reward, to the power 1/p, bit for bit the per-time
+        # oracle's at the first passage just below the threshold (support
+        # {maximal >= t}); the kept family's table is not built for it
         rng = np.random.default_rng([67, depth, branching])
-        taus, compared = [], []
-        original_passage = theorems_mod.first_passage_time
-
-        def passage(*args):
-            taus.append(original_passage(*args))
-            return taus[-1]
-
-        monkeypatch.setattr(theorems_mod, "first_passage_time", passage)
+        compared = []
         monkeypatch.setattr(theorems_mod, "_within_margin",
                             lambda lhs, rhs, tol: compared.append(rhs) or _within_margin(lhs, rhs, tol))
         theorems_mod._family_reports.cache_clear()
@@ -605,13 +635,17 @@ class TestTestingToWeak:
             fv = random_fvec(rng, space, seq, spread=1e6)
             if trial % 2:
                 fv = FunctionVector(fv.active, random_leaf_mask(rng, space))
-            taus.clear()
             compared.clear()
             testing = verify_ap_to_testing(ws, fv)  # the exact supremum, as verify-ap runs
             report = verify_testing_to_weak(ws, fv, testing.lhs / testing.rhs)
-            assert report.passed and len(taus) == report.metadata["n_thresholds"]
             rows = level_products(space, fv, seq)
+            maximal = rows.max(axis=0)
+            thresholds = np.unique(maximal[maximal > 0.0])[::-1]  # as the check takes them
+            assert report.passed and thresholds.size == report.metadata["n_thresholds"]
             rp = seq.aggregate_reciprocal
+            taus = [first_passage_time(space, rows, np.nextafter(t, 0.0)) for t in thresholds]
+            for tau, t in zip(taus, thresholds):
+                np.testing.assert_array_equal(tau.finite, maximal >= t)
             expected = np.array([stopped_reward_oracle(ws, rows, tau, 1.0 / rp) for tau in taus])
             assert len(compared) == 1 and compared[0].tobytes() == (expected**rp).tobytes()
         assert theorems_mod._family_reports.cache_info().misses == 0
@@ -918,6 +952,24 @@ class TestSawyerDecomposition:
             weighted_max = gen_weighted_maximal(space, gv, sigmas, seq)
             for lam, _, g_mask in trace.lambda_sets:
                 assert np.all(weighted_max[g_mask] ** p > lam * (1 - 1e-12))
+
+    def test_cells_of_a_stopped_density_in_no_band(self):
+        # sigma = 1e-200 on leaf 0 for both weights: leaves 0 and 2 pass 8 at
+        # their own level, where the stopped density underflows to 0.0 on
+        # leaf 0 (in no band) and is 1 on leaf 2; band 3 then has the cells
+        # (3, NO_BAND) and (3, -1), keyed and ordered (NO_BAND first) as the
+        # per-slot oracle keys them
+        space = make_tree_space(2, 2)
+        seq = make_exponent_sequence([2.0, 2.0], 0.0)
+        w = [1e200, 1.0, 1.0, 1.0]
+        ws = make_weight_system(space, seq, [w, w], np.ones(4))
+        gv = function_vector(space, [[4e200, 1e-10, 4.0, 1e-10]] * 2)
+        trace = sawyer_decomposition(ws, gv)
+        with np.errstate(over="ignore"):  # E^sigma(g_1) E^sigma(g_2) on leaf 0
+            old = sawyer_trace_oracle(ws, gv)
+        assert trace.to_json() == old.to_json() and list(trace.cells) == list(old.cells)
+        assert list(trace.cells)[-2:] == [(3, theorems_mod.NO_BAND), (3, -1)]
+        assert all(sawyer_trace_invariants(ws, trace).values())
 
     def test_trace_matches_the_per_slot_oracle_bit_for_bit(self):
         # the trace, its invariants (also on perturbed traces), stopped-field
