@@ -42,7 +42,21 @@ exponent tail (alternately):
 
 and prints the number of records and one sha256 over them.
 
-With --check it runs all three passes at their pinned settings (4, 6 and 6
+With --maximal it hashes the maximal operators instead, over seeded
+systems of every kept tree shape, each with a finite or an infinite
+exponent tail (alternately), its two function vectors and a third whose
+components of about 1e300 overflow their products:
+
+  per vector, unmasked and masked    gen_doob_maximal, and
+  by a seeded leaf mask              level_set_stopping_time at the
+                                     MAXIMAL_THRESHOLDS and at one value
+                                     of the maximal function
+  per component                      doob_maximal
+
+and prints the number of records and one sha256 over them.  Masks sit on
+the FunctionVector only.
+
+With --check it runs all four passes at their pinned settings (4, 6, 6 and 6
 systems, seed 0) and exits 1, naming the first line that differs, unless
 every line is the pinned one (PINNED_LINES); a change that keeps every
 value bit for bit passes it.
@@ -51,6 +65,7 @@ Usage:
   PYTHONPATH=src python scripts/report_digest.py --systems 4 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --cli --systems 6 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --second --systems 6 --seed 0
+  PYTHONPATH=src python scripts/report_digest.py --maximal --systems 6 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --check
 """
 
@@ -67,11 +82,15 @@ import time
 import numpy as np
 
 from martbench import (
+    FunctionVector,
     ap_constant,
     count_stopping_times,
+    doob_maximal,
     enumerate_stopping_times,
     estimate_best_constant,
     function_vector,
+    gen_doob_maximal,
+    level_set_stopping_time,
     make_exponent_sequence,
     make_tree_space,
     make_weight_system,
@@ -103,10 +122,12 @@ SECOND_SHAPES = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (4, 2))
 SECOND_FAMILIES = ("all", {"count": 16, "seed": 0})
 CONSTANT_IDS = ("testing", "weak", "strong", "sp-test")
 STRONG_TRIALS = (1, 2, 3, 16)  # besides the 6 trials of every id
+# --maximal: 0 and -0, the least subnormal, 1, inf and NaN
+MAXIMAL_THRESHOLDS = (0.0, -0.0, 5e-324, 1.0, float("inf"), float("nan"))
 STREAMED_SHAPE = (4, 2)
 STREAMED_TIMES = 64
 # --check: each pass at its pinned settings (--seed 0), and the lines it prints
-PINNED_PASSES = (("reports", 4), ("cli", 6), ("second", 6))
+PINNED_PASSES = (("reports", 4), ("cli", 6), ("second", 6), ("maximal", 6))
 PINNED_LINES = (
     "44576 reports sha256 8d3ed9a793b8f9610bc72404f3f86906cf93037027f88163ba108394dde7bd30",
     "512 streamed reports sha256 0a98cc7c2920708d282752e28b403ad17d8429465d88bd8d86e4947d49683053",
@@ -114,6 +135,7 @@ PINNED_LINES = (
     "120 large-tree cli runs sha256 "
     "626d5bd42a7eef0e52ce734797f627b85d5aa00cee9daa90a58f1ccf9f7566f1",
     "252 second records sha256 db2ff699077dff7abce7db8bae307fb0d78ee369856cb72ea86cc280e36580a4",
+    "756 maximal records sha256 6954bdcd5432df0960fb0f76b52b155e66f2c9a3406d32934a9a24644759fb66",
 )
 
 
@@ -192,6 +214,25 @@ def second_records(ws, fvecs, seed: int) -> list:
     return records
 
 
+def maximal_records(ws, fvecs, rng) -> list:
+    """The maximal operators on one system's vectors and on one whose
+    products overflow, each unmasked and under a seeded leaf mask, as
+    JSON-ready records (NaN and the sign of zero kept by json.dumps)."""
+    space, seq = ws.space, ws.seq
+    mask = rng.random(space.n_leaves) < 0.6
+    huge = FunctionVector(tuple(f * 1e300 for f in fvecs[0].active))
+    records = []
+    for fv in (*fvecs, huge):
+        records.append([doob_maximal(space, f).tolist() for f in fv.active])
+        for vec in (fv, FunctionVector(fv.active, mask)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                maximal = gen_doob_maximal(space, vec, seq)
+                thresholds = (*MAXIMAL_THRESHOLDS, float(rng.choice(maximal)))
+                taus = [level_set_stopping_time(space, vec, seq, t) for t in thresholds]
+            records.append([maximal.tolist(), [tau.values.tolist() for tau in taus]])
+    return records
+
+
 def cli_spec(rng, depth: int, branching: int) -> list[str]:
     """Seeded arguments shared by every subcommand on one tree."""
     n = branching**depth
@@ -248,8 +289,9 @@ def cli_runs(shapes, systems: int, seed: int, workdir: str) -> list:
 
 
 def digest_lines(mode: str, systems: int, seed: int) -> list[str]:
-    """The lines one pass prints ("reports", "cli" or "second"): per digest,
-    the number of documents, its label and the sha256 of their JSON."""
+    """The lines one pass prints ("reports", "cli", "second" or "maximal"):
+    per digest, the number of documents, its label and the sha256 of their
+    JSON."""
     if mode == "cli":
         with tempfile.TemporaryDirectory() as workdir:
             digests = [(cli_runs(CLI_SHAPES, systems, seed, workdir), "cli runs"),
@@ -263,6 +305,14 @@ def digest_lines(mode: str, systems: int, seed: int) -> list[str]:
                 ws, fvecs = random_system(rng, depth, branching, finite=system % 2 == 1)
                 docs += second_records(ws, fvecs, int(rng.integers(2**31)))
         digests = [(docs, "second records")]
+    elif mode == "maximal":
+        docs = []
+        for index, (depth, branching) in enumerate(kept_shapes()):
+            for system in range(systems):
+                rng = np.random.default_rng([seed, index, system])
+                ws, fvecs = random_system(rng, depth, branching, finite=system % 2 == 1)
+                docs += maximal_records(ws, fvecs, rng)
+        digests = [(docs, "maximal records")]
     else:
         docs, streamed = [], []
         shapes = kept_shapes()
@@ -281,7 +331,7 @@ def digest_lines(mode: str, systems: int, seed: int) -> list[str]:
 
 
 def check() -> int:
-    """Run the three passes at their pinned settings; 0 if every line is its
+    """Run the four passes at their pinned settings; 0 if every line is its
     pinned line, else 1, naming the first line that differs."""
     got = [line for mode, systems in PINNED_PASSES for line in digest_lines(mode, systems, 0)]
     for line, pinned in zip(got, PINNED_LINES):
@@ -300,15 +350,17 @@ def main(argv=None) -> int:
     passes.add_argument("--cli", action="store_true", help="digest the CLI subcommands instead")
     passes.add_argument("--second", action="store_true",
                         help="digest criterion 10's quantities instead")
+    passes.add_argument("--maximal", action="store_true",
+                        help="digest the maximal operators instead")
     passes.add_argument("--check", action="store_true",
-                        help="run all three passes at their pinned settings and compare")
+                        help="run all four passes at their pinned settings and compare")
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
     if args.check:
         status = check()
     else:
-        mode = "cli" if args.cli else "second" if args.second else "reports"
+        mode = next((m for m in ("cli", "second", "maximal") if getattr(args, m)), "reports")
         print("\n".join(digest_lines(mode, args.systems, args.seed)))
         status = 0
     print(f"{time.perf_counter() - started:.1f} s", file=sys.stderr)

@@ -19,7 +19,6 @@ from .filtration import (
     cond_exp,
     count_stopping_times,
     enumerate_stopping_times,
-    first_passage_time,
     is_stopping_time,
     make_tree_space,
     sample_stopping_time,

@@ -140,11 +140,10 @@ class TreeSpace:
     def first_passages(self, atoms: np.ndarray, thresholds) -> np.ndarray:
         """The first passage of a per-atom process above each of T thresholds,
         as a fresh (T, leaves) int64 matrix: row t holds each leaf's least level
-        n with X_n > thresholds[t], or StoppingTime.INFINITE, bit for bit
-        first_passage_time(self, expand_levels(atoms), thresholds[t]).values.
-        One pass from the root down: each atom inherits its parent's passage,
-        and one whose parent has not passed passes at its own level where its
-        value exceeds the threshold."""
+        n with X_n > thresholds[t], or StoppingTime.INFINITE.  One pass from
+        the root down: each atom inherits its parent's passage, and one whose
+        parent has not passed passes at its own level where its value exceeds
+        the threshold."""
         t = np.asarray(thresholds, dtype=float)[:, None]
         tau = np.where(self.level(atoms, 0) > t, 0, StoppingTime.INFINITE).astype(np.int64)
         for n in range(1, self.depth + 1):
@@ -196,6 +195,10 @@ def make_tree_space(
     depth: int, branching: int, leaf_probs: Sequence[float] | str = "uniform"
 ) -> TreeSpace:
     """Validate and build a TreeSpace; "uniform" gives equal leaf masses."""
+    for name, value in (("depth", depth), ("branching", branching)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer")
+    depth, branching = int(depth), int(branching)
     if depth < 0:
         raise ValueError(f"depth {depth} must be >= 0")
     if branching < 2:
@@ -237,11 +240,19 @@ def as_leaf_vector(space: TreeSpace, values, nonnegative: bool = False) -> np.nd
     return v
 
 
+def _as_bool(m: np.ndarray) -> np.ndarray:
+    """A fresh bool copy of a mask array of bools or of exact 0s and 1s; any
+    other entry (0.5, NaN) raises instead of counting as inside the set."""
+    if m.dtype != bool and not np.all((m == 0) | (m == 1)):
+        raise ValueError("mask entries must be booleans or exactly 0 or 1")
+    return m.astype(bool)
+
+
 def as_leaf_mask(space: TreeSpace, mask) -> np.ndarray:
     m = np.asarray(mask)
     if m.shape != (space.n_leaves,):
         raise ValueError(f"expected {space.n_leaves} mask entries, got {m.shape}")
-    return m.astype(bool)
+    return _as_bool(m)
 
 
 def _as_leaf_masks(space: TreeSpace, masks) -> np.ndarray:
@@ -249,7 +260,7 @@ def _as_leaf_masks(space: TreeSpace, masks) -> np.ndarray:
     m = np.asarray(masks)
     if m.ndim != 2 or m.shape[1] != space.n_leaves:
         raise ValueError(f"expected a stack of {space.n_leaves}-entry masks, got {m.shape}")
-    return m.astype(bool)
+    return _as_bool(m)
 
 
 def _weighted_probs(space: TreeSpace, weight=None) -> np.ndarray:
@@ -498,21 +509,6 @@ def sample_stopping_time(space: TreeSpace, rng: np.random.Generator) -> Stopping
             fill(level + 1, lo + c * step, lo + (c + 1) * step)
 
     fill(0, 0, space.n_leaves)
-    return StoppingTime(_frozen(values))
-
-
-def first_passage_time(
-    space: TreeSpace, level_values: np.ndarray, threshold: float
-) -> StoppingTime:
-    """tau = least n with X_n > threshold for an adapted process given as a
-    (depth+1, leaves) matrix whose row n is constant on level-n atoms."""
-    rows = np.asarray(level_values, dtype=float)
-    if rows.shape != (space.depth + 1, space.n_leaves):
-        raise ValueError(f"expected {(space.depth + 1, space.n_leaves)} matrix, got {rows.shape}")
-    hits = rows > threshold
-    first = hits.argmax(axis=0)
-    ever = hits.any(axis=0)
-    values = np.where(ever, first, StoppingTime.INFINITE).astype(np.int64)
     return StoppingTime(_frozen(values))
 
 

@@ -23,7 +23,6 @@ import numpy as np
 from .exponents import ExponentSequence
 from .filtration import (
     TreeSpace,
-    _as_leaf_masks,
     _read_only,
     _weighted_probs,
     as_leaf_mask,
@@ -148,28 +147,22 @@ def product_function(space: TreeSpace, fvec: FunctionVector) -> np.ndarray:
 
 
 def level_product_atoms(
-    space: TreeSpace,
-    fvec: FunctionVector,
-    seq: ExponentSequence,
-    masked_by=None,
+    space: TreeSpace, fvec: FunctionVector, seq: ExponentSequence
 ) -> np.ndarray:
     """The infinite product prod_i E_n(f_i) at every level, per atom
     (TreeSpace.atom_offsets).
 
-    Unmasked tail components average to exactly 1.  With a mask Q and a
-    nonempty tail, level n picks up the factor E_n(chi_Q) infinitely often,
-    so it survives only on the atoms contained in Q (_full_atoms).  A finite
-    family (tail mass 0) has no infinite tail; the mask then also applies to
-    the constant-1 components padding the head, each contributing one factor
-    E_n(chi_Q).  A (B, leaves) masked_by, told by its shape, is a stack of
-    masks and gives a (B, atoms) stack, one process per mask.  Past the
-    float range a product is inf (times a vanishing mask factor, NaN).
+    Unmasked tail components average to exactly 1.  With a mask Q (the
+    vector's) and a nonempty tail, level n picks up the factor E_n(chi_Q)
+    infinitely often, so it survives only on the atoms contained in Q
+    (_full_atoms).  A finite family (tail mass 0) has no infinite tail; the
+    mask then also applies to the constant-1 components padding the head,
+    each contributing one factor E_n(chi_Q).  A (B, leaves) mask stack gives
+    a (B, atoms) stack, one process per mask.  Past the float range a
+    product is inf (times a vanishing mask factor, NaN).
     """
     _check_alignment(fvec, seq)
     mask = fvec.mask
-    if masked_by is not None:
-        extra = (_as_leaf_masks if np.ndim(masked_by) > 1 else as_leaf_mask)(space, masked_by)
-        mask = extra if mask is None else mask & extra
     batch = () if mask is None else mask.shape[:-1]
     rows = np.ones(batch + (space.atom_offsets[-1],))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -184,16 +177,11 @@ def level_product_atoms(
     return rows
 
 
-def level_products(
-    space: TreeSpace,
-    fvec: FunctionVector,
-    seq: ExponentSequence,
-    masked_by=None,
-) -> np.ndarray:
+def level_products(space: TreeSpace, fvec: FunctionVector, seq: ExponentSequence) -> np.ndarray:
     """level_product_atoms on the leaves: the matrix whose row n is the
     infinite product prod_i E_n(f_i), or under a (B, leaves) mask stack a
     (B, depth+1, leaves) stack of matrices, one per mask."""
-    return space.expand_levels(level_product_atoms(space, fvec, seq, masked_by))
+    return space.expand_levels(level_product_atoms(space, fvec, seq))
 
 
 def _full_levels(space: TreeSpace, masks) -> list[np.ndarray]:

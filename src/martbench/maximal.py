@@ -19,9 +19,8 @@ from .filtration import (
     as_leaf_mask,
     as_leaf_vector,
     cond_exp_atoms,
-    first_passage_time,
 )
-from .holder import FunctionVector, _component_slots, level_product_atoms, level_products, lp_norm
+from .holder import FunctionVector, _component_slots, level_product_atoms, lp_norm
 from .report import REL_TOL, VerificationReport, check_inequality
 
 
@@ -30,20 +29,15 @@ def doob_maximal(space: TreeSpace, f: np.ndarray) -> np.ndarray:
     return space.level_sup(np.abs(cond_exp_atoms(space, f)))
 
 
-def gen_doob_maximal(
-    space: TreeSpace,
-    fvec: FunctionVector,
-    seq: ExponentSequence,
-    masked_by=None,
-) -> np.ndarray:
+def gen_doob_maximal(space: TreeSpace, fvec: FunctionVector, seq: ExponentSequence) -> np.ndarray:
     """Supremum over levels of the infinite product prod_i E_n(f_i).
 
     With a single active component this is exactly doob_maximal; with a
     mask the tail sees the indicator, so the result vanishes wherever no
-    atom through the point lies inside the mask.  A (B, leaves) stack
-    masked_by gives one row per mask (level_product_atoms).
+    atom through the point lies inside the mask.  A vector whose mask is a
+    (B, leaves) stack gives one row per mask (level_product_atoms).
     """
-    return space.level_sup(level_product_atoms(space, fvec, seq, masked_by))
+    return space.level_sup(level_product_atoms(space, fvec, seq))
 
 
 def _weighted_rows(space: TreeSpace, gvec: FunctionVector, sigmas, seq: ExponentSequence):
@@ -101,19 +95,18 @@ def weak_lp_norm(space: TreeSpace, g: np.ndarray, p: float, v) -> float:
 
 
 def level_set_stopping_time(
-    space: TreeSpace,
-    fvec: FunctionVector,
-    seq: ExponentSequence,
-    threshold: float,
-    masked_by=None,
+    space: TreeSpace, fvec: FunctionVector, seq: ExponentSequence, threshold: float
 ) -> StoppingTime:
     """tau = least n with prod_i E_n(f_i) > threshold, infinite if none.
 
     The per-level products use exact tail semantics, so the result is the
-    first passage of an adapted process and is always a stopping time.
+    first passage (TreeSpace.first_passages) of an adapted process and is
+    always a stopping time.  A stacked vector raises.
     """
-    masked_by = None if masked_by is None else as_leaf_mask(space, masked_by)  # one mask
-    return first_passage_time(space, level_products(space, fvec, seq, masked_by), threshold)
+    atoms = level_product_atoms(space, fvec, seq)
+    if atoms.ndim != 1:
+        raise ValueError(f"expected one vector, got a stack of {len(atoms)}")
+    return StoppingTime(space.first_passages(atoms, [threshold])[0])
 
 
 def doob_inequality_check(

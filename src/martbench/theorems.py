@@ -376,15 +376,14 @@ class SawyerTrace:
         }
 
 
-def _strong_rows(ws: WeightSystem, gvec: FunctionVector, masks=None) -> np.ndarray:
+def _strong_rows(ws: WeightSystem, gvec: FunctionVector) -> np.ndarray:
     """Level products per atom of the vector (g_i sigma_i) over the occupied
-    head slots, masked as gvec is; past the float range a product is inf.
-    With `masks`, a (T, leaves) mask stack, the components may be (T, leaves)
-    stacks too, and the result is the (T, atoms) stack whose row t is masked
-    by masks[t]."""
+    head slots, masked as gvec is (a (T, leaves) mask stack, with components
+    that may be stacks too, gives one row per mask); past the float range a
+    product is inf."""
     with np.errstate(over="ignore"):
         comps = tuple(g * s for g, s in _component_slots(ws.space, gvec.active, ws.sigmas, ws.seq))
-    return level_product_atoms(ws.space, FunctionVector(comps, gvec.mask), ws.seq, masks)
+    return level_product_atoms(ws.space, FunctionVector(comps, gvec.mask), ws.seq)
 
 
 def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
@@ -594,10 +593,10 @@ def _strong_ratios(ws: WeightSystem, trials: int, seed: int) -> list[float]:
         family = "all" if 2**space.n_leaves - 1 <= 4096 else {"count": 256, "seed": 0}
         witness = sp_constant_argmax(ws, family)[1]
         vectors.insert(2, FunctionVector((np.ones(space.n_leaves),) * m, witness))
-    masks = np.array([np.ones(space.n_leaves, bool) if fv.mask is None else fv.mask
-                      for fv in vectors])
+    masks = _frozen(np.array([np.ones(space.n_leaves, bool) if fv.mask is None else fv.mask
+                              for fv in vectors]))
     comps = tuple(_frozen(np.stack(c)) for c in zip(*(fv.active for fv in vectors)))
-    maximal = space.level_sup(_strong_rows(ws, FunctionVector(comps), masks))
+    maximal = space.level_sup(_strong_rows(ws, FunctionVector(comps, masks)))
     rhs = _row_norms_products(space, comps, seq, ws.sigmas, masks,
                               [fv.mask is not None for fv in vectors])
     with np.errstate(over="ignore"):  # a norm past the float range is inf

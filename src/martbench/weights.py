@@ -329,7 +329,7 @@ def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:
     masks = _as_leaf_masks(ws.space, masks)
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     if ws.seq.is_finite_family:
-        atoms = level_product_atoms(space, FunctionVector(ws.sigmas, None), ws.seq, masks)
+        atoms = level_product_atoms(space, FunctionVector(ws.sigmas, masks), ws.seq)
         numer = (masks * (space.leaf_probs * ws.v * space.level_sup(atoms) ** (1.0 / rp))).sum(-1)
     else:
         at = _entry_levels(space, masks) * space.n_leaves + space.leaf_index

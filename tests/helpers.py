@@ -12,7 +12,6 @@ from martbench import (
     SawyerTrace,
     StoppingTime,
     TreeSpace,
-    first_passage_time,
     function_norms_product,
     level_products,
     lp_norm,
@@ -97,15 +96,12 @@ def cond_exp_matrix_oracle(space: TreeSpace, f, sigma=None) -> np.ndarray:
     return out
 
 
-def level_products_oracle(space: TreeSpace, fvec: FunctionVector, seq, masked_by=None):
+def level_products_oracle(space: TreeSpace, fvec: FunctionVector, seq):
     """The level products on dense leaf matrices: the components' level
-    matrices multiplied leaf by leaf, under a mask Q (a leaf mask, or a
-    (B, leaves) stack) with an infinite tail times [n >= entry level], and
-    with a finite family times E_n(chi_Q) once per padded head slot."""
+    matrices multiplied leaf by leaf, under the vector's mask Q (a leaf mask,
+    or a (B, leaves) stack) with an infinite tail times [n >= entry level],
+    and with a finite family times E_n(chi_Q) once per padded head slot."""
     mask = fvec.mask
-    if masked_by is not None:
-        masked_by = np.asarray(masked_by, dtype=bool)
-        mask = masked_by if mask is None else mask & masked_by
     batch = () if mask is None else mask.shape[:-1]
     rows = np.ones(batch + (space.depth + 1, space.n_leaves))
     for f in fvec.active:
@@ -198,7 +194,7 @@ def sp_ratios_oracle(ws, masks) -> np.ndarray:
     NaN here (inf * 0)."""
     masks = np.asarray(masks, dtype=bool)
     space, rp = ws.space, ws.seq.aggregate_reciprocal
-    rows = level_products(space, FunctionVector(ws.sigmas, None), ws.seq, masks)
+    rows = level_products(space, FunctionVector(ws.sigmas, masks), ws.seq)
     numer = (masks * (space.leaf_probs * ws.v * rows.max(axis=-2) ** (1.0 / rp))).sum(-1)
     return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
 
@@ -215,6 +211,18 @@ def stopped_average_oracle(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -
             if np.all(tau.values[sl] == n):
                 out[sl] = np.sum(w[sl] * f[sl]) / np.sum(w[sl])
     return out
+
+
+def first_passage_time(space: TreeSpace, level_values: np.ndarray, threshold) -> StoppingTime:
+    """The dense first passage: tau = least n with X_n > threshold for an
+    adapted process given as a (depth+1, leaves) matrix whose row n is
+    constant on level-n atoms, as the argmax of its hits over the levels."""
+    rows = np.asarray(level_values, dtype=float)
+    if rows.shape != (space.depth + 1, space.n_leaves):
+        raise ValueError(f"expected {(space.depth + 1, space.n_leaves)} matrix, got {rows.shape}")
+    hits = rows > threshold
+    values = np.where(hits.any(axis=0), hits.argmax(axis=0), StoppingTime.INFINITE)
+    return StoppingTime(values.astype(np.int64))
 
 
 def dense_stopped_oracle(space: TreeSpace, rows: np.ndarray, tau: StoppingTime, otherwise):

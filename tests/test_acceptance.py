@@ -238,11 +238,9 @@ def test_criterion_08_maximal_suite():
         )
         mask = random_leaf_mask(rng, space)
         ones_vec = FunctionVector(
-            tuple(np.ones(space.n_leaves) for _ in range(seq.head_len)), None
+            tuple(np.ones(space.n_leaves) for _ in range(seq.head_len)), mask
         )
-        np.testing.assert_array_equal(
-            gen_doob_maximal(space, ones_vec, seq, masked_by=mask), mask.astype(float)
-        )
+        np.testing.assert_array_equal(gen_doob_maximal(space, ones_vec, seq), mask.astype(float))
     for _ in range(1_000):
         space = random_space(rng, max_depth=3)
         g = random_positive(rng, space, spread=8.0)

@@ -19,7 +19,6 @@ from martbench.filtration import (
     cond_exp_atoms,
     cond_exp_matrix,
     enumerate_stopping_times,
-    first_passage_time,
     make_tree_space,
     sample_stopping_time,
     stopped,
@@ -35,10 +34,12 @@ from martbench.maximal import (
     doob_maximal,
     gen_doob_maximal,
     gen_weighted_maximal,
+    level_set_stopping_time,
 )
 from martbench.weights import make_weight_system
 
 from helpers import (
+    first_passage_time,
     ap_level_values_oracle,
     cond_exp_matrix_oracle,
     conditional_check_oracle,
@@ -138,6 +139,36 @@ def test_first_passages_are_the_expanded_first_passage_times():
             assert space.first_passages(atoms, thresholds[:0]).shape == (0, space.n_leaves)
 
 
+def test_level_set_stopping_time_is_the_dense_first_passage():
+    # depths 0-4, branching 2 and 3, masked and unmasked vectors, finite and
+    # infinite families, components of 1e300 whose products overflow (NaN
+    # under a vanishing mask factor); the thresholds 0, -0, a subnormal, inf,
+    # NaN and a value the maximal function takes: the first passage read on
+    # atoms is the dense oracle's on the expanded level products, bit for bit
+    rng = np.random.default_rng(14)
+    sequences = [make_exponent_sequence([2.5, 3.0, 4.0], 0.2, 0.5),
+                 make_exponent_sequence([2.5, 3.0, 4.0], 0.0)]
+    for depth, branching in itertools.product(range(5), (2, 3)):
+        space = make_tree_space(depth, branching)
+        for seq, scale, masked in itertools.product(sequences, (1.0, 1e300), (False, True)):
+            active = tuple(random_positive(rng, space, 8.0) * scale for _ in range(2))
+            fvec = FunctionVector(active, random_leaf_mask(rng, space) if masked else None)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = level_products_oracle(space, fvec, seq)
+                taken = float(rng.choice(gen_doob_maximal(space, fvec, seq)))
+            for t in (0.0, -0.0, 5e-324, np.inf, np.nan, taken):
+                want = first_passage_time(space, rows, t).values
+                got = level_set_stopping_time(space, fvec, seq, t).values
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        stacked = FunctionVector(active, np.ones((2, space.n_leaves), bool))
+        with pytest.raises(ValueError, match="expected one vector, got a stack of 2"):
+            level_set_stopping_time(space, stacked, seq, 1.0)
+        with pytest.raises(ValueError):
+            comps = (np.ones((2, space.n_leaves)),)
+            level_set_stopping_time(space, FunctionVector(comps), seq, 1.0)
+
+
 def test_stopped_reads_the_atom_the_dense_pick_reads():
     # every kept time (up to 9 leaves) and sampled times of larger trees:
     # the per-atom pick is the leaf matrix's entry at (tau(x), x), and
@@ -174,10 +205,10 @@ def test_maximal_functions_match_the_dense_oracle(shape):
                         * cond_exp_matrix_oracle(space, f**2)).max(0))
     sup = cond_exp_matrix_oracle(space, g, sigma).max(0)
     assert doob_inequality_check(space, g, 2.0, sigma).lhs == lp_norm(space, sup, 2.0, sigma)
-    for fvec, seq, masked_by in product_cases(rng, space):
+    for fvec, seq in product_cases(rng, space):
         with np.errstate(over="ignore", invalid="ignore"):
-            want = level_products_oracle(space, fvec, seq, masked_by).max(-2)
-        assert_same_floats(gen_doob_maximal(space, fvec, seq, masked_by), want)
+            want = level_products_oracle(space, fvec, seq).max(-2)
+        assert_same_floats(gen_doob_maximal(space, fvec, seq), want)
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
@@ -200,9 +231,9 @@ def test_cond_exp_atoms_match_the_dense_oracle(shape):
 
 
 def product_cases(rng, space):
-    """(vector, sequence, masked_by) cases: unmasked, masked by the
-    vector or by masked_by, a (4, leaves) mask stack, finite families with
-    head padding and infinite tails, and components whose products
+    """(vector, sequence) cases: unmasked, masked, under a (4, leaves) mask
+    stack and under that stack intersected with the mask, finite families
+    with head padding and infinite tails, and components whose products
     overflow to inf (inf times a vanishing mask factor is NaN)."""
     infinite = make_exponent_sequence([2.5, 3.0, 4.0], 0.2, 0.5)
     finite = make_exponent_sequence([2.5, 3.0, 4.0], 0.0)
@@ -211,11 +242,10 @@ def product_cases(rng, space):
     mask = random_leaf_mask(rng, space)
     stack = np.array([random_leaf_mask(rng, space, allow_empty=True) for _ in range(4)])
     for seq, active in itertools.product((infinite, finite), (comps, huge, ())):
-        yield FunctionVector(active), seq, None
-        yield FunctionVector(active, mask), seq, None
-        yield FunctionVector(active), seq, mask
-        yield FunctionVector(active), seq, stack
-        yield FunctionVector(active, mask), seq, stack
+        yield FunctionVector(active), seq
+        yield FunctionVector(active, mask), seq
+        yield FunctionVector(active, stack), seq
+        yield FunctionVector(active, mask & stack), seq
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
@@ -223,10 +253,10 @@ def test_level_product_atoms_match_the_dense_oracle(shape):
     rng = np.random.default_rng(3)
     space = random_space(rng, *shape)
     seen = set()
-    for fvec, seq, masked_by in product_cases(rng, space):
+    for fvec, seq in product_cases(rng, space):
         with np.errstate(over="ignore", invalid="ignore"):
-            atoms = level_product_atoms(space, fvec, seq, masked_by)
-            want = level_products_oracle(space, fvec, seq, masked_by)
+            atoms = level_product_atoms(space, fvec, seq)
+            want = level_products_oracle(space, fvec, seq)
         np.testing.assert_array_equal(space.expand_levels(atoms), want)
         seen.update({"inf"} if np.isinf(want).any() else set())
         seen.update({"nan"} if np.isnan(want).any() else set())
@@ -269,7 +299,7 @@ def test_testing_reward_matches_the_dense_oracle(shape):
     space = random_space(rng, *shape)
     for ws in weight_systems(rng, space):
         p = 1.0 / ws.seq.aggregate_reciprocal
-        for fvec, _, _ in itertools.islice(product_cases(rng, space), 0, None, 5):
+        for fvec in (fvec for fvec, _ in product_cases(rng, space) if fvec.mask is None):
             theorems_mod._testing_parts.cache_clear()
             with np.errstate(over="ignore", invalid="ignore"):
                 atoms, _, reward = theorems_mod._testing_parts(ws, fvec)
@@ -284,8 +314,8 @@ def test_conditional_check_matches_the_leaf_oracle(shape):
     rng = np.random.default_rng(6)
     space = random_space(rng, *shape)
     verdicts = set()
-    for fvec, seq, masked_by in product_cases(rng, space):
-        if masked_by is not None:
+    for fvec, seq in product_cases(rng, space):
+        if fvec.mask is not None and fvec.mask.ndim > 1:
             continue
         for n in space.levels:
             with np.errstate(over="ignore", invalid="ignore"):

@@ -460,7 +460,12 @@ class TestConfigAndErrors:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.json.tmp"]
 
     @pytest.mark.parametrize("command, option, spec, named", [
-        ("weights-constants", "--space", '{"depth":2.0,"branching":2}', "--space: "),
+        ("weights-constants", "--space", '{"depth":2.0,"branching":2}',
+         "--space: depth must be an integer"),
+        ("enumerate-stopping-times", "--space", '{"depth":true,"branching":2}',
+         "--space: depth must be an integer"),
+        ("weights-constants", "--space", '{"depth":1,"branching":2.5}',
+         "--space: branching must be an integer"),
         ("weights-constants", "--space", '{"depth":"2","branching":2}', "--space: "),
         ("weights-constants", "--space", "[2,2]", "--space: must be a JSON object"),
         ("weights-constants", "--space", '{"depth":2}', "--space: missing key 'branching'"),
@@ -472,6 +477,10 @@ class TestConfigAndErrors:
         ("weights-constants", "--weights", "[]", "--weights: must be a JSON object"),
         ("verify-sp", "--weights", None, "--weights: missing key 'v'"),
         ("check-holder", "--functions", '"abc"', "--functions: "),
+        ("check-holder", "--functions", '{"active":[[1,2]],"mask":[0.5,0]}',
+         "--functions: mask entries must be booleans or exactly 0 or 1"),
+        ("check-holder", "--functions", '{"active":[[1,2]],"mask":[NaN,1]}',
+         "--functions: mask entries must be booleans or exactly 0 or 1"),
         ("sawyer-trace", "--functions", "[]", "--functions: sawyer-trace needs one vector"),
         ("sawyer-trace", "--functions", MASKED, "--functions: masked vectors are not supported"),
         ("sawyer-trace", "--functions", '[{"active":[[4,0]]},{"active":[[1,2]]}]',
@@ -479,9 +488,11 @@ class TestConfigAndErrors:
         ("verify-sp", "--functions", MASKED, "--functions: masked vectors are not supported"),
         ("weights-constants", "--config", {"family": {"count": 3, "seed": "abc"}},
          "a sampled family's seed must be an integer or a list of integers"),
-    ], ids=["space-float-depth", "space-string-depth", "space-list", "space-no-branching",
+    ], ids=["space-float-depth", "space-bool-depth", "space-float-branching",
+            "space-string-depth", "space-list", "space-no-branching",
             "seq-float-head", "seq-null-exponent", "seq-list", "seq-string-head",
             "weights-list", "weights-empty-list", "weights-missing", "functions-string",
+            "functions-fractional-mask", "functions-nan-mask",
             "functions-none-for-sawyer-trace", "functions-masked-sawyer-trace",
             "functions-two-for-sawyer-trace",
             "functions-masked-verify-sp",
@@ -810,6 +821,32 @@ class TestEntryPoints:
         # the strong estimate at the other trial counts
         assert int(count) == 2 * 2 * (len(digest.SECOND_FAMILIES) + 2 + 2)
         assert label == ["second", "records", "sha256"] and len(sha) == 64
+
+    def test_report_digest_maximal_pass(self, capsys, monkeypatch):
+        # the maximal operators on one small shape, one system with an
+        # infinite tail and one with a finite tail: two passes agree, and
+        # each vector of a system (its two and the overflowing one) gives
+        # its doob_maximal record and one record unmasked and one masked
+        spec = importlib.util.spec_from_file_location(
+            "report_digest", ROOT / "scripts" / "report_digest.py"
+        )
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        assert ("maximal", 6) in digest.PINNED_PASSES
+        assert len(digest.PINNED_LINES) == 6
+        monkeypatch.setattr(digest, "kept_shapes", lambda: [(2, 2)])
+        lines = []
+        for _ in range(2):
+            assert digest.main(["--maximal", "--systems", "2", "--seed", "3"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1]
+        count, *label, sha = lines[0].split()
+        assert int(count) == 2 * 3 * 3
+        assert label == ["maximal", "records", "sha256"] and len(sha) == 64
+        rng = np.random.default_rng([3, 0, 0])
+        records = digest.maximal_records(*digest.random_system(rng, 2, 2, finite=False), rng)
+        assert {len(taus) for _, taus in records[1::3] + records[2::3]} == {
+            len(digest.MAXIMAL_THRESHOLDS) + 1}
 
 
 def _config_file(tmp_path, doc):

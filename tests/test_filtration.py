@@ -11,12 +11,12 @@ from martbench.filtration import (
     KEPT_FAMILY_TIMES,
     EnumerationCapError,
     StoppingTime,
+    as_leaf_mask,
     as_leaf_vector,
     cond_exp,
     cond_exp_matrix,
     count_stopping_times,
     enumerate_stopping_times,
-    first_passage_time,
     is_stopped_measurable,
     is_stopping_time,
     make_tree_space,
@@ -30,7 +30,7 @@ from martbench.holder import lp_norm, trial_vector
 from martbench.theorems import verify_ap_to_testing
 from martbench.weights import unit_weight_system
 
-from helpers import random_space, stopped_average_oracle
+from helpers import first_passage_time, random_space, stopped_average_oracle
 
 INF = StoppingTime.INFINITE
 
@@ -58,6 +58,16 @@ class TestTreeSpace:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             make_tree_space(21, 2)
+
+    def test_numpy_integer_shape_is_held_as_int(self):
+        # numpy integers are accepted and held as Python ints, so a depth of
+        # np.int64(64) is 2**64 leaves (refused), not a wrapped-around 0
+        space = make_tree_space(np.int64(2), np.int32(3))
+        assert (space.depth, space.branching, space.n_leaves) == (2, 3, 9)
+        assert type(space.depth) is int and type(space.branching) is int
+        assert space_from_json(json.loads(json.dumps(space.to_json()))).digest == space.digest
+        with pytest.raises(ValueError, match="exceeds the"):
+            make_tree_space(np.int64(64), 2)
 
     def test_digest_is_pinned_and_hashed_once(self):
         space = make_tree_space(2, 2, [0.1, 0.2, 0.3, 0.4])
@@ -539,12 +549,19 @@ class TestStoppedMeasurability:
         (lambda: make_tree_space(1, 1), "branching 1"),
         (lambda: make_tree_space(1, 2, "skewed"), "unknown leaf_probs spec"),
         (lambda: make_tree_space(1, 2, [1.0]), "expected 2 leaf probabilities"),
+        (lambda: make_tree_space(True, 2), "^depth must be an integer$"),
+        (lambda: make_tree_space(2.0, 2), "^depth must be an integer$"),
+        (lambda: make_tree_space(1, np.float64(2.0)), "^branching must be an integer$"),
+        (lambda: as_leaf_mask(make_tree_space(1, 2), [0.5, 0.0]), "exactly 0 or 1"),
+        (lambda: as_leaf_mask(make_tree_space(1, 2), [np.nan, 1.0]), "exactly 0 or 1"),
+        (lambda: filtration_mod._as_leaf_masks(make_tree_space(1, 2), [[1, 2]]), "exactly 0 or 1"),
         (lambda: as_leaf_vector(make_tree_space(1, 2), [1.0]), "expected 2 leaf values"),
         (lambda: as_leaf_vector(make_tree_space(1, 2), [1.0, np.nan]), "must be finite"),
         (lambda: first_passage_time(make_tree_space(1, 2), np.zeros((1, 2)), 0.0),
          r"matrix, got \(1, 2\)"),
     ],
-    ids=["depth-negative", "branching-one", "leaf-probs-spec", "leaf-probs-shape",
+    ids=["depth-negative", "branching-one", "leaf-probs-spec", "leaf-probs-shape", "depth-bool",
+         "depth-float", "branching-float", "mask-fraction", "mask-nan", "mask-stack-two",
          "leaf-vector-shape", "leaf-vector-nan", "passage-matrix-shape"],
 )
 def test_input_checks_raise(call, match):

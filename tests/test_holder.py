@@ -308,51 +308,34 @@ class TestMaskedTails:
         )
         np.testing.assert_allclose(rows, expected, rtol=1e-14)
 
-    def test_stacked_masks_give_one_matrix_per_mask(self):
-        # masked_by of shape (B, leaves) is a stack: row b equals the
-        # single-mask result bit for bit, for infinite and finite families
-        # and with a vector mask combined in
-        rng = np.random.default_rng(11)
-        for k in range(30):
-            space = random_space(rng, max_depth=3)
-            seq = random_sequence(rng)
-            fv = random_fvec(rng, space, seq)
-            if k % 3 == 0:
-                fv = FunctionVector(fv.active, rng.random(space.n_leaves) < 0.8)
-            masks = rng.random((6, space.n_leaves)) < 0.6
-            stack = level_products(space, fv, seq, masked_by=masks)
-            assert stack.shape == (6, space.depth + 1, space.n_leaves)
-            for mask, rows in zip(masks, stack):
-                assert np.array_equal(rows, level_products(space, fv, seq, masked_by=mask))
-
     def test_a_mask_stack_gives_the_single_mask_result_per_row(self):
-        # the mask operators tell a (B, leaves) stack from one mask by its
-        # shape: row b of level_product_atoms, level_products and
-        # gen_doob_maximal is exactly their result under mask b, NaN and the
-        # sign of zero included; a 3-D mask raises, and
-        # level_set_stopping_time, one first passage, takes one mask only
+        # a vector whose mask is a (B, leaves) stack: row b of
+        # level_product_atoms, level_products and gen_doob_maximal is exactly
+        # their result under mask b, NaN and the sign of zero included, for
+        # infinite and finite families, all-true and all-false masks, and a
+        # single vector mask intersected into every row; level_products gives
+        # one (depth+1, leaves) matrix per mask, and level_set_stopping_time,
+        # one first passage, refuses a stacked vector
         rng = np.random.default_rng(12)
         for k in range(30):
             space = random_space(rng, max_depth=3)
             seq = random_sequence(rng)
             fv = random_fvec(rng, space, seq)
-            if k % 3 == 0:
-                fv = FunctionVector(fv.active, rng.random(space.n_leaves) < 0.8)
             masks = rng.random((5, space.n_leaves)) < 0.6
             masks[0], masks[1] = True, False
+            if k % 3 == 0:
+                masks &= rng.random(space.n_leaves) < 0.8
+            stacked = FunctionVector(fv.active, masks)
+            assert level_products(space, stacked, seq).shape == (5, space.depth + 1, space.n_leaves)
             for operator in (level_product_atoms, level_products, gen_doob_maximal):
-                stack = operator(space, fv, seq, masked_by=masks)
+                stack = operator(space, stacked, seq)
                 assert stack.shape[0] == len(masks)
                 for mask, row in zip(masks, stack):
-                    one = operator(space, fv, seq, masked_by=mask)
+                    one = operator(space, FunctionVector(fv.active, mask), seq)
                     assert np.array_equal(row, one, equal_nan=True)
                     assert np.array_equal(np.signbit(row), np.signbit(one))
-        cube = np.ones((2, 3, space.n_leaves), bool)
-        for operator in (level_product_atoms, level_products, gen_doob_maximal):
-            with pytest.raises(ValueError, match="stack of"):
-                operator(space, fv, seq, masked_by=cube)
-        with pytest.raises(ValueError, match=f"expected {space.n_leaves} mask entries"):
-            level_set_stopping_time(space, fv, seq, 1.0, masked_by=masks)
+            with pytest.raises(ValueError, match="expected one vector, got a stack of 5"):
+                level_set_stopping_time(space, stacked, seq, 1.0)
 
     def test_norms_ignore_an_overflowing_value_off_the_mask(self):
         # f**2 overflows only at the masked-out leaf: the norms mask f before
@@ -392,11 +375,11 @@ class TestMaskedTails:
             levels >= holder_mod._entry_levels(space, masks)[..., None, :],
             full_atoms_oracle(space, masks))
         np.testing.assert_array_equal(
-            level_products(space, fv, seq, masked_by=masks),
+            level_products(space, FunctionVector(fv.active, masks), seq),
             masked_tail_products_oracle(space, fv, masks))
         for mask in masks:
             np.testing.assert_array_equal(
-                level_products(space, fv, seq, masked_by=mask),
+                level_products(space, FunctionVector(fv.active, mask), seq),
                 masked_tail_products_oracle(space, fv, mask))
 
 

@@ -66,8 +66,8 @@ class TestGenDoobMaximal:
         space = make_tree_space(2, 2)
         seq = make_exponent_sequence([2.0], 0.5, 0.5)
         mask = np.array([True, True, False, False])
-        fv = function_vector(space, [np.ones(4)])
-        got = gen_doob_maximal(space, fv, seq, masked_by=mask)
+        fv = function_vector(space, [np.ones(4)], mask)
+        got = gen_doob_maximal(space, fv, seq)
         np.testing.assert_array_equal(got, mask.astype(float))
 
     def test_masked_identity_random_leaf_unions(self):
@@ -77,9 +77,9 @@ class TestGenDoobMaximal:
             seq = random_sequence(rng, allow_finite=False)
             mask = random_leaf_mask(rng, space)
             fv = FunctionVector(
-                tuple(np.ones(space.n_leaves) for _ in range(seq.head_len)), None
+                tuple(np.ones(space.n_leaves) for _ in range(seq.head_len)), mask
             )
-            got = gen_doob_maximal(space, fv, seq, masked_by=mask)
+            got = gen_doob_maximal(space, fv, seq)
             np.testing.assert_array_equal(got, mask.astype(float))
 
     def test_dominates_every_level_product(self):
@@ -178,6 +178,15 @@ class TestWeightedMeasure:
         assert weighted_measure(
             space, np.array([True, False]), np.array([2.0, 6.0])
         ) == pytest.approx(1.0)
+
+    def test_a_mask_is_boolean_or_exactly_zero_and_one(self):
+        # JSON-style 0/1 entries are the set they spell; any other entry
+        # (a fraction, NaN, 2) is refused, not cast to "inside the set"
+        space = make_tree_space(1, 2)
+        assert weighted_measure(space, [1, 0]) == weighted_measure(space, [1.0, 0.0]) == 0.5
+        for leaf_set in ([0.3, 0], [np.nan, 0.0], [2, 0], [-1, 1]):
+            with pytest.raises(ValueError, match="mask entries must be booleans or exactly 0 or 1"):
+                weighted_measure(space, leaf_set)
 
 
 class TestWeakNorm:

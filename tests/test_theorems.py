@@ -16,7 +16,6 @@ from martbench.filtration import (
     StoppingTime,
     TreeSpace,
     enumerate_stopping_times,
-    first_passage_time,
     is_stopped_measurable,
     is_stopping_time,
     make_tree_space,
@@ -54,6 +53,7 @@ from martbench.weights import (
 
 import helpers
 from helpers import (
+    first_passage_time,
     norms_product_oracle,
     random_fvec,
     random_leaf_mask,

@@ -459,10 +459,9 @@ def oracle_ratios(ws):
     rp = seq.aggregate_reciprocal
     d = [(1.0 / seq.head[i]) / rp for i in range(ws.n_active)]
     integrand = np.prod([s**e for s, e in zip(ws.sigmas, d)], axis=0)
-    fvec = FunctionVector(ws.sigmas, None)
     family = ((np.arange(1, 2**space.n_leaves)[:, None] >> np.arange(space.n_leaves)) & 1) == 1
     maximal = np.concatenate([
-        level_products(space, fvec, seq, family[i : i + 4096]).max(axis=1)
+        level_products(space, FunctionVector(ws.sigmas, family[i : i + 4096]), seq).max(axis=1)
         for i in range(0, len(family), 4096)
     ])
     rh, sp = [], []
