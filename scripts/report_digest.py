@@ -56,16 +56,29 @@ components of about 1e300 overflow their products:
 and prints the number of records and one sha256 over them.  Masks sit on
 the FunctionVector only.
 
-With --check it runs all four passes at their pinned settings (4, 6, 6 and 6
-systems, seed 0) and exits 1, naming the first line that differs, unless
-every line is the pinned one (PINNED_LINES); a change that keeps every
-value bit for bit passes it.
+With --sawyer it hashes the strong-type decomposition at CLI sizes
+instead, over seeded systems of 256, 4,096 and 3^8 leaves, each with a
+finite or an infinite exponent tail (alternately) and its two function
+vectors:
+
+  per vector, under the default         sawyer_decomposition, its
+  budget and at one band per block      invariants and verify_sp_to_strong
+  (weights.SCAN_CHUNK_FLOATS = leaves)  (c_s = c_rh = 1)
+
+and prints the number of records and one sha256 over them.  Each budget
+decomposes a system built afresh, so no kept trace is shared between them.
+
+With --check it runs all five passes at their pinned settings (4, 6, 6, 6
+and 4 systems, seed 0) and exits 1, naming the first line that differs,
+unless every line is the pinned one (PINNED_LINES); a change that keeps
+every value bit for bit passes it.
 
 Usage:
   PYTHONPATH=src python scripts/report_digest.py --systems 4 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --cli --systems 6 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --second --systems 6 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --maximal --systems 6 --seed 0
+  PYTHONPATH=src python scripts/report_digest.py --sawyer --systems 4 --seed 0
   PYTHONPATH=src python scripts/report_digest.py --check
 """
 
@@ -106,6 +119,7 @@ from martbench import (
     verify_testing_to_weak,
     verify_weak_to_testing,
 )
+from martbench import weights
 from martbench.cli import main as cli_main
 from martbench.weights import sp_constant_argmax
 
@@ -124,10 +138,11 @@ CONSTANT_IDS = ("testing", "weak", "strong", "sp-test")
 STRONG_TRIALS = (1, 2, 3, 16)  # besides the 6 trials of every id
 # --maximal: 0 and -0, the least subnormal, 1, inf and NaN
 MAXIMAL_THRESHOLDS = (0.0, -0.0, 5e-324, 1.0, float("inf"), float("nan"))
+SAWYER_SHAPES = ((8, 2), (12, 2), (8, 3))  # 256, 4,096 and 6,561 leaves
 STREAMED_SHAPE = (4, 2)
 STREAMED_TIMES = 64
 # --check: each pass at its pinned settings (--seed 0), and the lines it prints
-PINNED_PASSES = (("reports", 4), ("cli", 6), ("second", 6), ("maximal", 6))
+PINNED_PASSES = (("reports", 4), ("cli", 6), ("second", 6), ("maximal", 6), ("sawyer", 4))
 PINNED_LINES = (
     "44576 reports sha256 8d3ed9a793b8f9610bc72404f3f86906cf93037027f88163ba108394dde7bd30",
     "512 streamed reports sha256 0a98cc7c2920708d282752e28b403ad17d8429465d88bd8d86e4947d49683053",
@@ -136,6 +151,7 @@ PINNED_LINES = (
     "626d5bd42a7eef0e52ce734797f627b85d5aa00cee9daa90a58f1ccf9f7566f1",
     "252 second records sha256 db2ff699077dff7abce7db8bae307fb0d78ee369856cb72ea86cc280e36580a4",
     "756 maximal records sha256 6954bdcd5432df0960fb0f76b52b155e66f2c9a3406d32934a9a24644759fb66",
+    "48 sawyer records sha256 bd6bdcaf7f5749b0dc5403df3ee170a3459d9fbc5cd3b71ab1f79c5cda2bfd9d",
 )
 
 
@@ -233,6 +249,35 @@ def maximal_records(ws, fvecs, rng) -> list:
     return records
 
 
+def sawyer_records(ws, fvecs) -> list:
+    """The decomposition of each vector, its invariants and the strong-type
+    report at c_s = c_rh = 1, as JSON-ready records."""
+    records = []
+    for gvec in fvecs:
+        trace = sawyer_decomposition(ws, gvec)
+        records.append([trace.to_json(), sawyer_trace_invariants(ws, trace),
+                        verify_sp_to_strong(ws, gvec, 1.0, 1.0).to_json()])
+    return records
+
+
+def sawyer_budgets(systems: int, seed: int) -> list:
+    """sawyer_records of every system of SAWYER_SHAPES, under the default
+    weights.SCAN_CHUNK_FLOATS and then at one band per block, each budget on
+    a system built afresh from the same seed."""
+    default, docs = weights.SCAN_CHUNK_FLOATS, []
+    try:
+        for index, (depth, branching) in enumerate(SAWYER_SHAPES):
+            for system in range(systems):
+                for floats in (default, branching**depth):
+                    weights.SCAN_CHUNK_FLOATS = floats
+                    rng = np.random.default_rng([seed, index, system])
+                    docs += sawyer_records(
+                        *random_system(rng, depth, branching, finite=system % 2 == 1))
+    finally:
+        weights.SCAN_CHUNK_FLOATS = default
+    return docs
+
+
 def cli_spec(rng, depth: int, branching: int) -> list[str]:
     """Seeded arguments shared by every subcommand on one tree."""
     n = branching**depth
@@ -289,9 +334,9 @@ def cli_runs(shapes, systems: int, seed: int, workdir: str) -> list:
 
 
 def digest_lines(mode: str, systems: int, seed: int) -> list[str]:
-    """The lines one pass prints ("reports", "cli", "second" or "maximal"):
-    per digest, the number of documents, its label and the sha256 of their
-    JSON."""
+    """The lines one pass prints ("reports", "cli", "second", "maximal" or
+    "sawyer"): per digest, the number of documents, its label and the sha256
+    of their JSON."""
     if mode == "cli":
         with tempfile.TemporaryDirectory() as workdir:
             digests = [(cli_runs(CLI_SHAPES, systems, seed, workdir), "cli runs"),
@@ -313,6 +358,8 @@ def digest_lines(mode: str, systems: int, seed: int) -> list[str]:
                 ws, fvecs = random_system(rng, depth, branching, finite=system % 2 == 1)
                 docs += maximal_records(ws, fvecs, rng)
         digests = [(docs, "maximal records")]
+    elif mode == "sawyer":
+        digests = [(sawyer_budgets(systems, seed), "sawyer records")]
     else:
         docs, streamed = [], []
         shapes = kept_shapes()
@@ -331,7 +378,7 @@ def digest_lines(mode: str, systems: int, seed: int) -> list[str]:
 
 
 def check() -> int:
-    """Run the four passes at their pinned settings; 0 if every line is its
+    """Run the five passes at their pinned settings; 0 if every line is its
     pinned line, else 1, naming the first line that differs."""
     got = [line for mode, systems in PINNED_PASSES for line in digest_lines(mode, systems, 0)]
     for line, pinned in zip(got, PINNED_LINES):
@@ -352,15 +399,18 @@ def main(argv=None) -> int:
                         help="digest criterion 10's quantities instead")
     passes.add_argument("--maximal", action="store_true",
                         help="digest the maximal operators instead")
+    passes.add_argument("--sawyer", action="store_true",
+                        help="digest the strong-type decomposition at CLI sizes instead")
     passes.add_argument("--check", action="store_true",
-                        help="run all four passes at their pinned settings and compare")
+                        help="run all five passes at their pinned settings and compare")
     args = parser.parse_args(argv)
 
     started = time.perf_counter()
     if args.check:
         status = check()
     else:
-        mode = next((m for m in ("cli", "second", "maximal") if getattr(args, m)), "reports")
+        mode = next((m for m in ("cli", "second", "maximal", "sawyer") if getattr(args, m)),
+                    "reports")
         print("\n".join(digest_lines(mode, args.systems, args.seed)))
         status = 0
     print(f"{time.perf_counter() - started:.1f} s", file=sys.stderr)

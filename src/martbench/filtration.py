@@ -51,9 +51,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _read_only(a) -> np.ndarray:
-    """`a` if it is a read-only array owning its data, else a read-only copy."""
+    """`a` if the array owning its data (it, or the base of a view) is
+    read-only, as a row of a _frozen stack is, else a read-only copy."""
     a = np.asarray(a)
-    if a.flags.writeable or not a.flags.owndata:
+    owner = a if a.base is None else a.base  # numpy collapses a view's base to the owner
+    if not isinstance(owner, np.ndarray) or owner.base is not None or owner.flags.writeable:
         a = a.copy()
         a.setflags(write=False)
     return a
@@ -66,15 +68,20 @@ class TreeSpace:
     leaf_probs: np.ndarray  # read-only
 
     @cached_property
-    def atom_masses(self) -> tuple[np.ndarray, ...]:
-        """Atom probabilities at levels 0..depth-1, the denominators of E_n."""
-        return tuple(_read_only(self.atom_sums(self.leaf_probs, n)) for n in range(self.depth))
+    def atom_masses(self) -> np.ndarray:
+        """Atom probabilities at levels 0..depth-1, the denominators of E_n, as
+        one read-only flat array (_level_masses): level n is level(atom_masses, n)."""
+        return _frozen(_level_masses(self, self.leaf_probs))
 
     @cached_property
     def shared_level(self) -> np.ndarray:
-        """Per pair of neighbouring leaves, the deepest level whose atom holds both."""
-        sizes = self.branching ** np.arange(self.depth, 0, -1)  # atom sizes below depth
-        shared = (np.arange(1, self.n_leaves) % sizes[:, None] != 0).sum(axis=0) - 1
+        """Per pair of neighbouring leaves x, x + 1, the deepest level whose atom
+        holds both: depth - 1, less one for each atom size r**1 .. r**(depth-1)
+        that divides x + 1, counted one size at a time (no (depth, leaves) matrix)."""
+        right = np.arange(1, self.n_leaves)
+        shared = np.full(right.size, self.depth - 1)
+        for size in self.branching ** np.arange(1, self.depth):
+            shared -= right % size == 0
         return _read_only(shared.astype(np.uint64))  # >= 0; unsigned for _adapted_scan
 
     @cached_property
@@ -241,9 +248,12 @@ def as_leaf_vector(space: TreeSpace, values, nonnegative: bool = False) -> np.nd
 
 
 def _as_bool(m: np.ndarray) -> np.ndarray:
-    """A fresh bool copy of a mask array of bools or of exact 0s and 1s; any
-    other entry (0.5, NaN) raises instead of counting as inside the set."""
-    if m.dtype != bool and not np.all((m == 0) | (m == 1)):
+    """A mask array of bools as it is, or one of exact 0s and 1s as a fresh
+    bool copy; any other entry (0.5, NaN) raises instead of counting as
+    inside the set."""
+    if m.dtype == bool:
+        return m
+    if not np.all((m == 0) | (m == 1)):
         raise ValueError("mask entries must be booleans or exactly 0 or 1")
     return m.astype(bool)
 
@@ -274,14 +284,37 @@ def _weighted_probs(space: TreeSpace, weight=None) -> np.ndarray:
     return space.leaf_probs * weight
 
 
-def _weighted_parts(space: TreeSpace, f, sigma, levels) -> tuple[np.ndarray, np.ndarray, list]:
-    """f, the numerator leaf vector and the per-level denominators of E_n(f),
-    under leaf_probs (cached atom masses) or leaf_probs * sigma."""
+def _weighted_parts(space: TreeSpace, f, sigma) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """f, the numerator leaf vector of E_n(f) and the leaf masses of the
+    measure: None for leaf_probs (whose atom masses the space caches), or
+    leaf_probs * sigma after checking that sigma is positive."""
     f = np.asarray(f, dtype=float)
     if sigma is None:
-        return f, space.leaf_probs * f, [space.atom_masses[n] for n in levels]
-    w = _weighted_probs(space, sigma)
-    return f, space.leaf_probs * f * sigma, [space.atom_sums(w, n) for n in levels]
+        return f, space.leaf_probs * f, None
+    return f, space.leaf_probs * f * sigma, _weighted_probs(space, sigma)
+
+
+def _level_masses(space: TreeSpace, probs: np.ndarray) -> np.ndarray:
+    """The masses of the atoms of every level below depth under the leaf
+    masses probs (or each row of a stack), as the first atom_offsets[-2]
+    entries of a per-atom process: level n is atom_sums(probs, n)."""
+    out = np.empty(probs.shape[:-1] + (space.atom_offsets[-2],))
+    for n in range(space.depth):  # np.add.reduce is the sum atom_sums takes
+        np.add.reduce(probs.reshape(probs.shape[:-1] + (space.n_atoms(n), space.atom_size(n))),
+                      axis=-1, out=space.level(out, n))
+    return out
+
+
+def _quotient_atoms(space: TreeSpace, numers: np.ndarray, dens: np.ndarray,
+                    leaves: np.ndarray) -> np.ndarray:
+    """The per-atom process whose levels below depth are numers / dens (atom
+    masses as _level_masses gives them, one division for all levels) and
+    whose leaf level is `leaves`: E_n(f) over the atom masses, or E_n^sigma(g)
+    over the sigma-masses of the atoms."""
+    out = np.empty(leaves.shape[:-1] + (space.atom_offsets[-1],))
+    np.divide(numers, dens, out=out[..., :space.atom_offsets[-2]])
+    out[..., space.atom_offsets[-2]:] = leaves
+    return out
 
 
 def atom_means(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarray:
@@ -291,10 +324,11 @@ def atom_means(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarra
     measure E_n(f sigma) / E_n(sigma)).  Level depth returns f itself exactly."""
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
-    f, num, dens = _weighted_parts(space, f, sigma, range(n, min(n + 1, space.depth)))
+    f, num, w = _weighted_parts(space, f, sigma)
     if n == space.depth:
         return f.copy()
-    return space.atom_sums(num, n) / dens[0]
+    return space.atom_sums(num, n) / (space.level(space.atom_masses, n) if w is None
+                                      else space.atom_sums(w, n))
 
 
 def cond_exp(space: TreeSpace, f: np.ndarray, n: int, sigma=None) -> np.ndarray:
@@ -307,13 +341,9 @@ def cond_exp_atoms(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:
     process (TreeSpace.atom_offsets): level n holds atom_means(space, f, n,
     sigma), bit for bit, and level depth f itself.  A (B, leaves) stack f
     gives a (B, atoms) stack."""
-    levels = range(space.depth)
-    f, num, dens = _weighted_parts(space, f, sigma, levels)
-    out = np.empty(f.shape[:-1] + (space.atom_offsets[-1],))
-    for n, den in zip(levels, dens):
-        np.divide(space.atom_sums(num, n), den, out=space.level(out, n))
-    out[..., space.atom_offsets[-2]:] = f
-    return out
+    f, num, w = _weighted_parts(space, f, sigma)
+    dens = space.atom_masses if w is None else _level_masses(space, w)
+    return _quotient_atoms(space, _level_masses(space, num), dens, f)
 
 
 def cond_exp_matrix(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:
@@ -374,20 +404,23 @@ def stopping_time_from_json(space: TreeSpace, obj: dict) -> StoppingTime:
 def is_stopping_time(space: TreeSpace, tau: StoppingTime) -> bool:
     """Adaptedness: each level set {tau = n} must be a union of level-n
     atoms (the n = depth and infinite sets are unconstrained)."""
-    return _adapted_scan(space, tau.values)
+    return tau.values.ndim == 1 and _adapted_scan(space, tau.values)
 
 
 def _adapted_scan(space: TreeSpace, vals: np.ndarray) -> bool:
-    """Atoms are runs of leaves, so {tau = n} is a union of level-n atoms
-    for every n iff no two neighbouring leaves in one level-n atom disagree
-    on it: one pass over leaf pairs.  Cast to unsigned, INFINITE wraps above
-    every level, so "a stops inside their shared atom" is a <= shared."""
-    if vals.shape != (space.n_leaves,) or vals.dtype.kind not in "iu":
+    """Whether the leaf-wise levels vals, or every row of a (C, leaves)
+    stack of them, are adapted.  Atoms are runs of leaves, so {tau = n} is a
+    union of level-n atoms for every n iff no two neighbouring leaves in one
+    level-n atom disagree on it: one pass over leaf pairs.  Cast to
+    unsigned, INFINITE wraps above every level, so "a stops inside their
+    shared atom" is a <= shared."""
+    if vals.ndim > 2 or vals.shape[-1:] != (space.n_leaves,) or vals.dtype.kind not in "iu":
         return False
     if vals.min() < StoppingTime.INFINITE or vals.max() > space.depth:
         return False
     u = vals.astype(np.uint64, copy=False)
-    return not ((u[:-1] != u[1:]) & (np.minimum(u[:-1], u[1:]) <= space.shared_level)).any()
+    left, right = u[..., :-1], u[..., 1:]
+    return not ((left != right) & (np.minimum(left, right) <= space.shared_level)).any()
 
 
 def count_stopping_times(space: TreeSpace) -> int:

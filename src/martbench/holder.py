@@ -23,6 +23,8 @@ import numpy as np
 from .exponents import ExponentSequence
 from .filtration import (
     TreeSpace,
+    _as_bool,
+    _frozen,
     _read_only,
     _weighted_probs,
     as_leaf_mask,
@@ -37,14 +39,17 @@ from .report import REL_TOL, VerificationReport, _margin, _within_margin, check_
 class FunctionVector:
     """Finitely many nonnegative components plus a constant-1 tail, all
     multiplied by the indicator of `mask` when it is not None.  Both are
-    held as read-only arrays (writable arguments are copied)."""
+    held as read-only arrays (writable arguments are copied); the mask as
+    bools, its entries checked (filtration._as_bool: a 0.5 or a NaN raises
+    ValueError)."""
 
     active: tuple[np.ndarray, ...]
     mask: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "active", tuple(map(_read_only, self.active)))
-        object.__setattr__(self, "mask", None if self.mask is None else _read_only(self.mask))
+        if self.mask is not None:
+            object.__setattr__(self, "mask", _read_only(_as_bool(np.asarray(self.mask))))
 
     @property
     def n_active(self) -> int:
@@ -84,7 +89,7 @@ def trial_vector(
         rng = np.random.default_rng([seed, trial])
         bound = math.log(spread)
         comps = [np.exp(rng.uniform(-bound, bound, space.n_leaves)) for _ in range(m)]
-    return FunctionVector(tuple(comps), None)
+    return FunctionVector(tuple(map(_frozen, comps)), None)  # fresh: kept without a copy
 
 
 def _check_alignment(fvec: FunctionVector, seq: ExponentSequence) -> None:

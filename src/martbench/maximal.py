@@ -15,6 +15,8 @@ from .exponents import ExponentSequence
 from .filtration import (
     StoppingTime,
     TreeSpace,
+    _level_masses,
+    _quotient_atoms,
     _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
@@ -40,14 +42,18 @@ def gen_doob_maximal(space: TreeSpace, fvec: FunctionVector, seq: ExponentSequen
     return space.level_sup(level_product_atoms(space, fvec, seq))
 
 
-def _weighted_rows(space: TreeSpace, gvec: FunctionVector, sigmas, seq: ExponentSequence):
+def _weighted_rows(space: TreeSpace, gvec: FunctionVector, sigmas, masses, seq: ExponentSequence):
     """prod_i E_n^{sigma_i}(g_i) over the occupied head slots at every level,
-    per atom; a g or sigma past the supplied ones is 1 and contributes 1.
+    per atom, masses[i] the sigma_i-masses of the atoms (_level_masses of
+    leaf_probs * sigma_i, so sigma_i is positive); a g or sigma past the
+    supplied ones is 1 and contributes 1, a sigma of 1 the atom masses.
     Past the float range a product is inf."""
+    slots = _component_slots(space, gvec.active, sigmas, seq)
+    masses = [*masses, *[space.atom_masses] * (len(slots) - len(masses))]
     rows = np.ones(space.atom_offsets[-1])
     with np.errstate(over="ignore"):
-        for g, s in _component_slots(space, gvec.active, sigmas, seq):
-            rows *= cond_exp_atoms(space, g, s)  # checks that sigma is positive
+        for (g, s), dens in zip(slots, masses):
+            rows *= _quotient_atoms(space, _level_masses(space, space.leaf_probs * g * s), dens, g)
     return rows
 
 
@@ -62,7 +68,8 @@ def gen_weighted_maximal(
     if gvec.mask is not None:
         raise ValueError("masked vectors are not supported for the weighted maximal")
     sigmas = [as_leaf_vector(space, s) for s in sigmas]
-    return space.level_sup(_weighted_rows(space, gvec, sigmas, seq))
+    masses = [_level_masses(space, _weighted_probs(space, s)) for s in sigmas]  # checks sigma > 0
+    return space.level_sup(_weighted_rows(space, gvec, sigmas, masses, seq))
 
 
 def weighted_measure(space: TreeSpace, leaf_set, weight=None) -> float:

@@ -19,7 +19,9 @@ inspectable trace whose set identities are exact on a finite space.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +30,10 @@ from . import weights
 from .exponents import conjugate_product
 from .filtration import (
     StoppingTime,
+    _adapted_scan,
     _frozen,
     _kept_family,
-    is_stopped_measurable,
+    _level_starts,
     is_stopping_time,
 )
 from .holder import (
@@ -60,7 +63,7 @@ def band_index(values: np.ndarray) -> np.ndarray:
     thresholds np.ldexp(1.0, k), 2**1024 is inf, so inf is in the top band
     1023; NaN and y <= 0 are in no band and give NO_BAND."""
     y = np.asarray(values, dtype=float)
-    mant, expo = np.frexp(np.minimum(y, np.finfo(float).max))
+    mant, expo = np.frexp(np.minimum(y, sys.float_info.max))
     return np.where(y > 0.0, expo.astype(np.int64) - 1 - (mant == 0.5), NO_BAND)
 
 
@@ -162,7 +165,7 @@ def verify_testing_to_weak(
     product dominates t there, so
     t * |{maximal >= t}|_v**(1/p) <= testing side <= c_test * norm product.
     The first passages of all thresholds are taken on the level products'
-    atoms (_first_passages), and each stopped reward is the sum of the
+    atoms (_passage_blocks), and each stopped reward is the sum of the
     reward's entries over the time's finite leaves in leaf order, bit for
     bit the time's own gather.  The report checks the largest term
     (weak_lp_norm's value) against the right end; an overflowed or NaN
@@ -174,7 +177,8 @@ def verify_testing_to_weak(
     thresholds, masses = _level_sets(space, space.level_sup(atoms), ws.v)
     stopped_rewards = []
     # X_n > nextafter(t, 0) is X_n >= t: the support is {maximal >= t}
-    for tau in _first_passages(space, atoms, np.nextafter(thresholds, 0.0)):
+    for tau in itertools.chain.from_iterable(
+            _passage_blocks(space, atoms, np.nextafter(thresholds, 0.0))):
         # the reward's flat index; a never-stopping leaf's wraps to the last row, unread
         picked = reward.take(tau * space.n_leaves + space.leaf_index)
         stopped_rewards.append(picked[tau != StoppingTime.INFINITE].sum())
@@ -381,8 +385,9 @@ def _strong_rows(ws: WeightSystem, gvec: FunctionVector) -> np.ndarray:
     head slots, masked as gvec is (a (T, leaves) mask stack, with components
     that may be stacks too, gives one row per mask); past the float range a
     product is inf."""
-    with np.errstate(over="ignore"):
-        comps = tuple(g * s for g, s in _component_slots(ws.space, gvec.active, ws.sigmas, ws.seq))
+    with np.errstate(over="ignore"):  # fresh products: the vector keeps them without a copy
+        comps = tuple(_frozen(g * s)
+                      for g, s in _component_slots(ws.space, gvec.active, ws.sigmas, ws.seq))
     return level_product_atoms(ws.space, FunctionVector(comps, gvec.mask), ws.seq)
 
 
@@ -393,7 +398,7 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     above 2**k (ldexp: 2**1024 is inf, so tau_1024 never stops); the band
     {2**k < maximal <= 2**(k+1)} equals {tau_k finite, tau_{k+1} infinite}
     and is graded into cells by the dyadic size of the stopped density
-    product.  The density and weighted-ratio products are level matrices
+    product.  The density and weighted-ratio products are per-atom processes
     read at each tau_k, only inside {tau_k finite}.  The trace of the last
     (system, vector) pair is kept, its arrays read-only, so verify_sp_to_strong
     reads the trace its caller has just built.
@@ -403,25 +408,24 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     return _sawyer_trace(ws, gvec)
 
 
-def _first_passages(space, atoms: np.ndarray, thresholds: np.ndarray):
-    """Each threshold's first passage (TreeSpace.first_passages) in turn, as a
-    leaf row, the thresholds taken in blocks of at most
-    weights.SCAN_CHUNK_FLOATS entries."""
+def _passage_blocks(space, atoms: np.ndarray, thresholds: np.ndarray):
+    """The first passages of the thresholds (TreeSpace.first_passages), as
+    read-only (B, leaves) blocks of consecutive thresholds of at most
+    weights.SCAN_CHUNK_FLOATS entries each (B at least 1)."""
     step = max(1, weights.SCAN_CHUNK_FLOATS // space.n_leaves)
     for at in range(0, thresholds.size, step):
-        yield from space.first_passages(atoms, thresholds[at:at + step])
+        yield _frozen(space.first_passages(atoms, thresholds[at:at + step]))
 
 
 @functools.lru_cache(maxsize=1)
 def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     """The trace of the last (system, vector) pair; both hash by identity.
-    Every band's time, stopped density and weighted ratio are read on atoms.
-    The cells are the distinct (band, j) keys of the finite entries of all
-    bands, found by one stable sort, which keeps each cell's leaves in leaf
-    order; the lambda-set unions are the prefixes of one cumulative OR over
-    the envelopes in descending order of T."""
+    The times come in passage blocks (_passage_blocks), tau_k a row of its
+    block, and each block's cells are finished inside it (_block_cells) as
+    soon as the following block gives the time after its last band.  The
+    lambda-set unions are the prefixes of one cumulative OR over the
+    envelopes in descending order of T."""
     space = ws.space
-    p = 1.0 / ws.seq.aggregate_reciprocal
     # an infinite maximal value sits in band 1023 and fails maximal_finite,
     # an infinite T the trace inequality
     rows = _strong_rows(ws, gvec)
@@ -431,50 +435,31 @@ def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
         return SawyerTrace(None, None, {}, {}, maximal, [])
 
     k_lo, k_hi = int(ks.min()), int(ks.max())
-    with np.errstate(over="ignore"):  # 2**1024 is inf
-        thresholds = np.ldexp(1.0, np.arange(k_lo, k_hi + 2))
-    taus = dict(zip(range(k_lo, k_hi + 2),
-                    map(StoppingTime, _first_passages(space, rows, thresholds))))
-    # per finite entry of every band, in band and then leaf order: band, j,
-    # leaf, in the band, and the stopped density and weighted ratio, read on
-    # atoms for a block of bands at a time
-    pair = np.stack([ws.density_atoms, _weighted_rows(space, gvec, ws.sigmas, ws.seq)])
-    step = max(1, weights.SCAN_CHUNK_FLOATS // space.n_leaves)
-    entries = []
-    for at in range(k_lo, k_hi + 1, step):
-        block = range(at, min(at + step, k_hi + 1))
-        values = np.array([taus[k].values for k in block])
-        fin = values != StoppingTime.INFINITE
-        inside = ~np.array([taus[k + 1].finite for k in block])[fin]
-        bands, leaves = np.nonzero(fin)
-        density, ratio = pair[:, space.atom_index(np.maximum(values, 0))][:, fin]
-        entries.append((bands + at, band_index(density), leaves, inside, density, ratio))
-    band, js, leaves, inside, density, ratio = (np.concatenate(e) for e in zip(*entries))
-    del entries, pair  # not read again; at 2^20 leaves they hold over 100 MB
-    order = np.lexsort((js, band))  # stable: leaves ascend inside each cell
-    band, js, leaves, inside, density, ratio = (
-        a[order] for a in (band, js, leaves, inside, density, ratio))
-    starts = np.flatnonzero(np.append(True, (band[1:] != band[:-1]) | (js[1:] != js[:-1])))
-    ends = np.append(starts[1:], band.size)
-    cell = np.repeat(np.arange(starts.size), ends - starts)
-    envelopes = np.zeros((starts.size, space.n_leaves), dtype=bool)
-    envelopes[cell, leaves] = True
-    slices = np.zeros_like(envelopes)
-    slices[cell[inside], leaves[inside]] = True
-    _frozen(envelopes), _frozen(slices)  # before the rows are taken: they stay read-only
+    # per atom, the density product and the weighted ratio: one gather picks both
+    pair = np.array([ws.density_atoms,
+                     _weighted_rows(space, gvec, ws.sigmas, ws.sigma_masses, ws.seq)])
     weighted = space.leaf_probs * ws.v
-    cells = {}
+    p = 1.0 / ws.seq.aggregate_reciprocal
+    taus, cells = {}, {}
+    # 2**1024 is inf; past the float range a theta term or a T is inf
     with np.errstate(over="ignore"):
-        for i, (s, e) in enumerate(zip(starts.tolist(), ends.tolist())):
-            b = inside[s:e]
-            theta = float(np.sum(weighted[leaves[s:e][b]] * density[s:e][b] ** p))
-            t_value = float(ratio[s:e].min() ** p)
-            cells[(int(band[s]), int(js[s]))] = SawyerCell(
-                envelopes[i], slices[i], theta, t_value)
+        blocks = _passage_blocks(space, rows, np.ldexp(1.0, np.arange(k_lo, k_hi + 2)))
+        k = k_lo
+        for block, following in itertools.pairwise(itertools.chain(blocks, [None])):
+            taus.update(zip(range(k, k + len(block)), map(StoppingTime, block)))
+            fin = block != StoppingTime.INFINITE
+            # the finite masks of the next bands: the block's later rows, then the
+            # following block's first; the last row, tau_{k_hi+1}, has no band
+            after = fin[1:] if following is None else np.concatenate(
+                [fin[1:], following[:1] != StoppingTime.INFINITE])
+            cells.update(_block_cells(space, pair, weighted, p, block, fin[:len(after)], after, k))
+            k += len(block)
+    del pair  # not read again; at 2^20 leaves it holds 32 MB
 
     t_values = np.array([c.t_value for c in cells.values()])
     order = np.argsort(-t_values, kind="stable")  # NaN last: {T > lam} is a prefix
-    unions = _frozen(np.logical_or.accumulate(envelopes[order], axis=0))
+    envelopes = [c.a_mask for c in cells.values()]
+    unions = _frozen(np.logical_or.accumulate(np.array([envelopes[i] for i in order]), axis=0))
     lambda_sets = []
     for lam in sorted({c.t_value for c in cells.values()}):
         keys = [key for key, c in cells.items() if c.t_value > lam]
@@ -483,25 +468,86 @@ def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     return SawyerTrace(k_lo, k_hi, cells, taus, maximal, lambda_sets)
 
 
+def _block_cells(space, pair, weighted, p, block, fin, after, k0) -> dict:
+    """The cells of the bands k0, k0 + 1, ... of one passage block: fin the
+    bands' finite masks (the block's rows) and after those of the bands
+    above.  Per finite entry, in band and then leaf order, one gather of
+    pair at the entry's atom (TreeSpace.atom_index) gives the stopped
+    density and weighted ratio.  One stable sort by (band, j) makes each
+    cell a run of entries whose leaves ascend; theta's terms and T's minima
+    are taken for all entries at once, and each theta is then the pairwise
+    sum (np.add.reduce, as np.sum) of the cell's own compacted terms, each T
+    the scalar power of its minimum (numpy's array power differs from the
+    scalar one in the last place on some inputs).  Runs under the caller's
+    np.errstate(over="ignore")."""
+    bands, leaves = np.nonzero(fin)
+    levels = block[bands, leaves]
+    offsets, sizes = _level_starts(space.depth, space.branching)
+    density, ratio = pair[:, offsets[levels] + leaves // sizes[levels]]
+    js = band_index(density)
+    order = np.lexsort((js, bands))  # stable: leaves ascend inside each cell
+    bands, js, leaves = bands[order], js[order], leaves[order]
+    first = np.ones(bands.size + 1, dtype=bool)  # the entries that start a cell, and the end
+    first[1:-1] = (bands[1:] != bands[:-1]) | (js[1:] != js[:-1])
+    bounds = np.flatnonzero(first)
+    starts = bounds[:-1]
+    envelopes = np.zeros((starts.size, space.n_leaves), dtype=bool)
+    envelopes[np.cumsum(first[:-1]) - 1, leaves] = True
+    _frozen(envelopes)  # before its rows are taken: they stay read-only
+    slices = _frozen(envelopes & ~after[bands[starts]])
+    inside = ~after[bands, leaves]
+    # cell i's terms are terms[cut[i]:cut[i + 1]]: its entries inside the band, in leaf order
+    cut = np.zeros(bands.size + 1, dtype=np.intp)
+    np.cumsum(inside, out=cut[1:])
+    cut = cut[bounds].tolist()
+    terms = weighted[leaves[inside]] * density[order[inside]] ** p
+    t_values = [float(m ** p) for m in np.minimum.reduceat(ratio[order], starts)]
+    keys = zip((bands[starts] + k0).tolist(), js[starts].tolist())
+    return {key: SawyerCell(a, b, float(np.add.reduce(terms[lo:hi])), t)
+            for key, a, b, lo, hi, t in zip(keys, envelopes, slices, cut, cut[1:], t_values)}
+
+
 def sawyer_trace_invariants(ws: WeightSystem, trace: SawyerTrace) -> dict:
-    """Exact structural checks of a decomposition trace, on the stacked cell
-    masks: the band cells are disjoint, cover their bands, sit inside their
-    envelopes, the envelopes belong to the stopped sigma-fields, and the
-    cell measure is nonnegative; and the maximal function is finite."""
+    """Exact structural checks of a decomposition trace, read from its
+    stored masks, times and maximal values alone: the band cells are
+    disjoint, cover their bands, sit inside their envelopes, the envelopes
+    belong to the stopped sigma-fields, and the cell measure is nonnegative;
+    and the maximal function is finite.  The cells are scanned in stacks of
+    at most weights.SCAN_CHUNK_FLOATS entries.  A band covers its cells'
+    slices exactly when no slice leaves its own band and every leaf of a
+    band lies in a slice of that band: one comparison per stack with the
+    maximal function's band index, taken once.  Every envelope of a stack
+    is checked at its time in one stopped-field scan (_adapted_scan)."""
     names = ("b_disjoint", "bands_covered", "b_inside_a", "a_measurable", "theta_nonnegative")
     finite = {"maximal_finite": bool(np.isfinite(trace.maximal_values).all())}
     if trace.is_empty:
         return dict.fromkeys(names, True) | finite
-    ks = np.array([k for k, _ in trace.cells])
-    a = np.array([c.a_mask for c in trace.cells.values()])
-    b = np.array([c.b_mask for c in trace.cells.values()])
+    space = ws.space
+    bands = band_index(trace.maximal_values)
+    holding = np.zeros(space.n_leaves, dtype=np.intp)  # slices holding each leaf
+    reached = np.zeros(space.n_leaves, dtype=bool)  # in a slice of its own band
+    stray = outside = False
+    measurable = True
+    cells = list(trace.cells.items())
+    step = max(1, weights.SCAN_CHUNK_FLOATS // space.n_leaves)
+    for at in range(0, len(cells), step):
+        chunk = cells[at:at + step]
+        ks = [k for (k, _), _ in chunk]
+        a = np.array([c.a_mask for _, c in chunk])
+        b = np.array([c.b_mask for _, c in chunk])
+        own = bands == np.array(ks)[:, None]  # each cell's band
+        holding += b.sum(axis=0)
+        reached |= (b & own).any(axis=0)
+        stray |= bool((b > own).any())
+        outside |= bool((b > a).any())
+        times = np.array([trace.taus[k].values for k in ks])
+        measurable &= _adapted_scan(space, np.where(a, times, StoppingTime.INFINITE))
+    in_bands = (bands >= trace.k_lo) & (bands <= trace.k_hi)
     return dict(zip(names, (
-        bool((b.sum(axis=0) <= 1).all()),
-        all(np.array_equal(b[ks == k].any(axis=0), trace.band(k))
-            for k in range(trace.k_lo, trace.k_hi + 1)),
-        bool((b <= a).all()),
-        all(is_stopped_measurable(ws.space, trace.taus[k], c.a_mask)
-            for (k, _), c in trace.cells.items()),
+        bool((holding <= 1).all()),
+        not stray and bool((reached == in_bands).all()),
+        not outside,
+        measurable,
         all(c.theta >= 0.0 for c in trace.cells.values()),
     ))) | finite
 

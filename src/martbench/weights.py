@@ -56,6 +56,8 @@ from .filtration import (
     _adapted_scan,
     _as_leaf_masks,
     _frozen,
+    _level_masses,
+    _quotient_atoms,
     _read_only,
     as_leaf_mask,
     as_leaf_vector,
@@ -70,8 +72,8 @@ SCAN_CHUNK_FLOATS = 1 << 16  # B * width per chunk of a scan (_support_chunks)
 
 @dataclass(frozen=True, eq=False)
 class WeightSystem:
-    """Holds read-only arrays, so it caches the sigma_i's leaf masses and
-    per-atom conditional expectations and their product, the testing table,
+    """Holds read-only arrays, so it caches the sigma_i's leaf and atom masses
+    and per-atom conditional expectations and their product, the testing table,
     the joint-condition level values and constant, and the "all"-family
     testing scan with its witness."""
 
@@ -87,14 +89,24 @@ class WeightSystem:
 
     @cached_property
     def sigma_atoms(self) -> tuple[np.ndarray, ...]:
-        """cond_exp_atoms of each sigma_i (read-only)."""
-        return tuple(_frozen(cond_exp_atoms(self.space, s)) for s in self.sigmas)
+        """cond_exp_atoms of each sigma_i (read-only), bit for bit: level n is
+        the sigma_i-masses of the level-n atoms over their masses."""
+        space = self.space
+        return tuple(_frozen(_quotient_atoms(space, masses, space.atom_masses, s))
+                     for masses, s in zip(self.sigma_masses, self.sigmas))
 
     @cached_property
     def sigma_probs(self) -> tuple[np.ndarray, ...]:
         """leaf_probs * sigma_i for each sigma_i (read-only): the sigma_i-masses
         of the leaves.  make_weight_system has checked each sigma_i."""
         return tuple(_frozen(self.space.leaf_probs * s) for s in self.sigmas)
+
+    @cached_property
+    def sigma_masses(self) -> tuple[np.ndarray, ...]:
+        """Per sigma_i, the sigma_i-masses of the atoms of every level below
+        depth (_level_masses, read-only): the numerators of sigma_atoms and
+        the denominators of E_n^{sigma_i} (maximal._weighted_rows)."""
+        return tuple(_frozen(_level_masses(self.space, probs)) for probs in self.sigma_probs)
 
     @cached_property
     def density_atoms(self) -> np.ndarray:

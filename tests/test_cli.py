@@ -458,6 +458,12 @@ class TestConfigAndErrors:
         with pytest.raises(UnicodeEncodeError):
             cli_mod._atomic_write(str(tmp_path / "t.json"), "\ud800")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json", "r.json.tmp"]
+        # texts past one written piece, with a two-byte character across the
+        # cut, come out byte for byte as their concatenation
+        monkeypatch.undo()
+        texts = ["a" * ((1 << 20) - 1) + "\u00e9" + "b" * (1 << 20), "\n"]
+        cli_mod._atomic_write(str(tmp_path / "u.json"), *texts)
+        assert (tmp_path / "u.json").read_bytes() == "".join(texts).encode()
 
     @pytest.mark.parametrize("command, option, spec, named", [
         ("weights-constants", "--space", '{"depth":2.0,"branching":2}',
@@ -833,7 +839,7 @@ class TestEntryPoints:
         digest = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(digest)
         assert ("maximal", 6) in digest.PINNED_PASSES
-        assert len(digest.PINNED_LINES) == 6
+        assert len(digest.PINNED_LINES) == len(digest.PINNED_PASSES) + 2  # two two-line passes
         monkeypatch.setattr(digest, "kept_shapes", lambda: [(2, 2)])
         lines = []
         for _ in range(2):
@@ -847,6 +853,33 @@ class TestEntryPoints:
         records = digest.maximal_records(*digest.random_system(rng, 2, 2, finite=False), rng)
         assert {len(taus) for _, taus in records[1::3] + records[2::3]} == {
             len(digest.MAXIMAL_THRESHOLDS) + 1}
+
+    def test_report_digest_sawyer_pass(self, capsys, monkeypatch):
+        # the decomposition on one 32-leaf shape, one system with an infinite
+        # tail and one with a finite tail, each under the default budget and
+        # at one band per block: two passes agree, every budget gives the
+        # same records, and the budget is restored
+        spec = importlib.util.spec_from_file_location(
+            "report_digest", ROOT / "scripts" / "report_digest.py"
+        )
+        digest = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(digest)
+        assert ("sawyer", 4) in digest.PINNED_PASSES
+        assert [2**8, 2**12, 3**8] == [r**d for d, r in digest.SAWYER_SHAPES]
+        monkeypatch.setattr(digest, "SAWYER_SHAPES", ((5, 2),))
+        default = weights_mod.SCAN_CHUNK_FLOATS
+        lines = []
+        for _ in range(2):
+            assert digest.main(["--sawyer", "--systems", "2", "--seed", "3"]) == 0
+            lines.append(capsys.readouterr().out)
+        assert lines[0] == lines[1] and weights_mod.SCAN_CHUNK_FLOATS == default
+        count, *label, sha = lines[0].split()
+        # per system: two budgets, two vectors
+        assert int(count) == 2 * 2 * 2
+        assert label == ["sawyer", "records", "sha256"] and len(sha) == 64
+        docs = json.loads(json.dumps(digest.sawyer_budgets(2, 3)))
+        assert docs[0:2] == docs[2:4] and docs[4:6] == docs[6:8]
+        assert all(all(invariants.values()) for _, invariants, _ in docs)
 
 
 def _config_file(tmp_path, doc):

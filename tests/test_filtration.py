@@ -59,6 +59,15 @@ class TestTreeSpace:
         with pytest.raises(ValueError):
             make_tree_space(21, 2)
 
+    def test_shared_level_is_the_deepest_atom_holding_both_neighbours(self):
+        for depth, branching in [(0, 2), (1, 2), (3, 2), (2, 3), (4, 3), (2, 5)]:
+            space = make_tree_space(depth, branching)
+            expected = [max(n for n in space.levels
+                            if x // space.atom_size(n) == (x + 1) // space.atom_size(n))
+                        for x in range(space.n_leaves - 1)]
+            np.testing.assert_array_equal(space.shared_level, np.array(expected, dtype=np.uint64),
+                                          strict=True)
+
     def test_numpy_integer_shape_is_held_as_int(self):
         # numpy integers are accepted and held as Python ints, so a depth of
         # np.int64(64) is 2**64 leaves (refused), not a wrapped-around 0
@@ -167,8 +176,8 @@ class TestCondExp:
         space = make_tree_space(2, 2, probs)
         probs[:] = 0.25  # the caller's array stays writable and is not shared
         np.testing.assert_array_equal(space.leaf_probs, [0.1, 0.2, 0.3, 0.4])
-        np.testing.assert_allclose(space.atom_masses[1], [0.3, 0.7])
-        for arr in (space.leaf_probs, space.atom_masses[0]):
+        np.testing.assert_allclose(space.level(space.atom_masses, 1), [0.3, 0.7])
+        for arr in (space.leaf_probs, space.atom_masses):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -540,6 +549,24 @@ class TestStoppedMeasurability:
         space = make_tree_space(1, 2)
         tau = StoppingTime(np.zeros(2, dtype=np.int64))
         assert not is_stopped_measurable(space, tau, np.array([True, False]))
+
+    def test_a_stack_is_adapted_where_every_row_is(self):
+        # one _adapted_scan of a (C, leaves) stack of times kept on their sets
+        # gives is_stopped_measurable of every row at once; is_stopping_time
+        # still refuses a time whose values are 2-D
+        rng = np.random.default_rng(12)
+        verdicts = set()
+        for _ in range(200):
+            space = random_space(rng, max_depth=3)
+            taus = [sample_stopping_time(space, rng) for _ in range(int(rng.integers(1, 4)))]
+            sets = [tau.finite if rng.random() < 0.7 else rng.random(space.n_leaves) < 0.8
+                    for tau in taus]
+            stack = np.array([np.where(a, tau.values, INF) for tau, a in zip(taus, sets)])
+            expected = all(is_stopped_measurable(space, tau, a) for tau, a in zip(taus, sets))
+            assert filtration_mod._adapted_scan(space, stack) is expected
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+        assert not is_stopping_time(make_tree_space(1, 2), StoppingTime(np.zeros((2, 2), int)))
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from martbench.holder import (
     level_products,
     lp_norm,
     product_function,
+    trial_vector,
 )
 from martbench.maximal import gen_doob_maximal, level_set_stopping_time
 from martbench.report import _margin, _within_margin
@@ -109,6 +110,66 @@ class TestProductFunction:
         # read-only components are shared, not copied again
         again = FunctionVector(fv.active, fv.mask)
         assert again.active[0] is fv.active[0] and again.mask is fv.mask
+
+    def test_rows_of_a_frozen_stack_are_kept_without_a_copy(self):
+        # a read-only view is kept where the array owning its data is
+        # read-only too; a read-only view of a writable array is copied
+        stack = np.arange(6.0).reshape(2, 3).copy()
+        stack.setflags(write=False)
+        assert FunctionVector((stack[1],)).active[0].base is stack
+        writable = np.arange(3.0)
+        view = writable[:]
+        view.setflags(write=False)
+        kept = FunctionVector((view,)).active[0]
+        assert kept.base is not writable and not kept.flags.writeable
+        writable[0] = 9.0
+        assert kept[0] == 0.0
+
+    @pytest.mark.parametrize("mask", [[0.5, 1.0], [np.nan, 1.0], [2.0, 1.0], [-1, 0]],
+                             ids=["half", "nan", "two", "minus-one"])
+    def test_a_mask_entry_other_than_0_or_1_raises(self, mask):
+        # a non-bool mask once meant two things at once: the level products
+        # multiplied by its values, the masked tail read it as bools
+        space = make_tree_space(1, 2)
+        seq = make_exponent_sequence([2.0], 0.5, 0.5)
+        with pytest.raises(ValueError, match="mask entries must be booleans or exactly 0 or 1"):
+            gen_doob_maximal(space, FunctionVector((np.array([2.0, 2.0]),), np.array(mask)), seq)
+
+    def test_a_float_mask_of_0s_and_1s_is_the_bool_mask_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for finite in (False, True):  # a finite family with a padded head slot
+            space = random_space(rng, max_depth=3)
+            seq = random_sequence(rng, max_head=3, allow_finite=False)
+            if finite:
+                seq = make_exponent_sequence([*seq.head, 2.0], 0.0)
+            comps = tuple(random_positive(rng, space, 1e3) for _ in range(seq.head_len - finite))
+            mask = random_leaf_mask(rng, space)
+            mask.setflags(write=False)
+            as_bool, as_float = FunctionVector(comps, mask), FunctionVector(comps, mask * 1.0)
+            assert as_bool.mask is mask and as_float.mask.dtype == bool
+            for kernel in (level_product_atoms, gen_doob_maximal):
+                np.testing.assert_array_equal(kernel(space, as_float, seq),
+                                              kernel(space, as_bool, seq), strict=True)
+            assert (function_norms_product(space, as_float, seq)
+                    == function_norms_product(space, as_bool, seq))
+
+    def test_trial_components_are_frozen_draws(self):
+        # trials 0 and 1 share one frozen array across components; later
+        # trials draw from default_rng([seed, trial]) in component order, and
+        # the vector keeps each fresh draw without a copy
+        space = make_tree_space(3, 2)
+        for trial in range(4):
+            fv = trial_vector(space, 3, 7, trial, 1e3)
+            assert not any(c.flags.writeable for c in fv.active)
+            assert all(c.flags.owndata for c in fv.active)
+            if trial >= 2:
+                rng = np.random.default_rng([7, trial])
+                bound = math.log(1e3)
+                for c in fv.active:
+                    np.testing.assert_array_equal(
+                        c, np.exp(rng.uniform(-bound, bound, space.n_leaves)))
+            else:
+                assert fv.active[0] is fv.active[1] is fv.active[2]
 
 
 class TestIntegralCheck:

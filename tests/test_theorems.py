@@ -1027,6 +1027,68 @@ class TestSawyerDecomposition:
         assert covered == {"finite", "infinite", "no weight", "no component", "empty", "inf T"}
         assert all(seen == {True, False} for seen in verdicts.values()), verdicts
 
+    def test_block_and_chunk_budgets_give_the_same_trace(self, monkeypatch):
+        # one band per passage block, three bands per block and the default
+        # budget (one block for every band here), which also set the cells of
+        # an invariant chunk (1, 3 and all): the same trace, the per-slot
+        # oracle's, and under each budget the invariants of the trace and of
+        # perturbed traces are the per-cell oracle's
+        rng = np.random.default_rng(96)
+        space = make_tree_space(8, 2, rng.dirichlet(np.full(256, 4.0)))
+        seq = make_exponent_sequence([2.0, 3.0], 0.2, 0.5)
+        ws = random_weight_system(rng, space, seq, spread=10.0)
+        gv = FunctionVector(tuple(random_positive(rng, space, 1e4) for _ in range(2)), None)
+        with np.errstate(over="ignore"):
+            oracle = sawyer_trace_oracle(ws, gv)
+        assert oracle.k_hi - oracle.k_lo + 1 >= 6 and len(oracle.cells) >= 12
+        default, verdicts = weights_mod.SCAN_CHUNK_FLOATS, set()
+        for floats in (space.n_leaves, 3 * space.n_leaves, default):
+            monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", floats)
+            trace = theorems_mod._sawyer_trace.__wrapped__(ws, gv)
+            assert trace.to_json() == oracle.to_json() and list(trace.cells) == list(oracle.cells)
+            np.testing.assert_array_equal(trace.maximal_values, oracle.maximal_values)
+            for key, cell in oracle.cells.items():
+                assert (trace.cells[key].theta, trace.cells[key].t_value) == (
+                    cell.theta, cell.t_value)
+            assert [(lam, keys) for lam, keys, _ in trace.lambda_sets] == [
+                (lam, keys) for lam, keys, _ in oracle.lambda_sets]
+            for (_, _, g), (_, _, g_oracle) in zip(trace.lambda_sets, oracle.lambda_sets):
+                np.testing.assert_array_equal(g, g_oracle)
+            for t in (trace, *(perturbed_trace(rng, trace) for _ in range(4))):
+                found = sawyer_trace_invariants(ws, t)
+                assert found == sawyer_invariants_oracle(ws, t)
+                verdicts.add(all(found.values()))
+        assert verdicts == {True, False}
+
+    def test_trace_and_invariants_memory_stay_within_the_block_budget(self, monkeypatch):
+        # 4,096 leaves at one band per passage block and one cell per invariant
+        # chunk (37 cells, 10 times): above the arrays the trace keeps (a time
+        # per band, three masks per cell), the peak stays within three block
+        # budgets and 14 level vectors (about 11 are used: the per-atom rows
+        # and pair, and one block's entries).  Entries concatenated over all
+        # bands (about 27), or masks and times stacked over all cells (over
+        # 150), would not
+        rng = np.random.default_rng(97)
+        space = make_tree_space(12, 2, rng.dirichlet(np.full(4096, 4.0)))
+        seq = make_exponent_sequence([2.0, 3.0], 0.2, 0.5)
+        ws = random_weight_system(rng, space, seq)
+        gv = FunctionVector(tuple(random_positive(rng, space, 1e3) for _ in range(2)), None)
+        monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", space.n_leaves)
+        sawyer_trace_invariants(ws, sawyer_decomposition(ws, gv))  # the system's caches
+        theorems_mod._sawyer_trace.cache_clear()
+        tracemalloc.start()
+        try:
+            trace = sawyer_decomposition(ws, gv)
+            sawyer_trace_invariants(ws, trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        level = space.n_leaves * 8
+        assert len(trace.cells) >= 30
+        kept = len(trace.taus) * level + 3 * len(trace.cells) * space.n_leaves
+        assert peak <= kept + 3 * weights_mod.SCAN_CHUNK_FLOATS * 8 + 14 * level, (
+            (peak - kept) / level)
+
     def test_top_binade_has_two_cells_and_no_overflow(self):
         # tau_1024 passes 2**1024 = inf, so it never stops
         space = make_tree_space(1, 2)

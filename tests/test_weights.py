@@ -9,11 +9,12 @@ from martbench.exponents import make_exponent_sequence
 from martbench.filtration import (
     EnumerationCapError,
     cond_exp,
+    cond_exp_atoms,
     enumerate_stopping_times,
     make_tree_space,
 )
 from martbench.holder import FunctionVector, _entry_levels, level_products, product_function
-from martbench.maximal import weighted_measure
+from martbench.maximal import _weighted_rows, weighted_measure
 from martbench.report import check_inequality
 import martbench.weights as weights_mod
 from martbench.weights import (
@@ -71,12 +72,29 @@ class TestConstruction:
         np.testing.assert_allclose(ws.sigmas[0], [1.0, 0.25])
 
     def test_sigma_masses_are_kept_read_only(self):
+        # the leaf masses, and the atom masses of every level below depth,
+        # which sigma_atoms and the E^sigma denominators of the weighted
+        # ratio read, each bit for bit what the per-call kernels compute
         rng = np.random.default_rng(62)
         space = make_tree_space(2, 3, rng.dirichlet(np.full(9, 4.0)))
-        ws = make_weight_system(space, doubling_seq(), [random_positive(rng, space)], np.ones(9))
+        seq = make_exponent_sequence([2.0, 3.0, 4.0], 0.2, 0.5)
+        ws = make_weight_system(space, seq, [random_positive(rng, space)], np.ones(9))
         [probs] = ws.sigma_probs
         np.testing.assert_array_equal(probs, space.leaf_probs * ws.sigmas[0])
         assert not probs.flags.writeable and ws.sigma_probs[0] is probs
+        [masses] = ws.sigma_masses
+        assert ws.sigma_masses[0] is masses and not masses.flags.writeable
+        np.testing.assert_array_equal(
+            masses, np.concatenate([space.atom_sums(probs, n) for n in range(space.depth)]),
+            strict=True)
+        np.testing.assert_array_equal(ws.sigma_atoms[0], cond_exp_atoms(space, ws.sigmas[0]),
+                                      strict=True)
+        gv = FunctionVector(tuple(random_positive(rng, space) for _ in range(2)))
+        old = np.ones(space.atom_offsets[-1])
+        for g, s in zip(gv.active, [ws.sigmas[0], np.ones(9)]):  # a padded sigma is 1
+            old *= cond_exp_atoms(space, g, s)
+        np.testing.assert_array_equal(
+            _weighted_rows(space, gv, ws.sigmas, ws.sigma_masses, seq), old, strict=True)
 
     def test_rejects_zero_weight(self):
         space = make_tree_space(1, 2)
