@@ -29,7 +29,6 @@ from .filtration import (
     _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
-    atom_means,
     cond_exp_atoms,
 )
 from .report import REL_TOL, VerificationReport, _margin, _within_margin, check_inequality
@@ -278,14 +277,24 @@ def holder_integral_check(
 
 @functools.lru_cache(maxsize=1)
 def _conditional_parts(space: TreeSpace, fvec: FunctionVector, seq: ExponentSequence):
-    """(prod f_i)**p and the _norm_parts pairs of holder_conditional_check for
-    the last (space, vector, sequence), read-only; an overflowed power is inf."""
+    """Both sides of holder_conditional_check at every level, per atom
+    (TreeSpace.atom_offsets), read-only, for the last (space, vector,
+    sequence): E_n((prod f_i)**p)**(1/p), and the product of E_n(g)**e over
+    the _norm_parts pairs in their order, starting from 1 (1 * x is x).  Each
+    conditional expectation comes from one cond_exp_atoms pass over every
+    level and is powered in place (an array power does not depend on where an
+    entry sits), one factor at a time; an overflowed power is inf."""
+    rp = seq.aggregate_reciprocal
+    rhs = np.ones(space.atom_offsets[-1])
     with np.errstate(over="ignore"):
-        integrand = product_function(space, fvec) ** (1.0 / seq.aggregate_reciprocal)
-        parts = tuple(_norm_parts(space, fvec.active, seq, mask=fvec.mask))
-    for a in (integrand, *(g for g, _ in parts)):
-        a.setflags(write=False)
-    return integrand, parts
+        for g, e in _norm_parts(space, fvec.active, seq, mask=fvec.mask):
+            factor = cond_exp_atoms(space, g)
+            factor **= e
+            rhs *= factor
+            del factor  # freed before the next one is built
+        lhs = cond_exp_atoms(space, product_function(space, fvec) ** (1.0 / rp))
+        lhs **= rp
+    return _frozen(lhs), _frozen(rhs)
 
 
 def holder_conditional_check(
@@ -296,22 +305,15 @@ def holder_conditional_check(
     tolerance: float = REL_TOL,
 ) -> VerificationReport:
     """E_n(prod f_i**p)**(1/p) <= prod E_n(f_i**p_i)**(1/p_i) on every
-    level-n atom, with both sides per atom (atom_means).  The report takes
-    its sides, and so its verdict, from the first failing atom, or from the
-    worst one when all pass, and names it in "atom".  The level-independent
-    integrands are kept for the last (space, vector, sequence), so a check
-    of every level builds them once."""
+    level-n atom, with both sides per atom.  The report takes its sides, and
+    so its verdict, from the first failing atom, or from the worst one when
+    all pass, and names it in "atom".  Both sides of every level are kept for
+    the last (space, vector, sequence) (_conditional_parts), so a check of
+    every level builds them once and each level reads its own atoms."""
     _check_alignment(fvec, seq)
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
-    rp = seq.aggregate_reciprocal
-    integrand, parts = _conditional_parts(space, fvec, seq)
-
-    with np.errstate(over="ignore"):  # an overflowed side is inf, and fails its atom
-        lhs = atom_means(space, integrand, n) ** rp
-        rhs = np.ones(space.n_atoms(n))
-        for g, e in parts:
-            rhs *= atom_means(space, g, n) ** e
+    lhs, rhs = (space.level(side, n) for side in _conditional_parts(space, fvec, seq))
 
     ok = _within_margin(lhs, rhs, tolerance)
     at = int(np.argmax(lhs - _margin(rhs, tolerance)) if ok.all() else np.argmin(ok))

@@ -33,7 +33,9 @@ from .filtration import (
     _adapted_scan,
     _frozen,
     _kept_family,
+    _level_masses,
     _level_starts,
+    _run_sums,
     is_stopping_time,
 )
 from .holder import (
@@ -281,7 +283,8 @@ def verify_testing_to_ap(
     time n, with the reverse-Hoelder bound and the conditional product
     inequality, gives E_n(v)**(1/p) prod E_n(sigma_i)**(1/p'_i) <= ratio(B)
     * C_RH**(1/p).  The testing ratio is a quotient of level-n atom sums,
-    taken for all atoms of a level at once (i over the active slots):
+    taken for every atom of every level at once (_testing_ap_ratios; i over
+    the active slots):
 
         ratio(B) = (int_B v prod_i E_n(sigma_i)**p)**(1/p)
                    / (prod_i (int_B w_i sigma_i**p_i)**(1/p_i) * |B|**pad)
@@ -292,22 +295,10 @@ def verify_testing_to_ap(
     largest ratio times C_RH**(1/p); a bound that is not finite fails its
     atom, and the report (check_inequality gives it its "reason").
     """
-    space, seq = ws.space, ws.seq
-    rp = seq.aggregate_reciprocal
-    p = 1.0 / rp
+    space = ws.space
     c_rh = rh_constant(ws, family)
-    scale = _power(c_rh, rp)
-    whole = np.ones(space.n_leaves, dtype=bool)  # each atom sum below restricts Q to B
-    parts = _norm_parts(space, ws.sigmas, seq, ws.active_weights, whole)
-    ratios = []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # checked below
-        density = ws.density_atoms ** p
-        for n in space.levels:
-            rhs = np.prod([space.atom_sums(space.leaf_probs * g, n) ** e for g, e in parts], 0)
-            powered = space.expand(space.level(density, n), n)
-            numer = space.atom_sums(space.leaf_probs * ws.v * powered, n)
-            ratios.append(numer**rp / rhs)
-    ratios = np.concatenate(ratios)  # per atom, as ws.ap_atoms
+    scale = _power(c_rh, ws.seq.aggregate_reciprocal)
+    ratios = _testing_ap_ratios(ws)
     atoms_ok = _within_margin(ws.ap_atoms, ratios * scale, tolerance)
     c_test_observed = float(np.max(ratios))  # np.max keeps a NaN, failing the report
     report = check_inequality(
@@ -324,6 +315,27 @@ def verify_testing_to_ap(
     )
     report.passed = report.passed and bool(atoms_ok.all())
     return report
+
+
+def _testing_ap_ratios(ws: WeightSystem) -> np.ndarray:
+    """The testing ratio of verify_testing_to_ap on every atom, per atom (as
+    ws.ap_atoms).  Each norm factor's atom sums are taken for all levels in one
+    pass (_level_masses) and powered once; the numerator's level-n sums read
+    level n of the powered density product.  A value that is not finite (an
+    overflow, or inf / inf) is kept."""
+    space, seq = ws.space, ws.seq
+    rp = seq.aggregate_reciprocal
+    whole = np.ones(space.n_leaves, dtype=bool)  # each atom sum restricts Q to B
+    rhs = np.ones(space.atom_offsets[-1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for g, e in _norm_parts(space, ws.sigmas, seq, ws.active_weights, whole):
+            rhs *= _level_masses(space, space.leaf_probs * g, space.depth + 1) ** e
+        density = ws.density_atoms ** (1.0 / rp)
+        weighted = space.leaf_probs * ws.v
+        numer = np.concatenate([
+            space.atom_sums(weighted * space.expand(space.level(density, n), n), n)
+            for n in space.levels])
+        return numer**rp / rhs
 
 
 @dataclass(frozen=True, eq=False)
@@ -612,7 +624,7 @@ def snell_testing_sup(ws: WeightSystem, fvec: FunctionVector) -> float:
     value = reward[space.depth]
     for n in range(space.depth - 1, -1, -1):
         stop = space.atom_sums(reward[n], n)
-        cont = value.reshape(space.n_atoms(n), space.branching).sum(axis=1)
+        cont = _run_sums(value, space.branching)
         value = np.maximum(stop, cont)
     return float(value[0])
 

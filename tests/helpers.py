@@ -21,7 +21,7 @@ from martbench import (
     sample_stopping_time,
 )
 from martbench.holder import _component_slots, _entry_levels, _norm_parts, trial_vector
-from martbench.report import ABS_FLOOR, REL_TOL
+from martbench.report import ABS_FLOOR, REL_TOL, _power, _within_margin, check_inequality
 from martbench.theorems import band_index
 from martbench.weights import _normalized_ratios, sp_constant_argmax
 
@@ -71,13 +71,21 @@ def random_leaf_mask(rng: np.random.Generator, space: TreeSpace, allow_empty: bo
     return mask
 
 
+def numpy_atom_sums(space: TreeSpace, x, n: int) -> np.ndarray:
+    """The level-n atom sums of a leaf vector (or of each row of a stack) as
+    numpy takes them, independent of the library's own sum kernel."""
+    x = np.asarray(x)
+    return x.reshape(x.shape[:-1] + (space.n_atoms(n), space.atom_size(n))).sum(axis=-1)
+
+
 def full_atoms_oracle(space: TreeSpace, masks) -> np.ndarray:
     """Per level n, the leaves whose level-n atom lies inside the mask, from
     integer leaf counts per atom: a (depth+1, leaves) bool matrix, or a
     (B, depth+1, leaves) stack for a (B, leaves) stack of masks."""
     masks = np.asarray(masks, dtype=bool)
     return np.stack([
-        space.expand(space.atom_sums(masks, n) == space.atom_size(n), n) for n in space.levels
+        space.expand(numpy_atom_sums(space, masks, n) == space.atom_size(n), n)
+        for n in space.levels
     ], axis=-2)
 
 
@@ -91,7 +99,8 @@ def cond_exp_matrix_oracle(space: TreeSpace, f, sigma=None) -> np.ndarray:
     out = np.empty(f.shape[:-1] + (space.depth + 1, space.n_leaves))
     for n in range(space.depth):
         blocks = out.reshape(out.shape[:-1] + (space.n_atoms(n), space.atom_size(n)))
-        blocks[..., n, :, :] = (space.atom_sums(num, n) / space.atom_sums(w, n))[..., None]
+        blocks[..., n, :, :] = (numpy_atom_sums(space, num, n)
+                                / numpy_atom_sums(space, w, n))[..., None]
     out[..., space.depth, :] = f
     return out
 
@@ -162,6 +171,34 @@ def conditional_check_oracle(space: TreeSpace, fvec: FunctionVector, seq, n: int
     ok = (lhs <= bound) & (rhs < math.inf)
     at = int(np.argmax(lhs - bound) if ok.all() else np.argmin(ok))
     return float(lhs[at]), float(rhs[at]), at
+
+
+def ap_from_testing_oracle(ws, c_rh: float):
+    """(per-atom ratios, c_test_observed, passed) of verify_testing_to_ap with
+    the reverse-Hoelder constant c_rh, level by level: at each level n the
+    norm factors' level-n atom sums, each powered, multiplied in one np.prod,
+    and the numerator's level-n sums of v times the expanded level-n density
+    product to the p-th power."""
+    space, seq = ws.space, ws.seq
+    rp = seq.aggregate_reciprocal
+    p = 1.0 / rp
+    scale = _power(c_rh, rp)
+    whole = np.ones(space.n_leaves, dtype=bool)
+    parts = _norm_parts(space, ws.sigmas, seq, ws.active_weights, whole)
+    ratios = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        density = ws.density_atoms ** p
+        for n in space.levels:
+            rhs = np.prod([numpy_atom_sums(space, space.leaf_probs * g, n) ** e
+                           for g, e in parts], 0)
+            powered = space.expand(space.level(density, n), n)
+            numer = numpy_atom_sums(space, space.leaf_probs * ws.v * powered, n)
+            ratios.append(numer**rp / rhs)
+    ratios = np.concatenate(ratios)
+    c_test_observed = float(np.max(ratios))
+    report = check_inequality("testing-to-ap", ws.ap_max, c_test_observed * scale)
+    passed = report.passed and bool(_within_margin(ws.ap_atoms, ratios * scale, REL_TOL).all())
+    return ratios, c_test_observed, passed
 
 
 def masked_tail_products_oracle(space: TreeSpace, fvec: FunctionVector, masks) -> np.ndarray:

@@ -23,6 +23,7 @@ from martbench.filtration import (
     sample_stopping_time,
     stopped,
 )
+from martbench.theorems import verify_testing_to_ap
 from martbench.holder import (
     FunctionVector,
     holder_conditional_check,
@@ -49,6 +50,7 @@ from helpers import (
     random_positive,
     dense_stopped_oracle,
     dense_testing_table_oracle,
+    ap_from_testing_oracle,
 )
 
 # 1 to 4,096 leaves, branching 2 and 3
@@ -94,6 +96,46 @@ def test_expand_levels_puts_each_atom_on_its_leaves(shape):
         for n in space.levels:
             np.testing.assert_array_equal(leaves[..., n, :],
                                           space.expand(space.level(atoms, n), n))
+
+
+# sums of these overflow (1e308 pairs), cancel to NaN (inf - inf) and keep or
+# lose the sign of zero (-0.0 runs)
+RUN_ENTRIES = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e308, 1.5, -2.25])
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("size", [*range(1, 10), 16, 27])
+def test_run_sums_are_numpys_reduce_bit_for_bit(size):
+    # 1 to 2,048 runs (the slices start at 128), one vector and a (3, leaves)
+    # stack, returned fresh and written into strided views of a wider array,
+    # as _level_masses writes one level of a stack
+    rng = np.random.default_rng(size)
+    for runs, batch in itertools.product((1, 127, 128, 2048), ((), (3,))):
+        shape = batch + (runs * size,)
+        cases = (rng.standard_normal(shape), rng.choice(RUN_ENTRIES, shape),
+                 rng.choice([1e308, -1e308, -0.0], shape), rng.choice([0.0, -0.0], shape))
+        for x in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = np.add.reduce(x.reshape(batch + (runs, size)), axis=-1)
+                assert_same_bits(filtration_mod._run_sums(x, size), want)
+                wide = np.full(batch + (3 * runs + 2,), 7.0)
+                for view in (wide[..., 2:2 + runs], wide[..., 1:1 + 3 * runs:3]):
+                    assert filtration_mod._run_sums(x, size, out=view) is view
+                    assert_same_bits(view, want)
+
+
+def test_run_sums_of_a_mask_count_as_numpy_does():
+    rng = np.random.default_rng(10)
+    for size, runs in itertools.product((1, 2, 3, 9), (1, 128, 2048)):
+        mask = rng.random((3, runs * size)) < 0.5
+        got = filtration_mod._run_sums(mask, size)
+        want = np.add.reduce(mask.reshape(3, runs, size), axis=-1)
+        assert got.dtype == want.dtype and got.dtype.kind == "i"
+        np.testing.assert_array_equal(got, want)
 
 
 def assert_same_floats(got, want):
@@ -324,4 +366,26 @@ def test_conditional_check_matches_the_leaf_oracle(shape):
             assert (report.lhs, report.rhs) == (lhs, rhs) or np.isnan([lhs, rhs]).any()
             assert report.metadata["atom"] == leaf // space.atom_size(n)
             verdicts.add(report.passed)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_testing_to_ap_matches_the_level_by_level_oracle(shape, monkeypatch):
+    # every level's ratios from one pass per norm factor, against the former
+    # per-level loop on numpy's own sums: the per-atom ratios, the observed
+    # constant and the verdict, bit for bit (NaN equal to NaN).  The RH
+    # constant, a scan of its own, is fixed at 1 and 4
+    rng = np.random.default_rng(11)
+    space = random_space(rng, *shape)
+    verdicts = set()
+    for ws, c_rh in itertools.product(list(weight_systems(rng, space)), (1.0, 4.0)):
+        monkeypatch.setattr(theorems_mod, "rh_constant", lambda ws, family: c_rh)
+        ratios, c_test_observed, passed = ap_from_testing_oracle(ws, c_rh)
+        assert_same_floats(theorems_mod._testing_ap_ratios(ws), ratios)
+        report = verify_testing_to_ap(ws)
+        assert report.metadata["c_rh"] == c_rh
+        assert_same_floats(np.float64(report.metadata["c_test_observed"]),
+                           np.float64(c_test_observed))
+        assert report.passed == passed
+        verdicts.add(passed)
     assert verdicts == {True, False}

@@ -270,8 +270,8 @@ class TestConditionalCheck:
             assert conditional.passed and integral.passed
 
     def test_every_level_reads_one_kept_integrand(self, monkeypatch):
-        # a check of every level of one (space, vector, sequence) builds the
-        # product power and the norm factors once, read-only, and each level's
+        # a check of every level of one (space, vector, sequence) builds both
+        # sides of every level once, per atom and read-only, and each level's
         # report is the one a fresh build gives
         rng = np.random.default_rng(24)
         space = make_tree_space(3, 2)
@@ -289,8 +289,9 @@ class TestConditionalCheck:
         assert calls == [fv]
         holder_conditional_check(space, other, seq, 0)
         assert calls == [fv, other]
-        integrand, parts = holder_mod._conditional_parts(space, other, seq)
-        assert not any(a.flags.writeable for a in (integrand, *(g for g, _ in parts)))
+        sides = holder_mod._conditional_parts(space, other, seq)
+        assert [a.shape for a in sides] == [(space.atom_offsets[-1],)] * 2
+        assert not any(a.flags.writeable for a in sides)
         for n in space.levels:
             holder_mod._conditional_parts.cache_clear()
             assert holder_conditional_check(space, fv, seq, n).to_json() == reports[n]
