@@ -316,13 +316,15 @@ def _weighted_parts(space: TreeSpace, f, sigma) -> tuple[np.ndarray, np.ndarray,
     return f, space.leaf_probs * f * sigma, _weighted_probs(space, sigma)
 
 
-def _level_masses(space: TreeSpace, probs: np.ndarray, levels: int | None = None) -> np.ndarray:
+def _level_masses(space: TreeSpace, probs: np.ndarray, levels: int | None = None,
+                  out=None) -> np.ndarray:
     """The masses of the atoms of every level below depth (or of the first
     `levels` levels) under the leaf masses probs (or each row of a stack), as
-    the first atom_offsets entries of a per-atom process: level n is
-    atom_sums(probs, n)."""
+    the first atom_offsets entries of a per-atom process (into out, which may
+    run on past them): level n is atom_sums(probs, n)."""
     levels = space.depth if levels is None else levels
-    out = np.empty(probs.shape[:-1] + (space.atom_offsets[levels],))
+    if out is None:
+        out = np.empty(probs.shape[:-1] + (space.atom_offsets[levels],))
     for n in range(levels):
         _run_sums(probs, space.atom_size(n), out=space.level(out, n))
     return out
@@ -336,6 +338,18 @@ def _quotient_atoms(space: TreeSpace, numers: np.ndarray, dens: np.ndarray,
     over the sigma-masses of the atoms."""
     out = np.empty(leaves.shape[:-1] + (space.atom_offsets[-1],))
     np.divide(numers, dens, out=out[..., :space.atom_offsets[-2]])
+    out[..., space.atom_offsets[-2]:] = leaves
+    return out
+
+
+def _mean_atoms(space: TreeSpace, num: np.ndarray, dens: np.ndarray,
+                leaves: np.ndarray) -> np.ndarray:
+    """_quotient_atoms(space, _level_masses(space, num), dens, leaves), bit for
+    bit, with the level sums of the numerator leaf masses num taken straight
+    into the output and divided there: no leaf vector of sums beside it."""
+    out = np.empty(leaves.shape[:-1] + (space.atom_offsets[-1],))
+    below = _level_masses(space, num, out=out[..., :space.atom_offsets[-2]])
+    np.divide(below, dens, out=below)
     out[..., space.atom_offsets[-2]:] = leaves
     return out
 
@@ -366,7 +380,7 @@ def cond_exp_atoms(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:
     gives a (B, atoms) stack."""
     f, num, w = _weighted_parts(space, f, sigma)
     dens = space.atom_masses if w is None else _level_masses(space, w)
-    return _quotient_atoms(space, _level_masses(space, num), dens, f)
+    return _mean_atoms(space, num, dens, f)
 
 
 def cond_exp_matrix(space: TreeSpace, f: np.ndarray, sigma=None) -> np.ndarray:

@@ -275,7 +275,25 @@ def holder_integral_check(
     )
 
 
-@functools.lru_cache(maxsize=1)
+def _keep_last(build):
+    """build cached for its last arguments only, as lru_cache(maxsize=1) caches
+    it, except that the kept result is dropped before a call with other
+    arguments builds its own, so two results are never held at once; an
+    exception keeps nothing.  cache_clear() drops the kept result."""
+    kept = []
+
+    @functools.wraps(build)
+    def cached(*args):
+        if not (kept and kept[0] == args):
+            kept.clear()
+            kept[:] = [args, build(*args)]
+        return kept[1]
+
+    cached.cache_clear = kept.clear
+    return cached
+
+
+@_keep_last
 def _conditional_parts(space: TreeSpace, fvec: FunctionVector, seq: ExponentSequence):
     """Both sides of holder_conditional_check at every level, per atom
     (TreeSpace.atom_offsets), read-only, for the last (space, vector,

@@ -16,7 +16,7 @@ from .filtration import (
     StoppingTime,
     TreeSpace,
     _level_masses,
-    _quotient_atoms,
+    _mean_atoms,
     _weighted_probs,
     as_leaf_mask,
     as_leaf_vector,
@@ -53,7 +53,7 @@ def _weighted_rows(space: TreeSpace, gvec: FunctionVector, sigmas, masses, seq: 
     rows = np.ones(space.atom_offsets[-1])
     with np.errstate(over="ignore"):
         for (g, s), dens in zip(slots, masses):
-            rows *= _quotient_atoms(space, _level_masses(space, space.leaf_probs * g * s), dens, g)
+            rows *= _mean_atoms(space, space.leaf_probs * g * s, dens, g)
     return rows
 
 

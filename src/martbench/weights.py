@@ -16,11 +16,18 @@ are drawn once per (depth, branching, k, s) and kept, read-only, in a
 cache of the last 8 families that every scan of that family shares,
 whatever the leaf masses.  rh_ratios and sp_ratios take (B, leaves) chunks
 of supports, B * width at most SCAN_CHUNK_FLOATS for the kernel's width in
-floats per support (_sp_chunks): a scan never holds the whole family.
+floats per support (_sp_scan): a scan never holds more than a chunk of a
+family that it streams.  A family of K supports that fits one chunk (K *
+leaves at most SCAN_CHUNK_FLOATS) is kept whole instead, as one
+_SupportTable per shape and family: its masks, and the entry index of
+the testing table that the first infinite-tail scan builds.  Its support
+masses |F|_{sigma_i} and |F| are summed once for the last (system, table)
+pair, which the testing and the reverse-Hoelder scans both read; a kept
+family is scanned in the chunks a streamed one takes, so no value moves.
 The "all" testing scan and its witness are cached on the WeightSystem,
 which the strong-type estimate reads again after sp_constant.  Every scan
-starts in _support_chunks, which checks ENUMERATION_CAP for "all" and the
-sampled count (an integer >= 1) before any chunk.
+starts in _kept_table, which checks ENUMERATION_CAP for "all" and the
+sampled count (an integer >= 1) and seed before any chunk.
 
 The system also caches the density product R = prod_i E_n(sigma_i) per
 atom of every level, and the testing table built from it.  With an
@@ -147,7 +154,7 @@ class WeightSystem:
     def sp_scan(self) -> tuple[float, np.ndarray | None]:
         """The "all"-family testing constant and its witness (read-only).  A
         family past ENUMERATION_CAP raises EnumerationCapError on every read."""
-        return _family_max(self, _sp_chunks(self, "all"), sp_ratios)
+        return _sp_scan(self, "all")
 
     def sigma_at(self, i: int) -> np.ndarray:
         """sigma_i for a head index (0-based); 1 beyond the active block."""
@@ -219,9 +226,10 @@ def ap_level_values(ws: WeightSystem) -> np.ndarray:
     (TreeSpace.atom_offsets).  Tail factors are E_n(1) = 1 and drop out."""
     seq = ws.seq
     with np.errstate(over="ignore"):  # an overflowed entry is inf, and fails its report
-        rows = cond_exp_atoms(ws.space, ws.v) ** seq.aggregate_reciprocal
+        rows = cond_exp_atoms(ws.space, ws.v)
+        rows **= seq.aggregate_reciprocal  # in place: the same powers, one leaf process less
         for i, atoms in enumerate(ws.sigma_atoms):
-            rows = rows * atoms ** (1.0 - 1.0 / seq.head[i])
+            rows *= atoms ** (1.0 - 1.0 / seq.head[i])
     return rows
 
 
@@ -234,32 +242,37 @@ def ap_constant(ws: WeightSystem) -> float:
 def _support_chunks(space: TreeSpace, family, width: int | None = None) -> Iterator[np.ndarray]:
     """The family as (B, leaves) bool chunks with B * width at most
     SCAN_CHUNK_FLOATS, width the kernel's floats per support (leaves by
-    default): "all" decodes the bitmasks 1 .. 2**leaves - 1 in order, a
-    sampled family gives its distinct supports in the order first drawn.
-    ENUMERATION_CAP and the family spec are checked at the call,
-    before any chunk: every scan of a family starts here."""
-    rows = max(1, SCAN_CHUNK_FLOATS // (width or space.n_leaves))
-    end = 2**space.n_leaves
-    if family == "all":
-        if end - 1 > ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"{_about(end - 1)} distinct stopping-time supports exceed the cap "
-                f"{ENUMERATION_CAP}; use a sampled family"
-            )
-        bits = np.arange(space.n_leaves)
-        return (((np.arange(lo, min(lo + rows, end))[:, None] >> bits) & 1).astype(bool)
-                for lo in range(1, end, rows))
-    if isinstance(family, str):
-        raise ValueError(f"unknown family spec {family!r}")
-    distinct = _sampled_supports(space, family)
-    return (distinct[lo : lo + rows] for lo in range(0, len(distinct), rows))
+    default): "all" gives the bitmasks 1 .. 2**leaves - 1 in order, a
+    sampled family its distinct supports in the order first drawn; a kept
+    family's chunks are slices of its table (_kept_table).  ENUMERATION_CAP
+    and the family spec are checked at the call, before any chunk: every
+    scan of a family starts here or in _kept_table."""
+    rows = _chunk_rows(space, width)
+    table = _kept_table(space, family)
+    if table is not None:
+        masks = table.masks
+    elif family == "all":
+        return (_decoded(space.n_leaves, lo, min(lo + rows, 2**space.n_leaves))
+                for lo in range(1, 2**space.n_leaves, rows))
+    else:
+        masks = _sampled_supports(space, family)
+    return (masks[lo : lo + rows] for lo in range(0, len(masks), rows))
 
 
-def _sampled_supports(space: TreeSpace, family) -> np.ndarray:
-    """The distinct nonempty supports of a sampled family, in the order first
-    drawn, as a read-only (K, leaves) bool array, drawn once per seed.  The
-    seed is an integer or a list (tuple, array) of integers, keyed as the
-    tuple that default_rng reads as the same stream; None, a Generator or a
+def _chunk_rows(space: TreeSpace, width: int | None) -> int:
+    """Supports per chunk: B with B * width at most SCAN_CHUNK_FLOATS, B >= 1."""
+    return max(1, SCAN_CHUNK_FLOATS // (width or space.n_leaves))
+
+
+def _decoded(leaves: int, lo: int, hi: int) -> np.ndarray:
+    """The leaf sets of the bitmasks lo .. hi - 1, one (leaves,) bool row each."""
+    return ((np.arange(lo, hi)[:, None] >> np.arange(leaves)) & 1).astype(bool)
+
+
+def _sampled_key(family) -> tuple:
+    """(count, seed) of a sampled family after its checks.  The seed is an
+    integer or a list (tuple, array) of integers, keyed as the tuple that
+    default_rng reads as the same stream; None, a Generator or a
     BitGenerator (each a fresh stream), a float, a string or a bool raises
     ValueError.  The count must be an integer >= 1 (an integral float such
     as 2.0 is one, a bool is not), else ValueError."""
@@ -273,7 +286,14 @@ def _sampled_supports(space: TreeSpace, family) -> np.ndarray:
                for e in (seed if isinstance(seed, tuple) else (seed,))):
         raise ValueError(f"a sampled family's seed must be an integer or a list of integers, "
                          f"not {seed!r}")
-    return _drawn_supports(space.depth, space.branching, int(count), seed)
+    return int(count), seed
+
+
+def _sampled_supports(space: TreeSpace, family) -> np.ndarray:
+    """The distinct nonempty supports of a sampled family, in the order first
+    drawn, as a read-only (K, leaves) bool array, drawn once per seed after
+    the checks of _sampled_key."""
+    return _drawn_supports(space.depth, space.branching, *_sampled_key(family))
 
 
 @lru_cache(maxsize=8)
@@ -287,6 +307,57 @@ def _drawn_supports(depth: int, branching: int, count: int, seed) -> np.ndarray:
     drawn = (sample_stopping_time(space, rng).finite for _ in range(count))
     distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())
     return _frozen(np.stack(distinct) if distinct else np.zeros((0, space.n_leaves), bool))
+
+
+@dataclass(frozen=True, eq=False)
+class _SupportTable:
+    """A support family of one tree shape that fits one scan chunk, kept
+    read-only: its (K, leaves) masks in scan order and, built on the first
+    infinite-tail testing scan, where each support's leaves read the testing
+    table.  Hashes by identity, so it keys the support masses of a system."""
+
+    depth: int
+    branching: int
+    masks: np.ndarray
+
+    @cached_property
+    def entry_index(self) -> np.ndarray:
+        """_entry_index of the masks (read-only)."""
+        return _frozen(_entry_index(make_tree_space(self.depth, self.branching), self.masks))
+
+
+def _kept_table(space: TreeSpace, family) -> _SupportTable | None:
+    """The kept table of a family whose K supports fit one chunk (K * leaves
+    at most SCAN_CHUNK_FLOATS: "all" up to 12 leaves, a sampled family of K
+    distinct supports up to 65,536 / K leaves), else None: a larger family
+    streams.  Checks ENUMERATION_CAP for "all" and the sampled count and
+    seed on every call, and an OverflowError of the sampler is not kept."""
+    if family == "all":
+        size, key = 2**space.n_leaves - 1, "all"
+        if size > ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"{_about(size)} distinct stopping-time supports exceed the cap "
+                f"{ENUMERATION_CAP}; use a sampled family"
+            )
+    elif isinstance(family, str):
+        raise ValueError(f"unknown family spec {family!r}")
+    else:
+        key = _sampled_key(family)
+        size = len(_drawn_supports(space.depth, space.branching, *key))
+    if size * space.n_leaves > SCAN_CHUNK_FLOATS:
+        return None
+    return _support_table(space.depth, space.branching, key)
+
+
+@lru_cache(maxsize=8)
+def _support_table(depth: int, branching: int, key) -> _SupportTable:
+    """The table of one shape and family key: "all" or a sampled (count, seed),
+    whose masks are the drawn supports themselves."""
+    if key == "all":
+        masks = _frozen(_decoded(branching**depth, 1, 2 ** (branching**depth)))
+    else:
+        masks = _drawn_supports(depth, branching, *key)
+    return _SupportTable(depth, branching, masks)
 
 
 def support_family(space: TreeSpace, family="all") -> np.ndarray:
@@ -307,25 +378,66 @@ def _base_exponents(ws: WeightSystem) -> list[float]:
     return [(1.0 / ws.seq.head[i]) / ws.seq.aggregate_reciprocal for i in range(ws.n_active)]
 
 
-def _normalized_ratios(ws: WeightSystem, masks: np.ndarray, reference, inverse=False):
+def _support_masses(ws: WeightSystem, masks: np.ndarray) -> np.ndarray:
+    """The bases of the ratios per row F of masks: |F|_{sigma_i} for each
+    sigma_i, then |F|, as the rows of an (n_active + 1, B) array.  Each is a
+    sum along the last axis, so a row's value does not depend on its chunk."""
+    return np.array([(masks * probs).sum(axis=-1)
+                     for probs in (*ws.sigma_probs, ws.space.leaf_probs)])
+
+
+@lru_cache(maxsize=1)
+def _kept_masses(ws: WeightSystem, table: _SupportTable) -> np.ndarray:
+    """_support_masses of a kept table for the last (system, table) pair (both
+    hash by identity), read-only: rh_constant and sp_constant of one system
+    sum them once."""
+    return _frozen(_support_masses(ws, table.masks))
+
+
+def _entry_index(space: TreeSpace, masks: np.ndarray) -> np.ndarray:
+    """Per support and leaf, the leaf's index in the flattened testing table
+    at its entry level (_entry_levels): entry level * leaves + leaf."""
+    return _entry_levels(space, masks) * space.n_leaves + space.leaf_index
+
+
+def _normalized_ratios(ws: WeightSystem, masses, reference, inverse=False):
     """prod (|F|_{sigma_i}/reference)**d_i * (|F|/reference)**(1 - sum d_i) per
-    row F of masks, the bases as row sums: as the exponents sum to 1 this is
-    prod |F|_{sigma_i}**d_i * |F|**(1 - sum d_i) / reference, and the
-    all-equal case is exactly 1.0.  `inverse` flips every quotient."""
+    support F, the bases the rows of masses (_support_masses): as the
+    exponents sum to 1 this is prod |F|_{sigma_i}**d_i * |F|**(1 - sum d_i) /
+    reference, and the all-equal case is exactly 1.0.  `inverse` flips every
+    quotient."""
     d = _base_exponents(ws)
-    out = np.ones(len(masks))
-    for probs, e in zip([*ws.sigma_probs, ws.space.leaf_probs], [*d, 1.0 - float(np.sum(d))]):
-        base = (masks * probs).sum(axis=-1)
+    out = np.ones(len(reference))
+    for base, e in zip(masses, [*d, 1.0 - float(np.sum(d))]):
         out *= (reference / base if inverse else base / reference) ** e
     return out
+
+
+def _rh_rows(ws: WeightSystem, masks: np.ndarray, masses, at=None) -> np.ndarray:
+    """rh_ratios of a bool mask stack with its _support_masses (`at`, which
+    only the testing kernel reads, is ignored)."""
+    integrand = np.prod([s**e for s, e in zip(ws.sigmas, _base_exponents(ws))], axis=0)
+    return _normalized_ratios(ws, masses, (masks * (ws.space.leaf_probs * integrand)).sum(-1))
+
+
+def _sp_rows(ws: WeightSystem, masks: np.ndarray, masses, at=None) -> np.ndarray:
+    """sp_ratios of a bool mask stack with its _support_masses and, for an
+    infinite tail, its _entry_index `at`."""
+    space, rp = ws.space, ws.seq.aggregate_reciprocal
+    if ws.seq.is_finite_family:
+        atoms = level_product_atoms(space, FunctionVector(ws.sigmas, masks), ws.seq)
+        numer = (masks * (space.leaf_probs * ws.v * space.level_sup(atoms) ** (1.0 / rp))).sum(-1)
+    else:
+        numer = ws.testing_table.ravel().take(at).sum(-1)  # T[entry level, leaf]
+    with np.errstate(over="ignore"):  # a ratio past the float range is inf
+        return _normalized_ratios(ws, masses, numer, inverse=True) ** rp
 
 
 def rh_ratios(ws: WeightSystem, masks) -> np.ndarray:
     """Reverse-Hoelder ratio of each support F in a (B, leaves) stack:
     prod (int_F sigma_i)**(p/p_i) / int_F prod sigma_i**(p/p_i)."""
     masks = _as_leaf_masks(ws.space, masks)
-    integrand = np.prod([s**e for s, e in zip(ws.sigmas, _base_exponents(ws))], axis=0)
-    return _normalized_ratios(ws, masks, (masks * (ws.space.leaf_probs * integrand)).sum(-1))
+    return _rh_rows(ws, masks, _support_masses(ws, masks))
 
 
 def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:
@@ -339,25 +451,19 @@ def sp_ratios(ws: WeightSystem, masks) -> np.ndarray:
     level products: there the padded head slots weigh in the atoms that F
     covers in part."""
     masks = _as_leaf_masks(ws.space, masks)
-    space, rp = ws.space, ws.seq.aggregate_reciprocal
-    if ws.seq.is_finite_family:
-        atoms = level_product_atoms(space, FunctionVector(ws.sigmas, masks), ws.seq)
-        numer = (masks * (space.leaf_probs * ws.v * space.level_sup(atoms) ** (1.0 / rp))).sum(-1)
-    else:
-        at = _entry_levels(space, masks) * space.n_leaves + space.leaf_index
-        numer = ws.testing_table.ravel().take(at).sum(-1)  # T[entry level, leaf]
-    with np.errstate(over="ignore"):  # a ratio past the float range is inf
-        return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
+    at = None if ws.seq.is_finite_family else _entry_index(ws.space, masks)
+    return _sp_rows(ws, masks, _support_masses(ws, masks), at)
 
 
-def _sp_chunks(ws: WeightSystem, family) -> Iterator[np.ndarray]:
-    """_support_chunks sized for sp_ratios: (B, leaves) blocks for an infinite
-    tail; a finite family holds several per-atom blocks (level products, a factor
-    and level_sup's rows, up to 2 * leaves floats per support each), which the width
-    (depth+1) * leaves keeps within a few budgets (a width of leaves reaches 7)."""
-    space = ws.space
-    width = (space.depth + 1) * space.n_leaves if ws.seq.is_finite_family else None
-    return _support_chunks(space, family, width)
+def _sp_scan(ws: WeightSystem, family) -> tuple[float, np.ndarray | None]:
+    """_family_max of sp_ratios over the family.  Chunks are (B, leaves)
+    blocks for an infinite tail; a finite family holds several per-atom
+    blocks (level products, a factor and level_sup's rows, up to 2 * leaves
+    floats per support each), which the width (depth+1) * leaves keeps within
+    a few budgets (a width of leaves reaches 7)."""
+    space, finite = ws.space, ws.seq.is_finite_family
+    return _family_max(ws, family, _sp_rows, (space.depth + 1) * space.n_leaves if finite else None,
+                       entry=not finite)
 
 
 def rh_support_ratio(ws: WeightSystem, support) -> float:
@@ -370,13 +476,29 @@ def sp_support_ratio(ws: WeightSystem, support) -> float:
     return float(sp_ratios(ws, as_leaf_mask(ws.space, support)[None])[0])
 
 
-def _family_max(ws: WeightSystem, chunks, kernel) -> tuple[float, np.ndarray | None]:
-    """Largest kernel ratio over the chunks and the first support in scan
-    order attaining it (read-only); the first NaN is returned at once, with
-    its support as the witness, and no later chunk is evaluated."""
+def _family_max(ws: WeightSystem, family, kernel, width: int | None = None,
+                entry: bool = False) -> tuple[float, np.ndarray | None]:
+    """Largest kernel ratio over the family's chunks (_support_chunks at the
+    width) and the first support in scan order attaining it (read-only);
+    the first NaN is returned at once, with its support as the witness, and
+    no later chunk is evaluated.  The kernel takes each chunk with its
+    support masses and, where `entry`, its entry index: a kept family's are
+    slices of the kept masses and of its table, a streamed one's are taken
+    per chunk."""
+    space = ws.space
+    table = _kept_table(space, family)
+    if table is None:
+        chunks = ((m, _support_masses(ws, m), _entry_index(space, m) if entry else None)
+                  for m in _support_chunks(space, family, width))
+    else:
+        rows, masses = _chunk_rows(space, width), _kept_masses(ws, table)
+        at = table.entry_index if entry else None
+        chunks = ((table.masks[lo : lo + rows], masses[:, lo : lo + rows],
+                   None if at is None else at[lo : lo + rows])
+                  for lo in range(0, len(table.masks), rows))
     best, arg = 0.0, None
-    for masks in chunks:
-        r = kernel(ws, masks)
+    for masks, *parts in chunks:
+        r = kernel(ws, masks, *parts)
         i = int(r.argmax())  # the first NaN, else the first maximum
         if not r[i] <= best:  # larger, or NaN
             best, arg = float(r[i]), _read_only(masks[i])
@@ -390,7 +512,7 @@ def rh_constant(ws: WeightSystem, family="all") -> float:
     rh_support_ratio over the distinct stopping-time supports of
     support_family (and its checks).  Sampled families give a lower bound
     for the true constant."""
-    return _family_max(ws, _support_chunks(ws.space, family), rh_ratios)[0]
+    return _family_max(ws, family, _rh_rows)[0]
 
 
 def sp_constant(ws: WeightSystem, family="all") -> float:
@@ -407,7 +529,7 @@ def sp_constant_argmax(ws: WeightSystem, family="all") -> tuple[float, np.ndarra
     checks ENUMERATION_CAP on every read until a scan is kept."""
     if family == "all":
         return ws.sp_scan
-    return _family_max(ws, _sp_chunks(ws, family), sp_ratios)
+    return _sp_scan(ws, family)
 
 
 def necessity_family_ap(ws: WeightSystem, n: int, leaf_set) -> FunctionVector:

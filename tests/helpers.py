@@ -20,10 +20,11 @@ from martbench import (
     make_weight_system,
     sample_stopping_time,
 )
+from martbench import weights as weights_mod
 from martbench.holder import _component_slots, _entry_levels, _norm_parts, trial_vector
 from martbench.report import ABS_FLOOR, REL_TOL, _power, _within_margin, check_inequality
 from martbench.theorems import band_index
-from martbench.weights import _normalized_ratios, sp_constant_argmax
+from martbench.weights import _normalized_ratios, _support_masses, sp_constant_argmax
 
 
 def random_space(rng: np.random.Generator, max_depth: int = 3, branchings=(2, 3)) -> TreeSpace:
@@ -233,7 +234,48 @@ def sp_ratios_oracle(ws, masks) -> np.ndarray:
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     rows = level_products(space, FunctionVector(ws.sigmas, masks), ws.seq)
     numer = (masks * (space.leaf_probs * ws.v * rows.max(axis=-2) ** (1.0 / rp))).sum(-1)
-    return _normalized_ratios(ws, masks, numer, inverse=True) ** rp
+    return _normalized_ratios(ws, _support_masses(ws, masks), numer, inverse=True) ** rp
+
+
+def streamed_chunks(space: TreeSpace, family, width=None, drawn=None):
+    """The family as the scans streamed it before any family was kept:
+    (B, leaves) bool chunks, B * width at most weights.SCAN_CHUNK_FLOATS
+    (width leaves by default), "all" decoded afresh from the bitmasks
+    1 .. 2**leaves - 1 in order, a sampled family drawn afresh
+    (sampled_supports_oracle) unless `drawn` holds that draw already."""
+    rows = max(1, weights_mod.SCAN_CHUNK_FLOATS // (width or space.n_leaves))
+    if family == "all":
+        end, bits = 2**space.n_leaves, np.arange(space.n_leaves)
+        return [((np.arange(lo, min(lo + rows, end))[:, None] >> bits) & 1).astype(bool)
+                for lo in range(1, end, rows)]
+    family = sampled_supports_oracle(space, family) if drawn is None else drawn
+    return [family[lo : lo + rows] for lo in range(0, len(family), rows)]
+
+
+def family_max_oracle(ws, chunks, kernel):
+    """The largest kernel(ws, masks) ratio over the chunks and the first
+    support in scan order attaining it; the first NaN ends the scan, with
+    its support as the witness."""
+    best, arg = 0.0, None
+    for masks in chunks:
+        r = kernel(ws, masks)
+        i = int(r.argmax())  # the first NaN, else the first maximum
+        if not r[i] <= best:  # larger, or NaN
+            best, arg = float(r[i]), masks[i].copy()
+            if math.isnan(best):
+                break
+    return best, arg
+
+
+def streamed_scan(ws, family, kernel, drawn=None):
+    """The scan of weights.rh_ratios or weights.sp_ratios over the streamed
+    family (streamed_chunks), chunked as the scans chunk it: a
+    finite-family testing scan (depth+1) * leaves floats per support, every
+    other scan leaves."""
+    space = ws.space
+    finite_sp = kernel is weights_mod.sp_ratios and ws.seq.is_finite_family
+    width = (space.depth + 1) * space.n_leaves if finite_sp else None
+    return family_max_oracle(ws, streamed_chunks(space, family, width, drawn), kernel)
 
 
 def stopped_average_oracle(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -> np.ndarray:

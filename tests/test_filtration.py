@@ -14,6 +14,7 @@ from martbench.filtration import (
     as_leaf_mask,
     as_leaf_vector,
     cond_exp,
+    cond_exp_atoms,
     cond_exp_matrix,
     count_stopping_times,
     enumerate_stopping_times,
@@ -170,6 +171,25 @@ class TestCondExp:
                 assert stack.shape == (5, space.depth + 1, space.n_leaves)
                 for f, mat in zip(fs, stack):
                     assert np.array_equal(mat, cond_exp_matrix(space, f, s))
+
+    def test_cond_exp_atoms_holds_no_leaf_vector_of_sums(self):
+        # the numerator's level sums go straight into the output: a call
+        # holds the numerator and the output (about 2 leaf vectors on a
+        # binary tree) and nothing of their size besides; a change of
+        # measure adds its leaf masses and their level sums
+        space = make_tree_space(14, 2)
+        f = np.random.default_rng(5).uniform(0.5, 2.0, space.n_leaves)
+        leaf = space.n_leaves * 8
+        space.atom_masses  # kept by the space, built outside the trace
+        for sigma, extra in ((None, 0), (f, 2)):
+            tracemalloc.start()
+            try:
+                atoms = cond_exp_atoms(space, f, sigma)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert atoms.nbytes < 2 * leaf
+            assert peak < atoms.nbytes + (1.5 + extra) * leaf
 
     def test_space_holds_read_only_copies(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])

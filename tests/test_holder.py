@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +296,34 @@ class TestConditionalCheck:
         for n in space.levels:
             holder_mod._conditional_parts.cache_clear()
             assert holder_conditional_check(space, fv, seq, n).to_json() == reports[n]
+
+    def test_kept_sides_are_dropped_before_the_next_build(self, monkeypatch):
+        # the last vector's sides are gone while another vector's are built,
+        # so a build never holds two vectors' sides; a failed build keeps
+        # nothing, and the next call builds again
+        rng = np.random.default_rng(25)
+        space = make_tree_space(3, 2)
+        seq = make_exponent_sequence([2.0, 3.0], 0.2, 0.5)
+        fv, other = (random_fvec(rng, space, seq) for _ in range(2))
+        holder_mod._conditional_parts.cache_clear()
+        kept = [weakref.ref(a) for a in holder_mod._conditional_parts(space, fv, seq)]
+        alive, original = [], holder_mod.product_function
+
+        def watched(*args, **kwargs):
+            alive.append([ref() is not None for ref in kept])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(holder_mod, "product_function", watched)
+        assert holder_mod._conditional_parts(space, fv, seq)[0] is kept[0]()  # no build
+        assert alive == []
+        holder_conditional_check(space, other, seq, 0)
+        assert alive == [[False, False]]
+        monkeypatch.setattr(holder_mod, "product_function", lambda *a: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            holder_mod._conditional_parts(space, fv, seq)
+        monkeypatch.setattr(holder_mod, "product_function", watched)
+        holder_conditional_check(space, fv, seq, 0)
+        assert len(alive) == 2
 
     def test_level_out_of_range(self):
         space = make_tree_space(1, 2)

@@ -1361,7 +1361,7 @@ class TestEstimates:
         v = random_positive(rng, space, 3.0)
         ws = make_weight_system(space, seq, w, v)
         monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 40 * 8)
-        calls = {"sp_ratios": 0, "rh_ratios": 0}
+        calls = {"_sp_rows": 0, "_rh_rows": 0}
 
         def counting(name):
             original = getattr(weights_mod, name)
@@ -1372,12 +1372,12 @@ class TestEstimates:
 
             monkeypatch.setattr(weights_mod, name, wrapper)
 
-        counting("sp_ratios")
-        counting("rh_ratios")
+        counting("_sp_rows")
+        counting("_rh_rows")
         c_s = sp_constant(ws)
         estimate = estimate_best_constant("strong", ws, 4, 9)
         report = verify_testing_to_ap(ws).to_json()
-        assert calls == {"sp_ratios": 7, "rh_ratios": 7}
+        assert calls == {"_sp_rows": 7, "_rh_rows": 7}
         monkeypatch.undo()
         fresh = make_weight_system(space, seq, w, v)
         assert c_s == sp_constant(fresh)

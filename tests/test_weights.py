@@ -32,12 +32,14 @@ from martbench.weights import (
 )
 
 from helpers import (
+    family_max_oracle,
     random_positive,
     random_sequence,
     random_space,
     random_weight_system,
     sampled_supports_oracle,
     sp_ratios_oracle,
+    streamed_scan,
 )
 
 
@@ -416,14 +418,14 @@ class TestNanPropagation:
     def nan_at(monkeypatch, name, position):
         """Scan a 2x2 space (15 supports) in 3-row chunks (3 rows of 4 leaves)
         and give the support at `position` in scan order a NaN from the
-        batched kernel `name`; returns the list of chunks the kernel saw."""
+        scan kernel `name`; returns the list of chunks the kernel saw."""
         monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 3 * 4)
         original, seen = getattr(weights_mod, name), []
 
-        def kernel(ws, masks):
+        def kernel(ws, masks, masses, at):
             lo = sum(map(len, seen))
             seen.append(masks)
-            out = original(ws, masks)
+            out = original(ws, masks, masses, at)
             if lo <= position < lo + len(masks):
                 out[position - lo] = np.nan
             return out
@@ -438,7 +440,7 @@ class TestNanPropagation:
         )
 
     def test_sp_constant(self, monkeypatch):
-        seen = self.nan_at(monkeypatch, "sp_ratios", 4)
+        seen = self.nan_at(monkeypatch, "_sp_rows", 4)
         value, witness = sp_constant_argmax(self.system(60))
         assert np.isnan(value)
         np.testing.assert_array_equal(witness, [True, False, True, False])  # bitmask 5
@@ -449,7 +451,7 @@ class TestNanPropagation:
 
     def test_rh_constant(self, monkeypatch):
         ws = self.system(61)
-        seen = self.nan_at(monkeypatch, "rh_ratios", 7)
+        seen = self.nan_at(monkeypatch, "_rh_rows", 7)
         assert np.isnan(rh_constant(ws))
         assert len(seen) == 3  # the NaN sits in the third chunk; no later chunk runs
         seen.clear()
@@ -461,9 +463,7 @@ class TestNanPropagation:
 
 def rh_argmax(ws):
     """rh_constant's "all" scan with its witness (rh_constant keeps only the value)."""
-    return weights_mod._family_max(
-        ws, weights_mod._support_chunks(ws.space, "all"), weights_mod.rh_ratios
-    )
+    return weights_mod._family_max(ws, "all", weights_mod._rh_rows)
 
 
 def oracle_ratios(ws):
@@ -651,8 +651,8 @@ class TestTestingTable:
                     np.testing.assert_array_equal(
                         weights_mod.sp_ratios(ws, masks), sp_ratios_oracle(ws, masks)
                     )  # NaN compares equal to NaN here
-                new = weights_mod._family_max(ws, chunks, weights_mod.sp_ratios)
-                old = weights_mod._family_max(ws, chunks, sp_ratios_oracle)
+                new = family_max_oracle(ws, chunks, weights_mod.sp_ratios)
+                old = family_max_oracle(ws, chunks, sp_ratios_oracle)
             assert new[0] == old[0] or np.isnan(new[0]) and np.isnan(old[0])
             np.testing.assert_array_equal(new[1], old[1])
             if ws.space.n_leaves <= 12 and not np.isnan(old[0]):
@@ -722,11 +722,178 @@ class TestTestingTable:
         assert value == np.inf
         np.testing.assert_array_equal(witness, [True, True, True])
         with np.errstate(over="ignore", invalid="ignore"):
-            old = weights_mod._family_max(ws, [support_family(ws.space)], sp_ratios_oracle)
+            old = family_max_oracle(ws, [support_family(ws.space)], sp_ratios_oracle)
         assert np.isnan(old[0])
         # a report built on the constant now fails as "inf", where it failed as "nan"
         report = check_inequality("sp", 1.0, 1.0, constant=sp_constant(ws))
         assert not report.passed and report.metadata["reason"] == "inf"
+
+
+def assert_same_scan(got, want):
+    """Two (value, witness) scans agree bit for bit: NaN matches NaN, and the
+    witnesses have the same bytes."""
+    assert got[0] == want[0] or np.isnan(got[0]) and np.isnan(want[0])
+    assert (got[1] is None) == (want[1] is None)
+    if got[1] is not None:
+        assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
+
+
+class TestKeptTables:
+    """Families that fit one scan chunk are kept per tree shape and family;
+    every scan of them gives the streamed scan's values and witnesses."""
+
+    FAMILIES = ["all", *({"count": k, "seed": 3} for k in (1, 16, 32, 256))]
+
+    @staticmethod
+    def nan_where(monkeypatch, leaf):
+        """Give every support that holds `leaf` and one more leaf a NaN ratio in
+        both scan kernels, whichever path calls them (sp_ratios and rh_ratios
+        call them too): the witness is then the first such support in scan
+        order."""
+        for name in ("_sp_rows", "_rh_rows"):
+            def kernel(ws, masks, masses, at=None, original=getattr(weights_mod, name)):
+                out = original(ws, masks, masses, at)
+                out[masks[:, leaf] & (masks.sum(axis=1) > 1)] = np.nan
+                return out
+
+            monkeypatch.setattr(weights_mod, name, kernel)
+
+    def check_system(self, ws, family, drawn):
+        for kernel, kept in ((weights_mod.sp_ratios, lambda: sp_constant_argmax(ws, family)),
+                             (weights_mod.rh_ratios,
+                              lambda: weights_mod._family_max(ws, family, weights_mod._rh_rows))):
+            with np.errstate(invalid="ignore"):
+                want, got = streamed_scan(ws, family, kernel, drawn), kept()
+            assert_same_scan(got, want)
+        rh = rh_constant(ws, family)
+        assert rh == want[0] or np.isnan(rh) and np.isnan(want[0])
+        return got[0]
+
+    @pytest.mark.parametrize("finite", [False, True], ids=["infinite-tail", "finite-tail"])
+    def test_kept_scans_match_the_streamed_scan_bit_for_bit(self, finite, monkeypatch):
+        rng = np.random.default_rng(120 + finite)
+        # the kernel shapes, and 256 leaves, where a finite-tail testing scan
+        # takes the 256-sample family in slices of 28 supports
+        for depth, branching in [*TestBatchedScan.SHAPES, (8, 2)]:
+            space = make_tree_space(depth, branching, random_probs(rng, branching**depth))
+            head = list(rng.uniform(1.2, 6.0, int(rng.integers(1, 4))))
+            seq = make_exponent_sequence(head, *((0.0, 0.5) if finite else (0.3, 0.5)))
+            for family in self.FAMILIES[space.n_leaves > 12:]:
+                assert weights_mod._kept_table(space, family) is not None
+                drawn = None if family == "all" else sampled_supports_oracle(space, family)
+                ws = make_weight_system(space, seq, [random_positive(rng, space, 50.0)
+                                                     for _ in head], random_positive(rng, space))
+                self.check_system(ws, family, drawn)
+                for n_active in (1, len(head)):
+                    unit = unit_weight_system(space, seq, n_active)
+                    assert self.check_system(unit, family, drawn) == 1.0
+                    assert sp_constant(unit, family) == rh_constant(unit, family) == 1.0
+                if family != {"count": 1, "seed": 3}:  # one support, of one leaf or more
+                    leaf = int(rng.integers(space.n_leaves))
+                    with monkeypatch.context() as m:
+                        self.nan_where(m, leaf)
+                        nan = make_weight_system(space, seq, list(ws.active_weights), ws.v)
+                        assert np.isnan(self.check_system(nan, family, drawn))
+                        witness = sp_constant_argmax(nan, family)[1]
+                    assert witness[leaf] and witness.sum() > 1
+
+    def test_families_past_one_chunk_stream(self):
+        # "all" at 13 leaves (8,191 supports), and 256 samples at 512 leaves;
+        # sample:32 at 4,096 leaves ends in the sampler's OverflowError
+        # before any table (every 4,096-leaf shape overflows its counts)
+        weights_mod._support_table.cache_clear()
+        weights_mod._kept_masses.cache_clear()
+        rng = np.random.default_rng(122)
+        seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+        for depth, branching in [(12, 2), (6, 4), (2, 64)]:
+            with pytest.raises(OverflowError):
+                sp_constant(unit_weight_system(make_tree_space(depth, branching), seq),
+                            {"count": 32, "seed": 0})
+        cases = [(make_tree_space(1, 13), "all"),
+                 (make_tree_space(9, 2), {"count": 256, "seed": 0})]
+        for space, family in cases:
+            assert len(support_family(space, family)) * space.n_leaves > \
+                weights_mod.SCAN_CHUNK_FLOATS
+            assert weights_mod._kept_table(space, family) is None
+            ws = random_weight_system(rng, space, seq)
+            drawn = None if family == "all" else sampled_supports_oracle(space, family)
+            sp, rh = sp_constant_argmax(ws, family), rh_constant(ws, family)
+            assert_same_scan(sp, streamed_scan(ws, family, weights_mod.sp_ratios, drawn))
+            assert rh == streamed_scan(ws, family, weights_mod.rh_ratios, drawn)[0]
+        assert weights_mod._support_table.cache_info().currsize == 0
+        assert weights_mod._kept_masses.cache_info().currsize == 0
+
+    def test_tables_are_built_once_per_shape_and_family(self, monkeypatch):
+        weights_mod._support_table.cache_clear()
+        calls, original = [], weights_mod._entry_levels
+
+        def counted(space, masks):
+            calls.append(masks.shape)
+            return original(space, masks)
+
+        monkeypatch.setattr(weights_mod, "_entry_levels", counted)
+        rng = np.random.default_rng(123)
+        seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+        for _ in range(3):  # other leaf masses and weights, the same two shapes
+            for depth, branching in [(3, 2), (2, 3)]:
+                space = make_tree_space(depth, branching, random_probs(rng, branching**depth))
+                ws = random_weight_system(rng, space, seq)
+                for family in ("all", {"count": 16, "seed": 1}):
+                    sp_constant(ws, family)
+                    rh_constant(ws, family)
+        sampled = [len(support_family(make_tree_space(depth, branching),
+                                      {"count": 16, "seed": 1})) for depth, branching in [(3, 2), (2, 3)]]
+        assert calls == [(255, 8), (sampled[0], 8), (511, 9), (sampled[1], 9)]
+        assert weights_mod._support_table.cache_info().currsize == 4
+        table = weights_mod._kept_table(make_tree_space(3, 2), "all")
+        assert not table.masks.flags.writeable and not table.entry_index.flags.writeable
+        np.testing.assert_array_equal(table.masks, support_family(make_tree_space(3, 2)))
+
+    def test_support_masses_are_summed_once_per_system(self, monkeypatch):
+        weights_mod._kept_masses.cache_clear()
+        calls, original = [], weights_mod._support_masses
+
+        def counted(ws, masks):
+            calls.append(len(masks))
+            return original(ws, masks)
+
+        monkeypatch.setattr(weights_mod, "_support_masses", counted)
+        rng = np.random.default_rng(124)
+        space = make_tree_space(2, 3, random_probs(rng, 9))
+        ws = random_weight_system(rng, space, make_exponent_sequence([2.5, 3.0], 0.2, 0.5))
+        sp_constant(ws)
+        rh_constant(ws)
+        assert calls == [511]
+        family = {"count": 16, "seed": 2}
+        sp_constant(ws, family)
+        rh_constant(ws, family)
+        assert calls == [511, 15]
+        masses = weights_mod._kept_masses(ws, weights_mod._kept_table(space, family))
+        assert masses.shape == (len(ws.sigmas) + 1, 15) and not masses.flags.writeable
+
+    def test_kept_sampled_family_still_checks_its_spec(self):
+        space = make_tree_space(2, 2)
+        ws = random_weight_system(np.random.default_rng(125), space, doubling_seq())
+        for _ in range(2):
+            sp_constant(ws, {"count": 16, "seed": 0})
+        for family, match in (({"count": True, "seed": 0}, "count must be an integer"),
+                              ({"count": 16.5, "seed": 0}, "count must be an integer"),
+                              ({"count": 16, "seed": 0.0}, "seed must be an integer"),
+                              ({"count": 16, "seed": "0"}, "seed must be an integer")):
+            for scan in (sp_constant, rh_constant, lambda ws, f: support_family(ws.space, f)):
+                with pytest.raises(ValueError, match=match):
+                    scan(ws, family)
+
+    def test_sampler_overflow_is_not_kept(self):
+        weights_mod._support_table.cache_clear()
+        weights_mod._drawn_supports.cache_clear()
+        space = make_tree_space(10, 2)  # the sampler overflows from binary depth 10
+        ws = unit_weight_system(space, doubling_seq())
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                sp_constant(ws, {"count": 1, "seed": 0})
+        assert weights_mod._support_table.cache_info().currsize == 0
+        assert weights_mod._drawn_supports.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
