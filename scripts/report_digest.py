@@ -71,7 +71,10 @@ decomposes a system built afresh, so no kept trace is shared between them.
 With --check it runs all five passes at their pinned settings (4, 6, 6, 6
 and 4 systems, seed 0) and exits 1, naming the first line that differs,
 unless every line is the pinned one (PINNED_LINES); a change that keeps
-every value bit for bit passes it.
+every value bit for bit, and the report format, passes it.  Documents are
+hashed as written, stopping times and leaf sets in their run forms
+({"runs": [...]}, "a_runs", "b_runs", "g_runs"): a change of format alone
+moves the --cli, --second and --sawyer lines.
 
 Usage:
   PYTHONPATH=src python scripts/report_digest.py --systems 4 --seed 0
@@ -146,12 +149,12 @@ PINNED_PASSES = (("reports", 4), ("cli", 6), ("second", 6), ("maximal", 6), ("sa
 PINNED_LINES = (
     "44576 reports sha256 8d3ed9a793b8f9610bc72404f3f86906cf93037027f88163ba108394dde7bd30",
     "512 streamed reports sha256 0a98cc7c2920708d282752e28b403ad17d8429465d88bd8d86e4947d49683053",
-    "540 cli runs sha256 3d5ed47101e2c5409804a2a0415f18f77695324995561362e92de5863b9f141d",
+    "540 cli runs sha256 b51cfddddf9e65634536d38a0ce8371f9d84f007e4a65d41ac83244b3d4cc6d8",
     "120 large-tree cli runs sha256 "
-    "626d5bd42a7eef0e52ce734797f627b85d5aa00cee9daa90a58f1ccf9f7566f1",
-    "252 second records sha256 db2ff699077dff7abce7db8bae307fb0d78ee369856cb72ea86cc280e36580a4",
+    "b7dfd843f39eea25532af1bd5c0cd864afd7e8efab98a7af17b14e166381e4ff",
+    "252 second records sha256 789e56be5e45f4c97213e9aee4212a8578ded4d06072451de13b906e7abbb683",
     "756 maximal records sha256 6954bdcd5432df0960fb0f76b52b155e66f2c9a3406d32934a9a24644759fb66",
-    "48 sawyer records sha256 bd6bdcaf7f5749b0dc5403df3ee170a3459d9fbc5cd3b71ab1f79c5cda2bfd9d",
+    "48 sawyer records sha256 e12297c3f42dc24154f19bf24a9709d9891292ddfdac81024af0e0f2d978aaca",
 )
 
 

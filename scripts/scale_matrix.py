@@ -6,9 +6,10 @@ ternary trees of depth 2, 5, 8 and 11 (16 to 2**20 leaves), with the
 family "all" up to 16 leaves and "sample:32" above.  Each cell is its own
 child process (`python -m martbench.cli`, from this checkout's src), run
 one at a time.  Per cell it prints the exit code, or the type of an
-exception that escaped the CLI, the wall time and the child's own peak RSS
+exception that escaped the CLI, the wall time, the child's own peak RSS
 (ru_maxrss from os.wait4, the child's resource usage as the kernel reports
-it: nothing about the machine is set or changed).
+it: nothing about the machine is set or changed) and the size in bytes of
+the JSON report it wrote ("-" where it wrote none).
 
 Usage:
   python scripts/scale_matrix.py
@@ -53,13 +54,16 @@ def cell_argv(command: str, branching: int, depth: int, out: str) -> list[str]:
     ]
 
 
-def run_cell(command: str, branching: int, depth: int, workdir: str) -> tuple[str, float, float]:
-    """(outcome, wall seconds, peak RSS in MB) of one cell in a child process:
-    the outcome is the exit code, or the type name of an escaped exception."""
+def run_cell(command: str, branching: int, depth: int,
+             workdir: str) -> tuple[str, float, float, int | None]:
+    """(outcome, wall seconds, peak RSS in MB, report bytes or None) of one
+    cell in a child process: the outcome is the exit code, or the type name
+    of an escaped exception."""
     err_path = os.path.join(workdir, "stderr.txt")
+    report = os.path.join(workdir, "report.json")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    argv = cell_argv(command, branching, depth, os.path.join(workdir, "report.json"))
+    argv = cell_argv(command, branching, depth, report)
     started = time.perf_counter()
     with open(err_path, "w") as err:
         child = subprocess.Popen([sys.executable, "-m", "martbench.cli", *argv],
@@ -71,7 +75,11 @@ def run_cell(command: str, branching: int, depth: int, workdir: str) -> tuple[st
         lines = err.read().strip().splitlines()
     escaped = lines and "Traceback (most recent call last):" in lines
     outcome = lines[-1].split(":", 1)[0] if escaped else str(child.returncode)
-    return outcome, seconds, usage.ru_maxrss / 1024  # ru_maxrss is in KiB on Linux
+    size = None
+    if os.path.exists(report):
+        size = os.path.getsize(report)
+        os.remove(report)
+    return outcome, seconds, usage.ru_maxrss / 1024, size  # ru_maxrss is in KiB on Linux
 
 
 def main(argv=None) -> int:
@@ -81,13 +89,15 @@ def main(argv=None) -> int:
                         help="trees as BRANCHING^DEPTH (default: the nine of the matrix)")
     args = parser.parse_args(argv)
     trees = [tuple(map(int, tree.split("^"))) for tree in args.trees]
-    print(f"{'command':<28} {'tree':>5} {'leaves':>8} {'outcome':>14} {'wall_s':>7} {'peak_MB':>8}")
+    print(f"{'command':<28} {'tree':>5} {'leaves':>8} {'outcome':>14} {'wall_s':>7} "
+          f"{'peak_MB':>8} {'report_B':>10}")
     with tempfile.TemporaryDirectory() as workdir:
         for command in args.commands:
             for branching, depth in trees:
-                outcome, seconds, peak = run_cell(command, branching, depth, workdir)
+                outcome, seconds, peak, size = run_cell(command, branching, depth, workdir)
                 print(f"{command:<28} {branching}^{depth:<3} {branching**depth:>8} "
-                      f"{outcome:>14} {seconds:>7.2f} {peak:>8.0f}", flush=True)
+                      f"{outcome:>14} {seconds:>7.2f} {peak:>8.0f} "
+                      f"{'-' if size is None else size:>10}", flush=True)
     return 0
 
 

@@ -32,6 +32,7 @@ from .filtration import (
     EnumerationCapError,
     TreeSpace,
     _about,
+    _leaf_runs,
     count_stopping_times,
     enumerate_stopping_times,
     space_from_json,
@@ -321,7 +322,7 @@ def _cmd_enumerate(config: RunConfig, space, seq) -> tuple[list, dict]:
     enumerated = len(first) + sum(1 for _ in times)
     payload = {"count": count_stopping_times(space), "enumerated": enumerated}
     if enumerated <= 1000:
-        payload["times"] = [tau.to_json() for tau in first]
+        payload["times"] = _leaf_runs(times=[tau.values for tau in first])[1]
     return [], payload
 
 

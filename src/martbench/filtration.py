@@ -25,8 +25,9 @@ import numpy as np
 
 MAX_LEAVES = 1 << 20
 ENUMERATION_CAP = 10_000_000
-# StoppingTime.to_json's entry for each value v, at v + 1: "inf", then every level
-_JSON_VALUES = np.array(["inf", *range(MAX_LEAVES.bit_length())], dtype=object)
+# _leaf_runs stacks at most this many leaf entries per pass (and at least one
+# row): at 2^20 leaves one int64 row of 8 MB, not every mask and time at once
+_RUN_CHUNK_ENTRIES = 1 << 20
 # families of at most this many stopping times are built once per tree shape
 # and kept (every shape up to 11 leaves); larger ones are streamed
 KEPT_FAMILY_TIMES = 4096
@@ -416,23 +417,94 @@ class StoppingTime:
         return _frozen(self.values[leaves] * self.values.size + leaves)
 
     def to_json(self) -> dict:
-        """{"values": [...]}: each level as an int, INFINITE as "inf".  Meant
-        for the times the program builds (integer levels 0..20 or INFINITE)
-        and not checked: the values are one take at v + 1, so a value below
-        INFINITE would wrap around and a float one raises TypeError."""
-        return {"values": _JSON_VALUES.take(self.values + 1).tolist()}
+        """{"runs": [s0, e0, n0, s1, e1, n1, ...]}: the maximal leaf runs [s, e)
+        of one finite level n each (_leaf_runs); a leaf outside every run is
+        INFINITE."""
+        return _leaf_runs(times=[self.values])[1][0]
+
+
+def _leaf_runs(sets: Sequence[np.ndarray] = (),
+               times: Sequence[np.ndarray] = ()) -> tuple[list, list]:
+    """The JSON forms of leaf sets (bool masks) and of stopping times (leaf
+    values), all of one length: per set the flat bounds [s0, e0, s1, e1, ...]
+    of its maximal runs of leaves, per time {"runs": [s0, e0, n0, s1, e1,
+    n1, ...]}, its maximal runs of one finite level n; each run is the
+    half-open [s, e), its entries Python ints.  The rows are stacked and
+    scanned together, at most _RUN_CHUNK_ENTRIES entries (at least one row)
+    per pass, not one numpy call per row."""
+    rows = [*sets, *times]
+    if not rows:
+        return [], []
+    out = []
+    step = max(1, _RUN_CHUNK_ENTRIES // rows[0].size)
+    for at in range(0, len(rows), step):
+        out += _chunk_runs(rows[at:at + step], len(sets[at:at + step]))
+    return out[:len(sets)], out[len(sets):]
+
+
+def _chunk_runs(rows: list, n_sets: int) -> list:
+    """_leaf_runs of one stack, its first n_sets rows sets and the rest times."""
+    stack = np.array(rows, dtype=np.int64)
+    stack[:n_sets] -= 1  # a set's leaves at 0 and the rest at INFINITE, as a time's
+    count, leaves = stack.shape
+    flat = stack.ravel()
+    # the run bounds: every change between neighbours, each row's start, the end
+    cut = np.empty(flat.size + 1, dtype=bool)
+    cut[0] = cut[-1] = True
+    np.not_equal(flat[1:], flat[:-1], out=cut[1:-1])
+    cut[leaves:-1:leaves] = True
+    bounds = np.flatnonzero(cut)
+    levels = flat[bounds[:-1]]
+    runs = np.flatnonzero(levels != StoppingTime.INFINITE)
+    first = bounds[runs]
+    row, starts = np.divmod(first, leaves)
+    table = np.array([starts, starts + (bounds[runs + 1] - first), levels[runs]]).T
+    at = np.searchsorted(row, np.arange(count + 1)).tolist()
+    split = at[n_sets]
+    set_runs = table[:split, :2].ravel().tolist()
+    time_runs = table[split:].ravel().tolist()
+    return ([set_runs[2 * lo:2 * hi] for lo, hi in zip(at[:n_sets], at[1:n_sets + 1])]
+            + [{"runs": time_runs[3 * (lo - split):3 * (hi - split)]}
+               for lo, hi in zip(at[n_sets:], at[n_sets + 1:])])
+
+
+def _time_from_runs(space: TreeSpace, runs) -> np.ndarray:
+    """The leaf values of to_json's run form, after its checks (ValueError):
+    integer entries (a bool or a float such as 1.0 is refused, not
+    truncated) in triples, bounds in 0..leaves, runs nonempty, sorted and
+    apart, levels in 0..depth."""
+    if not isinstance(runs, list) or len(runs) % 3:
+        raise ValueError("stopping-time runs must be a list of (start, end, level) triples")
+    for v in runs:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"stopping-time run entry {v!r} is not an integer")
+    if runs and not (0 <= min(runs) and max(runs) <= space.n_leaves):
+        raise ValueError(f"stopping-time run entries must lie in 0..{space.n_leaves}")
+    starts, ends, levels = np.array(runs, dtype=np.int64).reshape(-1, 3).T
+    if levels.size and levels.max() > space.depth:
+        raise ValueError(f"stopping-time run levels must lie in 0..{space.depth}")
+    if (ends <= starts).any() or (starts[1:] < ends[:-1]).any():
+        raise ValueError("stopping-time runs must be nonempty, sorted and not overlap")
+    values = np.full(space.n_leaves, StoppingTime.INFINITE, dtype=np.int64)
+    for s, e, n in zip(starts.tolist(), ends.tolist(), levels.tolist()):
+        values[s:e] = n
+    return values
 
 
 def stopping_time_from_json(space: TreeSpace, obj: dict) -> StoppingTime:
-    """The time of to_json's {"values": [...]}: each value a level (an
-    integer) or "inf"; a float, a bool or any other value is refused, not
-    truncated."""
-    vals = [StoppingTime.INFINITE if v == "inf" else v for v in obj["values"]]
-    for v in vals:
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not (
-                StoppingTime.INFINITE <= v <= space.depth):
-            raise ValueError(f'stopping-time value {v!r} is not a level 0..{space.depth} or "inf"')
-    tau = StoppingTime(np.array(vals, dtype=np.int64))
+    """The time of to_json's {"runs": [...]} (_time_from_runs), or of the leaf
+    form {"values": [...]}: each value a level (an integer) or "inf"; a
+    float, a bool or any other value is refused, not truncated."""
+    if "runs" in obj:
+        tau = StoppingTime(_time_from_runs(space, obj["runs"]))
+    else:
+        vals = [StoppingTime.INFINITE if v == "inf" else v for v in obj["values"]]
+        for v in vals:
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not (
+                    StoppingTime.INFINITE <= v <= space.depth):
+                raise ValueError(
+                    f'stopping-time value {v!r} is not a level 0..{space.depth} or "inf"')
+        tau = StoppingTime(np.array(vals, dtype=np.int64))
     if not is_stopping_time(space, tau):
         raise ValueError("values do not define an adapted stopping time")
     return tau

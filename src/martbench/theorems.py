@@ -33,6 +33,7 @@ from .filtration import (
     _adapted_scan,
     _frozen,
     _kept_family,
+    _leaf_runs,
     _level_masses,
     _level_starts,
     _run_sums,
@@ -367,27 +368,35 @@ class SawyerTrace:
         return math.fsum(c.t_value * c.theta for c in self.cells.values())
 
     def to_json(self) -> dict:
+        """The trace with every leaf set as flat run bounds ("a_runs",
+        "b_runs", "g_runs": [s0, e0, s1, e1, ...]) and every time as runs
+        (StoppingTime.to_json), all taken in one _leaf_runs scan."""
+        cells = sorted(self.cells.items())
+        ks = sorted(self.taus)
+        sets, times = _leaf_runs([m for _, c in cells for m in (c.a_mask, c.b_mask)]
+                                 + [g for _, _, g in self.lambda_sets],
+                                 [self.taus[k].values for k in ks])
         return {
             "k_range": None if self.is_empty else [self.k_lo, self.k_hi],
             "cells": [
                 {
                     "k": k,
                     "j": j,
-                    "a_leaves": np.flatnonzero(c.a_mask).tolist(),
-                    "b_leaves": np.flatnonzero(c.b_mask).tolist(),
+                    "a_runs": sets[2 * i],
+                    "b_runs": sets[2 * i + 1],
                     "theta": c.theta,
                     "t": c.t_value,
                 }
-                for (k, j), c in sorted(self.cells.items())
+                for i, ((k, j), c) in enumerate(cells)
             ],
-            "taus": {str(k): tau.to_json() for k, tau in sorted(self.taus.items())},
+            "taus": dict(zip(map(str, ks), times)),
             "lambda_sets": [
                 {
                     "lambda": lam,
                     "cells": [list(key) for key in keys],
-                    "g_leaves": np.flatnonzero(g).tolist(),
+                    "g_runs": g,
                 }
-                for lam, keys, g in self.lambda_sets
+                for (lam, keys, _), g in zip(self.lambda_sets, sets[2 * len(cells):])
             ],
         }
 

@@ -280,13 +280,13 @@ def _sampled_key(family) -> tuple:
     if isinstance(count, bool) or not (isinstance(count, numbers.Real) and count >= 1
                                        and count % 1 == 0):  # NaN and inf fail
         raise ValueError(f"a sampled family's count must be an integer >= 1, not {count!r}")
-    if isinstance(seed, (list, tuple, np.ndarray)):
-        seed = tuple(np.ravel(seed).tolist())
-    if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool)
-               for e in (seed if isinstance(seed, tuple) else (seed,))):
+    listed = isinstance(seed, (list, tuple, np.ndarray))
+    # the elements as given: np.ravel would turn [0, True] into the ints [0, 1]
+    elements = np.asarray(seed, dtype=object).ravel().tolist() if listed else [seed]
+    if not all(isinstance(e, numbers.Integral) and not isinstance(e, bool) for e in elements):
         raise ValueError(f"a sampled family's seed must be an integer or a list of integers, "
                          f"not {seed!r}")
-    return int(count), seed
+    return int(count), tuple(map(int, elements)) if listed else seed
 
 
 def _sampled_supports(space: TreeSpace, family) -> np.ndarray:

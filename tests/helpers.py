@@ -27,6 +27,14 @@ from martbench.theorems import band_index
 from martbench.weights import _normalized_ratios, _support_masses, sp_constant_argmax
 
 
+# tree shapes (depth, branching) of 1 to 4,096 leaves, branching 2 and 3
+SHAPES = [(0, 2), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (5, 3), (8, 2), (9, 2), (12, 2)]
+
+
+def shape_id(shape):
+    return f"{shape[1]}^{shape[0]}"
+
+
 def random_space(rng: np.random.Generator, max_depth: int = 3, branchings=(2, 3)) -> TreeSpace:
     depth = int(rng.integers(1, max_depth + 1))
     branching = int(rng.choice(branchings))
@@ -290,6 +298,24 @@ def stopped_average_oracle(space: TreeSpace, f: np.ndarray, tau: StoppingTime) -
             if np.all(tau.values[sl] == n):
                 out[sl] = np.sum(w[sl] * f[sl]) / np.sum(w[sl])
     return out
+
+
+def mask_from_runs(leaves: int, runs) -> np.ndarray:
+    """The leaf mask of the flat run bounds [s0, e0, s1, e1, ...], one leaf at
+    a time."""
+    mask = np.zeros(leaves, dtype=bool)
+    for s, e in zip(runs[::2], runs[1::2]):
+        mask[s:e] = True
+    return mask
+
+
+def values_from_runs(leaves: int, runs) -> np.ndarray:
+    """The leaf values of a time's runs [s0, e0, n0, ...], INFINITE outside
+    every run, one leaf at a time."""
+    values = np.full(leaves, StoppingTime.INFINITE, dtype=np.int64)
+    for s, e, n in zip(runs[::3], runs[1::3], runs[2::3]):
+        values[s:e] = n
+    return values
 
 
 def first_passage_time(space: TreeSpace, level_values: np.ndarray, threshold) -> StoppingTime:

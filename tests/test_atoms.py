@@ -40,6 +40,7 @@ from martbench.maximal import (
 from martbench.weights import make_weight_system
 
 from helpers import (
+    SHAPES,
     first_passage_time,
     ap_level_values_oracle,
     cond_exp_matrix_oracle,
@@ -48,17 +49,11 @@ from helpers import (
     level_products_oracle,
     random_leaf_mask,
     random_positive,
+    shape_id,
     dense_stopped_oracle,
     dense_testing_table_oracle,
     ap_from_testing_oracle,
 )
-
-# 1 to 4,096 leaves, branching 2 and 3
-SHAPES = [(0, 2), (1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (5, 3), (8, 2), (9, 2), (12, 2)]
-
-
-def shape_id(shape):
-    return f"{shape[1]}^{shape[0]}"
 
 
 def random_space(rng, depth, branching):

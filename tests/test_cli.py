@@ -740,7 +740,8 @@ class TestEntryPoints:
 
     def test_scale_matrix_runs_one_cell(self, capsys):
         # one small cell through the matrix's own path: a child process, its
-        # exit code, wall time and peak RSS; the full matrix runs by hand
+        # exit code, wall time, peak RSS and report size; the full matrix
+        # runs by hand
         spec = importlib.util.spec_from_file_location(
             "scale_matrix", ROOT / "scripts" / "scale_matrix.py"
         )
@@ -750,9 +751,9 @@ class TestEntryPoints:
         assert max(r**d for r, d in matrix.TREES) == 2**20
         assert matrix.main(["--commands", "check-holder", "--trees", "2^4"]) == 0
         header, row = capsys.readouterr().out.splitlines()
-        command, tree, leaves, outcome, seconds, peak = row.split()
+        command, tree, leaves, outcome, seconds, peak, size = row.split()
         assert (command, tree, leaves, outcome) == ("check-holder", "2^4", "16", "0")
-        assert float(seconds) > 0.0 and float(peak) > 0.0
+        assert float(seconds) > 0.0 and float(peak) > 0.0 and int(size) > 0
 
     def test_report_digest(self, capsys):
         spec = importlib.util.spec_from_file_location(

@@ -350,19 +350,26 @@ class TestStoppingTimes:
         space = make_tree_space(1, 2)
         tau = StoppingTime(np.array([1, INF]))
         doc = tau.to_json()
-        assert doc == {"values": [1, "inf"]}
+        assert doc == {"runs": [0, 1, 1]}
         again = stopping_time_from_json(space, doc)
         np.testing.assert_array_equal(again.values, tau.values)
 
+    def test_json_reads_the_leaf_form(self):
+        space = make_tree_space(2, 2)
+        again = stopping_time_from_json(space, {"values": [1, 1, "inf", 2]})
+        np.testing.assert_array_equal(again.values, [1, 1, INF, 2])
+        assert again.to_json() == {"runs": [0, 2, 1, 3, 4, 2]}
+
     def test_json_values_are_ints_and_inf_byte_for_byte(self):
         # every level 0..20 and INFINITE, int32 values too: the JSON text is
-        # that of the per-leaf list of Python ints and "inf"
-        values = np.array([*range(21), INF, 0, INF, 20])
+        # that of the flat list of Python ints, one (start, end, level)
+        # triple per maximal run and none for an INFINITE leaf
+        values = np.array([*range(21), INF, 0, 0, INF, INF, 20])
+        want = [*(x for n in range(21) for x in (n, n + 1, n)), 22, 24, 0, 26, 27, 20]
         for dtype in (np.int64, np.int32):
             doc = StoppingTime(values.astype(dtype)).to_json()
-            want = ["inf" if v == INF else int(v) for v in values]
-            assert json.dumps(doc) == json.dumps({"values": want})
-            assert all(type(x) is type(y) for x, y in zip(doc["values"], want))
+            assert json.dumps(doc) == json.dumps({"runs": want})
+            assert all(type(x) is int for x in doc["runs"])
 
     def test_json_rejects_non_adapted(self):
         space = make_tree_space(1, 2)
@@ -378,6 +385,45 @@ class TestStoppingTimes:
         # [true, "inf"] to [1, inf]
         with pytest.raises(ValueError, match="is not a level 0..1"):
             stopping_time_from_json(make_tree_space(1, 2), {"values": values})
+
+    # the run form on 4 leaves of depth 2: each malformed form is refused
+    RUN_SPACE = (2, 2)
+
+    @pytest.mark.parametrize("runs", [[0], [0, 4], [0, 4, 0, 1], "0,4,0", {"0": 4}])
+    def test_json_runs_come_in_triples(self, runs):
+        with pytest.raises(ValueError, match="triples"):
+            stopping_time_from_json(make_tree_space(*self.RUN_SPACE), {"runs": runs})
+
+    @pytest.mark.parametrize("runs", [
+        [2, 4, 1, 0, 2, 1], [0, 3, 2, 2, 4, 2], [0, 0, 1], [2, 2, 2, 0, 2, 1], [3, 1, 2],
+    ], ids=["unsorted", "overlapping", "empty", "empty-first", "reversed"])
+    def test_json_runs_are_sorted_nonempty_and_apart(self, runs):
+        with pytest.raises(ValueError, match="nonempty, sorted and not overlap"):
+            stopping_time_from_json(make_tree_space(*self.RUN_SPACE), {"runs": runs})
+
+    @pytest.mark.parametrize("runs", [[0, 5, 2], [-1, 1, 2], [2, 2**70, 2], [4, 6, 2]])
+    def test_json_run_bounds_lie_in_the_leaves(self, runs):
+        with pytest.raises(ValueError, match="lie in 0..4"):
+            stopping_time_from_json(make_tree_space(*self.RUN_SPACE), {"runs": runs})
+
+    @pytest.mark.parametrize("runs", [
+        [0, 4, True], [False, 4, 1], [0.0, 4, 0], [0, 4.0, 0], [0, 2, 1.0], [0, 2, 0.7],
+        ["0", 4, 0], [0, 4, None],
+    ])
+    def test_json_run_entries_are_integers(self, runs):
+        # int() would read [0, 4, true] as the adapted time 1 everywhere
+        with pytest.raises(ValueError, match="is not an integer"):
+            stopping_time_from_json(make_tree_space(*self.RUN_SPACE), {"runs": runs})
+
+    @pytest.mark.parametrize("runs", [[0, 4, 3], [0, 2, 1, 3, 4, 4]])
+    def test_json_run_levels_lie_in_the_tree(self, runs):
+        with pytest.raises(ValueError, match="levels must lie in 0..2"):
+            stopping_time_from_json(make_tree_space(*self.RUN_SPACE), {"runs": runs})
+
+    @pytest.mark.parametrize("runs", [[0, 1, 1], [0, 3, 0], [1, 3, 1]])
+    def test_json_runs_must_be_adapted(self, runs):
+        with pytest.raises(ValueError, match="adapted"):
+            stopping_time_from_json(make_tree_space(*self.RUN_SPACE), {"runs": runs})
 
 
 class TestKeptEnumeration:

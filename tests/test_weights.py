@@ -284,6 +284,17 @@ class TestSupportFamilies:
             support_family(space, {"count": 4, "seed": seed})
         assert weights_mod._drawn_supports.cache_info().currsize == 0
 
+    @pytest.mark.parametrize("seed", [[0, True], [True, 0], (3, False), np.array([True, False]),
+                                      [[0, True]]],
+                             ids=["int-then-bool", "bool-then-int", "tuple", "bool-array",
+                                  "nested"])
+    def test_seed_mixing_ints_and_bools_is_refused(self, seed):
+        # a list that mixes ints and bools is checked element by element as
+        # given, not after numpy casts it to an int array ([0, True] -> [0, 1])
+        ws = unit_weight_system(make_tree_space(2, 2), make_exponent_sequence([2.0, 3.0], 0.2, 0.5))
+        with pytest.raises(ValueError, match="seed must be an integer or a list of integers"):
+            sp_constant(ws, {"count": 16, "seed": seed})
+
     def test_supports_match_stopping_time_supports(self):
         # every enumerated stopping-time support appears in the full scan
         space = make_tree_space(1, 2)
