@@ -70,14 +70,23 @@ def _json(value):
     return json.loads(value) if isinstance(value, str) else value
 
 
+# the errors of a malformed spec, which _named gives the name of its source
+_SPEC_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+
+
+def _named(source: str, exc: Exception) -> ValueError:
+    """A spec's error as one ValueError that names its flag or config key."""
+    why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+    return ValueError(f"{source}: {why}")
+
+
 @contextlib.contextmanager
 def _naming(source: str):
-    """Raise a spec's error as one ValueError that names its flag or config key."""
+    """Raise a spec's error as _named's ValueError."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"{source}: {why}") from None
+    except _SPEC_ERRORS as exc:
+        raise _named(source, exc) from None
 
 
 def _ranged(cast, low=-math.inf, high=math.inf):
@@ -457,8 +466,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     for name, parse, default, _ in OPTIONS:
         flag = getattr(args, name)
         raw = flag if flag is not None else base.get(name)
-        with _naming(f"--{name.replace('_', '-')}" if flag is not None else f"config key {name!r}"):
+        try:  # the option is named only when its parser raises
             values[name] = default if raw is None else parse(raw)
+        except _SPEC_ERRORS as exc:
+            raise _named(f"--{name.replace('_', '-')}" if flag is not None
+                         else f"config key {name!r}", exc) from None
     tol_given = args.tol is not None or base.get("tol") is not None
     return RunConfig(args.command, **values, tol_given=tol_given)
 

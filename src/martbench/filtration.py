@@ -80,16 +80,11 @@ class TreeSpace:
         one read-only flat array (_level_masses): level n is level(atom_masses, n)."""
         return _frozen(_level_masses(self, self.leaf_probs))
 
-    @cached_property
+    @property
     def shared_level(self) -> np.ndarray:
         """Per pair of neighbouring leaves x, x + 1, the deepest level whose atom
-        holds both: depth - 1, less one for each atom size r**1 .. r**(depth-1)
-        that divides x + 1, counted one size at a time (no (depth, leaves) matrix)."""
-        right = np.arange(1, self.n_leaves)
-        shared = np.full(right.size, self.depth - 1)
-        for size in self.branching ** np.arange(1, self.depth):
-            shared -= right % size == 0
-        return _read_only(shared.astype(np.uint64))  # >= 0; unsigned for _adapted_scan
+        holds both (_shared_levels, kept per tree shape)."""
+        return _shared_levels(self.depth, self.branching)
 
     @cached_property
     def atom_offsets(self) -> tuple[int, ...]:
@@ -213,6 +208,18 @@ def _atom_leaves(depth: int, branching: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
+def _shared_levels(depth: int, branching: int) -> np.ndarray:
+    """TreeSpace.shared_level of one tree shape (read-only, unsigned for
+    _adapted_scan): depth - 1, less one for each atom size r**1 .. r**(depth-1)
+    that divides x + 1, taken off every size-th pair by one strided slice per
+    size (depth 0 has no pairs)."""
+    shared = np.full(branching**depth - 1, max(depth - 1, 0), dtype=np.uint64)
+    for size in (branching**k for k in range(1, depth)):
+        shared[size - 1::size] -= 1
+    return _frozen(shared)
+
+
+@functools.lru_cache(maxsize=16)
 def _level_starts(depth: int, branching: int) -> tuple[np.ndarray, np.ndarray]:
     """Per level, its atom_offsets entry and its atom size, as read-only arrays
     for TreeSpace.atom_index, built once per tree shape."""
@@ -224,7 +231,9 @@ def _level_starts(depth: int, branching: int) -> tuple[np.ndarray, np.ndarray]:
 def make_tree_space(
     depth: int, branching: int, leaf_probs: Sequence[float] | str = "uniform"
 ) -> TreeSpace:
-    """Validate and build a TreeSpace; "uniform" gives equal leaf masses."""
+    """Validate and build a TreeSpace.  "uniform" gives equal leaf masses and
+    the kept space of the shape (_uniform_space), checked first on every call;
+    explicit probabilities give a fresh space."""
     for name, value in (("depth", depth), ("branching", branching)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer")
@@ -239,17 +248,25 @@ def make_tree_space(
     if isinstance(leaf_probs, str):
         if leaf_probs != "uniform":
             raise ValueError(f"unknown leaf_probs spec {leaf_probs!r}")
-        probs = np.full(n, 1.0 / n)
-    else:
-        probs = np.asarray(leaf_probs, dtype=float)
-        if probs.shape != (n,):
-            raise ValueError(f"expected {n} leaf probabilities, got {probs.shape}")
-        if not np.all(probs > 0.0):
-            raise ValueError("leaf probabilities must be positive")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"leaf probabilities sum to {total}, expected 1")
+        return _uniform_space(depth, branching)
+    probs = np.asarray(leaf_probs, dtype=float)
+    if probs.shape != (n,):
+        raise ValueError(f"expected {n} leaf probabilities, got {probs.shape}")
+    if not np.all(probs > 0.0):
+        raise ValueError("leaf probabilities must be positive")
+    total = float(probs.sum())
+    if abs(total - 1.0) > 1e-12:
+        raise ValueError(f"leaf probabilities sum to {total}, expected 1")
     return TreeSpace(depth, branching, _read_only(probs))
+
+
+@functools.lru_cache(maxsize=16)
+def _uniform_space(depth: int, branching: int) -> TreeSpace:
+    """The uniform space of one (checked) tree shape, kept: it is read-only, so
+    its cached atom masses, digest, leaf index and offsets are built once per
+    shape, and a cache keyed on its identity stays exact."""
+    n = branching**depth
+    return TreeSpace(depth, branching, _frozen(np.full(n, 1.0 / n)))
 
 
 def space_from_json(obj: dict) -> TreeSpace:
@@ -412,7 +429,7 @@ class StoppingTime:
     def flat_index(self) -> np.ndarray:
         """values[x] * leaves + x over the finite leaves x, in leaf order
         (read-only): where a row-major (levels, leaves) table holds each
-        stopped entry, so that `table.take(flat_index)` gathers them."""
+        stopped entry, so that `table.ravel()[flat_index]` gathers them."""
         leaves = np.flatnonzero(self.finite)
         return _frozen(self.values[leaves] * self.values.size + leaves)
 
@@ -587,7 +604,7 @@ class _KeptFamily:
         one read-only (k_c, c) matrix per count, counts ascending, rows the
         times' flat_index in family order; and {tau: slot}, the kept time's
         (eq=False: keyed by identity) row in those matrices stacked.  A row
-        sum of `table.take(matrix)` is then the 1-D sum of the time's own
+        sum of `table.ravel()[matrix]` is then the 1-D sum of the time's own
         gather, bit for bit; a row padded with zeros to a common width would
         sum in other pairwise blocks."""
         values = np.array([tau.values for tau in self.times])

@@ -315,6 +315,27 @@ def _conditional_parts(space: TreeSpace, fvec: FunctionVector, seq: ExponentSequ
     return _frozen(lhs), _frozen(rhs)
 
 
+@_keep_last
+def _conditional_levels(space: TreeSpace, fvec: FunctionVector, seq: ExponentSequence,
+                        tolerance: float) -> list:
+    """Per level n, (lhs, rhs, atom) of holder_conditional_check's report for
+    the last (space, vector, sequence, tolerance): the verdicts and the gaps
+    lhs - _margin(rhs) of every atom in one pass over the kept sides
+    (_conditional_parts), then per level the first failing atom, or the one
+    with the largest gap when all pass (one argmin or argmax on its slice).
+    A gap is elementwise, so a level's slice is its own gap, bit for bit."""
+    lhs, rhs = _conditional_parts(space, fvec, seq)
+    ok = _within_margin(lhs, rhs, tolerance)
+    with np.errstate(over="ignore", invalid="ignore"):  # a failing level reads no gap
+        gap = _margin(rhs, tolerance)
+        np.subtract(lhs, gap, out=gap)  # in place: one per-atom array, not two
+    passed = np.logical_and.reduceat(ok, space.atom_offsets[:-1]).tolist()
+    atoms = [int(np.argmax(space.level(gap, n)) if all_ok else np.argmin(space.level(ok, n)))
+             for n, all_ok in enumerate(passed)]
+    at = np.add(space.atom_offsets[:-1], atoms)
+    return list(zip(lhs[at].tolist(), rhs[at].tolist(), atoms))
+
+
 def holder_conditional_check(
     space: TreeSpace,
     fvec: FunctionVector,
@@ -325,20 +346,18 @@ def holder_conditional_check(
     """E_n(prod f_i**p)**(1/p) <= prod E_n(f_i**p_i)**(1/p_i) on every
     level-n atom, with both sides per atom.  The report takes its sides, and
     so its verdict, from the first failing atom, or from the worst one when
-    all pass, and names it in "atom".  Both sides of every level are kept for
-    the last (space, vector, sequence) (_conditional_parts), so a check of
-    every level builds them once and each level reads its own atoms."""
+    all pass, and names it in "atom".  Both sides of every level, and the
+    atom each level reports, are kept for the last (space, vector, sequence)
+    (_conditional_parts, _conditional_levels), so a check of every level
+    builds them once and each level reads its own entry."""
     _check_alignment(fvec, seq)
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")
-    lhs, rhs = (space.level(side, n) for side in _conditional_parts(space, fvec, seq))
-
-    ok = _within_margin(lhs, rhs, tolerance)
-    at = int(np.argmax(lhs - _margin(rhs, tolerance)) if ok.all() else np.argmin(ok))
+    lhs, rhs, at = _conditional_levels(space, fvec, seq, tolerance)[n]
     return check_inequality(
         "holder-conditional",
-        float(lhs[at]),
-        float(rhs[at]),
+        lhs,
+        rhs,
         tolerance=tolerance,
         metadata={"level": n, "n_atoms": space.n_atoms(n), "atom": at, "space": space.digest},
     )

@@ -93,7 +93,7 @@ def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     """What a per-time report of the last (system, vector) pair reads:
     (slots, row by slot, rhs, ap_max, digest), a row (lhs, slack, verdict,
     finite leaves).  A slot's left side is _power(reward, 1/p) of its stopped
-    reward, one take and row sum per finite-leaf count (_KeptFamily.gather),
+    reward, one gather and row sum per finite-leaf count (_KeptFamily.gather),
     bit for bit the sum of the time's own gather; its slack and verdict are
     check_inequality's at REL_TOL, from the same float operations (the bound
     c_a * rhs, the slack bound - lhs, the verdict lhs <= _margin(bound)),
@@ -106,7 +106,7 @@ def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     if family is not None:
         slots, matrices = family.gather
         rp = ws.seq.aggregate_reciprocal
-        lhs = [_power(r, rp) for m in matrices for r in reward.take(m).sum(axis=1).tolist()]
+        lhs = [_power(r, rp) for m in matrices for r in reward.ravel()[m].sum(axis=1).tolist()]
         bound, sides = c_a * rhs, np.array(lhs)
         verdicts = np.where(np.isfinite(sides) & math.isfinite(bound),
                             sides <= _margin(bound), None)
@@ -149,7 +149,7 @@ def verify_ap_to_testing(
     elif not is_stopping_time(ws.space, tau):
         raise ValueError("tau is not an adapted stopping time")
     else:
-        reward = float(_testing_parts(ws, fvec)[2].take(tau.flat_index).sum())
+        reward = float(_testing_parts(ws, fvec)[2].ravel()[tau.flat_index].sum())
         lhs, leaves = _power(reward, ws.seq.aggregate_reciprocal), tau.flat_index.size
     return check_inequality("ap-to-testing", lhs, rhs, c_a, tolerance,
                             {"space": digest, "finite_leaves": leaves})
@@ -183,7 +183,7 @@ def verify_testing_to_weak(
     for tau in itertools.chain.from_iterable(
             _passage_blocks(space, atoms, np.nextafter(thresholds, 0.0))):
         # the reward's flat index; a never-stopping leaf's wraps to the last row, unread
-        picked = reward.take(tau * space.n_leaves + space.leaf_index)
+        picked = reward.ravel()[tau * space.n_leaves + space.leaf_index]
         stopped_rewards.append(picked[tau != StoppingTime.INFINITE].sum())
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails below
         weak = thresholds * masses ** (1.0 / p)  # weak_lp_norm's terms, bit for bit

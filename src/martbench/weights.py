@@ -428,7 +428,7 @@ def _sp_rows(ws: WeightSystem, masks: np.ndarray, masses, at=None) -> np.ndarray
         atoms = level_product_atoms(space, FunctionVector(ws.sigmas, masks), ws.seq)
         numer = (masks * (space.leaf_probs * ws.v * space.level_sup(atoms) ** (1.0 / rp))).sum(-1)
     else:
-        numer = ws.testing_table.ravel().take(at).sum(-1)  # T[entry level, leaf]
+        numer = ws.testing_table.ravel()[at].sum(-1)  # T[entry level, leaf]
     with np.errstate(over="ignore"):  # a ratio past the float range is inf
         return _normalized_ratios(ws, masses, numer, inverse=True) ** rp
 

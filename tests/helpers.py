@@ -21,8 +21,21 @@ from martbench import (
     sample_stopping_time,
 )
 from martbench import weights as weights_mod
-from martbench.holder import _component_slots, _entry_levels, _norm_parts, trial_vector
-from martbench.report import ABS_FLOOR, REL_TOL, _power, _within_margin, check_inequality
+from martbench.holder import (
+    _component_slots,
+    _conditional_parts,
+    _entry_levels,
+    _norm_parts,
+    trial_vector,
+)
+from martbench.report import (
+    ABS_FLOOR,
+    REL_TOL,
+    _margin,
+    _power,
+    _within_margin,
+    check_inequality,
+)
 from martbench.theorems import band_index
 from martbench.weights import _normalized_ratios, _support_masses, sp_constant_argmax
 
@@ -180,6 +193,29 @@ def conditional_check_oracle(space: TreeSpace, fvec: FunctionVector, seq, n: int
     ok = (lhs <= bound) & (rhs < math.inf)
     at = int(np.argmax(lhs - bound) if ok.all() else np.argmin(ok))
     return float(lhs[at]), float(rhs[at]), at
+
+
+def level_verdict_oracle(space: TreeSpace, fvec: FunctionVector, seq, n: int,
+                         tolerance: float = REL_TOL):
+    """(lhs, rhs, atom) of holder_conditional_check at level n from the kept
+    sides (_conditional_parts) by a verdict on that level's slice alone: the
+    first failing atom, or the one with the largest lhs - _margin(rhs) when
+    all pass."""
+    lhs, rhs = (space.level(side, n) for side in _conditional_parts(space, fvec, seq))
+    ok = _within_margin(lhs, rhs, tolerance)
+    at = int(np.argmax(lhs - _margin(rhs, tolerance)) if ok.all() else np.argmin(ok))
+    return float(lhs[at]), float(rhs[at]), at
+
+
+def shared_level_oracle(space: TreeSpace) -> np.ndarray:
+    """TreeSpace.shared_level by one int64 modulo pass per atom size: per
+    pair of neighbouring leaves x, x + 1, depth - 1 less one for each size
+    r**1 .. r**(depth-1) that divides x + 1, as uint64."""
+    right = np.arange(1, space.n_leaves)
+    shared = np.full(right.size, space.depth - 1)
+    for size in space.branching ** np.arange(1, space.depth):
+        shared -= right % size == 0
+    return shared.astype(np.uint64)
 
 
 def ap_from_testing_oracle(ws, c_rh: float):

@@ -14,12 +14,16 @@ import pytest
 import martbench.cli as cli_mod
 import martbench.weights as weights_mod
 from martbench.cli import generate, main
+from martbench.exponents import make_exponent_sequence
 from martbench.filtration import (
     ENUMERATION_CAP,
     KEPT_FAMILY_TIMES,
     make_tree_space,
     sample_stopping_time,
 )
+from martbench.holder import holder_conditional_check, trial_vector
+
+from helpers import SHAPES, shape_id
 
 SPACE = '{"depth":1,"branching":2,"leaf_probs":"uniform"}'
 SEQ = '{"head":[2],"tail_mass":0.5,"tail_ratio":0.5}'
@@ -144,6 +148,28 @@ class TestVerifySuites:
         )
         assert code == 0
         assert len(doc["reports"]) == 2  # levels 0 and 1
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_check_conditional_holder_reports_every_level_in_order(self, tmp_path, shape):
+        # the command's reports are per-level holder_conditional_check calls
+        # on the generator's trial vectors, field by field: vector by vector,
+        # levels 0..depth in order; --level n writes level n's alone
+        depth, branching = shape
+        space = make_tree_space(depth, branching)
+        seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+        args = ["--space", json.dumps({"depth": depth, "branching": branching}),
+                "--seq", '{"head":[2.5,3.0],"tail_mass":0.2,"tail_ratio":0.5}',
+                "--seed", "5", "--trials", "3"]
+        vectors = [trial_vector(space, 2, 5, t, 1e3) for t in range(3)]
+        expected = [[json.loads(json.dumps(holder_conditional_check(space, fv, seq, n).to_json()))
+                     for n in space.levels] for fv in vectors]
+        code, doc, _ = run_cli(tmp_path, "check-conditional-holder", *args)
+        assert code == 0
+        assert doc["reports"] == [r for per_vector in expected for r in per_vector]
+        for n in space.levels:
+            code, doc, _ = run_cli(tmp_path, "check-conditional-holder", *args, "--level", str(n))
+            assert code == 0
+            assert doc["reports"] == [per_vector[n] for per_vector in expected]
 
     def test_sawyer_trace(self, tmp_path):
         code, doc, _ = run_cli(

@@ -24,3 +24,17 @@ def test_imports_are_stdlib_numpy_or_martbench():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert not foreign, f"imports outside stdlib, numpy and martbench: {foreign}"
+
+
+def test_gathers_index_and_never_take():
+    # on numpy 2.4, `a.take(idx)` with a read-only idx copies it before the
+    # gather (65,536 entries: 2.7 times the time of `a[idx]`), and the kept
+    # index arrays (stopping-time flat indices, support entry indices) are
+    # read-only
+    calls = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "take"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"take calls, where a gather should index: {calls}"

@@ -31,7 +31,14 @@ from martbench.holder import lp_norm, trial_vector
 from martbench.theorems import verify_ap_to_testing
 from martbench.weights import unit_weight_system
 
-from helpers import first_passage_time, random_space, stopped_average_oracle
+from helpers import (
+    SHAPES,
+    first_passage_time,
+    random_space,
+    shape_id,
+    shared_level_oracle,
+    stopped_average_oracle,
+)
 
 INF = StoppingTime.INFINITE
 
@@ -69,6 +76,15 @@ class TestTreeSpace:
             np.testing.assert_array_equal(space.shared_level, np.array(expected, dtype=np.uint64),
                                           strict=True)
 
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_shared_level_is_kept_per_shape_and_matches_the_modulo_oracle(self, shape):
+        # SHAPES holds depth 0 (no pairs) and (12, 2)
+        space = make_tree_space(*shape)
+        np.testing.assert_array_equal(space.shared_level, shared_level_oracle(space), strict=True)
+        assert not space.shared_level.flags.writeable
+        probs = np.full(space.n_leaves, 1.0 / space.n_leaves)
+        assert make_tree_space(*shape, probs).shared_level is space.shared_level
+
     def test_numpy_integer_shape_is_held_as_int(self):
         # numpy integers are accepted and held as Python ints, so a depth of
         # np.int64(64) is 2**64 leaves (refused), not a wrapped-around 0
@@ -84,6 +100,47 @@ class TestTreeSpace:
         assert space.digest == "54cc2be008dc"
         assert vars(space)["digest"] == "54cc2be008dc"  # cached on the instance
         assert make_tree_space(1, 3).digest == "11e71af7660d"
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_uniform_space_is_kept_per_shape(self, shape):
+        # one read-only space per shape, equal to a fresh build, so that its
+        # cached atom masses, digest and leaf index are built once
+        depth, branching = shape
+        space = make_tree_space(depth, branching)
+        assert make_tree_space(np.int64(depth), branching, "uniform") is space
+        assert space_from_json({"depth": depth, "branching": branching}) is space
+        n = branching**depth
+        fresh = filtration_mod.TreeSpace(depth, branching, np.full(n, 1.0 / n))
+        np.testing.assert_array_equal(space.leaf_probs, fresh.leaf_probs, strict=True)
+        assert space.digest == fresh.digest
+        np.testing.assert_array_equal(space.atom_masses, fresh.atom_masses, strict=True)
+        assert make_tree_space(depth, branching).atom_masses is space.atom_masses
+        assert not space.leaf_probs.flags.writeable
+        with pytest.raises(ValueError):
+            space.leaf_probs[0] = 1.0
+
+    def test_explicit_probabilities_give_a_fresh_space(self):
+        kept = make_tree_space(2, 2)
+        equal = [0.25] * 4
+        spaces = [make_tree_space(2, 2, equal), make_tree_space(2, 2, np.array(equal)),
+                  space_from_json({"depth": 2, "branching": 2, "leaf_probs": equal})]
+        assert len({id(s) for s in [kept, *spaces]}) == 4
+        for space in spaces:
+            np.testing.assert_array_equal(space.leaf_probs, kept.leaf_probs, strict=True)
+            assert space.digest == kept.digest
+
+    def test_bad_shapes_raise_on_every_call(self):
+        # validation runs before the kept-space lookup: True hashes as 1, and
+        # (1, 2) is kept by then
+        make_tree_space(1, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must be an integer"):
+                make_tree_space(True, 2)
+            with pytest.raises(ValueError, match="must be >= 0"):
+                make_tree_space(-1, 2)
+            with pytest.raises(ValueError, match="exceeds the"):
+                make_tree_space(21, 2)
+        assert filtration_mod._uniform_space.cache_info().maxsize == 16
 
     def test_json_round_trip(self):
         space = make_tree_space(2, 3)

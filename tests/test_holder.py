@@ -22,12 +22,14 @@ from martbench.holder import (
     trial_vector,
 )
 from martbench.maximal import gen_doob_maximal, level_set_stopping_time
-from martbench.report import _margin, _within_margin
+from martbench.report import REL_TOL, _within_margin, check_inequality
 from martbench.theorems import verify_weak_to_testing
 from martbench.weights import make_weight_system
 
 from helpers import (
+    SHAPES,
     full_atoms_oracle,
+    level_verdict_oracle,
     masked_tail_products_oracle,
     norms_product_oracle,
     random_fvec,
@@ -35,6 +37,7 @@ from helpers import (
     random_positive,
     random_sequence,
     random_space,
+    shape_id,
     two_function_holder_oracle,
 )
 
@@ -357,6 +360,38 @@ class TestConditionalCheck:
         assert passing.passed and passing.metadata["atom"] == 1 and passing.lhs == 1.0
 
 
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_one_verdict_pass_gives_every_level_its_own_slice_verdict(shape):
+    # the verdicts and gaps of every atom are taken in one pass; each level's
+    # report is the one a verdict on its own slice gives, field by field, at
+    # the default tolerance (all pass) and at -0.5 (the leaf level fails:
+    # there both sides are equal), for a trial vector and a masked one, and at
+    # the default tolerance for one that overflows on its first leaf (infinite
+    # sides, NaN gaps; at -0.5 the margin of an infinite side, inf - inf / 2,
+    # warns as it did when each level took its own verdict)
+    space = make_tree_space(*shape)
+    seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+    rng = np.random.default_rng(72)
+    trial = trial_vector(space, 2, 5, 2, 1e3)
+    huge = np.ones(space.n_leaves)
+    huge[0] = 1e200
+    vectors = [trial, FunctionVector(trial.active, random_leaf_mask(rng, space, allow_empty=True)),
+               function_vector(space, [huge])]
+    for fv in vectors:
+        for tolerance in (REL_TOL, -0.5) if fv is not vectors[-1] else (REL_TOL,):
+            reports = [holder_conditional_check(space, fv, seq, n, tolerance)
+                       for n in space.levels]
+            for n, report in enumerate(reports):
+                lhs, rhs, atom = level_verdict_oracle(space, fv, seq, n, tolerance)
+                expected = check_inequality(
+                    "holder-conditional", lhs, rhs, tolerance=tolerance,
+                    metadata={"level": n, "n_atoms": space.n_atoms(n), "atom": atom,
+                              "space": space.digest})
+                assert report.to_json() == expected.to_json()
+            if fv is trial:
+                assert all(r.passed for r in reports) == (tolerance == REL_TOL)
+
+
 class TestNormIdentity:
     def test_norm_through_conditional_power(self):
         # ||f||_{p_i} equals || E_n(f**p_i)**(1/p_i) ||_{p_i} at every level
@@ -479,17 +514,12 @@ def test_norm_products_match_the_slot_oracle(monkeypatch):
     # the band norms of verify_weak_to_testing against the slot-by-slot oracle,
     # on masked and unmasked vectors, weights longer than the active block,
     # no active slot, finite families with head padding and branching 3
-    rhs_seen, bands_seen = [], []
-
-    def margin_spy(bound, tolerance):
-        rhs_seen.append(bound)
-        return _margin(bound, tolerance)
+    bands_seen = []
 
     def within_spy(lhs, bound, tolerance):
         bands_seen.append((lhs, bound))
         return _within_margin(lhs, bound, tolerance)
 
-    monkeypatch.setattr(holder_mod, "_margin", margin_spy)
     monkeypatch.setattr(theorems_mod, "_within_margin", within_spy)
     rng = np.random.default_rng(71)
     covered = set()
@@ -517,10 +547,11 @@ def test_norm_products_match_the_slot_oracle(monkeypatch):
                     norms_product_oracle(space, fv, seq, w or ()), rel=1e-12, abs=0.0)
 
             for n in space.levels:
-                rhs_seen.clear()
-                holder_conditional_check(space, fv, seq, n)
-                [rhs_atoms] = rhs_seen  # one right side per level-n atom
+                report = holder_conditional_check(space, fv, seq, n)
+                # the kept right side of every level, one entry per level-n atom
+                rhs_atoms = space.level(holder_mod._conditional_parts(space, fv, seq)[1], n)
                 assert rhs_atoms.shape == (space.n_atoms(n),)
+                assert report.rhs == rhs_atoms[report.metadata["atom"]]
                 for j in range(space.n_atoms(n)):
                     atom = np.zeros(space.n_leaves, dtype=bool)
                     atom[space.atom_slice(n, j)] = True
