@@ -252,7 +252,7 @@ def make_tree_space(
     probs = np.asarray(leaf_probs, dtype=float)
     if probs.shape != (n,):
         raise ValueError(f"expected {n} leaf probabilities, got {probs.shape}")
-    if not np.all(probs > 0.0):
+    if not (probs > 0.0).all():
         raise ValueError("leaf probabilities must be positive")
     total = float(probs.sum())
     if abs(total - 1.0) > 1e-12:
@@ -280,9 +280,9 @@ def as_leaf_vector(space: TreeSpace, values, nonnegative: bool = False) -> np.nd
     v = np.asarray(values, dtype=float)
     if v.shape != (space.n_leaves,):
         raise ValueError(f"expected {space.n_leaves} leaf values, got {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("leaf values must be finite")
-    if nonnegative and not np.all(v >= 0.0):
+    if nonnegative and not (v >= 0.0).all():
         raise ValueError("leaf values must be nonnegative")
     return v
 
@@ -293,7 +293,7 @@ def _as_bool(m: np.ndarray) -> np.ndarray:
     inside the set."""
     if m.dtype == bool:
         return m
-    if not np.all((m == 0) | (m == 1)):
+    if not ((m == 0) | (m == 1)).all():
         raise ValueError("mask entries must be booleans or exactly 0 or 1")
     return m.astype(bool)
 
@@ -319,7 +319,7 @@ def _weighted_probs(space: TreeSpace, weight=None) -> np.ndarray:
     if weight is None:
         return space.leaf_probs
     weight = np.asarray(weight, dtype=float)
-    if not np.all(weight > 0.0):
+    if not (weight > 0.0).all():
         raise ValueError("weight must be strictly positive")
     return space.leaf_probs * weight
 

@@ -9,11 +9,14 @@ the indicator infinitely often, which kills every point whose atom is not
 fully inside the mask.  Norm products prod_i (int_Q w_i |f_i|**p_i)**(1/p_i)
 read their factors from _norm_parts, the one home of the pad rule: under a
 mask Q the head slots past the occupied ones and the infinite tail together
-contribute |Q|**pad, with pad = 1/p - sum of 1/p_i over the occupied slots.
+contribute |Q|**pad, with pad = 1/p - sum of 1/p_i over the occupied slots
+(_pad).  _norms_product forms every such product from its factors' leaf
+masses, in one order of float operations.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -118,15 +121,29 @@ def _norm_parts(
     leaf mask or a (K, leaves) stack), the pair (chi_Q, pad) for the padded
     head slots and the infinite tail, with pad = 1/p - sum of e.  Each caller
     takes its own sum."""
-    if not all(np.all(np.greater(w, 0.0)) for w in weights):
+    if not all(np.greater(w, 0.0).all() for w in weights):
         raise ValueError("weight must be strictly positive")
     with np.errstate(over="ignore"):  # an overflowed factor is inf, and fails its report
         parts = [(w * np.abs(f if mask is None else f * mask) ** p_i, 1.0 / p_i)
                  for (f, w), p_i in zip(_component_slots(space, active, weights, seq), seq.head)]
     if mask is not None:
-        pad = seq.aggregate_reciprocal - math.fsum(e for _, e in parts)
-        parts.append((np.asarray(mask, dtype=float), pad))
+        parts.append((np.asarray(mask, dtype=float), _pad(seq, parts)))
     return parts
+
+
+def _pad(seq: ExponentSequence, parts) -> float:
+    """The exponent of the pad factor chi_Q of the (g, e) pairs of the occupied
+    head slots: 1/p - sum of their e, the masked head padding and tail."""
+    return seq.aggregate_reciprocal - math.fsum(e for _, e in parts)
+
+
+def _norms_product(masses) -> float:
+    """prod (sum m)**e over (leaf masses m, exponent e) pairs, the masses of
+    _norm_parts' factors (leaf_probs * g): each sum along the leaves, each
+    power on its np.float64 sum, the product from 1.0 in order.  The one
+    formula of function_norms_product and of the kept per-pair product of
+    theorems._testing_parts."""
+    return float(math.prod((m.sum() ** e for m, e in masses), start=1.0))
 
 
 def lp_norm(space: TreeSpace, f: np.ndarray, p: float, weight=None) -> float:
@@ -235,7 +252,7 @@ def function_norms_product(
     form.
     """
     parts = _norm_parts(space, fvec.active, seq, () if weights is None else weights, fvec.mask)
-    return float(math.prod((np.sum(space.leaf_probs * g) ** e for g, e in parts), start=1.0))
+    return _norms_product((space.leaf_probs * g, e) for g, e in parts)
 
 
 def _row_norms_products(space: TreeSpace, active, seq: ExponentSequence, weights, masks,
@@ -275,21 +292,33 @@ def holder_integral_check(
     )
 
 
+_CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
 def _keep_last(build):
     """build cached for its last arguments only, as lru_cache(maxsize=1) caches
     it, except that the kept result is dropped before a call with other
     arguments builds its own, so two results are never held at once; an
-    exception keeps nothing.  cache_clear() drops the kept result."""
-    kept = []
+    exception keeps nothing.  cache_info() counts hits and misses as
+    lru_cache's does, and cache_clear() drops the kept result and the counts."""
+    kept, counts = [], [0, 0]  # hits, misses
 
     @functools.wraps(build)
     def cached(*args):
-        if not (kept and kept[0] == args):
+        if kept and kept[0] == args:
+            counts[0] += 1
+        else:
+            counts[1] += 1
             kept.clear()
             kept[:] = [args, build(*args)]
         return kept[1]
 
-    cached.cache_clear = kept.clear
+    def cache_clear():
+        kept.clear()
+        counts[:] = [0, 0]
+
+    cached.cache_info = lambda: _CacheInfo(*counts, 1, len(kept) // 2)
+    cached.cache_clear = cache_clear
     return cached
 
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 REL_TOL = 1e-12
 ABS_FLOOR = 1e-300
 
@@ -40,8 +42,14 @@ class VerificationReport:
 
 def _margin(bound, tolerance: float = REL_TOL):
     """The largest left side that passes against `bound` (a scalar or an
-    array): bound + tolerance * |bound| + ABS_FLOOR."""
-    return bound + tolerance * abs(bound) + ABS_FLOOR
+    array): bound + tolerance * |bound| + ABS_FLOOR.  An infinite bound under a
+    negative tolerance has the margin inf - inf, NaN, which no left side
+    passes; Python floats (check_inequality's) take it silently, and numpy
+    arrays and scalars take it without numpy's invalid-value warning."""
+    if tolerance >= 0.0 or type(bound) is float:
+        return bound + tolerance * abs(bound) + ABS_FLOOR
+    with np.errstate(invalid="ignore"):
+        return bound + tolerance * abs(bound) + ABS_FLOOR
 
 
 def _within_margin(lhs, bound, tolerance: float = REL_TOL):

@@ -42,7 +42,10 @@ from .filtration import (
 from .holder import (
     FunctionVector,
     _component_slots,
+    _keep_last,
     _norm_parts,
+    _norms_product,
+    _pad,
     _row_norms_products,
     function_norms_product,
     level_product_atoms,
@@ -70,22 +73,32 @@ def band_index(values: np.ndarray) -> np.ndarray:
     return np.where(y > 0.0, expo.astype(np.int64) - 1 - (mant == 0.5), NO_BAND)
 
 
-@functools.lru_cache(maxsize=1)
-def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple[np.ndarray, float, np.ndarray]:
-    """Level products per atom, norm product and stopping reward of the last
-    (system, vector) pair; both hash by identity, and the arrays are read-only
-    and kept alive here.  Row n of the reward is leaf_probs * v * (prod E_n
-    f_i)**p, the power taken per atom and then expanded; readers gather finite
-    leaves only (StoppingTime.flat_index), so no row stands for the INFINITE
-    value.  A product past the float range is inf (and inf * 0 NaN), which
+@_keep_last
+def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple:
+    """Level products per atom, norm product, stopping reward and norm-factor
+    masses of the last (system, vector) pair; both hash by identity, and the
+    arrays are read-only and kept alive here until the next pair's build.
+    Row n of the reward is leaf_probs * v * (prod E_n f_i)**p, the power taken
+    per atom and then expanded; readers gather finite leaves only
+    (StoppingTime.flat_index), so no row stands for the INFINITE value.  The
+    masses are the (leaf_probs * g, e) pairs of the vector's _norm_parts
+    factors, the pad pair (leaf_probs * chi_Q, pad) last under a mask Q; the
+    norm product is _norms_product of them, bit for bit function_norms_product.
+    An unmasked vector's product has no pad factor, but a band slice of the
+    vector has one (verify_weak_to_testing), so it keeps (leaf_probs, pad)
+    last.  A product past the float range is inf (and inf * 0 NaN), which
     fails the report it reaches."""
-    space = ws.space
+    space, seq = ws.space, ws.seq
     with np.errstate(over="ignore", invalid="ignore"):
-        atoms = level_product_atoms(space, fvec, ws.seq)
-        rhs = function_norms_product(space, fvec, ws.seq, ws.active_weights)
-        powered = space.expand_levels(atoms ** (1.0 / ws.seq.aggregate_reciprocal))
+        masses = [(_frozen(space.leaf_probs * g), e)
+                  for g, e in _norm_parts(space, fvec.active, seq, ws.active_weights, fvec.mask)]
+        rhs = _norms_product(masses)
+        if fvec.mask is None:
+            masses.append((space.leaf_probs, _pad(seq, masses)))
+        atoms = level_product_atoms(space, fvec, seq)
+        powered = space.expand_levels(atoms ** (1.0 / seq.aggregate_reciprocal))
         reward = space.leaf_probs * ws.v * powered
-    return _frozen(atoms), rhs, _frozen(reward)
+    return _frozen(atoms), rhs, _frozen(reward), tuple(masses)
 
 
 @functools.lru_cache(maxsize=1)
@@ -94,22 +107,31 @@ def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     (slots, row by slot, rhs, ap_max, digest), a row (lhs, slack, verdict,
     finite leaves).  A slot's left side is _power(reward, 1/p) of its stopped
     reward, one gather and row sum per finite-leaf count (_KeptFamily.gather),
-    bit for bit the sum of the time's own gather; its slack and verdict are
-    check_inequality's at REL_TOL, from the same float operations (the bound
-    c_a * rhs, the slack bound - lhs, the verdict lhs <= _margin(bound)),
-    and the verdict is None where the left side or the bound is not finite.
-    The slot map is empty where the family streams."""
+    bit for bit the sum of the time's own gather; the powers are the float
+    power, which is _power's where none overflows, and are redone by _power
+    where one does.  Its slack and verdict are check_inequality's at REL_TOL,
+    from the same float operations (the bound c_a * rhs, the slack bound -
+    lhs, the verdict lhs <= _margin(bound)), and the verdict is None where
+    the left side or the bound is not finite (when all are, the verdicts are
+    one bool array).  The slot map is empty where the family streams."""
     family = _kept_family(ws.space)
-    _, rhs, reward = _testing_parts(ws, fvec)
+    _, rhs, reward, _ = _testing_parts(ws, fvec)
     rhs, c_a = float(rhs), float(ws.ap_max)
     slots, rows = {}, []
     if family is not None:
         slots, matrices = family.gather
         rp = ws.seq.aggregate_reciprocal
-        lhs = [_power(r, rp) for m in matrices for r in reward.ravel()[m].sum(axis=1).tolist()]
+        sums = [r for m in matrices for r in reward.ravel()[m].sum(axis=1).tolist()]
+        try:  # the float power is _power's wherever none overflows
+            lhs = list(map(pow, sums, itertools.repeat(rp)))
+        except OverflowError:
+            lhs = [_power(r, rp) for r in sums]
         bound, sides = c_a * rhs, np.array(lhs)
-        verdicts = np.where(np.isfinite(sides) & math.isfinite(bound),
-                            sides <= _margin(bound), None)
+        if math.isfinite(bound) and np.isfinite(sides).all():
+            verdicts = sides <= _margin(bound)
+        else:
+            verdicts = np.where(np.isfinite(sides) & math.isfinite(bound),
+                                sides <= _margin(bound), None)
         with np.errstate(invalid="ignore"):  # inf - inf, in a row whose verdict is None
             slack = (bound - sides).tolist()
         rows = list(zip(lhs, slack, verdicts.tolist(), family.finite_leaves))
@@ -167,27 +189,19 @@ def verify_testing_to_weak(
     time just below t has support exactly {maximal >= t}; the stopped
     product dominates t there, so
     t * |{maximal >= t}|_v**(1/p) <= testing side <= c_test * norm product.
-    The first passages of all thresholds are taken on the level products'
-    atoms (_passage_blocks), and each stopped reward is the sum of the
-    reward's entries over the time's finite leaves in leaf order, bit for
-    bit the time's own gather.  The report checks the largest term
-    (weak_lp_norm's value) against the right end; an overflowed or NaN
-    maximal value fails it.
+    The stopped rewards come from _stopped_rewards.  The report checks the
+    largest term (weak_lp_norm's value) against the right end; an overflowed
+    or NaN maximal value fails it.
     """
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     p = 1.0 / rp
-    atoms, rhs, reward = _testing_parts(ws, fvec)
+    atoms, rhs, reward, _ = _testing_parts(ws, fvec)
     thresholds, masses = _level_sets(space, space.level_sup(atoms), ws.v)
-    stopped_rewards = []
     # X_n > nextafter(t, 0) is X_n >= t: the support is {maximal >= t}
-    for tau in itertools.chain.from_iterable(
-            _passage_blocks(space, atoms, np.nextafter(thresholds, 0.0))):
-        # the reward's flat index; a never-stopping leaf's wraps to the last row, unread
-        picked = reward.ravel()[tau * space.n_leaves + space.leaf_index]
-        stopped_rewards.append(picked[tau != StoppingTime.INFINITE].sum())
+    stopped = _stopped_rewards(space, atoms, reward, np.nextafter(thresholds, 0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails below
         weak = thresholds * masses ** (1.0 / p)  # weak_lp_norm's terms, bit for bit
-        within = _within_margin(weak, np.array(stopped_rewards) ** rp, tolerance)
+        within = _within_margin(weak, stopped ** rp, tolerance)
     report = check_inequality(
         "testing-to-weak",
         np.max(weak, initial=0.0),
@@ -198,6 +212,24 @@ def verify_testing_to_weak(
     )
     report.passed = report.passed and bool(within.all())
     return report
+
+
+def _stopped_rewards(space, atoms: np.ndarray, reward: np.ndarray,
+                     thresholds: np.ndarray) -> np.ndarray:
+    """Per threshold, the reward summed over the finite leaves of the first
+    passage of the per-atom process above it, in leaf order: bit for bit the
+    time's own gather.  The passages come in blocks (_passage_blocks), and
+    each block takes one flat index into the reward, one gather and one
+    finite mask; each row's compacted finite entries are then summed on
+    their own, the same floats in the same order."""
+    out = []
+    for block in _passage_blocks(space, atoms, thresholds):
+        # a never-stopping leaf's flat index wraps to the last row, and is not read
+        index = block * space.n_leaves
+        index += space.leaf_index  # in place: a large block allocates one array, not two
+        picked = reward.ravel()[index]
+        out += [row[fin].sum() for row, fin in zip(picked, block != StoppingTime.INFINITE)]
+    return np.array(out, dtype=float)
 
 
 def verify_weak_to_testing(
@@ -214,47 +246,24 @@ def verify_weak_to_testing(
     sliced norm product to the p.  Summing the slices and interchanging
     with the norm product bounds every stopped integral by
     2**p * c_weak**p * prod (int f_i**p_i omega_i)**(p/p_i).
-    The bands of all levels are checked at once, as one (bands, leaves) mask
-    stack summed against the _norm_parts factors, cut into chunks whose
-    factors hold at most weights.SCAN_CHUNK_FLOATS floats, so a large tree
-    never holds the whole stack.  The left side is the exact supremum over
+    The slice sums of every (level, band) pair come from _band_sums, and
+    all bands are checked at once.  The left side is the exact supremum over
     all stopping times (snell_testing_sup); the slice partitions are
     reported for inspection.
     """
-    space, seq = ws.space, ws.seq
-    rp = seq.aggregate_reciprocal
+    rp = ws.seq.aggregate_reciprocal
     p = 1.0 / rp
-    atoms, rhs, _ = _testing_parts(ws, fvec)
-    bi = space.expand_levels(band_index(atoms))
-    banded = bi != NO_BAND
-    lo = bi.min(initial=0, where=banded)
-    span = bi.max(initial=0, where=banded) - lo + 1
-    # each nonempty (level, band) pair once: levels ascending, bands ascending in a level
-    keys = (bi - lo + span * np.arange(space.depth + 1)[:, None])[banded]
-    levels, ks = np.divmod(np.unique(keys), span)
-    ks += lo
-    # a chunk's _norm_parts block (at most head_len + 1 factors) holds the budget
-    chunk = max(1, weights.SCAN_CHUNK_FLOATS // ((seq.head_len + 1) * space.n_leaves))
-    all_ok = True
-    partitions = {}
-    small = space.n_leaves <= 64
+    _, rhs, _, masses = _testing_parts(ws, fvec)
+    ks, v_sums, factor_sums, partitions = _band_sums(ws, fvec)
     # past the float range a power is inf (and 0 * inf NaN); either fails a band
     # check, and the report through check_inequality's "reason"
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_pth = float(np.float64(rhs) ** p)
         c_weak_pth = np.float64(c_weak) ** p
         c_prime = float(_power(2.0, p) * c_weak_pth)
-        for at in range(0, levels.size, chunk):
-            n_c, k_c = levels[at:at + chunk], ks[at:at + chunk]
-            bands = bi[n_c] == k_c[:, None]
-            sliced = bands if fvec.mask is None else bands & fvec.mask
-            parts = _norm_parts(space, fvec.active, seq, ws.active_weights, sliced)
-            norms = np.prod([(space.leaf_probs * g).sum(-1) ** e for g, e in parts], axis=0)
-            lhs = np.ldexp(1.0, k_c) ** p * (space.leaf_probs * ws.v * bands).sum(-1)
-            all_ok &= bool(_within_margin(lhs, c_weak_pth * norms**p, tolerance).all())
-            for n, k, band in zip(n_c.tolist(), k_c.tolist(), bands):
-                partitions.setdefault(n, {})[k] = (
-                    np.flatnonzero(band).tolist() if small else int(band.sum()))
+        norms = math.prod(s ** e for s, (_, e) in zip(factor_sums, masses))  # in order, as np.prod
+        lhs = np.ldexp(1.0, ks) ** p * v_sums
+        all_ok = bool(_within_margin(lhs, c_weak_pth * norms**p, tolerance).all())
 
     report = check_inequality(
         "weak-to-testing",
@@ -265,11 +274,64 @@ def verify_weak_to_testing(
         metadata={
             "bands_per_level": partitions,
             "stopping_sup": "exact",
-            "space": space.digest,
+            "space": ws.space.digest,
         },
     )
     report.passed = report.passed and all_ok
     return report
+
+
+def _band_sums(ws: WeightSystem, fvec: FunctionVector) -> tuple:
+    """The dyadic slices of verify_weak_to_testing and their sums, one per
+    nonempty (level n, band k) pair in key order (n * 4096 + k + 2048 on the
+    atoms; bands lie in -1075..1023): (ks, v_sums, factor_sums, partitions).
+    v_sums[j] sums leaf_probs * v over slice j, and factor_sums[i, j] the
+    kept mass i (_testing_parts) over slice j under the vector's mask,
+    np.where(sliced, mass, 0.0): on the slice w|f * 1.0|**p is w|f|**p and
+    chi_Q is 1, off it w * 0**p is +0.0, so each row holds the sliced
+    vector's _norm_parts factor as floats in the same layout, and nothing is
+    powered per band (a product by the mask would turn an overflowed inf off
+    the slice into NaN).  Leaf masks come in chunks of at most
+    weights.SCAN_CHUNK_FLOATS / (factors + 1) entries.  partitions maps n to
+    {k: the slice's leaf list up to 64 leaves, its leaf count above}."""
+    space = ws.space
+    atoms, _, _, masses = _testing_parts(ws, fvec)
+    bands_at = band_index(atoms)
+    keys = (_band_keys(space.depth, space.branching) + bands_at)[bands_at != NO_BAND]
+    levels, ks = np.divmod(np.unique(keys), 4096)
+    ks -= 2048
+    bi = space.expand_levels(bands_at)
+    weighted = space.leaf_probs * ws.v
+    v_sums = np.empty(levels.size)
+    factor_sums = np.empty((len(masses), levels.size))
+    chunk = max(1, weights.SCAN_CHUNK_FLOATS // ((len(masses) + 1) * space.n_leaves))
+    small = space.n_leaves <= 64
+    partitions = {}
+    for at in range(0, levels.size, chunk):
+        n_c, k_c = levels[at:at + chunk], ks[at:at + chunk]
+        bands = bi[n_c] == k_c[:, None]
+        sliced = bands if fvec.mask is None else bands & fvec.mask
+        v_sums[at:at + chunk] = np.where(bands, weighted, 0.0).sum(-1)
+        for row, (mass, _) in zip(factor_sums, masses):
+            row[at:at + chunk] = np.where(sliced, mass, 0.0).sum(-1)
+        counts = bands.sum(-1).tolist()
+        if small:  # each band's leaves: a run of the row-major nonzero columns
+            leaves = bands.nonzero()[1].tolist()
+            ends = itertools.accumulate(counts)
+            counts = [leaves[end - c:end] for c, end in zip(counts, ends)]
+        for n, k, entry in zip(n_c.tolist(), k_c.tolist(), counts):
+            partitions.setdefault(n, {})[k] = entry
+    return ks, v_sums, factor_sums, partitions
+
+
+@functools.lru_cache(maxsize=16)
+def _band_keys(depth: int, branching: int) -> np.ndarray:
+    """Per atom of a per-atom process, n * 4096 + 2048 for its level n
+    (read-only, built once per tree shape): plus the atom's band k in
+    -1075..1023 it is the key of the atom's (level, band) pair, and the keys
+    sort by level and then by band."""
+    levels = range(depth + 1)
+    return _frozen(np.repeat([n * 4096 + 2048 for n in levels], [branching**n for n in levels]))
 
 
 def verify_testing_to_ap(
@@ -321,16 +383,19 @@ def verify_testing_to_ap(
 def _testing_ap_ratios(ws: WeightSystem) -> np.ndarray:
     """The testing ratio of verify_testing_to_ap on every atom, per atom (as
     ws.ap_atoms).  Each norm factor's atom sums are taken for all levels in one
-    pass (_level_masses) and powered once; the numerator's level-n sums read
-    level n of the powered density product.  A value that is not finite (an
-    overflow, or inf / inf) is kept."""
+    pass (_level_masses) and powered once; the pad factor chi_B's are the atom
+    masses, space.atom_masses and then leaf_probs (a run of one sums to its
+    entry).  The numerator's level-n sums read level n of the powered density
+    product.  A value that is not finite (an overflow, or inf / inf) is kept."""
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
-    whole = np.ones(space.n_leaves, dtype=bool)  # each atom sum restricts Q to B
     rhs = np.ones(space.atom_offsets[-1])
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for g, e in _norm_parts(space, ws.sigmas, seq, ws.active_weights, whole):
+        parts = _norm_parts(space, ws.sigmas, seq, ws.active_weights)
+        for g, e in parts:
             rhs *= _level_masses(space, space.leaf_probs * g, space.depth + 1) ** e
+        # each atom sum restricts Q to B: the pad factor is |B|**pad
+        rhs *= np.concatenate([space.atom_masses, space.leaf_probs]) ** _pad(seq, parts)
         density = ws.density_atoms ** (1.0 / rp)
         weighted = space.leaf_probs * ws.v
         numer = np.concatenate([

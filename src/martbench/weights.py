@@ -180,7 +180,7 @@ def make_weight_system(
     weights = []
     for w in active_weights:
         w = as_leaf_vector(space, w)
-        if not np.all(w > 0.0):
+        if not (w > 0.0).all():
             raise ValueError("weights must be strictly positive")
         weights.append(_read_only(w))
     if len(weights) > seq.head_len:
@@ -188,7 +188,7 @@ def make_weight_system(
             f"{len(weights)} weights exceed exponent head length {seq.head_len}"
         )
     v = as_leaf_vector(space, v)
-    if not np.all(v > 0.0):
+    if not (v > 0.0).all():
         raise ValueError("v must be strictly positive")
     sigmas = []
     for i, w in enumerate(weights):
@@ -196,7 +196,7 @@ def make_weight_system(
         with np.errstate(over="ignore", under="ignore"):
             s = w ** (-1.0 / (p_i - 1.0))
             norm = float(np.sum(space.leaf_probs * w * s**p_i)) ** (1.0 / p_i)
-        if not (np.all(np.isfinite(s) & (s > 0.0)) and math.isfinite(norm)):
+        if not ((np.isfinite(s) & (s > 0.0)).all() and math.isfinite(norm)):
             raise ValueError(
                 f"dual density sigma_{i} for p_{i} = {p_i} or its norm is 0 or inf in "
                 "floating point; the weight spread is too extreme for this exponent"

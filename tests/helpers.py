@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from martbench.holder import (
     _conditional_parts,
     _entry_levels,
     _norm_parts,
+    level_product_atoms,
     trial_vector,
 )
 from martbench.report import (
@@ -36,7 +38,8 @@ from martbench.report import (
     _within_margin,
     check_inequality,
 )
-from martbench.theorems import band_index
+from martbench.maximal import _level_sets
+from martbench.theorems import NO_BAND, _passage_blocks, band_index, snell_testing_sup
 from martbench.weights import _normalized_ratios, _support_masses, sp_constant_argmax
 
 
@@ -533,6 +536,97 @@ def strong_estimate_oracle(ws, trials: int, seed: int) -> float:
         rhs = function_norms_product(space, fvec, seq, ws.sigmas)
         ratios.append(0.0 if rhs <= 0.0 else lhs / rhs)
     return float(np.max(ratios))
+
+
+def stopped_rewards_oracle(space: TreeSpace, atoms: np.ndarray, reward: np.ndarray,
+                           thresholds) -> np.ndarray:
+    """Per threshold, the reward over the finite leaves of the first passage
+    above it, one time at a time: each passage's own flat gather, compacted
+    to its finite leaves and summed."""
+    rewards = []
+    for tau in itertools.chain.from_iterable(_passage_blocks(space, atoms, thresholds)):
+        # the reward's flat index; a never-stopping leaf's wraps to the last row, unread
+        picked = reward.ravel()[tau * space.n_leaves + space.leaf_index]
+        rewards.append(picked[tau != StoppingTime.INFINITE].sum())
+    return np.array(rewards)
+
+
+def per_threshold_oracle(ws, fvec: FunctionVector, c_test: float, tolerance: float = REL_TOL):
+    """verify_testing_to_weak's report with the stopped rewards taken one
+    threshold at a time (stopped_rewards_oracle), and the norm product from
+    function_norms_product: (report, stopped rewards)."""
+    space, seq = ws.space, ws.seq
+    rp = seq.aggregate_reciprocal
+    p = 1.0 / rp
+    atoms = level_product_atoms(space, fvec, seq)
+    with np.errstate(over="ignore", invalid="ignore"):
+        reward = space.leaf_probs * ws.v * space.expand_levels(atoms ** (1.0 / rp))
+        rhs = function_norms_product(space, fvec, seq, ws.active_weights)
+    thresholds, masses = _level_sets(space, space.level_sup(atoms), ws.v)
+    rewards = stopped_rewards_oracle(space, atoms, reward, np.nextafter(thresholds, 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weak = thresholds * masses ** (1.0 / p)
+        within = _within_margin(weak, rewards**rp, tolerance)
+    report = check_inequality("testing-to-weak", np.max(weak, initial=0.0), rhs, c_test,
+                              tolerance, {"n_thresholds": len(thresholds), "space": space.digest})
+    report.passed = report.passed and bool(within.all())
+    return report, rewards
+
+
+def band_stack_oracle(ws, fvec: FunctionVector, c_weak: float, tolerance: float = REL_TOL):
+    """verify_weak_to_testing's report from the band stack: per chunk of
+    (level, band) pairs a (bands, leaves) mask stack, the sliced vector's
+    _norm_parts factors built and powered under it and summed per band, and
+    the norm product from function_norms_product: (report, v_sums,
+    factor_sums), the slice sums in pair order (levels, then bands,
+    ascending)."""
+    space, seq = ws.space, ws.seq
+    p = 1.0 / seq.aggregate_reciprocal
+    with np.errstate(over="ignore", invalid="ignore"):
+        atoms = level_product_atoms(space, fvec, seq)
+        rhs = function_norms_product(space, fvec, seq, ws.active_weights)
+    bi = space.expand_levels(band_index(atoms))
+    banded = bi != NO_BAND
+    lo = bi.min(initial=0, where=banded)
+    span = bi.max(initial=0, where=banded) - lo + 1
+    keys = (bi - lo + span * np.arange(space.depth + 1)[:, None])[banded]
+    levels, ks = np.divmod(np.unique(keys), span)
+    ks += lo
+    chunk = max(1, weights_mod.SCAN_CHUNK_FLOATS // ((seq.head_len + 1) * space.n_leaves))
+    all_ok, partitions, v_sums, factor_sums = True, {}, [], []
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs_pth = float(np.float64(rhs) ** p)
+        c_weak_pth = np.float64(c_weak) ** p
+        c_prime = float(_power(2.0, p) * c_weak_pth)
+        for at in range(0, levels.size, chunk):
+            n_c, k_c = levels[at:at + chunk], ks[at:at + chunk]
+            bands = bi[n_c] == k_c[:, None]
+            sliced = bands if fvec.mask is None else bands & fvec.mask
+            parts = _norm_parts(space, fvec.active, seq, ws.active_weights, sliced)
+            sums = [(space.leaf_probs * g).sum(-1) for g, _ in parts]
+            norms = np.prod([s**e for s, (_, e) in zip(sums, parts)], axis=0)
+            v_sums.append((space.leaf_probs * ws.v * bands).sum(-1))
+            factor_sums.append(sums)
+            lhs = np.ldexp(1.0, k_c) ** p * v_sums[-1]
+            all_ok &= bool(_within_margin(lhs, c_weak_pth * norms**p, tolerance).all())
+            for n, k, band in zip(n_c.tolist(), k_c.tolist(), bands):
+                partitions.setdefault(n, {})[k] = (
+                    np.flatnonzero(band).tolist() if space.n_leaves <= 64 else int(band.sum()))
+    report = check_inequality(
+        "weak-to-testing", snell_testing_sup(ws, fvec), rhs_pth, c_prime, tolerance,
+        {"bands_per_level": partitions, "stopping_sup": "exact", "space": space.digest})
+    report.passed = report.passed and all_ok
+    n_factors = max(fvec.n_active, len(ws.active_weights)) + 1  # the slots and the pad
+    return (report, np.concatenate([np.empty(0), *v_sums]),
+            np.concatenate([np.empty((n_factors, 0)), *map(np.array, factor_sums)], axis=1))
+
+
+def assert_same_report(got, want) -> None:
+    """Every field of two reports alike, floats bit for bit (by repr, under
+    which NaN equals NaN and an np.float64 differs from a float)."""
+    for name in ("inequality", "lhs", "rhs", "constant", "slack", "passed", "tolerance",
+                 "metadata"):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
 
 
 def assert_close(a: float, b: float, rel: float = 1e-12) -> None:

@@ -339,7 +339,7 @@ def test_testing_reward_matches_the_dense_oracle(shape):
         for fvec in (fvec for fvec, _ in product_cases(rng, space) if fvec.mask is None):
             theorems_mod._testing_parts.cache_clear()
             with np.errstate(over="ignore", invalid="ignore"):
-                atoms, _, reward = theorems_mod._testing_parts(ws, fvec)
+                atoms, _, reward, _ = theorems_mod._testing_parts(ws, fvec)
                 rows = level_products_oracle(space, fvec, ws.seq)
                 want = space.leaf_probs * ws.v * rows**p
             np.testing.assert_array_equal(space.expand_levels(atoms), rows)

@@ -781,6 +781,23 @@ class TestEntryPoints:
         assert (command, tree, leaves, outcome) == ("check-holder", "2^4", "16", "0")
         assert float(seconds) > 0.0 and float(peak) > 0.0 and int(size) > 0
 
+    def test_pool_dump(self, capsys):
+        # one block of a tree workload and of the scalar one, each hashed the
+        # same twice: the line is a function of the code's outputs alone
+        spec = importlib.util.spec_from_file_location("pool_dump", ROOT / "scripts" / "pool_dump.py")
+        dump = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(dump)
+        for workload in ("equiv_first", "scalar_suite"):
+            lines = []
+            for _ in range(2):
+                assert dump.main(["--workload", workload, "--blocks", "1"]) == 0
+                lines.append(capsys.readouterr().out)
+            assert lines[0] == lines[1]
+            name, count, label, sha = lines[0].split()
+            assert (name, count, label) == (workload, "10", "items") and len(sha) == 64
+        with pytest.raises(SystemExit):
+            dump.main(["--workload", "equiv_first", "--blocks", "0"])
+
     def test_report_digest(self, capsys):
         spec = importlib.util.spec_from_file_location(
             "report_digest", ROOT / "scripts" / "report_digest.py"

@@ -365,10 +365,9 @@ def test_one_verdict_pass_gives_every_level_its_own_slice_verdict(shape):
     # the verdicts and gaps of every atom are taken in one pass; each level's
     # report is the one a verdict on its own slice gives, field by field, at
     # the default tolerance (all pass) and at -0.5 (the leaf level fails:
-    # there both sides are equal), for a trial vector and a masked one, and at
-    # the default tolerance for one that overflows on its first leaf (infinite
-    # sides, NaN gaps; at -0.5 the margin of an infinite side, inf - inf / 2,
-    # warns as it did when each level took its own verdict)
+    # there both sides are equal), for a trial vector, a masked one and one
+    # that overflows on its first leaf (infinite sides, NaN gaps; at -0.5 the
+    # margin of an infinite side is inf - inf / 2, NaN)
     space = make_tree_space(*shape)
     seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
     rng = np.random.default_rng(72)
@@ -378,7 +377,7 @@ def test_one_verdict_pass_gives_every_level_its_own_slice_verdict(shape):
     vectors = [trial, FunctionVector(trial.active, random_leaf_mask(rng, space, allow_empty=True)),
                function_vector(space, [huge])]
     for fv in vectors:
-        for tolerance in (REL_TOL, -0.5) if fv is not vectors[-1] else (REL_TOL,):
+        for tolerance in (REL_TOL, -0.5):
             reports = [holder_conditional_check(space, fv, seq, n, tolerance)
                        for n in space.levels]
             for n, report in enumerate(reports):
@@ -390,6 +389,36 @@ def test_one_verdict_pass_gives_every_level_its_own_slice_verdict(shape):
                 assert report.to_json() == expected.to_json()
             if fv is trial:
                 assert all(r.passed for r in reports) == (tolerance == REL_TOL)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_an_infinite_side_under_a_negative_tolerance_fails_without_a_warning(shape):
+    # at tolerance -0.5 the margin of an infinite right side is inf - inf, NaN:
+    # every level fails at the atom holding leaf 0 (whose norm factor
+    # overflows), with no invalid-value warning from the per-atom verdicts,
+    # and the report says why
+    space = make_tree_space(*shape)
+    seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+    huge = np.ones(space.n_leaves)
+    huge[0] = 1e200
+    fv = function_vector(space, [huge])
+    for n in space.levels:
+        report = holder_conditional_check(space, fv, seq, n, tolerance=-0.5)
+        assert not report.passed and report.rhs == math.inf
+        assert report.metadata["atom"] == 0 and report.metadata["reason"] == "inf"
+
+
+class TestKeepLast:
+    def test_counts_hits_and_misses_and_clears_them(self):
+        builds = []
+        kept = holder_mod._keep_last(lambda *args: builds.append(args) or len(builds))
+        assert kept.cache_info() == (0, 0, 1, 0)
+        assert [kept(1), kept(1), kept(2), kept(1), kept(1)] == [1, 1, 2, 3, 3]
+        assert kept.cache_info() == (2, 3, 1, 1) and builds == [(1,), (2,), (1,)]
+        kept.cache_clear()
+        assert kept.cache_info() == (0, 0, 1, 0)
+        assert kept(1) == 4 and kept.cache_info().misses == 1
 
 
 class TestNormIdentity:

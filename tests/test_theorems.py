@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from martbench.holder import (
     level_products,
     trial_vector,
 )
-from martbench.maximal import gen_doob_maximal, gen_weighted_maximal, weak_lp_norm
+from martbench.maximal import _level_sets, gen_doob_maximal, gen_weighted_maximal, weak_lp_norm
 from martbench.report import REL_TOL, _power, _within_margin, check_inequality
 from martbench.theorems import (
     band_index,
@@ -53,8 +54,12 @@ from martbench.weights import (
 
 import helpers
 from helpers import (
+    SHAPES,
+    assert_same_report,
+    band_stack_oracle,
     first_passage_time,
     norms_product_oracle,
+    per_threshold_oracle,
     random_fvec,
     random_leaf_mask,
     random_positive,
@@ -63,6 +68,7 @@ from helpers import (
     random_weight_system,
     sawyer_invariants_oracle,
     sawyer_trace_oracle,
+    shape_id,
     stopped_measurable_oracle,
     stopped_reward_oracle,
     strong_estimate_oracle,
@@ -568,6 +574,76 @@ class TestPerTimeReports:
         for tau in enumerate_stopping_times(space):
             verify_ap_to_testing(ws, fv, tau)
         assert theorems_mod._family_reports.cache_info().misses == 1
+
+
+def first_theorem_cases(rng, space):
+    """(system, vector) pairs of the first theorem's chain: an infinite tail
+    and a finite family (tail mass 0), each with an unmasked and a masked
+    vector, and both again with components of 1e200 on leaf 0, whose norm
+    factors and products overflow."""
+    for tail in ((0.2, 0.5), (0.0, 0.5)):
+        seq = make_exponent_sequence([2.5, 3.0, 4.0], *tail)
+        ws = make_weight_system(space, seq, [random_positive(rng, space) for _ in range(2)],
+                                random_positive(rng, space))
+        comps = tuple(random_positive(rng, space, 6.0) for _ in range(2))
+        mask = random_leaf_mask(rng, space)
+        mask[0] = True
+        for active in (comps, tuple(np.where(space.leaf_index == 0, 1e200, c) for c in comps)):
+            yield ws, FunctionVector(active)
+            yield ws, FunctionVector(active, mask)
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_first_theorem_checks_match_the_band_stack_and_per_threshold_oracles(shape):
+    # the band sums from the kept masses, the stopped rewards per passage
+    # block and the per-time table's verdicts: bit for bit today's code moved
+    # to the oracles, the reports field by field, at the default tolerance
+    # and at -0.5
+    depth, branching = shape
+    rng = np.random.default_rng([29, depth, branching])
+    probs = rng.uniform(0.2, 1.0, branching**depth)
+    space = make_tree_space(depth, branching, probs / probs.sum())
+    kept = list(enumerate_stopping_times(space)) if space.n_leaves <= 9 else []
+    for ws, fv in first_theorem_cases(rng, space):
+        atoms, _, reward, _ = theorems_mod._testing_parts(ws, fv)
+        thresholds = np.nextafter(_level_sets(space, space.level_sup(atoms), ws.v)[0], 0.0)
+        rewards = theorems_mod._stopped_rewards(space, atoms, reward, thresholds)
+        _, v_sums, factor_sums, _ = theorems_mod._band_sums(ws, fv)
+        for tolerance in (REL_TOL, -0.5):
+            want, want_rewards = per_threshold_oracle(ws, fv, 2.0, tolerance)
+            assert_same_report(verify_testing_to_weak(ws, fv, 2.0, tolerance), want)
+            want, want_v, want_factors = band_stack_oracle(ws, fv, ws.ap_max, tolerance)
+            assert_same_report(verify_weak_to_testing(ws, fv, ws.ap_max, tolerance), want)
+        np.testing.assert_array_equal(rewards.view(np.uint64), want_rewards.view(np.uint64))
+        np.testing.assert_array_equal(v_sums.view(np.uint64), want_v.view(np.uint64))
+        np.testing.assert_array_equal(factor_sums.view(np.uint64), want_factors.view(np.uint64))
+        for tau in kept:
+            want = TestPerTimeReports.expected(ws, fv, tau, REL_TOL)
+            assert same(verify_ap_to_testing(ws, fv, tau).to_json(), want)
+
+
+def test_testing_parts_drops_the_last_pair_before_the_next_build(monkeypatch):
+    # the kept arrays of one (system, vector) pair are gone while the next
+    # pair's are built, so a build never holds two pairs' rewards
+    rng = np.random.default_rng(30)
+    space = make_tree_space(3, 2)
+    seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
+    ws = random_weight_system(rng, space, seq)
+    fv, other = (random_fvec(rng, space, seq) for _ in range(2))
+    theorems_mod._testing_parts.cache_clear()
+    reward = weakref.ref(theorems_mod._testing_parts(ws, fv)[2])
+    alive, original = [], theorems_mod.level_product_atoms
+
+    def watched(*args, **kwargs):
+        alive.append(reward() is not None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(theorems_mod, "level_product_atoms", watched)
+    theorems_mod._testing_parts(ws, fv)
+    assert alive == [] and reward() is not None
+    theorems_mod._testing_parts(ws, other)
+    assert alive == [False] and reward() is None
+    assert theorems_mod._testing_parts.cache_info()[:2] == (1, 2)
 
 
 class TestTestingToWeak:
@@ -1331,9 +1407,11 @@ class TestEstimates:
                             lambda *a, **k: [math.nan] * len(a[-1]))
         assert np.isnan(estimate_best_constant("strong", ws, 3, 5))
         # the weak trials call function_norms_product themselves, the testing
-        # trials read it from _testing_parts, cleared so that it is recomputed
+        # trials read it from _testing_parts, which forms it by _norms_product
+        # and is cleared so that it is recomputed
         monkeypatch.setattr(theorems_mod, "function_norms_product", lambda *a, **k: math.nan)
         assert np.isnan(estimate_best_constant("weak", ws, 3, 5))
+        monkeypatch.setattr(theorems_mod, "_norms_product", lambda *a, **k: math.nan)
         theorems_mod._testing_parts.cache_clear()
         assert np.isnan(estimate_best_constant("testing", ws, 3, 5))
         theorems_mod._testing_parts.cache_clear()
