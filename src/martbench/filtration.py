@@ -160,11 +160,13 @@ class TreeSpace:
             tau[(tau == StoppingTime.INFINITE) & (self.level(atoms, n) > t)] = n
         return tau
 
-    def atom_index(self, levels: np.ndarray) -> np.ndarray:
-        """Per leaf x (the last axis), where a per-atom process holds the
-        level-levels[x] atom that contains x: atom_offsets[n] + x // atom_size(n)."""
+    def atom_index(self, levels: np.ndarray, leaves: np.ndarray | None = None) -> np.ndarray:
+        """Per leaf x (the last axis, or the entries of `leaves` with `levels`
+        alongside), where a per-atom process holds the level-levels[x] atom
+        that contains x: atom_offsets[n] + x // atom_size(n)."""
         offsets, sizes = _level_starts(self.depth, self.branching)
-        return offsets[levels] + self.leaf_index // sizes[levels]
+        leaves = self.leaf_index if leaves is None else leaves
+        return offsets[levels] + leaves // sizes[levels]
 
     @cached_property
     def digest(self) -> str:
@@ -348,23 +350,12 @@ def _level_masses(space: TreeSpace, probs: np.ndarray, levels: int | None = None
     return out
 
 
-def _quotient_atoms(space: TreeSpace, numers: np.ndarray, dens: np.ndarray,
-                    leaves: np.ndarray) -> np.ndarray:
-    """The per-atom process whose levels below depth are numers / dens (atom
-    masses as _level_masses gives them, one division for all levels) and
-    whose leaf level is `leaves`: E_n(f) over the atom masses, or E_n^sigma(g)
-    over the sigma-masses of the atoms."""
-    out = np.empty(leaves.shape[:-1] + (space.atom_offsets[-1],))
-    np.divide(numers, dens, out=out[..., :space.atom_offsets[-2]])
-    out[..., space.atom_offsets[-2]:] = leaves
-    return out
-
-
 def _mean_atoms(space: TreeSpace, num: np.ndarray, dens: np.ndarray,
                 leaves: np.ndarray) -> np.ndarray:
-    """_quotient_atoms(space, _level_masses(space, num), dens, leaves), bit for
-    bit, with the level sums of the numerator leaf masses num taken straight
-    into the output and divided there: no leaf vector of sums beside it."""
+    """The per-atom process whose levels below depth are the level sums of the
+    numerator leaf masses num over dens (atom masses as _level_masses gives
+    them), summed straight into the output and divided there, and whose leaf
+    level is `leaves`: E_n(f), or E_n^sigma(g) over the atoms' sigma-masses."""
     out = np.empty(leaves.shape[:-1] + (space.atom_offsets[-1],))
     below = _level_masses(space, num, out=out[..., :space.atom_offsets[-2]])
     np.divide(below, dens, out=below)
@@ -424,14 +415,6 @@ class StoppingTime:
         finite = self.values != self.INFINITE
         finite.setflags(write=False)
         return finite
-
-    @cached_property
-    def flat_index(self) -> np.ndarray:
-        """values[x] * leaves + x over the finite leaves x, in leaf order
-        (read-only): where a row-major (levels, leaves) table holds each
-        stopped entry, so that `table.ravel()[flat_index]` gathers them."""
-        leaves = np.flatnonzero(self.finite)
-        return _frozen(self.values[leaves] * self.values.size + leaves)
 
     def to_json(self) -> dict:
         """{"runs": [s0, e0, n0, s1, e1, n1, ...]}: the maximal leaf runs [s, e)
@@ -602,7 +585,8 @@ class _KeptFamily:
     def gather(self) -> tuple[dict, tuple[np.ndarray, ...]]:
         """The flat indices of every time, grouped by finite-leaf count c:
         one read-only (k_c, c) matrix per count, counts ascending, rows the
-        times' flat_index in family order; and {tau: slot}, the kept time's
+        times' entries values[x] * leaves + x at their finite leaves x, in
+        leaf order, times in family order; and {tau: slot}, the kept time's
         (eq=False: keyed by identity) row in those matrices stacked.  A row
         sum of `table.ravel()[matrix]` is then the 1-D sum of the time's own
         gather, bit for bit; a row padded with zeros to a common width would

@@ -299,8 +299,8 @@ def _keep_last(build):
     """build cached for its last arguments only, as lru_cache(maxsize=1) caches
     it, except that the kept result is dropped before a call with other
     arguments builds its own, so two results are never held at once; an
-    exception keeps nothing.  cache_info() counts hits and misses as
-    lru_cache's does, and cache_clear() drops the kept result and the counts."""
+    exception keeps nothing: the package's one-entry cache.  cache_info() and
+    cache_clear() count and drop as lru_cache's do."""
     kept, counts = [], [0, 0]  # hits, misses
 
     @functools.wraps(build)
@@ -322,15 +322,14 @@ def _keep_last(build):
     return cached
 
 
-@_keep_last
 def _conditional_parts(space: TreeSpace, fvec: FunctionVector, seq: ExponentSequence):
     """Both sides of holder_conditional_check at every level, per atom
-    (TreeSpace.atom_offsets), read-only, for the last (space, vector,
-    sequence): E_n((prod f_i)**p)**(1/p), and the product of E_n(g)**e over
-    the _norm_parts pairs in their order, starting from 1 (1 * x is x).  Each
-    conditional expectation comes from one cond_exp_atoms pass over every
-    level and is powered in place (an array power does not depend on where an
-    entry sits), one factor at a time; an overflowed power is inf."""
+    (TreeSpace.atom_offsets), read-only: E_n((prod f_i)**p)**(1/p), and the
+    product of E_n(g)**e over the _norm_parts pairs in their order, starting
+    from 1 (1 * x is x).  Each conditional expectation comes from one
+    cond_exp_atoms pass over every level and is powered in place (an array
+    power does not depend on where an entry sits), one factor at a time; an
+    overflowed power is inf."""
     rp = seq.aggregate_reciprocal
     rhs = np.ones(space.atom_offsets[-1])
     with np.errstate(over="ignore"):
@@ -349,10 +348,11 @@ def _conditional_levels(space: TreeSpace, fvec: FunctionVector, seq: ExponentSeq
                         tolerance: float) -> list:
     """Per level n, (lhs, rhs, atom) of holder_conditional_check's report for
     the last (space, vector, sequence, tolerance): the verdicts and the gaps
-    lhs - _margin(rhs) of every atom in one pass over the kept sides
+    lhs - _margin(rhs) of every atom in one pass over both sides
     (_conditional_parts), then per level the first failing atom, or the one
     with the largest gap when all pass (one argmin or argmax on its slice).
-    A gap is elementwise, so a level's slice is its own gap, bit for bit."""
+    A gap is elementwise, so a level's slice is its own gap, bit for bit;
+    only the rows are kept, and both per-atom sides are freed on return."""
     lhs, rhs = _conditional_parts(space, fvec, seq)
     ok = _within_margin(lhs, rhs, tolerance)
     with np.errstate(over="ignore", invalid="ignore"):  # a failing level reads no gap
@@ -375,10 +375,10 @@ def holder_conditional_check(
     """E_n(prod f_i**p)**(1/p) <= prod E_n(f_i**p_i)**(1/p_i) on every
     level-n atom, with both sides per atom.  The report takes its sides, and
     so its verdict, from the first failing atom, or from the worst one when
-    all pass, and names it in "atom".  Both sides of every level, and the
-    atom each level reports, are kept for the last (space, vector, sequence)
-    (_conditional_parts, _conditional_levels), so a check of every level
-    builds them once and each level reads its own entry."""
+    all pass, and names it in "atom".  The report rows of every level are
+    kept for the last (space, vector, sequence, tolerance)
+    (_conditional_levels), so a check of every level builds both sides
+    (_conditional_parts) once and each level reads its own row."""
     _check_alignment(fvec, seq)
     if not 0 <= n <= space.depth:
         raise ValueError(f"level {n} out of range 0..{space.depth}")

@@ -78,25 +78,31 @@ def weighted_measure(space: TreeSpace, leaf_set, weight=None) -> float:
     return float(_weighted_probs(space, weight)[mask].sum())
 
 
-def _level_sets(space: TreeSpace, g: np.ndarray, v) -> tuple[np.ndarray, np.ndarray]:
+def _level_sets(g: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values t of g that are not <= 0 (a NaN is kept, each on
-    its own), descending, and |{g >= t}|_v for each: one descending sort,
-    and the cumulative mass at the last entry of each tied block."""
+    its own), descending, and the mass of {g >= t} under the leaf masses
+    probs for each: one descending sort, and the cumulative mass at the last
+    entry of each tied block."""
     order = np.argsort(-g, kind="stable")
     values = g[order]
-    masses = np.cumsum(_weighted_probs(space, v)[order])
-    last = np.append(values[1:] != values[:-1], True) & ~(values <= 0.0)
+    masses = np.cumsum(probs[order])
+    last = np.empty(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=last[:-1])
+    last[-1:] = True
+    last &= ~(values <= 0.0)
     return values[last], masses[last]
 
 
 def weak_lp_norm(space: TreeSpace, g: np.ndarray, p: float, v) -> float:
     """sup over lambda of lambda * |{g > lambda}|_v**(1/p), computed
     exactly as the maximum over distinct values t of t * |{g >= t}|_v**(1/p)
-    over _level_sets.  g must be finite; verify_testing_to_weak reads
-    _level_sets itself, so a maximal function past the float range fails it."""
+    over _level_sets, after checking that v is strictly positive.  g must be
+    finite; verify_testing_to_weak reads _level_sets itself, so a maximal
+    function past the float range fails it."""
     if not p > 0.0:
         raise ValueError(f"exponent {p} must be positive")
-    values, masses = _level_sets(space, as_leaf_vector(space, g, nonnegative=True), v)
+    values, masses = _level_sets(as_leaf_vector(space, g, nonnegative=True),
+                                 _weighted_probs(space, v))
     with np.errstate(over="ignore"):  # a norm past the float range is inf
         return float(np.max(values * masses ** (1.0 / p), initial=0.0))
 

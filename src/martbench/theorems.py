@@ -35,7 +35,6 @@ from .filtration import (
     _kept_family,
     _leaf_runs,
     _level_masses,
-    _level_starts,
     _run_sums,
     is_stopping_time,
 )
@@ -57,7 +56,7 @@ from .weights import (
     WeightSystem,
     rh_constant,
     sp_constant_argmax,
-    sp_support_ratio,
+    sp_ratios,
 )
 
 
@@ -80,7 +79,7 @@ def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     arrays are read-only and kept alive here until the next pair's build.
     Row n of the reward is leaf_probs * v * (prod E_n f_i)**p, the power taken
     per atom and then expanded; readers gather finite leaves only
-    (StoppingTime.flat_index), so no row stands for the INFINITE value.  The
+    (_stopped_sums), so no row stands for the INFINITE value.  The
     masses are the (leaf_probs * g, e) pairs of the vector's _norm_parts
     factors, the pad pair (leaf_probs * chi_Q, pad) last under a mask Q; the
     norm product is _norms_product of them, bit for bit function_norms_product.
@@ -101,7 +100,7 @@ def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     return _frozen(atoms), rhs, _frozen(reward), tuple(masses)
 
 
-@functools.lru_cache(maxsize=1)
+@_keep_last
 def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     """What a per-time report of the last (system, vector) pair reads:
     (slots, row by slot, rhs, ap_max, digest), a row (lhs, slack, verdict,
@@ -154,8 +153,9 @@ def verify_ap_to_testing(
     the whole family at the first per-time call of a (system, vector) pair:
     at the default tolerance, with both sides finite, the row is the report.
     Any other time is checked for adaptedness and sums its own gather of the
-    reward, bit for bit the table's entry; it, a non-finite side and any
-    other tolerance build the report in check_inequality."""
+    reward (_stopped_sums of a one-row block), bit for bit the table's entry;
+    it, a non-finite side and any other tolerance build the report in
+    check_inequality."""
     if tau is None:
         lhs = _power(snell_testing_sup(ws, fvec), ws.seq.aggregate_reciprocal)
         rhs, c_a = _testing_parts(ws, fvec)[1], ws.ap_max
@@ -171,8 +171,8 @@ def verify_ap_to_testing(
     elif not is_stopping_time(ws.space, tau):
         raise ValueError("tau is not an adapted stopping time")
     else:
-        reward = float(_testing_parts(ws, fvec)[2].ravel()[tau.flat_index].sum())
-        lhs, leaves = _power(reward, ws.seq.aggregate_reciprocal), tau.flat_index.size
+        reward = float(_stopped_sums(ws.space, _testing_parts(ws, fvec)[2], tau.values[None])[0])
+        lhs, leaves = _power(reward, ws.seq.aggregate_reciprocal), int(tau.finite.sum())
     return check_inequality("ap-to-testing", lhs, rhs, c_a, tolerance,
                             {"space": digest, "finite_leaves": leaves})
 
@@ -196,7 +196,7 @@ def verify_testing_to_weak(
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     p = 1.0 / rp
     atoms, rhs, reward, _ = _testing_parts(ws, fvec)
-    thresholds, masses = _level_sets(space, space.level_sup(atoms), ws.v)
+    thresholds, masses = _level_sets(space.level_sup(atoms), space.leaf_probs * ws.v)
     # X_n > nextafter(t, 0) is X_n >= t: the support is {maximal >= t}
     stopped = _stopped_rewards(space, atoms, reward, np.nextafter(thresholds, 0.0))
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails below
@@ -217,19 +217,24 @@ def verify_testing_to_weak(
 def _stopped_rewards(space, atoms: np.ndarray, reward: np.ndarray,
                      thresholds: np.ndarray) -> np.ndarray:
     """Per threshold, the reward summed over the finite leaves of the first
-    passage of the per-atom process above it, in leaf order: bit for bit the
-    time's own gather.  The passages come in blocks (_passage_blocks), and
-    each block takes one flat index into the reward, one gather and one
-    finite mask; each row's compacted finite entries are then summed on
-    their own, the same floats in the same order."""
-    out = []
-    for block in _passage_blocks(space, atoms, thresholds):
-        # a never-stopping leaf's flat index wraps to the last row, and is not read
-        index = block * space.n_leaves
-        index += space.leaf_index  # in place: a large block allocates one array, not two
-        picked = reward.ravel()[index]
-        out += [row[fin].sum() for row, fin in zip(picked, block != StoppingTime.INFINITE)]
-    return np.array(out, dtype=float)
+    passage above it: _stopped_sums of each block of _passage_blocks."""
+    return np.concatenate([np.empty(0), *(_stopped_sums(space, reward, block)
+                                          for block in _passage_blocks(space, atoms, thresholds))])
+
+
+def _stopped_sums(space, reward: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Per time of a (B, leaves) block of stopping-time values (any integer
+    dtype), the (levels, leaves) reward summed over the time's finite leaves
+    in leaf order: one int64 flat index level * leaves + leaf into the
+    reward, one gather and one finite mask, and then each row's compacted
+    finite entries summed on their own, bit for bit the time's own 1-D sum."""
+    # a never-stopping leaf's flat index wraps to the last row, and is not read
+    index = block.astype(np.int64)
+    index *= space.n_leaves  # in place: a large block allocates one array, not two
+    index += space.leaf_index
+    picked = reward.ravel()[index]
+    return np.array([row[fin].sum() for row, fin in zip(picked, block != StoppingTime.INFINITE)],
+                    dtype=float)
 
 
 def verify_weak_to_testing(
@@ -503,7 +508,7 @@ def _passage_blocks(space, atoms: np.ndarray, thresholds: np.ndarray):
         yield _frozen(space.first_passages(atoms, thresholds[at:at + step]))
 
 
-@functools.lru_cache(maxsize=1)
+@_keep_last
 def _sawyer_trace(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
     """The trace of the last (system, vector) pair; both hash by identity.
     The times come in passage blocks (_passage_blocks), tau_k a row of its
@@ -567,9 +572,7 @@ def _block_cells(space, pair, weighted, p, block, fin, after, k0) -> dict:
     scalar one in the last place on some inputs).  Runs under the caller's
     np.errstate(over="ignore")."""
     bands, leaves = np.nonzero(fin)
-    levels = block[bands, leaves]
-    offsets, sizes = _level_starts(space.depth, space.branching)
-    density, ratio = pair[:, offsets[levels] + leaves // sizes[levels]]
+    density, ratio = pair[:, space.atom_index(block[bands, leaves], leaves)]
     js = band_index(density)
     order = np.lexsort((js, bands))  # stable: leaves ascend inside each cell
     bands, js, leaves = bands[order], js[order], leaves[order]
@@ -737,6 +740,28 @@ def _strong_ratios(ws: WeightSystem, trials: int, seed: int) -> list[float]:
     return [0.0 if r <= 0.0 else l / r for l, r in zip(lhs, rhs)]
 
 
+def _sp_test_ratios(ws: WeightSystem, trials: int, seed: int) -> np.ndarray:
+    """The testing ratios of the "sp-test" trial supports (every leaf, the first
+    level-1 atom, then one uniform per leaf < 0.5 from default_rng([seed,
+    trial]), one drawn leaf added if empty), through sp_ratios in stacks of
+    at most weights.SCAN_CHUNK_FLOATS entries, as a scan takes its chunks."""
+    space = ws.space
+    step = max(1, weights.SCAN_CHUNK_FLOATS // space.n_leaves)
+    ratios = []
+    for at in range(0, trials, step):
+        supports = np.zeros((min(step, trials - at), space.n_leaves), dtype=bool)
+        for trial, row in enumerate(supports, start=at):
+            if trial < 2:  # the level-0 atom, every leaf, then the first level-1 atom
+                row[space.atom_slice(min(trial, space.depth), 0)] = True
+                continue
+            rng = np.random.default_rng([seed, trial])
+            row[:] = rng.random(space.n_leaves) < 0.5
+            if not row.any():
+                row[int(rng.integers(space.n_leaves))] = True
+        ratios.append(sp_ratios(ws, supports))
+    return np.concatenate(ratios)
+
+
 def estimate_best_constant(
     inequality_id: str, ws: WeightSystem, trials: int, seed: int
 ) -> float:
@@ -747,9 +772,9 @@ def estimate_best_constant(
     canonical extremal for the inequality (the dual densities for the
     testing and weak forms, the indicator of a testing-optimal support for
     the strong form).  For "sp-test" the trials are stopping-time supports
-    instead.  The "strong" trials run as one (trials, leaves) stack
-    (_strong_ratios), bit for bit the per-trial evaluation.  Deterministic
-    for a fixed seed.
+    instead, their ratios taken in stacks (_sp_test_ratios).  The
+    "strong" trials run as one (trials, leaves) stack (_strong_ratios), bit
+    for bit the per-trial evaluation.  Deterministic for a fixed seed.
     """
     if inequality_id not in _CONSTANT_IDS:
         raise ValueError(f"unknown inequality id {inequality_id!r}; use one of {_CONSTANT_IDS}")
@@ -757,25 +782,14 @@ def estimate_best_constant(
         raise ValueError("trials must be >= 1")
     if inequality_id == "strong":
         return float(np.max(_strong_ratios(ws, trials, seed)))  # a NaN ratio propagates
+    if inequality_id == "sp-test":
+        return float(np.max(_sp_test_ratios(ws, trials, seed)))  # a NaN ratio propagates
     space, seq = ws.space, ws.seq
     rp = seq.aggregate_reciprocal
     p = 1.0 / rp
     m = seq.head_len
     ratios = []
     for trial in range(trials):
-        if inequality_id == "sp-test":
-            rng = np.random.default_rng([seed, trial])
-            if trial == 0:
-                support = np.ones(space.n_leaves, dtype=bool)
-            elif trial == 1:
-                support = np.zeros(space.n_leaves, dtype=bool)
-                support[space.atom_slice(min(1, space.depth), 0)] = True
-            else:
-                support = rng.random(space.n_leaves) < 0.5
-                if not support.any():
-                    support[int(rng.integers(space.n_leaves))] = True
-            ratios.append(sp_support_ratio(ws, support))
-            continue
         if trial != 2:
             fvec = trial_vector(space, m, seed, trial, 1e3)
         else:

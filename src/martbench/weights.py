@@ -26,8 +26,8 @@ pair, which the testing and the reverse-Hoelder scans both read; a kept
 family is scanned in the chunks a streamed one takes, so no value moves.
 The "all" testing scan and its witness are cached on the WeightSystem,
 which the strong-type estimate reads again after sp_constant.  Every scan
-starts in _kept_table, which checks ENUMERATION_CAP for "all" and the
-sampled count (an integer >= 1) and seed before any chunk.
+starts in _family_source, which checks ENUMERATION_CAP for "all" and the
+sampled count (an integer >= 1) and seed once, before any chunk.
 
 The system also caches the density product R = prod_i E_n(sigma_i) per
 atom of every level, and the testing table built from it.  With an
@@ -64,7 +64,6 @@ from .filtration import (
     _as_leaf_masks,
     _frozen,
     _level_masses,
-    _quotient_atoms,
     _read_only,
     as_leaf_mask,
     as_leaf_vector,
@@ -72,7 +71,7 @@ from .filtration import (
     make_tree_space,
     sample_stopping_time,
 )
-from .holder import FunctionVector, _entry_levels, level_product_atoms
+from .holder import FunctionVector, _entry_levels, _keep_last, level_product_atoms
 
 SCAN_CHUNK_FLOATS = 1 << 16  # B * width per chunk of a scan (_support_chunks)
 
@@ -96,10 +95,11 @@ class WeightSystem:
 
     @cached_property
     def sigma_atoms(self) -> tuple[np.ndarray, ...]:
-        """cond_exp_atoms of each sigma_i (read-only), bit for bit: level n is
-        the sigma_i-masses of the level-n atoms over their masses."""
+        """cond_exp_atoms of each sigma_i (read-only), bit for bit: the kept
+        sigma_i-masses of the atoms below depth over their masses, then the
+        leaf level sigma_i itself."""
         space = self.space
-        return tuple(_frozen(_quotient_atoms(space, masses, space.atom_masses, s))
+        return tuple(_frozen(np.concatenate([masses / space.atom_masses, s]))
                      for masses, s in zip(self.sigma_masses, self.sigmas))
 
     @cached_property
@@ -239,23 +239,17 @@ def ap_constant(ws: WeightSystem) -> float:
     return ws.ap_max
 
 
-def _support_chunks(space: TreeSpace, family, width: int | None = None) -> Iterator[np.ndarray]:
-    """The family as (B, leaves) bool chunks with B * width at most
-    SCAN_CHUNK_FLOATS, width the kernel's floats per support (leaves by
-    default): "all" gives the bitmasks 1 .. 2**leaves - 1 in order, a
-    sampled family its distinct supports in the order first drawn; a kept
-    family's chunks are slices of its table (_kept_table).  ENUMERATION_CAP
-    and the family spec are checked at the call, before any chunk: every
-    scan of a family starts here or in _kept_table."""
+def _support_chunks(space: TreeSpace, source, width: int | None = None) -> Iterator[np.ndarray]:
+    """A resolved family (_family_source) as (B, leaves) bool chunks with B *
+    width at most SCAN_CHUNK_FLOATS, width the kernel's floats per support
+    (leaves by default): None (a streamed "all") gives the bitmasks 1 ..
+    2**leaves - 1 in order, decoded per chunk; drawn supports or a kept
+    table give slices of their masks."""
     rows = _chunk_rows(space, width)
-    table = _kept_table(space, family)
-    if table is not None:
-        masks = table.masks
-    elif family == "all":
+    if source is None:
         return (_decoded(space.n_leaves, lo, min(lo + rows, 2**space.n_leaves))
                 for lo in range(1, 2**space.n_leaves, rows))
-    else:
-        masks = _sampled_supports(space, family)
+    masks = source.masks if isinstance(source, _SupportTable) else source
     return (masks[lo : lo + rows] for lo in range(0, len(masks), rows))
 
 
@@ -289,13 +283,6 @@ def _sampled_key(family) -> tuple:
     return int(count), tuple(map(int, elements)) if listed else seed
 
 
-def _sampled_supports(space: TreeSpace, family) -> np.ndarray:
-    """The distinct nonempty supports of a sampled family, in the order first
-    drawn, as a read-only (K, leaves) bool array, drawn once per seed after
-    the checks of _sampled_key."""
-    return _drawn_supports(space.depth, space.branching, *_sampled_key(family))
-
-
 @lru_cache(maxsize=8)
 def _drawn_supports(depth: int, branching: int, count: int, seed) -> np.ndarray:
     """Draw count uniform stopping times from default_rng(seed) on the tree
@@ -326,12 +313,13 @@ class _SupportTable:
         return _frozen(_entry_index(make_tree_space(self.depth, self.branching), self.masks))
 
 
-def _kept_table(space: TreeSpace, family) -> _SupportTable | None:
-    """The kept table of a family whose K supports fit one chunk (K * leaves
-    at most SCAN_CHUNK_FLOATS: "all" up to 12 leaves, a sampled family of K
-    distinct supports up to 65,536 / K leaves), else None: a larger family
-    streams.  Checks ENUMERATION_CAP for "all" and the sampled count and
-    seed on every call, and an OverflowError of the sampler is not kept."""
+def _family_source(space: TreeSpace, family) -> _SupportTable | np.ndarray | None:
+    """A family spec resolved once per scan: the kept table of a family whose
+    K supports fit one chunk (K * leaves at most SCAN_CHUNK_FLOATS: "all" up
+    to 12 leaves, K sampled supports up to 65,536 / K leaves), else a larger
+    sampled family's drawn supports, or None for a larger "all" (streamed).
+    Checks ENUMERATION_CAP for "all", or the sampled count and seed
+    (_sampled_key); an OverflowError of the sampler is not kept."""
     if family == "all":
         size, key = 2**space.n_leaves - 1, "all"
         if size > ENUMERATION_CAP:
@@ -339,13 +327,15 @@ def _kept_table(space: TreeSpace, family) -> _SupportTable | None:
                 f"{_about(size)} distinct stopping-time supports exceed the cap "
                 f"{ENUMERATION_CAP}; use a sampled family"
             )
+        if size * space.n_leaves > SCAN_CHUNK_FLOATS:
+            return None
     elif isinstance(family, str):
         raise ValueError(f"unknown family spec {family!r}")
     else:
         key = _sampled_key(family)
-        size = len(_drawn_supports(space.depth, space.branching, *key))
-    if size * space.n_leaves > SCAN_CHUNK_FLOATS:
-        return None
+        drawn = _drawn_supports(space.depth, space.branching, *key)
+        if drawn.size > SCAN_CHUNK_FLOATS:
+            return drawn
     return _support_table(space.depth, space.branching, key)
 
 
@@ -370,7 +360,7 @@ def support_family(space: TreeSpace, family="all") -> np.ndarray:
     leaves) raises EnumerationCapError at the call, as every scan does.
     """
     return np.concatenate([np.zeros((0, space.n_leaves), bool),
-                           *_support_chunks(space, family)])
+                           *_support_chunks(space, _family_source(space, family))])
 
 
 def _base_exponents(ws: WeightSystem) -> list[float]:
@@ -386,11 +376,11 @@ def _support_masses(ws: WeightSystem, masks: np.ndarray) -> np.ndarray:
                      for probs in (*ws.sigma_probs, ws.space.leaf_probs)])
 
 
-@lru_cache(maxsize=1)
+@_keep_last
 def _kept_masses(ws: WeightSystem, table: _SupportTable) -> np.ndarray:
     """_support_masses of a kept table for the last (system, table) pair (both
     hash by identity), read-only: rh_constant and sp_constant of one system
-    sum them once."""
+    sum them once (dropped before the next pair's, holder._keep_last)."""
     return _frozen(_support_masses(ws, table.masks))
 
 
@@ -482,20 +472,20 @@ def _family_max(ws: WeightSystem, family, kernel, width: int | None = None,
     width) and the first support in scan order attaining it (read-only);
     the first NaN is returned at once, with its support as the witness, and
     no later chunk is evaluated.  The kernel takes each chunk with its
-    support masses and, where `entry`, its entry index: a kept family's are
-    slices of the kept masses and of its table, a streamed one's are taken
-    per chunk."""
+    support masses and, where `entry`, its entry index: a kept table's are
+    slices of the kept masses and of its table, any other family's are
+    taken per chunk."""
     space = ws.space
-    table = _kept_table(space, family)
-    if table is None:
-        chunks = ((m, _support_masses(ws, m), _entry_index(space, m) if entry else None)
-                  for m in _support_chunks(space, family, width))
-    else:
-        rows, masses = _chunk_rows(space, width), _kept_masses(ws, table)
-        at = table.entry_index if entry else None
-        chunks = ((table.masks[lo : lo + rows], masses[:, lo : lo + rows],
+    source = _family_source(space, family)
+    if isinstance(source, _SupportTable):
+        rows, masses = _chunk_rows(space, width), _kept_masses(ws, source)
+        at = source.entry_index if entry else None
+        chunks = ((source.masks[lo : lo + rows], masses[:, lo : lo + rows],
                    None if at is None else at[lo : lo + rows])
-                  for lo in range(0, len(table.masks), rows))
+                  for lo in range(0, len(source.masks), rows))
+    else:
+        chunks = ((m, _support_masses(ws, m), _entry_index(space, m) if entry else None)
+                  for m in _support_chunks(space, source, width))
     best, arg = 0.0, None
     for masks, *parts in chunks:
         r = kernel(ws, masks, *parts)

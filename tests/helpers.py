@@ -376,6 +376,20 @@ def dense_stopped_oracle(space: TreeSpace, rows: np.ndarray, tau: StoppingTime, 
     return np.where(tau.finite, rows[levels, np.arange(space.n_leaves)], otherwise)
 
 
+def flat_index_oracle(tau: StoppingTime) -> np.ndarray:
+    """values[x] * leaves + x over the finite leaves x of a time, in leaf
+    order: where a row-major (levels, leaves) table holds each stopped entry
+    (the removed StoppingTime.flat_index, in the time's own integer dtype)."""
+    leaves = np.flatnonzero(tau.finite)
+    return tau.values[leaves] * tau.values.size + leaves
+
+
+def flat_gather_oracle(reward: np.ndarray, tau: StoppingTime) -> float:
+    """A (levels, leaves) reward summed over a time's finite leaves as one
+    gather through flat_index_oracle, in leaf order."""
+    return float(reward.ravel()[flat_index_oracle(tau)].sum())
+
+
 def stopped_reward_oracle(ws, rows: np.ndarray, tau: StoppingTime, p: float) -> float:
     """integral over {tau finite} of (prod E_tau(f_i))**p v dmu, with the
     stopped rows picked leaf by leaf (0 where tau is infinite)."""
@@ -562,7 +576,7 @@ def per_threshold_oracle(ws, fvec: FunctionVector, c_test: float, tolerance: flo
     with np.errstate(over="ignore", invalid="ignore"):
         reward = space.leaf_probs * ws.v * space.expand_levels(atoms ** (1.0 / rp))
         rhs = function_norms_product(space, fvec, seq, ws.active_weights)
-    thresholds, masses = _level_sets(space, space.level_sup(atoms), ws.v)
+    thresholds, masses = _level_sets(space.level_sup(atoms), space.leaf_probs * ws.v)
     rewards = stopped_rewards_oracle(space, atoms, reward, np.nextafter(thresholds, 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         weak = thresholds * masses ** (1.0 / p)
@@ -619,6 +633,49 @@ def band_stack_oracle(ws, fvec: FunctionVector, c_weak: float, tolerance: float 
     n_factors = max(fvec.n_active, len(ws.active_weights)) + 1  # the slots and the pad
     return (report, np.concatenate([np.empty(0), *v_sums]),
             np.concatenate([np.empty((n_factors, 0)), *map(np.array, factor_sums)], axis=1))
+
+
+def sp_test_estimate_oracle(ws, trials: int, seed: int) -> float:
+    """estimate_best_constant("sp-test") one trial at a time: per trial its
+    support (every leaf, the first level-1 atom, then one uniform per leaf
+    < 0.5 from default_rng([seed, trial]), one drawn leaf if empty) and its
+    own sp_support_ratio call."""
+    space = ws.space
+    ratios = []
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        if trial == 0:
+            support = np.ones(space.n_leaves, dtype=bool)
+        elif trial == 1:
+            support = np.zeros(space.n_leaves, dtype=bool)
+            support[space.atom_slice(min(1, space.depth), 0)] = True
+        else:
+            support = rng.random(space.n_leaves) < 0.5
+            if not support.any():
+                support[int(rng.integers(space.n_leaves))] = True
+        ratios.append(weights_mod.sp_support_ratio(ws, support))
+    return float(np.max(ratios))
+
+
+def level_sets_oracle(g: np.ndarray, probs: np.ndarray):
+    """The distinct values t of g not <= 0, descending, and the probs-mass of
+    {g >= t}: one stable descending sort, the tied blocks' ends marked by
+    np.append."""
+    order = np.argsort(-g, kind="stable")
+    values = g[order]
+    masses = np.cumsum(probs[order])
+    last = np.append(values[1:] != values[:-1], True) & ~(values <= 0.0)
+    return values[last], masses[last]
+
+
+def quotient_atoms_oracle(space: TreeSpace, numers: np.ndarray, dens: np.ndarray,
+                          leaves: np.ndarray) -> np.ndarray:
+    """The per-atom process whose levels below depth are numers / dens, one
+    division into a preallocated array, and whose leaf level is `leaves`."""
+    out = np.empty(leaves.shape[:-1] + (space.atom_offsets[-1],))
+    np.divide(numers, dens, out=out[..., :space.atom_offsets[-2]])
+    out[..., space.atom_offsets[-2]:] = leaves
+    return out
 
 
 def assert_same_report(got, want) -> None:

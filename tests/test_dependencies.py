@@ -38,3 +38,18 @@ def test_gathers_index_and_never_take():
                     and node.func.attr == "take"):
                 calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"take calls, where a gather should index: {calls}"
+
+
+def test_one_entry_caches_drop_their_entry_before_a_build():
+    # lru_cache(maxsize=1) keeps the last result alive while the next one
+    # builds, two entries at the peak; holder._keep_last drops it first and
+    # is the package's one-entry cache
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.Call) and "lru_cache" in ast.unparse(node.func)):
+                continue
+            sizes = [*node.args[:1], *(k.value for k in node.keywords if k.arg == "maxsize")]
+            if any(isinstance(v, ast.Constant) and v.value == 1 for v in sizes):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert not sites, f"lru_cache(maxsize=1), where holder._keep_last should keep it: {sites}"

@@ -34,6 +34,7 @@ from martbench.weights import unit_weight_system
 from helpers import (
     SHAPES,
     first_passage_time,
+    flat_index_oracle,
     random_space,
     shape_id,
     shared_level_oracle,
@@ -66,6 +67,22 @@ class TestTreeSpace:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             make_tree_space(21, 2)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_atom_index_of_listed_leaves_is_the_atom_holding_each(self, shape):
+        # per leaf of the row, or per (level, leaf) entry listed: the
+        # level-n atom through the leaf, one level at a time
+        space = make_tree_space(*shape)
+        rng = np.random.default_rng([34, *shape])
+        levels = rng.integers(0, space.depth + 1, size=(3, space.n_leaves))
+        leaves = rng.integers(0, space.n_leaves, size=50)
+        entry = rng.integers(0, space.depth + 1, size=50)
+        want = [space.atom_offsets[n] + x // space.atom_size(n) for n, x in zip(entry, leaves)]
+        np.testing.assert_array_equal(space.atom_index(entry, leaves), want)
+        rows = [[space.atom_offsets[n] + x // space.atom_size(n) for x, n in enumerate(row)]
+                for row in levels.tolist()]
+        np.testing.assert_array_equal(space.atom_index(levels), rows)
+        np.testing.assert_array_equal(space.atom_index(levels, space.leaf_index), rows)
 
     def test_shared_level_is_the_deepest_atom_holding_both_neighbours(self):
         for depth, branching in [(0, 2), (1, 2), (3, 2), (2, 3), (4, 3), (2, 5)]:
@@ -548,15 +565,15 @@ class TestKeptEnumeration:
     def test_kept_times_stay_read_only(self):
         space = make_tree_space(3, 2)
         for tau in enumerate_stopping_times(space):
-            for arr in (tau.values, tau.finite, tau.flat_index):
+            for arr in (tau.values, tau.finite):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[...] = 0
 
     def test_kept_memory_stays_within_budget(self):
-        # a kept time, with its values, finite mask and flat index, holds
-        # about 1 KB (budget 1.5 KB): the largest kept family (2049 times of
-        # 11 leaves) stays under 3.1 MB, 8 kept shapes under 25 MB
+        # a kept time, with its values and finite mask, holds about 1 KB
+        # (budget 1.5 KB): the largest kept family (2049 times of 11 leaves)
+        # stays under 3.1 MB, 8 kept shapes under 25 MB
         for depth, r in self.KEPT_SHAPES:
             space = make_tree_space(depth, r)
             filtration_mod._kept_times.cache_clear()
@@ -564,7 +581,7 @@ class TestKeptEnumeration:
             try:
                 for tau in enumerate_stopping_times(space):
                     assert is_stopping_time(space, tau)
-                    tau.flat_index  # derived and kept, as verify_ap_to_testing does
+                    tau.finite  # derived and kept, as verify_ap_to_testing does
                 held, _ = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -579,13 +596,14 @@ class TestKeptEnumeration:
             times = list(enumerate_stopping_times(make_tree_space(depth, r)))
             slots, matrices = filtration_mod._kept_times(depth, r).gather
             counts = [m.shape[1] for m in matrices]
-            assert counts == sorted(set(tau.flat_index.size for tau in times))
+            flat = [flat_index_oracle(tau) for tau in times]
+            assert counts == sorted(set(index.size for index in flat))
             assert sum(m.shape[0] for m in matrices) == len(slots) == len(times)
             rows = [row for m in matrices for row in m]
-            order = sorted(range(len(times)), key=lambda i: times[i].flat_index.size)
+            order = sorted(range(len(times)), key=lambda i: flat[i].size)
             for slot, i in enumerate(order):
                 assert slots[times[i]] == slot and StoppingTime(times[i].values) not in slots
-                np.testing.assert_array_equal(rows[slot], times[i].flat_index)
+                np.testing.assert_array_equal(rows[slot], flat[i])
             assert all(not m.flags.writeable for m in matrices)
 
     def test_gather_memory_stays_within_budget(self):

@@ -288,7 +288,7 @@ class TestConditionalCheck:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(holder_mod, "product_function", counted)
-        holder_mod._conditional_parts.cache_clear()
+        holder_mod._conditional_levels.cache_clear()
         reports = [holder_conditional_check(space, fv, seq, n).to_json() for n in space.levels]
         assert calls == [fv]
         holder_conditional_check(space, other, seq, 0)
@@ -297,36 +297,39 @@ class TestConditionalCheck:
         assert [a.shape for a in sides] == [(space.atom_offsets[-1],)] * 2
         assert not any(a.flags.writeable for a in sides)
         for n in space.levels:
-            holder_mod._conditional_parts.cache_clear()
+            holder_mod._conditional_levels.cache_clear()
             assert holder_conditional_check(space, fv, seq, n).to_json() == reports[n]
 
-    def test_kept_sides_are_dropped_before_the_next_build(self, monkeypatch):
-        # the last vector's sides are gone while another vector's are built,
-        # so a build never holds two vectors' sides; a failed build keeps
-        # nothing, and the next call builds again
+    def test_sides_are_freed_once_the_verdicts_are_built(self, monkeypatch):
+        # a check keeps only its report rows: both per-atom sides are gone
+        # when it returns, a check of the same vector reads the kept rows and
+        # builds nothing, and a failed build keeps nothing, so the next call
+        # builds again
         rng = np.random.default_rng(25)
         space = make_tree_space(3, 2)
         seq = make_exponent_sequence([2.0, 3.0], 0.2, 0.5)
         fv, other = (random_fvec(rng, space, seq) for _ in range(2))
-        holder_mod._conditional_parts.cache_clear()
-        kept = [weakref.ref(a) for a in holder_mod._conditional_parts(space, fv, seq)]
-        alive, original = [], holder_mod.product_function
+        holder_mod._conditional_levels.cache_clear()
+        built, parts, product = [], holder_mod._conditional_parts, holder_mod.product_function
 
-        def watched(*args, **kwargs):
-            alive.append([ref() is not None for ref in kept])
-            return original(*args, **kwargs)
+        def watched(*args):
+            sides = parts(*args)
+            built.append([weakref.ref(a) for a in sides])
+            return sides
 
-        monkeypatch.setattr(holder_mod, "product_function", watched)
-        assert holder_mod._conditional_parts(space, fv, seq)[0] is kept[0]()  # no build
-        assert alive == []
+        monkeypatch.setattr(holder_mod, "_conditional_parts", watched)
+        for n in space.levels:
+            holder_conditional_check(space, fv, seq, n)
+        assert len(built) == 1 and [ref() for ref in built[0]] == [None, None]
         holder_conditional_check(space, other, seq, 0)
-        assert alive == [[False, False]]
+        assert len(built) == 2 and [ref() for ref in built[1]] == [None, None]
         monkeypatch.setattr(holder_mod, "product_function", lambda *a: 1 / 0)
         with pytest.raises(ZeroDivisionError):
-            holder_mod._conditional_parts(space, fv, seq)
-        monkeypatch.setattr(holder_mod, "product_function", watched)
+            holder_conditional_check(space, fv, seq, 0)
+        assert holder_mod._conditional_levels.cache_info().currsize == 0
+        monkeypatch.setattr(holder_mod, "product_function", product)
         holder_conditional_check(space, fv, seq, 0)
-        assert len(alive) == 2
+        assert len(built) == 3
 
     def test_level_out_of_range(self):
         space = make_tree_space(1, 2)
@@ -575,10 +578,11 @@ def test_norm_products_match_the_slot_oracle(monkeypatch):
                 assert function_norms_product(space, fv, seq, w) == pytest.approx(
                     norms_product_oracle(space, fv, seq, w or ()), rel=1e-12, abs=0.0)
 
+            rhs = holder_mod._conditional_parts(space, fv, seq)[1]
             for n in space.levels:
                 report = holder_conditional_check(space, fv, seq, n)
-                # the kept right side of every level, one entry per level-n atom
-                rhs_atoms = space.level(holder_mod._conditional_parts(space, fv, seq)[1], n)
+                # the right side of every level, one entry per level-n atom
+                rhs_atoms = space.level(rhs, n)
                 assert rhs_atoms.shape == (space.n_atoms(n),)
                 assert report.rhs == rhs_atoms[report.metadata["atom"]]
                 for j in range(space.n_atoms(n)):

@@ -13,6 +13,7 @@ from martbench.holder import (
     product_function,
 )
 from martbench.maximal import (
+    _level_sets,
     doob_inequality_check,
     doob_maximal,
     gen_doob_maximal,
@@ -22,7 +23,14 @@ from martbench.maximal import (
     weighted_measure,
 )
 
-from helpers import random_fvec, random_leaf_mask, random_positive, random_sequence, random_space
+from helpers import (
+    level_sets_oracle,
+    random_fvec,
+    random_leaf_mask,
+    random_positive,
+    random_sequence,
+    random_space,
+)
 
 INF = StoppingTime.INFINITE
 
@@ -336,3 +344,19 @@ def test_weighted_measures_reject_a_nonpositive_weight(call):
 def test_input_checks_raise(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+def test_level_sets_match_the_appended_tie_marks_bit_for_bit():
+    # ties, zeros, negatives, NaNs, infinities and a single leaf: the tied
+    # blocks marked in place give the values and masses the np.append marks
+    # gave
+    rng = np.random.default_rng(33)
+    special = [0.0, -1.0, np.nan, np.inf, 2.0, 2.0]
+    for n in (1, 2, 7, 64, 1000):
+        for trial in range(6):
+            g = rng.choice([0.5, 1.0, 2.0, 3.0], n) if trial % 2 else rng.uniform(-1.0, 4.0, n)
+            if trial > 3:
+                g[rng.integers(n, size=min(n, 4))] = rng.choice(special, min(n, 4))
+            probs = rng.uniform(0.1, 1.0, n)
+            for got, want in zip(_level_sets(g, probs), level_sets_oracle(g, probs)):
+                np.testing.assert_array_equal(got, want, strict=True)

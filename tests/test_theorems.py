@@ -300,7 +300,8 @@ class TestApToTesting:
                 assert rep.lhs == stopped_reward_oracle(ws, rows, tau, p) ** seq.aggregate_reciprocal
                 assert (rep.rhs, rep.constant) == (rhs, ws.ap_max)
                 assert rep.metadata["finite_leaves"] == int(np.sum(tau.values != INF))
-            assert never.flat_index.size == 0
+            reward = theorems_mod._testing_parts(ws, fv)[2]
+            assert theorems_mod._stopped_sums(space, reward, never.values[None]).tolist() == [0.0]
             assert verify_ap_to_testing(ws, fv, never).lhs == 0.0
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -332,7 +333,7 @@ class TestApToTesting:
             fresh += [first_passage_time(space, rows, t) for t in np.unique(rows)]
             for i, tau in enumerate(times + fresh):
                 expected = stopped_reward_oracle(ws, rows, tau, p)
-                assert reward.take(tau.flat_index).sum() == expected
+                assert theorems_mod._stopped_sums(space, reward, tau.values[None])[0] == expected
                 if i < len(times):
                     assert table[slots[tau]][0] == expected**rp
                 else:
@@ -341,7 +342,7 @@ class TestApToTesting:
             narrow = StoppingTime(times[-1].values.astype(np.int32))
             assert narrow not in slots and is_stopping_time(space, narrow)
             expected = stopped_reward_oracle(ws, rows, narrow, p)
-            assert reward.take(narrow.flat_index).sum() == expected
+            assert theorems_mod._stopped_sums(space, reward, narrow.values[None])[0] == expected
             assert verify_ap_to_testing(ws, fv, narrow).lhs == expected**rp
 
     def test_a_time_reads_the_table_of_its_own_system_shape(self):
@@ -390,7 +391,7 @@ class TestApToTesting:
         for t in np.unique(rows)[::7]:
             tau = first_passage_time(space, rows, t)
             expected = stopped_reward_oracle(ws, rows, tau, p)
-            assert reward.take(tau.flat_index).sum() == expected
+            assert theorems_mod._stopped_sums(space, reward, tau.values[None])[0] == expected
             rep = verify_ap_to_testing(ws, fv, tau)
             assert rep.lhs == expected**seq.aggregate_reciprocal
 
@@ -606,7 +607,8 @@ def test_first_theorem_checks_match_the_band_stack_and_per_threshold_oracles(sha
     kept = list(enumerate_stopping_times(space)) if space.n_leaves <= 9 else []
     for ws, fv in first_theorem_cases(rng, space):
         atoms, _, reward, _ = theorems_mod._testing_parts(ws, fv)
-        thresholds = np.nextafter(_level_sets(space, space.level_sup(atoms), ws.v)[0], 0.0)
+        probs = space.leaf_probs * ws.v
+        thresholds = np.nextafter(_level_sets(space.level_sup(atoms), probs)[0], 0.0)
         rewards = theorems_mod._stopped_rewards(space, atoms, reward, thresholds)
         _, v_sums, factor_sums, _ = theorems_mod._band_sums(ws, fv)
         for tolerance in (REL_TOL, -0.5):
@@ -620,6 +622,81 @@ def test_first_theorem_checks_match_the_band_stack_and_per_threshold_oracles(sha
         for tau in kept:
             want = TestPerTimeReports.expected(ws, fv, tau, REL_TOL)
             assert same(verify_ap_to_testing(ws, fv, tau).to_json(), want)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 9), (4, 2), (3, 3)], ids=shape_id)
+def test_off_table_times_sum_the_flat_gather_bit_for_bit(shape):
+    # kept shapes (4 and 9 leaves) and streamed ones (16 and 27): a time
+    # that reads no table row, in int64 and in int32, sums the one flat
+    # gather of its finite entries, alone and in a block of times
+    depth, branching = shape
+    rng = np.random.default_rng([35, depth, branching])
+    space = make_tree_space(depth, branching, rng.dirichlet(np.ones(branching**depth)))
+    for finite in (False, True):
+        seq = make_exponent_sequence([2.5, 3.0], *((0.0, 0.5) if finite else (0.2, 0.5)))
+        ws = random_weight_system(rng, space, seq)
+        fv = random_fvec(rng, space, seq, spread=1e6)
+        slots = theorems_mod._family_reports(ws, fv)[0]
+        reward = theorems_mod._testing_parts(ws, fv)[2]
+        rows = level_products(space, fv, seq)
+        times = [first_passage_time(space, rows, t) for t in np.unique(rows)[::3]]
+        times += [sample_stopping_time(space, rng) for _ in range(6)]
+        times += [StoppingTime(tau.values.astype(np.int32)) for tau in times]
+        want = [helpers.flat_gather_oracle(reward, tau) for tau in times]
+        block = theorems_mod._stopped_sums(space, reward, np.array([t.values for t in times]))
+        assert block.tolist() == want
+        for tau, expected in zip(times, want):
+            assert tau not in slots
+            one = theorems_mod._stopped_sums(space, reward, tau.values[None])
+            assert one.tolist() == [expected]
+            report = verify_ap_to_testing(ws, fv, tau)
+            assert report.lhs == _power(expected, seq.aggregate_reciprocal)
+            assert report.metadata["finite_leaves"] == helpers.flat_index_oracle(tau).size
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+def test_sp_test_estimate_matches_the_per_trial_oracle(shape, monkeypatch):
+    # the trial supports in stacks through sp_ratios (all in one at these
+    # sizes, and three to a stack under a smaller budget): bit for bit the
+    # per-trial sp_support_ratio loop, for infinite and finite tails, 1 to 8
+    # trials, and with a NaN ratio on every support that holds the last leaf
+    # and not every leaf
+    depth, branching = shape
+    rng = np.random.default_rng([36, depth, branching])
+    space = make_tree_space(depth, branching, rng.dirichlet(np.ones(branching**depth)))
+    systems = [random_weight_system(rng, space, make_exponent_sequence([2.5, 3.0], *tail))
+               for tail in ((0.2, 0.5), (0.0, 0.5))]
+    calls, ratios = [], theorems_mod.sp_ratios
+
+    def stacked(ws, masks):
+        calls.append(len(masks))
+        return ratios(ws, masks)
+
+    def compare():
+        seen = set()
+        for ws in systems:
+            for trials in range(1, 9):
+                seed = int(rng.integers(1000))
+                got = estimate_best_constant("sp-test", ws, trials, seed)
+                assert repr(got) == repr(helpers.sp_test_estimate_oracle(ws, trials, seed))
+                seen.add(math.isnan(got))
+        return seen
+
+    monkeypatch.setattr(theorems_mod, "sp_ratios", stacked)
+    assert compare() == {False} and calls == list(range(1, 9)) * 2
+    original, leaf = weights_mod._sp_rows, space.n_leaves - 1
+
+    def kernel(ws, masks, masses, at=None):
+        out = original(ws, masks, masses, at)
+        out[masks[:, leaf] & ~masks.all(axis=1)] = np.nan
+        return out
+
+    monkeypatch.setattr(weights_mod, "_sp_rows", kernel)
+    assert compare() == ({False} if depth == 0 else {False, True})
+    monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 3 * space.n_leaves)
+    calls.clear()
+    assert compare() == ({False} if depth == 0 else {False, True})
+    assert max(calls) == 3 and sum(calls) == 2 * sum(range(1, 9))
 
 
 def test_testing_parts_drops_the_last_pair_before_the_next_build(monkeypatch):
@@ -1417,15 +1494,20 @@ class TestEstimates:
         theorems_mod._testing_parts.cache_clear()
 
     def test_nan_ratio_propagates(self, monkeypatch):
+        # the four trial supports go to one sp_ratios call; a NaN ratio of
+        # the second is the estimate
         ws = example_system()
-        original, calls = theorems_mod.sp_support_ratio, []
+        original, calls = theorems_mod.sp_ratios, []
 
-        def ratio(ws_, support):
-            calls.append(support)
-            return float("nan") if len(calls) == 2 else original(ws_, support)
+        def ratios(ws_, masks):
+            calls.append(masks)
+            out = original(ws_, masks)
+            out[1] = math.nan
+            return out
 
-        monkeypatch.setattr(theorems_mod, "sp_support_ratio", ratio)
+        monkeypatch.setattr(theorems_mod, "sp_ratios", ratios)
         assert np.isnan(estimate_best_constant("sp-test", ws, 4, 5))
+        assert [m.shape for m in calls] == [(4, ws.space.n_leaves)]
 
     def test_all_family_scans_run_once_per_system(self, monkeypatch):
         # sp_constant and the strong estimate (trial 2 takes the testing

@@ -33,6 +33,7 @@ from martbench.weights import (
 
 from helpers import (
     family_max_oracle,
+    quotient_atoms_oracle,
     random_positive,
     random_sequence,
     random_space,
@@ -41,6 +42,13 @@ from helpers import (
     sp_ratios_oracle,
     streamed_scan,
 )
+
+
+def family_masks(space, family):
+    """The supports a scan of the family reads (weights._family_source): its
+    kept table's masks, or its drawn supports where it streams."""
+    source = weights_mod._family_source(space, family)
+    return source.masks if isinstance(source, weights_mod._SupportTable) else source
 
 
 @contextlib.contextmanager
@@ -91,6 +99,8 @@ class TestConstruction:
             strict=True)
         np.testing.assert_array_equal(ws.sigma_atoms[0], cond_exp_atoms(space, ws.sigmas[0]),
                                       strict=True)
+        quotient = quotient_atoms_oracle(space, masses, space.atom_masses, ws.sigmas[0])
+        np.testing.assert_array_equal(ws.sigma_atoms[0], quotient, strict=True)
         gv = FunctionVector(tuple(random_positive(rng, space) for _ in range(2)))
         old = np.ones(space.atom_offsets[-1])
         for g, s in zip(gv.active, [ws.sigmas[0], np.ones(9)]):  # a padded sigma is 1
@@ -215,13 +225,14 @@ class TestSupportFamilies:
             for count, seed in [(1, 0), (7, 1), (40, 2), (120, 2**40), (40, [3, 4])]:
                 family = {"count": count, "seed": seed}
                 want = sampled_supports_oracle(space, family)
-                got = weights_mod._sampled_supports(space, family)
+                got = family_masks(space, family)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 np.testing.assert_array_equal(got, want)
                 np.testing.assert_array_equal(support_family(space, family), want)
                 with monkeypatch.context() as m:
                     m.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 1)
-                    chunks = list(weights_mod._support_chunks(space, family))
+                    source = weights_mod._family_source(space, family)
+                    chunks = list(weights_mod._support_chunks(space, source))
                 assert [len(c) for c in chunks] == [1] * len(want)
                 if space.n_leaves == 2 and count == 40:
                     assert len(want) < count  # at most 3 distinct supports
@@ -232,14 +243,14 @@ class TestSupportFamilies:
         cache.cache_clear()
         one, other = (make_tree_space(3, 2, random_probs(rng, 8)) for _ in range(2))
         family = {"count": 30, "seed": 5}
-        fam = weights_mod._sampled_supports(one, family)
+        fam = family_masks(one, family)
         assert not fam.flags.writeable
         with pytest.raises(ValueError):
             fam[0, 0] = not fam[0, 0]
-        assert weights_mod._sampled_supports(other, family) is fam  # other leaf masses
+        assert family_masks(other, family) is fam  # other leaf masses
         assert cache.cache_info().currsize == 1
-        seed_6 = weights_mod._sampled_supports(one, {"count": 30, "seed": 6})
-        count_31 = weights_mod._sampled_supports(one, {"count": 31, "seed": 5})
+        seed_6 = family_masks(one, {"count": 30, "seed": 6})
+        count_31 = family_masks(one, {"count": 31, "seed": 5})
         assert seed_6 is not fam and count_31 is not fam
         assert cache.cache_info().currsize == 3
         assert cache.cache_info().maxsize == 8
@@ -264,10 +275,10 @@ class TestSupportFamilies:
         weights_mod._drawn_supports.cache_clear()
         space = make_tree_space(3, 2)
         want = sampled_supports_oracle(space, {"count": 30, "seed": [1, 2]})
-        first = weights_mod._sampled_supports(space, {"count": 30, "seed": [1, 2]})
+        first = family_masks(space, {"count": 30, "seed": [1, 2]})
         np.testing.assert_array_equal(first, want)
         for seed in ([1, 2], (1, 2), np.array([1, 2])):
-            assert weights_mod._sampled_supports(space, {"count": 30, "seed": seed}) is first
+            assert family_masks(space, {"count": 30, "seed": seed}) is first
         assert weights_mod._drawn_supports.cache_info().currsize == 1
 
     @pytest.mark.parametrize("seed", [
@@ -565,9 +576,9 @@ class TestBatchedScan:
         chunked = make_weight_system(space, seq, w, v)
         monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 16 * 1024)  # 1024 supports
         many = sp_constant_argmax(chunked), rh_argmax(chunked)
-        n_chunks = len(list(weights_mod._support_chunks(space, "all")))
+        n_chunks = len(list(weights_mod._support_chunks(space, None)))  # "all" streams
         monkeypatch.setattr(weights_mod, "SCAN_CHUNK_FLOATS", 16 * 2**16)
-        assert n_chunks > 50 and len(list(weights_mod._support_chunks(space, "all"))) == 1
+        assert n_chunks > 50 and len(list(weights_mod._support_chunks(space, None))) == 1
         whole = make_weight_system(space, seq, w, v)
         one = sp_constant_argmax(whole), rh_argmax(whole)
         for (a, wa), (b, wb) in zip(many, one):
@@ -790,7 +801,8 @@ class TestKeptTables:
             head = list(rng.uniform(1.2, 6.0, int(rng.integers(1, 4))))
             seq = make_exponent_sequence(head, *((0.0, 0.5) if finite else (0.3, 0.5)))
             for family in self.FAMILIES[space.n_leaves > 12:]:
-                assert weights_mod._kept_table(space, family) is not None
+                assert isinstance(weights_mod._family_source(space, family),
+                                  weights_mod._SupportTable)
                 drawn = None if family == "all" else sampled_supports_oracle(space, family)
                 ws = make_weight_system(space, seq, [random_positive(rng, space, 50.0)
                                                      for _ in head], random_positive(rng, space))
@@ -825,14 +837,32 @@ class TestKeptTables:
         for space, family in cases:
             assert len(support_family(space, family)) * space.n_leaves > \
                 weights_mod.SCAN_CHUNK_FLOATS
-            assert weights_mod._kept_table(space, family) is None
             ws = random_weight_system(rng, space, seq)
             drawn = None if family == "all" else sampled_supports_oracle(space, family)
+            source = weights_mod._family_source(space, family)  # None, or the drawn supports
+            assert source is None if drawn is None else np.array_equal(source, drawn)
             sp, rh = sp_constant_argmax(ws, family), rh_constant(ws, family)
             assert_same_scan(sp, streamed_scan(ws, family, weights_mod.sp_ratios, drawn))
             assert rh == streamed_scan(ws, family, weights_mod.rh_ratios, drawn)[0]
         assert weights_mod._support_table.cache_info().currsize == 0
         assert weights_mod._kept_masses.cache_info().currsize == 0
+
+    def test_one_scan_keys_a_streamed_sampled_family_once(self, monkeypatch):
+        # 256 samples at 512 leaves stream in two chunks: each scan checks
+        # and keys the spec once (weights._family_source), before any chunk
+        space = make_tree_space(9, 2)
+        family = {"count": 256, "seed": 0}
+        assert isinstance(weights_mod._family_source(space, family), np.ndarray)
+        ws = random_weight_system(np.random.default_rng(126), space,
+                                  make_exponent_sequence([2.5, 3.0], 0.2, 0.5))
+        calls, original = [], weights_mod._sampled_key
+        monkeypatch.setattr(weights_mod, "_sampled_key",
+                            lambda family: calls.append(family) or original(family))
+        for scan in (sp_constant, rh_constant, sp_constant_argmax,
+                     lambda ws, f: support_family(ws.space, f)):
+            calls.clear()
+            scan(ws, family)
+            assert calls == [family]
 
     def test_tables_are_built_once_per_shape_and_family(self, monkeypatch):
         weights_mod._support_table.cache_clear()
@@ -856,7 +886,7 @@ class TestKeptTables:
                                       {"count": 16, "seed": 1})) for depth, branching in [(3, 2), (2, 3)]]
         assert calls == [(255, 8), (sampled[0], 8), (511, 9), (sampled[1], 9)]
         assert weights_mod._support_table.cache_info().currsize == 4
-        table = weights_mod._kept_table(make_tree_space(3, 2), "all")
+        table = weights_mod._family_source(make_tree_space(3, 2), "all")
         assert not table.masks.flags.writeable and not table.entry_index.flags.writeable
         np.testing.assert_array_equal(table.masks, support_family(make_tree_space(3, 2)))
 
@@ -879,7 +909,7 @@ class TestKeptTables:
         sp_constant(ws, family)
         rh_constant(ws, family)
         assert calls == [511, 15]
-        masses = weights_mod._kept_masses(ws, weights_mod._kept_table(space, family))
+        masses = weights_mod._kept_masses(ws, weights_mod._family_source(space, family))
         assert masses.shape == (len(ws.sigmas) + 1, 15) and not masses.flags.writeable
 
     def test_kept_sampled_family_still_checks_its_spec(self):
