@@ -58,6 +58,7 @@ from .theorems import (
 )
 from .weights import (
     WeightSystem,
+    _sampled_key,
     ap_constant,
     make_weight_system,
     rh_constant,
@@ -112,6 +113,8 @@ def _one_of(*choices):
 
 
 def _family(value):
+    if isinstance(value, dict):
+        _sampled_key(value)  # checked here, so that its error names the config key
     if isinstance(value, dict) or value == "all":
         return value
     if isinstance(value, str) and value.startswith("sample:"):
@@ -232,6 +235,9 @@ def _function_vectors(config: RunConfig, space: TreeSpace, seq,
                     for t in range(1 if one else trials)]
         if isinstance(spec, dict):
             spec = [spec]
+        if spec == []:
+            raise ValueError(f"{config.command} needs {'one' if one else 'a'} vector, and the "
+                             "spec gives none")
         if one and isinstance(spec, list) and len(spec) > 1:
             raise ValueError(f"{config.command} reads one vector, and the spec gives {len(spec)}")
         return [function_vector_from_json(space, item) for item in spec]
@@ -311,9 +317,7 @@ def _cmd_verify_sp(config: RunConfig, space, seq) -> tuple[list, dict]:
 def _cmd_sawyer_trace(config: RunConfig, space, seq) -> tuple[list, dict]:
     ws = _build_weight_system(config, space, seq)
     gvecs = _function_vectors(config, space, seq, one=True)
-    with _naming("--functions"):  # no vector, a masked one, or too many components
-        if not gvecs:
-            raise ValueError("sawyer-trace needs one vector, and the spec gives none")
+    with _naming("--functions"):  # a masked vector, or too many components
         trace = sawyer_decomposition(ws, gvecs[0])
     invariants = sawyer_trace_invariants(ws, trace)
     report = check_inequality(

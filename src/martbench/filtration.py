@@ -13,12 +13,11 @@ a (depth+1, leaves) leaf matrix only where a reader needs leaves.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,6 +30,7 @@ _RUN_CHUNK_ENTRIES = 1 << 20
 # families of at most this many stopping times are built once per tree shape
 # and kept (every shape up to 11 leaves); larger ones are streamed
 KEPT_FAMILY_TIMES = 4096
+KEPT_SHAPES = 16  # tree shapes whose tables a process keeps (_tree_shape)
 # _run_sums adds runs of fewer than 8 floats as strided slices from this many
 # runs on: np.add.reduce pays about 11 ns per run (23.9 us for 2,048 runs of
 # 2), a slice add under 1 us plus under 1 ns per run; at 128 runs the reduce
@@ -81,23 +81,21 @@ class TreeSpace:
         return _frozen(_level_masses(self, self.leaf_probs))
 
     @property
+    def shape(self) -> TreeShape:
+        """The kept tables of the space's tree shape."""
+        return _tree_shape(self.depth, self.branching)
+
+    @property
     def shared_level(self) -> np.ndarray:
-        """Per pair of neighbouring leaves x, x + 1, the deepest level whose atom
-        holds both (_shared_levels, kept per tree shape)."""
-        return _shared_levels(self.depth, self.branching)
+        return self.shape.shared_level
 
     @cached_property
-    def atom_offsets(self) -> tuple[int, ...]:
-        """Where each level starts in a per-atom process: one flat array (the
-        last axis) holding the r**n level-n atom values at offsets n to n+1,
-        levels in order, so the leaves (level depth) come last and the last
-        offset is the length."""
-        return tuple(itertools.accumulate(map(self.n_atoms, self.levels), initial=0))
+    def atom_offsets(self) -> tuple[int, ...]:  # the shape's, held for the hot level reads
+        return self.shape.atom_offsets
 
     @cached_property
     def leaf_index(self) -> np.ndarray:
-        """arange(n_leaves), read-only: the column index of a per-leaf gather."""
-        return _read_only(np.arange(self.n_leaves))
+        return self.shape.leaf_index
 
     @property
     def n_leaves(self) -> int:
@@ -134,7 +132,7 @@ class TreeSpace:
         (..., depth+1, leaves) stack: row n holds each level-n atom's value on
         its leaves.  One repeat: each atom's value once per leaf it holds, the
         levels one after the other, is that matrix row by row."""
-        return atoms.repeat(_atom_leaves(self.depth, self.branching), axis=-1).reshape(
+        return atoms.repeat(self.shape.atom_leaves, axis=-1).reshape(
             atoms.shape[:-1] + (self.depth + 1, self.n_leaves))
 
     def level_sup(self, atoms: np.ndarray) -> np.ndarray:
@@ -164,7 +162,7 @@ class TreeSpace:
         """Per leaf x (the last axis, or the entries of `leaves` with `levels`
         alongside), where a per-atom process holds the level-levels[x] atom
         that contains x: atom_offsets[n] + x // atom_size(n)."""
-        offsets, sizes = _level_starts(self.depth, self.branching)
+        offsets, sizes = self.shape.level_starts
         leaves = self.leaf_index if leaves is None else leaves
         return offsets[levels] + leaves // sizes[levels]
 
@@ -200,42 +198,84 @@ def _run_sums(x: np.ndarray, size: int, out=None) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=16)
-def _atom_leaves(depth: int, branching: int) -> np.ndarray:
-    """Per atom of a per-atom process, the number of leaves it holds
-    (read-only): the repeats of expand_levels, built once per tree shape."""
-    levels = range(depth + 1)
-    return _frozen(np.repeat([branching ** (depth - n) for n in levels],
-                             [branching**n for n in levels]))
+@dataclass(frozen=True, eq=False)
+class TreeShape:
+    """The tables of one tree shape, which every space of that shape reads,
+    each built on first use and kept with the shape (_tree_shape)."""
+
+    depth: int
+    branching: int
+
+    @cached_property
+    def space(self) -> TreeSpace:
+        """The uniform space, read-only: its atom masses and digest are built
+        once per shape, and a cache keyed on its identity stays exact."""
+        n = self.branching**self.depth
+        return TreeSpace(self.depth, self.branching, _frozen(np.full(n, 1.0 / n)))
+
+    @cached_property
+    def atom_offsets(self) -> tuple[int, ...]:
+        """Where each level starts in a per-atom process: one flat array (the
+        last axis) holding the r**n level-n atom values at offsets n to n+1,
+        levels in order, so the leaves (level depth) come last and the last
+        offset is the length."""
+        return tuple(itertools.accumulate(
+            (self.branching**n for n in range(self.depth + 1)), initial=0))
+
+    @cached_property
+    def leaf_index(self) -> np.ndarray:
+        """arange(leaves), read-only: the column index of a per-leaf gather."""
+        return _frozen(np.arange(self.branching**self.depth))
+
+    @cached_property
+    def level_starts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per level, its atom_offsets entry and atom size (read-only): atom_index's."""
+        sizes = self.branching ** (self.depth - np.arange(self.depth + 1))
+        return _frozen(np.array(self.atom_offsets[:-1])), _frozen(sizes)
+
+    @cached_property
+    def atom_leaves(self) -> np.ndarray:
+        """Per atom, the leaves it holds (read-only): expand_levels' repeats."""
+        return _frozen(np.repeat(self.level_starts[1], np.diff(self.atom_offsets)))
+
+    @cached_property
+    def atom_levels(self) -> np.ndarray:
+        """Per atom, its level (read-only uint8)."""
+        return _frozen(np.repeat(np.arange(self.depth + 1, dtype=np.uint8),
+                                 np.diff(self.atom_offsets)))
+
+    @cached_property
+    def shared_level(self) -> np.ndarray:
+        """Per pair of neighbouring leaves x, x + 1, the deepest level whose atom
+        holds both (read-only, unsigned for _adapted_scan): depth - 1, less one
+        for each atom size r**1 .. r**(depth-1) that divides x + 1, taken off
+        every size-th pair by one strided slice per size (depth 0 has no pairs)."""
+        depth, branching = self.depth, self.branching
+        shared = np.full(branching**depth - 1, max(depth - 1, 0), dtype=np.uint64)
+        for size in (branching**k for k in range(1, depth)):
+            shared[size - 1::size] -= 1
+        return _frozen(shared)
+
+    @cached_property
+    def kept_family(self) -> _KeptFamily | None:
+        """The whole stopping-time family, or None past KEPT_FAMILY_TIMES times."""
+        if count_stopping_times(self.space) > KEPT_FAMILY_TIMES:
+            return None
+        return _KeptFamily(tuple(_stream_times(self.space)))
 
 
-@functools.lru_cache(maxsize=16)
-def _shared_levels(depth: int, branching: int) -> np.ndarray:
-    """TreeSpace.shared_level of one tree shape (read-only, unsigned for
-    _adapted_scan): depth - 1, less one for each atom size r**1 .. r**(depth-1)
-    that divides x + 1, taken off every size-th pair by one strided slice per
-    size (depth 0 has no pairs)."""
-    shared = np.full(branching**depth - 1, max(depth - 1, 0), dtype=np.uint64)
-    for size in (branching**k for k in range(1, depth)):
-        shared[size - 1::size] -= 1
-    return _frozen(shared)
-
-
-@functools.lru_cache(maxsize=16)
-def _level_starts(depth: int, branching: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per level, its atom_offsets entry and its atom size, as read-only arrays
-    for TreeSpace.atom_index, built once per tree shape."""
-    levels = np.arange(depth + 1)
-    offsets = np.cumsum(np.append(0, branching**levels[:-1]))
-    return _frozen(offsets), _frozen(branching ** (depth - levels))
+@lru_cache(maxsize=KEPT_SHAPES)
+def _tree_shape(depth: int, branching: int) -> TreeShape:
+    """The shape of checked (depth, branching): evicted, it goes with its tables."""
+    return TreeShape(depth, branching)
 
 
 def make_tree_space(
     depth: int, branching: int, leaf_probs: Sequence[float] | str = "uniform"
 ) -> TreeSpace:
     """Validate and build a TreeSpace.  "uniform" gives equal leaf masses and
-    the kept space of the shape (_uniform_space), checked first on every call;
-    explicit probabilities give a fresh space."""
+    the kept space of the shape (TreeShape.space), checked first on every
+    call; explicit probabilities give a fresh space."""
     for name, value in (("depth", depth), ("branching", branching)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name} must be an integer")
@@ -244,13 +284,15 @@ def make_tree_space(
         raise ValueError(f"depth {depth} must be >= 0")
     if branching < 2:
         raise ValueError(f"branching {branching} must be >= 2")
+    # deeper than log2(MAX_LEAVES) every tree is past the guard; 3**(10**8) takes minutes
+    if depth >= MAX_LEAVES.bit_length() or branching**depth > MAX_LEAVES:
+        raise ValueError(f"a tree of depth {depth} and branching {branching} exceeds the "
+                         f"{MAX_LEAVES} leaf guard")
     n = branching**depth
-    if n > MAX_LEAVES:
-        raise ValueError(f"{n} leaves exceeds the {MAX_LEAVES} leaf guard")
     if isinstance(leaf_probs, str):
         if leaf_probs != "uniform":
             raise ValueError(f"unknown leaf_probs spec {leaf_probs!r}")
-        return _uniform_space(depth, branching)
+        return _tree_shape(depth, branching).space
     probs = np.asarray(leaf_probs, dtype=float)
     if probs.shape != (n,):
         raise ValueError(f"expected {n} leaf probabilities, got {probs.shape}")
@@ -260,15 +302,6 @@ def make_tree_space(
     if abs(total - 1.0) > 1e-12:
         raise ValueError(f"leaf probabilities sum to {total}, expected 1")
     return TreeSpace(depth, branching, _read_only(probs))
-
-
-@functools.lru_cache(maxsize=16)
-def _uniform_space(depth: int, branching: int) -> TreeSpace:
-    """The uniform space of one (checked) tree shape, kept: it is read-only, so
-    its cached atom masses, digest, leaf index and offsets are built once per
-    shape, and a cache keyed on its identity stays exact."""
-    n = branching**depth
-    return TreeSpace(depth, branching, _frozen(np.full(n, 1.0 / n)))
 
 
 def space_from_json(obj: dict) -> TreeSpace:
@@ -561,8 +594,8 @@ def enumerate_stopping_times(space: TreeSpace) -> Iterator[StoppingTime]:
 
     Raises EnumerationCapError at the call when the closed-form count exceeds
     ENUMERATION_CAP; sample_stopping_time is the fallback.  A kept family
-    (_kept_family) is shared: every call yields the same read-only times,
-    whose finite masks are computed once per shape; a larger family is
+    (TreeShape.kept_family) is shared: every call yields the same read-only
+    times, whose finite masks are computed once per shape; a larger family is
     streamed afresh on every call and never held whole."""
     total = count_stopping_times(space)
     if total > ENUMERATION_CAP:
@@ -570,7 +603,7 @@ def enumerate_stopping_times(space: TreeSpace) -> Iterator[StoppingTime]:
             f"{_about(total)} stopping times exceed the cap {ENUMERATION_CAP}; "
             "use a sampled family"
         )
-    family = _kept_family(space)
+    family = space.shape.kept_family
     return _stream_times(space) if family is None else iter(family.times)
 
 
@@ -607,20 +640,6 @@ class _KeptFamily:
     def finite_leaves(self) -> list[int]:
         """The finite-leaf count of each slot of the gather."""
         return [m.shape[1] for m in self.gather[1] for _ in range(len(m))]
-
-
-@functools.lru_cache(maxsize=8)
-def _kept_times(depth: int, branching: int) -> _KeptFamily:
-    """The kept family of one tree shape."""
-    return _KeptFamily(tuple(_stream_times(make_tree_space(depth, branching))))
-
-
-def _kept_family(space: TreeSpace) -> _KeptFamily | None:
-    """The kept family of the space's shape, built once per (depth, branching),
-    or None where the family has more than KEPT_FAMILY_TIMES times (it streams)."""
-    if count_stopping_times(space) > KEPT_FAMILY_TIMES:
-        return None
-    return _kept_times(space.depth, space.branching)
 
 
 def _stream_times(space: TreeSpace) -> Iterator[StoppingTime]:

@@ -18,7 +18,6 @@ inspectable trace whose set identities are exact on a finite space.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import sys
@@ -32,7 +31,6 @@ from .filtration import (
     StoppingTime,
     _adapted_scan,
     _frozen,
-    _kept_family,
     _leaf_runs,
     _level_masses,
     _run_sums,
@@ -113,7 +111,7 @@ def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     lhs, the verdict lhs <= _margin(bound)), and the verdict is None where
     the left side or the bound is not finite (when all are, the verdicts are
     one bool array).  The slot map is empty where the family streams."""
-    family = _kept_family(ws.space)
+    family = ws.space.shape.kept_family
     _, rhs, reward, _ = _testing_parts(ws, fvec)
     rhs, c_a = float(rhs), float(ws.ap_max)
     slots, rows = {}, []
@@ -302,7 +300,8 @@ def _band_sums(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     space = ws.space
     atoms, _, _, masses = _testing_parts(ws, fvec)
     bands_at = band_index(atoms)
-    keys = (_band_keys(space.depth, space.branching) + bands_at)[bands_at != NO_BAND]
+    keys = np.multiply(space.shape.atom_levels, 4096, dtype=np.int64) + 2048 + bands_at
+    keys = keys[bands_at != NO_BAND]
     levels, ks = np.divmod(np.unique(keys), 4096)
     ks -= 2048
     bi = space.expand_levels(bands_at)
@@ -327,16 +326,6 @@ def _band_sums(ws: WeightSystem, fvec: FunctionVector) -> tuple:
         for n, k, entry in zip(n_c.tolist(), k_c.tolist(), counts):
             partitions.setdefault(n, {})[k] = entry
     return ks, v_sums, factor_sums, partitions
-
-
-@functools.lru_cache(maxsize=16)
-def _band_keys(depth: int, branching: int) -> np.ndarray:
-    """Per atom of a per-atom process, n * 4096 + 2048 for its level n
-    (read-only, built once per tree shape): plus the atom's band k in
-    -1075..1023 it is the key of the atom's (level, band) pair, and the keys
-    sort by level and then by band."""
-    levels = range(depth + 1)
-    return _frozen(np.repeat([n * 4096 + 2048 for n in levels], [branching**n for n in levels]))
 
 
 def verify_testing_to_ap(

@@ -11,31 +11,24 @@ everywhere, send the complement to infinity at the last level), so the
 "all" family scans the distinct supports directly, decoded from the
 bitmasks 1 .. 2**leaves - 1 in order; a sampled family {"count": k,
 "seed": s} draws k stopping times uniformly and keeps their distinct
-nonempty supports.  Those depend only on the tree shape, k and s, so they
-are drawn once per (depth, branching, k, s) and kept, read-only, in a
-cache of the last 8 families that every scan of that family shares,
-whatever the leaf masses.  rh_ratios and sp_ratios take (B, leaves) chunks
-of supports, B * width at most SCAN_CHUNK_FLOATS for the kernel's width in
-floats per support (_sp_scan): a scan never holds more than a chunk of a
-family that it streams.  A family of K supports that fits one chunk (K *
-leaves at most SCAN_CHUNK_FLOATS) is kept whole instead, as one
-_SupportTable per shape and family: its masks, and the entry index of
-the testing table that the first infinite-tail scan builds.  Its support
-masses |F|_{sigma_i} and |F| are summed once for the last (system, table)
-pair, which the testing and the reverse-Hoelder scans both read; a kept
-family is scanned in the chunks a streamed one takes, so no value moves.
-The "all" testing scan and its witness are cached on the WeightSystem,
-which the strong-type estimate reads again after sp_constant.  Every scan
-starts in _family_source, which checks ENUMERATION_CAP for "all" and the
-sampled count (an integer >= 1) and seed once, before any chunk.
+nonempty supports.  Either depends only on the tree shape and the spec, so
+it is built once and kept in _family_store, whatever the leaf masses.
+rh_ratios and sp_ratios take (B, leaves) chunks of supports, B * width at
+most SCAN_CHUNK_FLOATS for the kernel's width in floats per support
+(_sp_scan).  A family of K supports that fits one chunk is scanned from its
+_SupportTable, whose support masses are summed once per (system, table)
+pair and whose testing-table entry index is built once; a larger one is
+streamed, in the same chunks, so no value moves.  The "all" testing scan
+and its witness are cached on the WeightSystem.  Every scan starts in
+_family_source, which checks the spec once, before any chunk.
 
 The system also caches the density product R = prod_i E_n(sigma_i) per
 atom of every level, and the testing table built from it.  With an
 infinite exponent tail the masked level product on a support F is R_n on
 the level-n atoms inside F and 0 elsewhere, so sp_ratios reads each
 leaf's value from the table at the shallowest level whose atom through it
-lies in F: O(leaves) per support, and no level block.  A finite family has no such tail, and
-its testing scan keeps the masked level products.
+lies in F: O(leaves) per support, and no level block.  A finite family
+has no such tail, and its testing scan keeps the masked level products.
 
 Ratios are evaluated in normalized form, as products of (base/reference)
 powers whose exponents sum to 1 by the closed-form tail identity.  All
@@ -65,15 +58,16 @@ from .filtration import (
     _frozen,
     _level_masses,
     _read_only,
+    _tree_shape,
     as_leaf_mask,
     as_leaf_vector,
     cond_exp_atoms,
-    make_tree_space,
     sample_stopping_time,
 )
 from .holder import FunctionVector, _entry_levels, _keep_last, level_product_atoms
 
 SCAN_CHUNK_FLOATS = 1 << 16  # B * width per chunk of a scan (_support_chunks)
+KEPT_FAMILIES = 8  # support families a process keeps (_family_store)
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,8 +263,12 @@ def _sampled_key(family) -> tuple:
     default_rng reads as the same stream; None, a Generator or a
     BitGenerator (each a fresh stream), a float, a string or a bool raises
     ValueError.  The count must be an integer >= 1 (an integral float such
-    as 2.0 is one, a bool is not), else ValueError."""
+    as 2.0 is one, a bool is not), else ValueError; a key past count and
+    seed is refused too."""
     count, seed = family["count"], family["seed"]
+    if len(family) > 2:
+        raise ValueError(f"a sampled family takes only the keys 'count' and 'seed', "
+                         f"not {[k for k in family if k not in ('count', 'seed')]}")
     if isinstance(count, bool) or not (isinstance(count, numbers.Real) and count >= 1
                                        and count % 1 == 0):  # NaN and inf fail
         raise ValueError(f"a sampled family's count must be an integer >= 1, not {count!r}")
@@ -283,43 +281,26 @@ def _sampled_key(family) -> tuple:
     return int(count), tuple(map(int, elements)) if listed else seed
 
 
-@lru_cache(maxsize=8)
-def _drawn_supports(depth: int, branching: int, count: int, seed) -> np.ndarray:
-    """Draw count uniform stopping times from default_rng(seed) on the tree
-    shape and keep their distinct nonempty supports in first-drawn order.
-    An exception (the sampler's OverflowError from binary depth 10) is not
-    cached and is raised again on every call."""
-    space = make_tree_space(depth, branching)  # the sampler reads only the shape
-    rng = np.random.default_rng(seed)
-    drawn = (sample_stopping_time(space, rng).finite for _ in range(count))
-    distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())
-    return _frozen(np.stack(distinct) if distinct else np.zeros((0, space.n_leaves), bool))
-
-
 @dataclass(frozen=True, eq=False)
 class _SupportTable:
-    """A support family of one tree shape that fits one scan chunk, kept
-    read-only: its (K, leaves) masks in scan order and, built on the first
-    infinite-tail testing scan, where each support's leaves read the testing
-    table.  Hashes by identity, so it keys the support masses of a system."""
+    """The read-only (K, leaves) masks of one shape and family in scan order;
+    hashes by identity, so it keys the support masses of a system."""
 
-    depth: int
-    branching: int
     masks: np.ndarray
 
-    @cached_property
-    def entry_index(self) -> np.ndarray:
-        """_entry_index of the masks (read-only)."""
-        return _frozen(_entry_index(make_tree_space(self.depth, self.branching), self.masks))
+    def entry_index(self, space: TreeSpace) -> np.ndarray:
+        """_entry_index of the masks (read-only), built from the space's shape
+        on the first call and kept."""
+        if "entry" not in vars(self):
+            vars(self)["entry"] = _frozen(_entry_index(space, self.masks))
+        return vars(self)["entry"]
 
 
 def _family_source(space: TreeSpace, family) -> _SupportTable | np.ndarray | None:
-    """A family spec resolved once per scan: the kept table of a family whose
-    K supports fit one chunk (K * leaves at most SCAN_CHUNK_FLOATS: "all" up
-    to 12 leaves, K sampled supports up to 65,536 / K leaves), else a larger
-    sampled family's drawn supports, or None for a larger "all" (streamed).
-    Checks ENUMERATION_CAP for "all", or the sampled count and seed
-    (_sampled_key); an OverflowError of the sampler is not kept."""
+    """A family spec resolved once per scan, after its checks (ENUMERATION_CAP
+    for "all", _sampled_key): the kept table of a family whose K supports fit
+    one chunk (K * leaves at most SCAN_CHUNK_FLOATS: "all" up to 12 leaves),
+    else a larger sampled family's masks, or None for a larger "all"."""
     if family == "all":
         size, key = 2**space.n_leaves - 1, "all"
         if size > ENUMERATION_CAP:
@@ -333,21 +314,26 @@ def _family_source(space: TreeSpace, family) -> _SupportTable | np.ndarray | Non
         raise ValueError(f"unknown family spec {family!r}")
     else:
         key = _sampled_key(family)
-        drawn = _drawn_supports(space.depth, space.branching, *key)
-        if drawn.size > SCAN_CHUNK_FLOATS:
-            return drawn
-    return _support_table(space.depth, space.branching, key)
+    table = _family_store(space.depth, space.branching, key)
+    return table.masks if table.masks.size > SCAN_CHUNK_FLOATS else table
 
 
-@lru_cache(maxsize=8)
-def _support_table(depth: int, branching: int, key) -> _SupportTable:
-    """The table of one shape and family key: "all" or a sampled (count, seed),
-    whose masks are the drawn supports themselves."""
+@lru_cache(maxsize=KEPT_FAMILIES)
+def _family_store(depth: int, branching: int, key) -> _SupportTable:
+    """The supports of one shape and family key: for "all" every nonempty
+    leaf set in bitmask order, for a sampled (count, seed) the distinct
+    nonempty supports of count uniform stopping times drawn from
+    default_rng(seed), in first-drawn order.  An exception (the sampler's
+    OverflowError from binary depth 10) is not kept."""
     if key == "all":
-        masks = _frozen(_decoded(branching**depth, 1, 2 ** (branching**depth)))
-    else:
-        masks = _drawn_supports(depth, branching, *key)
-    return _SupportTable(depth, branching, masks)
+        return _SupportTable(_frozen(_decoded(branching**depth, 1, 2 ** (branching**depth))))
+    count, seed = key
+    space = _tree_shape(depth, branching).space  # the sampler reads only the shape
+    rng = np.random.default_rng(seed)
+    drawn = (sample_stopping_time(space, rng).finite for _ in range(count))
+    distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())
+    return _SupportTable(_frozen(np.stack(distinct) if distinct
+                                 else np.zeros((0, space.n_leaves), bool)))
 
 
 def support_family(space: TreeSpace, family="all") -> np.ndarray:
@@ -479,7 +465,7 @@ def _family_max(ws: WeightSystem, family, kernel, width: int | None = None,
     source = _family_source(space, family)
     if isinstance(source, _SupportTable):
         rows, masses = _chunk_rows(space, width), _kept_masses(ws, source)
-        at = source.entry_index if entry else None
+        at = source.entry_index(space) if entry else None
         chunks = ((source.masks[lo : lo + rows], masses[:, lo : lo + rows],
                    None if at is None else at[lo : lo + rows])
                   for lo in range(0, len(source.masks), rows))

@@ -69,7 +69,7 @@ def test_atom_offsets():
             (branching**n for n in range(depth + 1)), initial=0))
         assert offsets[-1] - offsets[-2] == space.n_leaves
         # the repeats of expand_levels: every level's atoms hold all the leaves once
-        repeats = filtration_mod._atom_leaves(depth, branching)
+        repeats = filtration_mod._tree_shape(depth, branching).atom_leaves
         assert repeats.shape == (offsets[-1],) and not repeats.flags.writeable
         for n in space.levels:
             assert (space.level(repeats, n) == space.atom_size(n)).all()

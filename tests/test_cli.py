@@ -519,7 +519,24 @@ class TestConfigAndErrors:
          "--functions: sawyer-trace reads one vector, and the spec gives 2"),
         ("verify-sp", "--functions", MASKED, "--functions: masked vectors are not supported"),
         ("weights-constants", "--config", {"family": {"count": 3, "seed": "abc"}},
-         "a sampled family's seed must be an integer or a list of integers"),
+         "config key 'family': a sampled family's seed must be an integer or a list of integers"),
+        ("weights-constants", "--config", {"family": {"count": 2}},
+         "config key 'family': missing key 'seed'"),
+        ("weights-constants", "--config", {"family": {"count": 2, "seed": 0, "x": 1}},
+         "config key 'family': a sampled family takes only the keys 'count' and 'seed', "
+         "not ['x']"),
+        ("weights-constants", "--space", '{"depth":20000,"branching":2}',
+         "--space: a tree of depth 20000 and branching 2 exceeds the 1048576 leaf guard"),
+        ("weights-constants", "--space", '{"depth":100000000,"branching":3}',
+         "--space: a tree of depth 100000000 and branching 3 exceeds the 1048576 leaf guard"),
+        ("check-holder", "--functions", "[]",
+         "--functions: check-holder needs a vector, and the spec gives none"),
+        ("check-conditional-holder", "--functions", "[]",
+         "--functions: check-conditional-holder needs a vector, and the spec gives none"),
+        ("verify-ap", "--functions", "[]",
+         "--functions: verify-ap needs a vector, and the spec gives none"),
+        ("verify-sp", "--functions", "[]",
+         "--functions: verify-sp needs a vector, and the spec gives none"),
     ], ids=["space-float-depth", "space-bool-depth", "space-float-branching",
             "space-string-depth", "space-list", "space-no-branching",
             "seq-float-head", "seq-null-exponent", "seq-list", "seq-string-head",
@@ -528,7 +545,10 @@ class TestConfigAndErrors:
             "functions-none-for-sawyer-trace", "functions-masked-sawyer-trace",
             "functions-two-for-sawyer-trace",
             "functions-masked-verify-sp",
-            "config-family-string-seed"])
+            "config-family-string-seed", "config-family-no-seed", "config-family-unknown-key",
+            "space-depth-20000", "space-depth-10e8",
+            "functions-none-for-check-holder", "functions-none-for-check-conditional-holder",
+            "functions-none-for-verify-ap", "functions-none-for-verify-sp"])
     def test_spec_of_the_wrong_type_exits_two_with_one_line(
             self, tmp_path, capsys, command, option, spec, named):
         if option == "--config":
@@ -563,7 +583,7 @@ class TestConfigAndErrors:
             return sample_stopping_time(space, rng)
 
         monkeypatch.setattr(weights_mod, "sample_stopping_time", counted)
-        weights_mod._drawn_supports.cache_clear()
+        weights_mod._family_store.cache_clear()
         args = (
             "--space", '{"depth":8,"branching":2}',
             "--seq", '{"head":[2.5,3],"tail_mass":0.2,"tail_ratio":0.5}',

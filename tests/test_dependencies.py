@@ -53,3 +53,26 @@ def test_one_entry_caches_drop_their_entry_before_a_build():
             if any(isinstance(v, ast.Constant) and v.value == 1 for v in sizes):
                 sites.append(f"{path.name}:{node.lineno}")
     assert not sites, f"lru_cache(maxsize=1), where holder._keep_last should keep it: {sites}"
+
+
+def test_lru_cache_keeps_only_the_tree_shapes_and_the_support_families():
+    # one home per cache lifetime: every per-shape table is a cached property
+    # of filtration.TreeShape, whose constructor keeps the last KEPT_SHAPES
+    # shapes, and the support families live in weights._family_store
+    # (KEPT_FAMILIES); any other lru_cache, as a decorator or called, is refused
+    allowed = {("filtration.py", "_tree_shape"), ("weights.py", "_family_store")}
+    found, stray = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorating = {id(sub): node.name for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      for decorator in node.decorator_list for sub in ast.walk(decorator)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and node.id == "lru_cache"
+                    or isinstance(node, ast.Attribute) and node.attr == "lru_cache"):
+                if id(node) in decorating:
+                    found.add((path.name, decorating[id(node)]))
+                else:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, f"lru_cache outside a decorator: {stray}"
+    assert found == allowed, f"lru_cache decorates {sorted(found)}"

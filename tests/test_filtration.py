@@ -1,6 +1,9 @@
+import gc
 import itertools
 import json
+import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -102,6 +105,36 @@ class TestTreeSpace:
         probs = np.full(space.n_leaves, 1.0 / space.n_leaves)
         assert make_tree_space(*shape, probs).shared_level is space.shared_level
 
+    @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
+    def test_explicit_space_reads_the_tables_of_its_shape(self, shape):
+        space = make_tree_space(*shape)
+        explicit = make_tree_space(*shape, np.full(space.n_leaves, 1.0 / space.n_leaves))
+        assert explicit is not space
+        for name in ("atom_offsets", "leaf_index", "shared_level"):
+            assert getattr(explicit, name) is getattr(space, name), name
+
+    def test_evicting_a_shape_frees_its_tables_and_family(self):
+        # the 17th shape pushes the first out, and nothing else holds it: it
+        # and its tables and family go by reference count, no cycle collector
+        filtration_mod._tree_shape.cache_clear()
+        first = filtration_mod._tree_shape(2, 2)
+        space = first.space
+        tables = [first.leaf_index, first.atom_leaves, first.atom_levels, *first.level_starts,
+                  first.shared_level, first.kept_family, space, space.leaf_probs,
+                  space.atom_masses]
+        assert space.atom_offsets is first.atom_offsets and space.leaf_index is first.leaf_index
+        assert first.kept_family is not None
+        refs = [weakref.ref(x) for x in (first, *tables)]
+        del first, space, tables
+        gc.disable()
+        try:
+            for branching in range(2, 18):
+                filtration_mod._tree_shape(1, branching)
+            assert filtration_mod._tree_shape.cache_info().currsize == 16
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()
+
     def test_numpy_integer_shape_is_held_as_int(self):
         # numpy integers are accepted and held as Python ints, so a depth of
         # np.int64(64) is 2**64 leaves (refused), not a wrapped-around 0
@@ -157,7 +190,18 @@ class TestTreeSpace:
                 make_tree_space(-1, 2)
             with pytest.raises(ValueError, match="exceeds the"):
                 make_tree_space(21, 2)
-        assert filtration_mod._uniform_space.cache_info().maxsize == 16
+        assert filtration_mod._tree_shape.cache_info().maxsize == 16
+
+    @pytest.mark.parametrize("depth, branching", [(20_000, 2), (10**8, 3)])
+    def test_deep_tree_is_refused_before_its_leaf_count(self, depth, branching):
+        # past depth 20 every tree has more than 2^20 leaves: refused before
+        # the power (3**(10**8) takes minutes), its message naming the shape
+        started = time.monotonic()
+        with pytest.raises(ValueError) as raised:
+            make_tree_space(depth, branching)
+        assert time.monotonic() - started < 1.0
+        assert str(raised.value) == (f"a tree of depth {depth} and branching {branching} "
+                                     "exceeds the 1048576 leaf guard")
 
     def test_json_round_trip(self):
         space = make_tree_space(2, 3)
@@ -516,7 +560,7 @@ class TestKeptEnumeration:
 
     def test_second_enumeration_shares_the_times_and_scans_none(self, monkeypatch):
         space = make_tree_space(2, 3, np.full(9, 1.0 / 9.0))
-        filtration_mod._kept_times.cache_clear()
+        filtration_mod._tree_shape.cache_clear()
         first = list(enumerate_stopping_times(space))
         assert all(is_stopping_time(space, tau) for tau in first)
         scans = []
@@ -531,8 +575,9 @@ class TestKeptEnumeration:
         other = make_tree_space(2, 3, np.arange(1.0, 10.0) / 45.0)
         again = list(enumerate_stopping_times(other))
         assert len(again) == 730 and all(a is b for a, b in zip(first, again))
-        info = filtration_mod._kept_times.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        # one shape, and with it one family, built since the clear
+        info = filtration_mod._tree_shape.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
         seq = make_exponent_sequence([2.0], 0.5, 0.5)
         ws = unit_weight_system(other, seq)
         fvec = trial_vector(other, seq.head_len, 0, 0, 4.0)
@@ -545,21 +590,23 @@ class TestKeptEnumeration:
         assert sum(1 for _ in enumerate_stopping_times(make_tree_space(2, 3))) == 730
         space = make_tree_space(3, 3)
         assert count_stopping_times(space) == 389_017_001 > ENUMERATION_CAP
-        info = filtration_mod._kept_times.cache_info()
+        info = filtration_mod._tree_shape.cache_info()
         with pytest.raises(EnumerationCapError):
             enumerate_stopping_times(space)
-        assert filtration_mod._kept_times.cache_info() == info
+        assert filtration_mod._tree_shape.cache_info() == info
+        assert "kept_family" not in vars(space.shape)
 
     def test_larger_family_streams_without_filling_the_cache(self):
         # depth 4 binary has 458,330 times: never held whole
         space = make_tree_space(4, 2)
-        filtration_mod._kept_times.cache_clear()
+        filtration_mod._tree_shape.cache_clear()
         times = enumerate_stopping_times(space)
         first = next(times)
         np.testing.assert_array_equal(first.values, np.zeros(16))
         assert is_stopping_time(space, next(times))
-        info = filtration_mod._kept_times.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+        # the one shape built since the clear keeps no family
+        assert filtration_mod._tree_shape.cache_info().currsize == 1
+        assert space.shape.kept_family is None
         assert next(enumerate_stopping_times(space)) is not first
 
     def test_kept_times_stay_read_only(self):
@@ -575,8 +622,8 @@ class TestKeptEnumeration:
         # (budget 1.5 KB): the largest kept family (2049 times of 11 leaves)
         # stays under 3.1 MB, 8 kept shapes under 25 MB
         for depth, r in self.KEPT_SHAPES:
-            space = make_tree_space(depth, r)
-            filtration_mod._kept_times.cache_clear()
+            filtration_mod._tree_shape.cache_clear()
+            space = make_tree_space(depth, r)  # a fresh shape, no family yet
             tracemalloc.start()
             try:
                 for tau in enumerate_stopping_times(space):
@@ -594,7 +641,7 @@ class TestKeptEnumeration:
         # copy is another key
         for depth, r in self.KEPT_SHAPES:
             times = list(enumerate_stopping_times(make_tree_space(depth, r)))
-            slots, matrices = filtration_mod._kept_times(depth, r).gather
+            slots, matrices = filtration_mod._tree_shape(depth, r).kept_family.gather
             counts = [m.shape[1] for m in matrices]
             flat = [flat_index_oracle(tau) for tau in times]
             assert counts == sorted(set(index.size for index in flat))
@@ -611,10 +658,10 @@ class TestKeptEnumeration:
         # per time from 65 times up (budget 320), and write nothing on the
         # times: the largest kept family (2049 times of 11 leaves) about
         # 0.22 MB; built once per shape, on first use
-        filtration_mod._kept_times(1, 2).gather  # numpy's first-call allocations
+        filtration_mod._tree_shape(1, 2).kept_family.gather  # numpy's first-call allocations
         for depth, r in self.KEPT_SHAPES:
-            filtration_mod._kept_times.cache_clear()
-            family = filtration_mod._kept_times(depth, r)
+            filtration_mod._tree_shape.cache_clear()
+            family = filtration_mod._tree_shape(depth, r).kept_family
             tracemalloc.start()
             try:
                 family.gather
@@ -622,7 +669,7 @@ class TestKeptEnumeration:
             finally:
                 tracemalloc.stop()
             assert held <= 320 * len(family.times) + 4096, (depth, r, held)
-            assert filtration_mod._kept_times(depth, r).gather is family.gather
+            assert filtration_mod._tree_shape(depth, r).kept_family.gather is family.gather
 
 
 class TestStoppedValue:

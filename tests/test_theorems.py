@@ -236,7 +236,7 @@ class TestApToTesting:
             random_positive(rng, space, 3.0),
         )
         fvecs = [random_fvec(rng, space, seq) for _ in range(2)]
-        filtration_mod._kept_times.cache_clear()  # fresh times, not yet scanned
+        filtration_mod._tree_shape.cache_clear()  # fresh times, not yet scanned
         taus = list(enumerate_stopping_times(space))
         assert len(taus) == 730
         # kept times are adapted by construction, so no time is scanned, and

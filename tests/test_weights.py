@@ -219,7 +219,7 @@ class TestSupportFamilies:
         # depth 0, branching 3, a 2-leaf space where draws repeat, and more
         # shapes, counts and seeds; also chunk by chunk at one row per chunk
         rng = np.random.default_rng(85)
-        weights_mod._drawn_supports.cache_clear()
+        weights_mod._family_store.cache_clear()
         for depth, branching in [(0, 2), (0, 3), (1, 2), (1, 3), (2, 2), (3, 2), (2, 3)]:
             space = make_tree_space(depth, branching, random_probs(rng, branching**depth))
             for count, seed in [(1, 0), (7, 1), (40, 2), (120, 2**40), (40, [3, 4])]:
@@ -239,7 +239,7 @@ class TestSupportFamilies:
 
     def test_sampled_family_is_cached_read_only_per_shape_count_and_seed(self):
         rng = np.random.default_rng(86)
-        cache = weights_mod._drawn_supports
+        cache = weights_mod._family_store
         cache.cache_clear()
         one, other = (make_tree_space(3, 2, random_probs(rng, 8)) for _ in range(2))
         family = {"count": 30, "seed": 5}
@@ -272,14 +272,14 @@ class TestSupportFamilies:
                                       support_family(space, {"count": 5, "seed": 1}))
 
     def test_sequence_seed_is_a_key_for_the_same_stream(self):
-        weights_mod._drawn_supports.cache_clear()
+        weights_mod._family_store.cache_clear()
         space = make_tree_space(3, 2)
         want = sampled_supports_oracle(space, {"count": 30, "seed": [1, 2]})
         first = family_masks(space, {"count": 30, "seed": [1, 2]})
         np.testing.assert_array_equal(first, want)
         for seed in ([1, 2], (1, 2), np.array([1, 2])):
             assert family_masks(space, {"count": 30, "seed": seed}) is first
-        assert weights_mod._drawn_supports.cache_info().currsize == 1
+        assert weights_mod._family_store.cache_info().currsize == 1
 
     @pytest.mark.parametrize("seed", [
         None, np.random.default_rng(87), np.random.PCG64(87), 3.0, 2.5, "7", True,
@@ -289,11 +289,11 @@ class TestSupportFamilies:
     def test_seed_that_fixes_no_stream_is_refused(self, seed):
         # a stream that is not reproducible from the family spec (None and a
         # Generator draw afresh) is refused, as is a seed that is no integer
-        weights_mod._drawn_supports.cache_clear()
+        weights_mod._family_store.cache_clear()
         space = make_tree_space(2, 2)
         with pytest.raises(ValueError, match="seed must be an integer or a list of integers"):
             support_family(space, {"count": 4, "seed": seed})
-        assert weights_mod._drawn_supports.cache_info().currsize == 0
+        assert weights_mod._family_store.cache_info().currsize == 0
 
     @pytest.mark.parametrize("seed", [[0, True], [True, 0], (3, False), np.array([True, False]),
                                       [[0, True]]],
@@ -824,7 +824,7 @@ class TestKeptTables:
         # "all" at 13 leaves (8,191 supports), and 256 samples at 512 leaves;
         # sample:32 at 4,096 leaves ends in the sampler's OverflowError
         # before any table (every 4,096-leaf shape overflows its counts)
-        weights_mod._support_table.cache_clear()
+        weights_mod._family_store.cache_clear()
         weights_mod._kept_masses.cache_clear()
         rng = np.random.default_rng(122)
         seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
@@ -844,7 +844,10 @@ class TestKeptTables:
             sp, rh = sp_constant_argmax(ws, family), rh_constant(ws, family)
             assert_same_scan(sp, streamed_scan(ws, family, weights_mod.sp_ratios, drawn))
             assert rh == streamed_scan(ws, family, weights_mod.rh_ratios, drawn)[0]
-        assert weights_mod._support_table.cache_info().currsize == 0
+        # the one kept entry is the 512-leaf family's drawn supports, which its
+        # scans stream: no table index was built for it
+        assert weights_mod._family_store.cache_info().currsize == 1
+        assert "entry" not in vars(weights_mod._family_store(9, 2, (256, 0)))
         assert weights_mod._kept_masses.cache_info().currsize == 0
 
     def test_one_scan_keys_a_streamed_sampled_family_once(self, monkeypatch):
@@ -865,7 +868,7 @@ class TestKeptTables:
             assert calls == [family]
 
     def test_tables_are_built_once_per_shape_and_family(self, monkeypatch):
-        weights_mod._support_table.cache_clear()
+        weights_mod._family_store.cache_clear()
         calls, original = [], weights_mod._entry_levels
 
         def counted(space, masks):
@@ -885,9 +888,10 @@ class TestKeptTables:
         sampled = [len(support_family(make_tree_space(depth, branching),
                                       {"count": 16, "seed": 1})) for depth, branching in [(3, 2), (2, 3)]]
         assert calls == [(255, 8), (sampled[0], 8), (511, 9), (sampled[1], 9)]
-        assert weights_mod._support_table.cache_info().currsize == 4
+        assert weights_mod._family_store.cache_info().currsize == 4
         table = weights_mod._family_source(make_tree_space(3, 2), "all")
-        assert not table.masks.flags.writeable and not table.entry_index.flags.writeable
+        assert not table.masks.flags.writeable
+        assert not table.entry_index(make_tree_space(3, 2)).flags.writeable
         np.testing.assert_array_equal(table.masks, support_family(make_tree_space(3, 2)))
 
     def test_support_masses_are_summed_once_per_system(self, monkeypatch):
@@ -926,15 +930,13 @@ class TestKeptTables:
                     scan(ws, family)
 
     def test_sampler_overflow_is_not_kept(self):
-        weights_mod._support_table.cache_clear()
-        weights_mod._drawn_supports.cache_clear()
+        weights_mod._family_store.cache_clear()
         space = make_tree_space(10, 2)  # the sampler overflows from binary depth 10
         ws = unit_weight_system(space, doubling_seq())
         for _ in range(2):
             with pytest.raises(OverflowError):
                 sp_constant(ws, {"count": 1, "seed": 0})
-        assert weights_mod._support_table.cache_info().currsize == 0
-        assert weights_mod._drawn_supports.cache_info().currsize == 0
+        assert weights_mod._family_store.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize(
