@@ -3,8 +3,9 @@
 
 Runs, in process and in pool order, every item of the first --blocks pool
 blocks (default: the whole pool) of one workload of
-perfbench/workloads.py, and prints the number of items and one sha256
-over each item's key, outcome and output repr.  The outcome is the kind
+perfbench/workloads.py, or of each in turn with --workload all, and prints
+one line per workload: its name, the number of items and one sha256 over
+each item's key, outcome and output repr.  The outcome is the kind
 the workload's own check gives ("ok", "verdict", "exit1", ...), or the type
 name of an exception that escaped the item, which then stands in for the
 output.  For cli_wide the output is the exit code and the report JSON the
@@ -17,6 +18,7 @@ checkout's src/; nothing under perfbench/ is written.
 Usage:
   python scripts/pool_dump.py --workload equiv_first
   python scripts/pool_dump.py --workload cli_wide --blocks 4
+  python scripts/pool_dump.py --workload all
 """
 
 import argparse
@@ -52,20 +54,23 @@ def item_records(workload, blocks: int):
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=list(workloads.BY_NAME))
+    parser.add_argument("--workload", required=True, choices=[*workloads.BY_NAME, "all"],
+                        help="one workload, or all of them, one line each")
     parser.add_argument("--blocks", type=int, default=None,
                         help="the first N pool blocks (default: the whole pool)")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as workdir:
-        workload = workloads.BY_NAME[args.workload](workdir)
-        blocks = workload.pool if args.blocks is None else args.blocks
-        if not 1 <= blocks <= workload.pool:
-            parser.error(f"--blocks must lie in 1..{workload.pool}")
-        h, count = hashlib.sha256(), 0
-        for record in item_records(workload, blocks):
-            h.update(repr(record).encode())
-            count += 1
-    print(f"{args.workload} {count} items {h.hexdigest()}")
+    names = list(workloads.BY_NAME) if args.workload == "all" else [args.workload]
+    for name in names:
+        with tempfile.TemporaryDirectory() as workdir:
+            workload = workloads.BY_NAME[name](workdir)
+            blocks = workload.pool if args.blocks is None else args.blocks
+            if not 1 <= blocks <= workload.pool:
+                parser.error(f"--blocks must lie in 1..{workload.pool} for {name}")
+            h, count = hashlib.sha256(), 0
+            for record in item_records(workload, blocks):
+                h.update(repr(record).encode())
+                count += 1
+        print(f"{name} {count} items {h.hexdigest()}", flush=True)
     return 0
 
 

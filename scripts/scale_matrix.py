@@ -11,12 +11,22 @@ exception that escaped the CLI, the wall time, the child's own peak RSS
 it: nothing about the machine is set or changed) and the size in bytes of
 the JSON report it wrote ("-" where it wrote none).
 
+The peak RSS cannot resolve a move of a few MB: the C allocator keeps
+freed blocks resident, so the same code can read 4 MB apart from one
+checkout directory to the next.  --traced runs each cell a second time,
+with the child tracing its own allocations under tracemalloc (numpy's
+arrays included) from before martbench is imported, and adds that run's
+traced peak as a last column, traced_MB.  The wall time and peak RSS
+stay the untraced run's.
+
 Usage:
   python scripts/scale_matrix.py
   python scripts/scale_matrix.py --commands sawyer-trace estimate-constant:weak --trees 2^20
+  python scripts/scale_matrix.py --commands estimate-constant:weak --trees 2^20 --traced
 """
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -39,6 +49,18 @@ COMMANDS = {
 TREES = [(2, d) for d in (4, 8, 12, 16, 20)] + [(3, d) for d in (2, 5, 8, 11)]
 SEQ = '{"head":[2.5,3.0],"tail_mass":0.2,"tail_ratio":0.5}'
 WEIGHTS = '{"generator":{"seed":1,"n_active":2,"spread":4.0}}'
+# the traced child: argv[1] receives the traced peak in bytes, the rest is the CLI's
+TRACED_CHILD = """
+import sys, tracemalloc
+tracemalloc.start()
+try:
+    from martbench import cli
+    code = cli.main(sys.argv[2:])
+finally:
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(tracemalloc.get_traced_memory()[1]))
+sys.exit(code)
+"""
 
 
 def cell_argv(command: str, branching: int, depth: int, out: str) -> list[str]:
@@ -54,6 +76,12 @@ def cell_argv(command: str, branching: int, depth: int, out: str) -> list[str]:
     ]
 
 
+def child_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def run_cell(command: str, branching: int, depth: int,
              workdir: str) -> tuple[str, float, float, int | None]:
     """(outcome, wall seconds, peak RSS in MB, report bytes or None) of one
@@ -61,13 +89,11 @@ def run_cell(command: str, branching: int, depth: int,
     of an escaped exception."""
     err_path = os.path.join(workdir, "stderr.txt")
     report = os.path.join(workdir, "report.json")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [os.path.join(ROOT, "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     argv = cell_argv(command, branching, depth, report)
     started = time.perf_counter()
     with open(err_path, "w") as err:
         child = subprocess.Popen([sys.executable, "-m", "martbench.cli", *argv],
-                                 stdout=subprocess.DEVNULL, stderr=err, env=env)
+                                 stdout=subprocess.DEVNULL, stderr=err, env=child_env())
         _, status, usage = os.wait4(child.pid, 0)
     seconds = time.perf_counter() - started
     child.returncode = os.waitstatus_to_exitcode(status)
@@ -82,22 +108,46 @@ def run_cell(command: str, branching: int, depth: int,
     return outcome, seconds, usage.ru_maxrss / 1024, size  # ru_maxrss is in KiB on Linux
 
 
+def traced_peak(command: str, branching: int, depth: int, workdir: str) -> float:
+    """The tracemalloc peak in MB of one cell run again in a child process
+    that traces its own allocations (TRACED_CHILD), NaN if the child was
+    killed before it wrote one; its outcome is the untraced run's, and its
+    report is removed."""
+    peak_path = os.path.join(workdir, "traced_peak.txt")
+    report = os.path.join(workdir, "report.json")
+    argv = cell_argv(command, branching, depth, report)
+    subprocess.run([sys.executable, "-c", TRACED_CHILD, peak_path, *argv],
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=child_env())
+    if os.path.exists(report):
+        os.remove(report)
+    if not os.path.exists(peak_path):
+        return math.nan
+    with open(peak_path) as fh:
+        peak = int(fh.read())
+    os.remove(peak_path)
+    return peak / 2**20
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--commands", nargs="+", choices=list(COMMANDS), default=list(COMMANDS))
     parser.add_argument("--trees", nargs="+", default=[f"{r}^{d}" for r, d in TREES],
                         help="trees as BRANCHING^DEPTH (default: the nine of the matrix)")
+    parser.add_argument("--traced", action="store_true",
+                        help="run each cell again under tracemalloc and add its peak, traced_MB")
     args = parser.parse_args(argv)
     trees = [tuple(map(int, tree.split("^"))) for tree in args.trees]
     print(f"{'command':<28} {'tree':>5} {'leaves':>8} {'outcome':>14} {'wall_s':>7} "
-          f"{'peak_MB':>8} {'report_B':>10}")
+          f"{'peak_MB':>8} {'report_B':>10}" + (f" {'traced_MB':>9}" if args.traced else ""))
     with tempfile.TemporaryDirectory() as workdir:
         for command in args.commands:
             for branching, depth in trees:
                 outcome, seconds, peak, size = run_cell(command, branching, depth, workdir)
+                traced = (f" {traced_peak(command, branching, depth, workdir):>9.1f}"
+                          if args.traced else "")
                 print(f"{command:<28} {branching}^{depth:<3} {branching**depth:>8} "
                       f"{outcome:>14} {seconds:>7.2f} {peak:>8.0f} "
-                      f"{'-' if size is None else size:>10}", flush=True)
+                      f"{'-' if size is None else size:>10}{traced}", flush=True)
     return 0
 
 

@@ -50,6 +50,16 @@ def _about(count: int) -> str:
     return f"about 10^{math.floor(math.log10(count))}"
 
 
+def _shown(n: int) -> str:
+    """An integer of any size for a message: its digits, or past the
+    interpreter's limit on converting an int to a string, _about's form (a
+    negative one in parentheses after its sign)."""
+    try:
+        return str(n)
+    except ValueError:
+        return _about(n) if n > 0 else f"-({_about(-n)})"
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     """A fresh array that nothing else holds, marked read-only in place, so
     that _read_only keeps it without a copy."""
@@ -281,13 +291,13 @@ def make_tree_space(
             raise ValueError(f"{name} must be an integer")
     depth, branching = int(depth), int(branching)
     if depth < 0:
-        raise ValueError(f"depth {depth} must be >= 0")
+        raise ValueError(f"depth {_shown(depth)} must be >= 0")
     if branching < 2:
-        raise ValueError(f"branching {branching} must be >= 2")
+        raise ValueError(f"branching {_shown(branching)} must be >= 2")
     # deeper than log2(MAX_LEAVES) every tree is past the guard; 3**(10**8) takes minutes
     if depth >= MAX_LEAVES.bit_length() or branching**depth > MAX_LEAVES:
-        raise ValueError(f"a tree of depth {depth} and branching {branching} exceeds the "
-                         f"{MAX_LEAVES} leaf guard")
+        raise ValueError(f"a tree of depth {_shown(depth)} and branching {_shown(branching)} "
+                         f"exceeds the {MAX_LEAVES} leaf guard")
     n = branching**depth
     if isinstance(leaf_probs, str):
         if leaf_probs != "uniform":

@@ -34,7 +34,7 @@ from .filtration import (
     as_leaf_vector,
     cond_exp_atoms,
 )
-from .report import REL_TOL, VerificationReport, _margin, _within_margin, check_inequality
+from .report import REL_TOL, VerificationReport, _margin, _power, _within_margin, check_inequality
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +79,8 @@ def trial_vector(
 ) -> FunctionVector:
     """The seeded trial vectors with m components: trial 0 is all ones,
     trial 1 the indicator of the first level-1 atom, and every later trial
-    draws log-uniform components in [1/spread, spread] from
-    default_rng([seed, trial])."""
+    has log-uniform components in [1/spread, spread], component i the
+    exponential of row i of the trial's one draw (_trial_block)."""
     if trial == 0:
         comps = [np.ones(space.n_leaves)] * m
     elif trial == 1:
@@ -88,10 +88,18 @@ def trial_vector(
         chi[space.atom_slice(min(1, space.depth), 0)] = 1.0
         comps = [chi] * m
     else:
-        rng = np.random.default_rng([seed, trial])
-        bound = math.log(spread)
-        comps = [np.exp(rng.uniform(-bound, bound, space.n_leaves)) for _ in range(m)]
+        comps = [np.exp(row) for row in _trial_block(space, m, seed, trial, spread)]
     return FunctionVector(tuple(map(_frozen, comps)), None)  # fresh: kept without a copy
+
+
+def _trial_block(space: TreeSpace, m: int, seed: int, trial: int, spread: float) -> np.ndarray:
+    """The (m, leaves) log-component draw of a drawn trial: one
+    default_rng([seed, trial]).uniform(-log spread, log spread) call, the
+    stream of m per-component draws of one row each, in component order.
+    The one trial generator: trial_vector and the strong estimate's stacks
+    (theorems._strong_ratios) exponentiate its rows."""
+    bound = math.log(spread)
+    return np.random.default_rng([seed, trial]).uniform(-bound, bound, (m, space.n_leaves))
 
 
 def _check_alignment(fvec: FunctionVector, seq: ExponentSequence) -> None:
@@ -103,13 +111,15 @@ def _check_alignment(fvec: FunctionVector, seq: ExponentSequence) -> None:
 
 def _component_slots(space: TreeSpace, active, weights, seq: ExponentSequence) -> list:
     """(f_i, w_i) pairs over the occupied head slots; an f or w past the
-    supplied ones is the constant 1."""
+    supplied ones is the constant 1, built only when a slot needs it."""
     used = max(len(active), len(weights))
     if used > seq.head_len:
         raise ValueError(f"{used} components exceed exponent head length {seq.head_len}")
-    ones = np.ones(space.n_leaves)
-    fs = list(active) + [ones] * (used - len(active))
-    ws = list(weights) + [ones] * (used - len(weights))
+    fs, ws = list(active), list(weights)
+    if len(fs) < used or len(ws) < used:
+        ones = np.ones(space.n_leaves)
+        fs += [ones] * (used - len(fs))
+        ws += [ones] * (used - len(ws))
     return list(zip(fs, ws))
 
 
@@ -120,9 +130,8 @@ def _norm_parts(
     head slot g = w_i |f_i chi_Q|**p_i and e = 1/p_i and, under a mask Q (a
     leaf mask or a (K, leaves) stack), the pair (chi_Q, pad) for the padded
     head slots and the infinite tail, with pad = 1/p - sum of e.  Each caller
-    takes its own sum."""
-    if not all(np.greater(w, 0.0).all() for w in weights):
-        raise ValueError("weight must be strictly positive")
+    takes its own sum.  The weights are taken as positive: a WeightSystem's
+    are checked when it is made, function_norms_product checks its caller's."""
     with np.errstate(over="ignore"):  # an overflowed factor is inf, and fails its report
         parts = [(w * np.abs(f if mask is None else f * mask) ** p_i, 1.0 / p_i)
                  for (f, w), p_i in zip(_component_slots(space, active, weights, seq), seq.head)]
@@ -251,7 +260,10 @@ def function_norms_product(
     mask, so the masked head padding and tail contribute |Q|**pad in closed
     form.
     """
-    parts = _norm_parts(space, fvec.active, seq, () if weights is None else weights, fvec.mask)
+    weights = () if weights is None else weights
+    if not all(np.greater(w, 0.0).all() for w in weights):
+        raise ValueError("weight must be strictly positive")
+    parts = _norm_parts(space, fvec.active, seq, weights, fvec.mask)
     return _norms_product((space.leaf_probs * g, e) for g, e in parts)
 
 
@@ -261,13 +273,14 @@ def _row_norms_products(space: TreeSpace, active, seq: ExponentSequence, weights
     under a (T, leaves) mask stack, with the pad factor |Q|**pad only where
     padded[t]: an unmasked row carries an all-true mask, under which f * True
     is exact.  Each sum runs along the last axis, bit for bit the 1-D sum, and
-    each power is taken on an np.float64 scalar, as function_norms_product
-    takes it (an array power may differ from the scalar one in the last ulp)."""
-    sums = [((space.leaf_probs * g).sum(-1), e)
-            for g, e in _norm_parts(space, active, seq, weights, masks)]
+    each power is taken on a Python float (_power: inf past the float range),
+    the C pow of function_norms_product's np.float64 scalar powers; an array
+    power may differ from the scalar one in the last ulp."""
     with np.errstate(over="ignore"):  # a norm product past the float range is inf
-        return [float(math.prod((s[t] ** e for s, e in sums[:len(sums) - (not pad)]), start=1.0))
-                for t, pad in enumerate(padded)]
+        sums = [((space.leaf_probs * g).sum(-1).tolist(), e)
+                for g, e in _norm_parts(space, active, seq, weights, masks)]
+    return [math.prod((_power(s[t], e) for s, e in sums[:len(sums) - (not pad)]), start=1.0)
+            for t, pad in enumerate(padded)]
 
 
 def holder_integral_check(

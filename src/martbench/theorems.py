@@ -44,6 +44,7 @@ from .holder import (
     _norms_product,
     _pad,
     _row_norms_products,
+    _trial_block,
     function_norms_product,
     level_product_atoms,
     trial_vector,
@@ -700,32 +701,42 @@ _CONSTANT_IDS = ("testing", "weak", "strong", "sp-test")
 
 def _strong_ratios(ws: WeightSystem, trials: int, seed: int) -> list[float]:
     """The ratio ||M(g sigma)||_{L^p(v)} / prod ||g_i||_{L^{p_i}(sigma_i)} of
-    every trial of estimate_best_constant("strong"), in one stacked pass: the
-    trials' components as (trials, leaves) stacks through _strong_rows, under
-    a mask stack in which an unmasked trial has an all-true row (f * True and
-    the tail factor x True are exact).  The L^p(v) sums run along the last
-    axis, bit for bit lp_norm's 1-D sums, and the final powers are taken per
-    trial on np.float64 scalars, as lp_norm takes them."""
+    every trial of estimate_best_constant("strong"), in one stacked pass with
+    no per-trial vector: the components fill one (m, trials, leaves) stack in
+    place, trial t's as trial_vector builds them (from trial 3 on each
+    _trial_block exponentiated straight into its rows), except trial 2, all
+    ones under the testing witness.  The masks are one (trials, leaves) stack,
+    all true but at trial 2 (f * True and the tail factor x True are exact).
+    The L^p(v) sums run along the last axis, bit for bit lp_norm's 1-D sums,
+    and each final power is taken on a Python float (_power), the C pow of
+    lp_norm's np.float64 scalar power; an array power may differ in the last
+    ulp."""
     space, seq = ws.space, ws.seq
     p = 1.0 / seq.aggregate_reciprocal
     m = seq.head_len
-    vectors = [trial_vector(space, m, seed, trial, 1e3) for trial in range(trials) if trial != 2]
-    if trials > 2:
+    witness = None
+    if trials > 2:  # found before the stacks are allocated, so a scan's peak is not added
         # the testing family embeds via g_i = chi_F for every component, tail
         # included: a masked all-ones vector; above 4096 supports the witness
         # comes from a 256-sample family
         family = "all" if 2**space.n_leaves - 1 <= 4096 else {"count": 256, "seed": 0}
         witness = sp_constant_argmax(ws, family)[1]
-        vectors.insert(2, FunctionVector((np.ones(space.n_leaves),) * m, witness))
-    masks = _frozen(np.array([np.ones(space.n_leaves, bool) if fv.mask is None else fv.mask
-                              for fv in vectors]))
-    comps = tuple(_frozen(np.stack(c)) for c in zip(*(fv.active for fv in vectors)))
+    comps = np.ones((m, trials, space.n_leaves))
+    masks = np.ones((trials, space.n_leaves), dtype=bool)
+    if trials > 1:
+        comps[:, 1] = 0.0
+        comps[:, 1, space.atom_slice(min(1, space.depth), 0)] = 1.0
+    if witness is not None:  # no witness leaves trial 2 unmasked: a None row reads all false
+        masks[2] = witness
+    padded = [trial == 2 and witness is not None for trial in range(trials)]
+    for trial in range(3, trials):
+        np.exp(_trial_block(space, m, seed, trial, 1e3), out=comps[:, trial])
+    comps, masks = tuple(_frozen(comps)), _frozen(masks)  # rows of read-only stacks: no copies
     maximal = space.level_sup(_strong_rows(ws, FunctionVector(comps, masks)))
-    rhs = _row_norms_products(space, comps, seq, ws.sigmas, masks,
-                              [fv.mask is not None for fv in vectors])
+    rhs = _row_norms_products(space, comps, seq, ws.sigmas, masks, padded)
     with np.errstate(over="ignore"):  # a norm past the float range is inf
         sums = (space.leaf_probs * ws.v * np.abs(maximal) ** p).sum(-1)
-        lhs = [float(s ** (1.0 / p)) for s in sums]
+    lhs = [_power(s, 1.0 / p) for s in sums.tolist()]
     return [0.0 if r <= 0.0 else l / r for l, r in zip(lhs, rhs)]
 
 

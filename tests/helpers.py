@@ -527,10 +527,16 @@ def norms_product_oracle(space: TreeSpace, fvec: FunctionVector, seq, weights=()
 
 
 def strong_estimate_oracle(ws, trials: int, seed: int) -> float:
-    """estimate_best_constant("strong") one trial at a time: per trial vector
-    (trial_vector, and at trial 2 the all-ones vector masked by the testing
-    witness), lp_norm of the maximal function of (g_i sigma_i) against v over
-    function_norms_product against the sigma_i."""
+    """estimate_best_constant("strong") one trial at a time: the largest of
+    strong_ratios_oracle (a NaN ratio propagates)."""
+    return float(np.max(strong_ratios_oracle(ws, trials, seed)))
+
+
+def strong_ratios_oracle(ws, trials: int, seed: int) -> list[float]:
+    """The ratio of every trial of estimate_best_constant("strong"), one trial
+    at a time: per trial vector (trial_vector, and at trial 2 the all-ones
+    vector masked by the testing witness), lp_norm of the maximal function of
+    (g_i sigma_i) against v over function_norms_product against the sigma_i."""
     space, seq = ws.space, ws.seq
     p = 1.0 / seq.aggregate_reciprocal
     m = seq.head_len
@@ -549,7 +555,7 @@ def strong_estimate_oracle(ws, trials: int, seed: int) -> float:
         lhs = lp_norm(space, rows.max(axis=0), p, ws.v)
         rhs = function_norms_product(space, fvec, seq, ws.sigmas)
         ratios.append(0.0 if rhs <= 0.0 else lhs / rhs)
-    return float(np.max(ratios))
+    return ratios
 
 
 def stopped_rewards_oracle(space: TreeSpace, atoms: np.ndarray, reward: np.ndarray,

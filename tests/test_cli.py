@@ -800,13 +800,21 @@ class TestEntryPoints:
         command, tree, leaves, outcome, seconds, peak, size = row.split()
         assert (command, tree, leaves, outcome) == ("check-holder", "2^4", "16", "0")
         assert float(seconds) > 0.0 and float(peak) > 0.0 and int(size) > 0
+        # --traced runs the cell again under tracemalloc and adds its peak last
+        assert matrix.main(["--commands", "check-holder", "--trees", "2^4", "--traced"]) == 0
+        traced_header, row = capsys.readouterr().out.splitlines()
+        assert traced_header.split() == header.split() + ["traced_MB"]
+        *columns, traced = row.split()
+        assert columns[:4] == ["check-holder", "2^4", "16", "0"] and 0.0 < float(traced)
 
     def test_pool_dump(self, capsys):
         # one block of a tree workload and of the scalar one, each hashed the
-        # same twice: the line is a function of the code's outputs alone
+        # same twice: the line is a function of the code's outputs alone;
+        # "all" prints every workload's own line, in the benchmark's order
         spec = importlib.util.spec_from_file_location("pool_dump", ROOT / "scripts" / "pool_dump.py")
         dump = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(dump)
+        single = {}
         for workload in ("equiv_first", "scalar_suite"):
             lines = []
             for _ in range(2):
@@ -815,6 +823,12 @@ class TestEntryPoints:
             assert lines[0] == lines[1]
             name, count, label, sha = lines[0].split()
             assert (name, count, label) == (workload, "10", "items") and len(sha) == 64
+            single[workload] = lines[0].rstrip("\n")
+        assert dump.main(["--workload", "all", "--blocks", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == [
+            "equiv_first", "equiv_second", "cli_wide", "scalar_suite"]
+        assert [lines[0], lines[3]] == [single["equiv_first"], single["scalar_suite"]]
         with pytest.raises(SystemExit):
             dump.main(["--workload", "equiv_first", "--blocks", "0"])
 

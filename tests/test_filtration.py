@@ -203,6 +203,22 @@ class TestTreeSpace:
         assert str(raised.value) == (f"a tree of depth {depth} and branching {branching} "
                                      "exceeds the 1048576 leaf guard")
 
+    @pytest.mark.parametrize("depth, branching, message", [
+        (1, 10**5000, "a tree of depth 1 and branching about 10^5000 exceeds the 1048576 "
+                      "leaf guard"),
+        (10**5000, 2, "a tree of depth about 10^5000 and branching 2 exceeds the 1048576 "
+                      "leaf guard"),
+        (-10**5000, 2, "depth -(about 10^5000) must be >= 0"),
+        (1, -10**5000, "branching -(about 10^5000) must be >= 2"),
+    ], ids=["branching", "depth", "negative-depth", "negative-branching"])
+    def test_shape_past_the_int_string_limit_is_named_in_the_message(self, depth, branching,
+                                                                     message):
+        # Python refuses to convert an int of more than 4,300 digits to a
+        # string: the message writes such a number as "about 10^k"
+        with pytest.raises(ValueError) as raised:
+            make_tree_space(depth, branching)
+        assert str(raised.value) == message
+
     def test_json_round_trip(self):
         space = make_tree_space(2, 3)
         again = space_from_json(space.to_json())

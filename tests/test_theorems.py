@@ -1438,12 +1438,13 @@ class TestEstimates:
             weak_lp_norm(space, gen_doob_maximal(space, fv, seq), p, ws.v)
             / function_norms_product(space, fv, seq, ws.active_weights) for fv in fvecs)
 
-    @pytest.mark.parametrize("depth, branching", [(1, 2), (2, 2), (3, 2), (2, 3), (4, 2), (5, 2),
-                                                  (3, 4)])
-    def test_strong_estimate_matches_the_per_trial_oracle(self, depth, branching):
+    @pytest.mark.parametrize("shape", [*SHAPES, (4, 2), (5, 2), (3, 4)], ids=shape_id)
+    def test_strong_estimate_matches_the_per_trial_oracle(self, shape):
         # every trial in one (trials, leaves) stack, bit for bit the per-trial
-        # loop: head lengths 1-3, finite and infinite tails, 0 to a full head of
-        # weights; from 16 leaves trial 2 takes the 256-sample family's witness
+        # loop, ratio by ratio: head lengths 1-3, finite and infinite tails, 0
+        # to a full head of weights, 1 to 6 and 16 trials; from 16 leaves
+        # trial 2 takes the 256-sample family's witness
+        depth, branching = shape
         rng = np.random.default_rng([91, depth, branching])
         for k in range(6):
             n = branching**depth
@@ -1452,9 +1453,17 @@ class TestEstimates:
             seq = make_exponent_sequence(head, *((0.0,) if k % 2 else (0.3, 0.6)))
             weights = [random_positive(rng, space, 3.0) for _ in range(rng.integers(len(head) + 1))]
             ws = make_weight_system(space, seq, weights, random_positive(rng, space, 3.0))
-            for trials in (1, 2, 3, 6, 16):
-                estimate = estimate_best_constant("strong", ws, trials, k)
-                assert estimate == strong_estimate_oracle(ws, trials, k)
+            for trials in (1, 2, 3, 4, 5, 6, 16):
+                if trials > 2 and n >= 1024:
+                    # the witness family's sampler (sample_stopping_time)
+                    # overflows a float from binary depth 10 on: both raise
+                    for ratios_of in (theorems_mod._strong_ratios, helpers.strong_ratios_oracle):
+                        with pytest.raises(OverflowError):
+                            ratios_of(ws, trials, k)
+                    continue
+                ratios = theorems_mod._strong_ratios(ws, trials, k)
+                assert ratios == helpers.strong_ratios_oracle(ws, trials, k)
+                assert estimate_best_constant("strong", ws, trials, k) == max(ratios)
 
     def test_strong_estimate_of_a_unit_system_and_with_no_witness(self, monkeypatch):
         space = make_tree_space(2, 2)
@@ -1468,12 +1477,32 @@ class TestEstimates:
         ws = make_weight_system(space, doubling_seq(), [np.full(4, 1e30)], np.full(4, 1e-300))
         assert weights_mod.sp_constant_argmax(ws) == (0.0, None)
         assert estimate_best_constant("strong", ws, 6, 4) == strong_estimate_oracle(ws, 6, 4)
-        # a witness of None on a system with positive ratios
+        # a witness of None on a system with positive ratios: trial 2 stays
+        # unmasked and unpadded, the all-ones vector of trial 0 (None written
+        # into a bool mask row would make it all false, and the ratio 0)
         ws = example_system()
         for module in (theorems_mod, helpers):
             monkeypatch.setattr(module, "sp_constant_argmax", lambda *a: (0.0, None))
-        estimate = estimate_best_constant("strong", ws, 6, 4)
-        assert estimate > 0.0 and estimate == strong_estimate_oracle(ws, 6, 4)
+        ratios = theorems_mod._strong_ratios(ws, 6, 4)
+        assert ratios[2] == ratios[0] > 0.0
+        assert ratios == helpers.strong_ratios_oracle(ws, 6, 4)
+        assert estimate_best_constant("strong", ws, 6, 4) == strong_estimate_oracle(ws, 6, 4)
+
+    def test_strong_norm_factors_of_inf_and_0_give_a_nan_ratio(self):
+        # one leaf, p_1 = p_2 = 150: trial 5 of seed 3 draws g = (0.0066,
+        # 200.7), whose norm factors underflow to 0 and overflow to inf; their
+        # product on Python floats is NaN, with no warning, and the NaN ratio
+        # is the estimate
+        space = make_tree_space(0, 2)
+        ws = unit_weight_system(space, make_exponent_sequence([150.0, 150.0], 0.0), 2)
+        with np.errstate(over="ignore"):
+            assert [float(g[0] ** 150.0) for g in trial_vector(space, 2, 3, 5, 1e3).active] == [
+                0.0, math.inf]
+        ratios = theorems_mod._strong_ratios(ws, 6, 3)
+        assert [math.isnan(r) for r in ratios] == [False] * 5 + [True]
+        assert math.isnan(estimate_best_constant("strong", ws, 6, 3))
+        with np.errstate(invalid="ignore"):  # the oracle's np.float64 inf * 0 warns
+            np.testing.assert_array_equal(ratios, helpers.strong_ratios_oracle(ws, 6, 3))
 
     def test_nan_norm_product_propagates_in_every_form(self, monkeypatch):
         # one ratio rule, 0.0 if rhs <= 0.0 else lhs / rhs: a NaN right side
