@@ -77,29 +77,32 @@ def function_vector_from_json(space: TreeSpace, obj: dict) -> FunctionVector:
 def trial_vector(
     space: TreeSpace, m: int, seed: int, trial: int, spread: float
 ) -> FunctionVector:
-    """The seeded trial vectors with m components: trial 0 is all ones,
-    trial 1 the indicator of the first level-1 atom, and every later trial
-    has log-uniform components in [1/spread, spread], component i the
-    exponential of row i of the trial's one draw (_trial_block)."""
+    """The seeded trial vector with m components: the rows of its
+    _trial_block, read-only and kept without a copy."""
+    shared = trial in (0, 1)  # one row, which every component shares
+    block = _frozen(_trial_block(space, m, seed, trial, spread,
+                                 np.empty((1 if shared else m, space.n_leaves))))
+    return FunctionVector((block[0],) * m if shared else tuple(block), None)
+
+
+def _trial_block(space: TreeSpace, m: int, seed: int, trial: int, spread: float,
+                 out: np.ndarray) -> np.ndarray:
+    """Fills out, an (m, leaves) array (any rows for trials 0 and 1), with
+    the trial's m components and returns it: trial 0 all ones, trial 1 the
+    indicator of the first level-1 atom, later trials log-uniform in
+    [1/spread, spread], the exponential of one default_rng([seed, trial])
+    uniform draw, taken into out.  The one trial generator, of trial_vector
+    and of theorems._strong_ratios."""
     if trial == 0:
-        comps = [np.ones(space.n_leaves)] * m
+        out[:] = 1.0
     elif trial == 1:
-        chi = np.zeros(space.n_leaves)
-        chi[space.atom_slice(min(1, space.depth), 0)] = 1.0
-        comps = [chi] * m
+        out[:] = 0.0
+        out[:, space.atom_slice(min(1, space.depth), 0)] = 1.0
     else:
-        comps = [np.exp(row) for row in _trial_block(space, m, seed, trial, spread)]
-    return FunctionVector(tuple(map(_frozen, comps)), None)  # fresh: kept without a copy
-
-
-def _trial_block(space: TreeSpace, m: int, seed: int, trial: int, spread: float) -> np.ndarray:
-    """The (m, leaves) log-component draw of a drawn trial: one
-    default_rng([seed, trial]).uniform(-log spread, log spread) call, the
-    stream of m per-component draws of one row each, in component order.
-    The one trial generator: trial_vector and the strong estimate's stacks
-    (theorems._strong_ratios) exponentiate its rows."""
-    bound = math.log(spread)
-    return np.random.default_rng([seed, trial]).uniform(-bound, bound, (m, space.n_leaves))
+        bound = math.log(spread)
+        draw = np.random.default_rng([seed, trial]).uniform(-bound, bound, (m, space.n_leaves))
+        np.exp(draw, out=out)
+    return out
 
 
 def _check_alignment(fvec: FunctionVector, seq: ExponentSequence) -> None:
@@ -146,13 +149,13 @@ def _pad(seq: ExponentSequence, parts) -> float:
     return seq.aggregate_reciprocal - math.fsum(e for _, e in parts)
 
 
-def _norms_product(masses) -> float:
-    """prod (sum m)**e over (leaf masses m, exponent e) pairs, the masses of
-    _norm_parts' factors (leaf_probs * g): each sum along the leaves, each
-    power on its np.float64 sum, the product from 1.0 in order.  The one
-    formula of function_norms_product and of the kept per-pair product of
-    theorems._testing_parts."""
-    return float(math.prod((m.sum() ** e for m, e in masses), start=1.0))
+def _norms_product(sums, exponents) -> float:
+    """prod s**e in order from 1.0 over the Python float sums s of the leaf
+    masses (leaf_probs * g) of _norm_parts' factors and their exponents e,
+    each power by _power, the C pow (an array power may differ in the last
+    ulp): inf past the float range, and inf * 0 NaN without a warning.  The
+    one rule of function_norms_product, _row_norms_products, _testing_parts."""
+    return math.prod(map(_power, sums, exponents), start=1.0)
 
 
 def lp_norm(space: TreeSpace, f: np.ndarray, p: float, weight=None) -> float:
@@ -264,7 +267,8 @@ def function_norms_product(
     if not all(np.greater(w, 0.0).all() for w in weights):
         raise ValueError("weight must be strictly positive")
     parts = _norm_parts(space, fvec.active, seq, weights, fvec.mask)
-    return _norms_product((space.leaf_probs * g, e) for g, e in parts)
+    return _norms_product([float((space.leaf_probs * g).sum()) for g, _ in parts],
+                          [e for _, e in parts])
 
 
 def _row_norms_products(space: TreeSpace, active, seq: ExponentSequence, weights, masks,
@@ -272,15 +276,14 @@ def _row_norms_products(space: TreeSpace, active, seq: ExponentSequence, weights
     """function_norms_product of each row t of (T, leaves) component stacks
     under a (T, leaves) mask stack, with the pad factor |Q|**pad only where
     padded[t]: an unmasked row carries an all-true mask, under which f * True
-    is exact.  Each sum runs along the last axis, bit for bit the 1-D sum, and
-    each power is taken on a Python float (_power: inf past the float range),
-    the C pow of function_norms_product's np.float64 scalar powers; an array
-    power may differ from the scalar one in the last ulp."""
+    is exact.  Each sum runs along the last axis, bit for bit the 1-D sum,
+    and each row's product is _norms_product's."""
     with np.errstate(over="ignore"):  # a norm product past the float range is inf
-        sums = [((space.leaf_probs * g).sum(-1).tolist(), e)
-                for g, e in _norm_parts(space, active, seq, weights, masks)]
-    return [math.prod((_power(s[t], e) for s, e in sums[:len(sums) - (not pad)]), start=1.0)
-            for t, pad in enumerate(padded)]
+        parts = _norm_parts(space, active, seq, weights, masks)
+        sums = [(space.leaf_probs * g).sum(-1).tolist() for g, _ in parts]
+    exponents = [e for _, e in parts]  # the pad exponent last: a row without it stops short
+    return [_norms_product(row[:len(row) - (not pad)], exponents)
+            for row, pad in zip(zip(*sums), padded)]
 
 
 def holder_integral_check(

@@ -90,7 +90,7 @@ def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     with np.errstate(over="ignore", invalid="ignore"):
         masses = [(_frozen(space.leaf_probs * g), e)
                   for g, e in _norm_parts(space, fvec.active, seq, ws.active_weights, fvec.mask)]
-        rhs = _norms_product(masses)
+        rhs = _norms_product([float(m.sum()) for m, _ in masses], [e for _, e in masses])
         if fvec.mask is None:
             masses.append((space.leaf_probs, _pad(seq, masses)))
         atoms = level_product_atoms(space, fvec, seq)
@@ -102,19 +102,18 @@ def _testing_parts(ws: WeightSystem, fvec: FunctionVector) -> tuple:
 @_keep_last
 def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     """What a per-time report of the last (system, vector) pair reads:
-    (slots, row by slot, rhs, ap_max, digest), a row (lhs, slack, verdict,
-    finite leaves).  A slot's left side is _power(reward, 1/p) of its stopped
-    reward, one gather and row sum per finite-leaf count (_KeptFamily.gather),
-    bit for bit the sum of the time's own gather; the powers are the float
-    power, which is _power's where none overflows, and are redone by _power
-    where one does.  Its slack and verdict are check_inequality's at REL_TOL,
-    from the same float operations (the bound c_a * rhs, the slack bound -
+    (slots, row by slot), a row (lhs, slack, verdict, finite leaves).  A
+    slot's left side is _power(reward, 1/p) of its stopped reward, one
+    gather and row sum per finite-leaf count (_KeptFamily.gather), bit for
+    bit the sum of the time's own gather; the powers are the float power,
+    which is _power's where none overflows, and are redone by _power where
+    one does.  Its slack and verdict are check_inequality's at REL_TOL, from
+    the same float operations (the bound ap_max * rhs, the slack bound -
     lhs, the verdict lhs <= _margin(bound)), and the verdict is None where
     the left side or the bound is not finite (when all are, the verdicts are
     one bool array).  The slot map is empty where the family streams."""
     family = ws.space.shape.kept_family
     _, rhs, reward, _ = _testing_parts(ws, fvec)
-    rhs, c_a = float(rhs), float(ws.ap_max)
     slots, rows = {}, []
     if family is not None:
         slots, matrices = family.gather
@@ -124,7 +123,7 @@ def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
             lhs = list(map(pow, sums, itertools.repeat(rp)))
         except OverflowError:
             lhs = [_power(r, rp) for r in sums]
-        bound, sides = c_a * rhs, np.array(lhs)
+        bound, sides = ws.ap_max * rhs, np.array(lhs)
         if math.isfinite(bound) and np.isfinite(sides).all():
             verdicts = sides <= _margin(bound)
         else:
@@ -133,7 +132,7 @@ def _family_reports(ws: WeightSystem, fvec: FunctionVector) -> tuple:
         with np.errstate(invalid="ignore"):  # inf - inf, in a row whose verdict is None
             slack = (bound - sides).tolist()
         rows = list(zip(lhs, slack, verdicts.tolist(), family.finite_leaves))
-    return slots, rows, rhs, c_a, ws.space.digest
+    return slots, rows
 
 
 def verify_ap_to_testing(
@@ -155,12 +154,12 @@ def verify_ap_to_testing(
     reward (_stopped_sums of a one-row block), bit for bit the table's entry;
     it, a non-finite side and any other tolerance build the report in
     check_inequality."""
+    rhs, c_a, digest = _testing_parts(ws, fvec)[1], ws.ap_max, ws.space.digest
     if tau is None:
         lhs = _power(snell_testing_sup(ws, fvec), ws.seq.aggregate_reciprocal)
-        rhs, c_a = _testing_parts(ws, fvec)[1], ws.ap_max
         return check_inequality("ap-to-testing", lhs, rhs, c_a, tolerance,
-                                {"stopping_sup": "exact", "space": ws.space.digest})
-    slots, rows, rhs, c_a, digest = _family_reports(ws, fvec)
+                                {"stopping_sup": "exact", "space": digest})
+    slots, rows = _family_reports(ws, fvec)
     slot = slots.get(tau)
     if slot is not None:
         lhs, slack, passed, leaves = rows[slot]
@@ -188,16 +187,18 @@ def verify_testing_to_weak(
     time just below t has support exactly {maximal >= t}; the stopped
     product dominates t there, so
     t * |{maximal >= t}|_v**(1/p) <= testing side <= c_test * norm product.
-    The stopped rewards come from _stopped_rewards.  The report checks the
-    largest term (weak_lp_norm's value) against the right end; an overflowed
-    or NaN maximal value fails it.
+    Each threshold's stopped reward is the _stopped_sums of its row of a
+    passage block (_passage_blocks).  The report checks the largest term
+    (weak_lp_norm's value) against the right end; an overflowed or NaN
+    maximal value fails it.
     """
     space, rp = ws.space, ws.seq.aggregate_reciprocal
     p = 1.0 / rp
     atoms, rhs, reward, _ = _testing_parts(ws, fvec)
     thresholds, masses = _level_sets(space.level_sup(atoms), space.leaf_probs * ws.v)
     # X_n > nextafter(t, 0) is X_n >= t: the support is {maximal >= t}
-    stopped = _stopped_rewards(space, atoms, reward, np.nextafter(thresholds, 0.0))
+    blocks = _passage_blocks(space, atoms, np.nextafter(thresholds, 0.0))
+    stopped = np.concatenate([np.empty(0), *(_stopped_sums(space, reward, b) for b in blocks)])
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0, fails below
         weak = thresholds * masses ** (1.0 / p)  # weak_lp_norm's terms, bit for bit
         within = _within_margin(weak, stopped ** rp, tolerance)
@@ -211,14 +212,6 @@ def verify_testing_to_weak(
     )
     report.passed = report.passed and bool(within.all())
     return report
-
-
-def _stopped_rewards(space, atoms: np.ndarray, reward: np.ndarray,
-                     thresholds: np.ndarray) -> np.ndarray:
-    """Per threshold, the reward summed over the finite leaves of the first
-    passage above it: _stopped_sums of each block of _passage_blocks."""
-    return np.concatenate([np.empty(0), *(_stopped_sums(space, reward, block)
-                                          for block in _passage_blocks(space, atoms, thresholds))])
 
 
 def _stopped_sums(space, reward: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -295,9 +288,9 @@ def _band_sums(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     chi_Q is 1, off it w * 0**p is +0.0, so each row holds the sliced
     vector's _norm_parts factor as floats in the same layout, and nothing is
     powered per band (a product by the mask would turn an overflowed inf off
-    the slice into NaN).  Leaf masks come in chunks of at most
-    weights.SCAN_CHUNK_FLOATS / (factors + 1) entries.  partitions maps n to
-    {k: the slice's leaf list up to 64 leaves, its leaf count above}."""
+    the slice into NaN).  Leaf masks come in chunks (weights._chunks) of
+    factors + 1 floats per leaf.  partitions maps n to {k: the slice's leaf
+    list up to 64 leaves, its leaf count above}."""
     space = ws.space
     atoms, _, _, masses = _testing_parts(ws, fvec)
     bands_at = band_index(atoms)
@@ -309,16 +302,15 @@ def _band_sums(ws: WeightSystem, fvec: FunctionVector) -> tuple:
     weighted = space.leaf_probs * ws.v
     v_sums = np.empty(levels.size)
     factor_sums = np.empty((len(masses), levels.size))
-    chunk = max(1, weights.SCAN_CHUNK_FLOATS // ((len(masses) + 1) * space.n_leaves))
     small = space.n_leaves <= 64
     partitions = {}
-    for at in range(0, levels.size, chunk):
-        n_c, k_c = levels[at:at + chunk], ks[at:at + chunk]
+    for chunk in weights._chunks(levels.size, space, (len(masses) + 1) * space.n_leaves):
+        n_c, k_c = levels[chunk], ks[chunk]
         bands = bi[n_c] == k_c[:, None]
         sliced = bands if fvec.mask is None else bands & fvec.mask
-        v_sums[at:at + chunk] = np.where(bands, weighted, 0.0).sum(-1)
+        v_sums[chunk] = np.where(bands, weighted, 0.0).sum(-1)
         for row, (mass, _) in zip(factor_sums, masses):
-            row[at:at + chunk] = np.where(sliced, mass, 0.0).sum(-1)
+            row[chunk] = np.where(sliced, mass, 0.0).sum(-1)
         counts = bands.sum(-1).tolist()
         if small:  # each band's leaves: a run of the row-major nonzero columns
             leaves = bands.nonzero()[1].tolist()
@@ -491,11 +483,10 @@ def sawyer_decomposition(ws: WeightSystem, gvec: FunctionVector) -> SawyerTrace:
 
 def _passage_blocks(space, atoms: np.ndarray, thresholds: np.ndarray):
     """The first passages of the thresholds (TreeSpace.first_passages), as
-    read-only (B, leaves) blocks of consecutive thresholds of at most
-    weights.SCAN_CHUNK_FLOATS entries each (B at least 1)."""
-    step = max(1, weights.SCAN_CHUNK_FLOATS // space.n_leaves)
-    for at in range(0, thresholds.size, step):
-        yield _frozen(space.first_passages(atoms, thresholds[at:at + step]))
+    read-only (B, leaves) blocks of consecutive thresholds, one per
+    weights._chunks slice."""
+    for chunk in weights._chunks(thresholds.size, space):
+        yield _frozen(space.first_passages(atoms, thresholds[chunk]))
 
 
 @_keep_last
@@ -591,10 +582,10 @@ def sawyer_trace_invariants(ws: WeightSystem, trace: SawyerTrace) -> dict:
     stored masks, times and maximal values alone: the band cells are
     disjoint, cover their bands, sit inside their envelopes, the envelopes
     belong to the stopped sigma-fields, and the cell measure is nonnegative;
-    and the maximal function is finite.  The cells are scanned in stacks of
-    at most weights.SCAN_CHUNK_FLOATS entries.  A band covers its cells'
-    slices exactly when no slice leaves its own band and every leaf of a
-    band lies in a slice of that band: one comparison per stack with the
+    and the maximal function is finite.  The cells are scanned in stacks,
+    one per weights._chunks slice.  A band covers its cells' slices exactly
+    when no slice leaves its own band and every leaf of a band lies in a
+    slice of that band: one comparison per stack with the
     maximal function's band index, taken once.  Every envelope of a stack
     is checked at its time in one stopped-field scan (_adapted_scan)."""
     names = ("b_disjoint", "bands_covered", "b_inside_a", "a_measurable", "theta_nonnegative")
@@ -608,9 +599,8 @@ def sawyer_trace_invariants(ws: WeightSystem, trace: SawyerTrace) -> dict:
     stray = outside = False
     measurable = True
     cells = list(trace.cells.items())
-    step = max(1, weights.SCAN_CHUNK_FLOATS // space.n_leaves)
-    for at in range(0, len(cells), step):
-        chunk = cells[at:at + step]
+    for rows in weights._chunks(len(cells), space):
+        chunk = cells[rows]
         ks = [k for (k, _), _ in chunk]
         a = np.array([c.a_mask for _, c in chunk])
         b = np.array([c.b_mask for _, c in chunk])
@@ -702,15 +692,14 @@ _CONSTANT_IDS = ("testing", "weak", "strong", "sp-test")
 def _strong_ratios(ws: WeightSystem, trials: int, seed: int) -> list[float]:
     """The ratio ||M(g sigma)||_{L^p(v)} / prod ||g_i||_{L^{p_i}(sigma_i)} of
     every trial of estimate_best_constant("strong"), in one stacked pass with
-    no per-trial vector: the components fill one (m, trials, leaves) stack in
-    place, trial t's as trial_vector builds them (from trial 3 on each
-    _trial_block exponentiated straight into its rows), except trial 2, all
-    ones under the testing witness.  The masks are one (trials, leaves) stack,
-    all true but at trial 2 (f * True and the tail factor x True are exact).
-    The L^p(v) sums run along the last axis, bit for bit lp_norm's 1-D sums,
-    and each final power is taken on a Python float (_power), the C pow of
-    lp_norm's np.float64 scalar power; an array power may differ in the last
-    ulp."""
+    no per-trial vector: _trial_block fills each trial's rows of one (m,
+    trials, leaves) stack in place, as trial_vector's, except that trial 2
+    takes trial 0's, all ones, under the testing witness.  The masks are one
+    (trials, leaves) stack, all true but at trial 2 (f * True and the tail
+    factor x True are exact).  The L^p(v) sums run along the last axis, bit
+    for bit lp_norm's 1-D sums, and each final power is taken on a Python
+    float (_power), the C pow of lp_norm's np.float64 scalar power; an array
+    power may differ in the last ulp."""
     space, seq = ws.space, ws.seq
     p = 1.0 / seq.aggregate_reciprocal
     m = seq.head_len
@@ -721,16 +710,13 @@ def _strong_ratios(ws: WeightSystem, trials: int, seed: int) -> list[float]:
         # comes from a 256-sample family
         family = "all" if 2**space.n_leaves - 1 <= 4096 else {"count": 256, "seed": 0}
         witness = sp_constant_argmax(ws, family)[1]
-    comps = np.ones((m, trials, space.n_leaves))
+    comps = np.empty((m, trials, space.n_leaves))
+    for trial in range(trials):
+        _trial_block(space, m, seed, 0 if trial == 2 else trial, 1e3, comps[:, trial])
     masks = np.ones((trials, space.n_leaves), dtype=bool)
-    if trials > 1:
-        comps[:, 1] = 0.0
-        comps[:, 1, space.atom_slice(min(1, space.depth), 0)] = 1.0
     if witness is not None:  # no witness leaves trial 2 unmasked: a None row reads all false
         masks[2] = witness
     padded = [trial == 2 and witness is not None for trial in range(trials)]
-    for trial in range(3, trials):
-        np.exp(_trial_block(space, m, seed, trial, 1e3), out=comps[:, trial])
     comps, masks = tuple(_frozen(comps)), _frozen(masks)  # rows of read-only stacks: no copies
     maximal = space.level_sup(_strong_rows(ws, FunctionVector(comps, masks)))
     rhs = _row_norms_products(space, comps, seq, ws.sigmas, masks, padded)
@@ -743,14 +729,13 @@ def _strong_ratios(ws: WeightSystem, trials: int, seed: int) -> list[float]:
 def _sp_test_ratios(ws: WeightSystem, trials: int, seed: int) -> np.ndarray:
     """The testing ratios of the "sp-test" trial supports (every leaf, the first
     level-1 atom, then one uniform per leaf < 0.5 from default_rng([seed,
-    trial]), one drawn leaf added if empty), through sp_ratios in stacks of
-    at most weights.SCAN_CHUNK_FLOATS entries, as a scan takes its chunks."""
+    trial]), one drawn leaf added if empty), through sp_ratios in stacks, one
+    per weights._chunks slice, as a scan takes its chunks."""
     space = ws.space
-    step = max(1, weights.SCAN_CHUNK_FLOATS // space.n_leaves)
     ratios = []
-    for at in range(0, trials, step):
-        supports = np.zeros((min(step, trials - at), space.n_leaves), dtype=bool)
-        for trial, row in enumerate(supports, start=at):
+    for chunk in weights._chunks(trials, space):
+        supports = np.zeros((chunk.stop - chunk.start, space.n_leaves), dtype=bool)
+        for trial, row in enumerate(supports, start=chunk.start):
             if trial < 2:  # the level-0 atom, every leaf, then the first level-1 atom
                 row[space.atom_slice(min(trial, space.depth), 0)] = True
                 continue

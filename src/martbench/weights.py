@@ -15,12 +15,14 @@ nonempty supports.  Either depends only on the tree shape and the spec, so
 it is built once and kept in _family_store, whatever the leaf masses.
 rh_ratios and sp_ratios take (B, leaves) chunks of supports, B * width at
 most SCAN_CHUNK_FLOATS for the kernel's width in floats per support
-(_sp_scan).  A family of K supports that fits one chunk is scanned from its
-_SupportTable, whose support masses are summed once per (system, table)
-pair and whose testing-table entry index is built once; a larger one is
-streamed, in the same chunks, so no value moves.  The "all" testing scan
-and its witness are cached on the WeightSystem.  Every scan starts in
-_family_source, which checks the spec once, before any chunk.
+(_sp_scan); every chunked scan, here and in theorems, takes its row slices
+from _chunks, the budget's one reader.  A family of K supports that is one
+chunk is scanned from its _SupportTable, whose support masses are summed
+once per (system, table) pair and whose testing-table entry index is a
+cached property; a larger one is streamed, in the same chunks, so no value
+moves.  The "all" testing scan and its witness are cached on the
+WeightSystem.  Every scan starts in _family_source, which checks the spec
+once, before any chunk.
 
 The system also caches the density product R = prod_i E_n(sigma_i) per
 atom of every level, and the testing table built from it.  With an
@@ -66,7 +68,7 @@ from .filtration import (
 )
 from .holder import FunctionVector, _entry_levels, _keep_last, level_product_atoms
 
-SCAN_CHUNK_FLOATS = 1 << 16  # B * width per chunk of a scan (_support_chunks)
+SCAN_CHUNK_FLOATS = 1 << 16  # B * width per chunk of a scan (_chunks)
 KEPT_FAMILIES = 8  # support families a process keeps (_family_store)
 
 
@@ -233,23 +235,24 @@ def ap_constant(ws: WeightSystem) -> float:
     return ws.ap_max
 
 
+def _chunks(count: int, space: TreeSpace, width: int | None = None) -> Iterator[slice]:
+    """The scan budget: consecutive slices of range(count), B rows each (the
+    last may be shorter) with B * width at most SCAN_CHUNK_FLOATS and B >= 1,
+    width the floats per row (leaves by default)."""
+    rows = max(1, SCAN_CHUNK_FLOATS // (width or space.n_leaves))
+    return (slice(lo, min(lo + rows, count)) for lo in range(0, count, rows))
+
+
 def _support_chunks(space: TreeSpace, source, width: int | None = None) -> Iterator[np.ndarray]:
-    """A resolved family (_family_source) as (B, leaves) bool chunks with B *
-    width at most SCAN_CHUNK_FLOATS, width the kernel's floats per support
-    (leaves by default): None (a streamed "all") gives the bitmasks 1 ..
-    2**leaves - 1 in order, decoded per chunk; drawn supports or a kept
-    table give slices of their masks."""
-    rows = _chunk_rows(space, width)
+    """A resolved family (_family_source) as (B, leaves) bool chunks, one per
+    _chunks slice at the kernel's width: None (a streamed "all") gives the
+    bitmasks 1 .. 2**leaves - 1 in order, decoded per chunk; drawn supports
+    or a kept table give slices of their masks."""
     if source is None:
-        return (_decoded(space.n_leaves, lo, min(lo + rows, 2**space.n_leaves))
-                for lo in range(1, 2**space.n_leaves, rows))
+        return (_decoded(space.n_leaves, s.start + 1, s.stop + 1)
+                for s in _chunks(2**space.n_leaves - 1, space, width))
     masks = source.masks if isinstance(source, _SupportTable) else source
-    return (masks[lo : lo + rows] for lo in range(0, len(masks), rows))
-
-
-def _chunk_rows(space: TreeSpace, width: int | None) -> int:
-    """Supports per chunk: B with B * width at most SCAN_CHUNK_FLOATS, B >= 1."""
-    return max(1, SCAN_CHUNK_FLOATS // (width or space.n_leaves))
+    return (masks[s] for s in _chunks(len(masks), space, width))
 
 
 def _decoded(leaves: int, lo: int, hi: int) -> np.ndarray:
@@ -283,39 +286,45 @@ def _sampled_key(family) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class _SupportTable:
-    """The read-only (K, leaves) masks of one shape and family in scan order;
-    hashes by identity, so it keys the support masses of a system."""
+    """The read-only (K, leaves) masks of one shape and family in scan order,
+    and its depth and branching, not the shape, so an evicted shape is still
+    freed; hashes by identity, so it keys the support masses of a system."""
 
     masks: np.ndarray
+    depth: int
+    branching: int
 
-    def entry_index(self, space: TreeSpace) -> np.ndarray:
-        """_entry_index of the masks (read-only), built from the space's shape
-        on the first call and kept."""
-        if "entry" not in vars(self):
-            vars(self)["entry"] = _frozen(_entry_index(space, self.masks))
-        return vars(self)["entry"]
+    @cached_property
+    def entry_index(self) -> np.ndarray:
+        """_entry_index of the masks (read-only), built on the first read."""
+        space = _tree_shape(self.depth, self.branching).space
+        return _frozen(_entry_index(space, self.masks))
 
 
 def _family_source(space: TreeSpace, family) -> _SupportTable | np.ndarray | None:
     """A family spec resolved once per scan, after its checks (ENUMERATION_CAP
-    for "all", _sampled_key): the kept table of a family whose K supports fit
-    one chunk (K * leaves at most SCAN_CHUNK_FLOATS: "all" up to 12 leaves),
-    else a larger sampled family's masks, or None for a larger "all"."""
+    for "all", _sampled_key): the kept table of a family whose K supports are
+    one chunk (_one_chunk: "all" up to 12 leaves), else a larger sampled
+    family's masks, or None for a larger "all"."""
     if family == "all":
-        size, key = 2**space.n_leaves - 1, "all"
+        size = 2**space.n_leaves - 1
         if size > ENUMERATION_CAP:
             raise EnumerationCapError(
                 f"{_about(size)} distinct stopping-time supports exceed the cap "
                 f"{ENUMERATION_CAP}; use a sampled family"
             )
-        if size * space.n_leaves > SCAN_CHUNK_FLOATS:
+        if not _one_chunk(size, space):
             return None
-    elif isinstance(family, str):
+        return _family_store(space.depth, space.branching, "all")
+    if isinstance(family, str):
         raise ValueError(f"unknown family spec {family!r}")
-    else:
-        key = _sampled_key(family)
-    table = _family_store(space.depth, space.branching, key)
-    return table.masks if table.masks.size > SCAN_CHUNK_FLOATS else table
+    table = _family_store(space.depth, space.branching, _sampled_key(family))
+    return table if _one_chunk(len(table.masks), space) else table.masks
+
+
+def _one_chunk(count: int, space: TreeSpace) -> bool:
+    """Whether _chunks takes count supports of a (B, leaves) scan in one slice."""
+    return next(_chunks(count, space), slice(0)).stop == count
 
 
 @lru_cache(maxsize=KEPT_FAMILIES)
@@ -326,14 +335,15 @@ def _family_store(depth: int, branching: int, key) -> _SupportTable:
     default_rng(seed), in first-drawn order.  An exception (the sampler's
     OverflowError from binary depth 10) is not kept."""
     if key == "all":
-        return _SupportTable(_frozen(_decoded(branching**depth, 1, 2 ** (branching**depth))))
-    count, seed = key
-    space = _tree_shape(depth, branching).space  # the sampler reads only the shape
-    rng = np.random.default_rng(seed)
-    drawn = (sample_stopping_time(space, rng).finite for _ in range(count))
-    distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())
-    return _SupportTable(_frozen(np.stack(distinct) if distinct
-                                 else np.zeros((0, space.n_leaves), bool)))
+        masks = _decoded(branching**depth, 1, 2 ** (branching**depth))
+    else:
+        count, seed = key
+        space = _tree_shape(depth, branching).space  # the sampler reads only the shape
+        rng = np.random.default_rng(seed)
+        drawn = (sample_stopping_time(space, rng).finite for _ in range(count))
+        distinct = list({f.tobytes(): f for f in drawn if f.any()}.values())
+        masks = np.stack(distinct) if distinct else np.zeros((0, space.n_leaves), bool)
+    return _SupportTable(_frozen(masks), depth, branching)
 
 
 def support_family(space: TreeSpace, family="all") -> np.ndarray:
@@ -464,11 +474,10 @@ def _family_max(ws: WeightSystem, family, kernel, width: int | None = None,
     space = ws.space
     source = _family_source(space, family)
     if isinstance(source, _SupportTable):
-        rows, masses = _chunk_rows(space, width), _kept_masses(ws, source)
-        at = source.entry_index(space) if entry else None
-        chunks = ((source.masks[lo : lo + rows], masses[:, lo : lo + rows],
-                   None if at is None else at[lo : lo + rows])
-                  for lo in range(0, len(source.masks), rows))
+        masses = _kept_masses(ws, source)
+        at = source.entry_index if entry else None
+        chunks = ((source.masks[s], masses[:, s], None if at is None else at[s])
+                  for s in _chunks(len(source.masks), space, width))
     else:
         chunks = ((m, _support_masses(ws, m), _entry_index(space, m) if entry else None)
                   for m in _support_chunks(space, source, width))

@@ -130,6 +130,25 @@ class TestVerifySuites:
         names = {r["inequality"] for r in doc["reports"]}
         assert "sp-to-strong" in names and "strong-estimate-vs-bound" in names
 
+    @pytest.mark.parametrize("space, family", [('{"depth":2,"branching":2}', "all"),
+                                               ('{"depth":8,"branching":2}', "sample:16")],
+                             ids=["4-all", "256-sample"])
+    def test_verify_sp_strong_bound_comes_from_one_place(self, tmp_path, space, family):
+        # the document's c_final is the sp-to-strong reports' constant and
+        # the bound the strong estimate is checked against, bit for bit
+        code, doc, _ = run_cli(
+            tmp_path, "verify-sp",
+            "--space", space,
+            "--seq", '{"head":[2.5,3],"tail_mass":0.2,"tail_ratio":0.5}',
+            "--weights", '{"generator":{"seed":7,"n_active":2,"spread":4.0}}',
+            "--family", family, "--trials", "4",
+        )
+        assert code in (0, 1)
+        strong = [r["constant"] for r in doc["reports"] if r["inequality"] == "sp-to-strong"]
+        bound = [r["rhs"] for r in doc["reports"] if r["inequality"] == "strong-estimate-vs-bound"]
+        assert len(strong) == 4 and len(bound) == 1 and math.isfinite(doc["c_final"])
+        assert {c.hex() for c in [*strong, *bound]} == {doc["c_final"].hex()}
+
     def test_check_holder(self, tmp_path):
         code, doc, _ = run_cli(
             tmp_path, "check-holder",

@@ -55,6 +55,49 @@ def test_one_entry_caches_drop_their_entry_before_a_build():
     assert not sites, f"lru_cache(maxsize=1), where holder._keep_last should keep it: {sites}"
 
 
+def _is_instance_dict(node) -> bool:
+    """vars(...) or any `x.__dict__`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "vars" or isinstance(node, ast.Attribute)
+            and node.attr == "__dict__")
+
+
+def test_no_hand_written_cache_in_an_instance_dict():
+    # a value kept per instance is a functools.cached_property, not a
+    # store into vars(self) or self.__dict__: one home per cache lifetime
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            stored = (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+                      and _is_instance_dict(node.value))
+            updated = (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                       and node.func.attr in ("update", "setdefault", "__setitem__")
+                       and _is_instance_dict(node.func.value))
+            if stored or updated:
+                sites.append(f"{path.name}:{node.lineno}")
+    assert not sites, f"stores into an instance dict, where cached_property should keep it: {sites}"
+
+
+def test_the_scan_budget_is_read_only_by_weights_chunks():
+    # weights._chunks turns SCAN_CHUNK_FLOATS into row slices; every other
+    # chunked scan takes its slices from it instead of dividing the budget
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        enclosing = {}  # node id -> innermost enclosing function (ast.walk goes outside in)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                enclosing.update((id(sub), getattr(func, "name", "<lambda>"))
+                                 for sub in ast.walk(func))
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            where = (path.name, enclosing.get(id(node)))
+            if name == "SCAN_CHUNK_FLOATS" and where != ("weights.py", "_chunks"):
+                reads.append(f"{path.name}:{node.lineno}")
+    assert not reads, f"SCAN_CHUNK_FLOATS read outside weights._chunks: {reads}"
+
+
 def test_lru_cache_keeps_only_the_tree_shapes_and_the_support_families():
     # one home per cache lifetime: every per-shape table is a cached property
     # of filtration.TreeShape, whose constructor keeps the last KEPT_SHAPES

@@ -1,4 +1,5 @@
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -158,14 +159,19 @@ class TestProductFunction:
                     == function_norms_product(space, as_bool, seq))
 
     def test_trial_components_are_frozen_draws(self):
-        # trials 0 and 1 share one frozen array across components; later
-        # trials draw from default_rng([seed, trial]) in component order, and
-        # the vector keeps each fresh draw without a copy
+        # the components are rows of one frozen block, kept without a copy:
+        # trials 0 and 1 share one row across components (all ones, and the
+        # first level-1 atom's indicator); later trials draw from
+        # default_rng([seed, trial]) in component order, one row each
         space = make_tree_space(3, 2)
+        chi = np.zeros(space.n_leaves)
+        chi[space.atom_slice(1, 0)] = 1.0
         for trial in range(4):
             fv = trial_vector(space, 3, 7, trial, 1e3)
             assert not any(c.flags.writeable for c in fv.active)
-            assert all(c.flags.owndata for c in fv.active)
+            block = fv.active[0].base
+            assert block.shape == (3 if trial >= 2 else 1, space.n_leaves)
+            assert not block.flags.writeable and all(c.base is block for c in fv.active)
             if trial >= 2:
                 rng = np.random.default_rng([7, trial])
                 bound = math.log(1e3)
@@ -174,6 +180,8 @@ class TestProductFunction:
                         c, np.exp(rng.uniform(-bound, bound, space.n_leaves)))
             else:
                 assert fv.active[0] is fv.active[1] is fv.active[2]
+                want = np.ones(space.n_leaves) if trial == 0 else chi
+                np.testing.assert_array_equal(fv.active[0], want)
 
 
 class TestIntegralCheck:
@@ -233,6 +241,20 @@ class TestIntegralCheck:
         report = holder_integral_check(space, function_vector(space, [[1e200, 1.0]]), seq)
         assert report.rhs == math.inf
         assert not report.passed and report.metadata["reason"] == "inf"
+
+    def test_inf_times_zero_norm_factor_is_nan_without_a_warning(self):
+        # 0.0066**150 underflows to 0 and 200.7**150 overflows to inf: the
+        # norm product is inf * 0, NaN, taken on Python floats without
+        # numpy's invalid-value warning
+        space = make_tree_space(0, 2)
+        seq = make_exponent_sequence([150.0, 150.0])
+        fv = function_vector(space, [[0.0066], [200.7]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(function_norms_product(space, fv, seq))
+            report = holder_integral_check(space, fv, seq)
+        assert math.isnan(report.rhs)
+        assert not report.passed and report.metadata["reason"] == "nan"
 
     def test_alignment_enforced(self):
         space = make_tree_space(1, 2)

@@ -29,7 +29,7 @@ from martbench.holder import (
     level_products,
     trial_vector,
 )
-from martbench.maximal import _level_sets, gen_doob_maximal, gen_weighted_maximal, weak_lp_norm
+from martbench.maximal import gen_doob_maximal, gen_weighted_maximal, weak_lp_norm
 from martbench.report import REL_TOL, _power, _within_margin, check_inequality
 from martbench.theorems import (
     band_index,
@@ -325,7 +325,7 @@ class TestApToTesting:
             fv = random_fvec(rng, space, seq, spread=1e6)
             rows = level_products(space, fv, seq)
             p, rp = 1.0 / seq.aggregate_reciprocal, seq.aggregate_reciprocal
-            slots, table = theorems_mod._family_reports(ws, fv)[:2]
+            slots, table = theorems_mod._family_reports(ws, fv)
             reward = theorems_mod._testing_parts(ws, fv)[2]
             times = list(enumerate_stopping_times(space))
             assert len(slots) == len(table) == len(times)
@@ -365,7 +365,7 @@ class TestApToTesting:
             for (ws, fv), own, other in zip(systems, shared, shared[::-1]):
                 rows = level_products(ws.space, fv, seq)
                 expected = stopped_reward_oracle(ws, rows, own, 1.0 / rp)
-                slots, table = theorems_mod._family_reports(ws, fv)[:2]
+                slots, table = theorems_mod._family_reports(ws, fv)
                 assert table[slots[own]][0] == expected**rp and other not in slots
                 for tau in (own, other):
                     assert verify_ap_to_testing(ws, fv, tau).lhs == expected**rp
@@ -384,7 +384,7 @@ class TestApToTesting:
         seq = make_exponent_sequence([2.5, 3.0], 0.2, 0.5)
         ws = random_weight_system(rng, space, seq)
         fv = random_fvec(rng, space, seq)
-        assert theorems_mod._family_reports(ws, fv)[:2] == ({}, [])
+        assert theorems_mod._family_reports(ws, fv) == ({}, [])
         reward = theorems_mod._testing_parts(ws, fv)[2]
         rows = level_products(space, fv, seq)
         p = 1.0 / seq.aggregate_reciprocal
@@ -595,9 +595,10 @@ def first_theorem_cases(rng, space):
 
 
 @pytest.mark.parametrize("shape", SHAPES, ids=shape_id)
-def test_first_theorem_checks_match_the_band_stack_and_per_threshold_oracles(shape):
+def test_first_theorem_checks_match_the_band_stack_and_per_threshold_oracles(shape, monkeypatch):
     # the band sums from the kept masses, the stopped rewards per passage
-    # block and the per-time table's verdicts: bit for bit today's code moved
+    # block (each block's _stopped_sums, as verify_testing_to_weak reads
+    # them) and the per-time table's verdicts: bit for bit today's code moved
     # to the oracles, the reports field by field, at the default tolerance
     # and at -0.5
     depth, branching = shape
@@ -605,18 +606,19 @@ def test_first_theorem_checks_match_the_band_stack_and_per_threshold_oracles(sha
     probs = rng.uniform(0.2, 1.0, branching**depth)
     space = make_tree_space(depth, branching, probs / probs.sum())
     kept = list(enumerate_stopping_times(space)) if space.n_leaves <= 9 else []
+    blocks, original = [], theorems_mod._stopped_sums
+    monkeypatch.setattr(theorems_mod, "_stopped_sums",
+                        lambda *args: blocks.append(original(*args)) or blocks[-1])
     for ws, fv in first_theorem_cases(rng, space):
-        atoms, _, reward, _ = theorems_mod._testing_parts(ws, fv)
-        probs = space.leaf_probs * ws.v
-        thresholds = np.nextafter(_level_sets(space.level_sup(atoms), probs)[0], 0.0)
-        rewards = theorems_mod._stopped_rewards(space, atoms, reward, thresholds)
         _, v_sums, factor_sums, _ = theorems_mod._band_sums(ws, fv)
         for tolerance in (REL_TOL, -0.5):
             want, want_rewards = per_threshold_oracle(ws, fv, 2.0, tolerance)
+            blocks.clear()
             assert_same_report(verify_testing_to_weak(ws, fv, 2.0, tolerance), want)
+            rewards = np.concatenate([np.empty(0), *blocks])
+            np.testing.assert_array_equal(rewards.view(np.uint64), want_rewards.view(np.uint64))
             want, want_v, want_factors = band_stack_oracle(ws, fv, ws.ap_max, tolerance)
             assert_same_report(verify_weak_to_testing(ws, fv, ws.ap_max, tolerance), want)
-        np.testing.assert_array_equal(rewards.view(np.uint64), want_rewards.view(np.uint64))
         np.testing.assert_array_equal(v_sums.view(np.uint64), want_v.view(np.uint64))
         np.testing.assert_array_equal(factor_sums.view(np.uint64), want_factors.view(np.uint64))
         for tau in kept:

@@ -891,7 +891,7 @@ class TestKeptTables:
         assert weights_mod._family_store.cache_info().currsize == 4
         table = weights_mod._family_source(make_tree_space(3, 2), "all")
         assert not table.masks.flags.writeable
-        assert not table.entry_index(make_tree_space(3, 2)).flags.writeable
+        assert not table.entry_index.flags.writeable and (table.depth, table.branching) == (3, 2)
         np.testing.assert_array_equal(table.masks, support_family(make_tree_space(3, 2)))
 
     def test_support_masses_are_summed_once_per_system(self, monkeypatch):
